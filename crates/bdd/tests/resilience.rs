@@ -106,6 +106,7 @@ fn apply_failpoint_aborts_and_manager_recovers() {
 /// (checked by re-encoding and re-decoding).
 #[test]
 fn exported_bdd_decode_survives_truncation_and_bit_flips() {
+    let _g = lock();
     let mut m = BddManager::new();
     let vars: Vec<_> = (0..6).map(|_| m.new_var()).collect();
     let f = xor_chain(&mut m, &vars);
@@ -130,6 +131,7 @@ fn exported_bdd_decode_survives_truncation_and_bit_flips() {
 
 #[test]
 fn exported_relation_decode_survives_truncation_and_bit_flips() {
+    let _g = lock();
     let mut m = BddManager::new();
     let d1 = m.add_domain(5).unwrap();
     let d2 = m.add_domain(3).unwrap();

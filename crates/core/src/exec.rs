@@ -31,6 +31,8 @@ use std::collections::HashMap;
 /// Execute a plan's BDD step against the live indices: allocate query
 /// domains over the step's prenex form, compile the rewritten body, confine
 /// the stripped variables to their ranges, and apply the step's O(1) test.
+/// Atom-local variables ([`atom_local_vars`]) are projected out of their
+/// atom before anything is renamed.
 ///
 /// Every relation mentioned must already have an index built (the
 /// [`crate::checker::Checker`] guarantees this). Propagates
@@ -45,12 +47,14 @@ pub fn execute_bdd(
 ) -> Result<bool> {
     let sorts = infer_sorts(ldb.db(), &step.alloc)?;
     let var_doms = allocate_query_domains(ldb, &step.alloc, &sorts)?;
+    let local = atom_local_vars(&step.body, &step.stripped);
     let mut c = Compiler {
         ldb,
         var_doms: &var_doms,
         sorts: &sorts,
         join_rename: step.join_rename,
         fused_quant: step.fused_quant,
+        local: &local,
         rules,
     };
     let phi = c.compile(&step.body)?;
@@ -61,6 +65,57 @@ pub fn execute_bdd(
         BddTest::ViolationsEmpty => test.is_false(),
         BddTest::Satisfiable => !test.is_false(),
     })
+}
+
+/// The atom-local variables of a check body: stripped leading-block
+/// variables that occur exactly once in `body`, inside an atom that is a
+/// top-level conjunct (or the whole body). The O(1) test only asks whether
+/// `∃stripped. body` is satisfiable, and `∃v.(A ∧ B) = (∃v.A) ∧ B` when `v`
+/// is absent from `B`, so such an atom may project the variable's column
+/// away before renaming anything — early quantification (Burch, Clarke and
+/// Long 1991). A self-join FD's unshared columns are the common case.
+fn atom_local_vars(body: &Formula, stripped: &[String]) -> Vec<String> {
+    fn count<'f>(f: &'f Formula, n: &mut HashMap<&'f str, usize>) {
+        let mut term = |t: &'f Term| {
+            if let Term::Var(v) = t {
+                *n.entry(v.as_str()).or_insert(0) += 1;
+            }
+        };
+        match f {
+            Formula::True | Formula::False => {}
+            Formula::Atom { args, .. } => args.iter().for_each(term),
+            Formula::Eq(a, b) => {
+                term(a);
+                term(b);
+            }
+            Formula::InSet(t, _) => term(t),
+            Formula::Not(g) | Formula::Exists(_, g) | Formula::Forall(_, g) => count(g, n),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| count(g, n)),
+            Formula::Implies(a, b) => {
+                count(a, n);
+                count(b, n);
+            }
+        }
+    }
+    let mut occurrences = HashMap::new();
+    count(body, &mut occurrences);
+    let conjuncts = match body {
+        Formula::And(fs) => fs.as_slice(),
+        f => std::slice::from_ref(f),
+    };
+    let mut local = Vec::new();
+    for g in conjuncts {
+        if let Formula::Atom { args, .. } = g {
+            for t in args {
+                if let Term::Var(v) = t {
+                    if occurrences[v.as_str()] == 1 && stripped.contains(v) {
+                        local.push(v.clone());
+                    }
+                }
+            }
+        }
+    }
+    local
 }
 
 /// Execute a plan's pre-translated SQL step: run the relational plan and
@@ -117,6 +172,8 @@ pub fn violations_bdd(
         sorts: &sorts,
         join_rename: options.join_rename,
         fused_quant: options.fused_quant,
+        // Witness enumeration decodes full assignments: nothing projected.
+        local: &[],
         rules: None,
     };
     let phi = c.compile(&body)?;
@@ -207,6 +264,9 @@ struct Compiler<'a> {
     join_rename: bool,
     /// Use the fused `appex`/`appall` operators for residual quantifiers.
     fused_quant: bool,
+    /// Atom-local variables ([`atom_local_vars`]): their columns are
+    /// projected away instead of renamed.
+    local: &'a [String],
     /// R2 firing sink: one event per atom compiled with ≥ 1 rename.
     rules: Option<&'a mut Vec<RuleFiring>>,
 }
@@ -321,7 +381,7 @@ impl Compiler<'_> {
         {
             let db = self.ldb.db();
             let rel = db.relation(relation)?;
-            let mut seen: HashMap<&str, ()> = HashMap::new();
+            let mut moves = Vec::new();
             for (i, t) in args.iter().enumerate() {
                 let col_dom = idx.domains[i];
                 match t {
@@ -334,29 +394,47 @@ impl Compiler<'_> {
                             Some(code) => actions.push(AtomAction::Pin(col_dom, code as u64)),
                         }
                     }
+                    Term::Var(v) if self.local.contains(v) => {
+                        // Nothing else reads it: the test discards it.
+                        actions.push(AtomAction::Project(col_dom));
+                    }
                     Term::Var(v) => {
                         let var_dom = self.var_doms[v];
-                        let first = seen.insert(v.as_str(), ()).is_none();
-                        if first && var_dom == col_dom {
+                        // The variable's representative column: the one it
+                        // claimed, if that is in this atom, else its first
+                        // occurrence. Its other occurrences are equated
+                        // with it while every column is still in place.
+                        let at: Vec<usize> = (0..args.len())
+                            .filter(|&j| matches!(&args[j], Term::Var(w) if w == v))
+                            .collect();
+                        let rep = at
+                            .iter()
+                            .copied()
+                            .find(|&j| idx.domains[j] == var_dom)
+                            .unwrap_or(at[0]);
+                        if i != rep {
+                            actions.push(AtomAction::Equal(col_dom, idx.domains[rep]));
+                        } else if var_dom == col_dom {
                             // The variable claimed this very column: the
                             // atom already speaks its language.
-                        } else if first && self.join_rename {
-                            actions.push(AtomAction::Rename(col_dom, var_dom));
+                        } else if self.join_rename || idx.domains.contains(&var_dom) {
+                            // A target among the index's own columns may
+                            // still be occupied by another variable; only
+                            // the simultaneous rename moves both safely.
+                            moves.push(AtomAction::Rename(col_dom, var_dom));
                         } else {
-                            // Repeated variable, or the naive equality-cube
-                            // strategy: conjoin an equality and project the
-                            // column block away.
+                            // The naive equality-cube strategy.
                             actions.push(AtomAction::Equal(col_dom, var_dom));
                         }
                     }
                 }
             }
+            actions.extend(moves);
         }
         let renames: Vec<(DomainId, DomainId)> = actions
             .iter()
             .filter_map(|a| match a {
-                // Variables that claimed this very column need no move.
-                AtomAction::Rename(from, to) if from != to => Some((*from, *to)),
+                AtomAction::Rename(from, to) => Some((*from, *to)),
                 _ => None,
             })
             .collect();
@@ -383,7 +461,36 @@ impl Compiler<'_> {
                 cur = mgr.restrict(cur, cube)?;
             }
         }
-        // 2. Rename first-occurrence variable columns into query domains —
+        // 2. Project atom-local columns on the index's own domains, so the
+        //    rename below only moves the columns that survive.
+        let projected: Vec<DomainId> = actions
+            .iter()
+            .filter_map(|a| match a {
+                AtomAction::Project(d) => Some(*d),
+                _ => None,
+            })
+            .collect();
+        if !projected.is_empty() {
+            let vs = mgr.domain_varset(&projected);
+            cur = mgr.exists(cur, vs)?;
+        }
+        // 3. Equate repeated variables' extra columns with their
+        //    representatives (and, under the naive strategy, move columns by
+        //    equality cubes), then project those column blocks away. This
+        //    runs before the rename, while every column is still its own.
+        let mut quantify_out = Vec::new();
+        for a in &actions {
+            if let AtomAction::Equal(col_dom, other) = a {
+                let eq = mgr.domain_eq(*col_dom, *other)?;
+                cur = mgr.and(cur, eq)?;
+                quantify_out.push(*col_dom);
+            }
+        }
+        if !quantify_out.is_empty() {
+            let vs = mgr.domain_varset(&quantify_out);
+            cur = mgr.exists(cur, vs)?;
+        }
+        // 4. Rename the surviving columns into their variables' domains —
         //    the §4.2 rewrite: one linear-cost pass instead of equality
         //    conjunctions.
         if !renames.is_empty() {
@@ -394,21 +501,6 @@ impl Compiler<'_> {
                     count: renames.len() as u64,
                 });
             }
-        }
-        // 3. Equality constraints for repeated variables (and for every
-        //    variable under the naive strategy), then project the column
-        //    blocks away.
-        let mut quantify_out = Vec::new();
-        for a in &actions {
-            if let AtomAction::Equal(col_dom, var_dom) = a {
-                let eq = mgr.domain_eq(*col_dom, *var_dom)?;
-                cur = mgr.and(cur, eq)?;
-                quantify_out.push(*col_dom);
-            }
-        }
-        if !quantify_out.is_empty() {
-            let vs = mgr.domain_varset(&quantify_out);
-            cur = mgr.exists(cur, vs)?;
         }
         self.ldb.atom_cache_put(relation, actions, cur);
         Ok(cur)
@@ -460,5 +552,37 @@ impl Compiler<'_> {
     /// A variable's attribute class, from the inferred sorts.
     fn class_of_var(&self, v: &str) -> Result<String> {
         Ok(self.sorts[v].clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::atom_local_vars;
+    use relcheck_logic::parse;
+
+    fn local(body: &str, stripped: &[&str]) -> Vec<String> {
+        let stripped: Vec<String> = stripped.iter().map(|s| s.to_string()).collect();
+        atom_local_vars(&parse(body).unwrap(), &stripped)
+    }
+
+    #[test]
+    fn atom_local_vars_follow_the_selection_rule() {
+        let fd = ["a", "c1", "s1", "c2", "s2"];
+        assert_eq!(
+            local("CUST(a, c1, s1) & CUST(a, c2, s2) & !(s1 = s2)", &fd),
+            ["c1", "c2"]
+        );
+        // A lone atom body: every stripped variable in it.
+        assert_eq!(local("R(x, y)", &["x", "y"]), ["x", "y"]);
+        // Repeated inside one atom.
+        assert!(local("R(x, x)", &["x"]).is_empty());
+        // Shared with an `=` or `in` conjunct.
+        assert_eq!(local("R(x, y) & x = 1", &["x", "y"]), ["y"]);
+        assert_eq!(local("R(x, y) & y in {1, 2}", &["x", "y"]), ["x"]);
+        // Under a negation or a nested quantifier: not a top-level atom.
+        assert_eq!(local("!(R(x, y)) & S(y, z)", &["x", "y", "z"]), ["z"]);
+        assert_eq!(local("R(x, y) & exists w. S(y, w)", &["x", "y"]), ["x"]);
+        // Not stripped: never projected.
+        assert!(local("R(x, y)", &[]).is_empty());
     }
 }

@@ -136,10 +136,16 @@ impl IndexSnapshot {
 pub enum AtomAction {
     /// Pin a column block to a dictionary code (constant argument).
     Pin(DomainId, u64),
+    /// Existentially project a column block away on the index's own
+    /// domain, before any rename (an atom-local variable of an emptiness
+    /// or satisfiability test).
+    Project(DomainId),
     /// Rename a column block into a variable's query domain (§4.2).
     Rename(DomainId, DomainId),
-    /// Conjoin equality with a variable's domain, then project the column
-    /// block away (repeated variables, or the naive join strategy).
+    /// Conjoin equality with another domain, then project the column block
+    /// away: a repeated variable's extra column against its representative
+    /// column, or (naive join strategy) a column against its variable's
+    /// domain.
     Equal(DomainId, DomainId),
 }
 

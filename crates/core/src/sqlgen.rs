@@ -13,7 +13,8 @@
 //! ```
 //!
 //! where `conclusion` is a conjunction of comparisons, of atoms, or an
-//! ∃-quantified conjunction of both. The result plan's output is the set of
+//! ∃-quantified conjunction of both, and every ∀ variable it mentions also
+//! occurs in the premise. The result plan's output is the set of
 //! violating premise rows (for the ∃ form: the witnesses — empty means
 //! violated, so callers must interpret by [`Shape`]). Constraints outside
 //! the class yield `None`; the checker then resorts to brute-force
@@ -60,6 +61,57 @@ enum Cmp {
     NotIn(String, Vec<Raw>),
     /// Constant-only comparison already decided.
     Decided(bool),
+}
+
+impl Cmp {
+    /// The comparison that holds exactly where this one does not.
+    fn negated(&self) -> Cmp {
+        match self.clone() {
+            Cmp::EqConst(v, raw) => Cmp::NeqConst(v, raw),
+            Cmp::NeqConst(v, raw) => Cmp::EqConst(v, raw),
+            Cmp::EqVar(x, y) => Cmp::NeqVar(x, y),
+            Cmp::NeqVar(x, y) => Cmp::EqVar(x, y),
+            Cmp::In(v, vals) => Cmp::NotIn(v, vals),
+            Cmp::NotIn(v, vals) => Cmp::In(v, vals),
+            Cmp::Decided(b) => Cmp::Decided(!b),
+        }
+    }
+}
+
+/// σ_cmp over `input`, whose columns `var_cols` names; `None` if the
+/// comparison mentions a variable the input does not bind.
+fn select_cmp(input: Plan, cmp: &Cmp, var_cols: &HashMap<String, usize>) -> Option<Plan> {
+    Some(match cmp {
+        Cmp::Decided(true) => input,
+        // Select nothing: empty IN-set.
+        Cmp::Decided(false) => Plan::SelectIn {
+            input: Box::new(input),
+            col: 0,
+            values: vec![],
+        },
+        Cmp::EqConst(v, raw) => input.select_eq(*var_cols.get(v)?, raw.clone()),
+        Cmp::NeqConst(v, raw) => Plan::SelectNeq {
+            input: Box::new(input),
+            col: *var_cols.get(v)?,
+            value: raw.clone(),
+        },
+        Cmp::EqVar(x, y) => Plan::SelectColEq {
+            input: Box::new(input),
+            left: *var_cols.get(x)?,
+            right: *var_cols.get(y)?,
+        },
+        Cmp::NeqVar(x, y) => Plan::SelectColNeq {
+            input: Box::new(input),
+            left: *var_cols.get(x)?,
+            right: *var_cols.get(y)?,
+        },
+        Cmp::In(v, vals) => input.select_in(*var_cols.get(v)?, vals.clone()),
+        Cmp::NotIn(v, vals) => Plan::SelectNotIn {
+            input: Box::new(input),
+            col: *var_cols.get(v)?,
+            values: vals.clone(),
+        },
+    })
 }
 
 /// A flattened conjunction: positive atoms, negated atoms, comparisons.
@@ -207,39 +259,7 @@ fn build_conj_plan(db: &Database, conj: &Conj) -> Option<(Plan, HashMap<String, 
     }
     let mut plan = plan.expect("at least one atom");
     for cmp in &conj.cmps {
-        plan = match cmp {
-            Cmp::Decided(true) => plan,
-            Cmp::Decided(false) => {
-                // Select nothing: empty IN-set.
-                Plan::SelectIn {
-                    input: Box::new(plan),
-                    col: 0,
-                    values: vec![],
-                }
-            }
-            Cmp::EqConst(v, raw) => plan.select_eq(*var_cols.get(v)?, raw.clone()),
-            Cmp::NeqConst(v, raw) => Plan::SelectNeq {
-                input: Box::new(plan),
-                col: *var_cols.get(v)?,
-                value: raw.clone(),
-            },
-            Cmp::EqVar(x, y) => Plan::SelectColEq {
-                input: Box::new(plan),
-                left: *var_cols.get(x)?,
-                right: *var_cols.get(y)?,
-            },
-            Cmp::NeqVar(x, y) => Plan::SelectColNeq {
-                input: Box::new(plan),
-                left: *var_cols.get(x)?,
-                right: *var_cols.get(y)?,
-            },
-            Cmp::In(v, vals) => plan.select_in(*var_cols.get(v)?, vals.clone()),
-            Cmp::NotIn(v, vals) => Plan::SelectNotIn {
-                input: Box::new(plan),
-                col: *var_cols.get(v)?,
-                values: vals.clone(),
-            },
-        };
+        plan = select_cmp(plan, cmp, &var_cols)?;
     }
     // Negated atoms: anti-join against each, on the shared variables.
     // Every variable of a negated atom must be bound by the positive part
@@ -341,6 +361,15 @@ pub fn violation_plan(db: &Database, f: &Formula) -> Option<Translated> {
         });
     };
 
+    // A ∀ variable only the conclusion mentions is universal there, but the
+    // plans below would read it existentially: out of class.
+    if conclusion
+        .free_vars()
+        .iter()
+        .any(|v| !pvars.contains_key(v))
+    {
+        return None;
+    }
     // Conclusion: ∃ȳ conj, or a bare conj.
     let mut concl_body = conclusion;
     while let Formula::Exists(_, inner) = concl_body {
@@ -348,47 +377,23 @@ pub fn violation_plan(db: &Database, f: &Formula) -> Option<Translated> {
     }
     let cconj = flatten_conj(concl_body)?;
     if cconj.atoms.is_empty() {
-        // Pure comparisons: violations = premise − σ_conclusion(premise).
-        let mut satisfied = premise_plan.clone();
-        for cmp in &cconj.cmps {
-            satisfied = match cmp {
-                Cmp::Decided(true) => satisfied,
-                Cmp::Decided(false) => Plan::SelectIn {
-                    input: Box::new(satisfied),
-                    col: 0,
-                    values: vec![],
-                },
-                Cmp::EqConst(v, raw) => satisfied.select_eq(*pvars.get(v)?, raw.clone()),
-                Cmp::NeqConst(v, raw) => Plan::SelectNeq {
-                    input: Box::new(satisfied),
-                    col: *pvars.get(v)?,
-                    value: raw.clone(),
-                },
-                Cmp::EqVar(x, y) => Plan::SelectColEq {
-                    input: Box::new(satisfied),
-                    left: *pvars.get(x)?,
-                    right: *pvars.get(y)?,
-                },
-                Cmp::NeqVar(x, y) => Plan::SelectColNeq {
-                    input: Box::new(satisfied),
-                    left: *pvars.get(x)?,
-                    right: *pvars.get(y)?,
-                },
-                Cmp::In(v, vals) => satisfied.select_in(*pvars.get(v)?, vals.clone()),
-                Cmp::NotIn(v, vals) => Plan::SelectNotIn {
-                    input: Box::new(satisfied),
-                    col: *pvars.get(v)?,
-                    values: vals.clone(),
-                },
-            };
-        }
-        let plan = Plan::Diff {
-            left: Box::new(premise_plan),
-            right: Box::new(satisfied),
-        }
-        .project(proj_cols);
+        // Pure comparisons: violations = premise − σ_conclusion(premise). A
+        // single comparison selects its negation instead, so the premise
+        // runs once and no difference is taken.
+        let plan = if let [cmp] = cconj.cmps.as_slice() {
+            select_cmp(premise_plan, &cmp.negated(), &pvars)?
+        } else {
+            let mut satisfied = premise_plan.clone();
+            for cmp in &cconj.cmps {
+                satisfied = select_cmp(satisfied, cmp, &pvars)?;
+            }
+            Plan::Diff {
+                left: Box::new(premise_plan),
+                right: Box::new(satisfied),
+            }
+        };
         return Some(Translated {
-            plan,
+            plan: plan.project(proj_cols),
             shape: Shape::Violations,
             columns,
         });

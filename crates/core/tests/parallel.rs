@@ -176,12 +176,18 @@ fn parallel_matches_serial_on_kprod_data() {
 
 #[test]
 fn lanes_fall_back_to_sql_independently() {
-    // A node budget big enough for the tiny CITY_STATE index but far too
-    // small for CUST: every CUST-reading lane must abort its index build
-    // and fall back to SQL, while the CITY_STATE-only lane stays on the
-    // BDD path — no cross-worker poisoning in either direction.
+    // A node budget that fits the indices and the battery's projected FDs
+    // but not a self-join whose every variable reaches the consequent (no
+    // column is atom-local, so both CUST copies keep all their columns):
+    // that lane must abort and fall back to SQL, while the other lanes stay
+    // on the BDD path — no cross-worker poisoning in either direction.
     let db = customer_db(2_000, 0.01);
-    let battery = customer_battery();
+    let mut battery = customer_battery();
+    battery.push((
+        "areacode-determines-city-and-state".to_owned(),
+        parse("forall a, c1, s1, c2, s2. CUST(a, c1, s1) & CUST(a, c2, s2) -> c1 = c2 & s1 = s2")
+            .unwrap(),
+    ));
     let opts = CheckerOptions {
         node_limit: Some(3_000),
         ..Default::default()
@@ -193,11 +199,11 @@ fn lanes_fall_back_to_sql_independently() {
     // anything.
     assert!(
         methods.contains(&Method::SqlFallback),
-        "CUST lanes must abort: {methods:?}"
+        "the unprojectable self-join must abort: {methods:?}"
     );
     assert!(
         methods.contains(&Method::Bdd),
-        "CITY_STATE lanes must stay BDD: {methods:?}"
+        "the other lanes must stay BDD: {methods:?}"
     );
     // Stress loop: repeated runs across worker counts and transfer modes
     // must all agree with the serial pass — the merged report flags the

@@ -230,13 +230,16 @@ fn ten_ms_deadline_terminates_with_deadline_fallback() {
 
 /// An already-expired deadline fires deterministically at the first
 /// 256-step stride boundary, and the ladder still decides the constraint
-/// via SQL with the abort recorded in the trace.
+/// via SQL with the abort recorded in the trace. Every variable reaches
+/// the consequent, so no column is projected before the join and the
+/// compile outlives the first stride.
 #[test]
 fn expired_deadline_walks_ladder_and_still_decides() {
     let _g = lock();
     let db = mini_db();
     let f =
-        parse("forall a1, c, s1, a2, s2. CUST(a1, c, s1) & CUST(a2, c, s2) -> s1 = s2").unwrap();
+        parse("forall a1, c, s1, a2, s2. CUST(a1, c, s1) & CUST(a2, c, s2) -> a1 = a2 & s1 = s2")
+            .unwrap();
     let mut clean = Checker::new(
         db.clone(),
         CheckerOptions {

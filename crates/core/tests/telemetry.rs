@@ -249,12 +249,13 @@ fn golden_rewrite_trace_functional_dependency() {
     // R3: prenex pull-up leaves a 5-variable prefix. R1: the whole leading
     // ∀ block is eliminated (validity test). No ∀ survives the negation, so
     // R4 stays silent. R2: the first CUST atom claims its own column
-    // domains (identity rename — no firing); the second is renamed on its
-    // two fresh variables (a2, s2); c re-uses the claimed column.
+    // domains (identity rename — no firing); the second is renamed on one
+    // fresh variable (s2). a1 and a2 occur nowhere else, so their columns
+    // are projected away, not renamed; c re-uses the claimed column.
     let want = vec![
         (RewriteRule::R3PrenexPullup, 5),
         (RewriteRule::R1LeadingBlock, 5),
-        (RewriteRule::R2JoinRename, 2),
+        (RewriteRule::R2JoinRename, 1),
     ];
     assert_eq!(got, want, "FD golden trace");
 }

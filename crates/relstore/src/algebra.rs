@@ -12,15 +12,15 @@ use std::collections::{HashMap, HashSet};
 /// σ: rows whose column `col` equals `code`.
 pub fn select_eq(rel: &Relation, col: usize, code: u32) -> Result<Relation> {
     check_col(rel, col)?;
-    let rows = rel.rows().filter(|r| r[col] == code);
-    Relation::from_rows(rel.schema().clone(), rows)
+    let c = rel.col(col);
+    Ok(rel.retain_rows(|i| c[i] == code))
 }
 
 /// σ: rows whose column `col` is in `codes`.
 pub fn select_in(rel: &Relation, col: usize, codes: &HashSet<u32>) -> Result<Relation> {
     check_col(rel, col)?;
-    let rows = rel.rows().filter(|r| codes.contains(&r[col]));
-    Relation::from_rows(rel.schema().clone(), rows)
+    let c = rel.col(col);
+    Ok(rel.retain_rows(|i| codes.contains(&c[i])))
 }
 
 /// π: project onto the listed columns, deduplicating.
@@ -50,48 +50,34 @@ pub fn equi_join(left: &Relation, right: &Relation, pairs: &[(usize, usize)]) ->
             });
         }
     }
-    let schema = left.schema().concat(right.schema());
     // Build on the smaller input to bound the hash table.
     let (build, probe, build_is_left) = if left.len() <= right.len() {
         (left, right, true)
     } else {
         (right, left, false)
     };
-    let build_key = |row: &[u32]| -> Vec<u32> {
+    let key = |rel: &Relation, i: usize, on_left: bool| -> Vec<u32> {
         pairs
             .iter()
-            .map(|&(l, r)| row[if build_is_left { l } else { r }])
-            .collect()
-    };
-    let probe_key = |row: &[u32]| -> Vec<u32> {
-        pairs
-            .iter()
-            .map(|&(l, r)| row[if build_is_left { r } else { l }])
+            .map(|&(l, r)| rel.col(if on_left { l } else { r })[i])
             .collect()
     };
     let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
     for i in 0..build.len() {
-        table.entry(build_key(&build.row(i))).or_default().push(i);
+        table
+            .entry(key(build, i, build_is_left))
+            .or_default()
+            .push(i);
     }
-    let mut out_rows = Vec::new();
+    let mut matched = Vec::new();
     for j in 0..probe.len() {
-        let prow = probe.row(j);
-        if let Some(matches) = table.get(&probe_key(&prow)) {
+        if let Some(matches) = table.get(&key(probe, j, !build_is_left)) {
             for &i in matches {
-                let brow = build.row(i);
-                let (lrow, rrow) = if build_is_left {
-                    (&brow, &prow)
-                } else {
-                    (&prow, &brow)
-                };
-                let mut row = Vec::with_capacity(lrow.len() + rrow.len());
-                row.extend_from_slice(lrow);
-                row.extend_from_slice(rrow);
-                out_rows.push(row);
+                matched.push(if build_is_left { (i, j) } else { (j, i) });
             }
         }
     }
-    Relation::from_rows(schema, out_rows)
+    Ok(Relation::concat_rows(left, right, &matched))
 }
 
 /// ⋉: rows of `left` that have at least one join partner in `right`.
@@ -127,11 +113,10 @@ fn join_filter(
         let row = right.row(i);
         keys.insert(pairs.iter().map(|&(_, r)| row[r]).collect());
     }
-    let rows = left.rows().filter(|row| {
-        let key: Vec<u32> = pairs.iter().map(|&(l, _)| row[l]).collect();
+    Ok(left.retain_rows(|i| {
+        let key: Vec<u32> = pairs.iter().map(|&(l, _)| left.col(l)[i]).collect();
         keys.contains(&key) == keep_matching
-    });
-    Relation::from_rows(left.schema().clone(), rows)
+    }))
 }
 
 /// ∪: set union (schemas must have equal arity; the left schema wins).
@@ -154,25 +139,15 @@ pub fn difference(left: &Relation, right: &Relation) -> Result<Relation> {
         });
     }
     let rset: HashSet<Vec<u32>> = right.rows().collect();
-    Relation::from_rows(
-        left.schema().clone(),
-        left.rows().filter(|r| !rset.contains(r)),
-    )
+    Ok(left.retain_rows(|i| !rset.contains(&left.row(i))))
 }
 
 /// ×: Cartesian product.
 pub fn product(left: &Relation, right: &Relation) -> Result<Relation> {
-    let schema = left.schema().concat(right.schema());
-    let mut rows = Vec::with_capacity(left.len() * right.len());
-    for i in 0..left.len() {
-        let lrow = left.row(i);
-        for j in 0..right.len() {
-            let mut row = lrow.clone();
-            row.extend(right.row(j));
-            rows.push(row);
-        }
-    }
-    Relation::from_rows(schema, rows)
+    let all: Vec<(usize, usize)> = (0..left.len())
+        .flat_map(|i| (0..right.len()).map(move |j| (i, j)))
+        .collect();
+    Ok(Relation::concat_rows(left, right, &all))
 }
 
 /// Group-by count over the listed columns: distinct keys with multiplicity.
@@ -210,11 +185,10 @@ pub fn fd_violations(rel: &Relation, lhs: &[usize], rhs: &[usize]) -> Result<Rel
             Some(_) => {}
         }
     }
-    let rows = rel.rows().filter(|row| {
-        let key: Vec<u32> = lhs.iter().map(|&c| row[c]).collect();
+    Ok(rel.retain_rows(|i| {
+        let key: Vec<u32> = lhs.iter().map(|&c| rel.col(c)[i]).collect();
         bad_keys.contains(&key)
-    });
-    Relation::from_rows(rel.schema().clone(), rows)
+    }))
 }
 
 /// Does the functional dependency `lhs → rhs` hold?

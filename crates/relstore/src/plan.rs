@@ -225,10 +225,7 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Relation> {
             }
             let class = rel.schema().class_of(*col).to_owned();
             match db.code(&class, value) {
-                Some(code) => Relation::from_rows(
-                    rel.schema().clone(),
-                    rel.rows().filter(|r| r[*col] != code),
-                ),
+                Some(code) => Ok(rel.retain_rows(|i| rel.col(*col)[i] != code)),
                 // Value never interned: nothing can equal it.
                 None => Ok(rel),
             }
@@ -243,10 +240,7 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Relation> {
             }
             let class = rel.schema().class_of(*col).to_owned();
             let codes: HashSet<u32> = values.iter().filter_map(|v| db.code(&class, v)).collect();
-            Relation::from_rows(
-                rel.schema().clone(),
-                rel.rows().filter(|r| !codes.contains(&r[*col])),
-            )
+            Ok(rel.retain_rows(|i| !codes.contains(&rel.col(*col)[i])))
         }
         Plan::SelectColEq { input, left, right } => {
             let rel = execute(db, input)?;
@@ -258,10 +252,7 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Relation> {
                     });
                 }
             }
-            Relation::from_rows(
-                rel.schema().clone(),
-                rel.rows().filter(|r| r[*left] == r[*right]),
-            )
+            Ok(rel.retain_rows(|i| rel.col(*left)[i] == rel.col(*right)[i]))
         }
         Plan::SelectColNeq { input, left, right } => {
             let rel = execute(db, input)?;
@@ -273,10 +264,7 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Relation> {
                     });
                 }
             }
-            Relation::from_rows(
-                rel.schema().clone(),
-                rel.rows().filter(|r| r[*left] != r[*right]),
-            )
+            Ok(rel.retain_rows(|i| rel.col(*left)[i] != rel.col(*right)[i]))
         }
         Plan::Project { input, cols } => {
             let rel = execute(db, input)?;

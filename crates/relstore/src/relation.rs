@@ -125,6 +125,48 @@ impl Relation {
         Ok(rel)
     }
 
+    /// The rows at the positions `keep` accepts, in order, copied column by
+    /// column. A subset of a set is a set, so unlike
+    /// [`Relation::from_rows`] this needs no dedup pass and materializes no
+    /// row — the fast path of every filtering operator.
+    pub(crate) fn retain_rows(&self, mut keep: impl FnMut(usize) -> bool) -> Relation {
+        let at: Vec<usize> = (0..self.len).filter(|&i| keep(i)).collect();
+        Relation {
+            schema: self.schema.clone(),
+            cols: self
+                .cols
+                .iter()
+                .map(|c| at.iter().map(|&i| c[i]).collect())
+                .collect(),
+            len: at.len(),
+            index: None,
+        }
+    }
+
+    /// Row `i` of `left` followed by row `j` of `right`, for every listed
+    /// `(i, j)`, over the concatenated schema. Distinct pairs of rows of
+    /// two sets give distinct rows, so this needs no dedup pass either.
+    pub(crate) fn concat_rows(
+        left: &Relation,
+        right: &Relation,
+        pairs: &[(usize, usize)],
+    ) -> Relation {
+        let lcols = left
+            .cols
+            .iter()
+            .map(|c| pairs.iter().map(|&(i, _)| c[i]).collect());
+        let rcols = right
+            .cols
+            .iter()
+            .map(|c| pairs.iter().map(|&(_, j)| c[j]).collect());
+        Relation {
+            schema: left.schema.concat(&right.schema),
+            cols: lcols.chain(rcols).collect(),
+            len: pairs.len(),
+            index: None,
+        }
+    }
+
     fn push_unchecked(&mut self, row: &[u32]) {
         for (col, &v) in self.cols.iter_mut().zip(row) {
             col.push(v);
@@ -251,6 +293,19 @@ mod tests {
         let c = s.concat(&schema2());
         assert_eq!(c.arity(), 4);
         assert_eq!(c.columns()[2].name, "a.r", "clashing names disambiguated");
+    }
+
+    #[test]
+    fn retain_and_concat_keep_rows_in_order() {
+        let r = Relation::from_rows(schema2(), vec![vec![1, 2], vec![3, 4], vec![5, 6]]).unwrap();
+        let kept = r.retain_rows(|i| i != 1);
+        assert_eq!(kept.rows().collect::<Vec<_>>(), [vec![1, 2], vec![5, 6]]);
+        let joined = Relation::concat_rows(&r, &kept, &[(2, 0), (0, 1)]);
+        assert_eq!(joined.arity(), 4);
+        assert_eq!(
+            joined.rows().collect::<Vec<_>>(),
+            [vec![5, 6, 1, 2], vec![1, 2, 5, 6]]
+        );
     }
 
     #[test]
