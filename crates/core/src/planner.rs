@@ -27,7 +27,7 @@ use relcheck_logic::transform::{
     CheckMode, PassEffect, Prenex, Quant,
 };
 use relcheck_logic::{Formula, Term};
-use relcheck_relstore::{stats, Database};
+use relcheck_relstore::{stats, Database, Relation};
 use std::collections::HashSet;
 
 /// Build the complete [`CheckPlan`] for a constraint: run the rewrite
@@ -214,18 +214,39 @@ pub(crate) fn apply_pushdown(
 /// Saturating `u128` arithmetic; a conjunct with no relational atoms counts
 /// as 1 on both sides. Both outcomes are semantics-preserving, so a bad
 /// estimate costs only time, never correctness.
+///
+/// A distinct count never exceeds its relation's row count, so each
+/// conjunct's `after` is at most its `full`: when `Σᵢ fullᵢ ≤ Πᵢ fullᵢ`
+/// already holds the rule fires without scanning a relation. The distinct
+/// counts are taken only when that size bound does not decide, which needs
+/// a conjunct whose `full` is 1 (no known atom, or only ≤1-row relations).
 pub(crate) fn pushdown_pays_off(db: &Database, vs: &[String], parts: &[Formula]) -> bool {
+    let conjuncts: Vec<Vec<(&Relation, Vec<Term>)>> = parts
+        .iter()
+        .map(|part| {
+            let mut atoms = Vec::new();
+            collect_atoms(part, &mut atoms);
+            atoms
+                .into_iter()
+                .filter_map(|(name, args)| Some((db.relation(&name).ok()?, args)))
+                .collect()
+        })
+        .collect();
+    let fulls: Vec<u128> = conjuncts
+        .iter()
+        .map(|atoms| {
+            atoms.iter().fold(1u128, |full, (rel, _)| {
+                full.saturating_mul(rel.len().max(1) as u128)
+            })
+        })
+        .collect();
+    let product = fulls.iter().fold(1u128, |p, &f| p.saturating_mul(f));
+    if fulls.iter().fold(0u128, |s, &f| s.saturating_add(f)) <= product {
+        return true;
+    }
     let block: HashSet<&str> = vs.iter().map(String::as_str).collect();
-    let mut sum: u128 = 0;
-    let mut product: u128 = 1;
-    for part in parts {
-        let mut atoms = Vec::new();
-        collect_atoms(part, &mut atoms);
-        let (mut after, mut full) = (1u128, 1u128);
-        for (rel_name, args) in &atoms {
-            let Ok(rel) = db.relation(rel_name) else {
-                continue;
-            };
+    let sum = conjuncts.iter().fold(0u128, |sum, atoms| {
+        let after = atoms.iter().fold(1u128, |after, (rel, args)| {
             let kept: Vec<usize> = args
                 .iter()
                 .enumerate()
@@ -234,12 +255,10 @@ pub(crate) fn pushdown_pays_off(db: &Database, vs: &[String], parts: &[Formula])
                     _ => Some(i),
                 })
                 .collect();
-            after = after.saturating_mul(stats::distinct_count(rel, &kept).max(1) as u128);
-            full = full.saturating_mul(rel.len().max(1) as u128);
-        }
-        sum = sum.saturating_add(after);
-        product = product.saturating_mul(full);
-    }
+            after.saturating_mul(stats::distinct_count(rel, &kept).max(1) as u128)
+        });
+        sum.saturating_add(after)
+    });
     sum <= product
 }
 
@@ -346,6 +365,156 @@ mod tests {
         bdd_step(&db, &f, PlanOptions::default(), &mut passes);
         let push = passes.iter().find(|p| p.pass == "forall-pushdown").unwrap();
         assert_eq!((push.fired, push.gated), (1, 0));
+    }
+
+    #[test]
+    fn cost_gate_declines_when_distribution_is_estimated_larger() {
+        // The violation body is R(x) ∧ ∀y (¬S(x,y) ∧ ¬(y = 1)). With one S
+        // row the size bound cannot decide (Σ = 1 + 1 > Π = 1·1), so the
+        // distinct counts do: S has one x value, Σ = 1 + 1 > Π = 1, gated.
+        let mut db = Database::new();
+        db.create_relation(
+            "R",
+            &[("a", "d")],
+            vec![vec![Raw::Int(1)], vec![Raw::Int(2)]],
+        )
+        .unwrap();
+        db.create_relation(
+            "S",
+            &[("a", "d"), ("b", "d")],
+            vec![vec![Raw::Int(1), Raw::Int(1)]],
+        )
+        .unwrap();
+        let f = relcheck_logic::parse("forall x. R(x) -> exists y. S(x, y) | y = 1").unwrap();
+        let mut passes = Vec::new();
+        bdd_step(&db, &f, PlanOptions::default(), &mut passes);
+        let push = passes.iter().find(|p| p.pass == "forall-pushdown").unwrap();
+        assert_eq!((push.fired, push.gated), (0, 1));
+    }
+
+    /// The gate as it was before the size bound: distinct counts for every
+    /// atom of every conjunct, on every call.
+    fn full_scan_gate(db: &Database, vs: &[String], parts: &[Formula]) -> bool {
+        let block: HashSet<&str> = vs.iter().map(String::as_str).collect();
+        let mut sum: u128 = 0;
+        let mut product: u128 = 1;
+        for part in parts {
+            let mut atoms = Vec::new();
+            collect_atoms(part, &mut atoms);
+            let (mut after, mut full) = (1u128, 1u128);
+            for (rel_name, args) in &atoms {
+                let Ok(rel) = db.relation(rel_name) else {
+                    continue;
+                };
+                let kept: Vec<usize> = args
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, t)| match t {
+                        Term::Var(v) if block.contains(v.as_str()) => None,
+                        _ => Some(i),
+                    })
+                    .collect();
+                after = after.saturating_mul(stats::distinct_count(rel, &kept).max(1) as u128);
+                full = full.saturating_mul(rel.len().max(1) as u128);
+            }
+            sum = sum.saturating_add(after);
+            product = product.saturating_mul(full);
+        }
+        sum <= product
+    }
+
+    /// Whether `Σ fullᵢ ≤ Π fullᵢ` alone fires the gate.
+    fn size_bound_decides(db: &Database, parts: &[Formula]) -> bool {
+        let fulls = parts.iter().map(|part| {
+            let mut atoms = Vec::new();
+            collect_atoms(part, &mut atoms);
+            atoms
+                .iter()
+                .filter_map(|(name, _)| db.relation(name).ok())
+                .fold(1u128, |f, rel| f.saturating_mul(rel.len().max(1) as u128))
+        });
+        let (sum, product) = fulls.fold((0u128, 1u128), |(s, p), f| {
+            (s.saturating_add(f), p.saturating_mul(f))
+        });
+        sum <= product
+    }
+
+    #[test]
+    fn cost_gate_matches_the_full_scan_formula() {
+        use relcheck_datagen::SplitMix64;
+        const VARS: [&str; 4] = ["x", "y", "z", "w"];
+        const SIZES: [usize; 8] = [0, 1, 1, 2, 3, 5, 17, 64];
+        let mut rng = SplitMix64::seed_from_u64(0x9a7e);
+        let (mut declined, mut scanned_fired) = (0, 0);
+        for _ in 0..400 {
+            // Relations of random arity and size; small value ranges make
+            // the projections repeat, so distinct counts fall below ‖R‖.
+            let mut db = Database::new();
+            let mut arities = Vec::new();
+            for r in 0..3 {
+                let arity = rng.gen_range(1..4usize);
+                let cols: Vec<(String, &str)> =
+                    (0..arity).map(|c| (format!("c{c}"), "d")).collect();
+                let cols: Vec<(&str, &str)> = cols.iter().map(|(c, d)| (c.as_str(), *d)).collect();
+                let rows = (0..SIZES[rng.gen_range(0..SIZES.len())])
+                    .map(|_| {
+                        (0..arity)
+                            .map(|_| Raw::Int(rng.gen_range(0..9u64) as i64))
+                            .collect()
+                    })
+                    .collect();
+                db.create_relation(&format!("R{r}"), &cols, rows).unwrap();
+                arities.push(arity);
+            }
+            let term = |rng: &mut SplitMix64| {
+                if rng.gen_bool(0.2) {
+                    Term::Const(Raw::Int(rng.gen_range(0..9u64) as i64))
+                } else {
+                    Term::var(VARS[rng.gen_range(0..VARS.len())])
+                }
+            };
+            // Conjuncts of up to eight atoms (so products can saturate),
+            // some atomless, some naming a relation the database lacks.
+            let parts: Vec<Formula> = (0..rng.gen_range(1..5usize))
+                .map(|_| {
+                    let mut conj: Vec<Formula> = (0..rng.gen_range(0..9usize))
+                        .map(|_| {
+                            if rng.gen_bool(0.1) {
+                                return Formula::atom("MISSING", vec![term(&mut rng)]);
+                            }
+                            let r = rng.gen_range(0..arities.len());
+                            let args = (0..arities[r]).map(|_| term(&mut rng)).collect();
+                            let atom = Formula::atom(&format!("R{r}"), args);
+                            if rng.gen_bool(0.5) {
+                                atom.not()
+                            } else {
+                                atom
+                            }
+                        })
+                        .collect();
+                    conj.push(Formula::Eq(term(&mut rng), term(&mut rng)));
+                    Formula::And(conj)
+                })
+                .collect();
+            let vs: Vec<String> = VARS
+                .iter()
+                .filter(|_| rng.gen_bool(0.5))
+                .map(|v| v.to_string())
+                .collect();
+            let want = full_scan_gate(&db, &vs, &parts);
+            assert_eq!(
+                pushdown_pays_off(&db, &vs, &parts),
+                want,
+                "block {vs:?} over {parts:?}"
+            );
+            declined += usize::from(!want);
+            scanned_fired += usize::from(want && !size_bound_decides(&db, &parts));
+        }
+        // Both outcomes of the distinct-count fallback are exercised.
+        assert!(
+            declined > 0 && scanned_fired > 0,
+            "{declined} {scanned_fired}"
+        );
     }
 
     #[test]

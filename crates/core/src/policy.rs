@@ -460,14 +460,15 @@ pub fn shed_entry_skips_bdd(shed_load: bool, has_bdd_step: bool) -> bool {
 
 /// The serve-layer admission rule: shed a request to the SQL tier when the
 /// queue is more than half full or the previous request ran at or over the
-/// shed threshold.
+/// shed threshold. Written as `depth > queue_depth / 2` (the same predicate
+/// as `2·depth > queue_depth` on integers) so no depth can overflow it.
 pub fn admission_should_shed(
     depth: usize,
     queue_depth: usize,
     last_latency: Duration,
     shed_threshold: Duration,
 ) -> bool {
-    2 * depth > queue_depth || last_latency >= shed_threshold
+    depth > queue_depth / 2 || last_latency >= shed_threshold
 }
 
 /// The adaptive ordering selection rule: score the static order (first,
@@ -1052,6 +1053,12 @@ mod tests {
         assert!(admission_should_shed(33, 64, ms(0), ms(500)));
         assert!(!admission_should_shed(32, 64, ms(0), ms(500)));
         assert!(admission_should_shed(0, 64, ms(500), ms(500)));
+        // Odd bounds round the same way as `2·depth > queue_depth`, and a
+        // depth at the top of the range sheds rather than overflowing.
+        assert!(admission_should_shed(33, 65, ms(0), ms(500)));
+        assert!(!admission_should_shed(32, 65, ms(0), ms(500)));
+        assert!(admission_should_shed(usize::MAX, 64, ms(0), ms(500)));
+        assert!(!admission_should_shed(0, usize::MAX, ms(0), ms(500)));
     }
 
     #[test]

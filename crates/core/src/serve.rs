@@ -893,9 +893,15 @@ impl ServeClient {
             shed,
             reply: reply_tx,
         };
-        match self.tx.try_send(req) {
+        // Count the request in before it can reach the actor, whose
+        // `fetch_sub` on receipt would otherwise wrap `depth` below zero.
+        self.shared.depth.fetch_add(1, Ordering::AcqRel);
+        let sent = self.tx.try_send(req);
+        if sent.is_err() {
+            self.shared.depth.fetch_sub(1, Ordering::AcqRel);
+        }
+        match sent {
             Ok(()) => {
-                self.shared.depth.fetch_add(1, Ordering::AcqRel);
                 self.shared.admitted.fetch_add(1, Ordering::AcqRel);
                 if shed {
                     self.shared.shed.fetch_add(1, Ordering::AcqRel);

@@ -69,24 +69,12 @@ pub fn group_sizes(rel: &Relation, cols: &[usize]) -> Vec<usize> {
     }
 }
 
-/// Number of distinct value combinations in the given columns — the
-/// cardinality statistic the checker's plan-time cost gates consume.
-/// With `cols` empty this is 1 for a non-empty relation and 0 otherwise.
+/// Number of distinct value combinations in the given columns. With `cols`
+/// empty this is 1 for a non-empty relation and 0 otherwise; it never
+/// exceeds `rel.len()`. The planner's R4 cost gate reads it only when the
+/// row counts alone do not decide the gate, because it groups every row.
 pub fn distinct_count(rel: &Relation, cols: &[usize]) -> usize {
     group_sizes(rel, cols).len()
-}
-
-/// Mean multiplicity of a distinct value combination in the given columns:
-/// `‖R‖ / distinct_count`. This estimates how many rows survive pinning
-/// those columns to constants (the planner's selectivity proxy). Zero for
-/// an empty relation.
-pub fn avg_group_size(rel: &Relation, cols: &[usize]) -> f64 {
-    let d = distinct_count(rel, cols);
-    if d == 0 {
-        0.0
-    } else {
-        rel.len() as f64 / d as f64
-    }
 }
 
 /// Entropy `H(v̄) = −Σ p(v̄=x̄) log₂ p(v̄=x̄)` with `p` the empirical
@@ -225,16 +213,14 @@ mod tests {
     }
 
     #[test]
-    fn distinct_count_and_avg_group_size() {
+    fn distinct_count_groups_the_selected_columns() {
         // Rows must be distinct: Relation has set semantics and dedupes.
         let r = rel(vec![vec![0, 0], vec![0, 1], vec![1, 2], vec![1, 3]]);
         assert_eq!(distinct_count(&r, &[0]), 2);
         assert_eq!(distinct_count(&r, &[0, 1]), 4);
         assert_eq!(distinct_count(&r, &[]), 1);
-        assert!((avg_group_size(&r, &[0]) - 2.0).abs() < 1e-12);
         let empty = rel(vec![]);
         assert_eq!(distinct_count(&empty, &[0]), 0);
-        assert_eq!(avg_group_size(&empty, &[0]), 0.0);
     }
 
     #[test]

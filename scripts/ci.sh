@@ -60,6 +60,11 @@ trap 'rm -f "$METRICS_OUT" "$PLAN_A" "$PLAN_B"' EXIT
 cargo run --release --quiet --bin relcheck -- plan testdata/phones.spec > "$PLAN_A"
 cargo run --release --quiet --bin relcheck -- plan testdata/phones.spec > "$PLAN_B"
 cmp "$PLAN_A" "$PLAN_B"
+# Plan bytes are pinned: both renderings must match the committed goldens
+# (regenerate them only for a change that is meant to alter plans).
+cmp "$PLAN_A" testdata/phones.plan.txt
+cargo run --release --quiet --bin relcheck -- plan testdata/phones.spec --json \
+    | cmp - testdata/phones.plan.json
 for want in "passes:" "bdd step:" "sql step:" "ladder: bdd"; do
     if ! grep -q "$want" "$PLAN_A"; then
         echo "plan output missing '$want'" >&2
