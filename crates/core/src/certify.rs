@@ -32,7 +32,7 @@
 //! [`sat_assignments`]: relcheck_bdd::BddManager::sat_assignments
 //! [`sat_count`]: relcheck_bdd::BddManager::sat_count
 
-use crate::checker::{CheckReport, Checker, Method, Verdict};
+use crate::checker::{rung, CheckReport, Checker, Method, Verdict};
 use crate::error::Result;
 use crate::plan::formula_fingerprint;
 use crate::telemetry::{parse_json, Json, JsonWriter};
@@ -92,9 +92,8 @@ pub struct Certificate {
     pub data_version: u64,
     /// The verdict being certified.
     pub verdict: Verdict,
-    /// The degradation-ladder rung that decided it (`"bdd"`,
-    /// `"gc_retry"`, `"sql"`, `"brute_force"`, `"degraded"`,
-    /// `"errored"`).
+    /// The degradation-ladder rung that decided it (one of
+    /// [`crate::checker::rung`]).
     pub rung: String,
     /// Witness tuples; present only on `Violated` certificates whose
     /// violation set was enumerable on the BDD path.
@@ -350,12 +349,11 @@ fn rung_name(report: &CheckReport) -> &'static str {
         }
     }
     match (report.verdict, report.method) {
-        (Verdict::Degraded, _) => "degraded",
-        (Verdict::Errored, _) => "errored",
-        (_, Method::Bdd) => "bdd",
-        (_, Method::SqlFallback) => "sql",
-        (_, Method::BruteForce) => "brute_force",
-        (_, Method::Aborted) => "errored",
+        (Verdict::Degraded, _) => rung::DEGRADED,
+        (Verdict::Errored, _) | (_, Method::Aborted) => rung::ERRORED,
+        (_, Method::Bdd) => rung::BDD,
+        (_, Method::SqlFallback) => rung::SQL,
+        (_, Method::BruteForce) => rung::BRUTE_FORCE,
     }
 }
 
@@ -752,7 +750,7 @@ fn write_certificate(w: &mut JsonWriter, cert: &Certificate) {
             w.key("total");
             w.string(&format_total(ws.total));
             w.key("truncated");
-            w.raw(if ws.truncated { "true" } else { "false" });
+            w.bool(ws.truncated);
             w.key("tuples");
             w.arr_open();
             for tuple in &ws.tuples {
@@ -836,29 +834,13 @@ fn certificate_from_json(v: &Json, at: &str) -> std::result::Result<Certificate,
         .filter(|n| *n >= 0)
         .ok_or_else(|| field_err(&format!("{at}.data_version"), "non-negative integer"))?
         as u64;
-    let verdict = match v.get("verdict").and_then(Json::as_str) {
-        Some("holds") => Verdict::Holds,
-        Some("violated") => Verdict::Violated,
-        Some("degraded") => Verdict::Degraded,
-        Some("errored") => Verdict::Errored,
-        _ => {
-            return Err(field_err(
-                &format!("{at}.verdict"),
-                "holds|violated|degraded|errored",
-            ))
-        }
-    };
+    let verdict = v.get("verdict").and_then(Json::as_str);
+    let verdict = Verdict::ALL
+        .into_iter()
+        .find(|known| Some(known.name()) == verdict)
+        .ok_or_else(|| field_err(&format!("{at}.verdict"), "holds|violated|degraded|errored"))?;
     let rung = get_str(v, at, "rung")?;
-    if ![
-        "bdd",
-        "gc_retry",
-        "sql",
-        "brute_force",
-        "degraded",
-        "errored",
-    ]
-    .contains(&rung.as_str())
-    {
+    if !rung::ALL.contains(&rung.as_str()) {
         return Err(field_err(&format!("{at}.rung"), "a known ladder rung"));
     }
     let witnesses = match v.get("witnesses") {

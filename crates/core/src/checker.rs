@@ -92,6 +92,25 @@ impl Default for CheckerOptions {
     }
 }
 
+/// The degradation ladder's rung names, as traces, plans and
+/// certificates report them (DESIGN.md §6).
+pub mod rung {
+    /// Rung 1: the paper's BDD path.
+    pub const BDD: &str = "bdd";
+    /// Rung 2: one retry of the BDD path after a GC.
+    pub const GC_RETRY: &str = "gc_retry";
+    /// Rung 3: the pre-translated SQL plan.
+    pub const SQL: &str = "sql";
+    /// Rung 4: brute-force active-domain evaluation.
+    pub const BRUTE_FORCE: &str = "brute_force";
+    /// Rung 5: every rung failed; the verdict is degraded.
+    pub const DEGRADED: &str = "degraded";
+    /// The check died (panic or injected fault) before any rung answered.
+    pub const ERRORED: &str = "errored";
+    /// Every rung, in ladder order.
+    pub const ALL: [&str; 6] = [BDD, GC_RETRY, SQL, BRUTE_FORCE, DEGRADED, ERRORED];
+}
+
 /// How a check was ultimately decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
@@ -107,6 +126,27 @@ pub enum Method {
     /// injected fault, or exhausted every rung of the degradation ladder.
     /// Only [`Verdict::Degraded`] / [`Verdict::Errored`] reports carry it.
     Aborted,
+}
+
+impl Method {
+    /// Every method.
+    pub(crate) const ALL: [Method; 4] = [
+        Method::Bdd,
+        Method::SqlFallback,
+        Method::BruteForce,
+        Method::Aborted,
+    ];
+
+    /// Stable machine-readable name (the metrics schema's `method`). A
+    /// method that is one rung's answer carries that rung's name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Method::Bdd => rung::BDD,
+            Method::SqlFallback => "sql_fallback",
+            Method::BruteForce => rung::BRUTE_FORCE,
+            Method::Aborted => "aborted",
+        }
+    }
 }
 
 /// What a check actually established. [`CheckReport::holds`] collapses
@@ -128,14 +168,23 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// Every verdict.
+    pub(crate) const ALL: [Verdict; 4] = [
+        Verdict::Holds,
+        Verdict::Violated,
+        Verdict::Degraded,
+        Verdict::Errored,
+    ];
+
     /// Stable machine-readable name (`"holds"`, `"violated"`, `"degraded"`,
-    /// `"errored"`).
+    /// `"errored"`). The undecided verdicts share the name of the ladder
+    /// rung that produces them.
     pub fn name(self) -> &'static str {
         match self {
             Verdict::Holds => "holds",
             Verdict::Violated => "violated",
-            Verdict::Degraded => "degraded",
-            Verdict::Errored => "errored",
+            Verdict::Degraded => rung::DEGRADED,
+            Verdict::Errored => rung::ERRORED,
         }
     }
 
@@ -181,7 +230,7 @@ impl CheckReport {
             passes: Vec::new(),
             index_events: Vec::new(),
             fallback: Some(FallbackReason::Panic(message.clone())),
-            ladder: vec!["errored"],
+            ladder: vec![rung::ERRORED],
             timings: PhaseTimings::default(),
             bdd: StatsDelta::default(),
         });
@@ -683,7 +732,7 @@ impl Checker {
             fallback = Some(FallbackReason::Overload);
         } else if let Some(step) = plan.bdd.as_ref() {
             // Rung 1: the paper's BDD path — execute the plan's BDD step.
-            ladder.push("bdd");
+            ladder.push(rung::BDD);
             let sink = if tel { Some(&mut r2) } else { None };
             match crate::exec::execute_bdd(&mut self.ldb, step, sink) {
                 Ok(h) => decided = Some((h, Method::Bdd)),
@@ -700,7 +749,7 @@ impl Checker {
                         // Rung 2: the GC may have freed enough scratch from
                         // the aborted attempt for the same compile to fit;
                         // retry exactly once before giving up on BDDs.
-                        ladder.push("gc_retry");
+                        ladder.push(rung::GC_RETRY);
                         r2.clear();
                         let sink = if tel { Some(&mut r2) } else { None };
                         match crate::exec::execute_bdd(&mut self.ldb, step, sink) {
@@ -734,7 +783,7 @@ impl Checker {
             // "default to SQL" strategy). The rung is recorded even when
             // the constraint is outside the translatable class — the
             // ladder logs rungs tried, not rungs that answered.
-            ladder.push("sql");
+            ladder.push(rung::SQL);
             match self.sql_rung(f, plan.sql.as_ref()) {
                 Ok(Some(d)) => decided = Some(d),
                 Ok(None) => {} // outside the translatable class
@@ -743,7 +792,7 @@ impl Checker {
         }
         if decided.is_none() {
             // Rung 4: brute-force active-domain evaluation.
-            ladder.push("brute_force");
+            ladder.push(rung::BRUTE_FORCE);
             match eval_sentence(self.ldb.db(), f) {
                 Ok(h) => decided = Some((h, Method::BruteForce)),
                 Err(e) => record_error(&mut error, e.to_string()),
@@ -754,7 +803,7 @@ impl Checker {
             None => {
                 // Rung 5: every rung failed. Surface an explicit Degraded
                 // verdict instead of an answer we don't have.
-                ladder.push("degraded");
+                ladder.push(rung::DEGRADED);
                 (true, Method::Aborted, Verdict::Degraded)
             }
         };
@@ -848,7 +897,7 @@ impl Checker {
             passes: Vec::new(),
             index_events: Vec::new(),
             fallback: None,
-            ladder: vec!["sql"],
+            ladder: vec![rung::SQL],
             timings: PhaseTimings {
                 index: Duration::ZERO,
                 eval: elapsed,

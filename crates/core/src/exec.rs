@@ -1,6 +1,6 @@
 //! [`CheckPlan`] → verdict: the plan executor.
 //!
-//! The back half of the old `compile.rs` monolith: given a prepared
+//! The back half of the FOL → BDD compiler: given a prepared
 //! [`BddStep`] or [`SqlStep`] (built by [`crate::planner`], possibly pulled
 //! from the registry's plan cache), run it against the live database. This
 //! is the only module on the check path that touches a BDD manager, so the
@@ -557,8 +557,20 @@ impl Compiler<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::atom_local_vars;
-    use relcheck_logic::parse;
+    use super::{atom_local_vars, execute_bdd};
+    use crate::error::{CoreError, Result};
+    use crate::index::LogicalDatabase;
+    use crate::ordering::OrderingStrategy;
+    use crate::plan::PlanOptions;
+    use relcheck_logic::eval::eval_sentence;
+    use relcheck_logic::{parse, Formula};
+    use relcheck_relstore::{Database, Raw};
+
+    /// Plan `f` under `options` and decide it on the BDD path.
+    fn decide(l: &mut LogicalDatabase, f: &Formula, options: PlanOptions) -> Result<bool> {
+        let step = crate::planner::bdd_step(l.db(), f, options, &mut Vec::new());
+        execute_bdd(l, &step, None)
+    }
 
     fn local(body: &str, stripped: &[&str]) -> Vec<String> {
         let stripped: Vec<String> = stripped.iter().map(|s| s.to_string()).collect();
@@ -584,5 +596,185 @@ mod tests {
         assert_eq!(local("R(x, y) & exists w. S(y, w)", &["x", "y"]), ["x"]);
         // Not stripped: never projected.
         assert!(local("R(x, y)", &[]).is_empty());
+    }
+
+    fn customer_db() -> Database {
+        let mut db = Database::new();
+        db.create_relation(
+            "CUST",
+            &[
+                ("city", "city"),
+                ("areacode", "areacode"),
+                ("state", "state"),
+            ],
+            vec![
+                vec![Raw::str("Toronto"), Raw::Int(416), Raw::str("ON")],
+                vec![Raw::str("Toronto"), Raw::Int(647), Raw::str("ON")],
+                vec![Raw::str("Oshawa"), Raw::Int(905), Raw::str("ON")],
+                vec![Raw::str("Newark"), Raw::Int(973), Raw::str("NJ")],
+                vec![Raw::str("Newark"), Raw::Int(212), Raw::str("NY")],
+            ],
+        )
+        .unwrap();
+        db.create_relation(
+            "ALLOWED",
+            &[("city", "city"), ("areacode", "areacode")],
+            vec![
+                vec![Raw::str("Toronto"), Raw::Int(416)],
+                vec![Raw::str("Toronto"), Raw::Int(647)],
+                vec![Raw::str("Oshawa"), Raw::Int(905)],
+                vec![Raw::str("Newark"), Raw::Int(973)],
+            ],
+        )
+        .unwrap();
+        db
+    }
+
+    fn ldb() -> LogicalDatabase {
+        let mut l = LogicalDatabase::new(customer_db());
+        l.build_index("CUST", OrderingStrategy::ProbConverge)
+            .unwrap();
+        l.build_index("ALLOWED", OrderingStrategy::ProbConverge)
+            .unwrap();
+        l
+    }
+
+    const SENTENCES: &[&str] = &[
+        // Satisfied set-membership implication.
+        r#"forall c, a, s. CUST(c, a, s) & c = "Toronto" -> a in {416, 647}"#,
+        // Violated set-membership implication.
+        r#"forall c, a, s. CUST(c, a, s) & c = "Toronto" -> a in {416}"#,
+        // Satisfied implication city → state.
+        r#"forall c, a, s. CUST(c, a, s) & c = "Toronto" -> s = "ON""#,
+        // Violated: Newark maps to two states.
+        r#"forall c, a, s. CUST(c, a, s) & c = "Newark" -> s = "NJ""#,
+        // Inclusion dependency (violated: (Newark, 212) not allowed).
+        r#"forall c, a, s. CUST(c, a, s) -> ALLOWED(c, a)"#,
+        // Existence (satisfied).
+        r#"exists c, a, s. CUST(c, a, s) & s = "NY""#,
+        // Existence (violated).
+        r#"exists c, a, s. CUST(c, a, s) & s = "QC""#,
+        // FD areacode → state as FOL (satisfied: each code one state).
+        r#"forall c1, a, s1, c2, s2. CUST(c1, a, s1) & CUST(c2, a, s2) -> s1 = s2"#,
+        // FD city → state (violated by Newark).
+        r#"forall c, a1, s1, a2, s2. CUST(c, a1, s1) & CUST(c, a2, s2) -> s1 = s2"#,
+        // ∀∃ with join: every allowed pair has a customer.
+        r#"forall c, a. ALLOWED(c, a) -> exists s. CUST(c, a, s)"#,
+        // Mixed quantifiers with negation.
+        r#"!(exists c, a, s. CUST(c, a, s) & ALLOWED(c, a) & s = "NY")"#,
+        // Universally-quantified disjunction.
+        r#"forall c, a, s. CUST(c, a, s) -> s = "ON" | s = "NJ" | s = "NY""#,
+        // Constant outside active domain.
+        r#"exists a, s. CUST("Nowhere", a, s)"#,
+        // Ground sentence.
+        r#""CS" = "CS""#,
+    ];
+
+    #[test]
+    fn bdd_matches_brute_force_with_rewrites() {
+        let mut l = ldb();
+        for src in SENTENCES {
+            let f = parse(src).unwrap();
+            let expected = eval_sentence(l.db(), &f).unwrap();
+            let got = decide(&mut l, &f, PlanOptions::from_flags(true, true)).unwrap();
+            assert_eq!(got, expected, "rewrites=on: {src}");
+            l.gc();
+        }
+    }
+
+    #[test]
+    fn bdd_matches_brute_force_without_rewrites() {
+        let mut l = ldb();
+        let opts = PlanOptions::from_flags(false, true);
+        for src in SENTENCES {
+            let f = parse(src).unwrap();
+            let expected = eval_sentence(l.db(), &f).unwrap();
+            let got = decide(&mut l, &f, opts).unwrap();
+            assert_eq!(got, expected, "rewrites=off: {src}");
+            l.gc();
+        }
+    }
+
+    #[test]
+    fn bdd_matches_brute_force_with_naive_joins() {
+        let mut l = ldb();
+        let opts = PlanOptions::from_flags(true, false);
+        for src in SENTENCES {
+            let f = parse(src).unwrap();
+            let expected = eval_sentence(l.db(), &f).unwrap();
+            let got = decide(&mut l, &f, opts).unwrap();
+            assert_eq!(got, expected, "join_rename=off: {src}");
+            l.gc();
+        }
+    }
+
+    #[test]
+    fn every_plan_option_combination_matches_brute_force() {
+        // The full 2⁶ pass-toggle space, not just the legacy two-switch
+        // corners: every combination must be semantics-preserving on the
+        // whole sentence corpus.
+        for bits in 0u64..64 {
+            let options = PlanOptions {
+                prenex: bits & 1 != 0,
+                strip_leading: bits & 2 != 0,
+                pushdown: bits & 4 != 0,
+                gate_pushdown: bits & 8 != 0,
+                join_rename: bits & 16 != 0,
+                fused_quant: bits & 32 != 0,
+            };
+            let mut l = ldb();
+            for src in SENTENCES {
+                let f = parse(src).unwrap();
+                let expected = eval_sentence(l.db(), &f).unwrap();
+                let got = decide(&mut l, &f, options).unwrap();
+                assert_eq!(got, expected, "options={options:?}: {src}");
+                l.gc();
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_variable_in_atom() {
+        // R(x, x): which cities are their own... use a self-pair relation.
+        let mut db = Database::new();
+        db.create_relation(
+            "PAIR",
+            &[("a", "k"), ("b", "k")],
+            vec![
+                vec![Raw::Int(1), Raw::Int(1)],
+                vec![Raw::Int(1), Raw::Int(2)],
+                vec![Raw::Int(3), Raw::Int(3)],
+            ],
+        )
+        .unwrap();
+        let mut l = LogicalDatabase::new(db);
+        l.build_index("PAIR", OrderingStrategy::Schema).unwrap();
+        for (src, expected) in [
+            ("exists x. PAIR(x, x)", true),
+            ("forall x, y. PAIR(x, y) -> x = y", false),
+            ("exists x, y. PAIR(x, y) & !(x = y)", true),
+        ] {
+            let f = parse(src).unwrap();
+            assert_eq!(eval_sentence(l.db(), &f).unwrap(), expected, "oracle {src}");
+            for opts in [
+                PlanOptions::from_flags(true, true),
+                PlanOptions::from_flags(false, false),
+            ] {
+                assert_eq!(decide(&mut l, &f, opts).unwrap(), expected, "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn node_limit_propagates() {
+        let mut l = ldb();
+        let budget = l.manager().live_nodes() + 2;
+        l.manager_mut().set_node_limit(Some(budget));
+        let f = parse(SENTENCES[4]).unwrap();
+        let err = decide(&mut l, &f, PlanOptions::from_flags(true, true));
+        assert!(matches!(
+            err,
+            Err(CoreError::Bdd(relcheck_bdd::BddError::NodeLimit { .. }))
+        ));
     }
 }

@@ -18,11 +18,12 @@
 //!   holding a BDD index per relation (built with a chosen attribute
 //!   ordering, incrementally maintainable) plus pooled *query domains* that
 //!   constraint variables are compiled into.
-//! * [`compile`] — the FOL → BDD compiler implementing the Section 4
-//!   evaluation strategy: prenex conversion, leading-quantifier elimination,
-//!   ∀ push-down, rename-based equi-joins (with the naive equality-cube
-//!   strategy kept for ablation), and fused `appex`/`appall`
-//!   quantification, all under a node-budget.
+//! * [`planner`] and [`exec`] — the FOL → BDD compiler implementing the
+//!   Section 4 evaluation strategy: the planner rewrites a formula into a
+//!   [`plan::CheckPlan`] (prenex conversion, leading-quantifier
+//!   elimination, ∀ push-down), the executor runs it with rename-based
+//!   equi-joins (the naive equality-cube strategy kept for ablation) and
+//!   fused `appex`/`appall` quantification, all under a node-budget.
 //! * [`sqlgen`] — the Formula → relational-plan translator used for the SQL
 //!   baseline and for the fallback when a BDD exceeds the node threshold.
 //! * [`checker`] — [`checker::Checker`], the user-facing API:
@@ -62,7 +63,6 @@
 
 pub mod certify;
 pub mod checker;
-pub mod compile;
 mod error;
 pub mod exec;
 pub mod index;

@@ -12,6 +12,7 @@
 //! ([`CheckPlan::constraint_fp`], [`CheckPlan::schema_fp`]), and
 //! pretty-printed by `relcheck plan`.
 
+use crate::checker::rung;
 use crate::sqlgen::Translated;
 use crate::telemetry::{RewriteRule, RuleFiring};
 use relcheck_logic::Formula;
@@ -56,10 +57,9 @@ impl Default for PlanOptions {
 }
 
 impl PlanOptions {
-    /// The legacy two-switch configuration space: `use_rewrites` toggles
-    /// every rewrite pass at once (prenex, strip, ungated push-down, fused
-    /// quantifiers), `join_rename` stays independent — bit-for-bit the
-    /// behaviour of the old `CompileOptions`.
+    /// The paper's two ablation axes: `use_rewrites` toggles every
+    /// rewrite pass at once (prenex, strip, ungated push-down, fused
+    /// quantifiers), `join_rename` stays independent.
     pub fn from_flags(use_rewrites: bool, join_rename: bool) -> PlanOptions {
         PlanOptions {
             prenex: use_rewrites,
@@ -76,12 +76,23 @@ impl PlanOptions {
     /// fingerprints so a cached plan never executes under different
     /// options than it was planned with.
     pub fn bits(&self) -> u64 {
-        (self.prenex as u64)
-            | (self.strip_leading as u64) << 1
-            | (self.pushdown as u64) << 2
-            | (self.gate_pushdown as u64) << 3
-            | (self.join_rename as u64) << 4
-            | (self.fused_quant as u64) << 5
+        self.flags()
+            .iter()
+            .enumerate()
+            .fold(0, |bits, (i, &(_, on))| bits | (on as u64) << i)
+    }
+
+    /// The flags by schema name, in `relcheck plan --json` order (which is
+    /// also their bit order in [`PlanOptions::bits`]).
+    pub(crate) fn flags(&self) -> [(&'static str, bool); 6] {
+        [
+            ("prenex", self.prenex),
+            ("strip_leading", self.strip_leading),
+            ("pushdown", self.pushdown),
+            ("gate_pushdown", self.gate_pushdown),
+            ("join_rename", self.join_rename),
+            ("fused_quant", self.fused_quant),
+        ]
     }
 
     fn describe(&self) -> String {
@@ -103,7 +114,7 @@ impl PlanOptions {
 /// cost gate declined an applicable site, and the formula before/after.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassRecord {
-    /// Stable pass name (e.g. `"prenex-pullup"`).
+    /// Stable pass name (one of [`crate::planner::pass`]).
     pub pass: &'static str,
     /// The paper rule this pass implements, when it maps to one.
     pub rule: Option<RewriteRule>,
@@ -129,6 +140,19 @@ pub enum BddTest {
     /// Compile the body directly; the constraint holds iff the result
     /// (∧ ranges of any stripped variables) is not `FALSE`.
     Satisfiable,
+}
+
+impl BddTest {
+    /// Every test.
+    pub(crate) const ALL: [BddTest; 2] = [BddTest::ViolationsEmpty, BddTest::Satisfiable];
+
+    /// Stable machine-readable name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            BddTest::ViolationsEmpty => "violations-empty",
+            BddTest::Satisfiable => "satisfiable",
+        }
+    }
 }
 
 /// The prepared BDD execution step of a plan: everything
@@ -196,15 +220,7 @@ impl CheckPlan {
     /// The execution ladder this plan implies, rung names matching the
     /// checker's `CheckTrace::ladder` vocabulary.
     pub fn ladder(&self) -> Vec<&'static str> {
-        let mut rungs = Vec::new();
-        if self.bdd.is_some() {
-            rungs.push("bdd");
-        }
-        if self.sql.is_some() {
-            rungs.push("sql");
-        }
-        rungs.push("brute_force");
-        rungs
+        ladder_for(self.bdd.is_some(), self.sql.is_some())
     }
 
     /// Deterministic pretty-printer: same plan → byte-identical text (CI
@@ -247,10 +263,7 @@ impl CheckPlan {
         }
         match &self.bdd {
             Some(step) => {
-                let test = match step.test {
-                    BddTest::ViolationsEmpty => "violations-empty",
-                    BddTest::Satisfiable => "satisfiable",
-                };
+                let test = step.test.name();
                 push(
                     &mut out,
                     &format!(
@@ -295,7 +308,6 @@ impl CheckPlan {
 /// [`crate::telemetry::validate_plan_json`].
 pub fn plans_to_json(plans: &[(String, CheckPlan)]) -> String {
     use crate::telemetry::JsonWriter;
-    let onoff = |w: &mut JsonWriter, b: bool| w.raw(if b { "true" } else { "false" });
     let mut w = JsonWriter::new();
     w.obj_open();
     w.key("schema_version");
@@ -316,18 +328,10 @@ pub fn plans_to_json(plans: &[(String, CheckPlan)]) -> String {
         w.string(&format!("{:016x}", p.schema_fp));
         w.key("options");
         w.obj_open();
-        w.key("prenex");
-        onoff(&mut w, p.options.prenex);
-        w.key("strip_leading");
-        onoff(&mut w, p.options.strip_leading);
-        w.key("pushdown");
-        onoff(&mut w, p.options.pushdown);
-        w.key("gate_pushdown");
-        onoff(&mut w, p.options.gate_pushdown);
-        w.key("join_rename");
-        onoff(&mut w, p.options.join_rename);
-        w.key("fused_quant");
-        onoff(&mut w, p.options.fused_quant);
+        for (flag, on) in p.options.flags() {
+            w.key(flag);
+            w.bool(on);
+        }
         w.obj_close();
         w.key("passes");
         w.arr_open();
@@ -356,10 +360,7 @@ pub fn plans_to_json(plans: &[(String, CheckPlan)]) -> String {
             Some(step) => {
                 w.obj_open();
                 w.key("test");
-                w.string(match step.test {
-                    BddTest::ViolationsEmpty => "violations-empty",
-                    BddTest::Satisfiable => "satisfiable",
-                });
+                w.string(step.test.name());
                 w.key("stripped");
                 w.arr_open();
                 for v in &step.stripped {
@@ -367,9 +368,9 @@ pub fn plans_to_json(plans: &[(String, CheckPlan)]) -> String {
                 }
                 w.arr_close();
                 w.key("join_rename");
-                onoff(&mut w, step.join_rename);
+                w.bool(step.join_rename);
                 w.key("fused_quant");
-                onoff(&mut w, step.fused_quant);
+                w.bool(step.fused_quant);
                 w.obj_close();
             }
             None => w.raw("null"),
@@ -401,6 +402,19 @@ pub fn plans_to_json(plans: &[(String, CheckPlan)]) -> String {
     w.arr_close();
     w.obj_close();
     w.finish()
+}
+
+/// The ladder a plan with (or without) a BDD step and a SQL step implies.
+pub(crate) fn ladder_for(has_bdd: bool, has_sql: bool) -> Vec<&'static str> {
+    let mut rungs = Vec::new();
+    if has_bdd {
+        rungs.push(rung::BDD);
+    }
+    if has_sql {
+        rungs.push(rung::SQL);
+    }
+    rungs.push(rung::BRUTE_FORCE);
+    rungs
 }
 
 /// The R1/R3/R4 firings a pass list implies, in application order: one

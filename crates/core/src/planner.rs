@@ -1,6 +1,6 @@
 //! Formula → [`CheckPlan`]: the pure pass manager.
 //!
-//! This is the front half of the old `compile.rs` monolith, refactored so
+//! This is the front half of the FOL → BDD compiler, structured so
 //! the paper's §4.4 rewrite pipeline is a sequence of discrete,
 //! individually-toggleable passes whose effects are recorded in the plan:
 //!
@@ -28,6 +28,25 @@ use relcheck_logic::transform::{
 };
 use relcheck_logic::{Formula, Term};
 use relcheck_relstore::{stats, Database, Relation};
+
+/// The planner's pass names, as plans and check traces report them.
+pub mod pass {
+    /// R3: quantifier pull-up into prenex normal form.
+    pub const PRENEX_PULLUP: &str = "prenex-pullup";
+    /// R1: leading-quantifier-block elimination.
+    pub const STRIP_LEADING_BLOCK: &str = "strip-leading-block";
+    /// Negate and renormalize a validity-test body (no paper rule).
+    pub const REFUTATION_NNF: &str = "refutation-nnf";
+    /// R4: universal push-down across conjunctions.
+    pub const FORALL_PUSHDOWN: &str = "forall-pushdown";
+    /// Every pass, in pipeline order.
+    pub const ALL: [&str; 4] = [
+        PRENEX_PULLUP,
+        STRIP_LEADING_BLOCK,
+        REFUTATION_NNF,
+        FORALL_PUSHDOWN,
+    ];
+}
 use std::collections::HashSet;
 
 /// Build the complete [`CheckPlan`] for a constraint: run the rewrite
@@ -66,7 +85,8 @@ pub fn plan_check(
 /// Run the rewrite passes on one formula and assemble the prepared BDD
 /// step. Appends one [`PassRecord`] per pass that ran (even when it fired
 /// zero times — the record is the evidence the pass was consulted).
-pub(crate) fn bdd_step(
+/// [`crate::exec::execute_bdd`] decides the step.
+pub fn bdd_step(
     db: &Database,
     f: &Formula,
     options: PlanOptions,
@@ -93,7 +113,7 @@ pub(crate) fn bdd_step(
     let p = to_prenex(f);
     let whole = rebuild(&p);
     passes.push(PassRecord {
-        pass: "prenex-pullup",
+        pass: pass::PRENEX_PULLUP,
         rule: Some(RewriteRule::R3PrenexPullup),
         fired: p.prefix.len() as u64,
         gated: 0,
@@ -112,7 +132,7 @@ pub(crate) fn bdd_step(
     let remainder = rebuild(&rest);
     if options.strip_leading {
         passes.push(PassRecord {
-            pass: "strip-leading-block",
+            pass: pass::STRIP_LEADING_BLOCK,
             rule: Some(RewriteRule::R1LeadingBlock),
             fired: stripped.len() as u64,
             gated: 0,
@@ -127,7 +147,7 @@ pub(crate) fn bdd_step(
             // conjunctions instead of near-complement disjunctions.
             let negated = simplify(&to_nnf(&remainder.clone().not()));
             passes.push(PassRecord {
-                pass: "refutation-nnf",
+                pass: pass::REFUTATION_NNF,
                 rule: None,
                 fired: 1,
                 gated: 0,
@@ -169,7 +189,7 @@ fn apply_pushdown_pass(
 ) -> Formula {
     let (out, eff) = apply_pushdown(db, f, options);
     passes.push(PassRecord {
-        pass: "forall-pushdown",
+        pass: pass::FORALL_PUSHDOWN,
         rule: Some(RewriteRule::R4ForallPushdown),
         fired: eff.fired,
         gated: eff.gated,

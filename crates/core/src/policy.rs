@@ -32,7 +32,7 @@
 //! corruption decodes to a typed error and the caller falls back to a cold
 //! profile, never a panic.
 
-use crate::checker::{CheckReport, Checker, Method};
+use crate::checker::{rung, CheckReport, Checker, Method};
 use crate::error::{CoreError, Result};
 use crate::telemetry::{PlanCacheMetrics, PolicyMetrics};
 use relcheck_bdd::{decode_frame, encode_frame};
@@ -515,11 +515,11 @@ pub enum Route {
 }
 
 impl Route {
-    /// Stable machine-readable name.
+    /// Stable machine-readable name: the ladder rung the route enters at.
     pub fn name(self) -> &'static str {
         match self {
-            Route::Bdd => "bdd",
-            Route::Sql => "sql",
+            Route::Bdd => rung::BDD,
+            Route::Sql => rung::SQL,
         }
     }
 }
@@ -708,9 +708,9 @@ pub fn advise(
         .map(|(name, formula)| {
             let reads = crate::parallel::read_set(formula);
             let entry_rung = if bdd_route_allowed(reads.iter().map(String::as_str), &sql_routed) {
-                "bdd"
+                rung::BDD
             } else {
-                "sql"
+                rung::SQL
             };
             RoutePolicy {
                 constraint: name.clone(),

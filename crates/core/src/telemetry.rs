@@ -21,13 +21,23 @@
 //!   CI smoke step). Everything here is std-only: the writer and the
 //!   parser are hand-rolled.
 //!
+//! Each flat counter block lists its fields once, in a `counters()` table
+//! that both the writer and the validator read, and every closed
+//! vocabulary (rungs, passes, rules, methods, verdicts, provenances,
+//! fallback reasons) is defined once next to its producer.
+//!
 //! Overhead discipline: counters are plain integers maintained by
 //! `relcheck-bdd` unconditionally; everything that allocates or reads the
 //! clock is gated on `CheckerOptions::telemetry`.
 
-use crate::checker::Method;
-use relcheck_bdd::{OpKind, StatsDelta};
+use crate::checker::{rung, Method, Verdict};
+use crate::planner::pass;
+use relcheck_bdd::{OpKind, OpStats, StatsDelta};
 use std::time::Duration;
+
+/// The metrics document's `schema_version`: the one version the writer
+/// emits and the validator accepts.
+const SCHEMA_VERSION: i64 = 8;
 
 /// The rewrite rules of the paper's Section 4 pipeline, numbered as the
 /// telemetry schema reports them.
@@ -50,6 +60,14 @@ pub enum RewriteRule {
 }
 
 impl RewriteRule {
+    /// Every rule, in paper order.
+    pub(crate) const ALL: [RewriteRule; 4] = [
+        RewriteRule::R1LeadingBlock,
+        RewriteRule::R2JoinRename,
+        RewriteRule::R3PrenexPullup,
+        RewriteRule::R4ForallPushdown,
+    ];
+
     /// Stable machine-readable name (`"R1"` … `"R4"`).
     pub fn name(self) -> &'static str {
         match self {
@@ -83,6 +101,13 @@ pub enum IndexProvenance {
 }
 
 impl IndexProvenance {
+    /// Every provenance.
+    pub(crate) const ALL: [IndexProvenance; 3] = [
+        IndexProvenance::Built,
+        IndexProvenance::Reused,
+        IndexProvenance::SqlOnly,
+    ];
+
     /// Stable machine-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -135,6 +160,31 @@ pub enum FallbackReason {
     Overload,
 }
 
+impl FallbackReason {
+    /// One value of every variant (payloads empty), so the validator can
+    /// walk the reason vocabulary.
+    const VARIANTS: [FallbackReason; 6] = [
+        FallbackReason::NodeLimit { limit: 0, live: 0 },
+        FallbackReason::UnindexedRelation,
+        FallbackReason::Deadline,
+        FallbackReason::RetryExhausted { limit: 0, live: 0 },
+        FallbackReason::Panic(String::new()),
+        FallbackReason::Overload,
+    ];
+
+    /// Stable machine-readable name (the schema's `reason` field).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            FallbackReason::NodeLimit { .. } => "node_limit",
+            FallbackReason::UnindexedRelation => "unindexed_relation",
+            FallbackReason::Deadline => "deadline",
+            FallbackReason::RetryExhausted { .. } => "retry_exhausted",
+            FallbackReason::Panic(_) => "panic",
+            FallbackReason::Overload => "overload",
+        }
+    }
+}
+
 /// Wall-clock phase breakdown of one check (captured only with telemetry
 /// enabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,13 +197,48 @@ pub struct PhaseTimings {
     pub total: Duration,
 }
 
+impl PhaseTimings {
+    /// The `timings` block's fields, in schema order.
+    fn counters(&self) -> [(&'static str, u64); 3] {
+        [
+            ("index_ns", nanos(self.index)),
+            ("eval_ns", nanos(self.eval)),
+            ("total_ns", nanos(self.total)),
+        ]
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
+/// The counters of a `bdd` block, in schema order (the per-op entries
+/// follow them, see [`op_counters`]).
+fn delta_counters(d: &StatsDelta) -> [(&'static str, u64); 4] {
+    [
+        ("created_nodes", d.created_nodes),
+        ("cache_hits", d.cache_hits),
+        ("cache_misses", d.cache_misses),
+        ("gc_runs", d.gc_runs),
+    ]
+}
+
+/// The counters of one `ops` entry of a `bdd` block, in schema order.
+fn op_counters(s: &OpStats) -> [(&'static str, u64); 3] {
+    [
+        ("calls", s.calls),
+        ("cache_hits", s.cache_hits),
+        ("cache_misses", s.cache_misses),
+    ]
+}
+
 /// One planner pass, as recorded in a check trace: how often it fired and
 /// how often its cost gate declined it. Mirrors
 /// [`crate::plan::PassRecord`] minus the before/after formula snapshots
 /// (those stay in the plan; the trace carries only the counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassStat {
-    /// Stable pass name (e.g. `"prenex-pullup"`, `"forall-pushdown"`).
+    /// Stable pass name (one of [`crate::planner::pass`]).
     pub pass: &'static str,
     /// The paper rewrite rule the pass implements, if any.
     pub rule: Option<RewriteRule>,
@@ -163,7 +248,7 @@ pub struct PassStat {
     pub gated: u64,
 }
 
-/// Plan-cache counters for a registry-driven run (schema v4).
+/// Plan-cache counters for a registry-driven run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheMetrics {
     /// Checks answered by a cached [`crate::plan::CheckPlan`] whose
@@ -174,10 +259,16 @@ pub struct PlanCacheMetrics {
     pub misses: u64,
 }
 
-/// Workload-driven policy counters (schema v8): what the
-/// [`crate::policy`] advisor recommended and what applying it did.
-/// `None` at the [`RunMetrics`] level means the run never consulted the
-/// advisor (static routing).
+impl PlanCacheMetrics {
+    /// The `plan_cache` block's fields, in schema order.
+    fn counters(&self) -> [(&'static str, u64); 2] {
+        [("hits", self.hits), ("misses", self.misses)]
+    }
+}
+
+/// Workload-driven policy counters: what the [`crate::policy`] advisor
+/// recommended and what applying it did. `None` at the [`RunMetrics`]
+/// level means the run never consulted the advisor (static routing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyMetrics {
     /// Relations the advisor examined.
@@ -201,6 +292,23 @@ pub struct PolicyMetrics {
     pub profile_checks: u64,
 }
 
+impl PolicyMetrics {
+    /// The `policy` block's fields, in schema order.
+    fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("relations", self.relations),
+            ("advised_bdd", self.advised_bdd),
+            ("advised_sql", self.advised_sql),
+            ("applied_sql_only", self.applied_sql_only),
+            ("applied_rebuilds", self.applied_rebuilds),
+            ("reseeded", self.reseeded),
+            ("readvises", self.readvises),
+            ("cache_slots", self.cache_slots),
+            ("profile_checks", self.profile_checks),
+        ]
+    }
+}
+
 /// Structured trace of one `Checker::check` call. Attached to
 /// [`crate::checker::CheckReport::metrics`] when
 /// `CheckerOptions::telemetry` is set.
@@ -220,9 +328,8 @@ pub struct CheckTrace {
     pub index_events: Vec<IndexEvent>,
     /// Why the BDD path was abandoned, if it was.
     pub fallback: Option<FallbackReason>,
-    /// Degradation-ladder rungs traversed, in order (`"bdd"`,
-    /// `"gc_retry"`, `"sql"`, `"brute_force"`, `"degraded"`, or
-    /// `"errored"` for a check killed by a panic).
+    /// Degradation-ladder rungs traversed, in order (one of
+    /// [`crate::checker::rung`]; `errored` for a check killed by a panic).
     pub ladder: Vec<&'static str>,
     /// Phase timings.
     pub timings: PhaseTimings,
@@ -273,7 +380,7 @@ pub struct ConstraintMetrics {
     /// Verdict.
     pub holds: bool,
     /// What the check established (decided vs degraded vs errored).
-    pub verdict: crate::checker::Verdict,
+    pub verdict: Verdict,
     /// Why the check could not decide, for undecided verdicts.
     pub error: Option<String>,
     /// Decision path.
@@ -299,6 +406,17 @@ pub struct DegradationSummary {
     /// Failpoint evidence: `(seed, fired counts per site)`, present iff
     /// the registry was armed when the report was assembled.
     pub failpoints: Option<(u64, Vec<(&'static str, u64)>)>,
+}
+
+impl DegradationSummary {
+    /// The `degradation` block's counters, in schema order.
+    fn counters(&self) -> [(&'static str, u64); 3] {
+        [
+            ("degraded", self.degraded as u64),
+            ("errored", self.errored as u64),
+            ("fallbacks", self.fallbacks as u64),
+        ]
+    }
 }
 
 /// Closed vocabulary of index-store recovery reasons. The metrics
@@ -369,8 +487,22 @@ pub struct IndexCacheMetrics {
     pub recoveries: Vec<RecoveryRecord>,
 }
 
-/// Session counters for a `relcheck serve` run (`serve` in the schema,
-/// since v5). `None` on `RunMetrics` means the run was a batch job.
+impl IndexCacheMetrics {
+    /// The `index_cache` block's counters, in schema order (the
+    /// `recoveries` list follows them).
+    fn counters(&self) -> [(&'static str, u64); 5] {
+        [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("rebuilds", self.rebuilds),
+            ("journal_replayed", self.journal_replayed),
+            ("write_failures", self.write_failures),
+        ]
+    }
+}
+
+/// Session counters for a `relcheck serve` run (`serve` in the schema).
+/// `None` on `RunMetrics` means the run was a batch job.
 ///
 /// `checks`, `constraints_checked`, `constraints_skipped`, and the
 /// dirty-set gauges count only protocol `check` requests; the priming
@@ -403,8 +535,25 @@ pub struct ServeMetrics {
     pub full_ns: u64,
 }
 
-/// Certificate audit counters (`audit` in the schema, since v6). `None`
-/// on [`RunMetrics`] means the run did not emit or verify certificates.
+impl ServeMetrics {
+    /// The `serve` block's fields, in schema order.
+    fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("requests", self.requests),
+            ("deltas", self.deltas),
+            ("checks", self.checks),
+            ("constraints_checked", self.constraints_checked),
+            ("constraints_skipped", self.constraints_skipped),
+            ("dirty_peak", self.dirty_peak),
+            ("dirty_total", self.dirty_total),
+            ("incremental_ns", self.incremental_ns),
+            ("full_ns", self.full_ns),
+        ]
+    }
+}
+
+/// Certificate audit counters (`audit` in the schema). `None` on
+/// [`RunMetrics`] means the run did not emit or verify certificates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditMetrics {
     /// Certificates emitted.
@@ -419,9 +568,21 @@ pub struct AuditMetrics {
     pub witnesses: u64,
 }
 
+impl AuditMetrics {
+    /// The `audit` block's fields, in schema order.
+    fn counters(&self) -> [(&'static str, u64); 4] {
+        [
+            ("emitted", self.emitted),
+            ("verified", self.verified),
+            ("failed", self.failed),
+            ("witnesses", self.witnesses),
+        ]
+    }
+}
+
 /// Admission-governor counters for a `relcheck serve` run (`overload` in
-/// the schema, since v7). `None` on [`RunMetrics`] means the run was a
-/// batch job. Conservation: `shed <= admitted` and `drained <= admitted`
+/// the schema). `None` on [`RunMetrics`] means the run was a batch job.
+/// Conservation: `shed <= admitted` and `drained <= admitted`
 /// (`metrics-check` enforces both).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadMetrics {
@@ -444,9 +605,23 @@ pub struct OverloadMetrics {
     pub drained: u64,
 }
 
+impl OverloadMetrics {
+    /// The `overload` block's fields, in schema order.
+    fn counters(&self) -> [(&'static str, u64); 6] {
+        [
+            ("admitted", self.admitted),
+            ("shed", self.shed),
+            ("rejected", self.rejected),
+            ("retries", self.retries),
+            ("watchdog_fires", self.watchdog_fires),
+            ("drained", self.drained),
+        ]
+    }
+}
+
 /// The top-level machine-readable report (`schema_version` 8). See
 /// `DESIGN.md` for field meanings and stability guarantees.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Worker threads the run was configured with.
     pub threads: usize,
@@ -489,27 +664,19 @@ impl RunMetrics {
         fleet: Option<FleetTelemetry>,
         threads: usize,
     ) -> RunMetrics {
-        use crate::checker::Verdict;
-        let telemetry_enabled = reports.iter().any(|(_, r)| r.metrics.is_some());
+        let count = |keep: &dyn Fn(&crate::checker::CheckReport) -> bool| {
+            reports.iter().filter(|(_, r)| keep(r)).count()
+        };
         let degradation = DegradationSummary {
-            degraded: reports
-                .iter()
-                .filter(|(_, r)| r.verdict == Verdict::Degraded)
-                .count(),
-            errored: reports
-                .iter()
-                .filter(|(_, r)| r.verdict == Verdict::Errored)
-                .count(),
-            fallbacks: reports
-                .iter()
-                .filter(|(_, r)| r.metrics.as_ref().is_some_and(|t| t.fallback.is_some()))
-                .count(),
+            degraded: count(&|r| r.verdict == Verdict::Degraded),
+            errored: count(&|r| r.verdict == Verdict::Errored),
+            fallbacks: count(&|r| r.metrics.as_ref().is_some_and(|t| t.fallback.is_some())),
             failpoints: relcheck_bdd::failpoint::armed_seed()
                 .map(|seed| (seed, relcheck_bdd::failpoint::fired_counts())),
         };
         RunMetrics {
             threads,
-            telemetry_enabled,
+            telemetry_enabled: reports.iter().any(|(_, r)| r.metrics.is_some()),
             constraints: reports
                 .iter()
                 .map(|(name, r)| ConstraintMetrics {
@@ -524,12 +691,7 @@ impl RunMetrics {
                 .collect(),
             fleet,
             degradation,
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
+            ..RunMetrics::default()
         }
     }
 
@@ -538,144 +700,76 @@ impl RunMetrics {
         let mut w = JsonWriter::new();
         w.obj_open();
         w.key("schema_version");
-        w.raw("8");
+        w.raw(&SCHEMA_VERSION.to_string());
         w.key("tool");
         w.string("relcheck");
         w.key("threads");
         w.raw(&self.threads.to_string());
         w.key("telemetry_enabled");
-        w.raw(if self.telemetry_enabled {
-            "true"
-        } else {
-            "false"
-        });
+        w.bool(self.telemetry_enabled);
         w.key("constraints");
         w.arr_open();
         for c in &self.constraints {
             write_constraint(&mut w, c);
         }
         w.arr_close();
-        w.key("fleet");
-        match &self.fleet {
-            None => w.raw("null"),
-            Some(fl) => write_fleet(&mut w, fl),
-        }
+        write_nullable(&mut w, "fleet", self.fleet.as_ref(), write_fleet);
         w.key("degradation");
         write_degradation(&mut w, &self.degradation);
-        w.key("index_cache");
-        match &self.index_cache {
-            None => w.raw("null"),
-            Some(ic) => write_index_cache(&mut w, ic),
-        }
-        w.key("plan_cache");
-        match &self.plan_cache {
-            None => w.raw("null"),
-            Some(pc) => {
-                w.obj_open();
-                w.key("hits");
-                w.raw(&pc.hits.to_string());
-                w.key("misses");
-                w.raw(&pc.misses.to_string());
-                w.obj_close();
-            }
-        }
-        w.key("serve");
-        match &self.serve {
-            None => w.raw("null"),
-            Some(sv) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("requests", sv.requests),
-                    ("deltas", sv.deltas),
-                    ("checks", sv.checks),
-                    ("constraints_checked", sv.constraints_checked),
-                    ("constraints_skipped", sv.constraints_skipped),
-                    ("dirty_peak", sv.dirty_peak),
-                    ("dirty_total", sv.dirty_total),
-                    ("incremental_ns", sv.incremental_ns),
-                    ("full_ns", sv.full_ns),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
-        }
-        w.key("audit");
-        match &self.audit {
-            None => w.raw("null"),
-            Some(a) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("emitted", a.emitted),
-                    ("verified", a.verified),
-                    ("failed", a.failed),
-                    ("witnesses", a.witnesses),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
-        }
-        w.key("overload");
-        match &self.overload {
-            None => w.raw("null"),
-            Some(ov) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("admitted", ov.admitted),
-                    ("shed", ov.shed),
-                    ("rejected", ov.rejected),
-                    ("retries", ov.retries),
-                    ("watchdog_fires", ov.watchdog_fires),
-                    ("drained", ov.drained),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
-        }
-        w.key("policy");
-        match &self.policy {
-            None => w.raw("null"),
-            Some(p) => {
-                w.obj_open();
-                for (k, v) in [
-                    ("relations", p.relations),
-                    ("advised_bdd", p.advised_bdd),
-                    ("advised_sql", p.advised_sql),
-                    ("applied_sql_only", p.applied_sql_only),
-                    ("applied_rebuilds", p.applied_rebuilds),
-                    ("reseeded", p.reseeded),
-                    ("readvises", p.readvises),
-                    ("cache_slots", p.cache_slots),
-                    ("profile_checks", p.profile_checks),
-                ] {
-                    w.key(k);
-                    w.raw(&v.to_string());
-                }
-                w.obj_close();
-            }
+        write_nullable(
+            &mut w,
+            "index_cache",
+            self.index_cache.as_ref(),
+            write_index_cache,
+        );
+        for (key, counters) in [
+            ("plan_cache", self.plan_cache.map(|b| b.counters().to_vec())),
+            ("serve", self.serve.map(|b| b.counters().to_vec())),
+            ("audit", self.audit.map(|b| b.counters().to_vec())),
+            ("overload", self.overload.map(|b| b.counters().to_vec())),
+            ("policy", self.policy.map(|b| b.counters().to_vec())),
+        ] {
+            write_nullable(&mut w, key, counters.as_ref(), |w, c| {
+                write_counter_block(w, c)
+            });
         }
         w.obj_close();
         w.finish()
     }
 }
 
-fn write_index_cache(w: &mut JsonWriter, ic: &IndexCacheMetrics) {
-    w.obj_open();
-    for (k, v) in [
-        ("hits", ic.hits),
-        ("misses", ic.misses),
-        ("rebuilds", ic.rebuilds),
-        ("journal_replayed", ic.journal_replayed),
-        ("write_failures", ic.write_failures),
-    ] {
+/// Write `counters` as `"name":value` members of the open object.
+fn write_counters(w: &mut JsonWriter, counters: &[(&str, u64)]) {
+    for (k, v) in counters {
         w.key(k);
         w.raw(&v.to_string());
     }
+}
+
+/// Write a flat counter block as its own object.
+fn write_counter_block(w: &mut JsonWriter, counters: &[(&str, u64)]) {
+    w.obj_open();
+    write_counters(w, counters);
+    w.obj_close();
+}
+
+/// Write `key` with `value` rendered by `write`, or `null` when absent.
+fn write_nullable<T>(
+    w: &mut JsonWriter,
+    key: &str,
+    value: Option<&T>,
+    write: impl FnOnce(&mut JsonWriter, &T),
+) {
+    w.key(key);
+    match value {
+        None => w.raw("null"),
+        Some(v) => write(w, v),
+    }
+}
+
+fn write_index_cache(w: &mut JsonWriter, ic: &IndexCacheMetrics) {
+    w.obj_open();
+    write_counters(w, &ic.counters());
     w.key("recoveries");
     w.arr_open();
     for r in &ic.recoveries {
@@ -692,27 +786,14 @@ fn write_index_cache(w: &mut JsonWriter, ic: &IndexCacheMetrics) {
     w.obj_close();
 }
 
-fn method_name(m: Method) -> &'static str {
-    match m {
-        Method::Bdd => "bdd",
-        Method::SqlFallback => "sql_fallback",
-        Method::BruteForce => "brute_force",
-        Method::Aborted => "aborted",
-    }
-}
-
 fn write_degradation(w: &mut JsonWriter, d: &DegradationSummary) {
     w.obj_open();
-    w.key("degraded");
-    w.raw(&d.degraded.to_string());
-    w.key("errored");
-    w.raw(&d.errored.to_string());
-    w.key("fallbacks");
-    w.raw(&d.fallbacks.to_string());
-    w.key("failpoints");
-    match &d.failpoints {
-        None => w.raw("null"),
-        Some((seed, fired)) => {
+    write_counters(w, &d.counters());
+    write_nullable(
+        w,
+        "failpoints",
+        d.failpoints.as_ref(),
+        |w, (seed, fired)| {
             w.obj_open();
             // As a string: u64 seeds can exceed the i64 range our parser
             // (and many consumers) give JSON integers.
@@ -730,8 +811,8 @@ fn write_degradation(w: &mut JsonWriter, d: &DegradationSummary) {
             }
             w.arr_close();
             w.obj_close();
-        }
-    }
+        },
+    );
     w.obj_close();
 }
 
@@ -740,30 +821,22 @@ fn write_constraint(w: &mut JsonWriter, c: &ConstraintMetrics) {
     w.key("name");
     w.string(&c.name);
     w.key("holds");
-    w.raw(if c.holds { "true" } else { "false" });
+    w.bool(c.holds);
     w.key("verdict");
     w.string(c.verdict.name());
-    w.key("error");
-    match &c.error {
-        None => w.raw("null"),
-        Some(e) => w.string(e),
-    }
+    write_nullable(w, "error", c.error.as_ref(), |w, e| w.string(e));
     w.key("method");
-    w.string(method_name(c.method));
+    w.string(c.method.name());
     w.key("elapsed_ns");
-    w.raw(&(c.elapsed.as_nanos() as u64).to_string());
-    w.key("trace");
-    match &c.trace {
-        None => w.raw("null"),
-        Some(t) => write_trace(w, t),
-    }
+    w.raw(&nanos(c.elapsed).to_string());
+    write_nullable(w, "trace", c.trace.as_ref(), write_trace);
     w.obj_close();
 }
 
 fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
     w.obj_open();
     w.key("method");
-    w.string(method_name(t.method));
+    w.string(t.method.name());
     w.key("rules");
     w.arr_open();
     for r in &t.rules {
@@ -781,11 +854,7 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
         w.obj_open();
         w.key("pass");
         w.string(p.pass);
-        w.key("rule");
-        match p.rule {
-            None => w.raw("null"),
-            Some(r) => w.string(r.name()),
-        }
+        write_nullable(w, "rule", p.rule.as_ref(), |w, r| w.string(r.name()));
         w.key("fired");
         w.raw(&p.fired.to_string());
         w.key("gated");
@@ -804,56 +873,7 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
         w.obj_close();
     }
     w.arr_close();
-    w.key("fallback");
-    match &t.fallback {
-        None => w.raw("null"),
-        Some(FallbackReason::NodeLimit { limit, live }) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("node_limit");
-            w.key("limit");
-            w.raw(&limit.to_string());
-            w.key("live");
-            w.raw(&live.to_string());
-            w.obj_close();
-        }
-        Some(FallbackReason::UnindexedRelation) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("unindexed_relation");
-            w.obj_close();
-        }
-        Some(FallbackReason::Deadline) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("deadline");
-            w.obj_close();
-        }
-        Some(FallbackReason::RetryExhausted { limit, live }) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("retry_exhausted");
-            w.key("limit");
-            w.raw(&limit.to_string());
-            w.key("live");
-            w.raw(&live.to_string());
-            w.obj_close();
-        }
-        Some(FallbackReason::Panic(msg)) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("panic");
-            w.key("message");
-            w.string(msg);
-            w.obj_close();
-        }
-        Some(FallbackReason::Overload) => {
-            w.obj_open();
-            w.key("reason");
-            w.string("overload");
-            w.obj_close();
-        }
-    }
+    write_nullable(w, "fallback", t.fallback.as_ref(), write_fallback);
     w.key("ladder");
     w.arr_open();
     for rung in &t.ladder {
@@ -861,42 +881,44 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
     }
     w.arr_close();
     w.key("timings");
-    w.obj_open();
-    w.key("index_ns");
-    w.raw(&(t.timings.index.as_nanos() as u64).to_string());
-    w.key("eval_ns");
-    w.raw(&(t.timings.eval.as_nanos() as u64).to_string());
-    w.key("total_ns");
-    w.raw(&(t.timings.total.as_nanos() as u64).to_string());
-    w.obj_close();
+    write_counter_block(w, &t.timings.counters());
     w.key("bdd");
     write_delta(w, &t.bdd);
     w.obj_close();
 }
 
+fn write_fallback(w: &mut JsonWriter, fb: &FallbackReason) {
+    w.obj_open();
+    w.key("reason");
+    w.string(fb.name());
+    match fb {
+        FallbackReason::NodeLimit { limit, live }
+        | FallbackReason::RetryExhausted { limit, live } => {
+            w.key("limit");
+            w.raw(&limit.to_string());
+            w.key("live");
+            w.raw(&live.to_string());
+        }
+        FallbackReason::Panic(msg) => {
+            w.key("message");
+            w.string(msg);
+        }
+        FallbackReason::UnindexedRelation | FallbackReason::Deadline | FallbackReason::Overload => {
+        }
+    }
+    w.obj_close();
+}
+
 fn write_delta(w: &mut JsonWriter, d: &StatsDelta) {
     w.obj_open();
-    w.key("created_nodes");
-    w.raw(&d.created_nodes.to_string());
-    w.key("cache_hits");
-    w.raw(&d.cache_hits.to_string());
-    w.key("cache_misses");
-    w.raw(&d.cache_misses.to_string());
-    w.key("gc_runs");
-    w.raw(&d.gc_runs.to_string());
+    write_counters(w, &delta_counters(d));
     w.key("ops");
     w.arr_open();
-    for (i, kind) in OpKind::ALL.iter().enumerate() {
-        let s = d.ops[i];
+    for (kind, s) in OpKind::ALL.iter().zip(&d.ops) {
         w.obj_open();
         w.key("op");
         w.string(kind.name());
-        w.key("calls");
-        w.raw(&s.calls.to_string());
-        w.key("cache_hits");
-        w.raw(&s.cache_hits.to_string());
-        w.key("cache_misses");
-        w.raw(&s.cache_misses.to_string());
+        write_counters(w, &op_counters(s));
         w.obj_close();
     }
     w.arr_close();
@@ -1008,6 +1030,10 @@ impl JsonWriter {
         self.out.push('"');
     }
 
+    pub(crate) fn bool(&mut self, b: bool) {
+        self.raw(if b { "true" } else { "false" });
+    }
+
     pub(crate) fn raw(&mut self, v: &str) {
         self.pre_value();
         self.out.push_str(v);
@@ -1048,6 +1074,14 @@ impl Json {
         }
     }
 
+    /// The boolean value, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The integer value, if this is an integer.
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -1082,14 +1116,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Our documents nest
+/// at most 8 levels; the cap turns a hostile `[[[[…` into an error
+/// instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a JSON document (strict enough for round-tripping our own
-/// output; rejects trailing garbage).
+/// output; rejects trailing garbage and nesting deeper than 64 levels).
 pub fn parse_json(text: &str) -> std::result::Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing input at byte {pos}"));
     }
     Ok(v)
@@ -1101,8 +1139,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> std::result::Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'{') => {
@@ -1115,7 +1159,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(text, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -1124,7 +1168,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(text, pos, depth + 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1146,7 +1190,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -1162,44 +1206,34 @@ fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
             *pos += 1;
             let mut s = String::new();
             loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".to_owned()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'u') => {
-                                let hex =
-                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                s.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 character.
-                        let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                        let ch = rest.chars().next().unwrap();
-                        s.push(ch);
-                        *pos += ch.len_utf8();
-                    }
+                // Copy the run of unescaped bytes up to the next quote or
+                // backslash in one slice: both are ASCII, so the run ends
+                // on a character boundary.
+                let run = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .ok_or("unterminated string")?;
+                s.push_str(&text[*pos..*pos + run]);
+                *pos += run + 1;
+                if b[*pos - 1] == b'"' {
+                    return Ok(Json::Str(s));
                 }
+                match b.get(*pos) {
+                    Some(b'"') => s.push('"'),
+                    Some(b'\\') => s.push('\\'),
+                    Some(b'/') => s.push('/'),
+                    Some(b'n') => s.push('\n'),
+                    Some(b'r') => s.push('\r'),
+                    Some(b't') => s.push('\t'),
+                    Some(b'u') => {
+                        let hex = text.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        s.push(char::from_u32(code).ok_or("bad \\u escape")?);
+                        *pos += 4;
+                    }
+                    other => return Err(format!("bad escape {other:?}")),
+                }
+                *pos += 1;
             }
         }
         Some(b't') if b[*pos..].starts_with(b"true") => {
@@ -1224,7 +1258,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
             {
                 *pos += 1;
             }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+            let s = &text[start..*pos];
             if s.is_empty() {
                 return Err(format!("unexpected character at byte {start}"));
             }
@@ -1237,599 +1271,430 @@ fn parse_value(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> {
     }
 }
 
-/// The op-kind names a `bdd` block must list, in order.
-fn op_kind_names() -> Vec<&'static str> {
-    OpKind::ALL.iter().map(|k| k.name()).collect()
+// ---------------------------------------------------------------------------
+// Validation. The accessors below name the full path of a missing or
+// mistyped field in their error; the metrics, plan and bench validators
+// share them.
+// ---------------------------------------------------------------------------
+
+type Check<T> = std::result::Result<T, String>;
+
+/// `at.name`, or just `name` at the document root.
+fn join(at: &str, name: &str) -> String {
+    if at.is_empty() {
+        name.to_owned()
+    } else {
+        format!("{at}.{name}")
+    }
 }
 
-fn check_delta_block(v: &Json, at: &str) -> std::result::Result<(), String> {
-    for field in ["created_nodes", "cache_hits", "cache_misses", "gc_runs"] {
-        v.get(field)
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: missing integer field {field:?}"))?;
+/// Field `name` of `v`, read by `read`; an error naming `kind` when it is
+/// missing or of the wrong type.
+fn expect<'a, T>(
+    v: &'a Json,
+    at: &str,
+    name: &str,
+    kind: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Check<T> {
+    v.get(name)
+        .and_then(read)
+        .ok_or_else(|| format!("{}: expected {kind}", join(at, name)))
+}
+
+fn field<'a>(v: &'a Json, at: &str, name: &str) -> Check<&'a Json> {
+    expect(v, at, name, "a value", Some)
+}
+
+fn string<'a>(v: &'a Json, at: &str, name: &str) -> Check<&'a str> {
+    expect(v, at, name, "a string", Json::as_str)
+}
+
+fn array<'a>(v: &'a Json, at: &str, name: &str) -> Check<&'a [Json]> {
+    expect(v, at, name, "an array", Json::as_arr)
+}
+
+fn boolean(v: &Json, at: &str, name: &str) -> Check<bool> {
+    expect(v, at, name, "a boolean", Json::as_bool)
+}
+
+/// A counter: present, an integer, and `>= 0`.
+fn count(v: &Json, at: &str, name: &str) -> Check<u64> {
+    let n = expect(v, at, name, "an integer", Json::as_int)?;
+    u64::try_from(n).map_err(|_| format!("{} = {n} < 0", join(at, name)))
+}
+
+/// A field the writer always emits, possibly as `null` (`Ok(None)`).
+fn nullable<'a>(v: &'a Json, at: &str, name: &str) -> Check<Option<&'a Json>> {
+    match field(v, at, name)? {
+        Json::Null => Ok(None),
+        x => Ok(Some(x)),
     }
-    let ops = v
-        .get("ops")
-        .and_then(Json::as_arr)
-        .ok_or(format!("{at}: missing array field \"ops\""))?;
-    let names = op_kind_names();
-    if ops.len() != names.len() {
+}
+
+/// `got` must be one of `vocabulary`.
+fn member<'a>(
+    at: &str,
+    what: &str,
+    got: &str,
+    vocabulary: impl IntoIterator<Item = &'a str>,
+) -> Check<()> {
+    if vocabulary.into_iter().any(|w| w == got) {
+        Ok(())
+    } else {
+        Err(format!("{at}: unknown {what} {got:?}"))
+    }
+}
+
+/// Validated counter values, looked up by field name.
+struct Counters(Vec<(String, u64)>);
+
+impl std::ops::Index<&str> for Counters {
+    type Output = u64;
+
+    fn index(&self, name: &str) -> &u64 {
+        let (_, n) = self
+            .0
+            .iter()
+            .find(|(k, _)| k == name)
+            .unwrap_or_else(|| panic!("counter {name:?} is not in the block's table"));
+        n
+    }
+}
+
+/// Check every field of a block's counter `table` (present, integer,
+/// `>= 0`) and return the values.
+fn read_counters<T: Default, const N: usize>(
+    v: &Json,
+    at: &str,
+    table: fn(&T) -> [(&'static str, u64); N],
+) -> Check<Counters> {
+    table(&T::default())
+        .iter()
+        .map(|&(name, _)| Ok((name.to_owned(), count(v, at, name)?)))
+        .collect::<Check<_>>()
+        .map(Counters)
+}
+
+/// Check a `bdd` block — its counters and one entry per op kind, each
+/// conserving `calls == cache_hits + cache_misses` — and return every
+/// counter flattened (per-op ones as `ops[<kind>].<field>`) for the
+/// fleet-sum check.
+fn check_delta_block(v: &Json, at: &str) -> Check<Counters> {
+    let mut flat = read_counters(v, at, delta_counters)?;
+    let ops = array(v, at, "ops")?;
+    if ops.len() != OpKind::ALL.len() {
         return Err(format!(
             "{at}: ops must list all {} kinds, got {}",
-            names.len(),
+            OpKind::ALL.len(),
             ops.len()
         ));
     }
-    for (o, want) in ops.iter().zip(&names) {
-        let got = o
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or(format!("{at}: op entry missing \"op\""))?;
-        if got != *want {
-            return Err(format!("{at}: expected op {want:?}, got {got:?}"));
+    for (o, kind) in ops.iter().zip(OpKind::ALL) {
+        let want = kind.name();
+        let oat = format!("{at}.ops[{want}]");
+        let got = string(o, &oat, "op")?;
+        if got != want {
+            return Err(format!("{oat}: expected op {want:?}, got {got:?}"));
         }
-        let calls = o
-            .get("calls")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: op {got:?} missing \"calls\""))?;
-        let hits = o
-            .get("cache_hits")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: op {got:?} missing \"cache_hits\""))?;
-        let misses = o
-            .get("cache_misses")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: op {got:?} missing \"cache_misses\""))?;
-        if calls != hits + misses {
+        let c = read_counters(o, &oat, op_counters)?;
+        if c["calls"] != c["cache_hits"] + c["cache_misses"] {
             return Err(format!(
-                "{at}: op {got:?} violates calls == hits + misses ({calls} != {hits} + {misses})"
+                "{oat}: violates calls == hits + misses ({} != {} + {})",
+                c["calls"], c["cache_hits"], c["cache_misses"]
+            ));
+        }
+        let prefixed =
+            c.0.into_iter()
+                .map(|(k, n)| (format!("ops[{want}].{k}"), n));
+        flat.0.extend(prefixed);
+    }
+    Ok(flat)
+}
+
+/// Check one planner pass entry (trace or plan): a known pass name, a
+/// known rule or `null`, and non-negative `fired`/`gated` counts.
+fn check_pass(p: &Json, at: &str) -> Check<()> {
+    let name = string(p, at, "pass")?;
+    member(at, "pass", name, pass::ALL)?;
+    if let Some(rule) = nullable(p, at, "rule")? {
+        let rule = rule
+            .as_str()
+            .ok_or(format!("{at}: pass {name:?} has a non-string rule"))?;
+        member(at, "rule", rule, RewriteRule::ALL.map(RewriteRule::name))?;
+    }
+    count(p, at, "fired")?;
+    count(p, at, "gated")?;
+    Ok(())
+}
+
+fn check_trace(t: &Json, at: &str) -> Check<()> {
+    member(
+        at,
+        "method",
+        string(t, at, "method")?,
+        Method::ALL.map(Method::name),
+    )?;
+    for (i, r) in array(t, at, "rules")?.iter().enumerate() {
+        let rat = format!("{at}.rules[{i}]");
+        let name = string(r, &rat, "rule")?;
+        member(&rat, "rule", name, RewriteRule::ALL.map(RewriteRule::name))?;
+        if count(r, &rat, "count")? == 0 {
+            return Err(format!("{rat}: rule {name:?} has count 0"));
+        }
+    }
+    for (i, p) in array(t, at, "passes")?.iter().enumerate() {
+        check_pass(p, &format!("{at}.passes[{i}]"))?;
+    }
+    for (i, e) in array(t, at, "index_events")?.iter().enumerate() {
+        let eat = format!("{at}.index_events[{i}]");
+        string(e, &eat, "relation")?;
+        let provenance = string(e, &eat, "provenance")?;
+        member(
+            &eat,
+            "provenance",
+            provenance,
+            IndexProvenance::ALL.map(IndexProvenance::name),
+        )?;
+    }
+    if let Some(fb) = nullable(t, at, "fallback")? {
+        let fat = join(at, "fallback");
+        let reason = string(fb, &fat, "reason")?;
+        let variant = FallbackReason::VARIANTS
+            .into_iter()
+            .find(|r| r.name() == reason)
+            .ok_or(format!("{fat}: unknown reason {reason:?}"))?;
+        match variant {
+            FallbackReason::NodeLimit { .. } | FallbackReason::RetryExhausted { .. } => {
+                count(fb, &fat, "limit")?;
+                count(fb, &fat, "live")?;
+            }
+            FallbackReason::Panic(_) => {
+                string(fb, &fat, "message")?;
+            }
+            FallbackReason::UnindexedRelation
+            | FallbackReason::Deadline
+            | FallbackReason::Overload => {}
+        }
+    }
+    for r in array(t, at, "ladder")? {
+        let name = r
+            .as_str()
+            .ok_or(format!("{at}.ladder: rung must be a string"))?;
+        member(&join(at, "ladder"), "rung", name, rung::ALL)?;
+    }
+    read_counters(
+        field(t, at, "timings")?,
+        &join(at, "timings"),
+        PhaseTimings::counters,
+    )?;
+    check_delta_block(field(t, at, "bdd")?, &join(at, "bdd"))?;
+    Ok(())
+}
+
+/// Validate a metrics document against the current schema (the one
+/// [`RunMetrics::to_json`] writes; any other `schema_version` is
+/// rejected): required fields and types, closed vocabularies, per-op
+/// conservation laws, each block's conservation rules, and — when a
+/// fleet section is present — that the fleet totals equal the sum of the
+/// per-worker counters.
+pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
+    let doc = parse_json(text)?;
+    let version = expect(&doc, "", "schema_version", "an integer", Json::as_int)?;
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
+        ));
+    }
+    string(&doc, "", "tool")?;
+    count(&doc, "", "threads")?;
+    boolean(&doc, "", "telemetry_enabled")?;
+    let constraints = array(&doc, "", "constraints")?;
+    for (i, c) in constraints.iter().enumerate() {
+        let at = format!("constraints[{i}]");
+        string(c, &at, "name")?;
+        boolean(c, &at, "holds")?;
+        let verdict = string(c, &at, "verdict")?;
+        member(&at, "verdict", verdict, Verdict::ALL.map(Verdict::name))?;
+        if let Some(e) = nullable(c, &at, "error")? {
+            e.as_str()
+                .ok_or(format!("{at}.error: expected null or a string"))?;
+        }
+        member(
+            &at,
+            "method",
+            string(c, &at, "method")?,
+            Method::ALL.map(Method::name),
+        )?;
+        count(c, &at, "elapsed_ns")?;
+        if let Some(t) = nullable(c, &at, "trace")? {
+            check_trace(t, &join(&at, "trace"))?;
+        }
+    }
+
+    if let Some(fleet) = nullable(&doc, "", "fleet")? {
+        let total = check_delta_block(field(fleet, "fleet", "total")?, "fleet.total")?;
+        let mut sums = vec![0u128; total.0.len()];
+        for (i, w) in array(fleet, "fleet", "workers")?.iter().enumerate() {
+            let at = format!("fleet.workers[{i}]");
+            let bdd = check_delta_block(field(w, &at, "bdd")?, &join(&at, "bdd"))?;
+            for (sum, (_, n)) in sums.iter_mut().zip(&bdd.0) {
+                *sum += u128::from(*n);
+            }
+        }
+        for ((name, t), sum) in total.0.iter().zip(sums) {
+            if u128::from(*t) != sum {
+                return Err(format!(
+                    "fleet.total.{name} = {t} but per-worker sum is {sum}"
+                ));
+            }
+        }
+    }
+
+    let deg = field(&doc, "", "degradation")?;
+    let c = read_counters(deg, "degradation", DegradationSummary::counters)?;
+    // Counts (named after the verdict they tally) must agree with the
+    // per-constraint verdicts.
+    for name in [Verdict::Degraded.name(), Verdict::Errored.name()] {
+        let tally = constraints
+            .iter()
+            .filter(|c| c.get("verdict").and_then(Json::as_str) == Some(name))
+            .count() as u64;
+        if c[name] != tally {
+            return Err(format!(
+                "degradation.{name} = {} but {tally} constraints report verdict {name:?}",
+                c[name]
+            ));
+        }
+    }
+    if let Some(fp) = nullable(deg, "degradation", "failpoints")? {
+        string(fp, "degradation.failpoints", "seed")?;
+        for (i, s) in array(fp, "degradation.failpoints", "fired")?
+            .iter()
+            .enumerate()
+        {
+            let at = format!("degradation.failpoints.fired[{i}]");
+            string(s, &at, "site")?;
+            count(s, &at, "count")?;
+        }
+    }
+
+    if let Some(ic) = nullable(&doc, "", "index_cache")? {
+        let c = read_counters(ic, "index_cache", IndexCacheMetrics::counters)?;
+        let recoveries = array(ic, "index_cache", "recoveries")?;
+        for (i, r) in recoveries.iter().enumerate() {
+            let at = format!("index_cache.recoveries[{i}]");
+            string(r, &at, "relation")?;
+            member(
+                &at,
+                "reason",
+                string(r, &at, "reason")?,
+                recovery_reason::ALL,
+            )?;
+            string(r, &at, "detail")?;
+        }
+        // Conservation: every rebuild is explained by a recovery record
+        // (some records — e.g. a salvaged torn journal tail — do not force
+        // a rebuild, so ≤ rather than =).
+        if c["rebuilds"] > recoveries.len() as u64 {
+            return Err(format!(
+                "index_cache.rebuilds = {} exceeds the {} recovery record(s)",
+                c["rebuilds"],
+                recoveries.len()
+            ));
+        }
+    }
+
+    if let Some(pc) = nullable(&doc, "", "plan_cache")? {
+        read_counters(pc, "plan_cache", PlanCacheMetrics::counters)?;
+    }
+
+    let serve = nullable(&doc, "", "serve")?
+        .map(|sv| read_counters(sv, "serve", ServeMetrics::counters))
+        .transpose()?;
+    if let Some(c) = &serve {
+        // Conservation: the peak dirty-set size is one of the sizes summed
+        // into the total, and every delta/check is a request.
+        if c["dirty_peak"] > c["dirty_total"] {
+            return Err(format!(
+                "serve.dirty_peak = {} exceeds dirty_total = {}",
+                c["dirty_peak"], c["dirty_total"]
+            ));
+        }
+        if c["deltas"] + c["checks"] > c["requests"] {
+            return Err(format!(
+                "serve.deltas + serve.checks = {} exceeds requests = {}",
+                c["deltas"] + c["checks"],
+                c["requests"]
+            ));
+        }
+    }
+
+    if let Some(au) = nullable(&doc, "", "audit")? {
+        let c = read_counters(au, "audit", AuditMetrics::counters)?;
+        // Conservation: in an emitting run every verification outcome
+        // refers to an emitted certificate. A verify-only run reports
+        // emitted = 0 and its verified/failed tallies stand alone.
+        if c["emitted"] > 0 && c["verified"] + c["failed"] > c["emitted"] {
+            return Err(format!(
+                "audit.verified + audit.failed = {} exceeds emitted = {}",
+                c["verified"] + c["failed"],
+                c["emitted"]
+            ));
+        }
+    }
+
+    if let Some(ov) = nullable(&doc, "", "overload")? {
+        let c = read_counters(ov, "overload", OverloadMetrics::counters)?;
+        // Conservation: shed requests are a subset of admitted ones
+        // (rejected requests never reach the engine), and the drain phase
+        // only serves requests that were already admitted.
+        for name in ["shed", "drained"] {
+            if c[name] > c["admitted"] {
+                return Err(format!(
+                    "overload.{name} = {} exceeds admitted = {}",
+                    c[name], c["admitted"]
+                ));
+            }
+        }
+        // Every engine-visible request was admitted by the governor (the
+        // engine skips blank/comment lines, so <=, not ==).
+        if let Some(sv) = &serve {
+            if sv["requests"] > c["admitted"] {
+                return Err(format!(
+                    "serve.requests = {} exceeds overload.admitted = {}",
+                    sv["requests"], c["admitted"]
+                ));
+            }
+        }
+    }
+
+    if let Some(po) = nullable(&doc, "", "policy")? {
+        let c = read_counters(po, "policy", PolicyMetrics::counters)?;
+        // Conservation: every examined relation got exactly one route, and
+        // only SQL-advised relations can be newly marked.
+        if c["advised_bdd"] + c["advised_sql"] != c["relations"] {
+            return Err(format!(
+                "policy.advised_bdd + policy.advised_sql = {} but relations = {}",
+                c["advised_bdd"] + c["advised_sql"],
+                c["relations"]
+            ));
+        }
+        if c["applied_sql_only"] > c["advised_sql"] {
+            return Err(format!(
+                "policy.applied_sql_only = {} exceeds advised_sql = {}",
+                c["applied_sql_only"], c["advised_sql"]
             ));
         }
     }
     Ok(())
 }
 
-fn delta_field(v: &Json, field: &str) -> i64 {
-    v.get(field).and_then(Json::as_int).unwrap_or(0)
-}
-
-/// Validate a metrics document against the schema: required fields and
-/// types, per-op conservation laws, and — when a fleet section is present
-/// — that the fleet totals equal the sum of the per-worker counters.
-pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
-    let doc = parse_json(text)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_int)
-        .ok_or("missing integer field \"schema_version\"")?;
-    if !(1..=8).contains(&version) {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    doc.get("threads")
-        .and_then(Json::as_int)
-        .ok_or("missing integer field \"threads\"")?;
-    let constraints = doc
-        .get("constraints")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"constraints\"")?;
-    for (i, c) in constraints.iter().enumerate() {
-        let at = format!("constraints[{i}]");
-        c.get("name")
-            .and_then(Json::as_str)
-            .ok_or(format!("{at}: missing string field \"name\""))?;
-        if !matches!(c.get("holds"), Some(Json::Bool(_))) {
-            return Err(format!("{at}: missing boolean field \"holds\""));
-        }
-        if version >= 2 {
-            let verdict = c
-                .get("verdict")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: missing string field \"verdict\""))?;
-            if !["holds", "violated", "degraded", "errored"].contains(&verdict) {
-                return Err(format!("{at}: unknown verdict {verdict:?}"));
-            }
-            match c.get("error") {
-                Some(Json::Null) | Some(Json::Str(_)) => {}
-                other => {
-                    return Err(format!(
-                        "{at}: \"error\" must be null or string, got {other:?}"
-                    ))
-                }
-            }
-        }
-        let method = c
-            .get("method")
-            .and_then(Json::as_str)
-            .ok_or(format!("{at}: missing string field \"method\""))?;
-        let methods: &[&str] = if version >= 2 {
-            &["bdd", "sql_fallback", "brute_force", "aborted"]
-        } else {
-            &["bdd", "sql_fallback", "brute_force"]
-        };
-        if !methods.contains(&method) {
-            return Err(format!("{at}: unknown method {method:?}"));
-        }
-        c.get("elapsed_ns")
-            .and_then(Json::as_int)
-            .ok_or(format!("{at}: missing integer field \"elapsed_ns\""))?;
-        match c.get("trace") {
-            Some(Json::Null) | None => {}
-            Some(t) => {
-                let rules = t
-                    .get("rules")
-                    .and_then(Json::as_arr)
-                    .ok_or(format!("{at}.trace: missing array field \"rules\""))?;
-                for r in rules {
-                    let name = r
-                        .get("rule")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("{at}.trace: rule entry missing \"rule\""))?;
-                    if !["R1", "R2", "R3", "R4"].contains(&name) {
-                        return Err(format!("{at}.trace: unknown rule {name:?}"));
-                    }
-                    let count = r
-                        .get("count")
-                        .and_then(Json::as_int)
-                        .ok_or(format!("{at}.trace: rule entry missing \"count\""))?;
-                    if count <= 0 {
-                        return Err(format!("{at}.trace: rule {name:?} has count {count} <= 0"));
-                    }
-                }
-                if version >= 4 {
-                    let passes = t
-                        .get("passes")
-                        .and_then(Json::as_arr)
-                        .ok_or(format!("{at}.trace: missing array field \"passes\""))?;
-                    for p in passes {
-                        let name = p
-                            .get("pass")
-                            .and_then(Json::as_str)
-                            .ok_or(format!("{at}.trace: pass entry missing \"pass\""))?;
-                        if ![
-                            "prenex-pullup",
-                            "strip-leading-block",
-                            "refutation-nnf",
-                            "forall-pushdown",
-                        ]
-                        .contains(&name)
-                        {
-                            return Err(format!("{at}.trace: unknown pass {name:?}"));
-                        }
-                        match p.get("rule") {
-                            Some(Json::Null) => {}
-                            Some(Json::Str(r))
-                                if ["R1", "R2", "R3", "R4"].contains(&r.as_str()) => {}
-                            other => {
-                                return Err(format!(
-                                    "{at}.trace: pass {name:?} has bad \"rule\" {other:?}"
-                                ))
-                            }
-                        }
-                        for f in ["fired", "gated"] {
-                            let v = p.get(f).and_then(Json::as_int).ok_or(format!(
-                                "{at}.trace: pass {name:?} missing integer {f:?}"
-                            ))?;
-                            if v < 0 {
-                                return Err(format!("{at}.trace: pass {name:?} {f} = {v} < 0"));
-                            }
-                        }
-                    }
-                }
-                let events = t
-                    .get("index_events")
-                    .and_then(Json::as_arr)
-                    .ok_or(format!("{at}.trace: missing array field \"index_events\""))?;
-                for e in events {
-                    let p = e
-                        .get("provenance")
-                        .and_then(Json::as_str)
-                        .ok_or(format!("{at}.trace: index event missing \"provenance\""))?;
-                    if !["built", "reused", "sql_only"].contains(&p) {
-                        return Err(format!("{at}.trace: unknown provenance {p:?}"));
-                    }
-                }
-                match t.get("fallback") {
-                    Some(Json::Null) | None => {}
-                    Some(fb) => {
-                        let reason = fb
-                            .get("reason")
-                            .and_then(Json::as_str)
-                            .ok_or(format!("{at}.trace.fallback: missing \"reason\""))?;
-                        let reasons: &[&str] = if version >= 7 {
-                            &[
-                                "node_limit",
-                                "unindexed_relation",
-                                "deadline",
-                                "retry_exhausted",
-                                "panic",
-                                "overload",
-                            ]
-                        } else if version >= 2 {
-                            &[
-                                "node_limit",
-                                "unindexed_relation",
-                                "deadline",
-                                "retry_exhausted",
-                                "panic",
-                            ]
-                        } else {
-                            &["node_limit", "unindexed_relation"]
-                        };
-                        if !reasons.contains(&reason) {
-                            return Err(format!("{at}.trace.fallback: unknown reason {reason:?}"));
-                        }
-                    }
-                }
-                if let Some(ladder) = t.get("ladder") {
-                    let rungs = ladder
-                        .as_arr()
-                        .ok_or(format!("{at}.trace: \"ladder\" must be an array"))?;
-                    for r in rungs {
-                        let name = r
-                            .as_str()
-                            .ok_or(format!("{at}.trace.ladder: rung must be a string"))?;
-                        if ![
-                            "bdd",
-                            "gc_retry",
-                            "sql",
-                            "brute_force",
-                            "degraded",
-                            "errored",
-                        ]
-                        .contains(&name)
-                        {
-                            return Err(format!("{at}.trace.ladder: unknown rung {name:?}"));
-                        }
-                    }
-                }
-                let timings = t
-                    .get("timings")
-                    .ok_or(format!("{at}.trace: missing field \"timings\""))?;
-                for f in ["index_ns", "eval_ns", "total_ns"] {
-                    timings
-                        .get(f)
-                        .and_then(Json::as_int)
-                        .ok_or(format!("{at}.trace.timings: missing integer {f:?}"))?;
-                }
-                let bdd = t
-                    .get("bdd")
-                    .ok_or(format!("{at}.trace: missing field \"bdd\""))?;
-                check_delta_block(bdd, &format!("{at}.trace.bdd"))?;
-            }
-        }
-    }
-    match doc.get("fleet") {
-        Some(Json::Null) | None => {}
-        Some(fleet) => {
-            let workers = fleet
-                .get("workers")
-                .and_then(Json::as_arr)
-                .ok_or("fleet: missing array field \"workers\"")?;
-            let total = fleet.get("total").ok_or("fleet: missing field \"total\"")?;
-            check_delta_block(total, "fleet.total")?;
-            let mut sums: Vec<(String, i64)> = Vec::new();
-            for (wi, w) in workers.iter().enumerate() {
-                let at = format!("fleet.workers[{wi}]");
-                let bdd = w.get("bdd").ok_or(format!("{at}: missing field \"bdd\""))?;
-                check_delta_block(bdd, &format!("{at}.bdd"))?;
-                for f in ["created_nodes", "cache_hits", "cache_misses", "gc_runs"] {
-                    let v = delta_field(bdd, f);
-                    match sums.iter_mut().find(|(k, _)| k == f) {
-                        Some((_, acc)) => *acc += v,
-                        None => sums.push((f.to_owned(), v)),
-                    }
-                }
-            }
-            for (f, sum) in &sums {
-                let t = delta_field(total, f);
-                if t != *sum {
-                    return Err(format!("fleet.total.{f} = {t} but per-worker sum is {sum}"));
-                }
-            }
-            // Per-op totals must also be the worker sums.
-            if let Some(total_ops) = total.get("ops").and_then(Json::as_arr) {
-                for (ki, op) in total_ops.iter().enumerate() {
-                    let name = op.get("op").and_then(Json::as_str).unwrap_or("?");
-                    for f in ["calls", "cache_hits", "cache_misses"] {
-                        let t = delta_field(op, f);
-                        let mut sum = 0i64;
-                        for w in workers {
-                            if let Some(ops) = w
-                                .get("bdd")
-                                .and_then(|b| b.get("ops"))
-                                .and_then(Json::as_arr)
-                            {
-                                sum += delta_field(&ops[ki], f);
-                            }
-                        }
-                        if t != sum {
-                            return Err(format!(
-                                "fleet.total ops[{name}].{f} = {t} but per-worker sum is {sum}"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if version >= 2 {
-        let deg = doc
-            .get("degradation")
-            .ok_or("missing field \"degradation\"")?;
-        for f in ["degraded", "errored", "fallbacks"] {
-            let v = deg
-                .get(f)
-                .and_then(Json::as_int)
-                .ok_or(format!("degradation: missing integer field {f:?}"))?;
-            if v < 0 {
-                return Err(format!("degradation.{f} = {v} < 0"));
-            }
-        }
-        // Counts must agree with the per-constraint verdicts.
-        for (f, verdict) in [("degraded", "degraded"), ("errored", "errored")] {
-            let count = deg.get(f).and_then(Json::as_int).unwrap_or(0);
-            let tally = constraints
-                .iter()
-                .filter(|c| c.get("verdict").and_then(Json::as_str) == Some(verdict))
-                .count() as i64;
-            if count != tally {
-                return Err(format!(
-                    "degradation.{f} = {count} but {tally} constraints report verdict {verdict:?}"
-                ));
-            }
-        }
-        match deg.get("failpoints") {
-            Some(Json::Null) | None => {}
-            Some(fp) => {
-                fp.get("seed")
-                    .and_then(Json::as_str)
-                    .ok_or("degradation.failpoints: missing string field \"seed\"")?;
-                let fired = fp
-                    .get("fired")
-                    .and_then(Json::as_arr)
-                    .ok_or("degradation.failpoints: missing array field \"fired\"")?;
-                for (i, s) in fired.iter().enumerate() {
-                    s.get("site").and_then(Json::as_str).ok_or(format!(
-                        "degradation.failpoints.fired[{i}]: missing \"site\""
-                    ))?;
-                    let n = s.get("count").and_then(Json::as_int).ok_or(format!(
-                        "degradation.failpoints.fired[{i}]: missing \"count\""
-                    ))?;
-                    if n < 0 {
-                        return Err(format!("degradation.failpoints.fired[{i}]: count {n} < 0"));
-                    }
-                }
-            }
-        }
-    }
-    if version >= 3 {
-        let ic = doc
-            .get("index_cache")
-            .ok_or("missing field \"index_cache\"")?;
-        if !matches!(ic, Json::Null) {
-            for f in [
-                "hits",
-                "misses",
-                "rebuilds",
-                "journal_replayed",
-                "write_failures",
-            ] {
-                let v = ic
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("index_cache: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("index_cache.{f} = {v} < 0"));
-                }
-            }
-            let recoveries = ic
-                .get("recoveries")
-                .and_then(Json::as_arr)
-                .ok_or("index_cache: missing array field \"recoveries\"")?;
-            for (i, r) in recoveries.iter().enumerate() {
-                r.get("relation")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("index_cache.recoveries[{i}]: missing \"relation\""))?;
-                let reason = r
-                    .get("reason")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("index_cache.recoveries[{i}]: missing \"reason\""))?;
-                if !recovery_reason::ALL.contains(&reason) {
-                    return Err(format!(
-                        "index_cache.recoveries[{i}]: unknown reason {reason:?}"
-                    ));
-                }
-                r.get("detail")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("index_cache.recoveries[{i}]: missing \"detail\""))?;
-            }
-            // Conservation: every rebuild is explained by a recovery
-            // record (some records — e.g. a salvaged torn journal tail —
-            // do not force a rebuild, so ≤ rather than =).
-            let rebuilds = ic.get("rebuilds").and_then(Json::as_int).unwrap_or(0);
-            if rebuilds > recoveries.len() as i64 {
-                return Err(format!(
-                    "index_cache.rebuilds = {rebuilds} exceeds the {} recovery record(s)",
-                    recoveries.len()
-                ));
-            }
-        }
-    }
-    if version >= 4 {
-        let pc = doc
-            .get("plan_cache")
-            .ok_or("missing field \"plan_cache\"")?;
-        if !matches!(pc, Json::Null) {
-            for f in ["hits", "misses"] {
-                let v = pc
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("plan_cache: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("plan_cache.{f} = {v} < 0"));
-                }
-            }
-        }
-    }
-    if version >= 5 {
-        let sv = doc.get("serve").ok_or("missing field \"serve\"")?;
-        if !matches!(sv, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in [
-                "requests",
-                "deltas",
-                "checks",
-                "constraints_checked",
-                "constraints_skipped",
-                "dirty_peak",
-                "dirty_total",
-                "incremental_ns",
-                "full_ns",
-            ] {
-                let v = sv
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("serve: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("serve.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: the peak dirty-set size is one of the sizes
-            // summed into the total, and every delta/check is a request.
-            if fields["dirty_peak"] > fields["dirty_total"] {
-                return Err(format!(
-                    "serve.dirty_peak = {} exceeds dirty_total = {}",
-                    fields["dirty_peak"], fields["dirty_total"]
-                ));
-            }
-            if fields["deltas"] + fields["checks"] > fields["requests"] {
-                return Err(format!(
-                    "serve.deltas + serve.checks = {} exceeds requests = {}",
-                    fields["deltas"] + fields["checks"],
-                    fields["requests"]
-                ));
-            }
-        }
-    }
-    if version >= 6 {
-        let au = doc.get("audit").ok_or("missing field \"audit\"")?;
-        if !matches!(au, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in ["emitted", "verified", "failed", "witnesses"] {
-                let v = au
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("audit: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("audit.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: in an emitting run every verification outcome
-            // refers to an emitted certificate. A verify-only run reports
-            // emitted = 0 and its verified/failed tallies stand alone.
-            if fields["emitted"] > 0 && fields["verified"] + fields["failed"] > fields["emitted"] {
-                return Err(format!(
-                    "audit.verified + audit.failed = {} exceeds emitted = {}",
-                    fields["verified"] + fields["failed"],
-                    fields["emitted"]
-                ));
-            }
-        }
-    }
-    if version >= 7 {
-        let ov = doc.get("overload").ok_or("missing field \"overload\"")?;
-        if !matches!(ov, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in [
-                "admitted",
-                "shed",
-                "rejected",
-                "retries",
-                "watchdog_fires",
-                "drained",
-            ] {
-                let v = ov
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("overload: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("overload.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: shed requests are a subset of admitted ones
-            // (rejected requests never reach the engine), and the drain
-            // phase only serves requests that were already admitted.
-            if fields["shed"] > fields["admitted"] {
-                return Err(format!(
-                    "overload.shed = {} exceeds admitted = {}",
-                    fields["shed"], fields["admitted"]
-                ));
-            }
-            if fields["drained"] > fields["admitted"] {
-                return Err(format!(
-                    "overload.drained = {} exceeds admitted = {}",
-                    fields["drained"], fields["admitted"]
-                ));
-            }
-            // Every engine-visible request was admitted by the governor
-            // (the engine skips blank/comment lines, so <=, not ==).
-            if let Some(sv) = doc.get("serve") {
-                if !matches!(sv, Json::Null) {
-                    if let Some(reqs) = sv.get("requests").and_then(Json::as_int) {
-                        if reqs > fields["admitted"] {
-                            return Err(format!(
-                                "serve.requests = {} exceeds overload.admitted = {}",
-                                reqs, fields["admitted"]
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if version >= 8 {
-        let po = doc.get("policy").ok_or("missing field \"policy\"")?;
-        if !matches!(po, Json::Null) {
-            let mut fields = std::collections::HashMap::new();
-            for f in [
-                "relations",
-                "advised_bdd",
-                "advised_sql",
-                "applied_sql_only",
-                "applied_rebuilds",
-                "reseeded",
-                "readvises",
-                "cache_slots",
-                "profile_checks",
-            ] {
-                let v = po
-                    .get(f)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("policy: missing integer field {f:?}"))?;
-                if v < 0 {
-                    return Err(format!("policy.{f} = {v} < 0"));
-                }
-                fields.insert(f, v);
-            }
-            // Conservation: every examined relation got exactly one
-            // route, and only SQL-advised relations can be newly marked.
-            if fields["advised_bdd"] + fields["advised_sql"] != fields["relations"] {
-                return Err(format!(
-                    "policy.advised_bdd + policy.advised_sql = {} but relations = {}",
-                    fields["advised_bdd"] + fields["advised_sql"],
-                    fields["relations"]
-                ));
-            }
-            if fields["applied_sql_only"] > fields["advised_sql"] {
-                return Err(format!(
-                    "policy.applied_sql_only = {} exceeds advised_sql = {}",
-                    fields["applied_sql_only"], fields["advised_sql"]
-                ));
-            }
-        }
+/// Every element of array field `name` must be a string.
+fn strings(v: &Json, at: &str, name: &str) -> Check<()> {
+    for s in array(v, at, name)? {
+        s.as_str()
+            .ok_or(format!("{}: entries must be strings", join(at, name)))?;
     }
     Ok(())
 }
@@ -1840,151 +1705,60 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
 /// presence of the bdd/sql steps.
 pub fn validate_plan_json(text: &str) -> std::result::Result<(), String> {
     let doc = parse_json(text)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_int)
-        .ok_or("missing integer field \"schema_version\"")?;
+    let version = expect(&doc, "", "schema_version", "an integer", Json::as_int)?;
     if version != 1 {
         return Err(format!("unsupported plan schema_version {version}"));
     }
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"kind\"")?;
+    let kind = string(&doc, "", "kind")?;
     if kind != "plan" {
         return Err(format!("kind must be \"plan\", got {kind:?}"));
     }
-    let plans = doc
-        .get("plans")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"plans\"")?;
-    for (i, p) in plans.iter().enumerate() {
+    for (i, p) in array(&doc, "", "plans")?.iter().enumerate() {
         let at = format!("plans[{i}]");
-        for field in ["name", "constraint"] {
-            p.get(field)
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: missing string field {field:?}"))?;
-        }
-        for field in ["constraint_fp", "schema_fp"] {
-            let fp = p
-                .get(field)
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: missing string field {field:?}"))?;
+        string(p, &at, "name")?;
+        string(p, &at, "constraint")?;
+        for name in ["constraint_fp", "schema_fp"] {
+            let fp = string(p, &at, name)?;
             if fp.len() != 16 || !fp.bytes().all(|b| b.is_ascii_hexdigit()) {
-                return Err(format!("{at}: {field} must be 16 hex digits, got {fp:?}"));
+                return Err(format!("{at}: {name} must be 16 hex digits, got {fp:?}"));
             }
         }
-        let opts = p
-            .get("options")
-            .ok_or(format!("{at}: missing field \"options\""))?;
-        for field in [
-            "prenex",
-            "strip_leading",
-            "pushdown",
-            "gate_pushdown",
-            "join_rename",
-            "fused_quant",
-        ] {
-            if !matches!(opts.get(field), Some(Json::Bool(_))) {
-                return Err(format!("{at}.options: missing boolean field {field:?}"));
-            }
+        let opts = field(p, &at, "options")?;
+        for (name, _) in crate::plan::PlanOptions::default().flags() {
+            boolean(opts, &join(&at, "options"), name)?;
         }
-        let passes = p
-            .get("passes")
-            .and_then(Json::as_arr)
-            .ok_or(format!("{at}: missing array field \"passes\""))?;
-        for pass in passes {
-            let name = pass
-                .get("pass")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}: pass entry missing \"pass\""))?;
-            if ![
-                "prenex-pullup",
-                "strip-leading-block",
-                "refutation-nnf",
-                "forall-pushdown",
-            ]
-            .contains(&name)
-            {
-                return Err(format!("{at}: unknown pass {name:?}"));
-            }
-            match pass.get("rule") {
-                Some(Json::Null) => {}
-                Some(Json::Str(r)) if ["R1", "R2", "R3", "R4"].contains(&r.as_str()) => {}
-                other => return Err(format!("{at}: pass {name:?} has bad rule {other:?}")),
-            }
-            for field in ["fired", "gated"] {
-                let n = pass
-                    .get(field)
-                    .and_then(Json::as_int)
-                    .ok_or(format!("{at}: pass {name:?} missing {field:?}"))?;
-                if n < 0 {
-                    return Err(format!("{at}: pass {name:?} has {field} = {n} < 0"));
-                }
-            }
-            for field in ["before", "after"] {
-                pass.get(field)
-                    .and_then(Json::as_str)
-                    .ok_or(format!("{at}: pass {name:?} missing string {field:?}"))?;
-            }
+        for (j, pass) in array(p, &at, "passes")?.iter().enumerate() {
+            let pat = format!("{at}.passes[{j}]");
+            check_pass(pass, &pat)?;
+            string(pass, &pat, "before")?;
+            string(pass, &pat, "after")?;
         }
-        let bdd = p.get("bdd").ok_or(format!("{at}: missing field \"bdd\""))?;
-        let has_bdd = !matches!(bdd, Json::Null);
-        if has_bdd {
-            let test = bdd
-                .get("test")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}.bdd: missing string field \"test\""))?;
-            if !["violations-empty", "satisfiable"].contains(&test) {
-                return Err(format!("{at}.bdd: unknown test {test:?}"));
-            }
-            let stripped = bdd
-                .get("stripped")
-                .and_then(Json::as_arr)
-                .ok_or(format!("{at}.bdd: missing array field \"stripped\""))?;
-            for v in stripped {
-                if !matches!(v, Json::Str(_)) {
-                    return Err(format!("{at}.bdd: stripped entries must be strings"));
-                }
-            }
-            for field in ["join_rename", "fused_quant"] {
-                if !matches!(bdd.get(field), Some(Json::Bool(_))) {
-                    return Err(format!("{at}.bdd: missing boolean field {field:?}"));
-                }
-            }
+        let bdd = nullable(p, &at, "bdd")?;
+        if let Some(bdd) = bdd {
+            let bat = join(&at, "bdd");
+            let test = string(bdd, &bat, "test")?;
+            member(
+                &bat,
+                "test",
+                test,
+                crate::plan::BddTest::ALL.map(|t| t.name()),
+            )?;
+            strings(bdd, &bat, "stripped")?;
+            boolean(bdd, &bat, "join_rename")?;
+            boolean(bdd, &bat, "fused_quant")?;
         }
-        let sql = p.get("sql").ok_or(format!("{at}: missing field \"sql\""))?;
-        let has_sql = !matches!(sql, Json::Null);
-        if has_sql {
-            sql.get("shape")
-                .and_then(Json::as_str)
-                .ok_or(format!("{at}.sql: missing string field \"shape\""))?;
-            let columns = sql
-                .get("columns")
-                .and_then(Json::as_arr)
-                .ok_or(format!("{at}.sql: missing array field \"columns\""))?;
-            for c in columns {
-                if !matches!(c, Json::Str(_)) {
-                    return Err(format!("{at}.sql: column entries must be strings"));
-                }
-            }
+        let sql = nullable(p, &at, "sql")?;
+        if let Some(sql) = sql {
+            let sat = join(&at, "sql");
+            string(sql, &sat, "shape")?;
+            strings(sql, &sat, "columns")?;
         }
-        let ladder = p
-            .get("ladder")
-            .and_then(Json::as_arr)
-            .ok_or(format!("{at}: missing array field \"ladder\""))?;
-        let mut want = Vec::new();
-        if has_bdd {
-            want.push("bdd");
-        }
-        if has_sql {
-            want.push("sql");
-        }
-        want.push("brute_force");
-        let got: Vec<&str> = ladder.iter().filter_map(Json::as_str).collect();
-        if got.len() != ladder.len() {
-            return Err(format!("{at}: ladder entries must be strings"));
-        }
+        strings(p, &at, "ladder")?;
+        let got: Vec<&str> = array(p, &at, "ladder")?
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        let want = crate::plan::ladder_for(bdd.is_some(), sql.is_some());
         if got != want {
             return Err(format!(
                 "{at}: ladder {got:?} does not match steps (want {want:?})"
@@ -2014,26 +1788,13 @@ fn valid_bench_ordering(s: &str) -> bool {
     .contains(&s)
 }
 
-fn bench_str<'a>(v: &'a Json, at: &str, field: &str) -> std::result::Result<&'a str, String> {
-    let s = v
-        .get(field)
-        .and_then(Json::as_str)
-        .ok_or(format!("{at}: missing string field {field:?}"))?;
+/// A string field that must not be empty.
+fn nonempty<'a>(v: &'a Json, at: &str, name: &str) -> Check<&'a str> {
+    let s = string(v, at, name)?;
     if s.is_empty() {
-        return Err(format!("{at}: {field:?} must be non-empty"));
+        return Err(format!("{}: must be non-empty", join(at, name)));
     }
     Ok(s)
-}
-
-fn bench_count(v: &Json, at: &str, field: &str) -> std::result::Result<i64, String> {
-    let n = v
-        .get(field)
-        .and_then(Json::as_int)
-        .ok_or(format!("{at}: missing integer field {field:?}"))?;
-    if n < 0 {
-        return Err(format!("{at}: {field:?} must be non-negative, got {n}"));
-    }
-    Ok(n)
 }
 
 /// Validate a `BENCH_*.json` benchmark-trajectory document (schema
@@ -2044,80 +1805,56 @@ fn bench_count(v: &Json, at: &str, field: &str) -> std::result::Result<i64, Stri
 /// and the CI bench smoke.
 pub fn validate_bench_json(text: &str) -> std::result::Result<(), String> {
     let doc = parse_json(text)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_int)
-        .ok_or("missing integer field \"schema_version\"")?;
+    let version = expect(&doc, "", "schema_version", "an integer", Json::as_int)?;
     if version != 1 {
         return Err(format!("unsupported bench schema_version {version}"));
     }
     if doc.get("kind").and_then(Json::as_str) != Some("bench") {
         return Err("missing field \"kind\": \"bench\"".to_owned());
     }
-    let bench = doc
-        .get("bench")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"bench\"")?;
+    let bench = string(&doc, "", "bench")?;
     if !["table1", "par_scaling", "dynamic"].contains(&bench) {
         return Err(format!("unknown bench {bench:?}"));
     }
     match doc.get("config") {
-        Some(Json::Obj(fields)) => {
-            for (k, v) in fields {
-                if v.as_int().is_none_or(|n| n < 0) {
-                    return Err(format!("config.{k}: must be a non-negative integer"));
-                }
+        Some(config @ Json::Obj(fields)) => {
+            for (k, _) in fields {
+                count(config, "config", k)?;
             }
         }
         _ => return Err("missing object field \"config\"".to_owned()),
     }
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"entries\"")?;
+    let entries = array(&doc, "", "entries")?;
     if entries.is_empty() {
         return Err("\"entries\" must be non-empty".to_owned());
     }
     for (i, e) in entries.iter().enumerate() {
         let at = format!("entries[{i}]");
-        bench_str(e, &at, "name")?;
-        bench_str(e, &at, "variant")?;
-        bench_count(e, &at, "wall_ns")?;
-        bench_count(e, &at, "peak_nodes")?;
-        let rate = e
-            .get("cache_hit_rate")
-            .and_then(Json::as_num)
-            .ok_or(format!("{at}: missing numeric field \"cache_hit_rate\""))?;
+        nonempty(e, &at, "name")?;
+        nonempty(e, &at, "variant")?;
+        count(e, &at, "wall_ns")?;
+        count(e, &at, "peak_nodes")?;
+        let rate = expect(e, &at, "cache_hit_rate", "a number", Json::as_num)?;
         if !(0.0..=1.0).contains(&rate) {
             return Err(format!("{at}: cache_hit_rate {rate} outside [0, 1]"));
         }
-        let ordering = bench_str(e, &at, "ordering")?;
+        let ordering = nonempty(e, &at, "ordering")?;
         if !valid_bench_ordering(ordering) {
             return Err(format!("{at}: unknown ordering {ordering:?}"));
         }
     }
-    let comparisons = doc
-        .get("comparisons")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field \"comparisons\"")?;
+    let comparisons = array(&doc, "", "comparisons")?;
     if bench == "table1" && comparisons.is_empty() {
         return Err("table1 must carry at least one before/after comparison".to_owned());
     }
     for (i, c) in comparisons.iter().enumerate() {
         let at = format!("comparisons[{i}]");
-        bench_str(c, &at, "name")?;
-        bench_str(c, &at, "baseline")?;
-        bench_str(c, &at, "candidate")?;
-        for field in [
-            "wall_ns_before",
-            "wall_ns_after",
-            "peak_nodes_before",
-            "peak_nodes_after",
-        ] {
-            bench_count(c, &at, field)?;
-        }
-        if bench_count(c, &at, "wall_ns_before")? == 0 || bench_count(c, &at, "wall_ns_after")? == 0
-        {
+        nonempty(c, &at, "name")?;
+        nonempty(c, &at, "baseline")?;
+        nonempty(c, &at, "candidate")?;
+        count(c, &at, "peak_nodes_before")?;
+        count(c, &at, "peak_nodes_after")?;
+        if count(c, &at, "wall_ns_before")? == 0 || count(c, &at, "wall_ns_after")? == 0 {
             return Err(format!(
                 "{at}: a measured comparison cannot have zero wall time"
             ));
@@ -2151,6 +1888,73 @@ mod tests {
     }
 
     #[test]
+    fn json_strings_decode_escapes_around_multibyte_runs() {
+        let v = parse_json(r#""Mötley \"Crüe\"é\\ ok\t✓""#).unwrap();
+        assert_eq!(v.as_str(), Some("Mötley \"Crüe\"é\\ ok\t✓"));
+        assert!(parse_json(r#""unterminated"#).is_err());
+        assert!(parse_json(r#""dangling \"#).is_err());
+        assert!(parse_json(r#""bad \q escape""#).is_err());
+        assert!(parse_json(r#""short \u12""#).is_err());
+    }
+
+    #[test]
+    fn json_parses_a_long_string_in_linear_time() {
+        // Each unescaped run is copied as one slice; re-validating the
+        // rest of the document per character made this quadratic.
+        let name = "a".repeat(400_000);
+        let doc = RunMetrics {
+            constraints: vec![ConstraintMetrics {
+                name: name.clone(),
+                holds: true,
+                verdict: Verdict::Holds,
+                error: None,
+                method: Method::Bdd,
+                elapsed: Duration::from_nanos(1),
+                trace: None,
+            }],
+            ..RunMetrics::default()
+        }
+        .to_json();
+        let start = std::time::Instant::now();
+        validate_metrics_json(&doc).unwrap();
+        let parsed = parse_json(&doc).unwrap();
+        let got = parsed.get("constraints").unwrap().as_arr().unwrap()[0]
+            .get("name")
+            .unwrap()
+            .as_str()
+            .unwrap();
+        assert_eq!(got, name);
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "parsing a 400 kB string took {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Every entry point that parses outside input returns the error.
+        assert!(validate_metrics_json(&deep)
+            .unwrap_err()
+            .contains("nesting"));
+        assert!(validate_plan_json(&deep).unwrap_err().contains("nesting"));
+        assert!(validate_bench_json(&deep).unwrap_err().contains("nesting"));
+        let objects = "{\"k\":".repeat(200_000);
+        assert!(matches!(
+            crate::certify::parse_bundle(&objects),
+            Err(crate::certify::AuditError::Json(e)) if e.contains("nesting")
+        ));
+        // The cap sits well above the deepest document we write.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        parse_json(&ok).unwrap();
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&over).is_err());
+    }
+
+    #[test]
     fn writer_escapes_strings() {
         let mut w = JsonWriter::new();
         w.obj_open();
@@ -2166,28 +1970,77 @@ mod tests {
     fn empty_metrics_document_validates() {
         let m = RunMetrics {
             threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
+            ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
+    }
+
+    #[test]
+    fn validator_rejects_other_schema_versions() {
+        // The validator reads exactly the version the writer emits: no
+        // document of an older (or future) schema is accepted.
+        let doc = golden_metrics().to_json();
+        validate_metrics_json(&doc).unwrap();
+        for version in (1..=7).chain([9]) {
+            let other = doc.replace(
+                "\"schema_version\":8",
+                &format!("\"schema_version\":{version}"),
+            );
+            let err = validate_metrics_json(&other).unwrap_err();
+            assert!(err.contains("schema_version"), "v{version}: {err}");
+        }
+        // A block an older schema lacked is still required.
+        for block in ["plan_cache", "serve", "audit", "overload", "policy"] {
+            let stripped = RunMetrics::default()
+                .to_json()
+                .replace(&format!(",\"{block}\":null"), "");
+            let err = validate_metrics_json(&stripped).unwrap_err();
+            assert!(err.contains(block), "{block}: {err}");
+        }
+    }
+
+    #[test]
+    fn validator_rejects_off_vocabulary_names() {
+        let doc = golden_metrics().to_json();
+        for (from, to) in [
+            ("\"verdict\":\"holds\"", "\"verdict\":\"fine\""),
+            ("\"method\":\"bdd\"", "\"method\":\"magic\""),
+            ("\"rule\":\"R2\"", "\"rule\":\"R5\""),
+            ("\"pass\":\"refutation-nnf\"", "\"pass\":\"inline\""),
+            ("\"provenance\":\"reused\"", "\"provenance\":\"borrowed\""),
+            ("\"reason\":\"deadline\"", "\"reason\":\"bored\""),
+            ("\"gc_retry\"", "\"gc_again\""),
+        ] {
+            let bad = doc.replacen(from, to, 1);
+            assert_ne!(bad, doc, "{from} not in the golden document");
+            let err = validate_metrics_json(&bad).unwrap_err();
+            assert!(err.contains("unknown"), "{from}: {err}");
+        }
+    }
+
+    #[test]
+    fn validator_checks_counter_tables() {
+        // Every field of a counter table is required, integral and >= 0.
+        let doc = golden_metrics().to_json();
+        for (from, to) in [
+            ("\"hits\":5,", ""),
+            ("\"witnesses\":12", "\"witnesses\":\"12\""),
+            ("\"watchdog_fires\":1", "\"watchdog_fires\":-1"),
+            ("\"eval_ns\":201,", ""),
+            ("\"gc_runs\":1,", "\"gc_runs\":-1,"),
+            ("\"fallbacks\":6", "\"fallbacks\":1.5"),
+            ("\"limit\":500,", ""),
+        ] {
+            let bad = doc.replacen(from, to, 1);
+            assert_ne!(bad, doc, "{from} not in the golden document");
+            assert!(validate_metrics_json(&bad).is_err(), "{from} -> {to}");
+        }
     }
 
     #[test]
     fn index_cache_metrics_validate_and_conserve() {
         let mut m = RunMetrics {
             threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
             index_cache: Some(IndexCacheMetrics {
                 hits: 1,
                 misses: 2,
@@ -2201,10 +2054,7 @@ mod tests {
                 }],
             }),
             plan_cache: Some(PlanCacheMetrics { hits: 3, misses: 1 }),
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
+            ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // A rebuild with no recovery record explaining it must fail.
@@ -2217,7 +2067,7 @@ mod tests {
         let doc = m.to_json().replace("segment_corrupt", "gremlins");
         let err = validate_metrics_json(&doc).unwrap_err();
         assert!(err.contains("unknown reason"), "{err}");
-        // v3 documents must carry the field, even as null.
+        // The writer always emits the field, so it is required.
         let doc = m.to_json();
         let stripped = doc.replace(
             &doc[doc.find(",\"index_cache\"").unwrap()..doc.rfind('}').unwrap()],
@@ -2227,30 +2077,27 @@ mod tests {
         assert!(err.contains("index_cache"), "{err}");
     }
 
+    fn serve_counters() -> ServeMetrics {
+        ServeMetrics {
+            requests: 5,
+            deltas: 2,
+            checks: 2,
+            constraints_checked: 3,
+            constraints_skipped: 5,
+            dirty_peak: 2,
+            dirty_total: 3,
+            incremental_ns: 10,
+            full_ns: 20,
+        }
+    }
+
     #[test]
     fn serve_metrics_validate_and_conserve() {
         let mut m = RunMetrics {
             threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
             plan_cache: Some(PlanCacheMetrics { hits: 3, misses: 4 }),
-            serve: Some(ServeMetrics {
-                requests: 5,
-                deltas: 2,
-                checks: 2,
-                constraints_checked: 3,
-                constraints_skipped: 5,
-                dirty_peak: 2,
-                dirty_total: 3,
-                incremental_ns: 10,
-                full_ns: 20,
-            }),
-            audit: None,
-            overload: None,
-            policy: None,
+            serve: Some(serve_counters()),
+            ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // The peak dirty-set size is one of the summed sizes: peak >
@@ -2264,7 +2111,7 @@ mod tests {
         let err = validate_metrics_json(&m.to_json()).unwrap_err();
         assert!(err.contains("requests"), "{err}");
         m.serve.as_mut().unwrap().requests = 5;
-        // v5 documents must carry the field, even as null.
+        // The writer always emits the field, so it is required.
         let doc = m.to_json();
         let stripped = doc.replace(
             &doc[doc.find(",\"serve\"").unwrap()..doc.rfind('}').unwrap()],
@@ -2278,71 +2125,10 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_older_schema_versions() {
-        // A v2 document has no index_cache field; the validator must not
-        // demand one.
-        let m = RunMetrics {
-            threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
-        };
-        let v2 = m
-            .to_json()
-            .replace("\"schema_version\":8", "\"schema_version\":2");
-        validate_metrics_json(&v2).unwrap();
-        // A v3 document has no plan_cache field; tolerated the same way.
-        let doc = m.to_json();
-        let v3 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":3")
-            .replace(",\"plan_cache\":null", "");
-        validate_metrics_json(&v3).unwrap();
-        // A v5 document has no audit field; tolerated the same way.
-        let v5 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":5")
-            .replace(",\"audit\":null", "");
-        validate_metrics_json(&v5).unwrap();
-        // A v6 document has no overload field; tolerated the same way.
-        let v6 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":6")
-            .replace(",\"overload\":null", "");
-        validate_metrics_json(&v6).unwrap();
-        // A v7 document has no policy field; tolerated the same way.
-        let v7 = doc
-            .replace("\"schema_version\":8", "\"schema_version\":7")
-            .replace(",\"policy\":null", "");
-        validate_metrics_json(&v7).unwrap();
-    }
-
-    #[test]
     fn validator_checks_overload_block() {
         let mut m = RunMetrics {
             threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: Some(ServeMetrics {
-                requests: 5,
-                deltas: 2,
-                checks: 2,
-                constraints_checked: 3,
-                constraints_skipped: 5,
-                dirty_peak: 2,
-                dirty_total: 3,
-                incremental_ns: 10,
-                full_ns: 20,
-            }),
-            audit: None,
+            serve: Some(serve_counters()),
             overload: Some(OverloadMetrics {
                 admitted: 6,
                 shed: 2,
@@ -2351,7 +2137,7 @@ mod tests {
                 watchdog_fires: 0,
                 drained: 1,
             }),
-            policy: None,
+            ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // Shed requests are a subset of admitted ones.
@@ -2370,7 +2156,7 @@ mod tests {
         let err = validate_metrics_json(&m.to_json()).unwrap_err();
         assert!(err.contains("overload.admitted"), "{err}");
         m.serve.as_mut().unwrap().requests = 5;
-        // v7 documents must carry the field, even as null; batch runs
+        // The writer always emits the field, even as null; batch runs
         // carry it as null and that validates.
         m.overload = None;
         let doc = m.to_json();
@@ -2378,24 +2164,12 @@ mod tests {
         let stripped = doc.replace(",\"overload\":null", "");
         let err = validate_metrics_json(&stripped).unwrap_err();
         assert!(err.contains("overload"), "{err}");
-        // The overload ladder-entry reason is v7 vocabulary only.
-        let v6 = doc.replace("\"schema_version\":8", "\"schema_version\":6");
-        validate_metrics_json(&v6).unwrap();
     }
 
     #[test]
     fn validator_checks_policy_block() {
         let mut m = RunMetrics {
             threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
             policy: Some(PolicyMetrics {
                 relations: 4,
                 advised_bdd: 3,
@@ -2407,6 +2181,7 @@ mod tests {
                 cache_slots: 1 << 18,
                 profile_checks: 9,
             }),
+            ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // Every advised relation got exactly one route.
@@ -2419,7 +2194,7 @@ mod tests {
         let err = validate_metrics_json(&m.to_json()).unwrap_err();
         assert!(err.contains("policy.applied_sql_only"), "{err}");
         m.policy.as_mut().unwrap().applied_sql_only = 1;
-        // v8 documents must carry the field, even as null; static runs
+        // The writer always emits the field, even as null; static runs
         // carry it as null and that validates.
         m.policy = None;
         let doc = m.to_json();
@@ -2427,30 +2202,19 @@ mod tests {
         let stripped = doc.replace(",\"policy\":null", "");
         let err = validate_metrics_json(&stripped).unwrap_err();
         assert!(err.contains("policy"), "{err}");
-        // A v7 document may omit the block entirely.
-        let v7 = stripped.replace("\"schema_version\":8", "\"schema_version\":7");
-        validate_metrics_json(&v7).unwrap();
     }
 
     #[test]
     fn validator_checks_audit_block() {
         let mut m = RunMetrics {
             threads: 1,
-            telemetry_enabled: false,
-            constraints: Vec::new(),
-            fleet: None,
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
             audit: Some(AuditMetrics {
                 emitted: 3,
                 verified: 3,
                 failed: 0,
                 witnesses: 7,
             }),
-            overload: None,
-            policy: None,
+            ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
         // Every verification outcome refers to an emitted certificate.
@@ -2465,7 +2229,7 @@ mod tests {
             witnesses: 0,
         });
         validate_metrics_json(&m.to_json()).unwrap();
-        // v6 documents must carry the field, even as null.
+        // The writer always emits the field, even as null.
         m.audit = None;
         let doc = m.to_json();
         let stripped = doc.replace(",\"audit\":null", "");
@@ -2490,32 +2254,399 @@ mod tests {
         let good = RunMetrics {
             threads: 2,
             telemetry_enabled: true,
-            constraints: Vec::new(),
             fleet: Some(fleet.clone()),
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
+            ..RunMetrics::default()
         };
         validate_metrics_json(&good.to_json()).unwrap();
         fleet.total.created_nodes += 1;
         let bad = RunMetrics {
-            threads: 2,
-            telemetry_enabled: true,
-            constraints: Vec::new(),
-            fleet: Some(fleet),
-            degradation: DegradationSummary::default(),
-            index_cache: None,
-            plan_cache: None,
-            serve: None,
-            audit: None,
-            overload: None,
-            policy: None,
+            fleet: Some(fleet.clone()),
+            ..good.clone()
         };
         let err = validate_metrics_json(&bad.to_json()).unwrap_err();
         assert!(err.contains("created_nodes"), "{err}");
+        // Per-op totals are worker sums too.
+        fleet.total.created_nodes -= 1;
+        fleet.total.ops[0].calls += 1;
+        fleet.total.ops[0].cache_misses += 1;
+        let bad = RunMetrics {
+            fleet: Some(fleet),
+            ..good
+        };
+        let err = validate_metrics_json(&bad.to_json()).unwrap_err();
+        assert!(err.contains("ops[apply].calls"), "{err}");
     }
+
+    /// One document exercising every block the writer can emit: all
+    /// optional blocks present, a two-worker fleet, armed-failpoint
+    /// evidence, an index-cache recovery, all six fallback reasons, a
+    /// pass with no paper rule, and every ladder rung.
+    fn golden_metrics() -> RunMetrics {
+        fn delta(seed: u64) -> StatsDelta {
+            let mut d = StatsDelta {
+                created_nodes: 10 * seed,
+                cache_hits: 3 * seed,
+                cache_misses: 2 * seed,
+                gc_runs: seed,
+                ..Default::default()
+            };
+            for (i, op) in d.ops.iter_mut().enumerate() {
+                let i = i as u64;
+                op.cache_hits = seed + i;
+                op.cache_misses = i;
+                op.calls = seed + 2 * i;
+            }
+            d
+        }
+        fn trace(
+            method: Method,
+            fallback: Option<FallbackReason>,
+            ladder: Vec<&'static str>,
+            seed: u64,
+        ) -> CheckTrace {
+            CheckTrace {
+                method,
+                rules: vec![
+                    RuleFiring {
+                        rule: RewriteRule::R3PrenexPullup,
+                        count: 2,
+                    },
+                    RuleFiring {
+                        rule: RewriteRule::R1LeadingBlock,
+                        count: 1,
+                    },
+                    RuleFiring {
+                        rule: RewriteRule::R4ForallPushdown,
+                        count: 1,
+                    },
+                    RuleFiring {
+                        rule: RewriteRule::R2JoinRename,
+                        count: 3,
+                    },
+                ],
+                passes: vec![
+                    PassStat {
+                        pass: "prenex-pullup",
+                        rule: Some(RewriteRule::R3PrenexPullup),
+                        fired: 2,
+                        gated: 0,
+                    },
+                    PassStat {
+                        pass: "refutation-nnf",
+                        rule: None,
+                        fired: 1,
+                        gated: 0,
+                    },
+                    PassStat {
+                        pass: "forall-pushdown",
+                        rule: Some(RewriteRule::R4ForallPushdown),
+                        fired: 1,
+                        gated: 1,
+                    },
+                ],
+                index_events: vec![
+                    IndexEvent {
+                        relation: "CUST".to_owned(),
+                        provenance: IndexProvenance::Built,
+                    },
+                    IndexEvent {
+                        relation: "ALLOWED".to_owned(),
+                        provenance: IndexProvenance::Reused,
+                    },
+                    IndexEvent {
+                        relation: "BIG".to_owned(),
+                        provenance: IndexProvenance::SqlOnly,
+                    },
+                ],
+                fallback,
+                ladder,
+                timings: PhaseTimings {
+                    index: Duration::from_nanos(100 + seed),
+                    eval: Duration::from_nanos(200 + seed),
+                    total: Duration::from_nanos(400 + seed),
+                },
+                bdd: delta(seed),
+            }
+        }
+        fn constraint(
+            name: &str,
+            verdict: crate::checker::Verdict,
+            error: Option<&str>,
+            method: Method,
+            trace: Option<CheckTrace>,
+        ) -> ConstraintMetrics {
+            ConstraintMetrics {
+                name: name.to_owned(),
+                holds: verdict != crate::checker::Verdict::Violated,
+                verdict,
+                error: error.map(str::to_owned),
+                method,
+                elapsed: Duration::from_nanos(1234),
+                trace,
+            }
+        }
+        use crate::checker::Verdict;
+        let workers = vec![
+            WorkerTelemetry {
+                worker: 0,
+                constraints: vec![0, 2, 4, 6],
+                bdd: delta(1),
+                peak_nodes: 100,
+                depth_hwm: 7,
+            },
+            WorkerTelemetry {
+                worker: 1,
+                constraints: vec![1, 3, 5],
+                bdd: delta(2),
+                peak_nodes: 250,
+                depth_hwm: 9,
+            },
+        ];
+        RunMetrics {
+            threads: 2,
+            telemetry_enabled: true,
+            constraints: vec![
+                constraint(
+                    "stays-on-bdd",
+                    Verdict::Holds,
+                    None,
+                    Method::Bdd,
+                    Some(trace(Method::Bdd, None, vec!["bdd"], 1)),
+                ),
+                constraint(
+                    "node-limit",
+                    Verdict::Violated,
+                    None,
+                    Method::SqlFallback,
+                    Some(trace(
+                        Method::SqlFallback,
+                        Some(FallbackReason::NodeLimit {
+                            limit: 500,
+                            live: 501,
+                        }),
+                        vec!["bdd", "sql"],
+                        2,
+                    )),
+                ),
+                constraint(
+                    "unindexed",
+                    Verdict::Holds,
+                    None,
+                    Method::SqlFallback,
+                    Some(trace(
+                        Method::SqlFallback,
+                        Some(FallbackReason::UnindexedRelation),
+                        vec!["sql"],
+                        3,
+                    )),
+                ),
+                constraint(
+                    "deadline",
+                    Verdict::Holds,
+                    None,
+                    Method::BruteForce,
+                    Some(trace(
+                        Method::BruteForce,
+                        Some(FallbackReason::Deadline),
+                        vec!["bdd", "sql", "brute_force"],
+                        4,
+                    )),
+                ),
+                constraint(
+                    "retry-exhausted",
+                    Verdict::Degraded,
+                    Some("every rung failed"),
+                    Method::Aborted,
+                    Some(trace(
+                        Method::Aborted,
+                        Some(FallbackReason::RetryExhausted {
+                            limit: 500,
+                            live: 777,
+                        }),
+                        vec!["bdd", "gc_retry", "sql", "brute_force", "degraded"],
+                        5,
+                    )),
+                ),
+                constraint(
+                    "panicked",
+                    Verdict::Errored,
+                    Some("injected \"fault\"\n"),
+                    Method::Aborted,
+                    Some(trace(
+                        Method::Aborted,
+                        Some(FallbackReason::Panic("injected \"fault\"\n".to_owned())),
+                        vec!["errored"],
+                        6,
+                    )),
+                ),
+                constraint(
+                    "shed",
+                    Verdict::Violated,
+                    None,
+                    Method::SqlFallback,
+                    Some(trace(
+                        Method::SqlFallback,
+                        Some(FallbackReason::Overload),
+                        vec!["sql"],
+                        7,
+                    )),
+                ),
+                constraint("untraced", Verdict::Holds, None, Method::Bdd, None),
+            ],
+            fleet: Some(FleetTelemetry::from_workers(workers)),
+            degradation: DegradationSummary {
+                degraded: 1,
+                errored: 1,
+                fallbacks: 6,
+                failpoints: Some((u64::MAX, vec![("apply", 3), ("index-build", 0)])),
+            },
+            index_cache: Some(IndexCacheMetrics {
+                hits: 1,
+                misses: 2,
+                rebuilds: 1,
+                journal_replayed: 4,
+                write_failures: 1,
+                recoveries: vec![
+                    RecoveryRecord {
+                        relation: "CUST".to_owned(),
+                        reason: recovery_reason::SEGMENT_CORRUPT,
+                        detail: "checksum mismatch at offset 20".to_owned(),
+                    },
+                    RecoveryRecord {
+                        relation: "ALLOWED".to_owned(),
+                        reason: recovery_reason::JOURNAL_TORN,
+                        detail: "tail of 7 bytes discarded".to_owned(),
+                    },
+                ],
+            }),
+            plan_cache: Some(PlanCacheMetrics { hits: 5, misses: 3 }),
+            serve: Some(ServeMetrics {
+                requests: 9,
+                deltas: 4,
+                checks: 3,
+                constraints_checked: 5,
+                constraints_skipped: 7,
+                dirty_peak: 2,
+                dirty_total: 4,
+                incremental_ns: 1500,
+                full_ns: 9000,
+            }),
+            audit: Some(AuditMetrics {
+                emitted: 8,
+                verified: 7,
+                failed: 1,
+                witnesses: 12,
+            }),
+            overload: Some(OverloadMetrics {
+                admitted: 11,
+                shed: 2,
+                rejected: 3,
+                retries: 1,
+                watchdog_fires: 1,
+                drained: 2,
+            }),
+            policy: Some(PolicyMetrics {
+                relations: 3,
+                advised_bdd: 2,
+                advised_sql: 1,
+                applied_sql_only: 1,
+                applied_rebuilds: 1,
+                reseeded: 2,
+                readvises: 4,
+                cache_slots: 1 << 18,
+                profile_checks: 40,
+            }),
+        }
+    }
+
+    /// The metrics bytes are pinned: this literal was captured from the
+    /// writer before the field tables replaced the hand-written blocks,
+    /// and must only change together with `schema_version`.
+    #[test]
+    fn golden_metrics_document_bytes() {
+        let doc = golden_metrics().to_json();
+        validate_metrics_json(&doc).unwrap();
+        assert_eq!(doc, GOLDEN_METRICS);
+    }
+
+    const GOLDEN_METRICS: &str = concat!(
+        r#"{"schema_version":8,"tool":"relcheck","threads":2,"telemetry_enabled":true,"constraints":["#,
+        r#"{"name":"stays-on-bdd","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"#,
+        r#""trace":{"method":"bdd","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
+        r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
+        r#""fallback":null,"ladder":["bdd"],"timings":{"index_ns":101,"eval_ns":201,"total_ns":401},"#,
+        r#""bdd":{"created_nodes":10,"cache_hits":3,"cache_misses":2,"gc_runs":1,"ops":[{"op":"apply","calls":1,"cache_hits":1,"cache_misses":0},{"op":"not","calls":3,"cache_hits":2,"cache_misses":1},{"op":"ite","calls":5,"cache_hits":3,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":7,"cache_hits":4,"cache_misses":3},{"op":"forall","calls":9,"cache_hits":5,"cache_misses":4},{"op":"app_exists","calls":11,"cache_hits":6,"cache_misses":5},{"op":"app_forall","calls":13,"cache_hits":7,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":15,"cache_hits":8,"cache_misses":7},{"op":"restrict","calls":17,"cache_hits":9,"cache_misses":8},{"op":"constrain","calls":19,"cache_hits":10,"cache_misses":9}]}}},"#,
+        r#"{"name":"node-limit","holds":false,"verdict":"violated","error":null,"method":"sql_fallback","elapsed_ns":1234,"#,
+        r#""trace":{"method":"sql_fallback","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
+        r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
+        r#""fallback":{"reason":"node_limit","limit":500,"live":501},"ladder":["bdd","sql"],"timings":{"index_ns":102,"eval_ns":202,"total_ns":402},"#,
+        r#""bdd":{"created_nodes":20,"cache_hits":6,"cache_misses":4,"gc_runs":2,"ops":[{"op":"apply","calls":2,"cache_hits":2,"cache_misses":0},{"op":"not","calls":4,"cache_hits":3,"cache_misses":1},{"op":"ite","calls":6,"cache_hits":4,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":8,"cache_hits":5,"cache_misses":3},{"op":"forall","calls":10,"cache_hits":6,"cache_misses":4},{"op":"app_exists","calls":12,"cache_hits":7,"cache_misses":5},{"op":"app_forall","calls":14,"cache_hits":8,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":16,"cache_hits":9,"cache_misses":7},{"op":"restrict","calls":18,"cache_hits":10,"cache_misses":8},{"op":"constrain","calls":20,"cache_hits":11,"cache_misses":9}]}}},"#,
+        r#"{"name":"unindexed","holds":true,"verdict":"holds","error":null,"method":"sql_fallback","elapsed_ns":1234,"#,
+        r#""trace":{"method":"sql_fallback","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
+        r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
+        r#""fallback":{"reason":"unindexed_relation"},"ladder":["sql"],"timings":{"index_ns":103,"eval_ns":203,"total_ns":403},"#,
+        r#""bdd":{"created_nodes":30,"cache_hits":9,"cache_misses":6,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":5,"cache_hits":4,"cache_misses":1},{"op":"ite","calls":7,"cache_hits":5,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":9,"cache_hits":6,"cache_misses":3},{"op":"forall","calls":11,"cache_hits":7,"cache_misses":4},{"op":"app_exists","calls":13,"cache_hits":8,"cache_misses":5},{"op":"app_forall","calls":15,"cache_hits":9,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":17,"cache_hits":10,"cache_misses":7},{"op":"restrict","calls":19,"cache_hits":11,"cache_misses":8},{"op":"constrain","calls":21,"cache_hits":12,"cache_misses":9}]}}},"#,
+        r#"{"name":"deadline","holds":true,"verdict":"holds","error":null,"method":"brute_force","elapsed_ns":1234,"#,
+        r#""trace":{"method":"brute_force","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
+        r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
+        r#""fallback":{"reason":"deadline"},"ladder":["bdd","sql","brute_force"],"timings":{"index_ns":104,"eval_ns":204,"total_ns":404},"#,
+        r#""bdd":{"created_nodes":40,"cache_hits":12,"cache_misses":8,"gc_runs":4,"ops":[{"op":"apply","calls":4,"cache_hits":4,"cache_misses":0},{"op":"not","calls":6,"cache_hits":5,"cache_misses":1},{"op":"ite","calls":8,"cache_hits":6,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":10,"cache_hits":7,"cache_misses":3},{"op":"forall","calls":12,"cache_hits":8,"cache_misses":4},{"op":"app_exists","calls":14,"cache_hits":9,"cache_misses":5},{"op":"app_forall","calls":16,"cache_hits":10,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":18,"cache_hits":11,"cache_misses":7},{"op":"restrict","calls":20,"cache_hits":12,"cache_misses":8},{"op":"constrain","calls":22,"cache_hits":13,"cache_misses":9}]}}},"#,
+        r#"{"name":"retry-exhausted","holds":true,"verdict":"degraded","error":"every rung failed","method":"aborted","elapsed_ns":1234,"#,
+        r#""trace":{"method":"aborted","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
+        r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
+        r#""fallback":{"reason":"retry_exhausted","limit":500,"live":777},"ladder":["bdd","gc_retry","sql","brute_force","degraded"],"timings":{"index_ns":105,"eval_ns":205,"total_ns":405},"#,
+        r#""bdd":{"created_nodes":50,"cache_hits":15,"cache_misses":10,"gc_runs":5,"ops":[{"op":"apply","calls":5,"cache_hits":5,"cache_misses":0},{"op":"not","calls":7,"cache_hits":6,"cache_misses":1},{"op":"ite","calls":9,"cache_hits":7,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":11,"cache_hits":8,"cache_misses":3},{"op":"forall","calls":13,"cache_hits":9,"cache_misses":4},{"op":"app_exists","calls":15,"cache_hits":10,"cache_misses":5},{"op":"app_forall","calls":17,"cache_hits":11,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":19,"cache_hits":12,"cache_misses":7},{"op":"restrict","calls":21,"cache_hits":13,"cache_misses":8},{"op":"constrain","calls":23,"cache_hits":14,"cache_misses":9}]}}},"#,
+        r#"{"name":"panicked","holds":true,"verdict":"errored","error":"injected \"fault\"\n","method":"aborted","elapsed_ns":1234,"#,
+        r#""trace":{"method":"aborted","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
+        r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
+        r#""fallback":{"reason":"panic","message":"injected \"fault\"\n"},"ladder":["errored"],"timings":{"index_ns":106,"eval_ns":206,"total_ns":406},"#,
+        r#""bdd":{"created_nodes":60,"cache_hits":18,"cache_misses":12,"gc_runs":6,"ops":[{"op":"apply","calls":6,"cache_hits":6,"cache_misses":0},{"op":"not","calls":8,"cache_hits":7,"cache_misses":1},{"op":"ite","calls":10,"cache_hits":8,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":12,"cache_hits":9,"cache_misses":3},{"op":"forall","calls":14,"cache_hits":10,"cache_misses":4},{"op":"app_exists","calls":16,"cache_hits":11,"cache_misses":5},{"op":"app_forall","calls":18,"cache_hits":12,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":20,"cache_hits":13,"cache_misses":7},{"op":"restrict","calls":22,"cache_hits":14,"cache_misses":8},{"op":"constrain","calls":24,"cache_hits":15,"cache_misses":9}]}}},"#,
+        r#"{"name":"shed","holds":false,"verdict":"violated","error":null,"method":"sql_fallback","elapsed_ns":1234,"#,
+        r#""trace":{"method":"sql_fallback","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
+        r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
+        r#""fallback":{"reason":"overload"},"ladder":["sql"],"timings":{"index_ns":107,"eval_ns":207,"total_ns":407},"#,
+        r#""bdd":{"created_nodes":70,"cache_hits":21,"cache_misses":14,"gc_runs":7,"ops":[{"op":"apply","calls":7,"cache_hits":7,"cache_misses":0},{"op":"not","calls":9,"cache_hits":8,"cache_misses":1},{"op":"ite","calls":11,"cache_hits":9,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":13,"cache_hits":10,"cache_misses":3},{"op":"forall","calls":15,"cache_hits":11,"cache_misses":4},{"op":"app_exists","calls":17,"cache_hits":12,"cache_misses":5},{"op":"app_forall","calls":19,"cache_hits":13,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":21,"cache_hits":14,"cache_misses":7},{"op":"restrict","calls":23,"cache_hits":15,"cache_misses":8},{"op":"constrain","calls":25,"cache_hits":16,"cache_misses":9}]}}},"#,
+        r#"{"name":"untraced","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"trace":null}],"#,
+        r#""fleet":{"workers":["#,
+        r#"{"worker":0,"constraints":[0,2,4,6],"peak_nodes":100,"depth_hwm":7,"#,
+        r#""bdd":{"created_nodes":10,"cache_hits":3,"cache_misses":2,"gc_runs":1,"ops":[{"op":"apply","calls":1,"cache_hits":1,"cache_misses":0},{"op":"not","calls":3,"cache_hits":2,"cache_misses":1},{"op":"ite","calls":5,"cache_hits":3,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":7,"cache_hits":4,"cache_misses":3},{"op":"forall","calls":9,"cache_hits":5,"cache_misses":4},{"op":"app_exists","calls":11,"cache_hits":6,"cache_misses":5},{"op":"app_forall","calls":13,"cache_hits":7,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":15,"cache_hits":8,"cache_misses":7},{"op":"restrict","calls":17,"cache_hits":9,"cache_misses":8},{"op":"constrain","calls":19,"cache_hits":10,"cache_misses":9}]}},"#,
+        r#"{"worker":1,"constraints":[1,3,5],"peak_nodes":250,"depth_hwm":9,"#,
+        r#""bdd":{"created_nodes":20,"cache_hits":6,"cache_misses":4,"gc_runs":2,"ops":[{"op":"apply","calls":2,"cache_hits":2,"cache_misses":0},{"op":"not","calls":4,"cache_hits":3,"cache_misses":1},{"op":"ite","calls":6,"cache_hits":4,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":8,"cache_hits":5,"cache_misses":3},{"op":"forall","calls":10,"cache_hits":6,"cache_misses":4},{"op":"app_exists","calls":12,"cache_hits":7,"cache_misses":5},{"op":"app_forall","calls":14,"cache_hits":8,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":16,"cache_hits":9,"cache_misses":7},{"op":"restrict","calls":18,"cache_hits":10,"cache_misses":8},{"op":"constrain","calls":20,"cache_hits":11,"cache_misses":9}]}}],"#,
+        r#""total":{"created_nodes":30,"cache_hits":9,"cache_misses":6,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":7,"cache_hits":5,"cache_misses":2},{"op":"ite","calls":11,"cache_hits":7,"cache_misses":4},"#,
+        r#"{"op":"exists","calls":15,"cache_hits":9,"cache_misses":6},{"op":"forall","calls":19,"cache_hits":11,"cache_misses":8},{"op":"app_exists","calls":23,"cache_hits":13,"cache_misses":10},{"op":"app_forall","calls":27,"cache_hits":15,"cache_misses":12},"#,
+        r#"{"op":"replace","calls":31,"cache_hits":17,"cache_misses":14},{"op":"restrict","calls":35,"cache_hits":19,"cache_misses":16},{"op":"constrain","calls":39,"cache_hits":21,"cache_misses":18}]}},"#,
+        r#""degradation":{"degraded":1,"errored":1,"fallbacks":6,"failpoints":{"seed":"18446744073709551615","fired":[{"site":"apply","count":3},{"site":"index-build","count":0}]}},"#,
+        r#""index_cache":{"hits":1,"misses":2,"rebuilds":1,"journal_replayed":4,"write_failures":1,"#,
+        r#""recoveries":[{"relation":"CUST","reason":"segment_corrupt","detail":"checksum mismatch at offset 20"},{"relation":"ALLOWED","reason":"journal_torn","detail":"tail of 7 bytes discarded"}]},"#,
+        r#""plan_cache":{"hits":5,"misses":3},"#,
+        r#""serve":{"requests":9,"deltas":4,"checks":3,"constraints_checked":5,"constraints_skipped":7,"dirty_peak":2,"dirty_total":4,"incremental_ns":1500,"full_ns":9000},"#,
+        r#""audit":{"emitted":8,"verified":7,"failed":1,"witnesses":12},"#,
+        r#""overload":{"admitted":11,"shed":2,"rejected":3,"retries":1,"watchdog_fires":1,"drained":2},"#,
+        r#""policy":{"relations":3,"advised_bdd":2,"advised_sql":1,"applied_sql_only":1,"applied_rebuilds":1,"reseeded":2,"readvises":4,"cache_slots":262144,"profile_checks":40}}"#,
+    );
 }

@@ -13,9 +13,11 @@
 
 use proptest::prelude::*;
 use relcheck_core::checker::{Checker, CheckerOptions};
-use relcheck_core::compile::{check_bdd, CompileOptions};
+use relcheck_core::exec::execute_bdd;
 use relcheck_core::index::LogicalDatabase;
 use relcheck_core::ordering::OrderingStrategy;
+use relcheck_core::plan::PlanOptions;
+use relcheck_core::planner::bdd_step;
 use relcheck_logic::eval::eval_sentence;
 use relcheck_logic::{Formula, Term};
 use relcheck_relstore::{Database, Raw};
@@ -156,8 +158,9 @@ proptest! {
                 let mut ldb = LogicalDatabase::new(build_db(&r_rows, &s_rows));
                 ldb.build_index("R", OrderingStrategy::ProbConverge).unwrap();
                 ldb.build_index("S", OrderingStrategy::MaxInfGain).unwrap();
-                let opts = CompileOptions { use_rewrites, join_rename };
-                let got = check_bdd(&mut ldb, &f, &opts).unwrap();
+                let options = PlanOptions::from_flags(use_rewrites, join_rename);
+                let step = bdd_step(ldb.db(), &f, options, &mut Vec::new());
+                let got = execute_bdd(&mut ldb, &step, None).unwrap();
                 prop_assert_eq!(
                     got, expected,
                     "rewrites={} rename={} formula={}", use_rewrites, join_rename, &f

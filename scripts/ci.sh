@@ -72,7 +72,7 @@ for want in "passes:" "bdd step:" "sql step:" "ladder: bdd"; do
     fi
 done
 # A serial run goes through the registry's fingerprinted plan cache and
-# must report its counters in the schema-v4 metrics document.
+# must report its counters in the metrics document.
 set +e
 cargo run --release --quiet --bin relcheck -- \
     run testdata/phones.spec --threads 1 --metrics "$METRICS_OUT" >/dev/null
@@ -298,7 +298,7 @@ step "overload smoke: 8 concurrent socket clients vs a depth-1 queue"
 # admitted request runs on the exact SQL rung), 8 clients hammering it
 # with certify/check traffic. The server must shed and reject under the
 # load, keep every decided verdict correct, drain gracefully on quit,
-# and emit a schema-v7 metrics document whose overload counters validate.
+# and emit a metrics document whose overload counters validate.
 OVER_DIR="$(mktemp -d /tmp/relcheck-overload.XXXXXX)"
 trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$OVER_DIR"' EXIT
 SOCK="$OVER_DIR/relcheck.sock"
@@ -433,7 +433,7 @@ if [ "$rc" -ne 1 ]; then
 fi
 cargo run --release --quiet --bin relcheck -- metrics-check "$METRICS_OUT"
 if ! grep -q '"audit":{"emitted":4,"verified":4,"failed":0' "$METRICS_OUT"; then
-    echo "run metrics missing the schema-v6 audit block" >&2
+    echo "run metrics missing the audit block" >&2
     exit 1
 fi
 cargo run --release --quiet --bin relcheck -- \
@@ -472,7 +472,7 @@ step "advise smoke: record workload → advise → --route auto differential"
 # Record a workload profile into a fresh cache dir, then: the advise
 # report must be byte-identical across two runs (the determinism the
 # tooling pins), `--route auto` must produce exactly the static run's
-# verdict lines, and both metrics documents must carry a schema-v8
+# verdict lines, and both metrics documents must carry a
 # policy block that validates.
 ADVISE_DIR="$(mktemp -d /tmp/relcheck-advise.XXXXXX)"
 ADVISE_A="$(mktemp /tmp/relcheck-advise-a.XXXXXX.txt)"
@@ -524,6 +524,33 @@ if ! grep -q '"policy":{' "$METRICS_OUT"; then
     echo "auto-routed run metrics missing the policy block" >&2
     exit 1
 fi
+# The validator reads exactly the schema the writer emits: the same
+# document relabelled as an older or a newer schema_version, and a
+# hostile nesting depth, must each be rejected as an error (exit 2),
+# never crash the process (134 is a stack-overflow abort).
+NEG_DOC="$(mktemp /tmp/relcheck-neg.XXXXXX.json)"
+trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$ADVISE_DIR" "$ADVISE_A" "$ADVISE_B" "$ROUTE_STATIC" "$ROUTE_AUTO" "$NEG_DOC"' EXIT
+expect_rejected() { # expect_rejected <label>
+    set +e
+    "$BIN" metrics-check "$NEG_DOC" >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [ "$rc" -ne 2 ]; then
+        echo "metrics-check on $1 should exit 2 (got $rc)" >&2
+        exit 1
+    fi
+}
+for version in 7 9; do
+    sed "s/\"schema_version\":8/\"schema_version\":$version/" "$METRICS_OUT" >"$NEG_DOC"
+    if cmp -s "$METRICS_OUT" "$NEG_DOC"; then
+        echo "schema_version rewrite to $version matched nothing" >&2
+        exit 1
+    fi
+    expect_rejected "a schema_version $version document"
+done
+head -c 100000 /dev/zero | tr '\0' '[' >"$NEG_DOC"
+expect_rejected "a 100000-deep array"
+rm -f "$NEG_DOC"
 
 if [ "$QUICK" -eq 0 ]; then
     step "chaos soak: serve-mode fault injection + certificate audits (~10 s)"

@@ -86,7 +86,7 @@
 //! append failures retry with bounded backoff; exhaustion degrades the
 //! delta rows-only and the reply carries `durable=false`), so a killed
 //! session warm-starts to the acknowledged state. `--metrics PATH`
-//! writes the schema-v7 document (with the `serve`, `audit`, and
+//! writes the metrics document (with the `serve`, `audit`, and
 //! `overload` blocks) on shutdown. The exit code reflects the final
 //! verdicts: 0 when nothing is violated.
 //!
@@ -466,7 +466,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         }
     }
     // Emit + self-verify certificates before the metrics document so the
-    // audit counters land in its schema-v6 `audit` block.
+    // audit counters land in its `audit` block.
     let mut audit_metrics = None;
     let mut audit_failures = Vec::new();
     if let Some(path) = &certify_path {
