@@ -14,11 +14,9 @@
 //!   relation are re-checked (cached verdicts otherwise).
 //!
 //! Flags: `--rows N` (customer rows, default 200000), `--batches N`
-//! (default 20), `--batch-size N` (updates per batch, default 100),
-//! `--json PATH` (run the BENCH measurement and write the
-//! `BENCH_dynamic.json` trajectory document).
+//! (default 20), `--batch-size N` (updates per batch, default 100).
 
-use relcheck_bench::{arg_str, arg_usize, ms, Table};
+use relcheck_bench::{arg_usize, ms, Table};
 use relcheck_core::checker::{Checker, CheckerOptions};
 use relcheck_core::registry::ConstraintRegistry;
 use relcheck_datagen::customer::{generate, CustomerConfig};
@@ -245,15 +243,6 @@ fn main() {
     }
 
     table.print();
-
-    // Optional: emit the BENCH trajectory document.
-    if let Some(path) = arg_str("--json") {
-        let doc = relcheck_bench::runs::dynamic(rows, batches, batch_size).to_json();
-        relcheck_core::telemetry::validate_bench_json(&doc)
-            .expect("emitted bench document must be schema-valid");
-        std::fs::write(&path, doc).expect("write bench file");
-        println!("bench document written to {path}");
-    }
 
     println!(
         "\nExpected shape: per-update maintenance is microseconds either way (SQL keeps a\n\

@@ -2,13 +2,10 @@
 //!
 //! Runs the customer-workload constraint battery end to end (index
 //! construction + identification of violated constraints) through the
-//! serial [`Checker::check_all`] and through the parallel engine at
-//! increasing worker counts, in both index-transfer modes:
-//!
-//! * **snapshot** — a coordinator builds each index once and ships it to
-//!   workers as a manager-independent `ExportedRelation`;
-//! * **rebuild**  — each worker rebuilds the indices its batch reads from
-//!   its own clone of the dictionary-encoded data.
+//! serial [`Checker::check_all`] and through
+//! [`Checker::check_all_parallel`] at increasing worker counts: a
+//! coordinator builds each index once and ships it to the workers as a
+//! manager-independent snapshot.
 //!
 //! Besides the human-readable table, the binary emits one machine-readable
 //! JSON line (prefix `PAR_SCALING_JSON`) with the median timings and the
@@ -29,15 +26,11 @@
 //! Flags: `--rows N` (customer rows, default 100000), `--samples N`
 //! (timed repetitions per configuration, default 3), `--metrics PATH`
 //! (write the schema-version-1 metrics JSON of a 4-worker telemetry run,
-//! the same document `relcheck run --metrics` emits), `--json PATH`
-//! (run the BENCH measurement — serial vs 2/4-worker lanes in both
-//! transfer modes — and write the `BENCH_par_scaling.json` trajectory
-//! document).
+//! the same document `relcheck run --metrics` emits).
 
 use relcheck_bench::{arg_str, arg_usize, ms, Table};
 use relcheck_core::checker::{Checker, CheckerOptions};
-use relcheck_core::parallel::{IndexTransfer, ParallelChecker};
-use relcheck_core::telemetry::{validate_bench_json, validate_metrics_json, RunMetrics};
+use relcheck_core::telemetry::{validate_metrics_json, RunMetrics};
 use relcheck_datagen::customer::{generate, CustomerConfig};
 use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Relation, Schema};
@@ -143,36 +136,22 @@ fn main() {
     t.row(&["serial".to_owned(), ms(t_serial), "1.00".to_owned()]);
     let mut snapshot_ms = Vec::new();
     for &workers in &worker_counts {
-        for transfer in [IndexTransfer::Snapshot, IndexTransfer::Rebuild] {
-            let mut verdicts: Vec<(String, bool)> = Vec::new();
-            let elapsed = median_time(samples, || {
-                let pc = ParallelChecker::new(db.clone(), CheckerOptions::default(), workers)
-                    .with_transfer(transfer);
-                let reports = pc.check_all(&battery).unwrap();
-                verdicts = reports.into_iter().map(|(n, r)| (n, r.holds)).collect();
-            });
-            assert_eq!(
-                verdicts, serial_verdicts,
-                "parallel run must match serial verdicts"
-            );
-            let label = format!(
-                "{} workers ({})",
-                workers,
-                if transfer == IndexTransfer::Snapshot {
-                    "snapshot"
-                } else {
-                    "rebuild"
-                }
-            );
-            t.row(&[
-                label,
-                ms(elapsed),
-                format!("{:.2}", t_serial.as_secs_f64() / elapsed.as_secs_f64()),
-            ]);
-            if transfer == IndexTransfer::Snapshot {
-                snapshot_ms.push(elapsed.as_secs_f64() * 1e3);
-            }
-        }
+        let mut verdicts: Vec<(String, bool)> = Vec::new();
+        let elapsed = median_time(samples, || {
+            let mut ck = Checker::new(db.clone(), CheckerOptions::default());
+            let reports = ck.check_all_parallel(&battery, workers).unwrap();
+            verdicts = reports.into_iter().map(|(n, r)| (n, r.holds)).collect();
+        });
+        assert_eq!(
+            verdicts, serial_verdicts,
+            "parallel run must match serial verdicts"
+        );
+        t.row(&[
+            format!("{workers} workers"),
+            ms(elapsed),
+            format!("{:.2}", t_serial.as_secs_f64() / elapsed.as_secs_f64()),
+        ]);
+        snapshot_ms.push(elapsed.as_secs_f64() * 1e3);
     }
     t.print();
 
@@ -221,19 +200,11 @@ fn main() {
     // Optional: emit the machine-readable metrics document of a 4-worker
     // telemetry run — the same schema `relcheck run --metrics` writes.
     if let Some(path) = arg_str("--metrics") {
-        let pc = ParallelChecker::new(db.clone(), telemetry_opts, 4);
-        let (reports, fleet) = pc.check_all_telemetry(&battery).unwrap();
+        let mut ck = Checker::new(db.clone(), telemetry_opts);
+        let (reports, fleet) = ck.check_all_parallel_telemetry(&battery, 4).unwrap();
         let doc = RunMetrics::from_reports(&reports, Some(fleet), 4).to_json();
         validate_metrics_json(&doc).expect("emitted metrics must be schema-valid");
         std::fs::write(&path, doc).expect("write metrics file");
         println!("metrics written to {path}");
-    }
-
-    // Optional: emit the BENCH trajectory document.
-    if let Some(path) = arg_str("--json") {
-        let doc = relcheck_bench::runs::par_scaling(rows).to_json();
-        validate_bench_json(&doc).expect("emitted bench document must be schema-valid");
-        std::fs::write(&path, doc).expect("write bench file");
-        println!("bench document written to {path}");
     }
 }

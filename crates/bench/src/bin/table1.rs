@@ -18,10 +18,7 @@
 //! Flags: `--tuples N` (default 100000), `--metrics PATH` (write the
 //! schema-version-1 metrics JSON of a telemetry-enabled serial pass over
 //! Q1–Q5 under the optimized ordering — the same document
-//! `relcheck run --metrics` emits), `--json PATH` (run the before/after
-//! BENCH measurement — unshared+static vs shared+adaptive — and write the
-//! `BENCH_table1.json` trajectory document; validate with `relcheck
-//! bench-check`).
+//! `relcheck run --metrics` emits).
 
 use relcheck_bench::{arg_str, arg_usize, ms, queries, timed, Table};
 use relcheck_core::checker::{Checker, CheckerOptions, Method};
@@ -124,17 +121,5 @@ fn main() {
         validate_metrics_json(&doc).expect("emitted metrics must be schema-valid");
         std::fs::write(&path, doc).expect("write metrics file");
         println!("\nmetrics written to {path}");
-    }
-
-    // Optional: emit the BENCH trajectory document (a separate, self-
-    // contained before/after measurement of the sharing + adaptive-
-    // ordering configuration against the per-constraint static one).
-    if let Some(path) = arg_str("--json") {
-        let samples = arg_usize("--samples", 3);
-        let doc = relcheck_bench::runs::table1(tuples, samples).to_json();
-        relcheck_core::telemetry::validate_bench_json(&doc)
-            .expect("emitted bench document must be schema-valid");
-        std::fs::write(&path, doc).expect("write bench file");
-        println!("bench document written to {path}");
     }
 }

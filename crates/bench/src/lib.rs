@@ -23,8 +23,6 @@
 //! rewrite ablations; `cargo bench -p relcheck-bench` runs them.
 
 pub mod queries;
-pub mod report;
-pub mod runs;
 
 use std::time::{Duration, Instant};
 
@@ -45,14 +43,26 @@ pub fn secs(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64())
 }
 
-/// Parse `--flag value` style integer arguments, with a default.
+/// Parse `--flag value` style integer arguments, with a default when the
+/// flag is absent. A value that is missing or not an integer prints a
+/// message naming the flag and exits with status 2.
 pub fn arg_usize(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_usize_arg(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The parsing behind [`arg_usize`], over an explicit argument list.
+fn parse_usize_arg(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    value
+        .parse()
+        .map_err(|_| format!("{name} expects a non-negative integer, got {value:?}"))
 }
 
 /// Is a bare flag present?
@@ -180,6 +190,19 @@ mod tests {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["1".into(), "2".into()]);
         t.print();
+    }
+
+    #[test]
+    fn usize_args_parse_or_name_the_flag() {
+        let args: Vec<String> = ["table1", "--tuples", "2000", "--samples", "10k", "--rows"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(parse_usize_arg(&args, "--tuples", 7), Ok(2000));
+        assert_eq!(parse_usize_arg(&args, "--seed", 7), Ok(7), "absent flag");
+        let err = parse_usize_arg(&args, "--samples", 7).unwrap_err();
+        assert!(err.contains("--samples") && err.contains("10k"), "{err}");
+        let err = parse_usize_arg(&args, "--rows", 7).unwrap_err();
+        assert!(err.contains("--rows"), "missing value: {err}");
     }
 
     #[test]

@@ -30,11 +30,10 @@
 //!   [`checker::Checker::check`] (which constraints are violated),
 //!   [`checker::Checker::find_violations`] (the offending tuples), with
 //!   per-check method/size/timing reports.
-//! * [`parallel`] — [`parallel::ParallelChecker`] and
-//!   [`checker::Checker::check_all_parallel`]: the constraint set spread
-//!   over worker threads, each with a private BDD manager, with indices
-//!   shipped as manager-independent snapshots and reports merged back
-//!   deterministically.
+//! * [`parallel`] — [`checker::Checker::check_all_parallel`]: the
+//!   constraint set spread over worker threads, each with a private BDD
+//!   manager, with indices shipped as manager-independent snapshots and
+//!   reports merged back deterministically.
 //! * [`serve`] — [`serve::ServeEngine`], the long-lived session engine
 //!   behind `relcheck serve`: deltas dirty relations, and each check
 //!   re-verifies only the constraints whose read-set intersects the
@@ -82,7 +81,6 @@ pub use checker::{CheckReport, Checker, CheckerOptions, Method, Verdict};
 pub use error::{CoreError, Result};
 pub use index::{IndexSnapshot, LogicalDatabase};
 pub use ordering::OrderingStrategy;
-pub use parallel::{IndexTransfer, ParallelChecker};
 pub use plan::{plans_to_json, CheckPlan, PlanOptions};
 pub use policy::{Advice, AppliedAdvice, IndexAdvice, Route, RoutePolicy, WorkloadProfile};
 pub use registry::ConstraintRegistry;

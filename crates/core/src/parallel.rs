@@ -11,16 +11,11 @@
 //! workers by the relations each constraint reads, and merge the reports
 //! back into input order.
 //!
-//! Two hand-off strategies for the logical indices (see
-//! [`IndexTransfer`]):
-//!
-//! * **Snapshot** — a coordinator builds each referenced index once and
-//!   ships it to workers as a manager-independent
-//!   [`IndexSnapshot`] (the [`relcheck_bdd::ExportedRelation`] form), so
-//!   tuple construction runs once per relation no matter how many lanes
-//!   read it. This is what [`Checker::check_all_parallel`] does.
-//! * **Rebuild** — workers rebuild indices from their database clone,
-//!   with no coordinator BDD work at all.
+//! The logical indices travel as snapshots: the coordinator
+//! ([`Checker::check_all_parallel`]) builds each referenced index once and
+//! ships it to the workers as a manager-independent [`IndexSnapshot`]
+//! (the [`relcheck_bdd::ExportedRelation`] form), so tuple construction
+//! runs once per relation no matter how many lanes read it.
 //!
 //! Every lane keeps the paper's full evaluation strategy independently: a
 //! node-budget abort in one worker garbage-collects and falls back to SQL
@@ -44,92 +39,6 @@ use relcheck_logic::Formula;
 use relcheck_relstore::Database;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// How workers obtain the logical indices their batch needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexTransfer {
-    /// A coordinator builds each referenced index once and ships
-    /// [`IndexSnapshot`]s; workers import instead of re-running tuple
-    /// construction.
-    #[default]
-    Snapshot,
-    /// Workers build their own indices from their database clone; the
-    /// coordinator does no BDD work.
-    Rebuild,
-}
-
-/// A standalone parallel front-end over a [`Database`]: partitions a
-/// constraint set into per-worker batches and checks them on `threads`
-/// worker threads, each with a private BDD manager (see module docs).
-///
-/// For a one-off parallel pass over an existing serial checker, use
-/// [`Checker::check_all_parallel`] instead — it reuses the indices the
-/// checker has already built.
-pub struct ParallelChecker {
-    db: Database,
-    opts: CheckerOptions,
-    threads: usize,
-    transfer: IndexTransfer,
-}
-
-impl ParallelChecker {
-    /// A parallel checker over a database snapshot. `threads` is clamped to
-    /// at least 1; the default transfer strategy is
-    /// [`IndexTransfer::Snapshot`].
-    pub fn new(db: Database, opts: CheckerOptions, threads: usize) -> ParallelChecker {
-        ParallelChecker {
-            db,
-            opts,
-            threads: threads.max(1),
-            transfer: IndexTransfer::default(),
-        }
-    }
-
-    /// Choose how workers obtain their indices.
-    pub fn with_transfer(mut self, transfer: IndexTransfer) -> ParallelChecker {
-        self.transfer = transfer;
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Check many named constraints across the worker pool. Reports come
-    /// back in input order with verdicts identical to the serial
-    /// [`Checker::check_all`].
-    pub fn check_all(
-        &self,
-        constraints: &[(String, Formula)],
-    ) -> Result<Vec<(String, CheckReport)>> {
-        Ok(self.check_all_telemetry(constraints)?.0)
-    }
-
-    /// [`ParallelChecker::check_all`] plus the merged lane-level telemetry
-    /// (see [`FleetTelemetry`]): per-worker BDD-work deltas in
-    /// deterministic batch order, with fleet totals that equal the
-    /// per-worker sum by construction.
-    pub fn check_all_telemetry(
-        &self,
-        constraints: &[(String, Formula)],
-    ) -> Result<(Vec<(String, CheckReport)>, FleetTelemetry)> {
-        match self.transfer {
-            IndexTransfer::Rebuild => run(
-                &self.db,
-                self.opts,
-                &HashSet::new(),
-                &[],
-                constraints,
-                self.threads,
-            ),
-            IndexTransfer::Snapshot => {
-                let mut coordinator = Checker::new(self.db.clone(), self.opts);
-                coordinator.check_all_parallel_telemetry(constraints, self.threads)
-            }
-        }
-    }
-}
 
 /// The read-set signature of a constraint: the relations its formula
 /// references, sorted and deduplicated. This is the exact signature the
@@ -298,8 +207,8 @@ fn run_batch(
 ///   failpoint fired — is absorbed: every constraint of that batch gets a
 ///   [`crate::checker::Verdict::Errored`] report carrying the panic
 ///   payload, and every other lane completes untouched.
-/// * A **typed error** (unknown relation, corrupt snapshot) still fails
-///   the run, and the error attached to the smallest constraint index
+/// * A **typed error** (a constraint with free variables, a corrupt
+///   snapshot) still fails the run, and the error attached to the smallest constraint index
 ///   wins across all lanes — the same error a serial pass would have hit
 ///   first.
 pub(crate) fn run(
@@ -501,26 +410,22 @@ mod tests {
         ]);
         let mut serial = Checker::new(db.clone(), CheckerOptions::default());
         let want = serial.check_all(&cs).unwrap();
-        for transfer in [IndexTransfer::Snapshot, IndexTransfer::Rebuild] {
-            for threads in [1usize, 2, 3, 8] {
-                let pc = ParallelChecker::new(db.clone(), CheckerOptions::default(), threads)
-                    .with_transfer(transfer);
-                let got = pc.check_all(&cs).unwrap();
-                assert_eq!(got.len(), want.len());
-                for ((wn, wr), (gn, gr)) in want.iter().zip(&got) {
-                    assert_eq!(wn, gn, "order preserved");
-                    assert_eq!(wr.holds, gr.holds, "{wn} with {threads} threads");
-                    assert_eq!(wr.method, gr.method, "{wn} with {threads} threads");
-                }
+        for threads in [1usize, 2, 3, 8] {
+            let mut ck = Checker::new(db.clone(), CheckerOptions::default());
+            let got = ck.check_all_parallel(&cs, threads).unwrap();
+            assert_eq!(got.len(), want.len());
+            for ((wn, wr), (gn, gr)) in want.iter().zip(&got) {
+                assert_eq!(wn, gn, "order preserved");
+                assert_eq!(wr.holds, gr.holds, "{wn} with {threads} threads");
+                assert_eq!(wr.method, gr.method, "{wn} with {threads} threads");
             }
         }
     }
 
     #[test]
     fn empty_constraint_set_is_fine() {
-        let db = Database::new();
-        let pc = ParallelChecker::new(db, CheckerOptions::default(), 4);
-        assert!(pc.check_all(&[]).unwrap().is_empty());
+        let mut ck = Checker::new(Database::new(), CheckerOptions::default());
+        assert!(ck.check_all_parallel(&[], 4).unwrap().is_empty());
         assert!(partition(&[], 4).is_empty());
     }
 }

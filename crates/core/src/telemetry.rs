@@ -1273,8 +1273,8 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> std::result::Result
 
 // ---------------------------------------------------------------------------
 // Validation. The accessors below name the full path of a missing or
-// mistyped field in their error; the metrics, plan and bench validators
-// share them.
+// mistyped field in their error; the metrics and plan validators share
+// them.
 // ---------------------------------------------------------------------------
 
 type Check<T> = std::result::Result<T, String>;
@@ -1768,101 +1768,6 @@ pub fn validate_plan_json(text: &str) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// Orderings a BENCH entry may report: a static strategy name, an
-/// adaptive pick (`adaptive:<candidate>`), or `n/a` for paths that never
-/// touch a BDD (the SQL-recheck row of the dynamic benchmark).
-fn valid_bench_ordering(s: &str) -> bool {
-    if let Some(pick) = s.strip_prefix("adaptive:") {
-        return ["static", "concatenated", "frequency", "interleaved"].contains(&pick);
-    }
-    [
-        "schema",
-        "random",
-        "max-inf-gain",
-        "prob-converge",
-        "min-cond-entropy",
-        "sifted",
-        "adaptive",
-        "n/a",
-    ]
-    .contains(&s)
-}
-
-/// A string field that must not be empty.
-fn nonempty<'a>(v: &'a Json, at: &str, name: &str) -> Check<&'a str> {
-    let s = string(v, at, name)?;
-    if s.is_empty() {
-        return Err(format!("{}: must be non-empty", join(at, name)));
-    }
-    Ok(s)
-}
-
-/// Validate a `BENCH_*.json` benchmark-trajectory document (schema
-/// version 1, see `DESIGN.md` §"BENCH schema"): required fields and
-/// types, hit rates in `[0, 1]`, known orderings, and — for the `table1`
-/// document — at least one before/after comparison, the acceptance
-/// anchor of the committed trajectory. Used by `relcheck bench-check`
-/// and the CI bench smoke.
-pub fn validate_bench_json(text: &str) -> std::result::Result<(), String> {
-    let doc = parse_json(text)?;
-    let version = expect(&doc, "", "schema_version", "an integer", Json::as_int)?;
-    if version != 1 {
-        return Err(format!("unsupported bench schema_version {version}"));
-    }
-    if doc.get("kind").and_then(Json::as_str) != Some("bench") {
-        return Err("missing field \"kind\": \"bench\"".to_owned());
-    }
-    let bench = string(&doc, "", "bench")?;
-    if !["table1", "par_scaling", "dynamic"].contains(&bench) {
-        return Err(format!("unknown bench {bench:?}"));
-    }
-    match doc.get("config") {
-        Some(config @ Json::Obj(fields)) => {
-            for (k, _) in fields {
-                count(config, "config", k)?;
-            }
-        }
-        _ => return Err("missing object field \"config\"".to_owned()),
-    }
-    let entries = array(&doc, "", "entries")?;
-    if entries.is_empty() {
-        return Err("\"entries\" must be non-empty".to_owned());
-    }
-    for (i, e) in entries.iter().enumerate() {
-        let at = format!("entries[{i}]");
-        nonempty(e, &at, "name")?;
-        nonempty(e, &at, "variant")?;
-        count(e, &at, "wall_ns")?;
-        count(e, &at, "peak_nodes")?;
-        let rate = expect(e, &at, "cache_hit_rate", "a number", Json::as_num)?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!("{at}: cache_hit_rate {rate} outside [0, 1]"));
-        }
-        let ordering = nonempty(e, &at, "ordering")?;
-        if !valid_bench_ordering(ordering) {
-            return Err(format!("{at}: unknown ordering {ordering:?}"));
-        }
-    }
-    let comparisons = array(&doc, "", "comparisons")?;
-    if bench == "table1" && comparisons.is_empty() {
-        return Err("table1 must carry at least one before/after comparison".to_owned());
-    }
-    for (i, c) in comparisons.iter().enumerate() {
-        let at = format!("comparisons[{i}]");
-        nonempty(c, &at, "name")?;
-        nonempty(c, &at, "baseline")?;
-        nonempty(c, &at, "candidate")?;
-        count(c, &at, "peak_nodes_before")?;
-        count(c, &at, "peak_nodes_after")?;
-        if count(c, &at, "wall_ns_before")? == 0 || count(c, &at, "wall_ns_after")? == 0 {
-            return Err(format!(
-                "{at}: a measured comparison cannot have zero wall time"
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1941,7 +1846,6 @@ mod tests {
             .unwrap_err()
             .contains("nesting"));
         assert!(validate_plan_json(&deep).unwrap_err().contains("nesting"));
-        assert!(validate_bench_json(&deep).unwrap_err().contains("nesting"));
         let objects = "{\"k\":".repeat(200_000);
         assert!(matches!(
             crate::certify::parse_bundle(&objects),

@@ -1,14 +1,12 @@
 //! Differential and robustness tests for the parallel checking engine:
-//! [`Checker::check_all_parallel`] / [`ParallelChecker`] must produce
-//! results identical (on the deterministic report fields `holds` and
-//! `method`) to the serial [`Checker::check_all`], for every worker count,
-//! every ordering strategy, and both index-transfer modes — and a node-
-//! budget abort in one worker lane must degrade that lane to SQL without
-//! touching any other lane.
+//! [`Checker::check_all_parallel`] must produce results identical (on the
+//! deterministic report fields `holds` and `method`) to the serial
+//! [`Checker::check_all`], for every worker count and every ordering
+//! strategy — and a node-budget abort in one worker lane must degrade that
+//! lane to SQL without touching any other lane.
 
 use relcheck_core::checker::{Checker, CheckerOptions, Method};
 use relcheck_core::ordering::OrderingStrategy;
-use relcheck_core::parallel::{IndexTransfer, ParallelChecker};
 use relcheck_core::registry::ConstraintRegistry;
 use relcheck_datagen::customer::{generate, CustomerConfig};
 use relcheck_datagen::gen_kprod;
@@ -166,11 +164,6 @@ fn parallel_matches_serial_on_kprod_data() {
         let mut ck = Checker::new(db.clone(), CheckerOptions::default());
         let got = ck.check_all_parallel(&battery, threads).unwrap();
         assert_reports_match(&want, &got, &format!("kprod/threads={threads}"));
-        // Rebuild mode: workers construct their own indices from scratch.
-        let pc = ParallelChecker::new(db.clone(), CheckerOptions::default(), threads)
-            .with_transfer(IndexTransfer::Rebuild);
-        let got = pc.check_all(&battery).unwrap();
-        assert_reports_match(&want, &got, &format!("kprod-rebuild/threads={threads}"));
     }
 }
 
@@ -205,22 +198,13 @@ fn lanes_fall_back_to_sql_independently() {
         methods.contains(&Method::Bdd),
         "the other lanes must stay BDD: {methods:?}"
     );
-    // Stress loop: repeated runs across worker counts and transfer modes
-    // must all agree with the serial pass — the merged report flags the
+    // Stress loop: repeated runs across worker counts must all agree with the serial pass — the merged report flags the
     // fallback per constraint.
     for round in 0..5 {
         for threads in [2usize, 4, 8] {
             let mut ck = Checker::new(db.clone(), opts);
             let got = ck.check_all_parallel(&battery, threads).unwrap();
             assert_reports_match(&want, &got, &format!("round={round}/threads={threads}"));
-            let pc = ParallelChecker::new(db.clone(), opts, threads)
-                .with_transfer(IndexTransfer::Rebuild);
-            let got = pc.check_all(&battery).unwrap();
-            assert_reports_match(
-                &want,
-                &got,
-                &format!("rebuild round={round}/threads={threads}"),
-            );
         }
     }
 }
@@ -254,25 +238,30 @@ fn registry_parallel_validation_matches_serial_and_caches() {
 
 #[test]
 fn worker_errors_surface_deterministically() {
-    // Two constraints reference relations that do not exist; the error
+    // Two constraints leave a variable free, each a different one. The
+    // coordinator builds both indices without complaint, so the errors
+    // only show up at check time, in two different lanes; the error
     // reported must be the one a serial pass would hit first (smallest
-    // constraint index), whichever lane it ran on.
+    // constraint index), whichever lane finishes first.
     let db = customer_db(200, 0.0);
     let battery: Vec<(String, Formula)> = [
         ("ok-1", "exists c, s. CITY_STATE(c, s)"),
-        ("bad-1", "exists x. NOPE_ONE(x)"),
+        ("bad-1", "exists c. CITY_STATE(c, free_one)"),
         ("ok-2", "exists a, c, s. CUST(a, c, s)"),
-        ("bad-2", "exists x. NOPE_TWO(x)"),
+        ("bad-2", "exists a, c. CUST(a, c, free_two)"),
     ]
     .into_iter()
     .map(|(n, s)| (n.to_owned(), parse(s).unwrap()))
     .collect();
+    let serial = Checker::new(db.clone(), CheckerOptions::default())
+        .check_all(&battery)
+        .unwrap_err();
+    assert!(serial.to_string().contains("free_one"), "{serial}");
     for _ in 0..5 {
-        let pc = ParallelChecker::new(db.clone(), CheckerOptions::default(), 4)
-            .with_transfer(IndexTransfer::Rebuild);
-        let err = pc.check_all(&battery).unwrap_err();
+        let mut ck = Checker::new(db.clone(), CheckerOptions::default());
+        let err = ck.check_all_parallel(&battery, 4).unwrap_err();
         assert!(
-            err.to_string().contains("NOPE_ONE"),
+            err.to_string().contains("free_one"),
             "expected the first bad constraint's error, got: {err}"
         );
     }
@@ -317,20 +306,14 @@ fn parallel_rule_firings_match_serial_exactly() {
         "fixture fires no rewrite rules: {want:?}"
     );
     for threads in [1usize, 2, 8] {
-        for transfer in [IndexTransfer::Snapshot, IndexTransfer::Rebuild] {
-            let pc = ParallelChecker::new(db.clone(), opts, threads).with_transfer(transfer);
-            let got_reports = pc.check_all(&battery).unwrap();
-            assert_reports_match(
-                &want_reports,
-                &got_reports,
-                &format!("{transfer:?}/threads={threads}"),
-            );
-            assert_eq!(
-                want,
-                firing_seq(&got_reports),
-                "{transfer:?}/threads={threads}: rule firings diverge from serial"
-            );
-        }
+        let mut ck = Checker::new(db.clone(), opts);
+        let got_reports = ck.check_all_parallel(&battery, threads).unwrap();
+        assert_reports_match(&want_reports, &got_reports, &format!("threads={threads}"));
+        assert_eq!(
+            want,
+            firing_seq(&got_reports),
+            "threads={threads}: rule firings diverge from serial"
+        );
     }
 }
 

@@ -8,8 +8,8 @@
 //! the dirty-set/read-set intersection let the engine skip. The harness
 //! drives randomized SplitMix64-seeded delta scripts against a shadow
 //! row-set and diffs every `check` against a cold serial
-//! [`Checker::check_all`] *and* a cold [`ParallelChecker`] over the
-//! shadow rows.
+//! [`Checker::check_all`] *and* a cold [`Checker::check_all_parallel`]
+//! over the shadow rows.
 //!
 //! The crash tests reuse the failpoint idioms of `tests/store.rs`: the
 //! registry is process-global, so failpoint-armed tests serialize on a
@@ -20,7 +20,6 @@ use relcheck_core::checker::{Checker, CheckerOptions};
 use relcheck_core::registry::Verdict;
 use relcheck_core::serve::{ServeActor, ServeConfig, ServeEngine, Submission, JOURNAL_RETRY_LIMIT};
 use relcheck_core::store::{Delta, IndexStore};
-use relcheck_core::ParallelChecker;
 use relcheck_datagen::SplitMix64;
 use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Raw};
@@ -133,8 +132,8 @@ fn cold_serial(shadow: &Shadow) -> Vec<(String, bool)> {
 
 /// What a cold parallel checker (2 worker lanes) says about the shadow rows.
 fn cold_parallel(shadow: &Shadow) -> Vec<(String, bool)> {
-    let pc = ParallelChecker::new(db_from(shadow), CheckerOptions::default(), 2);
-    pc.check_all(&constraints())
+    Checker::new(db_from(shadow), CheckerOptions::default())
+        .check_all_parallel(&constraints(), 2)
         .unwrap()
         .into_iter()
         .map(|(name, report)| (name, report.holds))

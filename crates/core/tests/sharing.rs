@@ -18,8 +18,8 @@ use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Relation, Schema};
 use std::sync::Mutex;
 
-/// The failpoint registry is process-global; tests that arm it serialize
-/// on this mutex.
+/// The failpoint registry is process-global: the test that arms it and
+/// every test that checks while it could be armed serialize on this mutex.
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -124,6 +124,7 @@ fn assert_same(want: &[(String, CheckReport)], got: &[(String, CheckReport)], co
 
 #[test]
 fn sharing_matches_unshared_serially_and_actually_shares() {
+    let _g = lock();
     let db = customer_db(1_500, 0.01);
     let battery = battery();
     let mut unshared = Checker::new(db.clone(), opts(false));
@@ -145,6 +146,7 @@ fn sharing_matches_unshared_serially_and_actually_shares() {
 
 #[test]
 fn sharing_matches_unshared_across_parallel_lanes() {
+    let _g = lock();
     let db = customer_db(1_200, 0.02);
     let battery = battery();
     let mut baseline = Checker::new(db.clone(), opts(false));
@@ -193,6 +195,7 @@ fn sharing_matches_unshared_under_index_build_faults() {
 
 #[test]
 fn every_ordering_strategy_agrees_including_adaptive() {
+    let _g = lock();
     let db = customer_db(1_000, 0.015);
     let battery = battery();
     let mut baseline = Checker::new(db.clone(), opts(true));
@@ -218,6 +221,7 @@ fn every_ordering_strategy_agrees_including_adaptive() {
 
 #[test]
 fn adaptive_rebuild_uses_recorded_workload_and_keeps_verdicts() {
+    let _g = lock();
     let db = customer_db(1_000, 0.015);
     let battery = battery();
     let mut ck = Checker::new(

@@ -16,7 +16,6 @@
 
 use relcheck_bdd::{OpKind, StatsDelta};
 use relcheck_core::checker::{Checker, CheckerOptions, Method};
-use relcheck_core::parallel::ParallelChecker;
 use relcheck_core::telemetry::{validate_metrics_json, RewriteRule, RuleFiring, RunMetrics};
 use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Raw};
@@ -310,8 +309,10 @@ fn fleet_totals_equal_worker_sums_and_json_validates() {
         ..Default::default()
     };
     for threads in [1usize, 2, 8] {
-        let pc = ParallelChecker::new(customer_db(), opts, threads);
-        let (reports, fleet) = pc.check_all_telemetry(&battery()).unwrap();
+        let mut ck = Checker::new(customer_db(), opts);
+        let (reports, fleet) = ck
+            .check_all_parallel_telemetry(&battery(), threads)
+            .unwrap();
         // Fleet totals are exactly the per-worker sum.
         let mut sum = StatsDelta::default();
         for w in &fleet.workers {

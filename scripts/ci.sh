@@ -558,23 +558,21 @@ if [ "$QUICK" -eq 0 ]; then
         cargo test --release -q -p relcheck-core --test chaos -- --ignored
 fi
 
-step "bench smoke: small BENCH_table1.json emission + schema validation"
-# A small-size run of the table1 BENCH emitter must produce a document
-# that bench-check accepts, and the committed trajectory files (when
-# present) must stay schema-valid too.
-BENCH_OUT="$(mktemp /tmp/relcheck-bench.XXXXXX.json)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BENCH_OUT"' EXIT
+step "experiment smoke: table1 and par_scaling at small size + metrics validation"
+# The figure binaries still run end to end: table1 at 2,000 tuples and
+# par_scaling at 2,000 rows (which asserts parallel verdicts equal the
+# serial pass at 1/2/4/8 workers and bounds the telemetry overhead). Each
+# writes the metrics document `relcheck run --metrics` emits, and both
+# documents must validate.
+TABLE1_METRICS="$(mktemp /tmp/relcheck-table1.XXXXXX.json)"
+PAR_METRICS="$(mktemp /tmp/relcheck-par.XXXXXX.json)"
+trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$ADVISE_DIR" "$ADVISE_A" "$ADVISE_B" "$ROUTE_STATIC" "$ROUTE_AUTO" "$NEG_DOC" "$TABLE1_METRICS" "$PAR_METRICS"' EXIT
 cargo run --release --quiet -p relcheck-bench --bin table1 -- \
-    --tuples 2000 --samples 1 --json "$BENCH_OUT" >/dev/null
-cargo run --release --quiet --bin relcheck -- bench-check "$BENCH_OUT"
-committed=""
-for f in BENCH_table1.json BENCH_par_scaling.json BENCH_dynamic.json; do
-    [ -f "$f" ] && committed="$committed $f"
-done
-if [ -n "$committed" ]; then
-    # shellcheck disable=SC2086 # word-splitting the file list is intended
-    cargo run --release --quiet --bin relcheck -- bench-check $committed
-fi
+    --tuples 2000 --metrics "$TABLE1_METRICS" >/dev/null
+cargo run --release --quiet -p relcheck-bench --bin par_scaling -- \
+    --rows 2000 --samples 1 --metrics "$PAR_METRICS" >/dev/null
+cargo run --release --quiet --bin relcheck -- metrics-check "$TABLE1_METRICS"
+cargo run --release --quiet --bin relcheck -- metrics-check "$PAR_METRICS"
 
 step "formatting (cargo fmt --check)"
 cargo fmt --all --check

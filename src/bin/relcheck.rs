@@ -10,7 +10,6 @@
 //! relcheck audit emit <spec-file> <bundle.json> [--witness-limit N] [--ordering STRATEGY]
 //! relcheck audit verify <spec-file> <bundle.json>
 //! relcheck metrics-check <metrics.json>
-//! relcheck bench-check <BENCH.json>...
 //! relcheck index <build|verify|repair|gc|apply> <spec-file> --index-cache DIR
 //!                [deltas...] [--ordering STRATEGY] [--fail-spec SPEC] [--fail-seed N]
 //! relcheck serve <spec-file> [--index-cache DIR] [--socket PATH] [--ordering STRATEGY]
@@ -119,8 +118,8 @@ use relcheck::core_::serve::{
 };
 use relcheck::core_::store::{Delta, IndexStore, VerifyStatus};
 use relcheck::core_::telemetry::{
-    validate_bench_json, validate_metrics_json, validate_plan_json, AuditMetrics, FleetTelemetry,
-    RunMetrics, WorkerTelemetry,
+    validate_metrics_json, validate_plan_json, AuditMetrics, FleetTelemetry, RunMetrics,
+    WorkerTelemetry,
 };
 use relcheck::logic::Formula;
 use relcheck::relstore::Database;
@@ -155,7 +154,6 @@ fn usage() -> String {
      relcheck audit emit <spec-file> <bundle.json> [--witness-limit N] [--ordering STRATEGY]\n  \
      relcheck audit verify <spec-file> <bundle.json>\n  \
      relcheck metrics-check <metrics.json>\n  \
-     relcheck bench-check <BENCH.json>...\n  \
      relcheck index <build|verify|repair|gc|apply> <spec-file> --index-cache DIR \
      [+REL:v1,v2 | -REL:v1,v2 ...]\n  \
      relcheck serve <spec-file> [--index-cache DIR] [--socket PATH] [--ordering STRATEGY] \
@@ -174,7 +172,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         "advise" => cmd_advise(&args[1..]).map(|()| true),
         "audit" => cmd_audit(&args[1..]),
         "metrics-check" => cmd_metrics_check(&args[1..]).map(|()| true),
-        "bench-check" => cmd_bench_check(&args[1..]).map(|()| true),
         "index" => cmd_index(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
         "connect" => cmd_connect(&args[1..]),
@@ -1350,20 +1347,6 @@ fn cmd_metrics_check(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     validate_metrics_json(&text).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: valid metrics document");
-    Ok(())
-}
-
-/// Validate one or more `BENCH_*.json` benchmark-trajectory documents
-/// against the BENCH schema (see DESIGN.md).
-fn cmd_bench_check(args: &[String]) -> Result<(), String> {
-    if args.is_empty() {
-        return Err(usage());
-    }
-    for path in args {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        validate_bench_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: valid bench document");
-    }
     Ok(())
 }
 
