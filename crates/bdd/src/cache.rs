@@ -6,7 +6,8 @@
 //! trades a small amount of recomputation for O(1) lookup with no
 //! allocation on the hot path — the standard design in production BDD
 //! packages. The cache must be invalidated whenever node indices are
-//! recycled (i.e. after garbage collection).
+//! recycled (i.e. after garbage collection); that costs O(1), because
+//! each entry carries the generation it was written in.
 
 use crate::hash::mix3;
 
@@ -36,7 +37,15 @@ pub(crate) enum OpCode {
     Constrain,
 }
 
+/// Bits of an entry's op word that hold the [`OpCode`]; the bits above
+/// hold the cache generation the entry was written in.
+const CODE_BITS: u32 = 12;
+
+/// Generations before the tag wraps and the slots must really be emptied.
+const GENERATIONS: u32 = 1 << (32 - CODE_BITS);
+
 impl OpCode {
+    /// A nonzero code below `1 << CODE_BITS`.
     #[inline]
     fn encode(self) -> u32 {
         match self {
@@ -164,6 +173,9 @@ const EMPTY: Entry = Entry {
 pub(crate) struct OpCache {
     slots: Vec<Entry>,
     mask: u64,
+    /// Tag of the current generation: an entry hits only if it was written
+    /// since the last [`OpCache::invalidate`].
+    generation: u32,
     hits: [u64; OP_KINDS],
     misses: [u64; OP_KINDS],
 }
@@ -175,21 +187,30 @@ impl OpCache {
         OpCache {
             slots: vec![EMPTY; cap],
             mask: (cap - 1) as u64,
+            generation: 0,
             hits: [0; OP_KINDS],
             misses: [0; OP_KINDS],
         }
     }
 
+    /// Slot of a key; hashes the untagged code, so a key's slot does not
+    /// depend on the generation.
     #[inline]
-    fn index(&self, op: u32, a: u32, b: u32, c: u32) -> usize {
-        ((mix3(a, b, c) ^ (op as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) & self.mask) as usize
+    fn index(&self, code: u32, a: u32, b: u32, c: u32) -> usize {
+        ((mix3(a, b, c) ^ (code as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) & self.mask) as usize
+    }
+
+    #[inline]
+    fn tagged(&self, code: u32) -> u32 {
+        code | self.generation << CODE_BITS
     }
 
     #[inline]
     pub(crate) fn get(&mut self, op: OpCode, a: u32, b: u32, c: u32) -> Option<u32> {
         let kind = op.kind().index();
-        let op = op.encode();
-        let e = &self.slots[self.index(op, a, b, c)];
+        let code = op.encode();
+        let op = self.tagged(code);
+        let e = &self.slots[self.index(code, a, b, c)];
         if e.result != u32::MAX && e.op == op && e.a == a && e.b == b && e.c == c {
             self.hits[kind] += 1;
             Some(e.result)
@@ -201,10 +222,10 @@ impl OpCache {
 
     #[inline]
     pub(crate) fn put(&mut self, op: OpCode, a: u32, b: u32, c: u32, result: u32) {
-        let op = op.encode();
-        let idx = self.index(op, a, b, c);
+        let code = op.encode();
+        let idx = self.index(code, a, b, c);
         self.slots[idx] = Entry {
-            op,
+            op: self.tagged(code),
             a,
             b,
             c,
@@ -214,8 +235,13 @@ impl OpCache {
 
     /// Drop all entries. Must be called whenever node indices may be reused
     /// (after a GC sweep) — a stale hit would silently corrupt results.
+    /// Starting a new generation retires every entry at once; only when the
+    /// tag wraps, and an old tag could match again, are the slots emptied.
     pub(crate) fn invalidate(&mut self) {
-        self.slots.fill(EMPTY);
+        self.generation = (self.generation + 1) % GENERATIONS;
+        if self.generation == 0 {
+            self.slots.fill(EMPTY);
+        }
     }
 
     /// Total hits across all operation kinds.
@@ -277,6 +303,41 @@ mod tests {
         c.invalidate();
         for i in 0..500u32 {
             assert_eq!(c.get(OpCode::Not, i, 0, 0), None);
+        }
+    }
+
+    #[test]
+    fn no_stale_hit_across_the_tag_wrap() {
+        let mut c = OpCache::new(1024);
+        c.put(OpCode::Not, 3, 0, 0, 4);
+        // A full cycle of generations brings the tag back to the one the
+        // entry was written with; the refill at the wrap must have dropped it.
+        for _ in 0..GENERATIONS {
+            c.invalidate();
+        }
+        assert_eq!(c.generation, 0);
+        assert_eq!(c.get(OpCode::Not, 3, 0, 0), None);
+        c.put(OpCode::Not, 3, 0, 0, 4);
+        assert_eq!(c.get(OpCode::Not, 3, 0, 0), Some(4));
+    }
+
+    #[test]
+    fn every_code_fits_below_the_tag() {
+        let codes = [
+            OpCode::Apply(u8::MAX),
+            OpCode::Not,
+            OpCode::Ite,
+            OpCode::Exists,
+            OpCode::Forall,
+            OpCode::AppExists(u8::MAX),
+            OpCode::AppForall(u8::MAX),
+            OpCode::Replace,
+            OpCode::Restrict,
+            OpCode::Constrain,
+        ];
+        for code in codes {
+            let e = code.encode();
+            assert!(e != 0 && e < 1 << CODE_BITS, "{code:?} encodes to {e:#x}");
         }
     }
 

@@ -26,6 +26,11 @@ pub const NODE_BYTES: usize = 3 * std::mem::size_of::<u32>();
 /// Sentinel level for the two terminal nodes.
 pub(crate) const LEVEL_TERMINAL: u32 = u32::MAX;
 
+/// Poison level of a free-list slot: a sweep writes it into every slot it
+/// frees, so stale handles fail fast in debug runs and a full collection
+/// can tell free slots from live ones without consulting the free list.
+const LEVEL_FREE: u32 = LEVEL_TERMINAL - 1;
+
 /// A handle to a BDD node (and thereby to the boolean function rooted
 /// there). `Copy`-able; valid only within the manager that created it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -207,7 +212,8 @@ pub struct OpStats {
 pub struct ManagerStats {
     /// Nodes currently live (excluding the two terminals).
     pub live_nodes: usize,
-    /// High-water mark of live nodes.
+    /// High-water mark of [`BddManager::arena_slots`]: live nodes plus
+    /// free-list holes, so it never falls when a collection frees nodes.
     pub peak_nodes: usize,
     /// Total nodes ever created (counting re-creations after GC).
     pub created_nodes: u64,
@@ -293,6 +299,15 @@ pub struct BddManager {
     pub(crate) arena: NodeArena,
     unique: FxHashMap<(u32, u32, u32), u32>,
     free: Vec<u32>,
+    /// Roots of the last collection, as sorted distinct slots. While each
+    /// of them is again a root, that collection's survivors all survive the
+    /// next one (see [`BddManager::gc`]).
+    gc_roots: Vec<u32>,
+    /// Arena length at the end of the last collection: every slot from
+    /// here on was created since.
+    young_from: usize,
+    /// Free-list slots `mk` has reused since the last collection.
+    reused: Vec<u32>,
     pub(crate) cache: OpCache,
     num_vars: u32,
     node_limit: Option<usize>,
@@ -332,6 +347,9 @@ impl BddManager {
             arena: NodeArena::with_terminals(),
             unique: FxHashMap::default(),
             free: Vec::new(),
+            gc_roots: Vec::new(),
+            young_from: 2,
+            reused: Vec::new(),
             cache: OpCache::new(cache_slots),
             num_vars: 0,
             node_limit: None,
@@ -539,6 +557,7 @@ impl BddManager {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.arena.set(i, level, low.0, high.0);
+                self.reused.push(i);
                 i
             }
             None => self.arena.push(level, low.0, high.0),
@@ -626,59 +645,101 @@ impl BddManager {
     }
 
     /// Mark-and-sweep garbage collection. Every node not reachable from
-    /// `roots` is reclaimed onto the free list; the operation cache is
-    /// invalidated (node indices may be recycled).
+    /// `roots` is reclaimed onto the free list, in ascending slot order; the
+    /// operation cache is invalidated (node indices may be recycled).
+    ///
+    /// The collection is generational when every root of the previous
+    /// collection (or [`BddManager::compact`]) is again among `roots` — the
+    /// steady state between checks. The previous survivors are then all
+    /// still reachable, and a node never points at a younger one, so only
+    /// the nodes created since — slots appended past the previous arena
+    /// length and free-list slots `mk` reused — are marked and swept.
+    /// Otherwise every occupied slot is. Either way the same nodes are
+    /// freed, in the same order.
     pub fn gc(&mut self, roots: &[Bdd]) -> GcStats {
-        let mut marked = self.mark(roots);
-        // Nodes already on the free list must not be freed twice.
-        for &i in &self.free {
-            marked[i as usize] = true;
-        }
+        let root_slots = sorted_slots(roots);
+        let young = is_sorted_subset(&self.gc_roots, &root_slots);
+        self.collect(roots, root_slots, young)
+    }
+
+    /// [`BddManager::gc`] that always marks and sweeps every occupied slot:
+    /// the reference the generational path is tested against.
+    #[doc(hidden)]
+    pub fn gc_full(&mut self, roots: &[Bdd]) -> GcStats {
+        self.collect(roots, sorted_slots(roots), false)
+    }
+
+    /// Mark from `roots` through the young slots (or every occupied slot)
+    /// and free the candidates left unmarked.
+    fn collect(&mut self, roots: &[Bdd], root_slots: Vec<u32>, young: bool) -> GcStats {
+        let len = self.arena.len() as u32;
+        let candidates: Vec<u32> = if young {
+            let mut slots = std::mem::take(&mut self.reused);
+            slots.sort_unstable();
+            slots.extend(self.young_from as u32..len);
+            slots
+        } else {
+            (2..len)
+                .filter(|&i| self.arena.level(i) != LEVEL_FREE)
+                .collect()
+        };
+        let live = self.mark(roots, &candidates);
         let mut freed = 0;
-        for (i, &live) in marked.iter().enumerate().skip(2) {
-            if !live {
-                let n = self.arena.get(i as u32);
+        for &i in &candidates {
+            if !live[i as usize] {
+                let n = self.arena.get(i);
                 self.unique.remove(&(n.level, n.low, n.high));
-                // Poison the entry so stale handles fail fast in debug runs.
-                self.arena.set(i as u32, LEVEL_TERMINAL - 1, 0, 0);
-                self.free.push(i as u32);
+                self.arena.set(i, LEVEL_FREE, 0, 0);
+                self.free.push(i);
                 freed += 1;
             }
         }
-        self.cache.invalidate();
-        self.gc_runs += 1;
+        self.finish_collection(root_slots);
         GcStats {
             freed,
             live: self.live_nodes(),
         }
     }
 
-    /// Reachability bitmap from `roots` (terminals always marked).
-    fn mark(&self, roots: &[Bdd]) -> Vec<bool> {
-        let mut marked = vec![false; self.arena.len()];
-        marked[0] = true;
-        marked[1] = true;
+    /// Record `root_slots` as the roots of the collection just done: the
+    /// nodes created from here on are the next collection's young ones.
+    fn finish_collection(&mut self, root_slots: Vec<u32>) {
+        self.gc_roots = root_slots;
+        self.young_from = self.arena.len();
+        self.reused.clear();
+        self.cache.invalidate();
+        self.gc_runs += 1;
+    }
+
+    /// Reachability from `roots` through the `candidates` slots: false
+    /// exactly at the candidates no root reaches. Every other slot reads
+    /// true and is not descended into.
+    fn mark(&self, roots: &[Bdd], candidates: &[u32]) -> Vec<bool> {
+        let mut live = vec![true; self.arena.len()];
+        for &i in candidates {
+            live[i as usize] = false;
+        }
         let mut stack: Vec<u32> = roots.iter().map(|b| b.0).collect();
         while let Some(i) = stack.pop() {
-            let i = i as usize;
-            if marked[i] {
+            if live[i as usize] {
                 continue;
             }
-            marked[i] = true;
-            let n = self.arena.get(i as u32);
+            live[i as usize] = true;
+            let n = self.arena.get(i);
             stack.push(n.low);
             stack.push(n.high);
         }
-        marked
+        live
     }
 
     /// In-place arena compaction: slide every node reachable from `roots`
-    /// down into the lowest-numbered slots (preserving relative order, so
-    /// children keep lower indices than parents), rewrite all child
-    /// pointers and unique-table entries, truncate the arena, and empty
-    /// the free list. Unreachable nodes are reclaimed as a side effect —
-    /// compaction subsumes a [`BddManager::gc`] sweep (and counts as one
-    /// in [`ManagerStats::gc_runs`]).
+    /// down into the lowest-numbered slots (preserving their relative
+    /// order), rewrite all child pointers and unique-table entries,
+    /// truncate the arena, and empty the free list. Unreachable nodes are
+    /// reclaimed as a side effect — compaction subsumes a
+    /// [`BddManager::gc`] sweep (and counts as one in
+    /// [`ManagerStats::gc_runs`]; the next `gc` is young if it keeps
+    /// these roots).
     ///
     /// The handles in `roots` are **remapped in place**; every other
     /// outstanding [`Bdd`] handle is invalidated, exactly like handles not
@@ -686,11 +747,14 @@ impl BddManager {
     /// and [`ManagerStats::peak_nodes`] is untouched: it is the monotone
     /// arena high-water mark, not the post-compaction occupancy.
     pub fn compact(&mut self, roots: &mut [Bdd]) -> CompactStats {
-        let marked = self.mark(roots);
         let slots_before = self.arena.len();
-        // Destination of every live slot: live nodes keep their relative
-        // order, so a node's children (always lower-indexed than their
-        // parent — `mk` creates bottom-up) are remapped before it.
+        let all: Vec<u32> = (2..slots_before as u32).collect();
+        let marked = self.mark(roots, &all);
+        // Destination of every live slot. A child may sit above its parent
+        // (`mk` reuses the highest freed slot first), so `remap` is filled
+        // completely before any node is rewritten. Live nodes keep their
+        // relative order, so `remap[i] <= i`: a slot is read before any
+        // write can land on it.
         let mut remap: Vec<u32> = vec![0; slots_before];
         let mut next: u32 = 2;
         let mut relocated = 0usize;
@@ -719,8 +783,7 @@ impl BddManager {
         for r in roots.iter_mut() {
             *r = Bdd(remap[r.0 as usize]);
         }
-        self.cache.invalidate();
-        self.gc_runs += 1;
+        self.finish_collection(sorted_slots(roots));
         CompactStats {
             live: self.live_nodes(),
             reclaimed_slots: slots_before - next as usize,
@@ -756,6 +819,20 @@ impl BddManager {
     pub fn node_bytes(&self) -> usize {
         self.live_nodes() * NODE_BYTES
     }
+}
+
+/// The slots of `roots`, sorted and deduplicated.
+fn sorted_slots(roots: &[Bdd]) -> Vec<u32> {
+    let mut slots: Vec<u32> = roots.iter().map(|b| b.0).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    slots
+}
+
+/// Is every element of sorted `sub` also in sorted `sup`?
+fn is_sorted_subset(sub: &[u32], sup: &[u32]) -> bool {
+    let mut rest = sup.iter();
+    sub.iter().all(|x| rest.any(|y| y == x))
 }
 
 #[cfg(test)]
@@ -913,6 +990,34 @@ mod tests {
         let xb = m.var(v1).unwrap();
         let again = m.and(xa, xb).unwrap();
         assert_eq!(again, keep_a);
+    }
+
+    #[test]
+    fn compact_handles_parents_below_their_children() {
+        let mut m = BddManager::new();
+        let vars: Vec<Var> = (0..3).map(|_| m.new_var()).collect();
+        // Five garbage nodes at slots 2..=6; the sweep frees them all, and
+        // `mk` reuses the highest freed slot first.
+        for &v in &vars[..2] {
+            m.var(v).unwrap();
+            m.nvar(v).unwrap();
+        }
+        m.var(vars[2]).unwrap();
+        m.gc(&[]);
+        // Built bottom-up, so each parent lands one slot below its child.
+        let x2 = m.var(vars[2]).unwrap();
+        let f = m.mk(vars[1], Bdd::FALSE, x2).unwrap();
+        let g = m.mk(vars[0], f, Bdd::TRUE).unwrap();
+        assert_eq!((g.0, f.0, x2.0), (4, 5, 6));
+        let vs = m.varset(&vars);
+        let count = m.sat_count(g, vs);
+        let frame = m.export(g).to_bytes();
+        let mut roots = [g];
+        let stats = m.compact(&mut roots);
+        assert_eq!(stats.relocated, 3);
+        assert_eq!(roots[0], Bdd(2));
+        assert_eq!(m.sat_count(roots[0], vs), count);
+        assert_eq!(m.export(roots[0]).to_bytes(), frame);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 # CARGO_NET_OFFLINE is forced below as a belt-and-braces guard.
 #
 # Usage: scripts/ci.sh [--quick]
-#   --quick   skip the full workspace test pass (tier-1 + fmt + clippy only)
+#   --quick   skip the workspace and perfbench test passes (tier-1 + fmt + clippy only)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,6 +33,13 @@ cargo test -q
 if [ "$QUICK" -eq 0 ]; then
     step "full workspace tests"
     cargo test -q --workspace
+
+    # perfbench/ is a workspace of its own, so the pass above never reaches
+    # its tests; exact_counts.rs is the one that checks op counts repeat and
+    # every benchmark answer is right.
+    step "perfbench tests"
+    CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+        --manifest-path perfbench/Cargo.toml
 fi
 
 step "metrics smoke: relcheck run --metrics on testdata/ + schema validation"
