@@ -20,7 +20,7 @@
 use crate::error::{CoreError, Result};
 use crate::index::LogicalDatabase;
 use crate::ordering::OrderingStrategy;
-use crate::plan::{fnv1a, formula_fingerprint, CheckPlan, PlanOptions, SqlStep};
+use crate::plan::{fnv1a, formula_fingerprint, BddStep, BddTest, CheckPlan, PlanOptions, SqlStep};
 use crate::sqlgen::{self, Shape};
 use crate::telemetry::{
     CheckTrace, FallbackReason, FleetTelemetry, IndexEvent, IndexProvenance, PassStat,
@@ -284,10 +284,6 @@ fn abort_reason(b: &BddError) -> FallbackReason {
     }
 }
 
-/// Named output columns plus rows of dictionary codes — what
-/// [`Checker::find_violations_bdd`] produces.
-pub type CodedViolations = (Vec<String>, Vec<Vec<u32>>);
-
 /// A bounded violation sample with an exact total, produced by
 /// [`Checker::find_violations_counted`] for certificate emission: the
 /// outer-∀ variable names in prefix order, their inferred attribute
@@ -319,12 +315,13 @@ pub struct IndexInfo {
     pub sql_only: bool,
 }
 
-/// EXPLAIN output for a constraint (see [`Checker::explain`]).
+/// The BDD step of a plan as [`Checker::explain`] reports it.
 #[derive(Debug, Clone)]
-pub struct Explanation {
-    /// The quantifier prefix after prenex conversion, outermost first.
+pub struct BddStepInfo {
+    /// The leading quantifiers of the formula domains are allocated over
+    /// (the prenex form, unless the plan skips that pass), outermost first.
     pub prenex_prefix: Vec<String>,
-    /// The quantifier-free matrix.
+    /// The formula under that prefix (quantifier-free after prenexing).
     pub matrix: String,
     /// How many leading quantifiers the §4.1 rule eliminates.
     pub stripped_leading: usize,
@@ -333,6 +330,42 @@ pub struct Explanation {
     /// The formula the BDD compiler actually processes (after negation,
     /// push-down, simplification).
     pub compiled_body: String,
+}
+
+impl BddStepInfo {
+    fn of(step: &BddStep) -> BddStepInfo {
+        let mut prefix = Vec::new();
+        let mut matrix = &step.alloc;
+        loop {
+            let (q, vs, g) = match matrix {
+                Formula::Forall(vs, g) => ("∀", vs, g),
+                Formula::Exists(vs, g) => ("∃", vs, g),
+                _ => break,
+            };
+            prefix.extend(vs.iter().map(|v| format!("{q}{v}")));
+            matrix = g;
+        }
+        BddStepInfo {
+            prenex_prefix: prefix,
+            matrix: matrix.to_string(),
+            stripped_leading: step.stripped.len(),
+            mode: match step.test {
+                BddTest::ViolationsEmpty => {
+                    "validity, tested by refutation (violation set must be empty)"
+                }
+                BddTest::Satisfiable => "satisfiability (compiled BDD must be non-false)",
+            },
+            compiled_body: step.body.to_string(),
+        }
+    }
+}
+
+/// EXPLAIN output for a constraint (see [`Checker::explain`]).
+#[derive(Debug, Clone)]
+pub struct Explanation {
+    /// The plan's BDD step, or `None` when the plan skips it because a
+    /// relation the constraint reads is SQL-only.
+    pub bdd: Option<BddStepInfo>,
     /// Per-relation index details.
     pub indices: Vec<IndexInfo>,
     /// The SQL fallback plan, if the constraint is in the translatable
@@ -342,14 +375,22 @@ pub struct Explanation {
 
 impl std::fmt::Display for Explanation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "prenex prefix : {}", self.prenex_prefix.join(" "))?;
-        writeln!(f, "matrix        : {}", self.matrix)?;
-        writeln!(
-            f,
-            "leading quant : {} eliminated -> {}",
-            self.stripped_leading, self.mode
-        )?;
-        writeln!(f, "compiled body : {}", self.compiled_body)?;
+        match &self.bdd {
+            Some(b) => {
+                writeln!(f, "prenex prefix : {}", b.prenex_prefix.join(" "))?;
+                writeln!(f, "matrix        : {}", b.matrix)?;
+                writeln!(
+                    f,
+                    "leading quant : {} eliminated -> {}",
+                    b.stripped_leading, b.mode
+                )?;
+                writeln!(f, "compiled body : {}", b.compiled_body)?;
+            }
+            None => writeln!(
+                f,
+                "bdd step      : skipped (a relation it reads is SQL-only)"
+            )?,
+        }
         for i in &self.indices {
             if i.sql_only {
                 writeln!(f, "index {}: SQL-only (over node budget)", i.relation)?;
@@ -574,21 +615,43 @@ impl Checker {
         fnv1a(&bytes)
     }
 
-    /// Build (without executing) the [`CheckPlan`] for a constraint under
-    /// the current options — what `relcheck plan` prints. Ensures the
-    /// referenced indices exist first, exactly as a check would, so the
-    /// plan's BDD/SQL routing and fingerprints match what
-    /// [`Checker::check`] will do next.
-    pub fn plan(&mut self, f: &Formula) -> Result<CheckPlan> {
+    /// The preamble of every entry point that plans a constraint: reject
+    /// free variables, then index every relation the constraint reads (or
+    /// find it SQL-only). Returns one [`IndexEvent`] per relation, in
+    /// reference order.
+    fn prepare(&mut self, f: &Formula) -> Result<Vec<IndexEvent>> {
         let free = f.free_vars();
         if !free.is_empty() {
             return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
                 free,
             )));
         }
-        for rel in Self::referenced_relations(f) {
-            self.ensure_index(&rel)?;
-        }
+        Self::referenced_relations(f)
+            .into_iter()
+            .map(|relation| {
+                let had = self.ldb.has_index(&relation);
+                let provenance = if !self.ensure_index(&relation)? {
+                    IndexProvenance::SqlOnly
+                } else if had {
+                    IndexProvenance::Reused
+                } else {
+                    IndexProvenance::Built
+                };
+                Ok(IndexEvent {
+                    relation,
+                    provenance,
+                })
+            })
+            .collect()
+    }
+
+    /// Build (without executing) the [`CheckPlan`] for a constraint under
+    /// the current options — what `relcheck plan` prints. Ensures the
+    /// referenced indices exist first, exactly as a check would, so the
+    /// plan's BDD/SQL routing and fingerprints match what
+    /// [`Checker::check`] will do next.
+    pub fn plan(&mut self, f: &Formula) -> Result<CheckPlan> {
+        self.prepare(f)?;
         let fp = self.schema_fingerprint();
         Ok(crate::planner::plan_check(
             self.ldb.db(),
@@ -604,15 +667,7 @@ impl Checker {
     /// construction bumps the data version, so computing the key before
     /// ensuring would poison it and repeated checks would never hit.
     pub fn plan_key(&mut self, f: &Formula) -> Result<(u64, u64)> {
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
-        for rel in Self::referenced_relations(f) {
-            self.ensure_index(&rel)?;
-        }
+        self.prepare(f)?;
         Ok((formula_fingerprint(f), self.schema_fingerprint()))
     }
 
@@ -656,37 +711,13 @@ impl Checker {
         cached: Option<&CheckPlan>,
     ) -> Result<(CheckReport, CheckPlan)> {
         let start = Instant::now();
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
         let tel = self.opts.telemetry;
         let stats_before = tel.then(|| self.ldb.manager().stats());
-        // Make sure every referenced relation is indexed (or marked
-        // SQL-only).
         let index_start = tel.then(Instant::now);
-        let mut index_events: Vec<IndexEvent> = Vec::new();
-        let mut all_indexed = true;
-        for rel in Self::referenced_relations(f) {
-            let had = self.ldb.has_index(&rel);
-            let ok = self.ensure_index(&rel)?;
-            all_indexed &= ok;
-            if tel {
-                let provenance = if !ok {
-                    IndexProvenance::SqlOnly
-                } else if had {
-                    IndexProvenance::Reused
-                } else {
-                    IndexProvenance::Built
-                };
-                index_events.push(IndexEvent {
-                    relation: rel,
-                    provenance,
-                });
-            }
-        }
+        let index_events = self.prepare(f)?;
+        let all_indexed = index_events
+            .iter()
+            .all(|e| e.provenance != IndexProvenance::SqlOnly);
         let index_time = index_start.map(|t| t.elapsed()).unwrap_or_default();
         // Obtain the plan: reuse the caller's cached one only if both
         // fingerprints still match the constraint and the current
@@ -1014,53 +1045,37 @@ impl Checker {
         )
     }
 
-    /// Materialize up to `limit` violating assignments **on the BDD path**:
-    /// build the violation-set BDD (premise ∧ ¬conclusion over the outer ∀
-    /// variables) and enumerate its tuples, without touching SQL. Returns
-    /// `None` when the constraint is not ∀-prefixed, a referenced relation
-    /// is SQL-only, or the node budget aborts (callers then use
+    /// Materialize up to `limit` violating assignments **on the BDD path**,
+    /// with provenance for certificates: build the violation-set BDD
+    /// (premise ∧ ¬conclusion over the outer ∀ variables,
+    /// [`crate::exec::violations_bdd`]), count it exactly with
+    /// [`tuple_count`] (domain ranges are conjoined into it, so the count
+    /// never includes out-of-range encodings) and enumerate up to `limit`
+    /// rows of dictionary codes, without touching SQL. Returns `None` when
+    /// the constraint is not ∀-prefixed, a referenced relation is SQL-only,
+    /// or the node budget aborts (callers then use
     /// [`Checker::find_violations`]).
     ///
-    /// Output: `(variable names, rows of dictionary codes)` — decode codes
-    /// through the database's class dictionaries.
-    pub fn find_violations_bdd(
+    /// [`tuple_count`]: relcheck_bdd::BddManager::tuple_count
+    pub fn find_violations_counted(
         &mut self,
         f: &Formula,
         limit: usize,
-    ) -> Result<Option<CodedViolations>> {
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
+    ) -> Result<Option<CountedViolations>> {
+        let events = self.prepare(f)?;
+        if events
+            .iter()
+            .any(|e| e.provenance == IndexProvenance::SqlOnly)
+        {
+            return Ok(None);
         }
-        for rel in Self::referenced_relations(f) {
-            if !self.ensure_index(&rel)? {
-                return Ok(None);
-            }
-        }
-        let result = match crate::exec::violations_bdd(&mut self.ldb, f, self.opts.plan) {
-            Ok(Some(vs)) => {
-                let doms: Vec<_> = vs.vars.iter().map(|(_, d, _)| *d).collect();
-                let names: Vec<String> = vs.vars.iter().map(|(v, _, _)| v.clone()).collect();
-                let rows = self
-                    .ldb
-                    .manager_mut()
-                    .rows_limited(vs.bdd, &doms, limit)
-                    .map_err(CoreError::Bdd)?;
-                let rows: Vec<Vec<u32>> = rows
-                    .into_iter()
-                    .map(|r| r.into_iter().map(|v| v as u32).collect())
-                    .collect();
-                Ok(Some((names, rows)))
-            }
-            Ok(None) => Ok(None),
+        let result = match self.counted_violations(f, limit) {
             Err(e) if budget_abort(&e).is_some() => {
                 self.ldb.shed_atom_cache();
                 self.ldb.gc();
                 Ok(None)
             }
-            Err(e) => Err(e),
+            other => other,
         };
         if self.opts.gc_between_checks {
             self.ldb.gc();
@@ -1068,74 +1083,31 @@ impl Checker {
         result
     }
 
-    /// [`find_violations_bdd`] plus provenance for certificates: attribute
-    /// classes per variable and the **exact** violation count from
-    /// [`sat_count`] over the violation BDD (domain ranges are conjoined
-    /// into it, so the count never includes out-of-range encodings). Same
-    /// `None` conditions as [`find_violations_bdd`].
-    ///
-    /// [`find_violations_bdd`]: Checker::find_violations_bdd
-    /// [`sat_count`]: relcheck_bdd::BddManager::sat_count
-    pub fn find_violations_counted(
+    /// The BDD work of [`Checker::find_violations_counted`], budget aborts
+    /// propagated.
+    fn counted_violations(
         &mut self,
         f: &Formula,
         limit: usize,
     ) -> Result<Option<CountedViolations>> {
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
-        for rel in Self::referenced_relations(f) {
-            if !self.ensure_index(&rel)? {
-                return Ok(None);
-            }
-        }
-        let result = match crate::exec::violations_bdd(&mut self.ldb, f, self.opts.plan) {
-            Ok(Some(vs)) => {
-                let doms: Vec<_> = vs.vars.iter().map(|(_, d, _)| *d).collect();
-                let vars: Vec<String> = vs.vars.iter().map(|(v, _, _)| v.clone()).collect();
-                let classes: Vec<String> = vs.vars.iter().map(|(_, _, c)| c.clone()).collect();
-                let mgr = self.ldb.manager_mut();
-                let count = mgr.tuple_count(vs.bdd, &doms).map_err(CoreError::Bdd);
-                let rows = count.and_then(|total| {
-                    let rows = mgr
-                        .rows_limited(vs.bdd, &doms, limit)
-                        .map_err(CoreError::Bdd)?;
-                    let rows: Vec<Vec<u32>> = rows
-                        .into_iter()
-                        .map(|r| r.into_iter().map(|v| v as u32).collect())
-                        .collect();
-                    Ok((rows, total))
-                });
-                match rows {
-                    Ok((rows, total)) => Ok(Some(CountedViolations {
-                        vars,
-                        classes,
-                        rows,
-                        total,
-                    })),
-                    Err(e) if budget_abort(&e).is_some() => {
-                        self.ldb.shed_atom_cache();
-                        self.ldb.gc();
-                        Ok(None)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            Ok(None) => Ok(None),
-            Err(e) if budget_abort(&e).is_some() => {
-                self.ldb.shed_atom_cache();
-                self.ldb.gc();
-                Ok(None)
-            }
-            Err(e) => Err(e),
+        let Some(vs) = crate::exec::violations_bdd(&mut self.ldb, f, self.opts.plan)? else {
+            return Ok(None);
         };
-        if self.opts.gc_between_checks {
-            self.ldb.gc();
-        }
-        result
+        let doms: Vec<_> = vs.vars.iter().map(|(_, d, _)| *d).collect();
+        let mgr = self.ldb.manager_mut();
+        let total = mgr.tuple_count(vs.bdd, &doms)?;
+        let rows = mgr
+            .rows_limited(vs.bdd, &doms, limit)?
+            .into_iter()
+            .map(|r| r.into_iter().map(|v| v as u32).collect())
+            .collect();
+        let (vars, classes) = vs.vars.into_iter().map(|(v, _, c)| (v, c)).unzip();
+        Ok(Some(CountedViolations {
+            vars,
+            classes,
+            rows,
+            total,
+        }))
     }
 
     /// Check the functional dependency `lhs → rhs` on a relation via BDD
@@ -1184,84 +1156,33 @@ impl Checker {
     }
 
     /// EXPLAIN-style description of how a constraint would be evaluated:
-    /// the rewrite pipeline's intermediate forms, the indices involved,
-    /// and the SQL fallback plan (if the constraint is translatable).
-    /// Ensures indices exist (so node counts are real) but runs no check.
+    /// the BDD step of the plan [`Checker::check`] would run (prefix,
+    /// stripped block, test and compiled body), the indices involved, and
+    /// the SQL fallback plan (if the constraint is translatable). Ensures
+    /// indices exist (so node counts are real) but runs no check.
     pub fn explain(&mut self, f: &Formula) -> Result<Explanation> {
-        use relcheck_logic::transform::{
-            push_forall_down, simplify, strip_leading_block, to_nnf, to_prenex, CheckMode,
-        };
-        let free = f.free_vars();
-        if !free.is_empty() {
-            return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
-                free,
-            )));
-        }
-        let mut indices = Vec::new();
-        for rel in Self::referenced_relations(f) {
-            let indexed = self.ensure_index(&rel)?;
-            let detail = if indexed {
-                let idx = self.ldb.index(&rel).expect("just ensured");
-                IndexInfo {
-                    relation: rel.clone(),
+        let plan = self.plan(f)?;
+        let indices = Self::referenced_relations(f)
+            .into_iter()
+            .map(|relation| match self.ldb.index(&relation) {
+                Some(idx) if !self.sql_only.contains(&relation) => IndexInfo {
                     nodes: self.ldb.manager().size(idx.root),
                     ordering: idx.ordering.clone(),
                     sql_only: false,
-                }
-            } else {
-                IndexInfo {
-                    relation: rel.clone(),
+                    relation,
+                },
+                _ => IndexInfo {
+                    relation,
                     nodes: 0,
                     ordering: vec![],
                     sql_only: true,
-                }
-            };
-            indices.push(detail);
-        }
-        let p = to_prenex(f);
-        let (mode, rest) = strip_leading_block(&p);
-        let prefix: Vec<String> = p
-            .prefix
-            .iter()
-            .map(|(q, v)| {
-                format!(
-                    "{}{v}",
-                    if *q == relcheck_logic::transform::Quant::Forall {
-                        "∀"
-                    } else {
-                        "∃"
-                    }
-                )
+                },
             })
             .collect();
-        let stripped = p.prefix.len() - rest.prefix.len();
-        let (mode_name, compiled_body) = match mode {
-            CheckMode::Validity => (
-                "validity, tested by refutation (violation set must be empty)",
-                format!(
-                    "{}",
-                    simplify(&push_forall_down(&to_nnf(
-                        &crate::planner::rebuild(&rest).not()
-                    )))
-                ),
-            ),
-            CheckMode::Satisfiability => (
-                "satisfiability (compiled BDD must be non-false)",
-                format!(
-                    "{}",
-                    simplify(&push_forall_down(&crate::planner::rebuild(&rest)))
-                ),
-            ),
-        };
-        let sql_plan = sqlgen::violation_plan(self.ldb.db(), f).map(|t| format!("{:?}", t.plan));
         Ok(Explanation {
-            prenex_prefix: prefix,
-            matrix: format!("{}", p.matrix),
-            stripped_leading: stripped,
-            mode: mode_name,
-            compiled_body,
+            bdd: plan.bdd.as_ref().map(BddStepInfo::of),
             indices,
-            sql_plan,
+            sql_plan: plan.sql.map(|s| format!("{:?}", s.translated.plan)),
         })
     }
 
@@ -1414,8 +1335,9 @@ mod tests {
             parse(r#"forall c, a, s. CUST(c, a, s) & c = "Toronto" -> exists a2. CUST(c, a2, s)"#)
                 .unwrap();
         let e = ck.explain(&f).unwrap();
-        assert_eq!(e.stripped_leading, 3, "the ∀ block is eliminated");
-        assert!(e.mode.contains("validity"));
+        let step = e.bdd.as_ref().expect("every relation indexed");
+        assert_eq!(step.stripped_leading, 3, "the ∀ block is eliminated");
+        assert!(step.mode.contains("validity"));
         assert_eq!(e.indices.len(), 1);
         assert_eq!(e.indices[0].relation, "CUST");
         assert!(!e.indices[0].sql_only);
@@ -1427,7 +1349,53 @@ mod tests {
         // Existential constraint: satisfiability mode.
         let g = parse("exists c, a, s. CUST(c, a, s)").unwrap();
         let e = ck.explain(&g).unwrap();
-        assert!(e.mode.contains("satisfiability"));
+        assert!(e.bdd.unwrap().mode.contains("satisfiability"));
+    }
+
+    /// `ONE` (1 row), `R(x, y)` (50 rows) and `S(x)` (20 rows) over one
+    /// class.
+    fn probe_db() -> Database {
+        let mut db = Database::new();
+        db.create_relation("ONE", &[("v", "k")], vec![vec![Raw::Int(0)]])
+            .unwrap();
+        let r = (0..50)
+            .map(|i| vec![Raw::Int(i % 20), Raw::Int(i % 7)])
+            .collect();
+        db.create_relation("R", &[("x", "k"), ("y", "k")], r)
+            .unwrap();
+        let s = (0..20).map(|i| vec![Raw::Int(i)]).collect();
+        db.create_relation("S", &[("x", "k")], s).unwrap();
+        db
+    }
+
+    #[test]
+    fn explain_reports_the_body_the_check_compiles() {
+        // The R4 gate declines to push ∀y past S(x) (Σ 20 + 1 + 1 > Π 20),
+        // so the check compiles ∀y over the whole conjunction; an ungated
+        // explanation would report `S(x) & forall y. (...)` instead.
+        let mut ck = Checker::new(probe_db(), CheckerOptions::default());
+        let f = parse("exists x. S(x) & forall y. ONE(y) & y = x").unwrap();
+        let plan = ck.plan(&f).unwrap();
+        let step = plan.bdd.as_ref().expect("every relation indexed");
+        let push = plan.passes.iter().find(|p| p.pass == "forall-pushdown");
+        assert_eq!(push.map(|p| p.gated), Some(1));
+        let e = ck.explain(&f).unwrap();
+        assert_eq!(e.bdd.unwrap().compiled_body, step.body.to_string());
+    }
+
+    #[test]
+    fn explain_reports_a_skipped_bdd_step() {
+        let opts = CheckerOptions {
+            node_limit: Some(4),
+            ..Default::default()
+        };
+        let mut ck = Checker::new(probe_db(), opts);
+        let f = parse("forall x, y. R(x, y) -> S(x)").unwrap();
+        let e = ck.explain(&f).unwrap();
+        assert!(e.indices.iter().any(|i| i.sql_only));
+        assert!(e.bdd.is_none());
+        assert!(format!("{e}").contains("bdd step      : skipped"));
+        assert!(ck.plan(&f).unwrap().bdd.is_none());
     }
 
     #[test]
@@ -1435,8 +1403,12 @@ mod tests {
         let mut ck = Checker::new(db(), CheckerOptions::default());
         let f = parse(r#"forall c, a, s. CUST(c, a, s) & c = "Toronto" -> a in {416}"#).unwrap();
         assert!(!ck.check(&f).unwrap().holds);
-        let (names, mut bdd_rows) = ck
-            .find_violations_bdd(&f, 100)
+        let CountedViolations {
+            vars: names,
+            rows: mut bdd_rows,
+            ..
+        } = ck
+            .find_violations_counted(&f, 100)
             .unwrap()
             .expect("∀-prefixed constraint");
         // SQL path for the same constraint.
@@ -1461,9 +1433,9 @@ mod tests {
         let mut ck = Checker::new(db(), CheckerOptions::default());
         // Everything violates this (no Toronto customer has areacode 905).
         let f = parse(r#"forall c, a, s. CUST(c, a, s) -> a = 905"#).unwrap();
-        let (_, rows) = ck.find_violations_bdd(&f, 2).unwrap().unwrap();
+        let rows = ck.find_violations_counted(&f, 2).unwrap().unwrap().rows;
         assert_eq!(rows.len(), 2, "limit must cap the enumeration");
-        let (_, all) = ck.find_violations_bdd(&f, 100).unwrap().unwrap();
+        let all = ck.find_violations_counted(&f, 100).unwrap().unwrap().rows;
         assert_eq!(all.len(), 4, "four of five rows violate");
     }
 
@@ -1471,7 +1443,7 @@ mod tests {
     fn bdd_violation_enumeration_declines_existentials() {
         let mut ck = Checker::new(db(), CheckerOptions::default());
         let f = parse(r#"exists c, a, s. CUST(c, a, s)"#).unwrap();
-        assert!(ck.find_violations_bdd(&f, 10).unwrap().is_none());
+        assert!(ck.find_violations_counted(&f, 10).unwrap().is_none());
     }
 
     #[test]

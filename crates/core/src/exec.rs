@@ -6,6 +6,9 @@
 //! is the only module on the check path that touches a BDD manager, so the
 //! degradation ladder in [`crate::checker`] can treat every rung as "execute
 //! a different node of the same plan" rather than re-deriving the query.
+//! The witness path ([`violations_bdd`]) derives nothing either: it asks
+//! the planner for a violation-set step and compiles it with the same step
+//! compiler as the check, minus the atom-local projection.
 //!
 //! Domain hygiene (carried over from the monolith): BDD blocks of
 //! `⌈log₂ n⌉` bits can encode values ≥ `n`. Relation indices never contain
@@ -18,21 +21,17 @@
 use crate::error::{CoreError, Result};
 use crate::index::{AtomAction, LogicalDatabase};
 use crate::plan::{BddStep, BddTest, PlanOptions, SqlStep};
-use crate::planner::{apply_pushdown, collect_atoms, rebuild};
+use crate::planner::{bdd_step, collect_atoms};
 use crate::sqlgen::Shape;
 use crate::telemetry::{RewriteRule, RuleFiring};
 use relcheck_bdd::{Bdd, DomainId, Op};
-use relcheck_logic::transform::{strip_leading_block, to_nnf, to_prenex, CheckMode};
 use relcheck_logic::{infer_sorts, Formula, Term};
 use relcheck_relstore::plan::execute;
 use relcheck_relstore::Database;
 use std::collections::HashMap;
 
-/// Execute a plan's BDD step against the live indices: allocate query
-/// domains over the step's prenex form, compile the rewritten body, confine
-/// the stripped variables to their ranges, and apply the step's O(1) test.
-/// Atom-local variables ([`atom_local_vars`]) are projected out of their
-/// atom before anything is renamed.
+/// Execute a plan's BDD step against the live indices and apply the step's
+/// O(1) test ([`compile_step`] with atom-local projection on).
 ///
 /// Every relation mentioned must already have an index built (the
 /// [`crate::checker::Checker`] guarantees this). Propagates
@@ -45,9 +44,34 @@ pub fn execute_bdd(
     step: &BddStep,
     rules: Option<&mut Vec<RuleFiring>>,
 ) -> Result<bool> {
+    let test = compile_step(ldb, step, true, rules)?.bdd;
+    Ok(match step.test {
+        BddTest::ViolationsEmpty => test.is_false(),
+        BddTest::Satisfiable => !test.is_false(),
+    })
+}
+
+/// Compile a BDD step: allocate query domains over the step's `alloc`
+/// formula, compile the rewritten body and confine the stripped variables
+/// to their ranges. With `project_local`, atom-local variables
+/// ([`atom_local_vars`]) are projected out of their atom before anything
+/// is renamed — sound for the O(1) test, which only asks whether the
+/// result is false; witness enumeration decodes full assignments and
+/// passes `false`, so for a `violations-empty` step the result is the
+/// violation set.
+fn compile_step(
+    ldb: &mut LogicalDatabase,
+    step: &BddStep,
+    project_local: bool,
+    rules: Option<&mut Vec<RuleFiring>>,
+) -> Result<ViolationSet> {
     let sorts = infer_sorts(ldb.db(), &step.alloc)?;
     let var_doms = allocate_query_domains(ldb, &step.alloc, &sorts)?;
-    let local = atom_local_vars(&step.body, &step.stripped);
+    let local = if project_local {
+        atom_local_vars(&step.body, &step.stripped)
+    } else {
+        Vec::new()
+    };
     let mut c = Compiler {
         ldb,
         var_doms: &var_doms,
@@ -59,12 +83,13 @@ pub fn execute_bdd(
     };
     let phi = c.compile(&step.body)?;
     let ranges = c.ranges(&step.stripped)?;
-    let mgr = ldb.manager_mut();
-    let test = mgr.and(ranges, phi)?;
-    Ok(match step.test {
-        BddTest::ViolationsEmpty => test.is_false(),
-        BddTest::Satisfiable => !test.is_false(),
-    })
+    let bdd = ldb.manager_mut().and(ranges, phi)?;
+    let vars = step
+        .stripped
+        .iter()
+        .map(|v| (v.clone(), var_doms[v], sorts[v].clone()))
+        .collect();
+    Ok(ViolationSet { bdd, vars })
 }
 
 /// The atom-local variables of a check body: stripped leading-block
@@ -134,61 +159,33 @@ pub struct ViolationSet {
     /// Characteristic function of the violating assignments.
     pub bdd: Bdd,
     /// `(variable name, its finite domain, its attribute class)` for every
-    /// outer ∀ variable, in prefix order.
+    /// outer ∀ variable (every stripped variable), in prefix order.
     pub vars: Vec<(String, DomainId, String)>,
 }
 
 /// Build the violating-assignment BDD of a ∀-prefixed constraint (the BDD
 /// counterpart of the SQL violation query). Returns `None` for constraints
 /// that do not start with a universal block (existentials have witnesses,
-/// not violations). Always prenexes and pushes ∀ down — enumeration needs
-/// the violation-set shape regardless of which passes the check plan ran —
-/// but honors the options' gating policy and compile strategies.
+/// not violations). The step comes from [`crate::planner::bdd_step`] with
+/// prenex, strip and push-down forced on — enumeration needs the
+/// violation-set shape regardless of which passes the check plan ran — but
+/// the options' gating policy and compile strategies are honoured.
 pub fn violations_bdd(
     ldb: &mut LogicalDatabase,
     f: &Formula,
     options: PlanOptions,
 ) -> Result<Option<ViolationSet>> {
-    let p = to_prenex(f);
-    let whole = rebuild(&p);
-    let sorts = infer_sorts(ldb.db(), &whole)?;
-    let var_doms = allocate_query_domains(ldb, &whole, &sorts)?;
-    let (mode, rest) = strip_leading_block(&p);
-    if mode != CheckMode::Validity {
+    let forced = PlanOptions {
+        prenex: true,
+        strip_leading: true,
+        pushdown: true,
+        ..options
+    };
+    let step = bdd_step(ldb.db(), f, forced, &mut Vec::new());
+    if step.test != BddTest::ViolationsEmpty {
         return Ok(None);
     }
-    let stripped: Vec<String> = p.prefix[..p.prefix.len() - rest.prefix.len()]
-        .iter()
-        .map(|(_, v)| v.clone())
-        .collect();
-    let negated = relcheck_logic::transform::simplify(&to_nnf(&rebuild(&rest).not()));
-    let body = {
-        let (pushed, _eff) = apply_pushdown(ldb.db(), &negated, options);
-        pushed
-    };
-    let mut c = Compiler {
-        ldb,
-        var_doms: &var_doms,
-        sorts: &sorts,
-        join_rename: options.join_rename,
-        fused_quant: options.fused_quant,
-        // Witness enumeration decodes full assignments: nothing projected.
-        local: &[],
-        rules: None,
-    };
-    let phi = c.compile(&body)?;
-    let ranges = c.ranges(&stripped)?;
-    let mgr = ldb.manager_mut();
-    let bdd = mgr.and(ranges, phi)?;
-    let vars = stripped
-        .into_iter()
-        .map(|v| {
-            let dom = var_doms[&v];
-            let class = sorts[&v].clone();
-            (v, dom, class)
-        })
-        .collect();
-    Ok(Some(ViolationSet { bdd, vars }))
+    compile_step(ldb, &step, false, None).map(Some)
 }
 
 /// Assign every first-order variable a finite domain.
@@ -557,7 +554,7 @@ impl Compiler<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{atom_local_vars, execute_bdd};
+    use super::{atom_local_vars, execute_bdd, violations_bdd};
     use crate::error::{CoreError, Result};
     use crate::index::LogicalDatabase;
     use crate::ordering::OrderingStrategy;
@@ -708,11 +705,28 @@ mod tests {
         }
     }
 
+    /// The violation set of `f` as `(vars with classes, sorted rows, exact
+    /// count)`, or `None` when `f` has no leading ∀ block.
+    type Witnesses = (Vec<(String, String)>, Vec<Vec<u64>>, f64);
+
+    fn witnesses(l: &mut LogicalDatabase, f: &Formula, options: PlanOptions) -> Option<Witnesses> {
+        let vs = violations_bdd(l, f, options).unwrap()?;
+        let doms: Vec<_> = vs.vars.iter().map(|(_, d, _)| *d).collect();
+        let mgr = l.manager_mut();
+        let mut rows = mgr.rows_limited(vs.bdd, &doms, usize::MAX).unwrap();
+        rows.sort();
+        let total = mgr.tuple_count(vs.bdd, &doms).unwrap();
+        let vars = vs.vars.into_iter().map(|(v, _, c)| (v, c)).collect();
+        Some((vars, rows, total))
+    }
+
     #[test]
     fn every_plan_option_combination_matches_brute_force() {
         // The full 2⁶ pass-toggle space, not just the legacy two-switch
         // corners: every combination must be semantics-preserving on the
-        // whole sentence corpus.
+        // whole sentence corpus, and the witness path must build the same
+        // violation set under each (ROBDD canonicity: equality is exact).
+        let mut reference: Vec<Option<Witnesses>> = Vec::new();
         for bits in 0u64..64 {
             let options = PlanOptions {
                 prenex: bits & 1 != 0,
@@ -723,11 +737,20 @@ mod tests {
                 fused_quant: bits & 32 != 0,
             };
             let mut l = ldb();
-            for src in SENTENCES {
+            for (i, src) in SENTENCES.iter().enumerate() {
                 let f = parse(src).unwrap();
                 let expected = eval_sentence(l.db(), &f).unwrap();
                 let got = decide(&mut l, &f, options).unwrap();
                 assert_eq!(got, expected, "options={options:?}: {src}");
+                let w = witnesses(&mut l, &f, options);
+                if src.starts_with("exists") {
+                    assert!(w.is_none(), "options={options:?}: {src}");
+                }
+                if bits == 0 {
+                    reference.push(w);
+                } else {
+                    assert_eq!(w, reference[i], "options={options:?}: {src}");
+                }
                 l.gc();
             }
         }

@@ -16,6 +16,10 @@
 //! Nothing here touches a BDD manager: planning is pure and total, which is
 //! what makes plans cacheable and `relcheck plan` side-effect free. The
 //! back half — [`CheckPlan`] → verdict — lives in [`crate::exec`].
+//!
+//! [`bdd_step`] is the only place a formula becomes a BDD step: the check,
+//! the witness path ([`crate::exec::violations_bdd`]) and
+//! [`crate::checker::Checker::explain`] all read the step it builds.
 
 use crate::plan::{
     formula_fingerprint, BddStep, BddTest, CheckPlan, PassRecord, PlanOptions, SqlStep,
@@ -180,34 +184,14 @@ pub fn bdd_step(
     }
 }
 
-/// Run the ∀-push-down pass and record its effect.
+/// Run the ∀-push-down pass (Rule 5) under the plan's gating policy,
+/// simplify, and record its effect.
 fn apply_pushdown_pass(
     db: &Database,
     f: &Formula,
     options: PlanOptions,
     passes: &mut Vec<PassRecord>,
 ) -> Formula {
-    let (out, eff) = apply_pushdown(db, f, options);
-    passes.push(PassRecord {
-        pass: pass::FORALL_PUSHDOWN,
-        rule: Some(RewriteRule::R4ForallPushdown),
-        fired: eff.fired,
-        gated: eff.gated,
-        before: f.to_string(),
-        after: out.to_string(),
-    });
-    out
-}
-
-/// ∀-push-down (Rule 5) under the plan's gating policy, followed by the
-/// usual simplification. Returns the rewritten formula and the pass's
-/// fired/gated tallies. Shared between the planner and
-/// [`crate::exec::violations_bdd`] (which rewrites on the fly).
-pub(crate) fn apply_pushdown(
-    db: &Database,
-    f: &Formula,
-    options: PlanOptions,
-) -> (Formula, PassEffect) {
     let mut eff = PassEffect::default();
     let out = if options.gate_pushdown {
         push_forall_down_gated(
@@ -218,7 +202,16 @@ pub(crate) fn apply_pushdown(
     } else {
         push_forall_down_gated(f, &mut |_, _| true, &mut eff)
     };
-    (simplify(&out), eff)
+    let out = simplify(&out);
+    passes.push(PassRecord {
+        pass: pass::FORALL_PUSHDOWN,
+        rule: Some(RewriteRule::R4ForallPushdown),
+        fired: eff.fired,
+        gated: eff.gated,
+        before: f.to_string(),
+        after: out.to_string(),
+    });
+    out
 }
 
 /// The R4 cost gate: distribute `∀x̄ (φ₁ ∧ … ∧ φₙ)` only when the estimated
@@ -240,7 +233,7 @@ pub(crate) fn apply_pushdown(
 /// already holds the rule fires without scanning a relation. The distinct
 /// counts are taken only when that size bound does not decide, which needs
 /// a conjunct whose `full` is 1 (no known atom, or only ≤1-row relations).
-pub(crate) fn pushdown_pays_off(db: &Database, vs: &[String], parts: &[Formula]) -> bool {
+fn pushdown_pays_off(db: &Database, vs: &[String], parts: &[Formula]) -> bool {
     let conjuncts: Vec<Vec<(&Relation, Vec<Term>)>> = parts
         .iter()
         .map(|part| {
@@ -283,7 +276,7 @@ pub(crate) fn pushdown_pays_off(db: &Database, vs: &[String], parts: &[Formula])
 }
 
 /// Reassemble a prenex form into a formula.
-pub(crate) fn rebuild(p: &Prenex) -> Formula {
+fn rebuild(p: &Prenex) -> Formula {
     let mut f = p.matrix.clone();
     for (q, v) in p.prefix.iter().rev() {
         f = match q {

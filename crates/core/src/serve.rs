@@ -335,8 +335,15 @@ impl ServeEngine {
                     Err(e) => return Err(e),
                 }
             }
+            // Store-less: the same live path, with the same degradation
+            // of a value outside a frozen block.
             None => ApplyOutcome {
-                changed: self.apply_direct(relation, delta)?,
+                changed: match delta.apply(self.checker.logical_db_mut(), relation) {
+                    Err(CoreError::DomainOverflow { .. }) => {
+                        self.degrade_overflow(relation, delta)?
+                    }
+                    other => other?,
+                },
                 durable: true,
                 retries: 0,
             },
@@ -372,49 +379,6 @@ impl ServeEngine {
         Ok((advice, applied))
     }
 
-    /// Store-less delta path: encode, guard the frozen domain exactly
-    /// like [`IndexStore::journaled_apply`] does, then maintain the index
-    /// incrementally.
-    fn apply_direct(&mut self, relation: &str, delta: &Delta) -> Result<bool> {
-        let (row, classes) = self.encode(relation, delta)?;
-        if self.checker.logical_db().has_index(relation) {
-            for (code, class) in row.iter().zip(&classes) {
-                if u64::from(*code) >= self.checker.logical_db_mut().class_domain_size(class) {
-                    return self.degrade_overflow(relation, delta);
-                }
-            }
-        }
-        match delta {
-            Delta::Insert(_) => self.checker.logical_db_mut().insert_tuple(relation, &row),
-            Delta::Delete(_) => self.checker.logical_db_mut().delete_tuple(relation, &row),
-        }
-    }
-
-    fn encode(&mut self, relation: &str, delta: &Delta) -> Result<(Vec<u32>, Vec<String>)> {
-        let classes: Vec<String> = self
-            .checker
-            .logical_db()
-            .db()
-            .relation(relation)?
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.class.clone())
-            .collect();
-        let row = delta
-            .values()
-            .iter()
-            .zip(&classes)
-            .map(|(v, class)| {
-                self.checker
-                    .logical_db_mut()
-                    .db_mut()
-                    .encode_value(class, v)
-            })
-            .collect();
-        Ok((row, classes))
-    }
-
     /// A delta value outside a frozen BDD block: the block cannot grow
     /// in-place, so apply the delta rows-only and route the relation to
     /// the SQL rung. `mark_sql_only` bumps the invalidation epoch, which
@@ -422,7 +386,7 @@ impl ServeEngine {
     /// session keeps serving correct (if slower) answers; the next warm
     /// start re-interns the journal and rebuilds wider blocks.
     fn degrade_overflow(&mut self, relation: &str, delta: &Delta) -> Result<bool> {
-        let (row, _) = self.encode(relation, delta)?;
+        let (row, _) = delta.encode(self.checker.logical_db_mut(), relation)?;
         let rel = self
             .checker
             .logical_db_mut()

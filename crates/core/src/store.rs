@@ -41,7 +41,7 @@
 
 use crate::checker::Checker;
 use crate::error::{CoreError, Result};
-use crate::index::IndexSnapshot;
+use crate::index::{IndexSnapshot, LogicalDatabase};
 use crate::ordering::OrderingStrategy;
 use crate::telemetry::{recovery_reason, IndexCacheMetrics, RecoveryRecord};
 use relcheck_bdd::{crc32, decode_frame, encode_frame, failpoint, BddError, DecodeError};
@@ -75,6 +75,53 @@ impl Delta {
     pub fn values(&self) -> &[Raw] {
         match self {
             Delta::Insert(v) | Delta::Delete(v) => v,
+        }
+    }
+
+    /// Dictionary-encode the tuple for relation `name` (interning is
+    /// idempotent), with each column's attribute class.
+    pub(crate) fn encode(
+        &self,
+        ldb: &mut LogicalDatabase,
+        name: &str,
+    ) -> Result<(Vec<u32>, Vec<String>)> {
+        let classes: Vec<String> = ldb
+            .db()
+            .relation(name)?
+            .schema()
+            .columns()
+            .iter()
+            .map(|c| c.class.clone())
+            .collect();
+        let row = self
+            .values()
+            .iter()
+            .zip(&classes)
+            .map(|(v, class)| ldb.db_mut().encode_value(class, v))
+            .collect();
+        Ok((row, classes))
+    }
+
+    /// Apply the delta to relation `name` through incremental index
+    /// maintenance — the one live path, journaled or not. A value whose
+    /// code falls outside the index's frozen block is refused with the
+    /// typed [`CoreError::DomainOverflow`] before anything changes; the
+    /// caller degrades the relation.
+    pub(crate) fn apply(&self, ldb: &mut LogicalDatabase, name: &str) -> Result<bool> {
+        let (row, classes) = self.encode(ldb, name)?;
+        if ldb.has_index(name) {
+            for (code, class) in row.iter().zip(&classes) {
+                if u64::from(*code) >= ldb.class_domain_size(class) {
+                    return Err(CoreError::DomainOverflow {
+                        relation: name.to_owned(),
+                        class: class.clone(),
+                    });
+                }
+            }
+        }
+        match self {
+            Delta::Insert(_) => ldb.insert_tuple(name, &row),
+            Delta::Delete(_) => ldb.delete_tuple(name, &row),
         }
     }
 
@@ -882,7 +929,7 @@ impl IndexStore {
             return self.rebuild(ck, name, records, true);
         }
         for (i, d) in records.iter().enumerate() {
-            let row = self.encode_row(ck, name, d.values())?;
+            let (row, _) = d.encode(ck.logical_db_mut(), name)?;
             let result = if (i as u64) < seg_seq {
                 // Rows-only: the index already contains this delta.
                 let rel = ck.logical_db_mut().db_mut().relation_mut(name)?;
@@ -907,7 +954,7 @@ impl IndexStore {
                     detail: format!("record {i}: {e}"),
                 });
                 for d in &records[i..] {
-                    let row = self.encode_row(ck, name, d.values())?;
+                    let (row, _) = d.encode(ck.logical_db_mut(), name)?;
                     let rel = ck.logical_db_mut().db_mut().relation_mut(name)?;
                     let _ = match d {
                         Delta::Insert(_) => rel.insert(&row),
@@ -939,7 +986,7 @@ impl IndexStore {
         was_rebuild: bool,
     ) -> Result<()> {
         for d in records {
-            let row = self.encode_row(ck, name, d.values())?;
+            let (row, _) = d.encode(ck.logical_db_mut(), name)?;
             let rel = ck.logical_db_mut().db_mut().relation_mut(name)?;
             let _ = match d {
                 Delta::Insert(_) => rel.insert(&row)?,
@@ -953,25 +1000,6 @@ impl IndexStore {
         }
         self.dirty.insert(name.to_owned(), true);
         Ok(())
-    }
-
-    /// Dictionary-encode a raw tuple (interning is idempotent — journal
-    /// values were interned during the warm-start pre-pass).
-    fn encode_row(&self, ck: &mut Checker, name: &str, values: &[Raw]) -> Result<Vec<u32>> {
-        let classes: Vec<String> = ck
-            .logical_db()
-            .db()
-            .relation(name)?
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.class.clone())
-            .collect();
-        Ok(values
-            .iter()
-            .zip(&classes)
-            .map(|(v, class)| ck.logical_db_mut().db_mut().encode_value(class, v))
-            .collect())
     }
 
     /// Durably journal one delta, then apply it through incremental
@@ -1056,33 +1084,10 @@ impl IndexStore {
         }
     }
 
-    /// The post-append half of [`IndexStore::journaled_apply`]: encode,
-    /// guard the frozen domain, maintain the index, mark dirty.
+    /// The post-append half of [`IndexStore::journaled_apply`]: apply the
+    /// delta ([`Delta::apply`]) and mark the relation dirty.
     fn apply_after_journal(&mut self, ck: &mut Checker, name: &str, delta: &Delta) -> Result<bool> {
-        let classes: Vec<String> = ck
-            .logical_db()
-            .db()
-            .relation(name)?
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.class.clone())
-            .collect();
-        let row = self.encode_row(ck, name, delta.values())?;
-        if ck.logical_db().has_index(name) {
-            for (code, class) in row.iter().zip(&classes) {
-                if u64::from(*code) >= ck.logical_db_mut().class_domain_size(class) {
-                    return Err(CoreError::DomainOverflow {
-                        relation: name.to_owned(),
-                        class: class.clone(),
-                    });
-                }
-            }
-        }
-        let changed = match delta {
-            Delta::Insert(_) => ck.logical_db_mut().insert_tuple(name, &row)?,
-            Delta::Delete(_) => ck.logical_db_mut().delete_tuple(name, &row)?,
-        };
+        let changed = delta.apply(ck.logical_db_mut(), name)?;
         // The segment on disk no longer folds the whole journal; a
         // write-back will compact the applied records into a fresh one.
         self.dirty.insert(name.to_owned(), true);

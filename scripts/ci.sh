@@ -449,9 +449,15 @@ if ! grep -q '4 verified, 0 unauditable, 0 failed' "$AUDIT_OUT"; then
     echo "audit verify did not validate every certificate" >&2
     exit 1
 fi
-# `audit emit` must reproduce a bundle that verifies identically.
+# `audit emit` must reproduce a bundle that verifies identically, and
+# its bytes must equal the committed golden (witnesses, counts and
+# fingerprints all pinned).
 cargo run --release --quiet --bin relcheck -- \
     audit emit testdata/phones.spec "$TAMPERED" >/dev/null
+if ! cmp "$TAMPERED" testdata/phones.certs.json; then
+    echo "audit emit bytes differ from testdata/phones.certs.json" >&2
+    exit 1
+fi
 cargo run --release --quiet --bin relcheck -- \
     audit verify testdata/phones.spec "$TAMPERED" >/dev/null
 # Tamper one witness value (the 212 prefix violation becomes 213, a

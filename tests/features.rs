@@ -3,7 +3,7 @@
 //! persistence — each exercised end to end through the public facade.
 
 use relcheck::bdd::{BddManager, ExportedBdd};
-use relcheck::core_::checker::{Checker, CheckerOptions};
+use relcheck::core_::checker::{Checker, CheckerOptions, CountedViolations};
 use relcheck::core_::registry::{ConstraintRegistry, Verdict};
 use relcheck::relstore::{Database, Raw};
 use relcheck::spec::parse_spec;
@@ -81,8 +81,12 @@ fn bdd_and_sql_drilldowns_agree_on_spec_constraints() {
     let (constraints, db) = spec_db();
     let mut ck = Checker::new(db, CheckerOptions::default());
     for (name, f) in &constraints {
-        let (names, mut bdd_rows) = ck
-            .find_violations_bdd(f, 1000)
+        let CountedViolations {
+            vars: names,
+            rows: mut bdd_rows,
+            ..
+        } = ck
+            .find_violations_counted(f, 1000)
             .unwrap()
             .unwrap_or_else(|| panic!("{name} should be ∀-prefixed"));
         let (sql_rel, sql_cols) = ck.find_violations(f).unwrap();
@@ -107,7 +111,7 @@ fn explain_runs_for_spec_constraints() {
     let mut ck = Checker::new(db, CheckerOptions::default());
     for (name, f) in &constraints {
         let e = ck.explain(f).unwrap();
-        assert!(e.stripped_leading > 0, "{name}");
+        assert!(e.bdd.as_ref().unwrap().stripped_leading > 0, "{name}");
         assert!(e.sql_plan.is_some(), "{name} is in the SQL class");
         assert!(!format!("{e}").is_empty());
     }
