@@ -28,11 +28,21 @@ pub fn project(rel: &Relation, cols: &[usize]) -> Result<Relation> {
     for &c in cols {
         check_col(rel, c)?;
     }
-    let schema = rel.schema().project(cols);
-    let rows = rel
-        .rows()
-        .map(|r| cols.iter().map(|&c| r[c]).collect::<Vec<u32>>());
-    Relation::from_rows(schema, rows)
+    let mut flat = Vec::with_capacity(rel.len() * cols.len());
+    push_rows(rel, cols, &mut flat);
+    Ok(Relation::from_flat(
+        rel.schema().project(cols),
+        &flat,
+        rel.len(),
+    ))
+}
+
+/// Append every row of `rel`, restricted to `cols`, to a flat row buffer.
+fn push_rows(rel: &Relation, cols: &[usize], flat: &mut Vec<u32>) {
+    let cols: Vec<&[u32]> = cols.iter().map(|&c| rel.col(c)).collect();
+    for i in 0..rel.len() {
+        flat.extend(cols.iter().map(|c| c[i]));
+    }
 }
 
 /// ⋈: hash equi-join on the given `(left_col, right_col)` pairs. The output
@@ -127,7 +137,15 @@ pub fn union(left: &Relation, right: &Relation) -> Result<Relation> {
             got: right.arity(),
         });
     }
-    Relation::from_rows(left.schema().clone(), left.rows().chain(right.rows()))
+    let all: Vec<usize> = (0..left.arity()).collect();
+    let mut flat = Vec::with_capacity((left.len() + right.len()) * all.len());
+    push_rows(left, &all, &mut flat);
+    push_rows(right, &all, &mut flat);
+    Ok(Relation::from_flat(
+        left.schema().clone(),
+        &flat,
+        left.len() + right.len(),
+    ))
 }
 
 /// −: set difference.

@@ -5,6 +5,30 @@ use crate::relation::{Relation, Schema};
 use crate::value::{Dict, Raw};
 use std::collections::HashMap;
 
+/// The class dictionaries of one relation, taken out of the catalog while
+/// a load interns into them (see [`Database::load`]).
+pub(crate) struct Staged {
+    classes: Vec<StagedClass>,
+    /// Index into `classes` of each column's class.
+    slot: Vec<usize>,
+}
+
+struct StagedClass {
+    class: String,
+    dict: Dict,
+    /// The dictionary's size before the load, to roll back to.
+    len_before: usize,
+    /// Whether the catalog had the dictionary before the load.
+    existed: bool,
+}
+
+impl Staged {
+    /// The dictionary of column `col`'s class.
+    pub(crate) fn dict(&mut self, col: usize) -> &mut Dict {
+        &mut self.classes[self.slot[col]].dict
+    }
+}
+
 /// A collection of named [`Relation`]s sharing attribute-class
 /// dictionaries. All raw values enter through [`Database::create_relation`]
 /// (or [`Database::encode_value`]), which keeps codes consistent across
@@ -37,23 +61,88 @@ impl Database {
             return Err(StoreError::DuplicateRelation(name.to_owned()));
         }
         let schema = Schema::new(columns);
-        let mut coded = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != schema.arity() {
-                return Err(StoreError::ArityMismatch {
-                    expected: schema.arity(),
-                    got: row.len(),
-                });
+        let arity = schema.arity();
+        self.load(name, schema, |staged, flat| {
+            for row in &rows {
+                if row.len() != arity {
+                    return Err(StoreError::ArityMismatch {
+                        expected: arity,
+                        got: row.len(),
+                    });
+                }
+                for (i, v) in row.iter().enumerate() {
+                    flat.push(staged.dict(i).encode(v));
+                }
             }
-            let mut crow = Vec::with_capacity(row.len());
-            for (i, v) in row.iter().enumerate() {
-                let dict = self.dicts.entry(schema.class_of(i).to_owned()).or_default();
-                crow.push(dict.encode(v));
+            Ok(rows.len())
+        })
+    }
+
+    /// Create relation `name` from the rows `encode` interns into the
+    /// staged class dictionaries and appends to a flat buffer, one code per
+    /// column; `encode` returns the row count. The load is atomic: on any
+    /// error, `name` taken included, every dictionary is as it was before.
+    pub(crate) fn load(
+        &mut self,
+        name: &str,
+        schema: Schema,
+        encode: impl FnOnce(&mut Staged, &mut Vec<u32>) -> Result<usize>,
+    ) -> Result<&Relation> {
+        let mut staged = self.stage(&schema);
+        let mut flat = Vec::new();
+        let encoded = encode(&mut staged, &mut flat).and_then(|n| {
+            if self.relations.contains_key(name) {
+                Err(StoreError::DuplicateRelation(name.to_owned()))
+            } else {
+                Ok(n)
             }
-            coded.push(crow);
-        }
-        let rel = Relation::from_rows(schema, coded)?;
+        });
+        self.unstage(staged, encoded.is_ok());
+        let rel = Relation::from_flat(schema, &flat, encoded?);
         Ok(self.relations.entry(name.to_owned()).or_insert(rel))
+    }
+
+    /// Take the dictionaries of `schema`'s classes out of the catalog,
+    /// resolving each column's class once.
+    fn stage(&mut self, schema: &Schema) -> Staged {
+        let mut staged = Staged {
+            classes: Vec::new(),
+            slot: Vec::with_capacity(schema.arity()),
+        };
+        for col in schema.columns() {
+            let slot = match staged.classes.iter().position(|c| c.class == col.class) {
+                Some(slot) => slot,
+                None => {
+                    let taken = self.dicts.remove(&col.class);
+                    let existed = taken.is_some();
+                    let dict = taken.unwrap_or_default();
+                    staged.classes.push(StagedClass {
+                        class: col.class.clone(),
+                        len_before: dict.len(),
+                        dict,
+                        existed,
+                    });
+                    staged.classes.len() - 1
+                }
+            };
+            staged.slot.push(slot);
+        }
+        staged
+    }
+
+    /// Put staged dictionaries back: with what the load interned when
+    /// `keep` is set, as they were otherwise. A class the catalog did not
+    /// have comes back only if it gained a value, as when values are
+    /// interned one by one.
+    fn unstage(&mut self, staged: Staged, keep: bool) {
+        for mut c in staged.classes {
+            if !keep {
+                c.dict.truncate(c.len_before);
+            }
+            if c.existed || !c.dict.is_empty() {
+                self.dicts.insert(c.class, c.dict);
+            }
+        }
     }
 
     /// Register an already-encoded relation. The caller is responsible for
@@ -119,7 +208,7 @@ impl Database {
     pub fn ensure_class_size(&mut self, class: &str, size: u64) {
         let dict = self.dicts.entry(class.to_owned()).or_default();
         for v in 0..size as i64 {
-            dict.encode(&Raw::Int(v));
+            dict.encode_int(v);
         }
     }
 

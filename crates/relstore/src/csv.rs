@@ -1,17 +1,18 @@
 //! Minimal CSV ingestion — loading real tables into the catalog.
 //!
 //! Supports the common CSV dialect: comma separator, `"`-quoted fields
-//! with `""` escapes, optional header row, `\n`/`\r\n` line endings.
+//! with `""` escapes, optional header row, `\n`/`\r\n` line endings. A
+//! `\r` outside quotes that does not start a `\r\n` is an error.
 //! Fields that parse as `i64` become [`Raw::Int`], everything else
 //! [`Raw::Str`] — matching how the paper's phone/zip attributes are
 //! naturally numeric while cities and states are strings. Use
 //! [`parse_csv`] for the raw rows or
-//! [`crate::Database::create_relation_from_csv`] to load and
-//! dictionary-encode in one step.
+//! [`crate::Database::create_relation_from_csv`] to load, dictionary-encode
+//! and deduplicate in one pass; both are sinks over the one tokenizer.
 
-use crate::catalog::Database;
+use crate::catalog::{Database, Staged};
 use crate::error::{Result, StoreError};
-use crate::relation::Relation;
+use crate::relation::{Relation, Schema};
 use crate::value::Raw;
 
 /// A parse failure, with 1-based line number and (when known) the 1-based
@@ -48,147 +49,285 @@ impl std::error::Error for CsvError {}
 /// and column of the first bad byte instead of panicking or lossily
 /// substituting. Use this for data read straight off disk or a socket.
 pub fn parse_csv_bytes(bytes: &[u8]) -> std::result::Result<Vec<Vec<Raw>>, CsvError> {
-    match std::str::from_utf8(bytes) {
-        Ok(text) => parse_csv(text),
-        Err(e) => {
-            let prefix = &bytes[..e.valid_up_to()];
-            let line = 1 + prefix.iter().filter(|&&b| b == b'\n').count();
-            let line_start = prefix
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |i| i + 1);
-            Err(CsvError {
-                line,
-                column: Some(prefix.len() - line_start + 1),
-                message: format!(
-                    "invalid UTF-8 (byte 0x{:02X} at offset {})",
-                    bytes[e.valid_up_to()],
-                    e.valid_up_to()
-                ),
-            })
+    parse_csv(utf8(bytes)?)
+}
+
+/// The bytes as text, or the position of the first byte that is not
+/// UTF-8. The whole document is checked before any of it is tokenized.
+fn utf8(bytes: &[u8]) -> std::result::Result<&str, CsvError> {
+    std::str::from_utf8(bytes).map_err(|e| {
+        let prefix = &bytes[..e.valid_up_to()];
+        let line = 1 + prefix.iter().filter(|&&b| b == b'\n').count();
+        let line_start = prefix
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        CsvError {
+            line,
+            column: Some(prefix.len() - line_start + 1),
+            message: format!(
+                "invalid UTF-8 (byte 0x{:02X} at offset {})",
+                bytes[e.valid_up_to()],
+                e.valid_up_to()
+            ),
         }
-    }
+    })
 }
 
 /// Parse CSV text into raw rows. Empty lines are skipped. All rows must
 /// have the same arity.
 pub fn parse_csv(text: &str) -> std::result::Result<Vec<Vec<Raw>>, CsvError> {
-    let mut rows: Vec<Vec<Raw>> = Vec::new();
-    // The physical line each parsed row starts on, parallel to `rows` —
-    // arity diagnostics must survive blank lines and quoted newlines.
-    let mut row_lines: Vec<usize> = Vec::new();
-    let mut field = String::new();
-    let mut row: Vec<Raw> = Vec::new();
-    let mut in_quotes = false;
-    let mut field_was_quoted = false;
-    let mut line = 1usize;
-    let mut col = 0usize;
-    let mut row_start = 1usize;
-    let mut quote_open = (1usize, 1usize);
-    let mut chars = text.chars().peekable();
-    let mut any_field = false;
-
-    fn finish_field(field: &mut String, row: &mut Vec<Raw>, quoted: bool) {
-        let raw = if !quoted {
-            match field.trim().parse::<i64>() {
-                Ok(i) => Raw::Int(i),
-                Err(_) => Raw::Str(field.clone()),
-            }
-        } else {
-            Raw::Str(field.clone())
-        };
-        row.push(raw);
-        field.clear();
+    #[derive(Default)]
+    struct RawRows {
+        rows: Vec<Vec<Raw>>,
+        row: Vec<Raw>,
     }
-
-    while let Some(c) = chars.next() {
-        col += 1;
-        if !any_field && field.is_empty() && row.is_empty() && !matches!(c, '\n' | '\r') {
-            row_start = line;
+    impl FieldSink for RawRows {
+        fn field(&mut self, _col: usize, text: &str, quoted: bool) {
+            self.row.push(match int_value(text, quoted) {
+                Some(i) => Raw::Int(i),
+                None => Raw::Str(text.to_owned()),
+            });
         }
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    col += 1;
-                    field.push('"');
+        fn end_row(&mut self, _len: usize) {
+            self.rows.push(std::mem::take(&mut self.row));
+        }
+    }
+    let mut sink = RawRows::default();
+    tokenize(text, &mut sink)?;
+    Ok(sink.rows)
+}
+
+/// The integer an unquoted field spells, surrounding whitespace allowed.
+/// A quoted field is always a string.
+fn int_value(text: &str, quoted: bool) -> Option<i64> {
+    if quoted {
+        None
+    } else {
+        text.trim().parse().ok()
+    }
+}
+
+/// What [`tokenize`] delivers, row by row.
+trait FieldSink {
+    /// Field `col` (0-based) of the current row, unescaped; `quoted` when
+    /// the field opened with a quote.
+    fn field(&mut self, col: usize, text: &str, quoted: bool);
+    /// The current row ended after `len` fields.
+    fn end_row(&mut self, len: usize);
+}
+
+/// The one CSV tokenizer: a byte-level state machine over `text` that
+/// hands each field to `sink` as a slice, copying only quoted fields.
+/// Empty lines are skipped. Once a row's arity differs from the first
+/// row's, the sink hears nothing more but tokenizing goes on, so that a
+/// malformed character anywhere in the text is reported in its place.
+fn tokenize(text: &str, sink: &mut impl FieldSink) -> std::result::Result<(), CsvError> {
+    let bytes = text.as_bytes();
+    // The physical line, and the byte offset it starts at: a column is
+    // counted in characters, and only for an error.
+    let mut line = 1usize;
+    let mut line_start = 0usize;
+    let mut row = RowState::default();
+    let mut any_field = false;
+    // The current field. Unquoted, it is `text[start..]` up to its
+    // delimiter. Quoted, it is unescaped into `unquoted`, and `text[seg..]`
+    // is the part not yet copied.
+    let mut start = 0usize;
+    let mut seg = 0usize;
+    let mut quoted = false;
+    let mut in_quotes = false;
+    let mut unquoted = String::new();
+    // Line, line start and offset of the open quote.
+    let mut quote_open = (1usize, 0usize, 0usize);
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if !any_field && b != b'\n' && b != b'\r' {
+            row.start_line = line;
+        }
+        match b {
+            b'"' if in_quotes => {
+                unquoted.push_str(&text[seg..i]);
+                if bytes.get(i + 1) == Some(&b'"') {
+                    unquoted.push('"');
+                    i += 1;
                 } else {
                     in_quotes = false;
                 }
+                seg = i + 1;
             }
-            '"' if field.is_empty() && !field_was_quoted => {
+            b'"' if !quoted && i == start => {
                 // Opening quote at the start of a field.
                 in_quotes = true;
-                field_was_quoted = true;
+                quoted = true;
                 any_field = true;
-                quote_open = (line, col);
+                quote_open = (line, line_start, i);
+                unquoted.clear();
+                seg = i + 1;
             }
-            '"' => {
-                return Err(CsvError {
-                    line,
-                    column: Some(col),
-                    message: "quote inside an unquoted field".to_owned(),
-                })
+            b'"' => {
+                return Err(error_at(
+                    text,
+                    (line, line_start, i),
+                    "quote inside an unquoted field",
+                ))
             }
-            ',' if !in_quotes => {
-                finish_field(&mut field, &mut row, field_was_quoted);
-                field_was_quoted = false;
-                any_field = true;
+            b'\r' if !in_quotes && bytes.get(i + 1) != Some(&b'\n') => {
+                return Err(error_at(
+                    text,
+                    (line, line_start, i),
+                    "bare carriage return outside a quoted field",
+                ))
             }
-            '\r' if !in_quotes => {} // swallow; \n follows
-            '\n' if !in_quotes => {
-                if any_field || !field.is_empty() {
-                    finish_field(&mut field, &mut row, field_was_quoted);
-                    rows.push(std::mem::take(&mut row));
-                    row_lines.push(row_start);
+            // The `\n` that follows ends the field.
+            b'\r' if !in_quotes => {}
+            b',' | b'\n' if !in_quotes => {
+                if b == b',' || any_field {
+                    // A `\r` before the `\n` ends the field.
+                    let end = if b == b'\n' && bytes[..i].ends_with(b"\r") {
+                        i - 1
+                    } else {
+                        i
+                    };
+                    let value = if quoted {
+                        unquoted.push_str(&text[seg..end]);
+                        &unquoted
+                    } else {
+                        &text[start..end]
+                    };
+                    row.field(sink, value, quoted);
                 }
-                field_was_quoted = false;
-                any_field = false;
-                line += 1;
-                col = 0;
-            }
-            c => {
-                if c == '\n' {
+                quoted = false;
+                start = i + 1;
+                if b == b',' {
+                    any_field = true;
+                } else {
+                    if any_field {
+                        row.end(sink);
+                    }
+                    any_field = false;
                     line += 1;
-                    col = 0;
+                    line_start = i + 1;
                 }
-                field.push(c);
-                any_field = true;
             }
+            // A newline inside quotes is data.
+            b'\n' => {
+                line += 1;
+                line_start = i + 1;
+            }
+            _ => any_field = true,
         }
+        i += 1;
     }
     if in_quotes {
-        return Err(CsvError {
-            line: quote_open.0,
-            column: Some(quote_open.1),
-            message: "unterminated quoted field".to_owned(),
-        });
+        return Err(error_at(text, quote_open, "unterminated quoted field"));
     }
-    if any_field || !field.is_empty() {
-        finish_field(&mut field, &mut row, field_was_quoted);
-        rows.push(row);
-        row_lines.push(row_start);
+    if any_field {
+        let value = if quoted {
+            unquoted.push_str(&text[seg..]);
+            &unquoted
+        } else {
+            &text[start..]
+        };
+        row.field(sink, value, quoted);
+        row.end(sink);
     }
-    if let Some(first) = rows.first() {
-        let arity = first.len();
-        for (i, r) in rows.iter().enumerate() {
-            if r.len() != arity {
-                return Err(CsvError {
-                    line: row_lines[i],
+    match row.ragged {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// The tokenizer's row bookkeeping: where the row starts, its fields so
+/// far, and the arity check against the first row.
+#[derive(Default)]
+struct RowState {
+    /// Line the current row starts on — robust to quoted newlines and
+    /// skipped blank lines.
+    start_line: usize,
+    len: usize,
+    arity: Option<usize>,
+    /// The first row whose arity differs from the first row's.
+    ragged: Option<CsvError>,
+}
+
+impl RowState {
+    fn field(&mut self, sink: &mut impl FieldSink, text: &str, quoted: bool) {
+        if self.ragged.is_none() {
+            sink.field(self.len, text, quoted);
+        }
+        self.len += 1;
+    }
+
+    fn end(&mut self, sink: &mut impl FieldSink) {
+        match self.arity {
+            None => self.arity = Some(self.len),
+            Some(arity) if arity != self.len && self.ragged.is_none() => {
+                self.ragged = Some(CsvError {
+                    line: self.start_line,
                     column: None,
-                    message: format!("expected {arity} fields, found {}", r.len()),
+                    message: format!("expected {arity} fields, found {}", self.len),
                 });
             }
+            _ => {}
         }
+        if self.ragged.is_none() {
+            sink.end_row(self.len);
+        }
+        self.len = 0;
     }
-    Ok(rows)
+}
+
+/// An error at byte `at` of the line that starts at byte `line_start`.
+fn error_at(text: &str, (line, line_start, at): (usize, usize, usize), message: &str) -> CsvError {
+    CsvError {
+        line,
+        column: Some(text[line_start..at].chars().count() + 1),
+        message: message.to_owned(),
+    }
+}
+
+/// The catalog's sink: interns each data field into its column's class
+/// dictionary and appends the code to a flat row buffer.
+struct Encoder<'a> {
+    staged: &'a mut Staged,
+    flat: &'a mut Vec<u32>,
+    arity: usize,
+    header: bool,
+    /// Rows ended so far, the header included.
+    rows: usize,
+    /// The data rows' field count, when it is not the schema's arity.
+    mismatch: Option<usize>,
+}
+
+impl FieldSink for Encoder<'_> {
+    fn field(&mut self, col: usize, text: &str, quoted: bool) {
+        if (self.header && self.rows == 0) || col >= self.arity || self.mismatch.is_some() {
+            return;
+        }
+        let dict = self.staged.dict(col);
+        self.flat.push(match int_value(text, quoted) {
+            Some(i) => dict.encode_int(i),
+            None => dict.encode_str(text),
+        });
+    }
+
+    fn end_row(&mut self, len: usize) {
+        if !(self.header && self.rows == 0) && len != self.arity && self.mismatch.is_none() {
+            self.mismatch = Some(len);
+        }
+        self.rows += 1;
+    }
 }
 
 impl Database {
     /// Load a CSV document as a new relation. `columns` declares
     /// `(name, class)` pairs as in [`Database::create_relation`]; when
     /// `has_header` is set the first row is skipped (after arity
-    /// validation).
+    /// validation) and none of its values is interned. The document is
+    /// tokenized, dictionary-encoded and deduplicated in one pass; a
+    /// failed load leaves the database unchanged.
     pub fn create_relation_from_csv(
         &mut self,
         name: &str,
@@ -196,8 +335,26 @@ impl Database {
         csv_text: &str,
         has_header: bool,
     ) -> Result<&Relation> {
-        let rows = parse_csv(csv_text).map_err(|e| csv_store_error(name, e))?;
-        self.create_relation_from_rows(name, columns, rows, has_header)
+        let schema = Schema::new(columns);
+        let arity = schema.arity();
+        self.load(name, schema, |staged, flat| {
+            let mut encoder = Encoder {
+                staged,
+                flat,
+                arity,
+                header: has_header,
+                rows: 0,
+                mismatch: None,
+            };
+            tokenize(csv_text, &mut encoder).map_err(|e| csv_store_error(name, e))?;
+            match encoder.mismatch {
+                Some(got) => Err(StoreError::ArityMismatch {
+                    expected: arity,
+                    got,
+                }),
+                None => Ok(encoder.rows - usize::from(has_header && encoder.rows > 0)),
+            }
+        })
     }
 
     /// Like [`Database::create_relation_from_csv`] but starting from raw
@@ -211,29 +368,8 @@ impl Database {
         csv_bytes: &[u8],
         has_header: bool,
     ) -> Result<&Relation> {
-        let rows = parse_csv_bytes(csv_bytes).map_err(|e| csv_store_error(name, e))?;
-        self.create_relation_from_rows(name, columns, rows, has_header)
-    }
-
-    fn create_relation_from_rows(
-        &mut self,
-        name: &str,
-        columns: &[(&str, &str)],
-        mut rows: Vec<Vec<Raw>>,
-        has_header: bool,
-    ) -> Result<&Relation> {
-        if has_header && !rows.is_empty() {
-            rows.remove(0);
-        }
-        for r in &rows {
-            if r.len() != columns.len() {
-                return Err(StoreError::ArityMismatch {
-                    expected: columns.len(),
-                    got: r.len(),
-                });
-            }
-        }
-        self.create_relation(name, columns, rows)
+        let text = utf8(csv_bytes).map_err(|e| csv_store_error(name, e))?;
+        self.create_relation_from_csv(name, columns, text, has_header)
     }
 }
 
@@ -326,6 +462,32 @@ mod tests {
     fn crlf_and_blank_lines() {
         let rows = parse_csv("a,1\r\n\r\nb,2\r\n").unwrap();
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn bare_carriage_return_rejected_with_position() {
+        // A CR-only file must not load as the one row `x, 1y, 2`.
+        let err = parse_csv("x,1\ry,2\r").unwrap_err();
+        assert!(err.message.contains("bare carriage return"));
+        assert_eq!((err.line, err.column), (1, Some(4)));
+        let err = parse_csv("a,1\n\"é\",b\rc\n").unwrap_err();
+        assert_eq!(
+            (err.line, err.column),
+            (2, Some(6)),
+            "columns count characters"
+        );
+        let mut db = Database::new();
+        assert!(matches!(
+            db.create_relation_from_csv("r", &[("c", "c")], "a\rb\n", false),
+            Err(StoreError::Csv {
+                line: 1,
+                column: Some(2),
+                ..
+            })
+        ));
+        // CRLF line endings and a CR inside quotes stay valid.
+        let rows = parse_csv("\"a\rb\",1\r\n").unwrap();
+        assert_eq!(rows, vec![vec![Raw::str("a\rb"), Raw::Int(1)]]);
     }
 
     #[test]

@@ -109,20 +109,43 @@ impl Relation {
 
     /// Build from coded rows, deduplicating (set semantics).
     pub fn from_rows(schema: Schema, rows: impl IntoIterator<Item = Vec<u32>>) -> Result<Relation> {
-        let mut rel = Relation::new(schema);
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
+        let arity = schema.arity();
+        let rows = rows.into_iter();
+        let mut flat = Vec::with_capacity(rows.size_hint().0 * arity);
+        let mut n = 0;
         for row in rows {
-            if row.len() != rel.schema.arity() {
+            if row.len() != arity {
                 return Err(StoreError::ArityMismatch {
-                    expected: rel.schema.arity(),
+                    expected: arity,
                     got: row.len(),
                 });
             }
-            if seen.insert(row.clone()) {
-                rel.push_unchecked(&row);
+            flat.extend_from_slice(&row);
+            n += 1;
+        }
+        Ok(Relation::from_flat(schema, &flat, n))
+    }
+
+    /// Build from `n` coded rows laid end to end in `flat` (`arity` codes
+    /// each), keeping the first occurrence of every row in input order.
+    /// The dedup hashes row slices of the buffer, so no row is copied
+    /// before it is known to be new.
+    pub(crate) fn from_flat(schema: Schema, flat: &[u32], n: usize) -> Relation {
+        let arity = schema.arity();
+        let mut rel = Relation::new(schema);
+        if arity == 0 {
+            // Every row is the empty tuple.
+            rel.len = n.min(1);
+            return rel;
+        }
+        debug_assert_eq!(flat.len(), n * arity);
+        let mut seen: HashSet<&[u32]> = HashSet::with_capacity(n);
+        for row in flat.chunks_exact(arity) {
+            if seen.insert(row) {
+                rel.push_unchecked(row);
             }
         }
-        Ok(rel)
+        rel
     }
 
     /// The rows at the positions `keep` accepts, in order, copied column by

@@ -54,12 +54,17 @@ impl From<String> for Raw {
 }
 
 /// A dense dictionary: raw value ↔ `u32` code. Codes are allocated in first-
-/// seen order and never reused, so the dictionary size is the attribute
-/// class's active-domain size.
+/// seen order and never reused (only a failed load takes its own new codes
+/// back), so the dictionary size is the attribute class's active-domain
+/// size.
+///
+/// Integers and strings are looked up in separate maps, so a CSV field is
+/// interned from its text slice without building a [`Raw`] first.
 #[derive(Debug, Clone, Default)]
 pub struct Dict {
     values: Vec<Raw>,
-    lookup: HashMap<Raw, u32>,
+    ints: HashMap<i64, u32>,
+    strs: HashMap<String, u32>,
 }
 
 impl Dict {
@@ -70,18 +75,51 @@ impl Dict {
 
     /// Intern a value, returning its code (allocating one if new).
     pub fn encode(&mut self, v: &Raw) -> u32 {
-        if let Some(&c) = self.lookup.get(v) {
+        match v {
+            Raw::Int(i) => self.encode_int(*i),
+            Raw::Str(s) => self.encode_str(s),
+        }
+    }
+
+    /// Intern an integer value.
+    pub(crate) fn encode_int(&mut self, i: i64) -> u32 {
+        let next = self.values.len() as u32;
+        let c = *self.ints.entry(i).or_insert(next);
+        if c == next {
+            self.values.push(Raw::Int(i));
+        }
+        c
+    }
+
+    /// Intern a string value; allocates only when the string is new.
+    pub(crate) fn encode_str(&mut self, s: &str) -> u32 {
+        if let Some(&c) = self.strs.get(s) {
             return c;
         }
         let c = self.values.len() as u32;
-        self.values.push(v.clone());
-        self.lookup.insert(v.clone(), c);
+        self.values.push(Raw::Str(s.to_owned()));
+        self.strs.insert(s.to_owned(), c);
         c
+    }
+
+    /// Forget every value interned after the first `len`, so a failed load
+    /// leaves the dictionary as it found it.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for v in self.values.drain(len..) {
+            match v {
+                Raw::Int(i) => self.ints.remove(&i),
+                Raw::Str(s) => self.strs.remove(&s),
+            };
+        }
     }
 
     /// Code of an already-interned value, if any.
     pub fn code(&self, v: &Raw) -> Option<u32> {
-        self.lookup.get(v).copied()
+        match v {
+            Raw::Int(i) => self.ints.get(i),
+            Raw::Str(s) => self.strs.get(s),
+        }
+        .copied()
     }
 
     /// The raw value behind a code.
@@ -136,5 +174,21 @@ mod tests {
         let a = d.encode(&Raw::Int(416));
         let b = d.encode(&Raw::str("416"));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn truncate_forgets_later_values() {
+        let mut d = Dict::new();
+        d.encode(&Raw::str("Toronto"));
+        d.encode(&Raw::Int(416));
+        d.truncate(1);
+        assert_eq!(d.len(), 1);
+        assert_eq!(d.code(&Raw::Int(416)), None);
+        assert_eq!(
+            d.encode(&Raw::str("Oshawa")),
+            1,
+            "the next code follows the kept prefix"
+        );
+        assert_eq!(d.code(&Raw::str("Toronto")), Some(0));
     }
 }

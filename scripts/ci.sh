@@ -72,6 +72,18 @@ cmp "$PLAN_A" "$PLAN_B"
 cmp "$PLAN_A" testdata/phones.plan.txt
 cargo run --release --quiet --bin relcheck -- plan testdata/phones.spec --json \
     | cmp - testdata/phones.plan.json
+# CSV dialect golden: testdata/dialect.spec loads CSVs with a header, CRLF
+# line endings, quoted fields with commas and "" escapes, and blank lines.
+# Its `run` output (per-constraint timings stripped) is pinned byte for byte.
+set +e
+cargo run --release --quiet --bin relcheck -- run testdata/dialect.spec > "$PLAN_B"
+rc=$?
+set -e
+if [ "$rc" -ge 2 ]; then
+    echo "relcheck run on testdata/dialect.spec failed operationally (exit $rc)" >&2
+    exit 1
+fi
+awk '{sub(/ in [0-9].*$/,"")}1' "$PLAN_B" | cmp - testdata/dialect.run.txt
 for want in "passes:" "bdd step:" "sql step:" "ladder: bdd"; do
     if ! grep -q "$want" "$PLAN_A"; then
         echo "plan output missing '$want'" >&2
