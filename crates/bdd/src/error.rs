@@ -12,10 +12,10 @@ use std::fmt;
 /// Errors produced by [`crate::BddManager`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BddError {
-    /// The live node count exceeded the configured limit. The in-flight
-    /// operation was aborted; the manager remains usable (garbage from the
-    /// aborted operation can be reclaimed with
-    /// [`crate::BddManager::gc`]).
+    /// Allocating one more node would exceed the configured limit. The
+    /// in-flight operation was aborted before that allocation; the manager
+    /// remains usable (garbage from the aborted operation can be reclaimed
+    /// with [`crate::BddManager::gc`]).
     NodeLimit {
         /// The limit that was in force.
         limit: usize,
@@ -84,7 +84,7 @@ impl fmt::Display for BddError {
         match self {
             BddError::NodeLimit { limit, live } => write!(
                 f,
-                "BDD node limit exceeded: {live} live nodes > limit {limit}"
+                "BDD node limit reached: {live} live nodes; the next allocation would exceed the limit of {limit}"
             ),
             BddError::ValueOutOfDomain { value, domain_size } => write!(
                 f,
@@ -129,3 +129,24 @@ impl std::error::Error for BddError {}
 
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, BddError>;
+
+#[cfg(test)]
+mod tests {
+    use crate::{BddError, BddManager};
+
+    #[test]
+    fn node_limit_message_names_the_allocation_that_would_exceed_it() {
+        // `mk` refuses the allocation that would take the live count past
+        // the limit, so at the abort the live count equals the limit.
+        let mut m = BddManager::new();
+        let v: Vec<_> = (0..2).map(|_| m.new_var()).collect();
+        m.set_node_limit(Some(1));
+        m.var(v[0]).unwrap();
+        let err = m.var(v[1]).unwrap_err();
+        assert_eq!(err, BddError::NodeLimit { limit: 1, live: 1 });
+        assert_eq!(
+            err.to_string(),
+            "BDD node limit reached: 1 live nodes; the next allocation would exceed the limit of 1"
+        );
+    }
+}

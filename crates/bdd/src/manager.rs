@@ -326,6 +326,8 @@ pub struct BddManager {
     op_calls: [u64; OP_KINDS],
     cur_depth: u32,
     depth_hwm: u32,
+    /// `sat_count`'s memo, kept between calls (see [`crate::sat`]).
+    pub(crate) sat_memo: crate::sat::SatMemo,
 }
 
 impl Default for BddManager {
@@ -366,6 +368,7 @@ impl BddManager {
             op_calls: [0; OP_KINDS],
             cur_depth: 0,
             depth_hwm: 0,
+            sat_memo: Default::default(),
         }
     }
 

@@ -7,7 +7,6 @@
 //! violating tuples once a constraint is known to be violated.
 
 use crate::error::Result;
-use crate::hash::FxHashMap;
 use crate::manager::{Bdd, BddManager, Var, LEVEL_TERMINAL};
 use crate::quant::VarSet;
 
@@ -20,56 +19,15 @@ impl BddManager {
     ///
     /// # Panics
     /// Panics (debug assertion) if `f` tests a variable outside `vs`.
-    pub fn sat_count(&self, f: Bdd, vs: VarSet) -> f64 {
+    pub fn sat_count(&mut self, f: Bdd, vs: VarSet) -> f64 {
+        let mut memo = std::mem::take(&mut self.sat_memo);
+        if memo.count.len() < self.arena.len() {
+            memo.count.resize(self.arena.len(), 0.0);
+        }
         let vars = &self.varsets[vs.0 as usize].vars;
-        let mut memo: FxHashMap<u32, f64> = FxHashMap::default();
-        self.sat_count_rec(f, vars, &mut memo)
-    }
-
-    fn sat_count_rec(&self, f: Bdd, vars: &[Var], memo: &mut FxHashMap<u32, f64>) -> f64 {
-        // Count of assignments to the variables of `vars` strictly below
-        // (deeper than or at) f's root level, then scale for skipped vars at
-        // each call site.
-        fn vars_at_or_below(vars: &[Var], level: u32) -> usize {
-            // number of vars v with v >= level
-            let idx = vars.partition_point(|&v| v < level);
-            vars.len() - idx
-        }
-        fn rec(m: &BddManager, f: Bdd, vars: &[Var], memo: &mut FxHashMap<u32, f64>) -> f64 {
-            if f.is_false() {
-                return 0.0;
-            }
-            if f.is_true() {
-                return 1.0;
-            }
-            if let Some(&c) = memo.get(&f.0) {
-                return c;
-            }
-            let n = m.node(f);
-            debug_assert!(
-                vars.binary_search(&n.level).is_ok(),
-                "sat_count: variable {} tested by f is not in the counting set",
-                n.level
-            );
-            let below_here = vars_at_or_below(vars, n.level) as i32;
-            let count_side = |m: &BddManager, child: Bdd, memo: &mut FxHashMap<u32, f64>| -> f64 {
-                let c = rec(m, child, vars, memo);
-                let child_level = m.level(child);
-                let below_child = if child_level == LEVEL_TERMINAL {
-                    0
-                } else {
-                    vars_at_or_below(vars, child_level) as i32
-                };
-                // Variables strictly between this node and the child are
-                // unconstrained: each doubles the count.
-                let skipped = below_here - 1 - below_child;
-                c * (skipped as f64).exp2()
-            };
-            let total = count_side(m, Bdd(n.low), memo) + count_side(m, Bdd(n.high), memo);
-            memo.insert(f.0, total);
-            total
-        }
-        let c = rec(self, f, vars, memo);
+        let c = sat_count_rec(self, f, vars, &mut memo);
+        memo.reset();
+        self.sat_memo = memo;
         // Scale for variables above the root.
         let root_level = self.level(f);
         let above = if root_level == LEVEL_TERMINAL {
@@ -129,7 +87,7 @@ impl BddManager {
     ///
     /// [`sat_count`]: BddManager::sat_count
     pub fn sat_assignments_limited(
-        &self,
+        &mut self,
         f: Bdd,
         vs: VarSet,
         limit: usize,
@@ -150,6 +108,69 @@ impl BddManager {
         let assignment = self.tuple_assignment(domains, values)?;
         Ok(self.eval(f, |v| assignment.iter().any(|&(av, ab)| av == v && ab)))
     }
+}
+
+/// `sat_count`'s memo, indexed by node slot and reused between calls so a
+/// small count in a large arena allocates nothing. Every non-terminal node
+/// of an ROBDD has at least one model, so a zero slot means "not counted
+/// yet"; `touched` lists the slots to zero again afterwards.
+#[derive(Default)]
+pub(crate) struct SatMemo {
+    count: Vec<f64>,
+    touched: Vec<u32>,
+}
+
+impl SatMemo {
+    fn reset(&mut self) {
+        for &i in &self.touched {
+            self.count[i as usize] = 0.0;
+        }
+        self.touched.clear();
+    }
+}
+
+/// Number of vars `v` in the sorted `vars` with `v >= level`.
+fn vars_at_or_below(vars: &[Var], level: u32) -> usize {
+    vars.len() - vars.partition_point(|&v| v < level)
+}
+
+/// Count of assignments to the variables of `vars` at or below `f`'s root
+/// level; callers scale for skipped variables above it.
+fn sat_count_rec(m: &BddManager, f: Bdd, vars: &[Var], memo: &mut SatMemo) -> f64 {
+    if f.is_false() {
+        return 0.0;
+    }
+    if f.is_true() {
+        return 1.0;
+    }
+    let c = memo.count[f.0 as usize];
+    if c != 0.0 {
+        return c;
+    }
+    let n = m.node(f);
+    debug_assert!(
+        vars.binary_search(&n.level).is_ok(),
+        "sat_count: variable {} tested by f is not in the counting set",
+        n.level
+    );
+    let below_here = vars_at_or_below(vars, n.level) as i32;
+    let mut count_side = |child: Bdd| -> f64 {
+        let c = sat_count_rec(m, child, vars, memo);
+        let child_level = m.level(child);
+        let below_child = if child_level == LEVEL_TERMINAL {
+            0
+        } else {
+            vars_at_or_below(vars, child_level) as i32
+        };
+        // Variables strictly between this node and the child are
+        // unconstrained: each doubles the count.
+        let skipped = below_here - 1 - below_child;
+        c * (skipped as f64).exp2()
+    };
+    let total = count_side(Bdd(n.low)) + count_side(Bdd(n.high));
+    memo.count[f.0 as usize] = total;
+    memo.touched.push(f.0);
+    total
 }
 
 /// Iterator over complete satisfying assignments (see
@@ -242,6 +263,25 @@ mod tests {
         let vs = m.varset(&v);
         // f = x2 over {x0,x1,x2}: 4 models.
         assert_eq!(m.sat_count(x2, vs), 4.0);
+    }
+
+    #[test]
+    fn sat_count_memo_does_not_leak_between_calls() {
+        let mut m = BddManager::new();
+        let v: Vec<Var> = (0..4).map(|_| m.new_var()).collect();
+        let x0 = m.var(v[0]).unwrap();
+        let x2 = m.var(v[2]).unwrap();
+        let f = m.and(x0, x2).unwrap();
+        // The x2 node counts 1 model over {x0..x2}, 2 once x3 is counted.
+        let narrow = m.varset(&v[..3]);
+        let wide = m.varset(&v);
+        assert_eq!(m.sat_count(f, narrow), 2.0);
+        assert_eq!(m.sat_count(f, wide), 4.0);
+        assert_eq!(m.sat_count(f, narrow), 2.0);
+        // Nodes made after an earlier count get memo slots too.
+        let x3 = m.var(v[3]).unwrap();
+        let g = m.or(f, x3).unwrap();
+        assert_eq!(m.sat_count(g, wide), 10.0);
     }
 
     #[test]

@@ -1115,15 +1115,34 @@ impl Checker {
     /// quantify everything but `lhs ∪ rhs` to get `B₁`, then also quantify
     /// `rhs` to get `B₂`; the FD holds iff both projections have the same
     /// tuple count (each `lhs` group maps to exactly one `rhs` value).
+    /// Answers with [`Checker::check_fd_sql`] when the index is over budget
+    /// or the projections abort on it (after shedding the atom cache and
+    /// collecting, as [`Checker::find_violations_counted`] does).
     pub fn check_fd_bdd(&mut self, relation: &str, lhs: &[usize], rhs: &[usize]) -> Result<bool> {
         if !self.ensure_index(relation)? {
-            // Over budget: use the SQL group-by formulation.
-            return Ok(relcheck_relstore::algebra::fd_holds(
-                self.ldb.db().relation(relation)?,
-                lhs,
-                rhs,
-            )?);
+            return self.check_fd_sql(relation, lhs, rhs);
         }
+        let result = match self.fd_projections_agree(relation, lhs, rhs) {
+            Err(e) if budget_abort(&e).is_some() => {
+                self.ldb.shed_atom_cache();
+                self.ldb.gc();
+                return self.check_fd_sql(relation, lhs, rhs);
+            }
+            other => other,
+        };
+        if self.opts.gc_between_checks {
+            self.ldb.gc();
+        }
+        result
+    }
+
+    /// The BDD work of [`Checker::check_fd_bdd`], budget aborts propagated.
+    fn fd_projections_agree(
+        &mut self,
+        relation: &str,
+        lhs: &[usize],
+        rhs: &[usize],
+    ) -> Result<bool> {
         let idx = self.ldb.index(relation).expect("just ensured").clone();
         let arity = idx.domains.len();
         let others: Vec<_> = (0..arity)
@@ -1140,9 +1159,6 @@ impl Checker {
         let pair_doms: Vec<_> = lhs_doms.iter().chain(&rhs_doms).copied().collect();
         let n1 = mgr.tuple_count(b1, &pair_doms)?;
         let n2 = mgr.tuple_count(b2, &lhs_doms)?;
-        if self.opts.gc_between_checks {
-            self.ldb.gc();
-        }
         Ok(n1 == n2)
     }
 

@@ -7,8 +7,8 @@
 //! degradation ladder in [`crate::checker`] can treat every rung as "execute
 //! a different node of the same plan" rather than re-deriving the query.
 //! The witness path ([`violations_bdd`]) derives nothing either: it asks
-//! the planner for a violation-set step and compiles it with the same step
-//! compiler as the check, minus the atom-local projection.
+//! the planner for a violation-set step, compiles it with the same step
+//! compiler as the check, and conjoins each projected atom back in whole.
 //!
 //! Domain hygiene (carried over from the monolith): BDD blocks of
 //! `⌈log₂ n⌉` bits can encode values ≥ `n`. Relation indices never contain
@@ -31,7 +31,7 @@ use relcheck_relstore::Database;
 use std::collections::HashMap;
 
 /// Execute a plan's BDD step against the live indices and apply the step's
-/// O(1) test ([`compile_step`] with atom-local projection on).
+/// O(1) test ([`compile_step`]).
 ///
 /// Every relation mentioned must already have an index built (the
 /// [`crate::checker::Checker`] guarantees this). Propagates
@@ -44,7 +44,7 @@ pub fn execute_bdd(
     step: &BddStep,
     rules: Option<&mut Vec<RuleFiring>>,
 ) -> Result<bool> {
-    let test = compile_step(ldb, step, true, rules)?.bdd;
+    let (test, _) = compile_step(ldb, step, rules)?;
     Ok(match step.test {
         BddTest::ViolationsEmpty => test.is_false(),
         BddTest::Satisfiable => !test.is_false(),
@@ -53,43 +53,41 @@ pub fn execute_bdd(
 
 /// Compile a BDD step: allocate query domains over the step's `alloc`
 /// formula, compile the rewritten body and confine the stripped variables
-/// to their ranges. With `project_local`, atom-local variables
-/// ([`atom_local_vars`]) are projected out of their atom before anything
-/// is renamed — sound for the O(1) test, which only asks whether the
-/// result is false; witness enumeration decodes full assignments and
-/// passes `false`, so for a `violations-empty` step the result is the
-/// violation set.
-fn compile_step(
-    ldb: &mut LogicalDatabase,
+/// to their ranges. Atom-local variables ([`atom_local_vars`]) are
+/// projected out of their atom before anything is renamed — sound for the
+/// O(1) test, which only asks whether the result is false; the witness
+/// path ([`violations_bdd`]) conjoins the projected atoms back in whole
+/// with the returned compiler.
+fn compile_step<'a>(
+    ldb: &'a mut LogicalDatabase,
     step: &BddStep,
-    project_local: bool,
-    rules: Option<&mut Vec<RuleFiring>>,
-) -> Result<ViolationSet> {
+    rules: Option<&'a mut Vec<RuleFiring>>,
+) -> Result<(Bdd, Compiler<'a>)> {
     let sorts = infer_sorts(ldb.db(), &step.alloc)?;
     let var_doms = allocate_query_domains(ldb, &step.alloc, &sorts)?;
-    let local = if project_local {
-        atom_local_vars(&step.body, &step.stripped)
-    } else {
-        Vec::new()
-    };
     let mut c = Compiler {
         ldb,
-        var_doms: &var_doms,
-        sorts: &sorts,
+        var_doms,
+        sorts,
         join_rename: step.join_rename,
         fused_quant: step.fused_quant,
-        local: &local,
+        local: atom_local_vars(&step.body, &step.stripped),
+        record_use: true,
         rules,
     };
     let phi = c.compile(&step.body)?;
     let ranges = c.ranges(&step.stripped)?;
-    let bdd = ldb.manager_mut().and(ranges, phi)?;
-    let vars = step
-        .stripped
-        .iter()
-        .map(|v| (v.clone(), var_doms[v], sorts[v].clone()))
-        .collect();
-    Ok(ViolationSet { bdd, vars })
+    let bdd = c.ldb.manager_mut().and(ranges, phi)?;
+    Ok((bdd, c))
+}
+
+/// The top-level conjuncts of a check body (the whole body if it is not a
+/// conjunction).
+fn conjuncts(body: &Formula) -> &[Formula] {
+    match body {
+        Formula::And(fs) => fs.as_slice(),
+        f => std::slice::from_ref(f),
+    }
 }
 
 /// The atom-local variables of a check body: stripped leading-block
@@ -124,12 +122,8 @@ fn atom_local_vars(body: &Formula, stripped: &[String]) -> Vec<String> {
     }
     let mut occurrences = HashMap::new();
     count(body, &mut occurrences);
-    let conjuncts = match body {
-        Formula::And(fs) => fs.as_slice(),
-        f => std::slice::from_ref(f),
-    };
     let mut local = Vec::new();
-    for g in conjuncts {
+    for g in conjuncts(body) {
         if let Formula::Atom { args, .. } = g {
             for t in args {
                 if let Term::Var(v) = t {
@@ -170,6 +164,13 @@ pub struct ViolationSet {
 /// prenex, strip and push-down forced on — enumeration needs the
 /// violation-set shape regardless of which passes the check plan ran — but
 /// the options' gating policy and compile strategies are honoured.
+///
+/// The step compiles exactly as the check compiles it, atom-local columns
+/// projected, into `P = ranges ∧ body[A ↦ ∃l.A]`. Since `A ⇒ ∃l.A`, the
+/// violation set is `V = P ∧ A` for every such atom `A`: each one is
+/// compiled again whole (no column use recorded a second time) and
+/// conjoined in body order. ROBDD canonicity makes `V` the very node an
+/// unprojected compile would build, without its unpruned joins.
 pub fn violations_bdd(
     ldb: &mut LogicalDatabase,
     f: &Formula,
@@ -185,7 +186,30 @@ pub fn violations_bdd(
     if step.test != BddTest::ViolationsEmpty {
         return Ok(None);
     }
-    compile_step(ldb, &step, false, None).map(Some)
+    let (mut bdd, mut c) = compile_step(ldb, &step, None)?;
+    let local = std::mem::take(&mut c.local);
+    c.record_use = false;
+    for atom in conjuncts(&step.body) {
+        if bdd.is_false() {
+            break;
+        }
+        let Formula::Atom { args, .. } = atom else {
+            continue;
+        };
+        if args
+            .iter()
+            .any(|t| matches!(t, Term::Var(v) if local.contains(v)))
+        {
+            let a = c.compile(atom)?;
+            bdd = c.ldb.manager_mut().and(bdd, a)?;
+        }
+    }
+    let vars = step
+        .stripped
+        .iter()
+        .map(|v| (v.clone(), c.var_doms[v], c.sorts[v].clone()))
+        .collect();
+    Ok(Some(ViolationSet { bdd, vars }))
 }
 
 /// Assign every first-order variable a finite domain.
@@ -255,15 +279,19 @@ pub(crate) fn allocate_query_domains(
 /// The recursive FOL → BDD compiler over a fixed variable→domain map.
 struct Compiler<'a> {
     ldb: &'a mut LogicalDatabase,
-    var_doms: &'a HashMap<String, DomainId>,
-    sorts: &'a HashMap<String, String>,
+    var_doms: HashMap<String, DomainId>,
+    sorts: HashMap<String, String>,
     /// Compile equi-joins by renaming (R2) instead of equality cubes.
     join_rename: bool,
     /// Use the fused `appex`/`appall` operators for residual quantifiers.
     fused_quant: bool,
     /// Atom-local variables ([`atom_local_vars`]): their columns are
     /// projected away instead of renamed.
-    local: &'a [String],
+    local: Vec<String>,
+    /// Feed atoms' column use to the adaptive ordering. Off only for the
+    /// witness path's second, whole compile of an atom the step already
+    /// compiled (and recorded) projected.
+    record_use: bool,
     /// R2 firing sink: one event per atom compiled with ≥ 1 rename.
     rules: Option<&'a mut Vec<RuleFiring>>,
 }
@@ -362,14 +390,16 @@ impl Compiler<'_> {
         // Feed the adaptive-ordering workload: constants weigh 1 (one
         // restrict), variables 2 (join/rename traffic dominates descent
         // depth). Recorded whether or not the cache hits below.
-        let usage: Vec<u64> = args
-            .iter()
-            .map(|t| match t {
-                Term::Const(_) => 1,
-                Term::Var(_) => 2,
-            })
-            .collect();
-        self.ldb.record_column_use(relation, &usage);
+        if self.record_use {
+            let usage: Vec<u64> = args
+                .iter()
+                .map(|t| match t {
+                    Term::Const(_) => 1,
+                    Term::Var(_) => 2,
+                })
+                .collect();
+            self.ldb.record_column_use(relation, &usage);
+        }
         // Resolve argument actions against the database before touching the
         // manager (split borrows). The action list is also the subgraph
         // cache key: the compiled BDD is a pure function of (index root,
@@ -559,7 +589,9 @@ mod tests {
     use crate::index::LogicalDatabase;
     use crate::ordering::OrderingStrategy;
     use crate::plan::PlanOptions;
-    use relcheck_logic::eval::eval_sentence;
+    use relcheck_datagen::SplitMix64;
+    use relcheck_logic::eval::{eval_sentence, EvalContext};
+    use relcheck_logic::transform::{to_prenex, Quant};
     use relcheck_logic::{parse, Formula};
     use relcheck_relstore::{Database, Raw};
 
@@ -754,6 +786,158 @@ mod tests {
                 l.gc();
             }
         }
+    }
+
+    /// The violation set of `f` by naive enumeration: every assignment of
+    /// its leading ∀ block over the active domain under which the rest of
+    /// its prenex form is false, in lexicographic order. `None` without a
+    /// leading ∀ block.
+    fn brute_witnesses(db: &Database, f: &Formula) -> Option<Witnesses> {
+        let p = to_prenex(f);
+        let n = p
+            .prefix
+            .iter()
+            .take_while(|(q, _)| *q == Quant::Forall)
+            .count();
+        if n == 0 {
+            return None;
+        }
+        let rest = p.prefix[n..].iter().rev().fold(p.matrix, |g, (q, v)| {
+            let vs = vec![v.clone()];
+            match q {
+                Quant::Exists => Formula::Exists(vs, Box::new(g)),
+                Quant::Forall => Formula::Forall(vs, Box::new(g)),
+            }
+        });
+        // `to_prenex` and the evaluator standardize apart alike, so the
+        // sentence's sorts name the prefix variables.
+        let sorts = EvalContext::new(db, f).unwrap().sorts().clone();
+        let ctx = EvalContext::open(db, &rest).unwrap();
+        let vars: Vec<(String, String)> = p.prefix[..n]
+            .iter()
+            .map(|(_, v)| (v.clone(), sorts[v].clone()))
+            .collect();
+        let sizes: Vec<u64> = vars.iter().map(|(_, c)| db.class_size(c)).collect();
+        let mut rows = Vec::new();
+        let mut row = vec![0u64; n];
+        'odometer: loop {
+            let env = vars
+                .iter()
+                .zip(&row)
+                .map(|((v, _), &code)| (v.clone(), code as u32))
+                .collect();
+            if !ctx.eval_with(&env) {
+                rows.push(row.clone());
+            }
+            for i in (0..n).rev() {
+                row[i] += 1;
+                if row[i] < sizes[i] {
+                    continue 'odometer;
+                }
+                row[i] = 0;
+            }
+            break;
+        }
+        let total = rows.len() as f64;
+        Some((vars, rows, total))
+    }
+
+    /// ∀ constraints over [`random_db`]'s relations, covering every shape
+    /// the witness path's recovery conjunction handles.
+    const WITNESS_CORPUS: &[&str] = &[
+        // Self-join FD a → c: two atoms with a local column (b1, b2).
+        "forall a, b1, c1, b2, c2. U(a, b1, c1) & U(a, b2, c2) -> c1 = c2",
+        // Self-join FD with no local column.
+        "forall x, y1, y2. S(x, y1) & S(x, y2) -> y1 = y2",
+        // ∀…∃ inclusions with a local premise column.
+        "forall x, y. S(x, y) -> exists z. R(x, z)",
+        "forall a, b, c. U(a, b, c) -> exists w. S(a, w) & T(c)",
+        // Constant pins: in and out of the active domain, and by `=`/`in`.
+        "forall b, c. U(1, b, c) -> T(c)",
+        "forall b, c. U(9, b, c) -> false",
+        "forall x, y. S(x, y) & x = 2 -> y in {0, 1}",
+        // A repeated variable, with and without a local neighbour.
+        "forall x, y. R(x, x) & S(x, y) -> T(y)",
+        "forall x, y. R(x, x) & S(x, y) -> false",
+        // Atoms whose every column is local.
+        "forall x, y, z. R(x, y) -> !T(z)",
+        "forall x, y, z. R(x, y) & T(z) -> S(x, z)",
+    ];
+
+    /// Small random relations `R(k, k)`, `S(k, m)`, `T(m)`, `U(k, k, m)`
+    /// over classes of 4 and 3 values; one relation in five is empty.
+    fn random_db(rng: &mut SplitMix64) -> Database {
+        const SIZES: [(&str, u64); 2] = [("k", 4), ("m", 3)];
+        const RELS: [(&str, &[usize]); 4] = [
+            ("R", &[0, 0]),
+            ("S", &[0, 1]),
+            ("T", &[1]),
+            ("U", &[0, 0, 1]),
+        ];
+        let mut db = Database::new();
+        for (class, size) in SIZES {
+            db.ensure_class_size(class, size);
+        }
+        for (name, cols) in RELS {
+            let n = if rng.gen_bool(0.2) {
+                0
+            } else {
+                rng.gen_range(1..10usize)
+            };
+            let rows = (0..n)
+                .map(|_| {
+                    cols.iter()
+                        .map(|&k| Raw::Int(rng.gen_range(0..SIZES[k].1) as i64))
+                        .collect()
+                })
+                .collect();
+            let names = ["c0", "c1", "c2"];
+            let schema: Vec<(&str, &str)> = cols
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (names[i], SIZES[k].0))
+                .collect();
+            db.create_relation(name, &schema, rows).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn witnesses_match_brute_force_enumeration() {
+        let strategies = [PlanOptions::default(), PlanOptions::from_flags(true, false)];
+        let mut l = ldb();
+        for src in SENTENCES {
+            let f = parse(src).unwrap();
+            let want = brute_witnesses(l.db(), &f);
+            for options in strategies {
+                assert_eq!(witnesses(&mut l, &f, options), want, "{options:?}: {src}");
+                l.gc();
+            }
+        }
+        let mut rng = SplitMix64::seed_from_u64(0x5EED_0020);
+        let mut violated = 0;
+        for round in 0..30 {
+            let mut l = LogicalDatabase::new(random_db(&mut rng));
+            for rel in ["R", "S", "T", "U"] {
+                l.build_index(rel, OrderingStrategy::ProbConverge).unwrap();
+            }
+            for src in WITNESS_CORPUS {
+                let f = parse(src).unwrap();
+                let want = brute_witnesses(l.db(), &f).unwrap();
+                violated += !want.1.is_empty() as usize;
+                for options in strategies {
+                    let got = witnesses(&mut l, &f, options);
+                    assert_eq!(
+                        got.as_ref(),
+                        Some(&want),
+                        "round {round}, {options:?}: {src}"
+                    );
+                    l.gc();
+                }
+            }
+        }
+        // The corpus must exercise non-empty violation sets.
+        assert!(violated * 3 >= 30 * WITNESS_CORPUS.len(), "{violated}");
     }
 
     #[test]

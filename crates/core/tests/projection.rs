@@ -13,8 +13,10 @@
 //!   the brute-force evaluator.
 //! * **Regression guard** — the customer FD `areacode-determines-state`
 //!   stays on the BDD rung under a node budget that the unprojected
-//!   self-join outgrows, and witness enumeration (which never projects)
-//!   still counts the same violations.
+//!   self-join outgrows, and witness enumeration (which projects like the
+//!   check, then conjoins the projected atoms back in whole) still counts
+//!   the same violations, within the budget and with the check's column
+//!   use.
 
 use relcheck_core::checker::{Checker, CheckerOptions, Method};
 use relcheck_core::PlanOptions;
@@ -304,8 +306,8 @@ fn areacode_fd_stays_on_bdd_rung_under_a_tight_budget() {
     );
     assert!(!report.holds, "the fixture's scrambled rows break the FD");
 
-    // Witness enumeration builds the full violation set (nothing is
-    // projected there): the count is the one measured before projection
+    // Witness enumeration recovers the full violation set from the
+    // projected one: the count is the one measured before projection
     // existed.
     let mut ck = Checker::new(
         db,
@@ -320,4 +322,88 @@ fn areacode_fd_stays_on_bdd_rung_under_a_tight_budget() {
         .expect("unlimited budget");
     assert_eq!(counted.total, 7326.0);
     assert_eq!(counted.vars, ["a", "c1", "s1", "c2", "s2"]);
+}
+
+#[test]
+fn fd_projection_answers_from_sql_when_the_budget_aborts_it() {
+    // areacode → state on CUST: the index fits, its two projections do not.
+    let mut ck = Checker::new(customer_db(), CheckerOptions::default());
+    assert!(ck.ensure_index("CUST").unwrap());
+    let before = ck.logical_db().manager().live_nodes();
+    ck.logical_db_mut()
+        .manager_mut()
+        .set_node_limit(Some(before + 100));
+    let want = ck.check_fd_sql("CUST", &[0], &[2]).unwrap();
+    assert!(!want, "the fixture's scrambled rows break the FD");
+    assert_eq!(ck.check_fd_bdd("CUST", &[0], &[2]).unwrap(), want);
+    assert!(ck.logical_db().manager().live_nodes() <= before);
+}
+
+#[test]
+fn certify_order_witnesses_fit_the_fallback_budget() {
+    // The certify order: check, then enumerate. The witness step hits the
+    // check's projected atoms in the atom cache and only adds the whole
+    // atoms back, so it peaks below the unprojected compile's 48,433.
+    let f = parse(AREACODE_DETERMINES_STATE).unwrap();
+    let mut ck = Checker::new(
+        customer_db(),
+        CheckerOptions {
+            node_limit: Some(50_000),
+            ..Default::default()
+        },
+    );
+    assert!(!ck.check(&f).unwrap().holds);
+    let counted = ck
+        .find_violations_counted(&f, 10)
+        .unwrap()
+        .expect("within the budget");
+    assert_eq!(counted.total, 7326.0);
+    let peak = ck.logical_db().manager().stats().peak_nodes;
+    assert!(peak <= 48_433, "witness peak {peak}");
+}
+
+#[test]
+fn a_budget_abort_in_the_witness_recovery_yields_none() {
+    // 30k fits the projected check (and the witness step's projected
+    // compile, served from its atoms) but not the whole atoms conjoined
+    // back in: the abort surfaces as "no BDD witnesses", not as an error.
+    let f = parse(AREACODE_DETERMINES_STATE).unwrap();
+    let mut ck = Checker::new(
+        customer_db(),
+        CheckerOptions {
+            node_limit: Some(30_000),
+            ..Default::default()
+        },
+    );
+    assert!(!ck.check(&f).unwrap().holds);
+    let live = ck.logical_db().manager().live_nodes();
+    assert!(ck.find_violations_counted(&f, 10).unwrap().is_none());
+    assert!(ck.logical_db().manager().live_nodes() <= live);
+}
+
+#[test]
+fn witnesses_record_the_same_column_use_as_the_check() {
+    // The witness step compiles each projected atom a second time, whole;
+    // that compile must not feed the adaptive ordering again.
+    let city_determines_state =
+        "forall a1, c, s1, a2, s2. CUST(a1, c, s1) & CUST(a2, c, s2) -> s1 = s2";
+    for src in [AREACODE_DETERMINES_STATE, city_determines_state] {
+        let f = parse(src).unwrap();
+        let mut ck = Checker::new(customer_db(), CheckerOptions::default());
+        let weights = |ck: &Checker| {
+            let w = ck.logical_db().column_weights("CUST");
+            w.map_or(vec![0; 3], <[u64]>::to_vec)
+        };
+        let w0 = weights(&ck);
+        ck.check(&f).unwrap();
+        let w1 = weights(&ck);
+        ck.find_violations_counted(&f, 10)
+            .unwrap()
+            .expect("no budget");
+        let w2 = weights(&ck);
+        let delta =
+            |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(x, y)| y - x).collect() };
+        assert_eq!(delta(&w1, &w2), delta(&w0, &w1), "{src}");
+        assert!(delta(&w0, &w1).iter().any(|&d| d > 0), "{src}");
+    }
 }

@@ -472,6 +472,21 @@ if ! cmp "$TAMPERED" testdata/phones.certs.json; then
 fi
 cargo run --release --quiet --bin relcheck -- \
     audit verify testdata/phones.spec "$TAMPERED" >/dev/null
+# A second golden: testdata/dialect.spec has three violated ∀ constraints
+# with atom-local columns, whose witnesses the BDD path recovers from the
+# check's projected compile.
+cargo run --release --quiet --bin relcheck -- \
+    audit emit testdata/dialect.spec "$TAMPERED" >/dev/null
+if ! cmp "$TAMPERED" testdata/dialect.certs.json; then
+    echo "audit emit bytes differ from testdata/dialect.certs.json" >&2
+    exit 1
+fi
+cargo run --release --quiet --bin relcheck -- \
+    audit verify testdata/dialect.spec "$TAMPERED" >"$AUDIT_OUT"
+if ! grep -q '4 verified, 0 unauditable, 0 failed' "$AUDIT_OUT"; then
+    echo "audit verify did not validate every dialect certificate" >&2
+    exit 1
+fi
 # Tamper one witness value (the 212 prefix violation becomes 213, a
 # value outside the areacode domain) and expect the typed rejection.
 sed 's/{"int":212}/{"int":213}/' "$BUNDLE" > "$TAMPERED"
