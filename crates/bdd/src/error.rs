@@ -61,11 +61,11 @@ pub enum BddError {
         /// The snapshot variable with no mapping.
         var: u32,
     },
-    /// The wall-clock deadline of the active [`crate::Budget`] passed while
-    /// an operation was in flight. The operation was aborted cooperatively
-    /// at a recursion boundary; the manager remains usable (exactly like a
-    /// node-limit abort) and the caller is expected to escalate down its
-    /// degradation ladder.
+    /// The wall-clock deadline armed by [`crate::BddManager::set_deadline`]
+    /// passed while an operation was in flight. The operation was aborted
+    /// cooperatively at a recursion boundary; the manager remains usable
+    /// (exactly like a node-limit abort) and the caller is expected to
+    /// escalate down its degradation ladder.
     Deadline {
         /// Budget steps (memoized recursive calls) taken before the abort.
         steps: u64,

@@ -66,8 +66,7 @@ pub use cache::{OpKind, OP_KINDS};
 pub use error::{BddError, Result};
 pub use fdd::{DomainId, DomainInfo};
 pub use manager::{
-    Bdd, BddManager, Budget, CompactStats, GcStats, ManagerStats, OpStats, StatsDelta, Var,
-    NODE_BYTES,
+    Bdd, BddManager, CompactStats, GcStats, ManagerStats, OpStats, StatsDelta, Var, NODE_BYTES,
 };
 pub use quant::VarSet;
 pub use replace::ReplaceMap;

@@ -148,20 +148,6 @@ impl NodeArena {
     }
 }
 
-/// A resource budget for BDD operations: the node limit (the paper's
-/// size-threshold fallback trigger) plus an optional wall-clock deadline,
-/// enforced cooperatively at every memoized recursion boundary. Exceeding
-/// the node limit aborts with [`BddError::NodeLimit`]; passing the deadline
-/// aborts with [`BddError::Deadline`]. Either way the in-flight operation
-/// unwinds cleanly through its `Result` chain and the manager stays usable.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Budget {
-    /// Maximum live nodes before allocating operations abort.
-    pub node_limit: Option<usize>,
-    /// Wall-clock instant after which in-flight operations abort.
-    pub deadline: Option<std::time::Instant>,
-}
-
 /// How many budget steps pass between wall-clock reads: recursion
 /// boundaries are hit every few hundred nanoseconds, so probing the clock
 /// on every step would dominate; a stride of 256 bounds deadline overshoot
@@ -419,20 +405,6 @@ impl BddManager {
     /// The armed deadline, if any.
     pub fn deadline(&self) -> Option<std::time::Instant> {
         self.deadline
-    }
-
-    /// Set node limit and deadline together.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.node_limit = budget.node_limit;
-        self.deadline = budget.deadline;
-    }
-
-    /// The budget currently in force.
-    pub fn budget(&self) -> Budget {
-        Budget {
-            node_limit: self.node_limit,
-            deadline: self.deadline,
-        }
     }
 
     /// Total budget probes so far (one per memoized recursive call).
@@ -815,12 +787,6 @@ impl BddManager {
             depth_hwm: self.depth_hwm,
             ops,
         }
-    }
-
-    /// Approximate heap footprint of the node store in bytes (the paper
-    /// reports 20 bytes per BuDDy node; see [`NODE_BYTES`]).
-    pub fn node_bytes(&self) -> usize {
-        self.live_nodes() * NODE_BYTES
     }
 }
 

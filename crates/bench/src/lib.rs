@@ -65,11 +65,6 @@ fn parse_usize_arg(args: &[String], name: &str, default: usize) -> Result<usize,
         .map_err(|_| format!("{name} expects a non-negative integer, got {value:?}"))
 }
 
-/// Is a bare flag present?
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// Parse `--flag value` style string arguments (e.g. `--metrics out.json`).
 pub fn arg_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();

@@ -57,18 +57,11 @@ pub struct CheckerOptions {
     /// trace allocation, so leaving it off costs nothing measurable.
     pub telemetry: bool,
     /// Per-constraint wall-clock budget. Armed at the start of every
-    /// [`Checker::check`] call; the BDD recursion polls it (every
-    /// [`relcheck_bdd::Budget`] stride) and aborts with
+    /// [`Checker::check`] call; the BDD recursion polls it (see
+    /// [`relcheck_bdd::BddManager::set_deadline`]) and aborts with
     /// [`BddError::Deadline`], which escalates down the degradation ladder
     /// exactly like a node-budget abort. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Reuse compiled atom subgraphs across constraints over the same
-    /// relations (the [`crate::index::AtomAction`]-keyed cache). Sharing
-    /// never changes a verdict — a compiled atom is a pure function of the
-    /// index root and its action list — so this is on by default; `false`
-    /// is the escape hatch and the baseline side of the sharing
-    /// differential suite.
-    pub share_subgraphs: bool,
     /// BDD apply-cache slot count. `None` = the policy default
     /// ([`crate::policy::DEFAULT_CACHE_SLOTS`]); `relcheck run --route
     /// auto` passes a workload-derived size
@@ -86,7 +79,6 @@ impl Default for CheckerOptions {
             gc_between_checks: true,
             telemetry: false,
             deadline: None,
-            share_subgraphs: true,
             apply_cache_slots: None,
         }
     }
@@ -441,7 +433,6 @@ impl Checker {
         let slots = crate::policy::manager_cache_slots(opts.apply_cache_slots);
         let mut ldb = LogicalDatabase::with_cache_slots(db, slots);
         ldb.manager_mut().set_node_limit(opts.node_limit);
-        ldb.set_subgraph_sharing(opts.share_subgraphs);
         Checker {
             ldb,
             opts,

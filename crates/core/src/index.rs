@@ -238,19 +238,13 @@ impl LogicalDatabase {
     }
 
     /// Enable or disable the shared-subgraph atom cache (enabled by
-    /// default). Disabling drops every cached entry — the escape hatch
-    /// behind `CheckerOptions::share_subgraphs`, and the baseline side of
+    /// default). Disabling drops every cached entry — the baseline side of
     /// the sharing differential tests.
     pub fn set_subgraph_sharing(&mut self, on: bool) {
         self.sharing = on;
         if !on {
             self.atom_cache.clear();
         }
-    }
-
-    /// Is the shared-subgraph atom cache enabled?
-    pub fn subgraph_sharing(&self) -> bool {
-        self.sharing
     }
 
     /// Look up a compiled atom. A hit requires the stored entry to match

@@ -337,8 +337,8 @@ impl ConstraintRegistry {
     }
 
     /// Run the workload-driven advisor over this registry's constraints
-    /// and apply its advice to the checker — the `--route auto` /
-    /// serve-re-advise entry point. Any route change goes through
+    /// and apply its advice to the checker — the `--route auto` / serve
+    /// `advise` entry point. Any route change goes through
     /// [`Checker::mark_sql_only`] / [`Checker::rebuild_index`], which
     /// bump the invalidation epoch, so every cached verdict reading a
     /// re-routed relation is retired on the next revalidate and the

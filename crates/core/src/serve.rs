@@ -228,17 +228,9 @@ pub struct ServeEngine {
     profile: WorkloadProfile,
     /// Counters from the most recent advise, `None` until one runs.
     policy: Option<PolicyMetrics>,
-    /// How many advise passes ran (explicit `advise` commands plus
-    /// periodic re-advises).
+    /// How many advise passes the session ran.
     readvises: u64,
 }
-
-/// Deltas between automatic re-advise passes: every
-/// `READVISE_INTERVAL`-th applied delta re-records the profile and
-/// re-applies the advisor, so a drifting workload re-routes without an
-/// explicit `advise`. Large enough that short scripted sessions (CI
-/// smokes apply a handful of deltas) never trigger one.
-pub const READVISE_INTERVAL: u64 = 64;
 
 impl ServeEngine {
     /// Build a session over a warm checker (callers warm-start the store
@@ -350,14 +342,6 @@ impl ServeEngine {
         };
         self.dirty.insert(relation.to_owned());
         self.stats.deltas += 1;
-        // Periodic re-advise: a long-running session's workload drifts,
-        // so every READVISE_INTERVAL-th delta re-runs the advisor. Best
-        // effort — route maintenance failing (e.g. a rebuild hitting an
-        // injected fault) must not fail the delta that triggered it; the
-        // session just keeps its current routing until the next pass.
-        if self.stats.deltas.is_multiple_of(READVISE_INTERVAL) {
-            let _ = self.advise_now();
-        }
         Ok(outcome)
     }
 
@@ -491,26 +475,6 @@ impl ServeEngine {
             None
         };
         Ok(Some((cert, audit)))
-    }
-
-    /// [`certify_one`] over every registered constraint, in registration
-    /// order.
-    ///
-    /// [`certify_one`]: ServeEngine::certify_one
-    pub fn certify_all(
-        &mut self,
-    ) -> Result<Vec<(Certificate, Option<crate::certify::AuditError>)>> {
-        let names: Vec<String> = self
-            .registry
-            .names()
-            .iter()
-            .map(|n| (*n).to_owned())
-            .collect();
-        let mut out = Vec::with_capacity(names.len());
-        for name in names {
-            out.push(self.certify_one(&name)?.expect("registered name certifies"));
-        }
-        Ok(out)
     }
 
     fn note_check(&mut self) {
@@ -1170,6 +1134,23 @@ mod tests {
             assert_eq!(b.holds(), a.holds(), "{name}");
         }
         assert!(e.policy_metrics().unwrap().readvises == 2);
+    }
+
+    #[test]
+    fn deltas_never_run_the_advisor() {
+        // The advisor runs on an explicit `advise` only: a long delta
+        // stream leaves the session's policy block empty.
+        let mut e = engine();
+        for i in 0..128 {
+            let delta = if i % 2 == 0 {
+                Delta::Delete(vec![Raw::Int(2)])
+            } else {
+                Delta::Insert(vec![Raw::Int(2)])
+            };
+            e.apply("S", &delta).unwrap();
+        }
+        assert_eq!(e.stats().deltas, 128);
+        assert_eq!(e.policy_metrics(), None);
     }
 
     #[test]

@@ -284,7 +284,7 @@ pub struct PolicyMetrics {
     /// Relations whose recorded weights were re-seeded into the live
     /// workload.
     pub reseeded: u64,
-    /// Periodic re-advise passes a serve session ran.
+    /// Advise passes the serve session ran (0 outside `serve`).
     pub readvises: u64,
     /// The apply-cache slot count the advice recommended.
     pub cache_slots: u64,
@@ -1102,15 +1102,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number (integer or float).
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Int(i) => Some(*i as f64),
-            Json::Float(f) => Some(*f),
             _ => None,
         }
     }

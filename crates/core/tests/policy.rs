@@ -167,7 +167,6 @@ fn serial_advised_verdicts_match_static() {
     let option_sets = [
         CheckerOptions::default(),
         CheckerOptions {
-            share_subgraphs: true,
             ordering: OrderingStrategy::Adaptive,
             ..Default::default()
         },

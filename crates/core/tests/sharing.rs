@@ -1,12 +1,13 @@
 //! Shared-manager differential suite.
 //!
-//! The subgraph cache (`CheckerOptions::share_subgraphs`) reuses compiled
-//! atom BDDs across constraints over the same relations. Its safety
-//! argument — a compiled atom is a pure function of the index root and its
-//! action list — is pinned here differentially: `check_all` with sharing on
-//! must agree with per-constraint compilation (sharing off) on every
-//! verdict and method, serially, under 2-lane parallelism, and under fault
-//! injection at the index-build site. The suite also covers the core half
+//! The subgraph cache reuses compiled atom BDDs across constraints over the
+//! same relations. Its safety argument — a compiled atom is a pure function
+//! of the index root and its action list — is pinned here differentially:
+//! `check_all` with sharing on must agree with per-constraint compilation
+//! (sharing switched off through
+//! `LogicalDatabase::set_subgraph_sharing(false)`) on every verdict and
+//! method, serially, under 2-lane parallelism, and under fault injection
+//! at the index-build site. The suite also covers the core half
 //! of the ordering-invariance oracle: every ordering strategy, including
 //! the workload-adaptive one, yields the same verdicts.
 
@@ -106,11 +107,11 @@ fn battery() -> Vec<(String, Formula)> {
     .collect()
 }
 
-fn opts(share: bool) -> CheckerOptions {
-    CheckerOptions {
-        share_subgraphs: share,
-        ..Default::default()
-    }
+/// A checker over `db`, compiling every atom afresh when `share` is off.
+fn checker(db: Database, share: bool) -> Checker {
+    let mut ck = Checker::new(db, CheckerOptions::default());
+    ck.logical_db_mut().set_subgraph_sharing(share);
+    ck
 }
 
 fn assert_same(want: &[(String, CheckReport)], got: &[(String, CheckReport)], context: &str) {
@@ -127,14 +128,14 @@ fn sharing_matches_unshared_serially_and_actually_shares() {
     let _g = lock();
     let db = customer_db(1_500, 0.01);
     let battery = battery();
-    let mut unshared = Checker::new(db.clone(), opts(false));
+    let mut unshared = checker(db.clone(), false);
     let want = unshared.check_all(&battery).unwrap();
     assert_eq!(
         unshared.logical_db().atom_cache_stats(),
         (0, 0),
         "escape hatch must not touch the cache"
     );
-    let mut shared = Checker::new(db, opts(true));
+    let mut shared = checker(db, true);
     let got = shared.check_all(&battery).unwrap();
     assert_same(&want, &got, "serial");
     let (hits, misses) = shared.logical_db().atom_cache_stats();
@@ -149,13 +150,10 @@ fn sharing_matches_unshared_across_parallel_lanes() {
     let _g = lock();
     let db = customer_db(1_200, 0.02);
     let battery = battery();
-    let mut baseline = Checker::new(db.clone(), opts(false));
-    let want = baseline.check_all(&battery).unwrap();
-    for share in [false, true] {
-        let mut ck = Checker::new(db.clone(), opts(share));
-        let got = ck.check_all_parallel(&battery, 2).unwrap();
-        assert_same(&want, &got, &format!("parallel share={share}"));
-    }
+    let want = checker(db.clone(), false).check_all(&battery).unwrap();
+    // Lanes build their own checkers, which always share.
+    let got = checker(db, true).check_all_parallel(&battery, 2).unwrap();
+    assert_same(&want, &got, "parallel");
 }
 
 #[test]
@@ -165,17 +163,11 @@ fn sharing_matches_unshared_under_index_build_faults() {
     let db = customer_db(900, 0.02);
     let battery = battery();
     // Fault-free reference for the resilience invariant.
-    let clean = Checker::new(db.clone(), opts(false))
-        .check_all(&battery)
-        .unwrap();
+    let clean = checker(db.clone(), false).check_all(&battery).unwrap();
     for seed in [3u64, 11, 27] {
         failpoint::configure_spec("index-build=0.6", seed).unwrap();
-        let want = Checker::new(db.clone(), opts(false))
-            .check_all(&battery)
-            .unwrap();
-        let got = Checker::new(db.clone(), opts(true))
-            .check_all(&battery)
-            .unwrap();
+        let want = checker(db.clone(), false).check_all(&battery).unwrap();
+        let got = checker(db.clone(), true).check_all(&battery).unwrap();
         failpoint::clear();
         restore_panics();
         // Same seed ⇒ same injected faults ⇒ shared and unshared must walk
@@ -198,7 +190,7 @@ fn every_ordering_strategy_agrees_including_adaptive() {
     let _g = lock();
     let db = customer_db(1_000, 0.015);
     let battery = battery();
-    let mut baseline = Checker::new(db.clone(), opts(true));
+    let mut baseline = checker(db.clone(), true);
     let want = baseline.check_all(&battery).unwrap();
     for strategy in [
         OrderingStrategy::Schema,
@@ -259,7 +251,7 @@ fn adaptive_rebuild_uses_recorded_workload_and_keeps_verdicts() {
 fn arena_stays_bounded_under_delta_churn() {
     let _g = lock();
     let battery = battery();
-    let mut ck = Checker::new(customer_db(1_500, 0.01), opts(true));
+    let mut ck = checker(customer_db(1_500, 0.01), true);
     let want = ck.check_all(&battery).unwrap();
     let baseline = ck.logical_db().manager().live_nodes();
     // A tuple of interned values that CUST does not hold yet: row 0 with

@@ -24,6 +24,14 @@ done
 
 step() { echo; echo "==> $*"; }
 
+step "test suites: no crate-level #![cfg(...)] gates"
+# A suite gated off at crate level compiles to nothing, so its failures
+# can never show; every integration test file must build and run here.
+if grep -rn --include='*.rs' '^[[:space:]]*#!\[cfg(' crates/*/tests tests; then
+    echo "integration test files above are gated off by a crate-level #![cfg(...)]" >&2
+    exit 1
+fi
+
 step "tier-1: release build"
 cargo build --release
 
