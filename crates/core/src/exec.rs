@@ -400,10 +400,10 @@ impl Compiler<'_> {
                 .collect();
             self.ldb.record_column_use(relation, &usage);
         }
-        // Resolve argument actions against the database before touching the
-        // manager (split borrows). The action list is also the subgraph
-        // cache key: the compiled BDD is a pure function of (index root,
-        // actions), so equal lists reuse one compilation.
+        // Resolve argument actions against the database. The action list
+        // is also the subgraph cache key: the compiled BDD is a pure
+        // function of (index root, actions), so equal lists reuse one
+        // compilation.
         let mut actions: Vec<AtomAction> = Vec::with_capacity(args.len());
         {
             let db = self.ldb.db();
@@ -458,79 +458,23 @@ impl Compiler<'_> {
             }
             actions.extend(moves);
         }
-        let renames: Vec<(DomainId, DomainId)> = actions
+        let renames = actions
             .iter()
-            .filter_map(|a| match a {
-                AtomAction::Rename(from, to) => Some((*from, *to)),
-                _ => None,
-            })
-            .collect();
-        if let Some(cached) = self.ldb.atom_cache_get(relation, &actions) {
-            // The R2 rewrite conceptually fired even though the rename was
-            // served from the cache — telemetry stays identical to a cold
-            // compile.
-            if !renames.is_empty() {
-                if let Some(rs) = self.rules.as_deref_mut() {
-                    rs.push(RuleFiring {
-                        rule: RewriteRule::R2JoinRename,
-                        count: renames.len() as u64,
-                    });
-                }
-            }
-            return Ok(cached);
-        }
-        let mgr = self.ldb.manager_mut();
-        let mut cur = idx.root;
-        // 1. Pin constants (restrict: removes the block's variables).
-        for a in &actions {
-            if let AtomAction::Pin(d, code) = a {
-                let cube = mgr.value_cube(*d, *code)?;
-                cur = mgr.restrict(cur, cube)?;
-            }
-        }
-        // 2. Project atom-local columns on the index's own domains, so the
-        //    rename below only moves the columns that survive.
-        let projected: Vec<DomainId> = actions
-            .iter()
-            .filter_map(|a| match a {
-                AtomAction::Project(d) => Some(*d),
-                _ => None,
-            })
-            .collect();
-        if !projected.is_empty() {
-            let vs = mgr.domain_varset(&projected);
-            cur = mgr.exists(cur, vs)?;
-        }
-        // 3. Equate repeated variables' extra columns with their
-        //    representatives (and, under the naive strategy, move columns by
-        //    equality cubes), then project those column blocks away. This
-        //    runs before the rename, while every column is still its own.
-        let mut quantify_out = Vec::new();
-        for a in &actions {
-            if let AtomAction::Equal(col_dom, other) = a {
-                let eq = mgr.domain_eq(*col_dom, *other)?;
-                cur = mgr.and(cur, eq)?;
-                quantify_out.push(*col_dom);
-            }
-        }
-        if !quantify_out.is_empty() {
-            let vs = mgr.domain_varset(&quantify_out);
-            cur = mgr.exists(cur, vs)?;
-        }
-        // 4. Rename the surviving columns into their variables' domains —
-        //    the §4.2 rewrite: one linear-cost pass instead of equality
-        //    conjunctions.
-        if !renames.is_empty() {
-            cur = mgr.replace_domains(cur, &renames)?;
+            .filter(|a| matches!(a, AtomAction::Rename(..)))
+            .count();
+        let atom = self.ldb.compile_atom(relation, actions)?;
+        // The R2 rewrite fired whether the atom was compiled, patched or
+        // served from the cache: telemetry stays identical to a cold
+        // compile.
+        if renames > 0 {
             if let Some(rs) = self.rules.as_deref_mut() {
                 rs.push(RuleFiring {
                     rule: RewriteRule::R2JoinRename,
-                    count: renames.len() as u64,
+                    count: renames as u64,
                 });
             }
         }
-        self.ldb.atom_cache_put(relation, actions, cur);
-        Ok(cur)
+        Ok(atom)
     }
 
     fn compile_eq(&mut self, a: &Term, b: &Term) -> Result<Bdd> {

@@ -126,7 +126,7 @@ impl IndexSnapshot {
 }
 
 /// One argument's resolved effect on a relation index — the
-/// manager-independent shape of what [`crate::exec`] does to compile an
+/// manager-independent shape of what [`apply_actions`] does to compile an
 /// atom. A compiled atom is a pure function of the index root plus its
 /// action list, so `(relation, actions)` keys the shared-subgraph cache:
 /// two constraints mentioning the same `R(x, y)` shape resolve to equal
@@ -149,14 +149,82 @@ pub enum AtomAction {
     Equal(DomainId, DomainId),
 }
 
-/// A cached compiled atom: valid while the data version and the source
-/// index root both still match (a rebuild under a different ordering can
-/// change the root without bumping the version).
+/// A cached compiled atom and the index root of its relation it was
+/// compiled at.
 #[derive(Debug, Clone, Copy)]
 struct CachedAtom {
-    version: u64,
     index_root: Bdd,
     result: Bdd,
+}
+
+/// The column blocks an action list projects away on the index's own
+/// domains. Every other column is *kept*: conjoining a function of the
+/// kept columns commutes with every step of [`apply_actions`], which is
+/// what makes a patched atom exact (DESIGN §5e).
+fn projected(actions: &[AtomAction]) -> Vec<DomainId> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            AtomAction::Project(d) => Some(*d),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Run an atom's action list on `f`, in the one order both a cold compile
+/// and a patch use: pin constants (restrict), project atom-local columns,
+/// equate repeated or naively joined columns and project them away, then
+/// rename the surviving columns into their variables' domains.
+pub fn apply_actions(
+    mgr: &mut BddManager,
+    f: Bdd,
+    actions: &[AtomAction],
+) -> relcheck_bdd::Result<Bdd> {
+    let mut cur = f;
+    // 1. Pin constants (restrict: removes the block's variables).
+    for a in actions {
+        if let AtomAction::Pin(d, code) = a {
+            let cube = mgr.value_cube(*d, *code)?;
+            cur = mgr.restrict(cur, cube)?;
+        }
+    }
+    // 2. Project atom-local columns on the index's own domains, so the
+    //    rename below only moves the columns that survive.
+    let projected = projected(actions);
+    if !projected.is_empty() {
+        let vs = mgr.domain_varset(&projected);
+        cur = mgr.exists(cur, vs)?;
+    }
+    // 3. Equate repeated variables' extra columns with their
+    //    representatives (and, under the naive strategy, move columns by
+    //    equality cubes), then project those column blocks away. This runs
+    //    before the rename, while every column is still its own.
+    let mut quantify_out = Vec::new();
+    for a in actions {
+        if let AtomAction::Equal(col_dom, other) = a {
+            let eq = mgr.domain_eq(*col_dom, *other)?;
+            cur = mgr.and(cur, eq)?;
+            quantify_out.push(*col_dom);
+        }
+    }
+    if !quantify_out.is_empty() {
+        let vs = mgr.domain_varset(&quantify_out);
+        cur = mgr.exists(cur, vs)?;
+    }
+    // 4. Rename the surviving columns into their variables' domains — the
+    //    §4.2 rewrite: one linear-cost pass instead of equality
+    //    conjunctions.
+    let renames: Vec<(DomainId, DomainId)> = actions
+        .iter()
+        .filter_map(|a| match a {
+            AtomAction::Rename(from, to) => Some((*from, *to)),
+            _ => None,
+        })
+        .collect();
+    if !renames.is_empty() {
+        cur = mgr.replace_domains(cur, &renames)?;
+    }
+    Ok(cur)
 }
 
 /// A database plus its BDD logical indices.
@@ -170,6 +238,7 @@ pub struct LogicalDatabase {
     atom_cache: HashMap<(String, Vec<AtomAction>), CachedAtom>,
     atom_hits: u64,
     atom_misses: u64,
+    atom_patches: u64,
     sharing: bool,
     workload: HashMap<String, Vec<u64>>,
     adaptive_picks: HashMap<String, &'static str>,
@@ -199,6 +268,7 @@ impl LogicalDatabase {
             atom_cache: HashMap::new(),
             atom_hits: 0,
             atom_misses: 0,
+            atom_patches: 0,
             sharing: true,
             workload: HashMap::new(),
             adaptive_picks: HashMap::new(),
@@ -247,45 +317,84 @@ impl LogicalDatabase {
         }
     }
 
-    /// Look up a compiled atom. A hit requires the stored entry to match
-    /// the current data version *and* the relation's current index root.
-    pub fn atom_cache_get(&mut self, relation: &str, key: &[AtomAction]) -> Option<Bdd> {
+    /// The atom `actions` over `relation`'s current index root
+    /// ([`apply_actions`]), through the shared-subgraph cache.
+    ///
+    /// An entry compiled at the relation's current index root is a hit. An
+    /// entry compiled at an older root is patched: with `Kc` the tuples on
+    /// which the two roots differ, projected onto the atom's kept columns,
+    /// and `K = apply_actions(Kc)`, the atom becomes `(A ∧ ¬K) ∨
+    /// apply_actions(root ∧ Kc)` — the very node a recompile builds (DESIGN
+    /// §5e). An atom that keeps no column, or that has no entry, compiles
+    /// from the root.
+    pub fn compile_atom(&mut self, relation: &str, actions: Vec<AtomAction>) -> Result<Bdd> {
+        let idx = self
+            .indices
+            .get(relation)
+            .ok_or_else(|| CoreError::MissingIndex(relation.to_owned()))?;
+        let root = idx.root;
         if !self.sharing {
-            return None;
+            return Ok(apply_actions(&mut self.mgr, root, &actions)?);
         }
-        let cur_root = self.indices.get(relation)?.root;
-        match self.atom_cache.get(&(relation.to_owned(), key.to_vec())) {
-            Some(c) if c.version == self.version && c.index_root == cur_root => {
-                self.atom_hits += 1;
-                Some(c.result)
-            }
-            _ => {
-                self.atom_misses += 1;
-                None
-            }
+        let key = (relation.to_owned(), actions);
+        let cached = self.atom_cache.get(&key).copied();
+        if let Some(c) = cached.filter(|c| c.index_root == root) {
+            self.atom_hits += 1;
+            return Ok(c.result);
         }
+        self.atom_misses += 1;
+        let projected = projected(&key.1);
+        let mgr = &mut self.mgr;
+        let result = match cached {
+            Some(c) if projected.len() < idx.domains.len() => {
+                self.atom_patches += 1;
+                // Hash-consing shares every unchanged path of the two
+                // roots, so the xor only walks the touched tuples.
+                let touched = mgr.xor(c.index_root, root)?;
+                // `K = P(Kc) = P(touched)`, as `P` projects the same
+                // columns. Without pins its ∃ is the very call that builds
+                // `Kc` next, which then comes from the operation cache.
+                let k = apply_actions(mgr, touched, &key.1)?;
+                let vs = mgr.domain_varset(&projected);
+                let kc = mgr.exists(touched, vs)?;
+                let inside = mgr.and(root, kc)?;
+                let inside = apply_actions(mgr, inside, &key.1)?;
+                let outside = mgr.diff(c.result, k)?;
+                mgr.or(outside, inside)?
+            }
+            _ => apply_actions(mgr, root, &key.1)?,
+        };
+        self.atom_cache.insert(
+            key,
+            CachedAtom {
+                index_root: root,
+                result,
+            },
+        );
+        Ok(result)
     }
 
-    /// Install a compiled atom under the current data version. The cached
-    /// root is protected by [`LogicalDatabase::gc`] until it goes stale.
-    pub fn atom_cache_put(&mut self, relation: &str, key: Vec<AtomAction>, result: Bdd) {
-        if !self.sharing {
-            return;
-        }
-        let Some(idx) = self.indices.get(relation) else {
-            return;
-        };
-        let entry = CachedAtom {
-            version: self.version,
-            index_root: idx.root,
-            result,
-        };
-        self.atom_cache.insert((relation.to_owned(), key), entry);
-    }
-
-    /// `(hits, misses)` observed by the shared-subgraph atom cache.
+    /// `(hits, misses)` observed by the shared-subgraph atom cache. A
+    /// patched lookup counts as a miss.
     pub fn atom_cache_stats(&self) -> (u64, u64) {
         (self.atom_hits, self.atom_misses)
+    }
+
+    /// Stale atom-cache entries patched instead of recompiled (a subset of
+    /// the misses).
+    pub fn atom_cache_patches(&self) -> u64 {
+        self.atom_patches
+    }
+
+    /// The atom-cache entries compiled at their relation's current index
+    /// root: `(relation, action list, compiled atom)`. Each equals
+    /// [`apply_actions`] on that root.
+    pub fn fresh_atoms(&self) -> Vec<(&str, &[AtomAction], Bdd)> {
+        self.atom_cache
+            .iter()
+            .filter(|((rel, _), c)| self.indices[rel].root == c.index_root)
+            .map(|((rel, key), c)| (rel.as_str(), key.as_slice(), c.result))
+            .collect()
     }
 
     /// Drop every shared-subgraph cache entry, keeping sharing enabled —
@@ -297,14 +406,11 @@ impl LogicalDatabase {
         self.atom_cache.clear();
     }
 
-    /// Drop atom-cache entries that no longer match the current data
-    /// version or their relation's current index root.
-    fn prune_atom_cache(&mut self) {
-        let version = self.version;
-        let indices = &self.indices;
-        self.atom_cache.retain(|(rel, _), c| {
-            c.version == version && indices.get(rel).is_some_and(|i| i.root == c.index_root)
-        });
+    /// Forget a relation's atom-cache entries: its index was just
+    /// (re)built or adopted, so no entry's root is an earlier version of
+    /// the new one.
+    fn reset_atoms(&mut self, relation: &str) {
+        self.atom_cache.retain(|(rel, _), _| rel != relation);
     }
 
     /// A monotone counter bumped by every operation that can change what a
@@ -328,7 +434,8 @@ impl LogicalDatabase {
     /// segment: those deltas are already folded into the segment's BDD, so
     /// only the relation rows (and dictionaries) need them re-applied —
     /// going through [`LogicalDatabase::insert_tuple`] would double-apply
-    /// them to the index.
+    /// them to the index. Cached atoms survive it: they are a function of
+    /// the index roots, which raw row access cannot move.
     pub fn db_mut(&mut self) -> &mut Database {
         // Conservatively assume the caller mutates: raw access can change
         // rows without going through insert/delete, so cached plans keyed
@@ -448,6 +555,7 @@ impl LogicalDatabase {
             .map(|r| r.iter().map(|&v| v as u64).collect())
             .collect();
         let root = self.mgr.relation_from_rows(&domains, &rows)?;
+        self.reset_atoms(name);
         self.indices.insert(
             name.to_owned(),
             RelIndex {
@@ -571,6 +679,7 @@ impl LogicalDatabase {
             let size = self.mgr.domain_info(d).size;
             self.class_sizes.entry(class.clone()).or_insert(size);
         }
+        self.reset_atoms(&snap.relation);
         self.indices.insert(
             snap.relation.clone(),
             RelIndex {
@@ -583,13 +692,16 @@ impl LogicalDatabase {
         Ok(())
     }
 
-    /// Garbage-collect everything except the index roots and the still-valid
-    /// shared-subgraph cache entries (stale entries are pruned first so they
-    /// don't pin dead nodes).
+    /// Garbage-collect everything except the index roots and the
+    /// shared-subgraph cache entries, each with the index root it was
+    /// compiled at (a stale entry's patch reads it).
     pub fn gc(&mut self) -> GcStats {
-        self.prune_atom_cache();
         let mut roots: Vec<Bdd> = self.indices.values().map(|i| i.root).collect();
-        roots.extend(self.atom_cache.values().map(|c| c.result));
+        roots.extend(
+            self.atom_cache
+                .values()
+                .flat_map(|c| [c.index_root, c.result]),
+        );
         self.mgr.gc(&roots)
     }
 
@@ -600,7 +712,6 @@ impl LogicalDatabase {
     /// handle not owned by this database — callers must not hold BDDs
     /// across it.
     pub fn compact(&mut self) -> relcheck_bdd::CompactStats {
-        self.prune_atom_cache();
         let names: Vec<String> = {
             let mut n: Vec<String> = self.indices.keys().cloned().collect();
             n.sort_unstable();
@@ -609,16 +720,18 @@ impl LogicalDatabase {
         let keys: Vec<(String, Vec<AtomAction>)> = self.atom_cache.keys().cloned().collect();
         let mut roots: Vec<Bdd> = names.iter().map(|n| self.indices[n].root).collect();
         let cache_start = roots.len();
-        roots.extend(keys.iter().map(|k| self.atom_cache[k].result));
+        roots.extend(keys.iter().flat_map(|k| {
+            let c = self.atom_cache[k];
+            [c.index_root, c.result]
+        }));
         let stats = self.mgr.compact(&mut roots);
         for (n, r) in names.iter().zip(&roots[..cache_start]) {
             self.indices.get_mut(n).expect("key enumerated").root = *r;
         }
-        for (k, r) in keys.iter().zip(&roots[cache_start..]) {
-            let root = self.indices[&k.0].root;
+        for (k, r) in keys.iter().zip(roots[cache_start..].chunks(2)) {
             let c = self.atom_cache.get_mut(k).expect("key enumerated");
-            c.result = *r;
-            c.index_root = root;
+            c.index_root = r[0];
+            c.result = r[1];
         }
         stats
     }
@@ -883,29 +996,109 @@ mod tests {
         let idx = ldb.index("R").unwrap().clone();
         let q = ldb.query_domain("city", 0).unwrap();
         let key = vec![AtomAction::Rename(idx.domains[0], q)];
-        assert_eq!(ldb.atom_cache_get("R", &key), None, "cold cache misses");
-        let compiled = {
-            let mgr = ldb.manager_mut();
-            mgr.replace_domains(idx.root, &[(idx.domains[0], q)])
-                .unwrap()
+        let cold = |ldb: &mut LogicalDatabase| {
+            let root = ldb.index("R").unwrap().root;
+            apply_actions(ldb.manager_mut(), root, &key).unwrap()
         };
-        ldb.atom_cache_put("R", key.clone(), compiled);
-        assert_eq!(ldb.atom_cache_get("R", &key), Some(compiled));
+        let compiled = ldb.compile_atom("R", key.clone()).unwrap();
+        assert_eq!(compiled, cold(&mut ldb), "a cold cache compiles");
+        assert_eq!(ldb.compile_atom("R", key.clone()).unwrap(), compiled);
         // The cached root survives GC.
         ldb.gc();
-        assert_eq!(ldb.atom_cache_get("R", &key), Some(compiled));
-        // A data mutation invalidates the entry.
+        assert_eq!(ldb.compile_atom("R", key.clone()).unwrap(), compiled);
+        // An insert makes the entry stale: the next lookup patches it into
+        // the very node a cold compile builds.
         let city = ldb.db().code("city", &Raw::str("Oshawa")).unwrap();
         let ac = ldb.db().code("areacode", &Raw::Int(416)).unwrap();
         assert!(ldb.insert_tuple("R", &[city, ac]).unwrap());
-        assert_eq!(ldb.atom_cache_get("R", &key), None, "stale after insert");
-        let (hits, misses) = ldb.atom_cache_stats();
-        assert_eq!((hits, misses), (2, 2));
-        // Disabling sharing drops entries and stops counting.
-        ldb.set_subgraph_sharing(false);
-        ldb.atom_cache_put("R", key.clone(), compiled);
-        assert_eq!(ldb.atom_cache_get("R", &key), None);
+        let patched = ldb.compile_atom("R", key.clone()).unwrap();
+        assert_ne!(patched, compiled);
+        assert_eq!(patched, cold(&mut ldb));
         assert_eq!(ldb.atom_cache_stats(), (2, 2));
+        assert_eq!(ldb.atom_cache_patches(), 1);
+        // A rebuild invalidates the relation's entries outright.
+        ldb.build_index("R", OrderingStrategy::Schema).unwrap();
+        assert!(ldb.atom_cache.is_empty());
+        // Disabling sharing compiles without the cache and stops counting.
+        ldb.set_subgraph_sharing(false);
+        let idx = ldb.index("R").unwrap().clone();
+        let key = vec![AtomAction::Rename(idx.domains[0], q)];
+        let fresh = ldb.compile_atom("R", key.clone()).unwrap();
+        assert_eq!(
+            fresh,
+            apply_actions(ldb.manager_mut(), idx.root, &key).unwrap()
+        );
+        assert!(ldb.atom_cache.is_empty());
+        assert_eq!(ldb.atom_cache_stats(), (2, 2));
+    }
+
+    /// A long delta burst with no check in between adds no cache entry. A
+    /// burst that nets to nothing returns the index root to its handle, so
+    /// the next check only hits; a burst that moves it patches each stale
+    /// atom once, and the verdicts equal a cold `check_all`.
+    #[test]
+    fn delta_bursts_without_checks() {
+        use crate::checker::{Checker, CheckerOptions};
+        let battery: Vec<(String, relcheck_logic::Formula)> = [
+            "forall c, a1, a2. R(c, a1) & R(c, a2) -> a1 = a2",
+            "forall c, a. R(c, a) -> exists a2. R(c, a2) & !(a = a2)",
+        ]
+        .iter()
+        .map(|src| (src.to_string(), relcheck_logic::parse(src).unwrap()))
+        .collect();
+        let holds = |ck: &mut Checker| -> Vec<bool> {
+            let reports = ck.check_all(&battery).unwrap();
+            reports.into_iter().map(|(_, r)| r.holds).collect()
+        };
+        let mut ck = Checker::new(db(), CheckerOptions::default());
+        holds(&mut ck);
+        let entries = ck.logical_db().atom_cache.len();
+        assert!(entries > 0);
+        let code =
+            |ck: &Checker, class: &str, v: Raw| ck.logical_db().db().code(class, &v).unwrap();
+        let oshawa_416 = [
+            code(&ck, "city", Raw::str("Oshawa")),
+            code(&ck, "areacode", Raw::Int(416)),
+        ];
+        let toronto_647 = [
+            code(&ck, "city", Raw::str("Toronto")),
+            code(&ck, "areacode", Raw::Int(647)),
+        ];
+        for i in 0..640 {
+            let ldb = ck.logical_db_mut();
+            if i % 2 == 0 {
+                assert!(ldb.insert_tuple("R", &oshawa_416).unwrap());
+            } else {
+                assert!(ldb.delete_tuple("R", &oshawa_416).unwrap());
+            }
+            assert_eq!(ldb.atom_cache.len(), entries);
+        }
+        let first = ck.logical_db().atom_cache_stats();
+        holds(&mut ck);
+        let (hits, misses) = ck.logical_db().atom_cache_stats();
+        assert_eq!(misses, first.1, "the root is back: every lookup hits");
+        assert!(hits > first.0);
+        for i in 0..641 {
+            let ldb = ck.logical_db_mut();
+            if i % 2 == 0 {
+                ldb.insert_tuple("R", &oshawa_416).unwrap();
+                ldb.delete_tuple("R", &toronto_647).unwrap();
+            } else {
+                ldb.delete_tuple("R", &oshawa_416).unwrap();
+                ldb.insert_tuple("R", &toronto_647).unwrap();
+            }
+            assert_eq!(ldb.atom_cache.len(), entries);
+        }
+        let got = holds(&mut ck);
+        let ldb = ck.logical_db();
+        assert_eq!(
+            ldb.atom_cache_patches(),
+            entries as u64,
+            "one patch per atom"
+        );
+        assert_eq!(ldb.atom_cache.len(), entries);
+        let mut cold = Checker::new(ldb.db().clone(), CheckerOptions::default());
+        assert_eq!(got, holds(&mut cold));
     }
 
     #[test]
@@ -916,13 +1109,11 @@ mod tests {
         let idx = ldb.index("R").unwrap().clone();
         let q = ldb.query_domain("city", 0).unwrap();
         let key = vec![AtomAction::Rename(idx.domains[0], q)];
-        let compiled = {
-            let mgr = ldb.manager_mut();
-            let _junk = mgr.value_set(idx.domains[1], &[0, 1, 2, 3]).unwrap();
-            mgr.replace_domains(idx.root, &[(idx.domains[0], q)])
-                .unwrap()
-        };
-        ldb.atom_cache_put("R", key.clone(), compiled);
+        let _junk = ldb
+            .manager_mut()
+            .value_set(idx.domains[1], &[0, 1, 2, 3])
+            .unwrap();
+        ldb.compile_atom("R", key.clone()).unwrap();
         let stats = ldb.compact();
         assert!(stats.reclaimed_slots > 0, "garbage squeezed out");
         // Index root still answers membership over the whole universe.
@@ -935,7 +1126,8 @@ mod tests {
         );
         // The cache entry was remapped, not dropped: a lookup still hits,
         // and the remapped handle equals a fresh compile of the same atom.
-        let cached = ldb.atom_cache_get("R", &key).expect("entry survives");
+        let cached = ldb.compile_atom("R", key.clone()).unwrap();
+        assert_eq!(ldb.atom_cache_stats(), (1, 1), "entry survives");
         let fresh = ldb
             .manager_mut()
             .replace_domains(idx.root, &[(idx.domains[0], q)])

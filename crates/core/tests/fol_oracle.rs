@@ -187,10 +187,13 @@ fn unsorted_vacuous_quantifiers_are_rejected_everywhere() {
 /// Translatable constraints — joins, filters, anti-joins and ∃ — decide
 /// alike on the translated SQL plan, the BDD path and brute force. The
 /// first case has empty relations, an empty `in` set and the pin 0; the
-/// rest are random.
+/// rest are random. Each case's checker then absorbs two batches of random
+/// deltas, patching its cached atoms, and decides every constraint again;
+/// odd cases join by equality cubes instead of renames.
 #[test]
 fn translatable_constraints_decide_alike_on_sql_and_bdd() {
     let mut rng = SplitMix64::seed_from_u64(0xF0_5017);
+    let mut patches = 0;
     for case in 0..CASES {
         let (r, s, set, pin) = if case == 0 {
             (Vec::new(), Vec::new(), Vec::new(), 0)
@@ -216,20 +219,43 @@ fn translatable_constraints_decide_alike_on_sql_and_bdd() {
             "forall x1, y1, z1. R(x1, y1) & S(y1, z1) & !R(x1, 0) -> z1 = 1".to_owned(),
         ];
         let opts = CheckerOptions {
+            plan: PlanOptions {
+                join_rename: case % 2 == 0,
+                ..Default::default()
+            },
             apply_cache_slots: Some(1 << 10),
             ..Default::default()
         };
-        let mut ck = Checker::new(db.clone(), opts);
-        for src in &sources {
-            let f = parse(src).unwrap();
-            let want = eval_sentence(&db, &f).unwrap();
-            let ctx = format!("{src} with R={r:?} S={s:?}");
-            let sql = ck.check_sql(&f).unwrap();
-            assert_eq!(sql.method, Method::SqlFallback, "no SQL plan: {ctx}");
-            assert_eq!(sql.holds, want, "SQL: {ctx}");
-            let bdd = ck.check(&f).unwrap();
-            assert_eq!(bdd.method, Method::Bdd, "{ctx}");
-            assert_eq!(bdd.holds, want, "BDD: {ctx}");
+        let mut ck = Checker::new(db, opts);
+        for batch in 0..3 {
+            for _ in 0..if batch == 0 { 0 } else { 3 } {
+                let (relation, sizes) = if rng.gen_bool(0.5) {
+                    ("R", (K[0], K[1]))
+                } else {
+                    ("S", (K[1], K[2]))
+                };
+                let row = [rng.gen_range(0..sizes.0), rng.gen_range(0..sizes.1)].map(|v| v as u32);
+                let ldb = ck.logical_db_mut();
+                if rng.gen_bool(0.5) {
+                    ldb.insert_tuple(relation, &row).unwrap();
+                } else {
+                    ldb.delete_tuple(relation, &row).unwrap();
+                }
+            }
+            let db = ck.logical_db().db().clone();
+            for src in &sources {
+                let f = parse(src).unwrap();
+                let want = eval_sentence(&db, &f).unwrap();
+                let ctx = format!("{src} with R={r:?} S={s:?}, delta batch {batch}");
+                let sql = ck.check_sql(&f).unwrap();
+                assert_eq!(sql.method, Method::SqlFallback, "no SQL plan: {ctx}");
+                assert_eq!(sql.holds, want, "SQL: {ctx}");
+                let bdd = ck.check(&f).unwrap();
+                assert_eq!(bdd.method, Method::Bdd, "{ctx}");
+                assert_eq!(bdd.holds, want, "BDD: {ctx}");
+            }
         }
+        patches += ck.logical_db().atom_cache_patches();
     }
+    assert!(patches > 0, "no delta batch patched a cached atom");
 }

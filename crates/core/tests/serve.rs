@@ -9,21 +9,26 @@
 //! drives randomized SplitMix64-seeded delta scripts against a shadow
 //! row-set and diffs every `check` against a cold serial
 //! [`Checker::check_all`] *and* a cold [`Checker::check_all_parallel`]
-//! over the shadow rows.
+//! over the shadow rows. Two oracles pin the atom cache the incremental
+//! checks patch: after every `check`, each fresh entry is the very handle
+//! a cold compile of its action list returns; and a delta followed by its
+//! inverse returns every index root and cached atom to its old handle.
 //!
 //! The crash tests reuse the failpoint idioms of `tests/store.rs`: the
 //! registry is process-global, so failpoint-armed tests serialize on a
 //! mutex and disarm via an RAII guard.
 
 use relcheck_bdd::failpoint;
+use relcheck_bdd::Bdd;
 use relcheck_core::checker::{Checker, CheckerOptions};
+use relcheck_core::index::{apply_actions, AtomAction};
 use relcheck_core::registry::Verdict;
 use relcheck_core::serve::{ServeActor, ServeConfig, ServeEngine, Submission, JOURNAL_RETRY_LIMIT};
 use relcheck_core::store::{Delta, IndexStore};
 use relcheck_datagen::SplitMix64;
 use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Raw};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -200,10 +205,30 @@ fn incremental(engine: &mut ServeEngine) -> Vec<(String, bool)> {
         .collect()
 }
 
+/// The canonicity oracle: every fresh atom-cache entry is the very handle
+/// a cold compile of its action list on the current index root returns
+/// (ROBDD canonicity makes a correct patch indistinguishable from a
+/// recompile). Returns how many entries it compared.
+fn assert_atoms_canonical(engine: &mut ServeEngine, context: &str) -> usize {
+    let ldb = engine.checker_mut().logical_db_mut();
+    let fresh: Vec<(String, Vec<AtomAction>, Bdd)> = ldb
+        .fresh_atoms()
+        .into_iter()
+        .map(|(rel, actions, atom)| (rel.to_owned(), actions.to_vec(), atom))
+        .collect();
+    for (rel, actions, atom) in &fresh {
+        let root = ldb.index(rel).unwrap().root;
+        let cold = apply_actions(ldb.manager_mut(), root, actions).unwrap();
+        assert_eq!(*atom, cold, "{context}: {rel} {actions:?}");
+    }
+    fresh.len()
+}
+
 #[test]
 fn differential_random_scripts_match_cold_full_recheck() {
     let _g = lock();
     let mut total_skipped = 0u64;
+    let (mut compared, mut patches) = (0, 0);
     for seed in [1u64, 42, 20070415] {
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut shadow = base_shadow();
@@ -224,6 +249,7 @@ fn differential_random_scripts_match_cold_full_recheck() {
             apply_both(&mut engine, &mut shadow, relation, row, insert, &context);
             if rng.gen_bool(0.3) {
                 let got = incremental(&mut engine);
+                compared += assert_atoms_canonical(&mut engine, &context);
                 assert_eq!(got, cold_serial(&shadow), "{context}: serial differential");
                 assert_eq!(
                     got,
@@ -234,6 +260,7 @@ fn differential_random_scripts_match_cold_full_recheck() {
         }
         // Always finish on a check so every script's endpoint is diffed.
         let got = incremental(&mut engine);
+        compared += assert_atoms_canonical(&mut engine, &format!("seed {seed}: final"));
         assert_eq!(
             got,
             cold_serial(&shadow),
@@ -247,13 +274,97 @@ fn differential_random_scripts_match_cold_full_recheck() {
         let stats = engine.stats();
         assert_eq!(stats.deltas, 60);
         total_skipped += stats.constraints_skipped;
+        patches += engine.checker().logical_db().atom_cache_patches();
     }
+    // The canonicity oracle must have seen patched atoms, not only
+    // recompiled ones.
+    assert!(
+        compared > 0 && patches > 0,
+        "{compared} compared, {patches} patched"
+    );
     // The differential must have exercised the skip path, not just
     // re-checked everything every time — otherwise it proves nothing
     // about read-set-driven caching.
     assert!(
         total_skipped > 0,
         "random scripts never skipped a constraint; the differential is vacuous"
+    );
+}
+
+/// Every index root and fresh cached atom of a session, by handle.
+type Handles = (Vec<(String, Bdd)>, HashMap<(String, Vec<AtomAction>), Bdd>);
+
+fn handles(engine: &ServeEngine) -> Handles {
+    let ldb = engine.checker().logical_db();
+    let roots = SCHEMAS
+        .iter()
+        .map(|(name, _)| (name.to_string(), ldb.index(name).unwrap().root))
+        .collect();
+    let atoms = ldb
+        .fresh_atoms()
+        .into_iter()
+        .map(|(rel, actions, atom)| ((rel.to_owned(), actions.to_vec()), atom))
+        .collect();
+    (roots, atoms)
+}
+
+/// The inverse-delta oracle: insert a tuple, check, delete it, check. With
+/// no collection in between (so no node changes its handle), every index
+/// root and every cached atom — patched twice, or fresh again because its
+/// root is back — is back to the handle it had before the insert.
+#[test]
+fn inverse_delta_restores_roots_and_patched_atoms() {
+    let _g = lock();
+    let shadow = base_shadow();
+    let options = CheckerOptions {
+        gc_between_checks: false,
+        ..Default::default()
+    };
+    let (mut engine, _) = ServeEngine::new(
+        Checker::new(db_from(&shadow), options),
+        &constraints(),
+        None,
+    )
+    .unwrap();
+    for (relation, row) in [
+        ("R", vec![4, 5]),
+        ("R", vec![6, 6]),
+        ("S", vec![5]),
+        ("T", vec![4]),
+    ] {
+        let before = handles(&engine);
+        let raw: Vec<Raw> = row.iter().map(|&v| Raw::Int(v)).collect();
+        assert!(
+            engine
+                .apply(relation, &Delta::Insert(raw.clone()))
+                .unwrap()
+                .changed
+        );
+        incremental(&mut engine);
+        assert_ne!(
+            handles(&engine).0,
+            before.0,
+            "{relation} {row:?}: the root moved"
+        );
+        assert!(engine.apply(relation, &Delta::Delete(raw)).unwrap().changed);
+        incremental(&mut engine);
+        // A delta can reorder query-domain allocation (relations sort by
+        // size), so the session may hold extra entries; none it had before
+        // may differ. (Growing S flips the join orientation of
+        // `r-covers-s`, so that round looks up other atoms after the
+        // insert, and the old ones are fresh again after the delete.)
+        let (roots, atoms) = handles(&engine);
+        assert_eq!(
+            roots, before.0,
+            "{relation} {row:?}: roots after the inverse"
+        );
+        for (key, atom) in &before.1 {
+            assert_eq!(atoms.get(key), Some(atom), "{relation} {row:?}: {key:?}");
+        }
+    }
+    assert!(
+        engine.checker().logical_db().atom_cache_patches() > 0,
+        "no atom was patched"
     );
 }
 

@@ -6,15 +6,19 @@
 //! `check_all` with sharing on must agree with per-constraint compilation
 //! (sharing switched off through
 //! `LogicalDatabase::set_subgraph_sharing(false)`) on every verdict and
-//! method, serially, under 2-lane parallelism, and under fault injection
-//! at the index-build site. The suite also covers the core half
+//! method, serially (also across delta batches, which the shared side
+//! absorbs by patching its cached atoms), under 2-lane parallelism, and
+//! under fault injection at the index-build site. The suite also covers the core half
 //! of the ordering-invariance oracle: every ordering strategy, including
 //! the workload-adaptive one, yields the same verdicts.
 
 use relcheck_bdd::failpoint;
 use relcheck_core::checker::{CheckReport, Checker, CheckerOptions, Verdict};
+use relcheck_core::index::apply_actions;
 use relcheck_core::ordering::OrderingStrategy;
+use relcheck_core::PlanOptions;
 use relcheck_datagen::customer::{generate, CustomerConfig};
+use relcheck_datagen::SplitMix64;
 use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Relation, Schema};
 use std::sync::Mutex;
@@ -72,12 +76,21 @@ fn customer_db(rows: usize, violation_rate: f64) -> Database {
         Relation::from_rows(Schema::new(&[("city", "city"), ("state", "state")]), cs).unwrap(),
     )
     .unwrap();
+    // Each city's one neighbour, never itself.
+    let neighbours = (0..data.dom_sizes[2] as u32).map(|c| vec![c, (7 * c + 3) % 150]);
+    db.insert_relation(
+        "NEIGHBOR",
+        Relation::from_rows(Schema::new(&[("a", "city"), ("b", "city")]), neighbours).unwrap(),
+    )
+    .unwrap();
     db
 }
 
 /// A battery deliberately heavy on repeated atom shapes: several
 /// constraints join CUST with itself or CITY_STATE the same way, so the
-/// subgraph cache has real sharing to exploit.
+/// subgraph cache has real sharing to exploit. Between them the atoms pin
+/// constants, project atom-local columns, repeat a variable and rename
+/// columns across relations.
 fn battery() -> Vec<(String, Formula)> {
     [
         (
@@ -101,6 +114,15 @@ fn battery() -> Vec<(String, Formula)> {
             "forall c, s1, s2. CITY_STATE(c, s1) & CITY_STATE(c, s2) -> s1 = s2",
         ),
         ("reference-nonempty", "exists c, s. CITY_STATE(c, s)"),
+        ("no-self-neighbour", "forall c. NEIGHBOR(c, c) -> false"),
+        (
+            "neighbours-share-a-state",
+            "forall c1, c2, s. NEIGHBOR(c1, c2) & CITY_STATE(c1, s) -> CITY_STATE(c2, s)",
+        ),
+        (
+            "areacode-7-cities-are-known",
+            "forall c, s. CUST(7, c, s) -> exists s2. CITY_STATE(c, s2)",
+        ),
     ]
     .into_iter()
     .map(|(n, s)| (n.to_owned(), parse(s).unwrap()))
@@ -109,9 +131,41 @@ fn battery() -> Vec<(String, Formula)> {
 
 /// A checker over `db`, compiling every atom afresh when `share` is off.
 fn checker(db: Database, share: bool) -> Checker {
-    let mut ck = Checker::new(db, CheckerOptions::default());
+    checker_with(db, share, PlanOptions::default())
+}
+
+fn checker_with(db: Database, share: bool, plan: PlanOptions) -> Checker {
+    let options = CheckerOptions {
+        plan,
+        ..Default::default()
+    };
+    let mut ck = Checker::new(db, options);
     ck.logical_db_mut().set_subgraph_sharing(share);
     ck
+}
+
+/// One seeded delta over interned codes: insert a random row into, or
+/// delete an existing row from, one of the battery's relations. Some
+/// inserted neighbour pairs are self-loops.
+fn random_delta(rng: &mut SplitMix64, db: &Database) -> (bool, &'static str, Vec<u32>) {
+    let relation = ["CUST", "CUST", "CITY_STATE", "NEIGHBOR"][rng.gen_range(0..4usize)];
+    let rel = db.relation(relation).unwrap();
+    if rng.gen_bool(0.5) && !rel.is_empty() {
+        let row = rel.row(rng.gen_range(0..rel.len()));
+        return (false, relation, row);
+    }
+    let city = rng.gen_range(0..150u64) as u32;
+    let row = match relation {
+        "CUST" => vec![
+            rng.gen_range(0..40u64) as u32,
+            city,
+            rng.gen_range(0..12u64) as u32,
+        ],
+        "CITY_STATE" => vec![city, rng.gen_range(0..12u64) as u32],
+        _ if rng.gen_bool(0.3) => vec![city, city],
+        _ => vec![city, rng.gen_range(0..150u64) as u32],
+    };
+    (true, relation, row)
 }
 
 fn assert_same(want: &[(String, CheckReport)], got: &[(String, CheckReport)], context: &str) {
@@ -128,21 +182,66 @@ fn sharing_matches_unshared_serially_and_actually_shares() {
     let _g = lock();
     let db = customer_db(1_500, 0.01);
     let battery = battery();
-    let mut unshared = checker(db.clone(), false);
-    let want = unshared.check_all(&battery).unwrap();
-    assert_eq!(
-        unshared.logical_db().atom_cache_stats(),
-        (0, 0),
-        "escape hatch must not touch the cache"
-    );
-    let mut shared = checker(db, true);
-    let got = shared.check_all(&battery).unwrap();
-    assert_same(&want, &got, "serial");
-    let (hits, misses) = shared.logical_db().atom_cache_stats();
-    assert!(
-        hits > 0,
-        "the battery repeats atom shapes; sharing must fire (hits={hits}, misses={misses})"
-    );
+    // Rename joins, then the naive equality-cube joins (`Equal` actions).
+    let naive_join = PlanOptions {
+        join_rename: false,
+        ..Default::default()
+    };
+    for plan in [PlanOptions::default(), naive_join] {
+        let context = format!("join_rename={}", plan.join_rename);
+        let mut unshared = checker_with(db.clone(), false, plan);
+        let want = unshared.check_all(&battery).unwrap();
+        let mut shared = checker_with(db.clone(), true, plan);
+        let got = shared.check_all(&battery).unwrap();
+        assert_same(&want, &got, &context);
+        let (hits, misses) = shared.logical_db().atom_cache_stats();
+        assert!(
+            hits > 0,
+            "{context}: the battery repeats atom shapes; sharing must fire (hits={hits}, misses={misses})"
+        );
+        // Delta batches between checks: the shared side patches its stale
+        // atoms where the index roots changed, the unshared side compiles
+        // afresh.
+        let mut rng = SplitMix64::seed_from_u64(0x5AA2_E0DE);
+        for round in 0..4 {
+            for _ in 0..8 {
+                let (insert, relation, row) = random_delta(&mut rng, shared.logical_db().db());
+                for ck in [&mut unshared, &mut shared] {
+                    let ldb = ck.logical_db_mut();
+                    if insert {
+                        ldb.insert_tuple(relation, &row).unwrap();
+                    } else {
+                        ldb.delete_tuple(relation, &row).unwrap();
+                    }
+                }
+            }
+            let want = unshared.check_all(&battery).unwrap();
+            let got = shared.check_all(&battery).unwrap();
+            assert_same(&want, &got, &format!("{context} round {round}"));
+            // Every patched atom — pinned, repeated-variable and naive
+            // `Equal` shapes included — is the very node a recompile builds.
+            let ldb = shared.logical_db_mut();
+            let fresh: Vec<_> = ldb
+                .fresh_atoms()
+                .into_iter()
+                .map(|(rel, actions, atom)| (rel.to_owned(), actions.to_vec(), atom))
+                .collect();
+            for (rel, actions, atom) in fresh {
+                let root = ldb.index(&rel).unwrap().root;
+                let cold = apply_actions(ldb.manager_mut(), root, &actions).unwrap();
+                assert_eq!(atom, cold, "{context} round {round}: {rel} {actions:?}");
+            }
+        }
+        assert_eq!(
+            unshared.logical_db().atom_cache_stats(),
+            (0, 0),
+            "{context}: escape hatch must not touch the cache"
+        );
+        assert!(
+            shared.logical_db().atom_cache_patches() > 0,
+            "{context}: no stale atom was patched"
+        );
+    }
 }
 
 #[test]

@@ -277,17 +277,24 @@ grep " via " "$WARM_OUT" | awk '{print $1, $2, $4}' > "$WARM_OUT.verdicts"
 diff "$COLD_OUT.verdicts" "$WARM_OUT.verdicts"
 
 step "serve smoke: scripted incremental session vs batch recheck"
-# A scripted session: one delta dirties CITY_STATE, so the check must
+# A scripted session: a delta dirties CITY_STATE, so the check must
 # re-verify only the two constraints reading it and answer the two
-# CUSTOMERS-only constraints from cache. The session's verdicts (name +
-# status) must match a batch `relcheck run` over the same cache — the
-# journaled delta makes the batch run see the session's final state.
+# CUSTOMERS-only constraints from cache; then the inverse delta and a
+# second check. Both tuple values are already in CITY_STATE's blocks, so
+# both checks patch the cached CITY_STATE atoms (an insert, then a
+# delete) instead of leaving the BDD rung. A last delta and check end the
+# session on a changed state: Selkirk and MB are outside CITY_STATE's
+# frozen blocks, so that delta is journaled, degrades to the SQL rung,
+# and the batch run's warm start must rebuild wider blocks to replay it.
+# The session's final verdicts (name + status) must match a batch
+# `relcheck run` over the same cache — the journaled deltas make the
+# batch run see the session's final state.
 SERVE_DIR="$(mktemp -d /tmp/relcheck-serve.XXXXXX)"
 SERVE_OUT="$(mktemp /tmp/relcheck-serve.XXXXXX.txt)"
 BATCH_OUT="$(mktemp /tmp/relcheck-batch.XXXXXX.txt)"
 trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT"' EXIT
 set +e
-printf '+CITY_STATE:Selkirk,MB\ncheck\nstats\nquit\n' | \
+printf '+CITY_STATE:Newark,NY\ncheck\n-CITY_STATE:Newark,NY\ncheck\n+CITY_STATE:Selkirk,MB\ncheck\nstats\nquit\n' | \
     cargo run --release --quiet --bin relcheck -- \
     serve testdata/phones.spec --index-cache "$SERVE_DIR" \
     --metrics "$METRICS_OUT" >"$SERVE_OUT"
@@ -298,7 +305,7 @@ if [ "$rc" -ge 2 ]; then
     exit 1
 fi
 cargo run --release --quiet --bin relcheck -- metrics-check "$METRICS_OUT"
-if ! grep -q '"serve":{"requests":4,"deltas":1,"checks":1,"constraints_checked":2,"constraints_skipped":2' "$METRICS_OUT"; then
+if ! grep -q '"serve":{"requests":8,"deltas":3,"checks":3,"constraints_checked":6,"constraints_skipped":6' "$METRICS_OUT"; then
     echo "serve metrics missing the expected session counters" >&2
     exit 1
 fi
@@ -306,7 +313,6 @@ if ! grep -q 'ok check checked=2 skipped=2 dirty=1' "$SERVE_OUT"; then
     echo "serve session did not skip the read-set-disjoint constraints" >&2
     exit 1
 fi
-grep ' (checked)\| (cached)' "$SERVE_OUT" | awk '{print $1, $2}' | sort > "$SERVE_OUT.verdicts"
 set +e
 cargo run --release --quiet --bin relcheck -- \
     run testdata/phones.spec --index-cache "$SERVE_DIR" >"$BATCH_OUT"
@@ -317,6 +323,9 @@ if [ "$rc" -ge 2 ]; then
     exit 1
 fi
 grep " via " "$BATCH_OUT" | awk '{print $1, $2}' | sort > "$BATCH_OUT.verdicts"
+# The session answered three checks; its final verdicts are the last ones.
+grep ' (checked)\| (cached)' "$SERVE_OUT" | tail -n "$(wc -l < "$BATCH_OUT.verdicts")" \
+    | awk '{print $1, $2}' | sort > "$SERVE_OUT.verdicts"
 diff "$SERVE_OUT.verdicts" "$BATCH_OUT.verdicts"
 rm -f "$SERVE_OUT.verdicts" "$BATCH_OUT.verdicts"
 
