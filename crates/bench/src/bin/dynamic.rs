@@ -233,13 +233,6 @@ fn main() {
             ms(t_val / batches as u32),
             ms(t_upd + t_val),
         ]);
-        let pc = reg.plan_cache_stats();
-        println!(
-            "plan cache: {} hit(s), {} miss(es) across {} validation round(s)",
-            pc.hits,
-            pc.misses,
-            batches + 1
-        );
     }
 
     table.print();

@@ -373,7 +373,7 @@ pub fn emit_certificate(
     report: &CheckReport,
     witness_limit: usize,
 ) -> Result<Certificate> {
-    let (constraint_fp, schema_fp) = checker.plan_key(f)?;
+    let (constraint_fp, schema_fp) = checker.certificate_fingerprints(f)?;
     let witnesses = if report.verdict == Verdict::Violated {
         match checker.find_violations_counted(f, witness_limit)? {
             Some(cv) if cv.vars == leading_forall_vars(f) => {
@@ -403,9 +403,8 @@ pub fn emit_certificate(
     } else {
         None
     };
-    // After plan_key/find_violations_counted: index builds bump the data
-    // version, and the certificate must record the state it was checked
-    // against.
+    // After certificate_fingerprints/find_violations_counted: the
+    // certificate records the state it was checked against.
     let data_version = checker.logical_db().data_version();
     Ok(Certificate {
         constraint: name.to_owned(),

@@ -408,16 +408,14 @@ pub struct Checker {
     /// Relations whose index build exceeded the budget: permanently
     /// SQL-only (paper: "we do not materialize the BDD").
     sql_only: HashSet<String>,
-    /// Explicit plan-invalidation epoch: bumped whenever the environment
+    /// Explicit invalidation epoch: bumped whenever the environment
     /// changes in a way tuple counters cannot see ([`Checker::rebuild_index`],
-    /// [`Checker::mark_sql_only`]), so stale cached plans can never execute.
+    /// [`Checker::mark_sql_only`]); folded into the schema fingerprint.
     epoch: u64,
     /// Per-relation record of the epoch at which the relation was last
-    /// explicitly invalidated (`rebuild_index` / `mark_sql_only`). The
-    /// schema fingerprint already retires cached *plans* on any epoch
-    /// bump; this map lets verdict caches (the registry) retire cached
-    /// *verdicts* too, but only for constraints that actually read the
-    /// invalidated relation.
+    /// explicitly invalidated (`rebuild_index` / `mark_sql_only`). This
+    /// map lets verdict caches (the registry) retire cached verdicts, but
+    /// only for constraints that actually read the invalidated relation.
     invalidated: HashMap<String, u64>,
     /// When set, checks enter the degradation ladder at the SQL rung
     /// instead of building BDDs ([`FallbackReason::Overload`]). Flipped
@@ -430,7 +428,9 @@ impl Checker {
     /// Wrap a database. Indices are built lazily as constraints reference
     /// relations.
     pub fn new(db: relcheck_relstore::Database, opts: CheckerOptions) -> Checker {
-        let slots = crate::policy::manager_cache_slots(opts.apply_cache_slots);
+        let slots = opts
+            .apply_cache_slots
+            .unwrap_or(crate::policy::DEFAULT_CACHE_SLOTS);
         let mut ldb = LogicalDatabase::with_cache_slots(db, slots);
         ldb.manager_mut().set_node_limit(opts.node_limit);
         Checker {
@@ -490,9 +490,9 @@ impl Checker {
             return Ok(true);
         }
         // A lazy first-time build does not bump the epoch: materializing
-        // an index changes no verdict a plan can produce, so plans cached
-        // before the build stay valid. (A budget abort inside still lands
-        // the relation in `sql_only`, which the schema fingerprint covers.)
+        // an index changes no verdict, so verdicts cached before the build
+        // stay valid. (A budget abort inside still lands the relation in
+        // `sql_only`, which the schema fingerprint covers.)
         self.build_index_now(name)
     }
 
@@ -502,9 +502,9 @@ impl Checker {
     /// aborts route the relation to SQL-only exactly like
     /// [`Checker::ensure_index`] would.
     pub fn rebuild_index(&mut self, name: &str) -> Result<bool> {
-        // An explicit rebuild — recovery, or budget-out — changes what
-        // plans may assume about the environment; retire every cached plan,
-        // and record the relation so verdict caches retire theirs too.
+        // An explicit rebuild — recovery, or budget-out — changes the
+        // environment out of band: bump the epoch, and record the relation
+        // so verdict caches reading it retire their verdicts.
         self.epoch += 1;
         self.invalidated.insert(name.to_owned(), self.epoch);
         self.build_index_now(name)
@@ -539,7 +539,7 @@ impl Checker {
         self.sql_only.insert(name.to_owned());
     }
 
-    /// The current plan-invalidation epoch (see [`Checker::rebuild_index`]).
+    /// The current invalidation epoch (see [`Checker::rebuild_index`]).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -587,10 +587,10 @@ impl Checker {
 
     /// The fingerprint of everything a [`CheckPlan`] depends on besides the
     /// constraint itself: data version, invalidation epoch, ordering
-    /// strategy, pass toggles, and the SQL-only set. A cached plan is valid
-    /// exactly while this value matches its
-    /// [`CheckPlan::schema_fp`]; any tuple mutation, index rebuild, or
-    /// routing change produces a different fingerprint.
+    /// strategy, pass toggles, and the SQL-only set — the
+    /// [`CheckPlan::schema_fp`] a plan and a certificate record. Any tuple
+    /// mutation, index rebuild, or routing change produces a different
+    /// fingerprint.
     pub fn schema_fingerprint(&self) -> u64 {
         let mut bytes = Vec::with_capacity(32 + 16 * self.sql_only.len());
         bytes.extend_from_slice(&self.ldb.data_version().to_le_bytes());
@@ -653,54 +653,56 @@ impl Checker {
         ))
     }
 
-    /// The plan-cache key for a constraint: `(constraint fingerprint,
-    /// schema fingerprint)`. Ensures referenced indices first — index
-    /// construction bumps the data version, so computing the key before
-    /// ensuring would poison it and repeated checks would never hit.
-    pub fn plan_key(&mut self, f: &Formula) -> Result<(u64, u64)> {
+    /// The `(constraint fingerprint, schema fingerprint)` pair a
+    /// certificate stamps: what was checked, and against which data and
+    /// configuration. Ensures referenced indices first, as a check does —
+    /// a budget-out build lands its relation in the SQL-only set the
+    /// schema fingerprint covers — so the pair matches the check's plan.
+    pub fn certificate_fingerprints(&mut self, f: &Formula) -> Result<(u64, u64)> {
         self.prepare(f)?;
         Ok((formula_fingerprint(f), self.schema_fingerprint()))
     }
 
     /// Decide a constraint. See module docs for the strategy; the full
     /// degradation ladder (`DESIGN.md` §6) is BDD → GC-and-retry-once →
-    /// SQL plan → brute force → [`Verdict::Degraded`].
+    /// SQL plan → brute force → [`Verdict::Degraded`]. Every check plans
+    /// fresh.
     pub fn check(&mut self, f: &Formula) -> Result<CheckReport> {
-        Ok(self.check_planned(f, None)?.0)
-    }
-
-    /// [`Checker::check`] seeded with a previously-built plan (e.g. from
-    /// the registry's plan cache). The plan is used only if its
-    /// fingerprints still match the current constraint and environment;
-    /// otherwise the checker silently replans — a stale plan can never
-    /// execute.
-    pub fn check_with_plan(&mut self, f: &Formula, plan: &CheckPlan) -> Result<CheckReport> {
-        Ok(self.check_planned(f, Some(plan))?.0)
-    }
-
-    /// The full planned-check entry point: decide the constraint and
-    /// return the plan that was executed (fresh or the validated `cached`
-    /// one), ready to insert into a plan cache.
-    pub fn check_planned(
-        &mut self,
-        f: &Formula,
-        cached: Option<&CheckPlan>,
-    ) -> Result<(CheckReport, CheckPlan)> {
         // Arm the per-check wall-clock budget. The deadline lives in the
         // manager so the BDD recursion can poll it; clear it on every exit
         // path so later manager work is unaffected.
         let armed = self.opts.deadline.map(|d| Instant::now() + d);
         self.ldb.manager_mut().set_deadline(armed);
-        let report = self.check_inner(f, cached);
+        let report = self.check_inner(f);
         self.ldb.manager_mut().set_deadline(None);
         report
     }
 
-    fn check_inner(
-        &mut self,
-        f: &Formula,
-        cached: Option<&CheckPlan>,
-    ) -> Result<(CheckReport, CheckPlan)> {
+    /// [`Checker::check`] behind the per-constraint panic guard: a
+    /// constraint that panics (a compiler bug, an injected fault) yields a
+    /// [`Verdict::Errored`] report carrying the payload instead of
+    /// unwinding into the caller. Typed errors still propagate. Every
+    /// batch path — [`Checker::check_all`], the registry, the parallel
+    /// lanes, serve `certify` — checks through this one guard.
+    pub(crate) fn check_guarded(&mut self, f: &Formula) -> Result<CheckReport> {
+        match catch_unwind(AssertUnwindSafe(|| self.check(f))) {
+            Ok(result) => result,
+            Err(payload) => {
+                // The manager's tables are structurally sound at any
+                // unwind point (no unsafe code); disarm the deadline and
+                // drop scratch so the next check starts clean.
+                self.ldb.manager_mut().set_deadline(None);
+                self.ldb.shed_atom_cache();
+                self.ldb.gc();
+                Ok(CheckReport::errored(
+                    panic_message(payload),
+                    self.opts.telemetry,
+                ))
+            }
+        }
+    }
+
+    fn check_inner(&mut self, f: &Formula) -> Result<CheckReport> {
         let start = Instant::now();
         let tel = self.opts.telemetry;
         let stats_before = tel.then(|| self.ldb.manager().stats());
@@ -710,24 +712,16 @@ impl Checker {
             .iter()
             .all(|e| e.provenance != IndexProvenance::SqlOnly);
         let index_time = index_start.map(|t| t.elapsed()).unwrap_or_default();
-        // Obtain the plan: reuse the caller's cached one only if both
-        // fingerprints still match the constraint and the current
-        // environment (computed *after* ensuring indices, which bumps the
-        // data version). A mismatched plan is silently replanned, so a
-        // stale cache entry can never execute.
-        let current_fp = self.schema_fingerprint();
-        let plan: CheckPlan = match cached {
-            Some(p) if p.schema_fp == current_fp && p.constraint_fp == formula_fingerprint(f) => {
-                p.clone()
-            }
-            _ => crate::planner::plan_check(
-                self.ldb.db(),
-                f,
-                self.opts.plan,
-                &self.sql_only,
-                current_fp,
-            ),
-        };
+        // Plan after ensuring indices: a budget-out build lands its
+        // relation in `sql_only`, which the plan's routing and its schema
+        // fingerprint both read.
+        let plan = crate::planner::plan_check(
+            self.ldb.db(),
+            f,
+            self.opts.plan,
+            &self.sql_only,
+            self.schema_fingerprint(),
+        );
         debug_assert_eq!(
             plan.bdd.is_some(),
             all_indexed,
@@ -746,10 +740,11 @@ impl Checker {
             Some(prev) => *error = Some(format!("{prev}; {e}")),
             None => *error = Some(e),
         };
-        if crate::policy::shed_entry_skips_bdd(self.shed_load, plan.bdd.is_some()) {
+        if self.shed_load && plan.bdd.is_some() {
             // The admission governor shed this check: skip the BDD rungs
             // and enter the ladder at SQL, which decides the same verdict
-            // without building node-heavy intermediates. Recorded as a
+            // without building node-heavy intermediates (a plan already
+            // routed to SQL enters there regardless). Recorded as a
             // fallback so the trace shows the ladder entered late.
             fallback = Some(FallbackReason::Overload);
         } else if let Some(step) = plan.bdd.as_ref() {
@@ -873,7 +868,7 @@ impl Checker {
             live_nodes: self.ldb.manager().live_nodes(),
             metrics,
         };
-        Ok((report, plan))
+        Ok(report)
     }
 
     /// The SQL-plan rung: execute the plan's pre-translated step.
@@ -945,35 +940,19 @@ impl Checker {
     /// Check many named constraints, returning each report. This is the
     /// paper's headline workflow: quickly identify *which* constraints are
     /// violated on *which* tables.
-    /// Each check runs behind a panic guard: a constraint that panics (a
-    /// compiler bug, an injected fault) yields a [`Verdict::Errored`]
-    /// report carrying the payload, and the rest of the batch still runs.
+    /// Each check runs behind the panic guard of
+    /// [`Checker::check_guarded`]: a constraint that panics yields a
+    /// [`Verdict::Errored`] report, and the rest of the batch still runs.
     /// Typed errors (unknown relation, malformed constraint) still abort
     /// the batch, matching the single-check contract.
     pub fn check_all(
         &mut self,
         constraints: &[(String, Formula)],
     ) -> Result<Vec<(String, CheckReport)>> {
-        let mut out = Vec::with_capacity(constraints.len());
-        for (name, f) in constraints {
-            match catch_unwind(AssertUnwindSafe(|| self.check(f))) {
-                Ok(Ok(r)) => out.push((name.clone(), r)),
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    // The manager's tables are structurally sound at any
-                    // unwind point (no unsafe code); disarm the deadline
-                    // and drop scratch so the next constraint starts clean.
-                    self.ldb.manager_mut().set_deadline(None);
-                    self.ldb.shed_atom_cache();
-                    self.ldb.gc();
-                    out.push((
-                        name.clone(),
-                        CheckReport::errored(panic_message(payload), self.opts.telemetry),
-                    ));
-                }
-            }
-        }
-        Ok(out)
+        constraints
+            .iter()
+            .map(|(name, f)| Ok((name.clone(), self.check_guarded(f)?)))
+            .collect()
     }
 
     /// [`Checker::check_all`] spread over `threads` worker threads, each

@@ -1,8 +1,8 @@
 //! [`CheckPlan`] → verdict: the plan executor.
 //!
 //! The back half of the FOL → BDD compiler: given a prepared
-//! [`BddStep`] or [`SqlStep`] (built by [`crate::planner`], possibly pulled
-//! from the registry's plan cache), run it against the live database. This
+//! [`BddStep`] or [`SqlStep`] (built fresh by [`crate::planner`] for every
+//! check), run it against the live database. This
 //! is the only module on the check path that touches a BDD manager, so the
 //! degradation ladder in [`crate::checker`] can treat every rung as "execute
 //! a different node of the same plan" rather than re-deriving the query.

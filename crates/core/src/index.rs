@@ -417,9 +417,9 @@ impl LogicalDatabase {
     /// check observes: tuple inserts/deletes, index imports (which adopt
     /// externally-built content), and any grant of raw mutable database
     /// access. Building an index from the relation's own rows does *not*
-    /// bump it — materialization changes no verdict. Plan caches key on
-    /// it: two calls returning the same value mean no data change happened
-    /// in between.
+    /// bump it — materialization changes no verdict. Schema fingerprints
+    /// and certificates record it: two calls returning the same value
+    /// mean no data change happened in between.
     pub fn data_version(&self) -> u64 {
         self.version
     }
@@ -438,8 +438,8 @@ impl LogicalDatabase {
     /// the index roots, which raw row access cannot move.
     pub fn db_mut(&mut self) -> &mut Database {
         // Conservatively assume the caller mutates: raw access can change
-        // rows without going through insert/delete, so cached plans keyed
-        // on data_version must not survive it.
+        // rows without going through insert/delete, so a fingerprint taken
+        // before it must not match one taken after.
         self.version += 1;
         &mut self.db
     }

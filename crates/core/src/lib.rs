@@ -88,6 +88,6 @@ pub use serve::{ApplyOutcome, ServeActor, ServeClient, ServeConfig, ServeEngine,
 pub use store::{Delta, IndexStore, VerifyStatus};
 pub use telemetry::{
     AuditMetrics, CheckTrace, DegradationSummary, FallbackReason, FleetTelemetry,
-    IndexCacheMetrics, OverloadMetrics, PassStat, PlanCacheMetrics, PolicyMetrics, RecoveryRecord,
-    RewriteRule, RuleFiring, RunMetrics, ServeMetrics, WorkerTelemetry,
+    IndexCacheMetrics, OverloadMetrics, PassStat, PolicyMetrics, RecoveryRecord, RewriteRule,
+    RuleFiring, RunMetrics, ServeMetrics, WorkerTelemetry,
 };

@@ -72,7 +72,8 @@ impl OrderingStrategy {
         }
     }
 
-    /// A stable fingerprint of the strategy, used in plan-cache keys: two
+    /// A stable fingerprint of the strategy, folded into schema
+    /// fingerprints: two
     /// checkers agree on this value iff they would order indices the same
     /// way (the `Random` seed is folded in).
     pub fn fingerprint(&self) -> u64 {

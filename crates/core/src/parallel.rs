@@ -182,17 +182,9 @@ fn run_batch(
         // Same panic guard as the serial `check_all`: one exploding
         // constraint yields an `Errored` report, the rest of the batch
         // still runs on the same lane checker.
-        match catch_unwind(AssertUnwindSafe(|| ck.check(&constraints[i].1))) {
-            Ok(Ok(report)) => out.push((i, report)),
-            Ok(Err(e)) => return lane_result(&ck, out, Some((i, e))),
-            Err(payload) => {
-                ck.logical_db_mut().manager_mut().set_deadline(None);
-                ck.logical_db_mut().gc();
-                out.push((
-                    i,
-                    CheckReport::errored(panic_message(payload), opts.telemetry),
-                ));
-            }
+        match ck.check_guarded(&constraints[i].1) {
+            Ok(report) => out.push((i, report)),
+            Err(e) => return lane_result(&ck, out, Some((i, e))),
         }
     }
     lane_result(&ck, out, None)

@@ -73,8 +73,8 @@ impl PlanOptions {
     }
 
     /// The option flags packed into a bitmask — folded into schema
-    /// fingerprints so a cached plan never executes under different
-    /// options than it was planned with.
+    /// fingerprints, so plans built under different options carry
+    /// different fingerprints.
     pub fn bits(&self) -> u64 {
         self.flags()
             .iter()
@@ -189,13 +189,13 @@ pub struct SqlStep {
 pub struct CheckPlan {
     /// The original constraint text (the formula's display form).
     pub constraint: String,
-    /// FNV-1a fingerprint of the constraint text — the plan-cache key's
-    /// first component.
+    /// FNV-1a fingerprint of the constraint text — the first of the
+    /// fingerprint pair a certificate stamps.
     pub constraint_fp: u64,
     /// Fingerprint of everything else a plan depends on: data version,
     /// SQL-only set, ordering strategy, option bits, and the checker's
-    /// explicit invalidation epoch. A cached plan may only execute while
-    /// the checker still reports the same value.
+    /// explicit invalidation epoch
+    /// ([`crate::checker::Checker::schema_fingerprint`]).
     pub schema_fp: u64,
     /// The pass toggles the plan was built under.
     pub options: PlanOptions,

@@ -14,7 +14,7 @@
 //!    cardinalities ([`pushdown_pays_off`]).
 //!
 //! Nothing here touches a BDD manager: planning is pure and total, which is
-//! what makes plans cacheable and `relcheck plan` side-effect free. The
+//! what makes plans deterministic and `relcheck plan` side-effect free. The
 //! back half — [`CheckPlan`] → verdict — lives in [`crate::exec`].
 //!
 //! [`bdd_step`] is the only place a formula becomes a BDD step: the check,

@@ -1,22 +1,25 @@
 //! Workload-driven decision policy: the telemetry loop, closed.
 //!
-//! Before this module, the engine's routing and resource decisions were
-//! scattered ad-hoc heuristics: BDD-vs-SQL routing lived in the planner
-//! (`any_sql_only`), the degradation-ladder entry rung in
-//! [`crate::checker`], admission shedding in [`crate::serve`], adaptive
-//! ordering selection in [`crate::index::LogicalDatabase::build_index`],
-//! and the BDD apply-cache size was a fixed constant. This module is the
-//! single audited decision layer they now all route through — and the
-//! place where those decisions are *fed back* from observed telemetry:
+//! This module holds the routing rules that need more than one line —
+//! BDD-vs-SQL routing ([`bdd_route_allowed`], which the planner calls),
+//! admission shedding ([`admission_should_shed`], which [`crate::serve`]
+//! calls) and adaptive ordering selection ([`choose_ordering`], which
+//! [`crate::index::LogicalDatabase::build_index`] calls) — and feeds the
+//! routing and apply-cache decisions back from observed telemetry. The
+//! one-line rules stay at their only callers: a shed check skips the BDD
+//! rungs in [`Checker::check`], and [`Checker::new`] takes the apply-cache
+//! size from `CheckerOptions::apply_cache_slots` or
+//! [`DEFAULT_CACHE_SLOTS`].
 //!
 //! * [`WorkloadProfile`] — a deterministic, persistable record of what the
 //!   check workload actually did: per-relation column-access weights
 //!   (from the executor's [`crate::index::LogicalDatabase::record_column_use`]
 //!   stream), per-relation routing outcomes (how often checks reading the
-//!   relation decided on the BDD vs. the SQL rung), manager op counts and
-//!   peak node population ([`relcheck_bdd::ManagerStats`]), and plan-cache
-//!   hit rates. Only monotone integer counters — no wall times — so the
-//!   profile, and everything derived from it, is byte-deterministic.
+//!   relation decided on the BDD vs. the SQL rung), row and index-node
+//!   counts, and the manager's peak node population
+//!   ([`relcheck_bdd::ManagerStats`]). Only integer counters — no wall
+//!   times — so the profile, and everything derived from it, is
+//!   byte-deterministic.
 //! * [`advise`] — the cost model: per-relation [`IndexAdvice`] (keep the
 //!   BDD index, or route to SQL; which ordering candidate the recorded
 //!   weights favour; predicted vs. observed costs) and per-constraint
@@ -24,7 +27,7 @@
 //! * [`apply_advice`] — the auto mode: applies an [`Advice`] to a live
 //!   [`Checker`] strictly through the epoch-bumping invalidation paths
 //!   ([`Checker::mark_sql_only`], [`Checker::rebuild_index`]), so every
-//!   cached plan and verdict that the advice could affect is retired and
+//!   cached verdict that the advice could affect is retired and
 //!   **no verdict can change** — only the path that decides it.
 //!
 //! The profile is persisted in the `--index-cache` directory with the same
@@ -34,20 +37,19 @@
 
 use crate::checker::{rung, CheckReport, Checker, Method};
 use crate::error::{CoreError, Result};
-use crate::telemetry::{PlanCacheMetrics, PolicyMetrics};
+use crate::telemetry::PolicyMetrics;
 use relcheck_bdd::{decode_frame, encode_frame};
-use relcheck_bdd::{order, DecodeError, OpKind, OP_KINDS};
+use relcheck_bdd::{order, DecodeError};
 use relcheck_logic::Formula;
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
 /// Magic bytes of a persisted workload profile file.
 pub const PROFILE_MAGIC: [u8; 4] = *b"RCWP";
 /// Format version of the persisted profile frame.
-pub const PROFILE_FORMAT: u32 = 1;
+pub const PROFILE_FORMAT: u32 = 2;
 /// File name of the profile inside an `--index-cache` directory.
 pub const PROFILE_FILE: &str = "workload.profile";
 
@@ -90,16 +92,6 @@ pub struct WorkloadProfile {
     pub checks: u64,
     /// Peak live-node population of the BDD manager.
     pub peak_nodes: u64,
-    /// Operation-cache hits across all BDD operations.
-    pub cache_hits: u64,
-    /// Operation-cache misses across all BDD operations.
-    pub cache_misses: u64,
-    /// Plan-cache hits (registry level).
-    pub plan_hits: u64,
-    /// Plan-cache misses (registry level).
-    pub plan_misses: u64,
-    /// Memoized call counts per BDD operation kind, [`OpKind::ALL`] order.
-    pub op_calls: [u64; OP_KINDS],
     /// Per-relation profiles, keyed by relation name (sorted — the map is
     /// a `BTreeMap` precisely so encoding and reporting are
     /// deterministic).
@@ -123,11 +115,6 @@ impl WorkloadProfile {
         reports: &[(String, CheckReport)],
     ) -> WorkloadProfile {
         let ldb = checker.logical_db();
-        let stats = ldb.manager().stats();
-        let mut op_calls = [0u64; OP_KINDS];
-        for (i, c) in op_calls.iter_mut().enumerate() {
-            *c = stats.ops[i].calls;
-        }
         let mut relations: BTreeMap<String, RelationProfile> = BTreeMap::new();
         let names: Vec<String> = ldb.db().relation_names().map(str::to_owned).collect();
         for name in &names {
@@ -169,20 +156,9 @@ impl WorkloadProfile {
         }
         WorkloadProfile {
             checks: reports.len() as u64,
-            peak_nodes: stats.peak_nodes as u64,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            plan_hits: 0,
-            plan_misses: 0,
-            op_calls,
+            peak_nodes: ldb.manager().stats().peak_nodes as u64,
             relations,
         }
-    }
-
-    /// Fold registry plan-cache counters into the profile.
-    pub fn note_plan_cache(&mut self, m: PlanCacheMetrics) {
-        self.plan_hits = self.plan_hits.saturating_add(m.hits);
-        self.plan_misses = self.plan_misses.saturating_add(m.misses);
     }
 
     /// Merge a newer recording into this profile: monotone counters add
@@ -191,13 +167,6 @@ impl WorkloadProfile {
     pub fn merge(&mut self, newer: &WorkloadProfile) {
         self.checks = self.checks.saturating_add(newer.checks);
         self.peak_nodes = self.peak_nodes.max(newer.peak_nodes);
-        self.cache_hits = self.cache_hits.saturating_add(newer.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(newer.cache_misses);
-        self.plan_hits = self.plan_hits.saturating_add(newer.plan_hits);
-        self.plan_misses = self.plan_misses.saturating_add(newer.plan_misses);
-        for (a, b) in self.op_calls.iter_mut().zip(&newer.op_calls) {
-            *a = a.saturating_add(*b);
-        }
         for (name, theirs) in &newer.relations {
             let ours = self.relations.entry(name.clone()).or_default();
             ours.rows = theirs.rows;
@@ -237,14 +206,6 @@ impl WorkloadProfile {
         let w32 = |p: &mut Vec<u8>, v: u32| p.extend_from_slice(&v.to_le_bytes());
         w64(&mut p, self.checks);
         w64(&mut p, self.peak_nodes);
-        w64(&mut p, self.cache_hits);
-        w64(&mut p, self.cache_misses);
-        w64(&mut p, self.plan_hits);
-        w64(&mut p, self.plan_misses);
-        w32(&mut p, OP_KINDS as u32);
-        for &c in &self.op_calls {
-            w64(&mut p, c);
-        }
         w32(&mut p, self.relations.len() as u32);
         for (name, r) in &self.relations {
             w32(&mut p, name.len() as u32);
@@ -274,18 +235,6 @@ impl WorkloadProfile {
         };
         let checks = r.u64()?;
         let peak_nodes = r.u64()?;
-        let cache_hits = r.u64()?;
-        let cache_misses = r.u64()?;
-        let plan_hits = r.u64()?;
-        let plan_misses = r.u64()?;
-        let nops = r.u32()? as usize;
-        if nops != OP_KINDS {
-            return r.fail("op-kind count disagrees with this build");
-        }
-        let mut op_calls = [0u64; OP_KINDS];
-        for c in op_calls.iter_mut() {
-            *c = r.u64()?;
-        }
         let nrel = r.u32()? as usize;
         let mut relations = BTreeMap::new();
         for _ in 0..nrel {
@@ -324,11 +273,6 @@ impl WorkloadProfile {
         Ok(WorkloadProfile {
             checks,
             peak_nodes,
-            cache_hits,
-            cache_misses,
-            plan_hits,
-            plan_misses,
-            op_calls,
             relations,
         })
     }
@@ -349,10 +293,10 @@ impl WorkloadProfile {
         WorkloadProfile::from_bytes(&bytes).map(Some)
     }
 
-    /// Persist the profile with the store's atomic discipline: write to a
-    /// temp file, fsync, rename over the final path, fsync the directory.
-    /// A crash at any point leaves either the old profile or the new one,
-    /// never a torn file at the final path.
+    /// Persist the profile with the store's atomic discipline
+    /// ([`crate::store::write_atomic`]): a crash at any point leaves
+    /// either the old profile or the new one, never a torn file at the
+    /// final path.
     pub fn save(&self, dir: &Path) -> Result<()> {
         let io_err = |op: &'static str, path: &Path, e: std::io::Error| CoreError::Io {
             op,
@@ -360,29 +304,8 @@ impl WorkloadProfile {
             message: e.to_string(),
         };
         fs::create_dir_all(dir).map_err(|e| io_err("create", dir, e))?;
-        let final_path = dir.join(PROFILE_FILE);
-        let tmp = dir.join(format!("{PROFILE_FILE}.tmp"));
-        let bytes = self.to_bytes();
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)?;
-            sync_dir(dir);
-            Ok(())
-        };
-        write().map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            io_err("write", &final_path, e)
-        })
-    }
-}
-
-/// fsync a directory so a rename inside it is durable (best-effort — not
-/// every platform supports opening directories).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+        crate::store::write_atomic(dir, PROFILE_FILE, &self.to_bytes())
+            .map_err(|e| io_err("write", &dir.join(PROFILE_FILE), e))
     }
 }
 
@@ -435,8 +358,7 @@ impl Reader<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// The routing rules themselves — the decisions formerly scattered across
-// planner, checker, serve, and index now live (and are documented) here.
+// The routing rules the planner, serve, and index call.
 // ---------------------------------------------------------------------------
 
 /// The planner's BDD-vs-SQL routing rule: a constraint may enter the
@@ -448,14 +370,6 @@ where
     I: IntoIterator<Item = &'a str>,
 {
     !reads.into_iter().any(|r| sql_only.contains(r))
-}
-
-/// The degradation-ladder entry rule: a shed check skips the BDD rungs and
-/// enters at SQL — but only when the plan has a BDD step to skip (plans
-/// already routed to SQL enter there regardless). Shedding never changes a
-/// verdict, only the path that decides it.
-pub fn shed_entry_skips_bdd(shed_load: bool, has_bdd_step: bool) -> bool {
-    shed_load && has_bdd_step
 }
 
 /// The serve-layer admission rule: shed a request to the SQL tier when the
@@ -492,13 +406,6 @@ pub fn choose_ordering(
     }
     let (picked, ord, _) = best.expect("static candidate always present");
     (picked, ord)
-}
-
-/// The apply-cache sizing rule: the explicit override wins, otherwise the
-/// fixed default. `relcheck run --route auto` passes a workload-derived
-/// override ([`WorkloadProfile::cache_slots`]).
-pub fn manager_cache_slots(requested: Option<usize>) -> usize {
-    requested.unwrap_or(DEFAULT_CACHE_SLOTS)
 }
 
 // ---------------------------------------------------------------------------
@@ -741,8 +648,8 @@ pub struct AppliedAdvice {
 /// Apply an [`Advice`] to a live checker — the `--route auto` mode.
 ///
 /// Every mutation goes through the epoch-bumping invalidation paths, so
-/// cached plans and registry verdicts that the advice could affect are
-/// retired and re-derived; routing can therefore never change a verdict.
+/// registry verdicts that the advice could affect are retired and
+/// re-derived; routing can therefore never change a verdict.
 /// The application is deliberately conservative: relations already marked
 /// SQL-only stay SQL-only (un-degrading is not supported by the checker),
 /// and index rebuilds happen only under [`crate::ordering::OrderingStrategy::Adaptive`],
@@ -807,30 +714,8 @@ pub fn render_report(profile: &WorkloadProfile, advice: &Advice) -> String {
     push(
         &mut out,
         format!(
-            "workload profile: checks={} peak-nodes={} op-cache={}/{} plan-cache={}/{}",
-            profile.checks,
-            profile.peak_nodes,
-            profile.cache_hits,
-            profile.cache_misses,
-            profile.plan_hits,
-            profile.plan_misses
-        ),
-    );
-    let ops: Vec<String> = OpKind::ALL
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| profile.op_calls[i] > 0)
-        .map(|(i, k)| format!("{}={}", k.name(), profile.op_calls[i]))
-        .collect();
-    push(
-        &mut out,
-        format!(
-            "recorded ops: {}",
-            if ops.is_empty() {
-                "(none)".to_owned()
-            } else {
-                ops.join(" ")
-            }
+            "workload profile: checks={} peak-nodes={}",
+            profile.checks, profile.peak_nodes
         ),
     );
     push(&mut out, "relation advice:".to_owned());
@@ -973,6 +858,31 @@ mod tests {
         ));
     }
 
+    /// A profile in the previous on-disk format (1), which also carried
+    /// op-cache, plan-cache and per-op counters that no decision read.
+    fn format1_profile_bytes() -> Vec<u8> {
+        let mut p = Vec::new();
+        for v in [3u64, 100, 40, 60, 1, 2] {
+            p.extend_from_slice(&v.to_le_bytes());
+        }
+        p.extend_from_slice(&(relcheck_bdd::OP_KINDS as u32).to_le_bytes());
+        for _ in 0..relcheck_bdd::OP_KINDS {
+            p.extend_from_slice(&7u64.to_le_bytes());
+        }
+        p.extend_from_slice(&0u32.to_le_bytes());
+        encode_frame(PROFILE_MAGIC, 1, &[], &p)
+    }
+
+    #[test]
+    fn format1_profiles_decode_to_a_typed_error() {
+        match WorkloadProfile::from_bytes(&format1_profile_bytes()) {
+            Err(CoreError::SnapshotDecode(e)) => {
+                assert_eq!(e.reason, "unsupported format version");
+            }
+            other => panic!("format-1 profile decoded to {other:?}"),
+        }
+    }
+
     #[test]
     fn persistence_survives_a_restart_and_missing_files_are_cold() {
         let dir = std::env::temp_dir().join(format!("relcheck-policy-{}", std::process::id()));
@@ -1046,9 +956,6 @@ mod tests {
         assert!(!bdd_route_allowed(["R", "S"], &sql_only));
         assert!(bdd_route_allowed(["S"], &sql_only));
         assert!(bdd_route_allowed(std::iter::empty(), &sql_only));
-        assert!(shed_entry_skips_bdd(true, true));
-        assert!(!shed_entry_skips_bdd(true, false));
-        assert!(!shed_entry_skips_bdd(false, true));
         let ms = Duration::from_millis;
         assert!(admission_should_shed(33, 64, ms(0), ms(500)));
         assert!(!admission_should_shed(32, 64, ms(0), ms(500)));
@@ -1071,7 +978,5 @@ mod tests {
         assert_eq!(p.cache_slots(), MIN_CACHE_SLOTS);
         p.peak_nodes = u64::MAX / 4;
         assert_eq!(p.cache_slots(), MAX_CACHE_SLOTS);
-        assert_eq!(manager_cache_slots(None), DEFAULT_CACHE_SLOTS);
-        assert_eq!(manager_cache_slots(Some(4096)), 4096);
     }
 }

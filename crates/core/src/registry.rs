@@ -9,13 +9,10 @@
 //! indices themselves are maintained incrementally by
 //! [`crate::index::LogicalDatabase`]).
 
-use crate::checker::{panic_message, CheckReport, Checker};
+use crate::checker::{CheckReport, Checker};
 use crate::error::Result;
-use crate::plan::CheckPlan;
-use crate::telemetry::PlanCacheMetrics;
 use relcheck_logic::Formula;
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A registered constraint.
 #[derive(Debug, Clone)]
@@ -94,15 +91,6 @@ impl Verdict {
 #[derive(Debug, Default)]
 pub struct ConstraintRegistry {
     entries: Vec<Entry>,
-    /// Compiled plans keyed by `(constraint fingerprint, schema
-    /// fingerprint)`. The schema fingerprint covers the data version,
-    /// the checker's epoch (bumped by `rebuild_index`/`mark_sql_only`),
-    /// the ordering strategy, and the plan options, so any change that
-    /// could invalidate a plan changes the key and the stale entry is
-    /// simply never looked up again (and is pruned on the next insert
-    /// for the same constraint).
-    plans: HashMap<(u64, u64), CheckPlan>,
-    plan_stats: PlanCacheMetrics,
 }
 
 impl ConstraintRegistry {
@@ -152,58 +140,12 @@ impl ConstraintRegistry {
             .map(|e| &e.formula)
     }
 
-    /// Check one constraint through the plan cache: a cached
-    /// [`CheckPlan`] whose `(constraint, schema)` fingerprints still match
-    /// is handed to the checker and skips planning entirely; otherwise the
-    /// freshly-planned result is cached for next time. Runs behind the
-    /// same panic guard as [`Checker::check_all`], so a poisoned
-    /// constraint yields an `Errored` report instead of tearing down the
-    /// batch.
-    pub fn check_cached(&mut self, checker: &mut Checker, f: &Formula) -> Result<CheckReport> {
-        let key = checker.plan_key(f)?;
-        let cached = self.plans.get(&key);
-        if cached.is_some() {
-            self.plan_stats.hits += 1;
-        } else {
-            self.plan_stats.misses += 1;
-        }
-        match catch_unwind(AssertUnwindSafe(|| checker.check_planned(f, cached))) {
-            Ok(Ok((report, plan))) => {
-                // Keep at most one plan per constraint: drop entries for
-                // this constraint under dead schema fingerprints.
-                let live = (plan.constraint_fp, plan.schema_fp);
-                self.plans.retain(|k, _| k.0 != live.0 || k.1 == live.1);
-                self.plans.insert(live, plan);
-                Ok(report)
-            }
-            Ok(Err(e)) => Err(e),
-            Err(payload) => {
-                // Same recovery as `Checker::check_all`: the manager's
-                // tables are structurally sound at any unwind point;
-                // disarm the deadline and drop scratch.
-                let telemetry = checker.options().telemetry;
-                checker.logical_db_mut().manager_mut().set_deadline(None);
-                checker.logical_db_mut().gc();
-                Ok(CheckReport::errored(panic_message(payload), telemetry))
-            }
-        }
-    }
-
-    /// Plan-cache hit/miss counters accumulated by
-    /// [`ConstraintRegistry::check_cached`] (and everything routed through
-    /// it: [`ConstraintRegistry::validate_all`],
-    /// [`ConstraintRegistry::revalidate`]).
-    pub fn plan_cache_stats(&self) -> PlanCacheMetrics {
-        self.plan_stats
-    }
-
     /// Validate everything, caching verdicts. Returns `(name, report)` in
     /// registration order.
     pub fn validate_all(&mut self, checker: &mut Checker) -> Result<Vec<(String, CheckReport)>> {
         let mut out = Vec::with_capacity(self.entries.len());
         for i in 0..self.entries.len() {
-            let formula = self.entries[i].formula.clone();
-            let report = self.check_cached(checker, &formula)?;
+            let report = checker.check_guarded(&self.entries[i].formula)?;
             let epoch = checker.epoch();
             let e = &mut self.entries[i];
             // Undecided verdicts (degraded/errored) are never cached: the
@@ -255,8 +197,7 @@ impl ConstraintRegistry {
                 holds: e.last.expect("clean entries have a cached verdict"),
             });
         }
-        let formula = e.formula.clone();
-        let report = self.check_cached(checker, &formula)?;
+        let report = checker.check_guarded(&e.formula)?;
         let epoch = checker.epoch();
         let e = &mut self.entries[i];
         e.last = report.verdict.is_decided().then_some(report.holds);
@@ -341,10 +282,9 @@ impl ConstraintRegistry {
     /// `advise` entry point. Any route change goes through
     /// [`Checker::mark_sql_only`] / [`Checker::rebuild_index`], which
     /// bump the invalidation epoch, so every cached verdict reading a
-    /// re-routed relation is retired on the next revalidate and the
-    /// schema fingerprint of every affected plan changes: applying
-    /// advice can re-route but never lets a stale verdict or plan
-    /// survive the switch.
+    /// re-routed relation is retired on the next revalidate: applying
+    /// advice can re-route but never lets a stale verdict survive the
+    /// switch.
     pub fn apply_policy(
         &mut self,
         checker: &mut Checker,

@@ -4,7 +4,7 @@
 //! changes; a cold `relcheck run` per update batch throws the warm state
 //! away each time. [`ServeEngine`] is the session-oriented alternative:
 //! it keeps the relation store, the BDD manager and its logical indices,
-//! the fingerprinted plan cache, and (optionally) the persistent
+//! the compiled-atom cache, and (optionally) the persistent
 //! [`IndexStore`] alive across requests, and re-checks **only the
 //! constraints whose read-set intersects the relations dirtied since the
 //! last check** — everything else answers from the registry's cached
@@ -32,12 +32,11 @@
 //! — and the reply says so (`durable=false`). A delta value outside a
 //! frozen BDD block's domain cannot be folded into the index in-place;
 //! the engine degrades that relation to the SQL rung
-//! ([`Checker::mark_sql_only`], which retires cached plans *and* cached
-//! verdicts) and keeps serving correct answers until a restart rebuilds
-//! wider blocks. Per-request deadlines and overload ride the existing
-//! degradation ladder: every re-check goes through
-//! [`crate::registry::ConstraintRegistry::check_cached`], whose deadline,
-//! node-budget, and panic handling are unchanged.
+//! ([`Checker::mark_sql_only`], which retires cached verdicts) and keeps
+//! serving correct answers until a restart rebuilds wider blocks.
+//! Per-request deadlines and overload ride the existing degradation
+//! ladder: every re-check goes through the checker's per-constraint panic
+//! guard, whose deadline, node-budget, and panic handling are unchanged.
 //!
 //! Concurrency: the engine itself is single-threaded on purpose — one
 //! [`ServeActor`] thread owns it and serializes every request off a
@@ -54,14 +53,12 @@
 //! the final journal flush and metrics emission.
 
 use crate::certify::{emit_certificate, verify_certificate, Certificate, DEFAULT_WITNESS_LIMIT};
-use crate::checker::{CheckReport, Checker};
+use crate::checker::{panic_message, CheckReport, Checker};
 use crate::error::{CoreError, Result};
 use crate::policy::WorkloadProfile;
 use crate::registry::{ConstraintRegistry, Verdict};
 use crate::store::{Delta, IndexStore};
-use crate::telemetry::{
-    AuditMetrics, OverloadMetrics, PlanCacheMetrics, PolicyMetrics, ServeMetrics,
-};
+use crate::telemetry::{AuditMetrics, OverloadMetrics, PolicyMetrics, ServeMetrics};
 use relcheck_logic::Formula;
 use relcheck_relstore::{Raw, StoreError};
 use std::collections::BTreeSet;
@@ -366,7 +363,7 @@ impl ServeEngine {
     /// A delta value outside a frozen BDD block: the block cannot grow
     /// in-place, so apply the delta rows-only and route the relation to
     /// the SQL rung. `mark_sql_only` bumps the invalidation epoch, which
-    /// retires the relation's cached plans *and* cached verdicts, so the
+    /// retires the cached verdicts of constraints reading it, so the
     /// session keeps serving correct (if slower) answers; the next warm
     /// start re-interns the journal and rebuilds wider blocks.
     fn degrade_overflow(&mut self, relation: &str, delta: &Delta) -> Result<bool> {
@@ -439,10 +436,10 @@ impl ServeEngine {
             .collect()
     }
 
-    /// Re-check one constraint **fresh** (through the plan cache, never
-    /// the verdict cache — a certificate must describe the data as it is
-    /// now), emit its certificate, and immediately audit it with the
-    /// independent re-checker. Returns `None` for an unknown name;
+    /// Re-check one constraint **fresh** (never from the verdict cache — a
+    /// certificate must describe the data as it is now), emit its
+    /// certificate, and immediately audit it with the independent
+    /// re-checker. Returns `None` for an unknown name;
     /// otherwise the certificate plus the audit rejection, if any
     /// (undecided verdicts are not audited — they are uncertifiable by
     /// construction and the certificate says so).
@@ -453,7 +450,7 @@ impl ServeEngine {
         let Some(f) = self.registry.formula(name).cloned() else {
             return Ok(None);
         };
-        let report = self.registry.check_cached(&mut self.checker, &f)?;
+        let report = self.checker.check_guarded(&f)?;
         let cert = emit_certificate(&mut self.checker, name, &f, &report, self.witness_limit)?;
         self.audit.emitted += 1;
         if let Some(w) = &cert.witnesses {
@@ -645,11 +642,6 @@ impl ServeEngine {
     /// Session counters so far.
     pub fn stats(&self) -> ServeMetrics {
         self.stats
-    }
-
-    /// Plan-cache counters accumulated by the session's registry.
-    pub fn plan_cache_stats(&self) -> PlanCacheMetrics {
-        self.registry.plan_cache_stats()
     }
 
     /// Certificate audit counters accumulated by `certify` requests.
@@ -952,7 +944,7 @@ fn service_request(
     let reply = match outcome {
         Ok(reply) => reply,
         Err(payload) => {
-            // The registry's check path already unwind-isolates checks;
+            // The checker's panic guard already unwind-isolates checks;
             // this catches everything else (a parse or bookkeeping bug)
             // so one poisoned request cannot take down every session.
             // Clear any armed manager deadline and reclaim dead nodes
@@ -963,15 +955,11 @@ fn service_request(
                 .manager_mut()
                 .set_deadline(None);
             engine.checker_mut().logical_db_mut().gc();
-            let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-                s
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s
-            } else {
-                "non-string panic payload"
-            };
             Reply {
-                lines: vec![format!("err internal: request failed: {msg}")],
+                lines: vec![format!(
+                    "err internal: request failed: {}",
+                    panic_message(payload)
+                )],
                 quit: false,
             }
         }

@@ -56,6 +56,8 @@ use std::time::Duration;
 pub const SEGMENT_MAGIC: [u8; 4] = *b"RCS1";
 /// Magic for the manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"RCM1";
+/// File name of the manifest inside the cache directory.
+const MANIFEST_FILE: &str = "manifest";
 /// Magic opening a journal file's header.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"RCJ1";
 /// On-disk format version shared by all three file kinds.
@@ -613,7 +615,7 @@ impl IndexStore {
     }
 
     fn manifest_path(&self) -> PathBuf {
-        self.dir.join("manifest")
+        self.dir.join(MANIFEST_FILE)
     }
 
     /// Warm-start a checker from the cache: load each cached index whose
@@ -682,14 +684,7 @@ impl IndexStore {
             let arity = ck.logical_db().db().relation(name)?.arity();
             if let Some(bad) = records.iter().position(|d| d.values().len() != arity) {
                 records.truncate(bad);
-                let keep: Vec<u8> = {
-                    let mut buf = journal_header(name);
-                    for d in &records {
-                        buf.extend_from_slice(&encode_journal_record(d));
-                    }
-                    buf
-                };
-                let _ = fs::write(&path, keep);
+                let _ = rewrite_journal(&path, name, &records);
                 self.stats.recoveries.push(RecoveryRecord {
                     relation: name.clone(),
                     reason: recovery_reason::JOURNAL_CORRUPT,
@@ -704,15 +699,7 @@ impl IndexStore {
         // Phase 3 — intern every journaled value so dictionaries (and the
         // class sizes frozen next) cover the post-replay state uniformly.
         for name in &names {
-            let classes: Vec<String> = ck
-                .logical_db()
-                .db()
-                .relation(name)?
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| c.class.clone())
-                .collect();
+            let classes = column_classes(ck, name)?;
             for d in &journals[name] {
                 for (i, v) in d.values().iter().enumerate() {
                     ck.logical_db_mut().db_mut().encode_value(&classes[i], v);
@@ -724,16 +711,7 @@ impl IndexStore {
         // so a shared class cannot be frozen narrow by one relation's
         // import and then overflowed by a sibling's journal.
         for name in &names {
-            let classes: Vec<String> = ck
-                .logical_db()
-                .db()
-                .relation(name)?
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| c.class.clone())
-                .collect();
-            for class in classes {
+            for class in column_classes(ck, name)? {
                 ck.logical_db_mut().class_domain_size(&class);
             }
         }
@@ -769,11 +747,7 @@ impl IndexStore {
                 .and_then(|f| f.set_len(valid_bytes))
         } else {
             // Header itself damaged: rewrite from the decoded records.
-            let mut buf = journal_header(name);
-            for d in records {
-                buf.extend_from_slice(&encode_journal_record(d));
-            }
-            fs::write(path, buf)
+            rewrite_journal(path, name, records)
         };
         if rewrite.is_err() {
             self.stats.write_failures += 1;
@@ -875,15 +849,7 @@ impl IndexStore {
         // Domain-width check against the frozen class sizes: a journaled
         // value from a class that outgrew its block cannot be replayed
         // into this snapshot.
-        let classes: Vec<String> = ck
-            .logical_db()
-            .db()
-            .relation(name)?
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| c.class.clone())
-            .collect();
+        let classes = column_classes(ck, name)?;
         if snap.rel.slots.len() != classes.len() {
             return rebuild(
                 recovery_reason::SEGMENT_CORRUPT,
@@ -906,7 +872,8 @@ impl IndexStore {
     /// Adopt a validated snapshot and replay its journal. Records older
     /// than `seg_seq` are already folded into the snapshot's BDD, so they
     /// re-apply to the relation rows only; newer records go through full
-    /// incremental maintenance. Any replay failure degrades to a rebuild.
+    /// incremental maintenance. Any maintenance failure degrades to a
+    /// rebuild.
     fn adopt(
         &mut self,
         ck: &mut Checker,
@@ -928,22 +895,15 @@ impl IndexStore {
             });
             return self.rebuild(ck, name, records, true);
         }
-        for (i, d) in records.iter().enumerate() {
+        // `decide` guarantees `seg_seq <= records.len()`.
+        let folded = seg_seq as usize;
+        replay_rows(ck, name, &records[..folded])?;
+        for (i, d) in records.iter().enumerate().skip(folded) {
             let (row, _) = d.encode(ck.logical_db_mut(), name)?;
-            let result = if (i as u64) < seg_seq {
-                // Rows-only: the index already contains this delta.
-                let rel = ck.logical_db_mut().db_mut().relation_mut(name)?;
-                match d {
-                    Delta::Insert(_) => rel.insert(&row).map(|_| ()),
-                    Delta::Delete(_) => rel.delete(&row).map(|_| ()),
-                }
-                .map_err(CoreError::from)
-            } else {
-                self.stats.journal_replayed += 1;
-                match d {
-                    Delta::Insert(_) => ck.logical_db_mut().insert_tuple(name, &row).map(|_| ()),
-                    Delta::Delete(_) => ck.logical_db_mut().delete_tuple(name, &row).map(|_| ()),
-                }
+            self.stats.journal_replayed += 1;
+            let result = match d {
+                Delta::Insert(_) => ck.logical_db_mut().insert_tuple(name, &row),
+                Delta::Delete(_) => ck.logical_db_mut().delete_tuple(name, &row),
             };
             if let Err(e) = result {
                 // Finish the remaining records rows-only, then rebuild the
@@ -953,14 +913,7 @@ impl IndexStore {
                     reason: recovery_reason::REPLAY_FAILED,
                     detail: format!("record {i}: {e}"),
                 });
-                for d in &records[i..] {
-                    let (row, _) = d.encode(ck.logical_db_mut(), name)?;
-                    let rel = ck.logical_db_mut().db_mut().relation_mut(name)?;
-                    let _ = match d {
-                        Delta::Insert(_) => rel.insert(&row),
-                        Delta::Delete(_) => rel.delete(&row),
-                    };
-                }
+                replay_rows(ck, name, &records[i..])?;
                 ck.rebuild_index(name)?;
                 self.stats.misses += 1;
                 self.stats.rebuilds += 1;
@@ -969,7 +922,7 @@ impl IndexStore {
             }
         }
         self.stats.hits += 1;
-        if !records[seg_seq as usize..].is_empty() {
+        if records.len() > folded {
             // Replayed records get compacted into a fresh segment.
             self.dirty.insert(name.to_owned(), true);
         }
@@ -985,14 +938,7 @@ impl IndexStore {
         records: &[Delta],
         was_rebuild: bool,
     ) -> Result<()> {
-        for d in records {
-            let (row, _) = d.encode(ck.logical_db_mut(), name)?;
-            let rel = ck.logical_db_mut().db_mut().relation_mut(name)?;
-            let _ = match d {
-                Delta::Insert(_) => rel.insert(&row)?,
-                Delta::Delete(_) => rel.delete(&row)?,
-            };
-        }
+        replay_rows(ck, name, records)?;
         ck.ensure_index(name)?;
         self.stats.misses += 1;
         if was_rebuild {
@@ -1214,26 +1160,13 @@ impl IndexStore {
         seg_name: &str,
         bytes: &[u8],
     ) -> std::result::Result<(), bool> {
-        let final_path = self.dir.join(seg_name);
         if failpoint::enabled()
             && failpoint::should_fail(failpoint::SEGMENT_WRITE, failpoint::key_str(relation))
         {
-            let _ = fs::write(&final_path, &bytes[..bytes.len() / 2]);
+            let _ = fs::write(self.dir.join(seg_name), &bytes[..bytes.len() / 2]);
             return Err(true);
         }
-        let tmp = self.dir.join(format!("{seg_name}.tmp"));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)?;
-            sync_dir(&self.dir);
-            Ok(())
-        };
-        write().map_err(|_| {
-            let _ = fs::remove_file(&tmp);
-            false
-        })
+        write_atomic(&self.dir, seg_name, bytes).map_err(|_| false)
     }
 
     /// Commit the manifest atomically. The `manifest-write` failpoint
@@ -1241,23 +1174,12 @@ impl IndexStore {
     /// (as if the rename landed but the data did not).
     fn commit_manifest(&mut self) {
         let bytes = encode_manifest(&self.manifest);
-        let final_path = self.manifest_path();
         if failpoint::enabled() && failpoint::should_fail(failpoint::MANIFEST_WRITE, 0) {
-            let _ = fs::write(&final_path, &bytes[..bytes.len() / 2]);
+            let _ = fs::write(self.manifest_path(), &bytes[..bytes.len() / 2]);
             self.stats.write_failures += 1;
             return;
         }
-        let tmp = self.dir.join("manifest.tmp");
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)?;
-            sync_dir(&self.dir);
-            Ok(())
-        };
-        if write().is_err() {
-            let _ = fs::remove_file(&tmp);
+        if write_atomic(&self.dir, MANIFEST_FILE, &bytes).is_err() {
             self.stats.write_failures += 1;
         }
     }
@@ -1359,7 +1281,7 @@ impl IndexStore {
         let entries = fs::read_dir(&self.dir).map_err(|e| io_err("read", &self.dir, &e))?;
         for entry in entries.flatten() {
             let file_name = entry.file_name().to_string_lossy().into_owned();
-            if file_name == "manifest" {
+            if file_name == MANIFEST_FILE {
                 continue;
             }
             let junk = if file_name.ends_with(".tmp") {
@@ -1393,10 +1315,64 @@ impl IndexStore {
     }
 }
 
-/// fsync a directory so a rename inside it is durable (best-effort — not
-/// every platform supports opening directories).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
+/// Replace `dir/name` atomically: write `dir/name.tmp`, fsync it, rename
+/// it over the final path, then fsync the directory so the rename is
+/// durable (best-effort — not every platform supports opening
+/// directories). A crash at any point leaves the old file or the new one
+/// at the final path, never a torn one; on failure the temp file is
+/// removed.
+pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let write = || -> std::io::Result<()> {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        fs::rename(&tmp, dir.join(name))?;
+        if let Ok(d) = fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+        Ok(())
+    };
+    write().inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
+}
+
+/// Rewrite a relation's journal as its header plus `records` — the
+/// healthy prefix recovery keeps.
+fn rewrite_journal(path: &Path, name: &str, records: &[Delta]) -> std::io::Result<()> {
+    let mut buf = journal_header(name);
+    for d in records {
+        buf.extend_from_slice(&encode_journal_record(d));
     }
+    fs::write(path, buf)
+}
+
+/// The attribute class of each of a relation's columns, schema order.
+fn column_classes(ck: &Checker, name: &str) -> Result<Vec<String>> {
+    Ok(ck
+        .logical_db()
+        .db()
+        .relation(name)?
+        .schema()
+        .columns()
+        .iter()
+        .map(|c| c.class.clone())
+        .collect())
+}
+
+/// Re-apply journal records to a relation's rows only, leaving its index
+/// alone. Row errors propagate: the only error `Relation::insert` and
+/// `Relation::delete` return is an arity mismatch, and warm start's phase
+/// 2 has already truncated every such record away.
+fn replay_rows(ck: &mut Checker, name: &str, records: &[Delta]) -> Result<()> {
+    for d in records {
+        let (row, _) = d.encode(ck.logical_db_mut(), name)?;
+        let rel = ck.logical_db_mut().db_mut().relation_mut(name)?;
+        match d {
+            Delta::Insert(_) => rel.insert(&row)?,
+            Delta::Delete(_) => rel.delete(&row)?,
+        };
+    }
+    Ok(())
 }

@@ -37,7 +37,7 @@ use std::time::Duration;
 
 /// The metrics document's `schema_version`: the one version the writer
 /// emits and the validator accepts.
-const SCHEMA_VERSION: i64 = 8;
+const SCHEMA_VERSION: i64 = 9;
 
 /// The rewrite rules of the paper's Section 4 pipeline, numbered as the
 /// telemetry schema reports them.
@@ -246,24 +246,6 @@ pub struct PassStat {
     pub fired: u64,
     /// How many candidate sites the cost gate declined.
     pub gated: u64,
-}
-
-/// Plan-cache counters for a registry-driven run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheMetrics {
-    /// Checks answered by a cached [`crate::plan::CheckPlan`] whose
-    /// fingerprints still matched.
-    pub hits: u64,
-    /// Checks that had to plan from scratch (first sight, or a stale
-    /// fingerprint).
-    pub misses: u64,
-}
-
-impl PlanCacheMetrics {
-    /// The `plan_cache` block's fields, in schema order.
-    fn counters(&self) -> [(&'static str, u64); 2] {
-        [("hits", self.hits), ("misses", self.misses)]
-    }
 }
 
 /// Workload-driven policy counters: what the [`crate::policy`] advisor
@@ -619,7 +601,7 @@ impl OverloadMetrics {
     }
 }
 
-/// The top-level machine-readable report (`schema_version` 8). See
+/// The top-level machine-readable report (`schema_version` 9). See
 /// `DESIGN.md` for field meanings and stability guarantees.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
@@ -637,10 +619,6 @@ pub struct RunMetrics {
     /// Persistent index store counters; `None` when the run did not use
     /// `--index-cache`. Assembled by the caller after `from_reports`.
     pub index_cache: Option<IndexCacheMetrics>,
-    /// Plan-cache counters; `None` when the run did not go through a
-    /// [`crate::registry::ConstraintRegistry`]. Assembled by the caller
-    /// after `from_reports`.
-    pub plan_cache: Option<PlanCacheMetrics>,
     /// Serve-session counters; `None` for batch runs. Assembled by the
     /// caller after `from_reports`.
     pub serve: Option<ServeMetrics>,
@@ -695,7 +673,7 @@ impl RunMetrics {
         }
     }
 
-    /// Render the schema-version-8 JSON document.
+    /// Render the schema-version-9 JSON document.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj_open();
@@ -723,7 +701,6 @@ impl RunMetrics {
             write_index_cache,
         );
         for (key, counters) in [
-            ("plan_cache", self.plan_cache.map(|b| b.counters().to_vec())),
             ("serve", self.serve.map(|b| b.counters().to_vec())),
             ("audit", self.audit.map(|b| b.counters().to_vec())),
             ("overload", self.overload.map(|b| b.counters().to_vec())),
@@ -1596,10 +1573,6 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
         }
     }
 
-    if let Some(pc) = nullable(&doc, "", "plan_cache")? {
-        read_counters(pc, "plan_cache", PlanCacheMetrics::counters)?;
-    }
-
     let serve = nullable(&doc, "", "serve")?
         .map(|sv| read_counters(sv, "serve", ServeMetrics::counters))
         .transpose()?;
@@ -1876,16 +1849,16 @@ mod tests {
         // document of an older (or future) schema is accepted.
         let doc = golden_metrics().to_json();
         validate_metrics_json(&doc).unwrap();
-        for version in (1..=7).chain([9]) {
+        for version in (1..=8).chain([10]) {
             let other = doc.replace(
-                "\"schema_version\":8",
+                "\"schema_version\":9",
                 &format!("\"schema_version\":{version}"),
             );
             let err = validate_metrics_json(&other).unwrap_err();
             assert!(err.contains("schema_version"), "v{version}: {err}");
         }
         // A block an older schema lacked is still required.
-        for block in ["plan_cache", "serve", "audit", "overload", "policy"] {
+        for block in ["serve", "audit", "overload", "policy"] {
             let stripped = RunMetrics::default()
                 .to_json()
                 .replace(&format!(",\"{block}\":null"), "");
@@ -1918,7 +1891,7 @@ mod tests {
         // Every field of a counter table is required, integral and >= 0.
         let doc = golden_metrics().to_json();
         for (from, to) in [
-            ("\"hits\":5,", ""),
+            ("\"requests\":9,", ""),
             ("\"witnesses\":12", "\"witnesses\":\"12\""),
             ("\"watchdog_fires\":1", "\"watchdog_fires\":-1"),
             ("\"eval_ns\":201,", ""),
@@ -1948,7 +1921,6 @@ mod tests {
                     detail: "checksum mismatch at offset 20".to_owned(),
                 }],
             }),
-            plan_cache: Some(PlanCacheMetrics { hits: 3, misses: 1 }),
             ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
@@ -1990,7 +1962,6 @@ mod tests {
     fn serve_metrics_validate_and_conserve() {
         let mut m = RunMetrics {
             threads: 1,
-            plan_cache: Some(PlanCacheMetrics { hits: 3, misses: 4 }),
             serve: Some(serve_counters()),
             ..RunMetrics::default()
         };
@@ -2414,7 +2385,6 @@ mod tests {
                     },
                 ],
             }),
-            plan_cache: Some(PlanCacheMetrics { hits: 5, misses: 3 }),
             serve: Some(ServeMetrics {
                 requests: 9,
                 deltas: 4,
@@ -2465,7 +2435,7 @@ mod tests {
     }
 
     const GOLDEN_METRICS: &str = concat!(
-        r#"{"schema_version":8,"tool":"relcheck","threads":2,"telemetry_enabled":true,"constraints":["#,
+        r#"{"schema_version":9,"tool":"relcheck","threads":2,"telemetry_enabled":true,"constraints":["#,
         r#"{"name":"stays-on-bdd","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"#,
         r#""trace":{"method":"bdd","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
@@ -2538,7 +2508,6 @@ mod tests {
         r#""degradation":{"degraded":1,"errored":1,"fallbacks":6,"failpoints":{"seed":"18446744073709551615","fired":[{"site":"apply","count":3},{"site":"index-build","count":0}]}},"#,
         r#""index_cache":{"hits":1,"misses":2,"rebuilds":1,"journal_replayed":4,"write_failures":1,"#,
         r#""recoveries":[{"relation":"CUST","reason":"segment_corrupt","detail":"checksum mismatch at offset 20"},{"relation":"ALLOWED","reason":"journal_torn","detail":"tail of 7 bytes discarded"}]},"#,
-        r#""plan_cache":{"hits":5,"misses":3},"#,
         r#""serve":{"requests":9,"deltas":4,"checks":3,"constraints_checked":5,"constraints_skipped":7,"dirty_peak":2,"dirty_total":4,"incremental_ns":1500,"full_ns":9000},"#,
         r#""audit":{"emitted":8,"verified":7,"failed":1,"witnesses":12},"#,
         r#""overload":{"admitted":11,"shed":2,"rejected":3,"retries":1,"watchdog_fires":1,"drained":2},"#,

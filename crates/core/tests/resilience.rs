@@ -368,15 +368,14 @@ fn fault_profiles_never_silently_change_a_verdict() {
     restore_panics();
 }
 
-/// The plan-cache path obeys the same differential contract: driving the
-/// battery through a `ConstraintRegistry` (fingerprinted cached plans,
-/// `check_cached`) under a fault profile must never silently change a
-/// verdict — decided means equal to the fault-free run, anything else is
-/// explicitly `Degraded`/`Errored`. After the faults clear, a second
-/// validation round on the *same* registry (whatever plans it cached while
-/// degraded) recovers every fault-free verdict.
+/// The registry path obeys the same differential contract: driving the
+/// battery through a `ConstraintRegistry` under a fault profile must never
+/// silently change a verdict — decided means equal to the fault-free run,
+/// anything else is explicitly `Degraded`/`Errored`. After the faults
+/// clear, a second validation round on the *same* registry (whatever
+/// verdicts it cached while degraded) recovers every fault-free verdict.
 #[test]
-fn plan_cache_path_respects_the_fault_differential() {
+fn registry_path_respects_the_fault_differential() {
     let _g = lock();
     quiet_panics();
     let db = mini_db();
@@ -414,7 +413,7 @@ fn plan_cache_path_respects_the_fault_differential() {
             if gr.verdict.is_decided() {
                 assert_eq!(
                     wr.holds, gr.holds,
-                    "{spec}/{wn}: a decided plan-cache verdict under faults \
+                    "{spec}/{wn}: a decided registry verdict under faults \
                      must match the fault-free run"
                 );
             } else {
@@ -426,8 +425,8 @@ fn plan_cache_path_respects_the_fault_differential() {
         }
 
         // Recovery: same registry, faults gone. Every verdict is decided
-        // again and equals the fault-free run — no stale degraded-era plan
-        // may leak a wrong answer.
+        // again and equals the fault-free run — nothing cached in the
+        // degraded era may leak a wrong answer.
         let recovered = reg.validate_all(&mut ck).unwrap();
         for ((wn, wr), (gn, gr)) in clean.iter().zip(&recovered) {
             assert_eq!(wn, gn, "{spec}: recovery order");
@@ -437,14 +436,6 @@ fn plan_cache_path_respects_the_fault_differential() {
             );
             assert_eq!(wr.holds, gr.holds, "{spec}/{wn}: recovery verdict");
         }
-
-        // Exactly one cache probe per check, fault round or not.
-        let pc = reg.plan_cache_stats();
-        assert_eq!(
-            pc.hits + pc.misses,
-            2 * battery.len() as u64,
-            "{spec}: every check_cached call probes the cache once"
-        );
     }
     restore_panics();
 }

@@ -680,4 +680,14 @@ fn shed_tier_enters_the_ladder_at_sql_and_preserves_the_verdict() {
     ));
     assert_eq!(shed.holds, baseline.holds);
     assert_eq!(shed.verdict, baseline.verdict);
+
+    // A plan already routed to SQL has no BDD step to skip: it enters
+    // at SQL for its own reason, not as shed load.
+    shedding.mark_sql_only("R");
+    let routed = shedding.check(&diagonal).unwrap();
+    assert!(matches!(
+        routed.metrics.as_ref().unwrap().fallback,
+        Some(relcheck_core::FallbackReason::UnindexedRelation)
+    ));
+    assert_eq!(routed.verdict, baseline.verdict);
 }

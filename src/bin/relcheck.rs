@@ -112,7 +112,6 @@ use relcheck::core_::checker::{CheckReport, Checker, CheckerOptions, Verdict};
 use relcheck::core_::ordering::OrderingStrategy;
 use relcheck::core_::plan::plans_to_json;
 use relcheck::core_::policy::{advise, apply_advice, render_report, WorkloadProfile};
-use relcheck::core_::registry::ConstraintRegistry;
 use relcheck::core_::serve::{
     parse_delta, ServeActor, ServeClient, ServeConfig, ServeEngine, Submission,
 };
@@ -390,45 +389,17 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         policy_metrics = Some(advice.metrics(&prof, Some(&applied)));
     }
     println!();
-    let mut plan_cache = None;
     let (reports, fleet) = if force_sql {
-        spec.constraints
+        run_constraints
             .iter()
-            .map(|c| Ok((c.name.clone(), checker.check_sql(&c.formula)?)))
+            .map(|(name, f)| Ok((name.clone(), checker.check_sql(f)?)))
             .collect::<Result<Vec<_>, relcheck::core_::CoreError>>()
             .map(|rs| (rs, None))
-    } else if threads <= 1 {
-        // Serial runs go through the registry so repeated constraints
-        // (and future revalidation rounds) reuse compiled plans; the
-        // single-lane telemetry matches what the parallel front-end
-        // reports for one thread.
-        let mut registry = ConstraintRegistry::new();
-        for c in &spec.constraints {
-            if !registry.register(&c.name, c.formula.clone()) {
-                return Err(format!("duplicate constraint name {:?}", c.name));
-            }
-        }
-        let before = checker.logical_db().manager().stats();
-        registry.validate_all(&mut checker).map(|rs| {
-            let after = checker.logical_db().manager().stats();
-            let lane = WorkerTelemetry {
-                worker: 0,
-                constraints: (0..rs.len()).collect(),
-                bdd: after.delta_since(&before),
-                peak_nodes: after.peak_nodes,
-                depth_hwm: after.depth_hwm,
-            };
-            plan_cache = Some(registry.plan_cache_stats());
-            (rs, Some(FleetTelemetry::from_workers(vec![lane])))
-        })
     } else {
-        let constraints: Vec<(String, relcheck::logic::Formula)> = spec
-            .constraints
-            .iter()
-            .map(|c| (c.name.clone(), c.formula.clone()))
-            .collect();
+        // One thread (or one constraint) takes the serial path and
+        // reports a single lane.
         checker
-            .check_all_parallel_telemetry(&constraints, threads)
+            .check_all_parallel_telemetry(&run_constraints, threads)
             .map(|(rs, fleet)| (rs, Some(fleet)))
     }
     .map_err(|e| format!("checking constraints: {e}"))?;
@@ -451,9 +422,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         let recorded = WorkloadProfile::record(&checker, &run_constraints, &reports);
         let mut merged = loaded_profile.clone().unwrap_or_default();
         merged.merge(&recorded);
-        if let Some(pc) = plan_cache {
-            merged.note_plan_cache(pc);
-        }
         match merged.save(Path::new(dir)) {
             Ok(()) => println!(
                 "workload profile: {} check(s) recorded into {dir}",
@@ -467,14 +435,9 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     let mut audit_metrics = None;
     let mut audit_failures = Vec::new();
     if let Some(path) = &certify_path {
-        let constraints: Vec<(String, Formula)> = spec
-            .constraints
-            .iter()
-            .map(|c| (c.name.clone(), c.formula.clone()))
-            .collect();
-        let certs = emit_certificates(&mut checker, &constraints, &reports, witness_limit)
+        let certs = emit_certificates(&mut checker, &run_constraints, &reports, witness_limit)
             .map_err(|e| format!("emitting certificates: {e}"))?;
-        let (stats, failures) = self_verify(checker.logical_db().db(), &constraints, &certs);
+        let (stats, failures) = self_verify(checker.logical_db().db(), &run_constraints, &certs);
         std::fs::write(path, bundle_to_json(&certs))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
@@ -490,7 +453,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         if let Some(store) = &store {
             metrics.index_cache = Some(store.stats.clone());
         }
-        metrics.plan_cache = plan_cache;
         metrics.audit = audit_metrics;
         metrics.policy = policy_metrics;
         let doc = metrics.to_json();
@@ -637,20 +599,14 @@ fn cmd_audit(args: &[String]) -> Result<bool, String> {
                     ..Default::default()
                 },
             );
-            let mut registry = ConstraintRegistry::new();
-            for c in &spec.constraints {
-                if !registry.register(&c.name, c.formula.clone()) {
-                    return Err(format!("duplicate constraint name {:?}", c.name));
-                }
-            }
-            let reports = registry
-                .validate_all(&mut checker)
-                .map_err(|e| format!("checking constraints: {e}"))?;
             let constraints: Vec<(String, Formula)> = spec
                 .constraints
                 .iter()
                 .map(|c| (c.name.clone(), c.formula.clone()))
                 .collect();
+            let reports = checker
+                .check_all(&constraints)
+                .map_err(|e| format!("checking constraints: {e}"))?;
             let certs = emit_certificates(&mut checker, &constraints, &reports, witness_limit)
                 .map_err(|e| format!("emitting certificates: {e}"))?;
             println!();
@@ -874,7 +830,6 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
         let mut metrics =
             RunMetrics::from_reports(&reports, Some(FleetTelemetry::from_workers(vec![lane])), 1);
         metrics.index_cache = engine.store().map(|s| s.stats.clone());
-        metrics.plan_cache = Some(engine.plan_cache_stats());
         metrics.serve = Some(engine.stats());
         metrics.audit = Some(engine.audit_stats());
         metrics.overload = Some(overload);
@@ -1458,18 +1413,10 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
         Some(p) => p,
         None => {
             eprintln!("no recorded profile; recording this invocation's own checks");
-            let mut registry = ConstraintRegistry::new();
-            for (name, f) in &constraints {
-                if !registry.register(name, f.clone()) {
-                    return Err(format!("duplicate constraint name {name:?}"));
-                }
-            }
-            let reports = registry
-                .validate_all(&mut checker)
+            let reports = checker
+                .check_all(&constraints)
                 .map_err(|e| format!("checking constraints: {e}"))?;
-            let mut p = WorkloadProfile::record(&checker, &constraints, &reports);
-            p.note_plan_cache(registry.plan_cache_stats());
-            p
+            WorkloadProfile::record(&checker, &constraints, &reports)
         }
     };
     let advice = advise(&profile, &mut checker, &constraints);

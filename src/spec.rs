@@ -103,7 +103,16 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
         if let Some(rest) = decl.strip_prefix("table ") {
             spec.tables.push(parse_table(line, rest)?);
         } else if let Some(rest) = decl.strip_prefix("constraint ") {
-            spec.constraints.push(parse_constraint(line, rest)?);
+            let c = parse_constraint(line, rest)?;
+            // Names key reports, certificates and the serve registry, so
+            // every run mode rejects a repeat here, once.
+            if spec.constraints.iter().any(|d| d.name == c.name) {
+                return Err(SpecError {
+                    line,
+                    message: format!("duplicate constraint name {:?}", c.name),
+                });
+            }
+            spec.constraints.push(c);
         }
     }
     Ok(spec)
@@ -217,6 +226,20 @@ constraint reference-agrees:
         assert_eq!(err.line, 3);
         let err = parse_spec("constraint broken: forall . R(x)").unwrap_err();
         assert!(err.message.contains("broken"));
+    }
+
+    #[test]
+    fn duplicate_constraint_names_rejected_at_the_second_declaration() {
+        let err = parse_spec(
+            "constraint dup: exists x. R(x)
+
+constraint other: exists x. R(x)
+             constraint dup:
+  forall x. R(x) -> x = x",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("duplicate constraint name \"dup\""));
     }
 
     #[test]
