@@ -28,7 +28,8 @@
 
 use crate::error::Result;
 use relcheck_bdd::BddManager;
-use relcheck_relstore::{stats, Relation};
+use relcheck_relstore::stats::{self, Partition, ValueBuckets};
+use relcheck_relstore::Relation;
 
 /// How a relation's attribute ordering is chosen when building its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,112 +114,103 @@ impl OrderingStrategy {
     }
 }
 
-/// The paper's information gain between a single attribute `v` and the
-/// attribute sequence `ū` (Definition 1, arguments as used in Figure 1
-/// line 5): `I(v; ū) = H(v) − H(ū|v)`.
-fn info_gain_v_prefix(rel: &Relation, v: usize, prefix: &[usize]) -> f64 {
-    let h_v = stats::entropy(rel, &[v]);
-    let mut all = prefix.to_vec();
-    all.push(v);
-    let h_joint = stats::entropy(rel, &all);
-    // H(ū | v) = H(ū ∪ v) − H(v).
-    h_v - (h_joint - h_v)
+/// The greedy prefix growth the three statistics-driven heuristics share.
+/// Each step refines the chosen prefix's row partition by every remaining
+/// column once and scores that candidate with `score(cols, sizes,
+/// prefix_sizes)`: `cols` is the prefix with the candidate appended,
+/// `sizes` the refined group sizes and `prefix_sizes` the prefix's own,
+/// both ascending. The first minimum in column order wins, and its
+/// refinement is the next step's prefix partition. A step costs one linear
+/// pass over the rows per remaining column, an ordering `arity·(arity+1)/2`
+/// passes after bucketing each column by value once.
+fn greedy(
+    rel: &Relation,
+    mut score: impl FnMut(&[usize], &[usize], &[usize]) -> f64,
+) -> Vec<usize> {
+    let buckets: Vec<ValueBuckets> = (0..rel.arity())
+        .map(|c| ValueBuckets::new(rel.col(c)))
+        .collect();
+    let mut prefix = Partition::whole(rel.len());
+    let mut prefix_sizes = prefix.sorted_sizes();
+    let mut remaining: Vec<usize> = (0..rel.arity()).collect();
+    let mut order: Vec<usize> = Vec::with_capacity(rel.arity());
+    while !remaining.is_empty() {
+        let mut best: Option<(f64, usize, Partition, Vec<usize>)> = None;
+        for (i, &c) in remaining.iter().enumerate() {
+            let refined = prefix.refine(&buckets[c]);
+            let sizes = refined.sorted_sizes();
+            order.push(c);
+            let s = score(&order, &sizes, &prefix_sizes);
+            order.pop();
+            if best.as_ref().is_none_or(|(b, ..)| s < *b) {
+                best = Some((s, i, refined, sizes));
+            }
+        }
+        let (_, i, refined, sizes) = best.expect("a column remains");
+        order.push(remaining.remove(i));
+        prefix = refined;
+        prefix_sizes = sizes;
+    }
+    order
 }
 
 /// The `MaxInf-Gain` ordering, exactly as printed in Figure 1:
-/// `v*(0) = argmin H(v)`, then `v*(i) = argmin_v I(v; ū)`. Ties break
-/// towards the lower column index, making the result deterministic.
+/// `v*(0) = argmin H(v)`, then `v*(i) = argmin_v I(v; ū)` with the paper's
+/// information gain `I(v; ū) = H(v) − H(ū|v)` (Definition 1, arguments as
+/// used in Figure 1 line 5). Ties break towards the lower column index.
 ///
 /// See the module docs: the literal `argmin` is deliberately kept because
 /// it reproduces the paper's reported behaviour; [`min_cond_entropy`] is
 /// the `argmax` reading.
 pub fn max_inf_gain(rel: &Relation) -> Vec<usize> {
-    let n = rel.arity();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    // v*(0) = argmin H(v).
-    let first = *remaining
-        .iter()
-        .min_by(|&&a, &&b| {
-            stats::entropy(rel, &[a])
-                .partial_cmp(&stats::entropy(rel, &[b]))
-                .unwrap()
-        })
-        .expect("relation has at least one column");
-    order.push(first);
-    remaining.retain(|&c| c != first);
-    // v*(i) = argmin_v I(v; ū).
-    while !remaining.is_empty() {
-        let next = *remaining
-            .iter()
-            .min_by(|&&a, &&b| {
-                info_gain_v_prefix(rel, a, &order)
-                    .partial_cmp(&info_gain_v_prefix(rel, b, &order))
-                    .unwrap()
-            })
-            .unwrap();
-        order.push(next);
-        remaining.retain(|&c| c != next);
-    }
-    order
+    let h: Vec<f64> = (0..rel.arity())
+        .map(|c| stats::entropy(rel, &[c]))
+        .collect();
+    greedy(rel, |cols, sizes, _| {
+        let (&v, prefix) = cols.split_last().expect("cols ends in the candidate");
+        if prefix.is_empty() {
+            h[v]
+        } else {
+            // H(ū | v) = H(ū ∪ v) − H(v).
+            h[v] - (stats::entropy_of_sizes(sizes, rel.len()) - h[v])
+        }
+    })
 }
 
 /// Our corrected variant: `v*(i) = argmin H(v | prefix)` (equivalently,
 /// maximize the information the prefix carries about the next attribute —
-/// the straight ID3 adaptation the paper's prose describes). Near-optimal
-/// on product-structured relations.
+/// the straight ID3 adaptation the paper's prose describes), starting from
+/// `argmin H(v)`. Near-optimal on product-structured relations.
 pub fn min_cond_entropy(rel: &Relation) -> Vec<usize> {
-    let n = rel.arity();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order = Vec::with_capacity(n);
-    let first = *remaining
-        .iter()
-        .min_by(|&&a, &&b| {
-            stats::entropy(rel, &[a])
-                .partial_cmp(&stats::entropy(rel, &[b]))
-                .unwrap()
-        })
-        .expect("relation has at least one column");
-    order.push(first);
-    remaining.retain(|&c| c != first);
-    while !remaining.is_empty() {
-        let next = *remaining
-            .iter()
-            .min_by(|&&a, &&b| {
-                stats::cond_entropy(rel, &order, a)
-                    .partial_cmp(&stats::cond_entropy(rel, &order, b))
-                    .unwrap()
-            })
-            .unwrap();
-        order.push(next);
-        remaining.retain(|&c| c != next);
-    }
-    order
+    greedy(rel, |cols, sizes, prefix_sizes| {
+        let joint = stats::entropy_of_sizes(sizes, rel.len());
+        if cols.len() == 1 {
+            joint
+        } else {
+            (joint - stats::entropy_of_sizes(prefix_sizes, rel.len())).max(0.0)
+        }
+    })
 }
 
 /// The `Prob-Converge` ordering (Section 3.2): greedily minimize the
 /// (non-negative) Φ measure of the growing prefix.
+///
+/// The chosen prefix's row partition carries across steps, so each step
+/// refines it by every remaining column in one linear pass and scores the
+/// candidate once from its cell sizes, through the same ascending-order
+/// sum as [`stats::phi_measure`] ([`stats::phi_of_sizes`]). The pick at
+/// every step is therefore bit-identical to `argmin_c phi_measure(rel,
+/// prefix + [c])`, with ties going to the first minimum in column order;
+/// an ordering costs `arity·(arity+1)/2` passes over the rows.
 pub fn prob_converge(rel: &Relation, dom_sizes: &[u64]) -> Vec<usize> {
-    let n = rel.arity();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let next = *remaining
-            .iter()
-            .min_by(|&&a, &&b| {
-                let mut pa = order.clone();
-                pa.push(a);
-                let mut pb = order.clone();
-                pb.push(b);
-                stats::phi_measure(rel, &pa, dom_sizes)
-                    .partial_cmp(&stats::phi_measure(rel, &pb, dom_sizes))
-                    .unwrap()
-            })
-            .unwrap();
-        order.push(next);
-        remaining.retain(|&c| c != next);
-    }
-    order
+    assert_eq!(
+        dom_sizes.len(),
+        rel.arity(),
+        "dom_sizes must cover every column of the relation"
+    );
+    greedy(rel, |cols, sizes, _| {
+        stats::phi_of_sizes(sizes, cols, dom_sizes)
+    })
 }
 
 /// Attribute-level sifting (our extension): Rudell's dynamic-reordering
@@ -492,6 +484,117 @@ mod tests {
             (rescued as f64) <= 1.5 * opt as f64,
             "sifting from {mig_size} should land near optimal {opt}, got {rescued}"
         );
+    }
+
+    /// The definition `prob_converge` must meet: grow the prefix by the
+    /// first column, in column order, that minimizes `phi_measure` of the
+    /// extended prefix.
+    fn greedy_phi_argmin(rel: &Relation, dom_sizes: &[u64]) -> Vec<usize> {
+        let mut order: Vec<usize> = Vec::new();
+        let mut remaining: Vec<usize> = (0..rel.arity()).collect();
+        while !remaining.is_empty() {
+            let mut best: Option<(f64, usize)> = None;
+            for (i, &c) in remaining.iter().enumerate() {
+                let mut cols = order.clone();
+                cols.push(c);
+                let phi = stats::phi_measure(rel, &cols, dom_sizes);
+                if best.is_none_or(|(b, _)| phi < b) {
+                    best = Some((phi, i));
+                }
+            }
+            order.push(remaining.remove(best.unwrap().1));
+        }
+        order
+    }
+
+    fn coded(arity: usize, rows: Vec<Vec<u32>>) -> Relation {
+        let names: Vec<(String, String)> = (0..arity)
+            .map(|i| (format!("c{i}"), format!("k{i}")))
+            .collect();
+        let refs: Vec<(&str, &str)> = names
+            .iter()
+            .map(|(n, k)| (n.as_str(), k.as_str()))
+            .collect();
+        Relation::from_rows(relcheck_relstore::Schema::new(&refs), rows).unwrap()
+    }
+
+    #[test]
+    fn prob_converge_repeats_its_pick_on_table1_r1() {
+        // table1's R1 at 20k tuples before the CSV recode, over its
+        // classes' domains of 100: columns 1 and 4 come within rounding of
+        // each other at the third step, so summing Φ in hash order made
+        // two orders come out of the same relation.
+        let g = gen_kprod(5, 100, 20_000, 1, 77);
+        let doms = [100; 5];
+        for _ in 0..40 {
+            assert_eq!(prob_converge(&g.relation, &doms), vec![3, 2, 1, 4, 0]);
+        }
+    }
+
+    #[test]
+    fn prob_converge_is_the_greedy_phi_argmin() {
+        let mut cases = 0;
+        for seed in 0..160u64 {
+            let attrs = 2 + (seed % 4) as usize;
+            // Domains of 2 and 3 force exact Φ ties between columns.
+            let dom = [2, 3, 6, 40][(seed / 4 % 4) as usize];
+            // Every attribute's domain holds at least max(dom/4, 2) values.
+            let space = ((dom / 4).max(2) as usize).pow(attrs as u32);
+            let tuples = ((seed as usize * 53) % 300).min(space);
+            for g in [
+                gen_random(attrs, dom, tuples, seed),
+                gen_kprod(attrs, dom, tuples, 1 + (seed % 3) as usize, seed),
+            ] {
+                assert_eq!(
+                    prob_converge(&g.relation, &g.dom_sizes),
+                    greedy_phi_argmin(&g.relation, &g.dom_sizes),
+                    "seed {seed}, {attrs} attrs over dom {dom}, {tuples} tuples"
+                );
+                cases += 1;
+            }
+        }
+        // Empty, one-row and one-column relations.
+        let edge = [
+            (coded(3, vec![]), vec![4, 2, 3]),
+            (coded(3, vec![vec![1, 0, 2]]), vec![4, 2, 3]),
+            (coded(1, (0..5).map(|v| vec![v]).collect()), vec![8]),
+            (coded(2, vec![vec![0, 0], vec![1, 1]]), vec![2, 2]),
+        ];
+        for (rel, doms) in &edge {
+            assert_eq!(prob_converge(rel, doms), greedy_phi_argmin(rel, doms));
+            cases += 1;
+        }
+        assert!(cases >= 300, "{cases} cases");
+    }
+
+    #[test]
+    fn heuristics_ignore_row_order() {
+        for seed in 0..6u64 {
+            let g = gen_kprod(4, 12, 500, 1 + seed as usize % 2, 40 + seed);
+            let rows: Vec<Vec<u32>> = g.relation.rows().collect();
+            let mut shuffled = rows.clone();
+            let perm = random_order(shuffled.len(), seed);
+            for (i, &j) in perm.iter().enumerate() {
+                shuffled[i] = rows[j].clone();
+            }
+            let back = coded(4, shuffled);
+            assert_eq!(
+                prob_converge(&g.relation, &g.dom_sizes),
+                prob_converge(&back, &g.dom_sizes)
+            );
+            assert_eq!(max_inf_gain(&g.relation), max_inf_gain(&back));
+            assert_eq!(min_cond_entropy(&g.relation), min_cond_entropy(&back));
+        }
+    }
+
+    #[test]
+    fn prob_converge_breaks_the_course_tie_towards_the_area_column() {
+        // table1's COURSE shape: 200 unique ids over a domain of 200, and
+        // 10 areas of 20 courses each over a domain of 10. Both columns
+        // score Φ = H_b(0.1) exactly; the tie goes to the first minimum.
+        let rows: Vec<Vec<u32>> = (0..200).map(|i| vec![i, i / 20]).collect();
+        let rel = coded(2, rows);
+        assert_eq!(prob_converge(&rel, &[200, 10]), vec![1, 0]);
     }
 
     #[test]

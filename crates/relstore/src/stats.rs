@@ -26,47 +26,157 @@
 //! reproduces the paper's headline result (Prob-Converge near-optimal on
 //! product-structured relations) where the literal sum does not; see
 //! EXPERIMENTS.md.
+//!
+//! Every statistic here is a sum over the groups of rows that agree on a
+//! column prefix. The groups come from **partition refinement**: a
+//! [`Partition`] holds a group id per row, and refining it by one column
+//! ([`Partition::refine`]) splits each group by that column's values in
+//! one linear pass over the rows, with no hashing. Each column's rows are
+//! bucketed by value once ([`ValueBuckets`]), so a greedy ordering
+//! heuristic that scores every remaining column against the chosen prefix
+//! pays one pass per candidate. The sums add one term per group with the
+//! group sizes in ascending order ([`entropy_of_sizes`],
+//! [`phi_of_sizes`]), so a statistic is a deterministic function of the
+//! relation's rows and does not depend on their order.
 
 use crate::relation::Relation;
-use std::collections::HashMap;
 
-/// Multiplicities of the distinct value combinations in the given columns.
-pub fn group_sizes(rel: &Relation, cols: &[usize]) -> Vec<usize> {
-    if cols.is_empty() {
-        return if rel.is_empty() {
-            vec![]
-        } else {
-            vec![rel.len()]
-        };
-    }
-    // Pack each key into a u128 when the bit budget allows (it always does
-    // for the paper's ≤5 attributes); otherwise fall back to vector keys.
-    let widths: Vec<u32> = cols
-        .iter()
-        .map(|&c| {
-            let max = rel.col(c).iter().copied().max().unwrap_or(0);
-            (32 - (max | 1).leading_zeros()).max(1)
-        })
-        .collect();
-    let total: u32 = widths.iter().sum();
-    if total <= 128 {
-        let mut groups: HashMap<u128, usize> = HashMap::with_capacity(rel.len());
-        for i in 0..rel.len() {
-            let mut key = 0u128;
-            for (&c, &w) in cols.iter().zip(&widths) {
-                key = key << w | rel.col(c)[i] as u128;
+/// One column's rows bucketed by value: `rows` lists every row index with
+/// equal values adjacent, and `ends[k]` is the end of the `k`-th bucket.
+/// Buckets follow ascending value.
+pub struct ValueBuckets {
+    rows: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl ValueBuckets {
+    /// Bucket the rows of `col` by value. A column whose largest code is
+    /// at most a few times the row count is bucketed by counting, in
+    /// `O(rows + largest code)`; a sparser one by sorting the row indices,
+    /// so a code near `u32::MAX` never sizes a table.
+    pub fn new(col: &[u32]) -> ValueBuckets {
+        let n = u32::try_from(col.len()).expect("a relation's row count fits its u32 codes");
+        let max = col.iter().copied().max().unwrap_or(0) as usize;
+        if max < (col.len().saturating_mul(4)).saturating_add(1024) {
+            // Counting sort: `next[v]` starts as bucket v's offset and
+            // advances as its rows are placed.
+            let mut next = vec![0u32; max + 1];
+            for &v in col {
+                next[v as usize] += 1;
             }
-            *groups.entry(key).or_insert(0) += 1;
+            let mut ends = Vec::new();
+            let mut at = 0u32;
+            for slot in &mut next {
+                let count = *slot;
+                *slot = at;
+                at += count;
+                if count > 0 {
+                    ends.push(at);
+                }
+            }
+            let mut rows = vec![0u32; col.len()];
+            for (row, &v) in (0..n).zip(col) {
+                let slot = &mut next[v as usize];
+                rows[*slot as usize] = row;
+                *slot += 1;
+            }
+            ValueBuckets { rows, ends }
+        } else {
+            let mut rows: Vec<u32> = (0..n).collect();
+            rows.sort_unstable_by_key(|&r| col[r as usize]);
+            let mut ends: Vec<u32> = (1..n)
+                .filter(|&i| col[rows[i as usize] as usize] != col[rows[i as usize - 1] as usize])
+                .collect();
+            if n > 0 {
+                ends.push(n);
+            }
+            ValueBuckets { rows, ends }
         }
-        groups.into_values().collect()
-    } else {
-        let mut groups: HashMap<Vec<u32>, usize> = HashMap::with_capacity(rel.len());
-        for i in 0..rel.len() {
-            let key: Vec<u32> = cols.iter().map(|&c| rel.col(c)[i]).collect();
-            *groups.entry(key).or_insert(0) += 1;
-        }
-        groups.into_values().collect()
     }
+}
+
+/// The rows of a relation grouped by their values on a column prefix:
+/// row `i` is in group `group[i]`, and group `g` holds `sizes[g]` rows.
+pub struct Partition {
+    group: Vec<u32>,
+    sizes: Vec<usize>,
+}
+
+impl Partition {
+    /// The partition by the empty prefix: one group of all `rows` rows, or
+    /// no group when there are none.
+    pub fn whole(rows: usize) -> Partition {
+        Partition {
+            group: vec![0; rows],
+            sizes: if rows == 0 { vec![] } else { vec![rows] },
+        }
+    }
+
+    /// The partition by `cols` of `rel`'s rows: successive refinements of
+    /// [`Partition::whole`], one per column.
+    pub fn of(rel: &Relation, cols: &[usize]) -> Partition {
+        cols.iter().fold(Partition::whole(rel.len()), |p, &c| {
+            p.refine(&ValueBuckets::new(rel.col(c)))
+        })
+    }
+
+    /// Split every group by one more column, given that column's rows
+    /// bucketed by value: the new groups are the non-empty (value, group)
+    /// cells. One pass over the rows; a dense per-group table maps each
+    /// group touched within the current value bucket to its cell, and the
+    /// touched list resets it before the next bucket.
+    pub fn refine(&self, buckets: &ValueBuckets) -> Partition {
+        assert_eq!(
+            buckets.rows.len(),
+            self.group.len(),
+            "buckets and partition must cover the same rows"
+        );
+        const UNSEEN: u32 = u32::MAX;
+        let mut cell = vec![UNSEEN; self.sizes.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut group = vec![0u32; self.group.len()];
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut start = 0;
+        for &end in &buckets.ends {
+            for &row in &buckets.rows[start..end as usize] {
+                let g = self.group[row as usize] as usize;
+                if cell[g] == UNSEEN {
+                    // Cell ids stay below the row count, so never UNSEEN.
+                    cell[g] = sizes.len() as u32;
+                    sizes.push(0);
+                    touched.push(g);
+                }
+                let id = cell[g];
+                sizes[id as usize] += 1;
+                group[row as usize] = id;
+            }
+            for g in touched.drain(..) {
+                cell[g] = UNSEEN;
+            }
+            start = end as usize;
+        }
+        Partition { group, sizes }
+    }
+
+    /// Number of groups.
+    pub fn groups(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// The group sizes in ascending order — the order every sum here
+    /// adds its terms in.
+    pub fn sorted_sizes(&self) -> Vec<usize> {
+        let mut sizes = self.sizes.clone();
+        sizes.sort_unstable();
+        sizes
+    }
+}
+
+/// Multiplicities of the distinct value combinations in the given columns,
+/// in ascending order. With `cols` empty this is `[rel.len()]` for a
+/// non-empty relation and `[]` otherwise.
+pub fn group_sizes(rel: &Relation, cols: &[usize]) -> Vec<usize> {
+    Partition::of(rel, cols).sorted_sizes()
 }
 
 /// Number of distinct value combinations in the given columns. With `cols`
@@ -74,23 +184,29 @@ pub fn group_sizes(rel: &Relation, cols: &[usize]) -> Vec<usize> {
 /// exceeds `rel.len()`. The planner's R4 cost gate reads it only when the
 /// row counts alone do not decide the gate, because it groups every row.
 pub fn distinct_count(rel: &Relation, cols: &[usize]) -> usize {
-    group_sizes(rel, cols).len()
+    Partition::of(rel, cols).groups()
+}
+
+/// `−Σ p·log₂ p` over groups of the given sizes out of `rows` rows, one
+/// term per group in the order given (ascending, for a deterministic sum).
+pub fn entropy_of_sizes(sizes: &[usize], rows: usize) -> f64 {
+    let n = rows as f64;
+    sizes
+        .iter()
+        .map(|&c| {
+            let p = c as f64 / n;
+            -p * p.log2()
+        })
+        .sum()
 }
 
 /// Entropy `H(v̄) = −Σ p(v̄=x̄) log₂ p(v̄=x̄)` with `p` the empirical
 /// distribution over the relation's rows. Zero for an empty relation.
 pub fn entropy(rel: &Relation, cols: &[usize]) -> f64 {
-    let n = rel.len() as f64;
     if rel.is_empty() {
         return 0.0;
     }
-    group_sizes(rel, cols)
-        .into_iter()
-        .map(|c| {
-            let p = c as f64 / n;
-            -p * p.log2()
-        })
-        .sum()
+    entropy_of_sizes(&group_sizes(rel, cols), rel.len())
 }
 
 /// Conditional entropy `H(target | given) = H(given ∪ target) − H(given)`
@@ -112,7 +228,9 @@ pub fn info_gain(rel: &Relation, given: &[usize], target: usize) -> f64 {
 /// reading (see module docs): the mean, over a uniformly random prefix
 /// cell `x̄ ∈ dom(v̄)`, of the binary entropy of the membership probability
 /// `φ(v̄=x̄) = ‖R|v̄=x̄‖ / Π_{v ∉ v̄} |dom(v)|`. Zero iff every prefix cell
-/// already decides membership; lower = faster convergence.
+/// already decides membership; lower = faster convergence. The cells'
+/// terms are added with the cell sizes in ascending order
+/// ([`phi_of_sizes`]), so the value does not depend on row order.
 ///
 /// `dom_sizes` gives `|dom(v)|` for **every** column of the relation
 /// (aligned with the schema).
@@ -122,14 +240,22 @@ pub fn phi_measure(rel: &Relation, cols: &[usize], dom_sizes: &[u64]) -> f64 {
         rel.arity(),
         "dom_sizes must cover every column of the relation"
     );
-    let denom: f64 = (0..rel.arity())
+    phi_of_sizes(&group_sizes(rel, cols), cols, dom_sizes)
+}
+
+/// Φ of the prefix `cols` from the sizes of its observed cells, given in
+/// ascending order and summed in that order. `dom_sizes` covers every
+/// column of the relation. [`phi_measure`] and the `Prob-Converge`
+/// heuristic both score through this one sum, so they agree bit for bit.
+pub fn phi_of_sizes(sizes: &[usize], cols: &[usize], dom_sizes: &[u64]) -> f64 {
+    let denom: f64 = (0..dom_sizes.len())
         .filter(|c| !cols.contains(c))
         .map(|c| dom_sizes[c] as f64)
         .product();
     let prefix_space: f64 = cols.iter().map(|&c| dom_sizes[c] as f64).product();
-    let total: f64 = group_sizes(rel, cols)
-        .into_iter()
-        .map(|c| {
+    let total: f64 = sizes
+        .iter()
+        .map(|&c| {
             let phi = c as f64 / denom;
             if phi <= 0.0 || phi >= 1.0 {
                 0.0 // membership fully resolved at this cell
@@ -146,6 +272,7 @@ pub fn phi_measure(rel: &Relation, cols: &[usize], dom_sizes: &[u64]) -> f64 {
 mod tests {
     use super::*;
     use crate::relation::Schema;
+    use std::collections::BTreeMap;
 
     fn rel(rows: Vec<Vec<u32>>) -> Relation {
         let arity = rows.first().map_or(2, Vec::len);
@@ -256,15 +383,90 @@ mod tests {
         assert!(both < one);
     }
 
+    /// The reference grouping: count each row's key in a `BTreeMap`, then
+    /// sort the counts ascending.
+    fn naive_group_sizes(r: &Relation, cols: &[usize]) -> Vec<usize> {
+        let mut groups: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
+        for i in 0..r.len() {
+            *groups
+                .entry(cols.iter().map(|&c| r.col(c)[i]).collect())
+                .or_insert(0) += 1;
+        }
+        let mut sizes: Vec<usize> = groups.into_values().collect();
+        sizes.sort_unstable();
+        sizes
+    }
+
+    /// A seeded relation of `len` draws over `arity` columns of domain
+    /// `dom` (duplicates dedupe away), from a SplitMix64 stream.
+    fn seeded(arity: usize, dom: u32, len: usize, seed: u64) -> Relation {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let rows: Vec<Vec<u32>> = (0..len)
+            .map(|_| (0..arity).map(|_| (next() % dom as u64) as u32).collect())
+            .collect();
+        rel(rows)
+    }
+
     #[test]
-    fn wide_keys_fall_back_gracefully() {
-        // Force the Vec-key path with five huge-coded columns.
-        let rows: Vec<Vec<u32>> = (0..10u32).map(|i| vec![i << 20; 5]).collect();
+    fn group_sizes_match_a_naive_grouping_sorted_ascending() {
+        for seed in 0..60u64 {
+            let arity = 1 + (seed % 4) as usize;
+            let dom = [2, 3, 7, 50][(seed / 4 % 4) as usize];
+            let r = seeded(arity, dom, (seed as usize * 37) % 400, seed);
+            // Every prefix of the schema order and of its reverse.
+            let fwd: Vec<usize> = (0..arity).collect();
+            let rev: Vec<usize> = (0..arity).rev().collect();
+            for k in 0..=arity {
+                for cols in [&fwd[..k], &rev[..k]] {
+                    let got = group_sizes(&r, cols);
+                    assert_eq!(
+                        got,
+                        naive_group_sizes(&r, cols),
+                        "seed {seed} cols {cols:?}"
+                    );
+                    assert_eq!(distinct_count(&r, cols), got.len());
+                    assert_eq!(got.iter().sum::<usize>(), r.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_sizes_of_codes_near_u32_max() {
+        // Ten rows whose codes sit at the top of the u32 range: bucketing
+        // them must sort, not size a table by the largest code.
+        let rows: Vec<Vec<u32>> = (0..10u32)
+            .map(|i| vec![u32::MAX - i % 3, u32::MAX - i, i % 2])
+            .collect();
         let r = rel(rows);
-        // 5 columns × ~25 bits = 125 ≤ 128 still packs; push to 6 columns.
-        let rows6: Vec<Vec<u32>> = (0..10u32).map(|i| vec![i << 24; 6]).collect();
-        let r6 = rel(rows6);
-        assert_eq!(group_sizes(&r, &[0, 1, 2, 3, 4]).len(), 10);
-        assert_eq!(group_sizes(&r6, &[0, 1, 2, 3, 4, 5]).len(), 10);
+        for cols in [&[0][..], &[1], &[0, 2], &[2, 0], &[0, 1, 2]] {
+            assert_eq!(group_sizes(&r, cols), naive_group_sizes(&r, cols));
+        }
+        assert_eq!(group_sizes(&r, &[0]), vec![3, 3, 4]);
+        assert_eq!(distinct_count(&r, &[1]), 10);
+    }
+
+    #[test]
+    fn statistics_ignore_row_order() {
+        // Reversing the rows must leave every sum bit-identical: the terms
+        // are added in ascending group-size order.
+        let r = seeded(4, 5, 300, 11);
+        let rows: Vec<Vec<u32>> = r.rows().collect();
+        let back = rel(rows.into_iter().rev().collect());
+        let doms = [5, 5, 5, 5];
+        for cols in [&[0][..], &[2, 1], &[3, 0, 1]] {
+            assert_eq!(entropy(&r, cols).to_bits(), entropy(&back, cols).to_bits());
+            assert_eq!(
+                phi_measure(&r, cols, &doms).to_bits(),
+                phi_measure(&back, cols, &doms).to_bits()
+            );
+        }
     }
 }

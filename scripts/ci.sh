@@ -628,16 +628,26 @@ step "experiment smoke: table1 and par_scaling at small size + metrics validatio
 # par_scaling at 2,000 rows (which asserts parallel verdicts equal the
 # serial pass at 1/2/4/8 workers and bounds the telemetry overhead). Each
 # writes the metrics document `relcheck run --metrics` emits, and both
-# documents must validate.
+# documents must validate. fig3 prints no timings, only the ordering
+# heuristics' accuracy, so two runs must print the same bytes: the
+# heuristics are deterministic, whatever order the generators' hash sets
+# hand them rows in.
 TABLE1_METRICS="$(mktemp /tmp/relcheck-table1.XXXXXX.json)"
 PAR_METRICS="$(mktemp /tmp/relcheck-par.XXXXXX.json)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$ADVISE_DIR" "$ADVISE_A" "$ADVISE_B" "$ROUTE_STATIC" "$ROUTE_AUTO" "$NEG_DOC" "$TABLE1_METRICS" "$PAR_METRICS"' EXIT
+FIG3_A="$(mktemp /tmp/relcheck-fig3-a.XXXXXX.txt)"
+FIG3_B="$(mktemp /tmp/relcheck-fig3-b.XXXXXX.txt)"
+trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$ADVISE_DIR" "$ADVISE_A" "$ADVISE_B" "$ROUTE_STATIC" "$ROUTE_AUTO" "$NEG_DOC" "$TABLE1_METRICS" "$PAR_METRICS" "$FIG3_A" "$FIG3_B"' EXIT
 cargo run --release --quiet -p relcheck-bench --bin table1 -- \
     --tuples 2000 --metrics "$TABLE1_METRICS" >/dev/null
 cargo run --release --quiet -p relcheck-bench --bin par_scaling -- \
     --rows 2000 --samples 1 --metrics "$PAR_METRICS" >/dev/null
 cargo run --release --quiet --bin relcheck -- metrics-check "$TABLE1_METRICS"
 cargo run --release --quiet --bin relcheck -- metrics-check "$PAR_METRICS"
+for out in "$FIG3_A" "$FIG3_B"; do
+    cargo run --release --quiet -p relcheck-bench --bin fig3 -- \
+        --tuples 2000 --relations 3 >"$out"
+done
+cmp "$FIG3_A" "$FIG3_B"
 
 step "formatting (cargo fmt --check)"
 cargo fmt --all --check
