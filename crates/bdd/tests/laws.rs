@@ -170,7 +170,7 @@ fn quantifiers_match_truth_tables_and_are_dual() {
 }
 
 #[test]
-fn fused_quantifiers_match_unfused() {
+fn app_quantifiers_match_apply_then_quantify() {
     for_each_expr(0xB00_0004, |state, m, a| {
         let b = Expr::random(state, 5);
         let op = OPS[below(state, OPS.len() as u64) as usize].0;

@@ -6,7 +6,8 @@
 //! * `build`     — sorted-tuple direct construction vs OR-folding (D2);
 //! * `apply`     — conjunction of two relation BDDs;
 //! * `join`      — rename-based vs equality-cube equi-join (D4, Fig 6(a));
-//! * `quant`     — fused `app_exists`/`app_forall` vs unfused (D3, Fig 6(b,c));
+//! * `quant`     — fused `app_exists`/`app_forall` vs unfused apply-then-
+//!   quantify vs quantifying each operand separately (D3, Fig 6(b,c));
 //! * `maintain`  — single-tuple insert/delete on an index (Fig 4(b));
 //! * `ordering`  — the two ordering heuristics' own cost.
 //!
@@ -135,7 +136,7 @@ fn bench_join() {
 }
 
 fn bench_quant() {
-    group("quant (D3: fused appex/appall vs unfused, Fig 6(b,c))");
+    group("quant (D3: fused appex/appall vs unfused vs separate, Fig 6(b,c))");
     let n = 40_000usize;
     let mut m = BddManager::new();
     let x = m.add_domain(1000).unwrap();
@@ -155,6 +156,12 @@ fn bench_quant() {
         r
     });
     bench("exists_unfused", || {
+        let pq = m.or(p, q).unwrap();
+        let r = m.exists(pq, vs).unwrap();
+        m.gc(&[p, q]);
+        r
+    });
+    bench("exists_separate", || {
         let ep = m.exists(p, vs).unwrap();
         let eq = m.exists(q, vs).unwrap();
         let r = m.or(ep, eq).unwrap();
@@ -163,6 +170,12 @@ fn bench_quant() {
     });
     bench("forall_fused_appall", || {
         let r = m.app_forall(Op::And, p, q, vs).unwrap();
+        m.gc(&[p, q]);
+        r
+    });
+    bench("forall_unfused", || {
+        let pq = m.and(p, q).unwrap();
+        let r = m.forall(pq, vs).unwrap();
         m.gc(&[p, q]);
         r
     });

@@ -4,8 +4,9 @@
 //!   (`BDD(R1) ∧ BDD(R2) ∧ ⋀ BDD([xᵢ = yᵢ])`) vs the optimized rename
 //!   (`BDD(R1) ∧ BDD(R2[x/y])`), with one and two join attributes, varying
 //!   ‖BDD(R1)‖ at fixed ‖BDD(R2)‖.
-//! * `fig6 b` (Fig 6(b)): `∃x P ∨ ∃x Q` evaluated unfused vs as
-//!   `∃x (P ∨ Q)` with the fused `app_exists` (quantifier pull-up, Rule 3).
+//! * `fig6 b` (Fig 6(b)): `∃x P ∨ ∃x Q`, each operand quantified
+//!   separately, vs `∃x (P ∨ Q)` with the fused `app_exists` (quantifier
+//!   pull-up, Rule 3).
 //! * `fig6 c` (Fig 6(c)): `∀x (P ∧ Q)` evaluated as one big conjunction
 //!   with `app_forall` vs pushed-down `∀x P ∧ ∀x Q` (Rule 5).
 //!
@@ -169,7 +170,7 @@ fn fig6c(steps: usize, base: usize) {
         "\nPaper expectation: the pushed-down form wins, because ∀x φ is much smaller\n\
          than φ, making the outer conjunction cheap (Rule 5). The advantage holds for\n\
          implication-shaped (dense) operands; for sparse relation BDDs the fused form\n\
-         can win — see the criterion `quant` group for the ablation."
+         can win — see the `quant` group of `cargo bench -p relcheck-bench`."
     );
 }
 

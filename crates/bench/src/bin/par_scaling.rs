@@ -25,7 +25,7 @@
 //!
 //! Flags: `--rows N` (customer rows, default 100000), `--samples N`
 //! (timed repetitions per configuration, default 3), `--metrics PATH`
-//! (write the schema-version-1 metrics JSON of a 4-worker telemetry run,
+//! (write the metrics JSON of a 4-worker telemetry run,
 //! the same document `relcheck run --metrics` emits).
 
 use relcheck_bench::{arg_str, arg_usize, ms, Table};

@@ -7,8 +7,8 @@
 //!   ordering;
 //! * **BDD: optimized** — indices built with `Prob-Converge`;
 //! * **BDD: no rewrites** — the optimized ordering with the planner's
-//!   rewrite passes disabled (`PlanOptions::from_flags(false, true)`), the
-//!   paper's "straight-forward evaluation" ablation.
+//!   rewrite pipeline switched off (`PlanOptions { rewrites: false, .. }`),
+//!   the paper's "straight-forward evaluation" ablation.
 //!
 //! Index construction is done up-front (indices are persistent); the table
 //! reports per-query checking time, as in the paper. Expected shape:
@@ -16,7 +16,7 @@
 //! the overall gain to 4–6x.
 //!
 //! Flags: `--tuples N` (default 100000), `--metrics PATH` (write the
-//! schema-version-1 metrics JSON of a telemetry-enabled serial pass over
+//! metrics JSON of a telemetry-enabled serial pass over
 //! Q1–Q5 under the optimized ordering — the same document
 //! `relcheck run --metrics` emits).
 
@@ -55,7 +55,10 @@ fn main() {
         (
             3,
             OrderingStrategy::ProbConverge,
-            PlanOptions::from_flags(false, true),
+            PlanOptions {
+                rewrites: false,
+                join_rename: true,
+            },
         ),
     ] {
         let opts = CheckerOptions {

@@ -332,7 +332,7 @@ fn leading_forall_vars(f: &Formula) -> Vec<String> {
 
 /// The formula with its leading universal block stripped — the matrix a
 /// witness substitution must falsify.
-fn strip_leading_foralls(f: &Formula) -> &Formula {
+fn skip_leading_foralls(f: &Formula) -> &Formula {
     let mut cur = f;
     while let Formula::Forall(_, g) = cur {
         cur = g;
@@ -531,7 +531,7 @@ fn verify_witnesses(
             index: usize::MAX,
         });
     }
-    let matrix = strip_leading_foralls(f);
+    let matrix = skip_leading_foralls(f);
     let ctx = match EvalContext::open(db, matrix) {
         Ok(ctx) => ctx,
         // The matrix alone may not determine every variable's sort (a

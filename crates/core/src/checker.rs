@@ -41,10 +41,8 @@ pub struct CheckerOptions {
     /// Live-node budget for the shared BDD manager. `None` = unlimited.
     /// The paper settles on 10⁶ nodes (Section 5.2).
     pub node_limit: Option<usize>,
-    /// The rewrite-pass toggles and cost-gate policy every check plans
-    /// under — one switch per discrete pass of the §4.4 pipeline
-    /// (replacing the old all-or-nothing `use_rewrites` boolean).
-    /// [`PlanOptions::from_flags`] reproduces the legacy configurations.
+    /// The plan configuration every check plans under: the §4.4 rewrite
+    /// pipeline and rename-join, the paper's two ablation axes.
     pub plan: PlanOptions,
     /// Variable-ordering strategy for index construction.
     pub ordering: OrderingStrategy,
@@ -587,7 +585,7 @@ impl Checker {
 
     /// The fingerprint of everything a [`CheckPlan`] depends on besides the
     /// constraint itself: data version, invalidation epoch, ordering
-    /// strategy, pass toggles, and the SQL-only set — the
+    /// strategy, plan options, and the SQL-only set — the
     /// [`CheckPlan::schema_fp`] a plan and a certificate record. Any tuple
     /// mutation, index rebuild, or routing change produces a different
     /// fingerprint.
@@ -1491,16 +1489,19 @@ mod tests {
     fn all_option_combinations_agree() {
         let f =
             parse(r#"forall c, a, s. CUST(c, a, s) -> exists c2, s2. CUST(c2, a, s2)"#).unwrap();
-        for use_rewrites in [true, false] {
+        for rewrites in [true, false] {
             for join_rename in [true, false] {
                 let opts = CheckerOptions {
-                    plan: PlanOptions::from_flags(use_rewrites, join_rename),
+                    plan: PlanOptions {
+                        rewrites,
+                        join_rename,
+                    },
                     ..Default::default()
                 };
                 let mut ck = Checker::new(db(), opts);
                 assert!(
                     ck.check(&f).unwrap().holds,
-                    "rewrites={use_rewrites} rename={join_rename}"
+                    "rewrites={rewrites} rename={join_rename}"
                 );
             }
         }

@@ -1,4 +1,4 @@
-//! [`CheckPlan`] → verdict: the plan executor.
+//! [`CheckPlan`](crate::plan::CheckPlan) → verdict: the plan executor.
 //!
 //! The back half of the FOL → BDD compiler: given a prepared
 //! [`BddStep`] or [`SqlStep`] (built fresh by [`crate::planner`] for every
@@ -70,7 +70,6 @@ fn compile_step<'a>(
         var_doms,
         sorts,
         join_rename: step.join_rename,
-        fused_quant: step.fused_quant,
         local: atom_local_vars(&step.body, &step.stripped),
         record_use: true,
         rules,
@@ -161,9 +160,9 @@ pub struct ViolationSet {
 /// counterpart of the SQL violation query). Returns `None` for constraints
 /// that do not start with a universal block (existentials have witnesses,
 /// not violations). The step comes from [`crate::planner::bdd_step`] with
-/// prenex, strip and push-down forced on — enumeration needs the
-/// violation-set shape regardless of which passes the check plan ran — but
-/// the options' gating policy and compile strategies are honoured.
+/// the rewrites forced on — enumeration needs the violation-set shape
+/// whether or not the check plan ran them — but the options' join
+/// strategy is honoured.
 ///
 /// The step compiles exactly as the check compiles it, atom-local columns
 /// projected, into `P = ranges ∧ body[A ↦ ∃l.A]`. Since `A ⇒ ∃l.A`, the
@@ -177,9 +176,7 @@ pub fn violations_bdd(
     options: PlanOptions,
 ) -> Result<Option<ViolationSet>> {
     let forced = PlanOptions {
-        prenex: true,
-        strip_leading: true,
-        pushdown: true,
+        rewrites: true,
         ..options
     };
     let step = bdd_step(ldb.db(), f, forced, &mut Vec::new());
@@ -283,8 +280,6 @@ struct Compiler<'a> {
     sorts: HashMap<String, String>,
     /// Compile equi-joins by renaming (R2) instead of equality cubes.
     join_rename: bool,
-    /// Use the fused `appex`/`appall` operators for residual quantifiers.
-    fused_quant: bool,
     /// Atom-local variables ([`atom_local_vars`]): their columns are
     /// projected away instead of renamed.
     local: Vec<String>,
@@ -362,22 +357,11 @@ impl Compiler<'_> {
         let ranges = self.ranges_doms(&doms)?;
         let mgr = self.ldb.manager_mut();
         let varset = mgr.domain_varset(&doms);
-        if self.fused_quant {
-            // Fused apply+quantify (BuDDy's bdd_appex / bdd_appall).
-            if is_exists {
-                Ok(mgr.app_exists(Op::And, phi, ranges, varset)?)
-            } else {
-                Ok(mgr.app_forall(Op::Imp, ranges, phi, varset)?)
-            }
+        // Fused apply+quantify (BuDDy's bdd_appex / bdd_appall).
+        if is_exists {
+            Ok(mgr.app_exists(Op::And, phi, ranges, varset)?)
         } else {
-            // Unfused: materialize the combined function, then quantify.
-            if is_exists {
-                let combined = mgr.and(phi, ranges)?;
-                Ok(mgr.exists(combined, varset)?)
-            } else {
-                let combined = mgr.imp(ranges, phi)?;
-                Ok(mgr.forall(combined, varset)?)
-            }
+            Ok(mgr.app_forall(Op::Imp, ranges, phi, varset)?)
         }
     }
 
@@ -643,44 +627,6 @@ mod tests {
         r#""CS" = "CS""#,
     ];
 
-    #[test]
-    fn bdd_matches_brute_force_with_rewrites() {
-        let mut l = ldb();
-        for src in SENTENCES {
-            let f = parse(src).unwrap();
-            let expected = eval_sentence(l.db(), &f).unwrap();
-            let got = decide(&mut l, &f, PlanOptions::from_flags(true, true)).unwrap();
-            assert_eq!(got, expected, "rewrites=on: {src}");
-            l.gc();
-        }
-    }
-
-    #[test]
-    fn bdd_matches_brute_force_without_rewrites() {
-        let mut l = ldb();
-        let opts = PlanOptions::from_flags(false, true);
-        for src in SENTENCES {
-            let f = parse(src).unwrap();
-            let expected = eval_sentence(l.db(), &f).unwrap();
-            let got = decide(&mut l, &f, opts).unwrap();
-            assert_eq!(got, expected, "rewrites=off: {src}");
-            l.gc();
-        }
-    }
-
-    #[test]
-    fn bdd_matches_brute_force_with_naive_joins() {
-        let mut l = ldb();
-        let opts = PlanOptions::from_flags(true, false);
-        for src in SENTENCES {
-            let f = parse(src).unwrap();
-            let expected = eval_sentence(l.db(), &f).unwrap();
-            let got = decide(&mut l, &f, opts).unwrap();
-            assert_eq!(got, expected, "join_rename=off: {src}");
-            l.gc();
-        }
-    }
-
     /// The violation set of `f` as `(vars with classes, sorted rows, exact
     /// count)`, or `None` when `f` has no leading ∀ block.
     type Witnesses = (Vec<(String, String)>, Vec<Vec<u64>>, f64);
@@ -696,22 +642,33 @@ mod tests {
         Some((vars, rows, total))
     }
 
+    /// Every plan configuration: rewrites on/off × join rename on/off.
+    const CONFIGS: [PlanOptions; 4] = [
+        PlanOptions {
+            rewrites: true,
+            join_rename: true,
+        },
+        PlanOptions {
+            rewrites: true,
+            join_rename: false,
+        },
+        PlanOptions {
+            rewrites: false,
+            join_rename: true,
+        },
+        PlanOptions {
+            rewrites: false,
+            join_rename: false,
+        },
+    ];
+
     #[test]
     fn every_plan_option_combination_matches_brute_force() {
-        // The full 2⁶ pass-toggle space, not just the legacy two-switch
-        // corners: every combination must be semantics-preserving on the
-        // whole sentence corpus, and the witness path must build the same
+        // Every configuration must be semantics-preserving on the whole
+        // sentence corpus, and the witness path must build the same
         // violation set under each (ROBDD canonicity: equality is exact).
         let mut reference: Vec<Option<Witnesses>> = Vec::new();
-        for bits in 0u64..64 {
-            let options = PlanOptions {
-                prenex: bits & 1 != 0,
-                strip_leading: bits & 2 != 0,
-                pushdown: bits & 4 != 0,
-                gate_pushdown: bits & 8 != 0,
-                join_rename: bits & 16 != 0,
-                fused_quant: bits & 32 != 0,
-            };
+        for (n, options) in CONFIGS.into_iter().enumerate() {
             let mut l = ldb();
             for (i, src) in SENTENCES.iter().enumerate() {
                 let f = parse(src).unwrap();
@@ -722,7 +679,7 @@ mod tests {
                 if src.starts_with("exists") {
                     assert!(w.is_none(), "options={options:?}: {src}");
                 }
-                if bits == 0 {
+                if n == 0 {
                     reference.push(w);
                 } else {
                     assert_eq!(w, reference[i], "options={options:?}: {src}");
@@ -848,12 +805,12 @@ mod tests {
 
     #[test]
     fn witnesses_match_brute_force_enumeration() {
-        let strategies = [PlanOptions::default(), PlanOptions::from_flags(true, false)];
+        let strategies = &CONFIGS[..2];
         let mut l = ldb();
         for src in SENTENCES {
             let f = parse(src).unwrap();
             let want = brute_witnesses(l.db(), &f);
-            for options in strategies {
+            for &options in strategies {
                 assert_eq!(witnesses(&mut l, &f, options), want, "{options:?}: {src}");
                 l.gc();
             }
@@ -869,7 +826,7 @@ mod tests {
                 let f = parse(src).unwrap();
                 let want = brute_witnesses(l.db(), &f).unwrap();
                 violated += !want.1.is_empty() as usize;
-                for options in strategies {
+                for &options in strategies {
                     let got = witnesses(&mut l, &f, options);
                     assert_eq!(
                         got.as_ref(),
@@ -907,10 +864,7 @@ mod tests {
         ] {
             let f = parse(src).unwrap();
             assert_eq!(eval_sentence(l.db(), &f).unwrap(), expected, "oracle {src}");
-            for opts in [
-                PlanOptions::from_flags(true, true),
-                PlanOptions::from_flags(false, false),
-            ] {
+            for opts in [CONFIGS[0], CONFIGS[3]] {
                 assert_eq!(decide(&mut l, &f, opts).unwrap(), expected, "{src}");
             }
         }
@@ -922,7 +876,7 @@ mod tests {
         let budget = l.manager().live_nodes() + 2;
         l.manager_mut().set_node_limit(Some(budget));
         let f = parse(SENTENCES[4]).unwrap();
-        let err = decide(&mut l, &f, PlanOptions::from_flags(true, true));
+        let err = decide(&mut l, &f, PlanOptions::default());
         assert!(matches!(
             err,
             Err(CoreError::Bdd(relcheck_bdd::BddError::NodeLimit { .. }))

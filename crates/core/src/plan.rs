@@ -7,104 +7,61 @@
 //! [`CheckPlan`] records which rewrite passes ran (with per-pass firing
 //! counts and before/after formulas), the prepared BDD execution step, and
 //! the pre-translated SQL fallback step. Plans are produced by the pure
-//! pass manager in [`crate::planner`], executed by [`crate::exec`], cached
-//! by [`crate::registry::ConstraintRegistry`] keyed on
-//! ([`CheckPlan::constraint_fp`], [`CheckPlan::schema_fp`]), and
-//! pretty-printed by `relcheck plan`.
+//! pass manager in [`crate::planner`] (fresh for every check), executed by
+//! [`crate::exec`], and pretty-printed by `relcheck plan`.
 
 use crate::checker::rung;
 use crate::sqlgen::Translated;
 use crate::telemetry::{RewriteRule, RuleFiring};
 use relcheck_logic::Formula;
 
-/// Which rewrite passes the planner runs, individually toggleable — the
-/// replacement for the old hard-wired `use_rewrites: bool`. Each flag is
-/// one discrete pass (or execution-time strategy) of the paper's §4.4
-/// pipeline; [`PlanOptions::from_flags`] reproduces the two legacy
-/// configurations exactly.
+/// The plan configuration along the paper's two ablation axes (Table 1):
+/// the §4.4 rewrite pipeline as one unit, and rename-join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// R3: pull quantifiers up into prenex normal form.
-    pub prenex: bool,
-    /// R1: eliminate the leading quantifier block (validity /
-    /// satisfiability test). Requires `prenex`.
-    pub strip_leading: bool,
-    /// R4: push universal blocks down across conjunctions (Rule 5).
-    pub pushdown: bool,
-    /// Cost-gate R4: only distribute a ∀-block when the estimated sum of
-    /// the per-conjunct sub-BDD sizes is no larger than their product (the
-    /// estimated size of the undistributed conjunction). Ignored when
-    /// `pushdown` is off.
-    pub gate_pushdown: bool,
+    /// Run the §4.4 rewrite pipeline: R3 prenex pull-up, R1 leading-block
+    /// elimination, refutation-NNF and the cost-gated R4 push-down, in
+    /// that order. Off, the planner standardizes apart and compiles the
+    /// formula literally (Table 1's "no rewrites" row).
+    pub rewrites: bool,
     /// R2: compile equi-joins by renaming (§4.2) instead of conjoining
     /// equality BDDs. An execution-time strategy; fires once per atom.
     pub join_rename: bool,
-    /// Use the fused `appex`/`appall` operators for residual quantifiers.
-    pub fused_quant: bool,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
-            prenex: true,
-            strip_leading: true,
-            pushdown: true,
-            gate_pushdown: true,
+            rewrites: true,
             join_rename: true,
-            fused_quant: true,
         }
     }
 }
 
 impl PlanOptions {
-    /// The paper's two ablation axes: `use_rewrites` toggles every
-    /// rewrite pass at once (prenex, strip, ungated push-down, fused
-    /// quantifiers), `join_rename` stays independent.
-    pub fn from_flags(use_rewrites: bool, join_rename: bool) -> PlanOptions {
-        PlanOptions {
-            prenex: use_rewrites,
-            strip_leading: use_rewrites,
-            pushdown: use_rewrites,
-            // The legacy pipeline pushed down unconditionally.
-            gate_pushdown: false,
-            join_rename,
-            fused_quant: use_rewrites,
-        }
-    }
-
-    /// The option flags packed into a bitmask — folded into schema
+    /// The options packed into a bitmask — folded into schema
     /// fingerprints, so plans built under different options carry
-    /// different fingerprints.
+    /// different fingerprints. `rewrites` sets bits 0–3 and 5 and
+    /// `join_rename` bit 4: the values fingerprints, plan goldens and
+    /// certificates were stamped with when each pass had its own bit.
     pub fn bits(&self) -> u64 {
-        self.flags()
-            .iter()
-            .enumerate()
-            .fold(0, |bits, (i, &(_, on))| bits | (on as u64) << i)
+        (if self.rewrites { 0b10_1111 } else { 0 }) | (u64::from(self.join_rename) << 4)
     }
 
-    /// The flags by schema name, in `relcheck plan --json` order (which is
-    /// also their bit order in [`PlanOptions::bits`]).
-    pub(crate) fn flags(&self) -> [(&'static str, bool); 6] {
+    /// The options by schema name, in `relcheck plan --json` order.
+    pub(crate) fn flags(&self) -> [(&'static str, bool); 2] {
         [
-            ("prenex", self.prenex),
-            ("strip_leading", self.strip_leading),
-            ("pushdown", self.pushdown),
-            ("gate_pushdown", self.gate_pushdown),
+            ("rewrites", self.rewrites),
             ("join_rename", self.join_rename),
-            ("fused_quant", self.fused_quant),
         ]
     }
 
     fn describe(&self) -> String {
         let onoff = |b: bool| if b { "on" } else { "off" };
         format!(
-            "prenex={} strip-leading={} forall-pushdown={} gate={} join-rename={} fused-quant={}",
-            onoff(self.prenex),
-            onoff(self.strip_leading),
-            onoff(self.pushdown),
-            onoff(self.gate_pushdown),
+            "rewrites={} join-rename={}",
+            onoff(self.rewrites),
             onoff(self.join_rename),
-            onoff(self.fused_quant),
         )
     }
 }
@@ -170,8 +127,6 @@ pub struct BddStep {
     pub test: BddTest,
     /// Compile equi-join atoms by renaming (R2).
     pub join_rename: bool,
-    /// Use fused `appex`/`appall` for residual quantifiers.
-    pub fused_quant: bool,
 }
 
 /// The prepared SQL-fallback step: the violation/witness query already
@@ -197,7 +152,7 @@ pub struct CheckPlan {
     /// explicit invalidation epoch
     /// ([`crate::checker::Checker::schema_fingerprint`]).
     pub schema_fp: u64,
-    /// The pass toggles the plan was built under.
+    /// The options the plan was built under.
     pub options: PlanOptions,
     /// The rewrite passes that ran, in order, with their effects.
     pub passes: Vec<PassRecord>,
@@ -267,11 +222,10 @@ impl CheckPlan {
                 push(
                     &mut out,
                     &format!(
-                        "  bdd step: test={} stripped=[{}] join-rename={} fused-quant={}",
+                        "  bdd step: test={} stripped=[{}] join-rename={}",
                         test,
                         step.stripped.join(", "),
                         if step.join_rename { "on" } else { "off" },
-                        if step.fused_quant { "on" } else { "off" }
                     ),
                 );
                 push(&mut out, &format!("    body: {}", step.body));
@@ -300,6 +254,11 @@ impl CheckPlan {
     }
 }
 
+/// The plan document's `schema_version`: the one version
+/// [`plans_to_json`] writes and [`crate::telemetry::validate_plan_json`]
+/// accepts.
+pub(crate) const PLAN_SCHEMA_VERSION: i64 = 2;
+
 /// Render a set of named plans as a machine-readable JSON document —
 /// the `relcheck plan --json` output. Same plans → byte-identical text
 /// (same discipline as [`CheckPlan::render`] and the metrics emitter);
@@ -311,7 +270,7 @@ pub fn plans_to_json(plans: &[(String, CheckPlan)]) -> String {
     let mut w = JsonWriter::new();
     w.obj_open();
     w.key("schema_version");
-    w.raw("1");
+    w.raw(&PLAN_SCHEMA_VERSION.to_string());
     w.key("kind");
     w.string("plan");
     w.key("plans");
@@ -369,8 +328,6 @@ pub fn plans_to_json(plans: &[(String, CheckPlan)]) -> String {
                 w.arr_close();
                 w.key("join_rename");
                 w.bool(step.join_rename);
-                w.key("fused_quant");
-                w.bool(step.fused_quant);
                 w.obj_close();
             }
             None => w.raw("null"),
@@ -455,29 +412,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_flags_reproduces_legacy_configurations() {
-        let on = PlanOptions::from_flags(true, true);
-        assert!(on.prenex && on.strip_leading && on.pushdown && on.fused_quant && on.join_rename);
-        assert!(!on.gate_pushdown, "legacy rewrites pushed down ungated");
-        let off = PlanOptions::from_flags(false, true);
-        assert!(!off.prenex && !off.strip_leading && !off.pushdown && !off.fused_quant);
-        assert!(off.join_rename, "join_rename is independent");
-    }
-
-    #[test]
-    fn option_bits_are_injective_over_the_flag_space() {
-        let mut seen = std::collections::HashSet::new();
-        for bits in 0u64..64 {
-            let o = PlanOptions {
-                prenex: bits & 1 != 0,
-                strip_leading: bits & 2 != 0,
-                pushdown: bits & 4 != 0,
-                gate_pushdown: bits & 8 != 0,
-                join_rename: bits & 16 != 0,
-                fused_quant: bits & 32 != 0,
-            };
-            assert!(seen.insert(o.bits()), "collision at {bits}");
-        }
+    fn option_bits_keep_the_six_switch_values() {
+        let bits = |rewrites, join_rename| {
+            PlanOptions {
+                rewrites,
+                join_rename,
+            }
+            .bits()
+        };
+        assert_eq!(PlanOptions::default().bits(), 63);
+        assert_eq!(bits(true, false), 47);
+        assert_eq!(bits(false, true), 16);
+        assert_eq!(bits(false, false), 0);
     }
 
     #[test]

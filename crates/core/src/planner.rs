@@ -1,8 +1,9 @@
 //! Formula → [`CheckPlan`]: the pure pass manager.
 //!
 //! This is the front half of the FOL → BDD compiler, structured so
-//! the paper's §4.4 rewrite pipeline is a sequence of discrete,
-//! individually-toggleable passes whose effects are recorded in the plan:
+//! the paper's §4.4 rewrite pipeline is a fixed sequence of discrete
+//! passes, run together or not at all ([`PlanOptions::rewrites`]), whose
+//! effects are recorded in the plan:
 //!
 //! 1. `prenex-pullup` (R3): quantifier pull-up into prenex normal form;
 //! 2. `strip-leading-block` (R1): leading-quantifier-block elimination,
@@ -10,8 +11,8 @@
 //! 3. `refutation-nnf` (validity only): negate and renormalize, so the BDD
 //!    built is the *violation set* rather than a near-complement;
 //! 4. `forall-pushdown` (R4 / Rule 5): distribute universal blocks over
-//!    conjunctions — optionally **cost-gated** on `relstore::stats`
-//!    cardinalities ([`pushdown_pays_off`]).
+//!    conjunctions, **cost-gated** on `relstore::stats` cardinalities
+//!    ([`pushdown_pays_off`]).
 //!
 //! Nothing here touches a BDD manager: planning is pure and total, which is
 //! what makes plans deterministic and `relcheck plan` side-effect free. The
@@ -27,8 +28,8 @@ use crate::plan::{
 use crate::sqlgen;
 use crate::telemetry::RewriteRule;
 use relcheck_logic::transform::{
-    push_forall_down_gated, simplify, standardize_apart, strip_leading_block, to_nnf, to_prenex,
-    CheckMode, PassEffect, Prenex, Quant,
+    eliminate_leading_block, push_forall_down_gated, simplify, standardize_apart, to_nnf,
+    to_prenex, CheckMode, PassEffect, Prenex, Quant,
 };
 use relcheck_logic::{Formula, Term};
 use relcheck_relstore::{stats, Database, Relation};
@@ -96,22 +97,16 @@ pub fn bdd_step(
     options: PlanOptions,
     passes: &mut Vec<PassRecord>,
 ) -> BddStep {
-    if !options.prenex {
+    if !options.rewrites {
         // The paper's "straight-forward evaluation" baseline: standardize
         // apart and compile literally, leading quantifiers included.
         let g = standardize_apart(f);
-        let body = if options.pushdown {
-            apply_pushdown_pass(db, &g, options, passes)
-        } else {
-            g.clone()
-        };
         return BddStep {
-            alloc: g,
-            body,
+            alloc: g.clone(),
+            body: g,
             stripped: Vec::new(),
             test: BddTest::Satisfiable,
             join_rename: options.join_rename,
-            fused_quant: options.fused_quant,
         };
     }
     let p = to_prenex(f);
@@ -124,26 +119,20 @@ pub fn bdd_step(
         before: f.to_string(),
         after: whole.to_string(),
     });
-    let (mode, rest) = if options.strip_leading {
-        strip_leading_block(&p)
-    } else {
-        (CheckMode::Satisfiability, p.clone())
-    };
+    let (mode, rest) = eliminate_leading_block(&p);
     let stripped: Vec<String> = p.prefix[..p.prefix.len() - rest.prefix.len()]
         .iter()
         .map(|(_, v)| v.clone())
         .collect();
     let remainder = rebuild(&rest);
-    if options.strip_leading {
-        passes.push(PassRecord {
-            pass: pass::STRIP_LEADING_BLOCK,
-            rule: Some(RewriteRule::R1LeadingBlock),
-            fired: stripped.len() as u64,
-            gated: 0,
-            before: whole.to_string(),
-            after: remainder.to_string(),
-        });
-    }
+    passes.push(PassRecord {
+        pass: pass::STRIP_LEADING_BLOCK,
+        rule: Some(RewriteRule::R1LeadingBlock),
+        fired: stripped.len() as u64,
+        gated: 0,
+        before: whole.to_string(),
+        after: remainder.to_string(),
+    });
     let (body, test) = match mode {
         CheckMode::Validity => {
             // Compile the violation set by refutation: ¬body in NNF keeps
@@ -158,21 +147,15 @@ pub fn bdd_step(
                 before: remainder.to_string(),
                 after: negated.to_string(),
             });
-            let body = if options.pushdown {
-                apply_pushdown_pass(db, &negated, options, passes)
-            } else {
-                negated
-            };
-            (body, BddTest::ViolationsEmpty)
+            (
+                apply_pushdown_pass(db, &negated, passes),
+                BddTest::ViolationsEmpty,
+            )
         }
-        CheckMode::Satisfiability => {
-            let body = if options.pushdown {
-                apply_pushdown_pass(db, &remainder, options, passes)
-            } else {
-                remainder
-            };
-            (body, BddTest::Satisfiable)
-        }
+        CheckMode::Satisfiability => (
+            apply_pushdown_pass(db, &remainder, passes),
+            BddTest::Satisfiable,
+        ),
     };
     BddStep {
         alloc: whole,
@@ -180,28 +163,18 @@ pub fn bdd_step(
         stripped,
         test,
         join_rename: options.join_rename,
-        fused_quant: options.fused_quant,
     }
 }
 
-/// Run the ∀-push-down pass (Rule 5) under the plan's gating policy,
-/// simplify, and record its effect.
-fn apply_pushdown_pass(
-    db: &Database,
-    f: &Formula,
-    options: PlanOptions,
-    passes: &mut Vec<PassRecord>,
-) -> Formula {
+/// Run the cost-gated ∀-push-down pass (Rule 5), simplify, and record its
+/// effect.
+fn apply_pushdown_pass(db: &Database, f: &Formula, passes: &mut Vec<PassRecord>) -> Formula {
     let mut eff = PassEffect::default();
-    let out = if options.gate_pushdown {
-        push_forall_down_gated(
-            f,
-            &mut |vs, parts| pushdown_pays_off(db, vs, parts),
-            &mut eff,
-        )
-    } else {
-        push_forall_down_gated(f, &mut |_, _| true, &mut eff)
-    };
+    let out = push_forall_down_gated(
+        f,
+        &mut |vs, parts| pushdown_pays_off(db, vs, parts),
+        &mut eff,
+    );
     let out = simplify(&out);
     passes.push(PassRecord {
         pass: pass::FORALL_PUSHDOWN,

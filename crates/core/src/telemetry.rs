@@ -1663,14 +1663,14 @@ fn strings(v: &Json, at: &str, name: &str) -> Check<()> {
     Ok(())
 }
 
-/// Validate a `relcheck plan --json` document (schema version 1, kind
+/// Validate a `relcheck plan --json` document (schema version 2, kind
 /// `"plan"`): required fields and types, pass/rule/ladder vocabulary,
 /// hex-string fingerprints, and that the emitted ladder matches the
 /// presence of the bdd/sql steps.
 pub fn validate_plan_json(text: &str) -> std::result::Result<(), String> {
     let doc = parse_json(text)?;
     let version = expect(&doc, "", "schema_version", "an integer", Json::as_int)?;
-    if version != 1 {
+    if version != crate::plan::PLAN_SCHEMA_VERSION {
         return Err(format!("unsupported plan schema_version {version}"));
     }
     let kind = string(&doc, "", "kind")?;
@@ -1709,7 +1709,6 @@ pub fn validate_plan_json(text: &str) -> std::result::Result<(), String> {
             )?;
             strings(bdd, &bat, "stripped")?;
             boolean(bdd, &bat, "join_rename")?;
-            boolean(bdd, &bat, "fused_quant")?;
         }
         let sql = nullable(p, &at, "sql")?;
         if let Some(sql) = sql {
@@ -1864,6 +1863,36 @@ mod tests {
                 .replace(&format!(",\"{block}\":null"), "");
             let err = validate_metrics_json(&stripped).unwrap_err();
             assert!(err.contains(block), "{block}: {err}");
+        }
+    }
+
+    #[test]
+    fn plan_validator_rejects_other_schema_versions() {
+        let mut db = relcheck_relstore::Database::new();
+        db.create_relation(
+            "R",
+            &[("a", "d")],
+            vec![vec![relcheck_relstore::Raw::Int(1)]],
+        )
+        .unwrap();
+        let f = relcheck_logic::parse("forall x. R(x) -> x = 1").unwrap();
+        let plan = crate::planner::plan_check(
+            &db,
+            &f,
+            crate::plan::PlanOptions::default(),
+            &Default::default(),
+            0,
+        );
+        let doc = crate::plan::plans_to_json(&[("c".to_owned(), plan)]);
+        validate_plan_json(&doc).unwrap();
+        for version in [1, 3] {
+            let other = doc.replace(
+                "\"schema_version\":2",
+                &format!("\"schema_version\":{version}"),
+            );
+            assert_ne!(other, doc, "v{version}: rewrite matched nothing");
+            let err = validate_plan_json(&other).unwrap_err();
+            assert!(err.contains("schema_version"), "v{version}: {err}");
         }
     }
 

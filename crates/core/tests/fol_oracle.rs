@@ -105,8 +105,17 @@ fn pairs(rng: &mut SplitMix64, max: usize, sizes: (u64, u64)) -> Vec<(u64, u64)>
 /// corner with no budget.
 fn configurations(ordering: OrderingStrategy) -> Vec<CheckerOptions> {
     let budgets = [Some(25), Some(200), None].map(|limit| (limit, PlanOptions::default()));
-    let corners = [(true, true), (true, false), (false, true), (false, false)]
-        .map(|(rewrites, rename)| (None, PlanOptions::from_flags(rewrites, rename)));
+    let corners = [(true, true), (true, false), (false, true), (false, false)].map(
+        |(rewrites, join_rename)| {
+            (
+                None,
+                PlanOptions {
+                    rewrites,
+                    join_rename,
+                },
+            )
+        },
+    );
     budgets
         .into_iter()
         .chain(corners)

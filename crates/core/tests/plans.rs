@@ -91,7 +91,7 @@ fn golden_plan_fd() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     let expected = "\
 plan for: forall c, a1, s1, a2, s2. ((CUST(c, a1, s1) & CUST(c, a2, s2)) -> s1 = s2)
-  options: prenex=on strip-leading=on forall-pushdown=on gate=on join-rename=on fused-quant=on
+  options: rewrites=on join-rename=on
   passes:
     1. prenex-pullup [R3] fired=5 gated=0
        before: forall c, a1, s1, a2, s2. ((CUST(c, a1, s1) & CUST(c, a2, s2)) -> s1 = s2)
@@ -105,7 +105,7 @@ plan for: forall c, a1, s1, a2, s2. ((CUST(c, a1, s1) & CUST(c, a2, s2)) -> s1 =
     4. forall-pushdown [R4] fired=0 gated=0
        before: (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
        after:  (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
-  bdd step: test=violations-empty stripped=[c, a1, s1, a2, s2] join-rename=on fused-quant=on
+  bdd step: test=violations-empty stripped=[c, a1, s1, a2, s2] join-rename=on
     body: (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
   sql step: shape=violations columns=[city, areacode, state]
   ladder: bdd -> sql -> brute_force";
@@ -119,7 +119,7 @@ fn golden_plan_inclusion_dependency() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     let expected = "\
 plan for: forall c, a, s. (CUST(c, a, s) -> ALLOWED(c, a))
-  options: prenex=on strip-leading=on forall-pushdown=on gate=on join-rename=on fused-quant=on
+  options: rewrites=on join-rename=on
   passes:
     1. prenex-pullup [R3] fired=3 gated=0
        before: forall c, a, s. (CUST(c, a, s) -> ALLOWED(c, a))
@@ -133,7 +133,7 @@ plan for: forall c, a, s. (CUST(c, a, s) -> ALLOWED(c, a))
     4. forall-pushdown [R4] fired=0 gated=0
        before: (CUST(c, a, s) & !(ALLOWED(c, a)))
        after:  (CUST(c, a, s) & !(ALLOWED(c, a)))
-  bdd step: test=violations-empty stripped=[c, a, s] join-rename=on fused-quant=on
+  bdd step: test=violations-empty stripped=[c, a, s] join-rename=on
     body: (CUST(c, a, s) & !(ALLOWED(c, a)))
   sql step: shape=violations columns=[c, a, s]
   ladder: bdd -> sql -> brute_force";
@@ -149,7 +149,7 @@ fn golden_plan_equi_join() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     let expected = "\
 plan for: forall c, a. (ALLOWED(c, a) -> exists s. CUST(c, a, s))
-  options: prenex=on strip-leading=on forall-pushdown=on gate=on join-rename=on fused-quant=on
+  options: rewrites=on join-rename=on
   passes:
     1. prenex-pullup [R3] fired=3 gated=0
        before: forall c, a. (ALLOWED(c, a) -> exists s. CUST(c, a, s))
@@ -163,7 +163,7 @@ plan for: forall c, a. (ALLOWED(c, a) -> exists s. CUST(c, a, s))
     4. forall-pushdown [R4] fired=1 gated=0
        before: forall s. (ALLOWED(c, a) & !(CUST(c, a, s)))
        after:  (ALLOWED(c, a) & forall s. !(CUST(c, a, s)))
-  bdd step: test=violations-empty stripped=[c, a] join-rename=on fused-quant=on
+  bdd step: test=violations-empty stripped=[c, a] join-rename=on
     body: (ALLOWED(c, a) & forall s. !(CUST(c, a, s)))
   sql step: shape=violations columns=[c, a]
   ladder: bdd -> sql -> brute_force";
@@ -186,20 +186,22 @@ fn plans_are_deterministic_across_checkers() {
     }
 }
 
-/// The differential gate from the ISSUE: for every corpus constraint, the
-/// plan-based path returns the same four-valued verdict as the legacy
-/// two-switch configurations and as brute force — serial and parallel.
+/// The differential gate: for every corpus constraint, the plan-based
+/// path returns the same four-valued verdict under the default plan, with
+/// every ablation switched off, and as brute force — serial and parallel.
 #[test]
 fn plan_execution_matches_legacy_and_brute_force() {
     let brute = Checker::new(customer_db(), CheckerOptions::default());
     for (name, f) in corpus() {
         let expected = eval_sentence(brute.logical_db().db(), &f).unwrap();
-        // Plan path under the default (gated) options plus the two legacy
-        // corner configurations.
+        // Plan path under the default options and with both ablation
+        // axes off.
         for plan in [
             PlanOptions::default(),
-            PlanOptions::from_flags(true, true),
-            PlanOptions::from_flags(false, false),
+            PlanOptions {
+                rewrites: false,
+                join_rename: false,
+            },
         ] {
             let mut ck = Checker::new(
                 customer_db(),

@@ -197,7 +197,10 @@ fn ten_ms_deadline_terminates_with_deadline_fallback() {
             db,
             CheckerOptions {
                 telemetry: true,
-                plan: relcheck_core::PlanOptions::from_flags(false, false),
+                plan: relcheck_core::PlanOptions {
+                    rewrites: false,
+                    join_rename: false,
+                },
                 ordering: ord,
                 deadline: Some(Duration::from_millis(10)),
                 ..Default::default()

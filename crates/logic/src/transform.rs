@@ -7,7 +7,7 @@
 //! 2. convert to **prenex normal form** ([`to_prenex`]) — this *is* the
 //!    quantifier pull-up rule for both ∃ (Rule 3 / Equation 3) and ∀
 //!    (Equation 4);
-//! 3. **eliminate the leading quantifier block** ([`strip_leading_block`],
+//! 3. **eliminate the leading quantifier block** ([`eliminate_leading_block`],
 //!    §4.1): a leading ∀-block turns the check into a validity test
 //!    (`BDD = TRUE`?), a leading ∃-block into a satisfiability test
 //!    (`BDD ≠ FALSE`?) — both O(1) on an ROBDD;
@@ -218,7 +218,7 @@ fn pull(f: &Formula, prefix: &mut Vec<(Quant, String)>) -> Formula {
 /// Drop the leading quantifier block of one kind (§4.1). Returns the check
 /// mode the caller must apply to the remaining formula:
 /// `∀x₁∀x₂∃x₃ φ ↦ (Validity, ∃x₃ φ)`; `∃x̄∀y ψ ↦ (Satisfiability, ∀y ψ)`.
-pub fn strip_leading_block(p: &Prenex) -> (CheckMode, Prenex) {
+pub fn eliminate_leading_block(p: &Prenex) -> (CheckMode, Prenex) {
     match p.prefix.first() {
         None => (CheckMode::Satisfiability, p.clone()),
         Some(&(q, _)) => {
@@ -252,17 +252,7 @@ pub fn strip_leading_block(p: &Prenex) -> (CheckMode, Prenex) {
 /// standardize-apart) may conservatively reject it. Consumers should infer
 /// sorts **before** pushing down, as the compiler does.
 pub fn push_forall_down(f: &Formula) -> Formula {
-    push_forall_down_counted(f, &mut 0)
-}
-
-/// [`push_forall_down`] with telemetry: `events` is incremented once per
-/// universal block actually distributed across a conjunction (the rule
-/// firing count the checker's rewrite traces report).
-pub fn push_forall_down_counted(f: &Formula, events: &mut u64) -> Formula {
-    let mut eff = PassEffect::default();
-    let out = push_forall_down_gated(f, &mut |_, _| true, &mut eff);
-    *events += eff.fired;
-    out
+    push_forall_down_gated(f, &mut |_, _| true, &mut PassEffect::default())
 }
 
 /// Effect record of one gated transform pass: how often the rule actually
@@ -276,7 +266,7 @@ pub struct PassEffect {
     pub gated: u64,
 }
 
-/// [`push_forall_down_counted`] with a **cost gate**: at every applicable
+/// [`push_forall_down`] with a **cost gate**: at every applicable
 /// site — a universal block directly over a conjunction — the `gate`
 /// callback is consulted with the block's variables and the conjuncts.
 /// Returning `true` distributes the block (Rule 5) exactly as
@@ -531,20 +521,20 @@ mod tests {
     }
 
     #[test]
-    fn strip_leading_forall_block() {
+    fn eliminate_leading_forall_block() {
         let f = parse("forall x, y. exists z. R(x, y) & S(y, z)").unwrap();
         let p = to_prenex(&f);
-        let (mode, rest) = strip_leading_block(&p);
+        let (mode, rest) = eliminate_leading_block(&p);
         assert_eq!(mode, CheckMode::Validity);
         assert_eq!(rest.prefix.len(), 1);
         assert_eq!(rest.prefix[0].0, Quant::Exists);
     }
 
     #[test]
-    fn strip_leading_exists_block() {
+    fn eliminate_leading_exists_block() {
         let f = parse("exists x, y. R(x, y)").unwrap();
         let p = to_prenex(&f);
-        let (mode, rest) = strip_leading_block(&p);
+        let (mode, rest) = eliminate_leading_block(&p);
         assert_eq!(mode, CheckMode::Satisfiability);
         assert!(rest.prefix.is_empty());
     }
@@ -553,7 +543,7 @@ mod tests {
     fn strip_ground_formula() {
         let f = parse(r#""a" = "a""#).unwrap();
         let p = to_prenex(&f);
-        let (mode, rest) = strip_leading_block(&p);
+        let (mode, rest) = eliminate_leading_block(&p);
         assert_eq!(mode, CheckMode::Satisfiability);
         assert_eq!(rest.matrix, p.matrix);
     }

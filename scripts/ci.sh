@@ -623,12 +623,14 @@ if [ "$QUICK" -eq 0 ]; then
         cargo test --release -q -p relcheck-core --test chaos -- --ignored
 fi
 
-step "experiment smoke: table1 and par_scaling at small size + metrics validation"
+step "experiment smoke: table1, par_scaling and fig6 at small size + metrics validation"
 # The figure binaries still run end to end: table1 at 2,000 tuples and
 # par_scaling at 2,000 rows (which asserts parallel verdicts equal the
 # serial pass at 1/2/4/8 workers and bounds the telemetry overhead). Each
 # writes the metrics document `relcheck run --metrics` emits, and both
-# documents must validate. fig3 prints no timings, only the ordering
+# documents must validate. fig6 asserts that the fused `app_exists` /
+# `app_forall` the compiler quantifies with build the same BDDs as the
+# separate and pushed-down forms. fig3 prints no timings, only the ordering
 # heuristics' accuracy, so two runs must print the same bytes: the
 # heuristics are deterministic, whatever order the generators' hash sets
 # hand them rows in.
@@ -643,6 +645,8 @@ cargo run --release --quiet -p relcheck-bench --bin par_scaling -- \
     --rows 2000 --samples 1 --metrics "$PAR_METRICS" >/dev/null
 cargo run --release --quiet --bin relcheck -- metrics-check "$TABLE1_METRICS"
 cargo run --release --quiet --bin relcheck -- metrics-check "$PAR_METRICS"
+cargo run --release --quiet -p relcheck-bench --bin fig6 -- \
+    --steps 1 --base 2000 >/dev/null
 for out in "$FIG3_A" "$FIG3_B"; do
     cargo run --release --quiet -p relcheck-bench --bin fig3 -- \
         --tuples 2000 --relations 3 >"$out"

@@ -3,10 +3,11 @@
 //! ```text
 //! relcheck run <spec-file> [--limit N] [--sql] [--ordering STRATEGY] [--threads N]
 //!                          [--metrics PATH] [--deadline-ms N] [--index-cache DIR]
-//!                          [--fail-spec SPEC] [--fail-seed N]
+//!                          [--route auto|static] [--fail-spec SPEC] [--fail-seed N]
 //!                          [--certify PATH] [--witness-limit N]
 //! relcheck explain <spec-file> <constraint-name>
-//! relcheck plan <spec-file> [constraint-name] [--ordering STRATEGY]
+//! relcheck plan <spec-file> [constraint-name] [--ordering STRATEGY] [--json]
+//! relcheck advise <spec-file> [--index-cache DIR] [--ordering STRATEGY]
 //! relcheck audit emit <spec-file> <bundle.json> [--witness-limit N] [--ordering STRATEGY]
 //! relcheck audit verify <spec-file> <bundle.json>
 //! relcheck metrics-check <metrics.json>
@@ -58,7 +59,8 @@
 //! `plan` prints the compiled [`relcheck::core_::CheckPlan`] for one (or
 //! every) constraint without executing it: the rewrite passes that ran,
 //! the formula before and after each one, the cost-gate decisions, and
-//! the degradation-ladder rungs the plan would execute. The output is
+//! the degradation-ladder rungs the plan would execute; `--json` emits
+//! the same plans as one machine-readable document. The output is
 //! deterministic — two invocations on the same spec emit byte-identical
 //! plans.
 //!
@@ -71,6 +73,11 @@
 //! journals tuple deltas (`+REL:v1,v2,...` inserts, `-REL:v1,v2,...`
 //! deletes) and folds them into the cached indices via incremental
 //! maintenance.
+//!
+//! Routing: a run with `--index-cache DIR` records its workload profile
+//! in that directory. `advise` prints the routing report that profile
+//! implies, and `run --route auto` applies it before checking (`static`,
+//! the default, ignores it); the verdicts are the same either way.
 //!
 //! `serve` keeps everything warm across requests: it loads the spec,
 //! primes every constraint once, then reads a line-oriented command
@@ -154,7 +161,7 @@ fn usage() -> String {
      relcheck audit verify <spec-file> <bundle.json>\n  \
      relcheck metrics-check <metrics.json>\n  \
      relcheck index <build|verify|repair|gc|apply> <spec-file> --index-cache DIR \
-     [+REL:v1,v2 | -REL:v1,v2 ...]\n  \
+     [+REL:v1,v2 | -REL:v1,v2 ...] [--ordering STRATEGY] [--fail-spec SPEC] [--fail-seed N]\n  \
      relcheck serve <spec-file> [--index-cache DIR] [--socket PATH] [--ordering STRATEGY] \
      [--metrics PATH] [--deadline-ms N] [--fail-spec SPEC] [--fail-seed N] [--witness-limit N] \
      [--max-sessions N] [--queue-depth N] [--idle-timeout-ms N] [--shed-threshold-ms N]\n  \
