@@ -80,25 +80,6 @@ impl BddManager {
             self.mk(top, low, high)
         }
     }
-
-    /// Count the nodes a function spends on each finite-domain block —
-    /// [`BddManager::level_profile`] aggregated by domain. Levels outside
-    /// any declared domain are reported under `None`.
-    pub fn domain_profile(&self, f: Bdd) -> Vec<(Option<crate::fdd::DomainId>, usize)> {
-        let profile = self.level_profile(f);
-        let mut out: std::collections::BTreeMap<Option<u32>, usize> = Default::default();
-        for (level, count) in profile {
-            let dom = self
-                .domains
-                .iter()
-                .position(|d| d.vars.contains(&level))
-                .map(|i| i as u32);
-            *out.entry(dom).or_insert(0) += count;
-        }
-        out.into_iter()
-            .map(|(d, c)| (d.map(crate::fdd::DomainId), c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -181,20 +162,5 @@ mod tests {
         let r = m.restrict(f, cube).unwrap();
         assert_eq!(g, r);
         assert_eq!(g, x1);
-    }
-
-    #[test]
-    fn domain_profile_attributes_nodes_to_blocks() {
-        let mut m = BddManager::new();
-        let d1 = m.add_domain(16).unwrap();
-        let d2 = m.add_domain(16).unwrap();
-        let rows: Vec<Vec<u64>> = (0..16u64).map(|i| vec![i, (i * 5) % 16]).collect();
-        let r = m.relation_from_rows(&[d1, d2], &rows).unwrap();
-        let profile = m.domain_profile(r);
-        let total: usize = profile.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, m.size(r));
-        // Both blocks carry nodes for this permutation relation.
-        assert!(profile.iter().any(|&(d, c)| d == Some(d1) && c > 0));
-        assert!(profile.iter().any(|&(d, c)| d == Some(d2) && c > 0));
     }
 }

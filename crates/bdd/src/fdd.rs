@@ -82,11 +82,6 @@ impl BddManager {
         &self.domains[d.0 as usize].vars
     }
 
-    /// Number of declared domains.
-    pub fn num_domains(&self) -> usize {
-        self.domains.len()
-    }
-
     /// The literal assignment `(var, bit)` pairs encoding `value` in domain
     /// `d`, MSB first.
     pub(crate) fn value_literals(&self, d: DomainId, value: u64) -> Result<Vec<(Var, bool)>> {
@@ -341,7 +336,6 @@ mod tests {
         assert_eq!(m.domain_vars(d2), &[4, 5]);
         assert_eq!(m.domain_info(d1).bits, 4);
         assert_eq!(m.domain_info(d2).size, 4);
-        assert_eq!(m.num_domains(), 2);
     }
 
     #[test]

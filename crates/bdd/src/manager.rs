@@ -397,7 +397,7 @@ impl BddManager {
     /// Arm (or clear) the cooperative wall-clock deadline. Once the instant
     /// passes, any in-flight memoized operation aborts with
     /// [`BddError::Deadline`] at its next recursion boundary (checked every
-    /// [`DEADLINE_STRIDE`] steps, so overshoot is bounded and small).
+    /// 256 steps, so overshoot is bounded and small).
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
     }

@@ -12,8 +12,7 @@
 //! Three candidate shapes are scored (the classic choices for relational
 //! encodings):
 //!
-//! * **concatenated** — schema order, untouched. The static baseline and
-//!   the deterministic tie-winner, so an empty workload changes nothing.
+//! * **concatenated** — schema order, untouched.
 //! * **frequency** — columns sorted by descending observed weight: the
 //!   greedy optimum for the prefix-depth cost model.
 //! * **interleaved** — heavy and light columns woven alternately. On
@@ -21,7 +20,8 @@
 //!   keeps co-accessed blocks adjacent instead of pushing all light
 //!   columns to the bottom.
 //!
-//! [`choose`] returns the cheapest candidate plus its name (for
+//! [`choose`] scores these against the caller's static order, which
+//! competes first, and returns the cheapest plus its name (for
 //! telemetry/bench reporting). Verdict safety does not depend on the pick —
 //! the ordering-invariance suite pins that any permutation yields the same
 //! verdicts — so this module only has to be *deterministic*, never right.
@@ -72,19 +72,23 @@ pub fn candidates(weights: &[u64]) -> Vec<(&'static str, Vec<usize>)> {
     ]
 }
 
-/// Score every candidate under the workload and return the cheapest as
-/// `(name, ordering)`. Ties break towards the earlier candidate, so a flat
-/// (or empty) workload always picks the concatenated/schema order — the
-/// static escape hatch costs nothing to keep.
-pub fn choose(weights: &[u64], bits: &[u32]) -> (&'static str, Vec<usize>) {
+/// Score `static_order` and every candidate under the workload and return
+/// the cheapest as `(name, ordering)`. The static order competes first
+/// under the name `static`, so ties (e.g. a flat or empty workload) defer
+/// to it: by this cost model the pick is never worse than not adapting.
+pub fn choose(
+    static_order: Vec<usize>,
+    weights: &[u64],
+    bits: &[u32],
+) -> (&'static str, Vec<usize>) {
     let mut best: Option<(&'static str, Vec<usize>, u128)> = None;
-    for (name, cand) in candidates(weights) {
+    for (name, cand) in std::iter::once(("static", static_order)).chain(candidates(weights)) {
         let s = score(&cand, weights, bits);
         if best.as_ref().is_none_or(|(_, _, bs)| s < *bs) {
             best = Some((name, cand, s));
         }
     }
-    let (name, cand, _) = best.expect("at least one candidate");
+    let (name, cand, _) = best.expect("the static order is always a candidate");
     (name, cand)
 }
 
@@ -93,20 +97,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flat_workload_keeps_schema_order() {
-        let (name, order) = choose(&[0, 0, 0], &[3, 3, 3]);
-        assert_eq!(name, "concatenated");
-        assert_eq!(order, vec![0, 1, 2]);
-        let (name, order) = choose(&[5, 5, 5, 5], &[2, 2, 2, 2]);
-        assert_eq!(name, "concatenated");
+    fn flat_workload_keeps_the_static_order() {
+        let (name, order) = choose(vec![2, 0, 1], &[0, 0, 0], &[3, 3, 3]);
+        assert_eq!(name, "static");
+        assert_eq!(order, vec![2, 0, 1]);
+        let (name, order) = choose(vec![0, 1, 2, 3], &[5, 5, 5, 5], &[2, 2, 2, 2]);
+        assert_eq!(name, "static");
         assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn skewed_workload_hoists_the_hot_column() {
         // Column 2 dominates: any winner must place it first.
-        let (_, order) = choose(&[1, 1, 100, 1], &[4, 4, 4, 4]);
+        let (name, order) = choose(vec![0, 1, 2, 3], &[1, 1, 100, 1], &[4, 4, 4, 4]);
         assert_eq!(order[0], 2);
+        assert_eq!(name, "frequency");
     }
 
     #[test]
@@ -138,8 +143,8 @@ mod tests {
     fn choose_is_deterministic() {
         let weights = [7u64, 3, 3, 9, 0, 2];
         let bits = [3u32, 5, 2, 4, 1, 6];
-        let a = choose(&weights, &bits);
-        let b = choose(&weights, &bits);
+        let a = choose((0..6).collect(), &weights, &bits);
+        let b = choose((0..6).collect(), &weights, &bits);
         assert_eq!(a, b);
     }
 }

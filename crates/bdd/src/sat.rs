@@ -38,29 +38,6 @@ impl BddManager {
         c * (above as f64).exp2()
     }
 
-    /// One satisfying assignment of `f` restricted to the variables `f`
-    /// actually tests (don't-cares omitted), or `None` if unsatisfiable.
-    pub fn any_sat(&self, f: Bdd) -> Option<Vec<(Var, bool)>> {
-        if f.is_false() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = f;
-        while !cur.is_const() {
-            let n = self.node(cur);
-            // Prefer a branch that can still reach TRUE; low first for
-            // lexicographically small assignments.
-            if n.low != 0 {
-                path.push((n.level, false));
-                cur = Bdd(n.low);
-            } else {
-                path.push((n.level, true));
-                cur = Bdd(n.high);
-            }
-        }
-        Some(path)
-    }
-
     /// Iterate over **all** complete satisfying assignments of `f` with
     /// respect to the variable set `vs` (don't-care variables are expanded
     /// into both values). Requires `support(f) ⊆ vs`.
@@ -75,26 +52,6 @@ impl BddManager {
                 vec![(f, 0, Vec::new())]
             },
         }
-    }
-
-    /// Enumerate at most `limit` complete satisfying assignments of `f`
-    /// over `vs` alongside the **exact** model count from [`sat_count`].
-    ///
-    /// The pair `(assignments, total)` lets callers report "first `k` of
-    /// `n`" without walking the whole (possibly astronomically large)
-    /// model set: `assignments.len() < limit` iff the enumeration is
-    /// exhaustive, in which case `assignments.len() as f64 == total`.
-    ///
-    /// [`sat_count`]: BddManager::sat_count
-    pub fn sat_assignments_limited(
-        &mut self,
-        f: Bdd,
-        vs: VarSet,
-        limit: usize,
-    ) -> (Vec<Vec<bool>>, f64) {
-        let total = self.sat_count(f, vs);
-        let assignments = self.sat_assignments(f, vs).take(limit).collect();
-        (assignments, total)
     }
 
     /// Does the relation/function `f` contain the given tuple of values for
@@ -285,20 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn any_sat_returns_valid_assignment() {
-        let mut m = BddManager::new();
-        let v: Vec<Var> = (0..3).map(|_| m.new_var()).collect();
-        let x0 = m.var(v[0]).unwrap();
-        let x1 = m.var(v[1]).unwrap();
-        let nx1 = m.not(x1).unwrap();
-        let f = m.and(x0, nx1).unwrap();
-        let sat = m.any_sat(f).unwrap();
-        assert!(m.eval(f, |var| sat.iter().any(|&(sv, sb)| sv == var && sb)));
-        assert!(m.any_sat(Bdd::FALSE).is_none());
-        assert_eq!(m.any_sat(Bdd::TRUE), Some(vec![]));
-    }
-
-    #[test]
     fn sat_assignments_enumerates_all_models() {
         let mut m = BddManager::new();
         let v: Vec<Var> = (0..3).map(|_| m.new_var()).collect();
@@ -328,11 +271,10 @@ mod tests {
     }
 
     /// Property: on small random relations, every assignment enumerated by
-    /// `sat_assignments_limited` is `contains`-accepted, the exact total
-    /// matches `sat_count`, and the bounded prefix agrees with unbounded
-    /// enumeration.
+    /// `sat_assignments` is `contains`-accepted and the enumeration's
+    /// length matches `sat_count`.
     #[test]
-    fn sat_assignments_limited_matches_contains_and_count() {
+    fn sat_assignments_match_contains_and_count() {
         let mut seed = 0x5EED_0008_u64;
         for _case in 0..40 {
             let mut m = BddManager::new();
@@ -349,7 +291,8 @@ mod tests {
                 expect.insert(row.to_vec());
             }
             let vs = m.domain_varset(&doms);
-            let (all, total) = m.sat_assignments_limited(f, vs, usize::MAX);
+            let total = m.sat_count(f, vs);
+            let all: Vec<Vec<bool>> = m.sat_assignments(f, vs).collect();
             assert_eq!(total, expect.len() as f64);
             assert_eq!(all.len() as f64, total);
             // Enumerated ⊆ contains: decode each assignment (MSB-first per
@@ -368,12 +311,6 @@ mod tests {
                 assert!(m.contains(f, &doms, &values).unwrap());
                 assert!(expect.contains(&values));
             }
-            // The bounded variant yields a prefix of the unbounded order.
-            let limit = (splitmix(&mut seed) % 6) as usize;
-            let (some, total2) = m.sat_assignments_limited(f, vs, limit);
-            assert_eq!(total2, total);
-            assert_eq!(some.len(), limit.min(all.len()));
-            assert_eq!(some[..], all[..some.len()]);
         }
     }
 

@@ -1,12 +1,11 @@
-//! Persistence and visualization for BDDs.
+//! Persistence for BDDs.
 //!
 //! Logical indices are long-lived (the whole point of the paper is to keep
 //! them around between validation passes), so the engine can [`export`] a
 //! function into a compact, manager-independent form and [`import`] it into
 //! another manager — e.g. to persist an index across process restarts, or
 //! to move it into a manager with a different variable layout via the
-//! `var_map` hook. [`BddManager::to_dot`] renders a function in Graphviz
-//! DOT for debugging and teaching.
+//! `var_map` hook.
 //!
 //! [`export`]: BddManager::export
 //! [`import`]: BddManager::import
@@ -462,38 +461,6 @@ impl BddManager {
         let doms_in_schema_order = e.slots.iter().map(|&s| new_doms[s]).collect();
         Ok((doms_in_schema_order, root))
     }
-
-    /// Render the function rooted at `f` as a Graphviz DOT digraph. Solid
-    /// edges are `high` (variable = 1), dashed are `low`. The optional
-    /// labeler maps variables to display names (e.g. `city.bit3`).
-    pub fn to_dot(&self, f: Bdd, label: impl Fn(Var) -> String) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph bdd {\n  rankdir=TB;\n");
-        out.push_str("  f [label=\"FALSE\", shape=box];\n");
-        out.push_str("  t [label=\"TRUE\", shape=box];\n");
-        let name = |idx: u32| -> String {
-            match idx {
-                0 => "f".to_owned(),
-                1 => "t".to_owned(),
-                _ => format!("n{idx}"),
-            }
-        };
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f.index()];
-        while let Some(idx) = stack.pop() {
-            if idx <= 1 || !seen.insert(idx) {
-                continue;
-            }
-            let n = self.node(Bdd(idx));
-            let _ = writeln!(out, "  n{idx} [label=\"{}\"];", label(n.level));
-            let _ = writeln!(out, "  n{idx} -> {} [style=dashed];", name(n.low));
-            let _ = writeln!(out, "  n{idx} -> {};", name(n.high));
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -773,21 +740,5 @@ mod tests {
         enc.push(0); // trailing garbage
         let e = decode_frame(&enc, *b"TEST", 1).unwrap_err();
         assert!(e.reason.contains("length"));
-    }
-
-    #[test]
-    fn dot_output_mentions_every_node() {
-        let mut m = BddManager::new();
-        let v0 = m.new_var();
-        let v1 = m.new_var();
-        let x = m.var(v0).unwrap();
-        let y = m.var(v1).unwrap();
-        let f = m.xor(x, y).unwrap();
-        let dot = m.to_dot(f, |v| format!("x{v}"));
-        assert!(dot.starts_with("digraph bdd {"));
-        assert!(dot.contains("x0") && dot.contains("x1"));
-        assert!(dot.contains("style=dashed"));
-        // 3 internal nodes for xor over 2 vars.
-        assert_eq!(dot.matches("[label=\"x").count(), 3);
     }
 }

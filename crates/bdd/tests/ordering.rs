@@ -61,7 +61,7 @@ fn verdicts_and_counts_invariant_across_orderings() {
             .into_iter()
             .map(|(_, o)| o)
             .collect();
-        orderings.push(order::choose(&weights, &bits).1);
+        orderings.push(order::choose(schema.clone(), &weights, &bits).1);
         for _ in 0..3 {
             orderings.push(random_permutation(arity, &mut seed));
         }
@@ -115,8 +115,9 @@ fn adaptive_pick_never_changes_serialized_semantics() {
         .collect();
     let weights = [90u64, 5, 40];
     let bits: Vec<u32> = sizes.iter().map(|&s| order::block_bits(s)).collect();
-    let (_, adaptive) = order::choose(&weights, &bits);
     let schema = vec![0, 1, 2];
+    let (picked, adaptive) = order::choose(schema.clone(), &weights, &bits);
+    assert_ne!(picked, "static", "the skewed weights must move the order");
     let (m_a, doms_a, root_a) = build(&adaptive, &sizes, &rows);
     let (m_s, doms_s, root_s) = build(&schema, &sizes, &rows);
     let snap_a = m_a.export_relation(root_a, &doms_a).unwrap();

@@ -938,9 +938,9 @@ impl Checker {
     /// Check many named constraints, returning each report. This is the
     /// paper's headline workflow: quickly identify *which* constraints are
     /// violated on *which* tables.
-    /// Each check runs behind the panic guard of
-    /// [`Checker::check_guarded`]: a constraint that panics yields a
-    /// [`Verdict::Errored`] report, and the rest of the batch still runs.
+    /// Each check runs behind the checker's panic guard: a constraint that
+    /// panics yields a [`Verdict::Errored`] report, and the rest of the
+    /// batch still runs.
     /// Typed errors (unknown relation, malformed constraint) still abort
     /// the batch, matching the single-check contract.
     pub fn check_all(

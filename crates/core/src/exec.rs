@@ -31,7 +31,7 @@ use relcheck_relstore::Database;
 use std::collections::HashMap;
 
 /// Execute a plan's BDD step against the live indices and apply the step's
-/// O(1) test ([`compile_step`]).
+/// O(1) test.
 ///
 /// Every relation mentioned must already have an index built (the
 /// [`crate::checker::Checker`] guarantees this). Propagates

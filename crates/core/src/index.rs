@@ -529,17 +529,11 @@ impl LogicalDatabase {
                     .iter()
                     .map(|&s| relcheck_bdd::order::block_bits(s))
                     .collect();
-                // The static fallback competes as a candidate in first
-                // position: on a tie (e.g. a flat workload) adaptive
-                // defers to it, so by its own cost model the pick is
-                // never worse than not adapting at all. The scoring rule
-                // lives in `policy` so `relcheck advise` predicts exactly
-                // the pick a rebuild would make.
-                let (picked, order) = crate::policy::choose_ordering(
-                    strategy.order(&rel, &dom_sizes),
-                    &weights,
-                    &bits,
-                );
+                // The static fallback competes first, so ties defer to it;
+                // `relcheck advise` calls the same rule, so it predicts
+                // exactly the pick a rebuild would make.
+                let (picked, order) =
+                    relcheck_bdd::order::choose(strategy.order(&rel, &dom_sizes), &weights, &bits);
                 self.adaptive_picks.insert(name.to_owned(), picked);
                 order
             }

@@ -44,10 +44,6 @@ pub enum OrderingStrategy {
     ProbConverge,
     /// Minimal conditional entropy — our corrected `argmax`-gain variant.
     MinCondEntropy,
-    /// Prob-Converge refined by attribute-level sifting (our extension,
-    /// after Rudell's dynamic reordering): never worse than
-    /// [`OrderingStrategy::ProbConverge`], costs O(arity²) trial rebuilds.
-    Sifted,
     /// Workload-adaptive (our extension): score the candidate shapes in
     /// [`relcheck_bdd::order`] against the per-column access weights the
     /// [`crate::index::LogicalDatabase`] records while compiling atoms,
@@ -68,7 +64,6 @@ impl OrderingStrategy {
             OrderingStrategy::MaxInfGain => "max-inf-gain",
             OrderingStrategy::ProbConverge => "prob-converge",
             OrderingStrategy::MinCondEntropy => "min-cond-entropy",
-            OrderingStrategy::Sifted => "sifted",
             OrderingStrategy::Adaptive => "adaptive",
         }
     }
@@ -86,7 +81,6 @@ impl OrderingStrategy {
             OrderingStrategy::MaxInfGain => 3,
             OrderingStrategy::ProbConverge => 4,
             OrderingStrategy::MinCondEntropy => 5,
-            OrderingStrategy::Sifted => 6,
             OrderingStrategy::Adaptive => 7,
         }
     }
@@ -99,12 +93,6 @@ impl OrderingStrategy {
             OrderingStrategy::MaxInfGain => max_inf_gain(rel),
             OrderingStrategy::ProbConverge => prob_converge(rel, dom_sizes),
             OrderingStrategy::MinCondEntropy => min_cond_entropy(rel),
-            OrderingStrategy::Sifted => {
-                let seed = prob_converge(rel, dom_sizes);
-                sift_ordering(rel, dom_sizes, &seed)
-                    .map(|(o, _)| o)
-                    .unwrap_or(seed)
-            }
             // Without workload weights (this signature has none) Adaptive
             // degrades to the paper's recommended static heuristic; the
             // weight-aware path lives in `LogicalDatabase::build_index`,
@@ -211,49 +199,6 @@ pub fn prob_converge(rel: &Relation, dom_sizes: &[u64]) -> Vec<usize> {
     greedy(rel, |cols, sizes, _| {
         stats::phi_of_sizes(sizes, cols, dom_sizes)
     })
-}
-
-/// Attribute-level sifting (our extension): Rudell's dynamic-reordering
-/// idea [13 in the paper], adapted to this system. The paper rejects
-/// node-level dynamic reordering as too expensive and requiring the BDD to
-/// exist first; but at the *attribute* granularity with our sorted-tuple
-/// constructor, trying a candidate ordering is a fast rebuild — so sifting
-/// becomes practical: repeatedly move each attribute to its best position
-/// (holding the rest fixed) until no move improves the node count.
-///
-/// `start` seeds the search (use [`prob_converge`]'s output); the result is
-/// never worse than the seed. Cost: O(arity²) rebuilds per round.
-pub fn sift_ordering(
-    rel: &Relation,
-    dom_sizes: &[u64],
-    start: &[usize],
-) -> Result<(Vec<usize>, usize)> {
-    let mut best = start.to_vec();
-    let mut best_size = bdd_size_for_ordering(rel, dom_sizes, &best)?;
-    loop {
-        let mut improved = false;
-        for attr in 0..rel.arity() {
-            let cur_pos = best.iter().position(|&c| c == attr).expect("permutation");
-            for new_pos in 0..best.len() {
-                if new_pos == cur_pos {
-                    continue;
-                }
-                let mut cand = best.clone();
-                let v = cand.remove(cur_pos);
-                cand.insert(new_pos, v);
-                let size = bdd_size_for_ordering(rel, dom_sizes, &cand)?;
-                if size < best_size {
-                    best = cand;
-                    best_size = size;
-                    improved = true;
-                    break; // re-anchor this attribute at its new position
-                }
-            }
-        }
-        if !improved {
-            return Ok((best, best_size));
-        }
-    }
 }
 
 /// A seeded random permutation of the columns (Fisher–Yates over a
@@ -462,30 +407,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sifting_never_hurts_and_can_recover_from_bad_seeds() {
-        let g = gen_kprod(5, 32, 3000, 1, 21);
-        let (_, opt) = optimal_ordering(&g.relation, &g.dom_sizes).unwrap();
-        // Seeded from Prob-Converge: at least as good as the seed.
-        let pc = prob_converge(&g.relation, &g.dom_sizes);
-        let pc_size = bdd_size_for_ordering(&g.relation, &g.dom_sizes, &pc).unwrap();
-        let (sifted, sifted_size) = sift_ordering(&g.relation, &g.dom_sizes, &pc).unwrap();
-        assert!(sifted_size <= pc_size);
-        let mut check = sifted.clone();
-        check.sort_unstable();
-        assert_eq!(check, (0..5).collect::<Vec<_>>());
-        // Seeded from the literal MaxInf-Gain (often terrible on 1-PROD):
-        // sifting must close most of the gap to optimal.
-        let mig = max_inf_gain(&g.relation);
-        let mig_size = bdd_size_for_ordering(&g.relation, &g.dom_sizes, &mig).unwrap();
-        let (_, rescued) = sift_ordering(&g.relation, &g.dom_sizes, &mig).unwrap();
-        assert!(rescued <= mig_size);
-        assert!(
-            (rescued as f64) <= 1.5 * opt as f64,
-            "sifting from {mig_size} should land near optimal {opt}, got {rescued}"
-        );
-    }
-
     /// The definition `prob_converge` must meet: grow the prefix by the
     /// first column, in column order, that minimizes `phi_measure` of the
     /// extended prefix.
@@ -609,11 +530,31 @@ mod tests {
             OrderingStrategy::MaxInfGain,
             OrderingStrategy::ProbConverge,
             OrderingStrategy::MinCondEntropy,
-            OrderingStrategy::Sifted,
         ] {
             let mut o = s.order(&g.relation, &g.dom_sizes);
             o.sort_unstable();
             assert_eq!(o, vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn strategy_fingerprints_are_pinned() {
+        // Schema fingerprints, store ordering tags and certificates fold
+        // these values in, so a renumbering would invalidate every one.
+        let pinned = [
+            (OrderingStrategy::Schema, 1),
+            (OrderingStrategy::Random(0), 2),
+            (
+                OrderingStrategy::Random(3),
+                2u64.wrapping_add(3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            ),
+            (OrderingStrategy::MaxInfGain, 3),
+            (OrderingStrategy::ProbConverge, 4),
+            (OrderingStrategy::MinCondEntropy, 5),
+            (OrderingStrategy::Adaptive, 7),
+        ];
+        for (strategy, fp) in pinned {
+            assert_eq!(strategy.fingerprint(), fp, "{}", strategy.name());
         }
     }
 }

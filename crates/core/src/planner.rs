@@ -11,8 +11,7 @@
 //! 3. `refutation-nnf` (validity only): negate and renormalize, so the BDD
 //!    built is the *violation set* rather than a near-complement;
 //! 4. `forall-pushdown` (R4 / Rule 5): distribute universal blocks over
-//!    conjunctions, **cost-gated** on `relstore::stats` cardinalities
-//!    ([`pushdown_pays_off`]).
+//!    conjunctions, **cost-gated** on `relstore::stats` cardinalities.
 //!
 //! Nothing here touches a BDD manager: planning is pure and total, which is
 //! what makes plans deterministic and `relcheck plan` side-effect free. The

@@ -1,11 +1,12 @@
 //! Workload-driven decision policy: the telemetry loop, closed.
 //!
 //! This module holds the routing rules that need more than one line —
-//! BDD-vs-SQL routing ([`bdd_route_allowed`], which the planner calls),
+//! BDD-vs-SQL routing ([`bdd_route_allowed`], which the planner calls) and
 //! admission shedding ([`admission_should_shed`], which [`crate::serve`]
-//! calls) and adaptive ordering selection ([`choose_ordering`], which
-//! [`crate::index::LogicalDatabase::build_index`] calls) — and feeds the
-//! routing and apply-cache decisions back from observed telemetry. The
+//! calls) — and feeds the routing and apply-cache decisions back from
+//! observed telemetry. The adaptive ordering pick is
+//! [`relcheck_bdd::order::choose`], the rule
+//! [`crate::index::LogicalDatabase::build_index`] applies too. The
 //! one-line rules stay at their only callers: a shed check skips the BDD
 //! rungs in [`Checker::check`], and [`Checker::new`] takes the apply-cache
 //! size from `CheckerOptions::apply_cache_slots` or
@@ -293,8 +294,8 @@ impl WorkloadProfile {
         WorkloadProfile::from_bytes(&bytes).map(Some)
     }
 
-    /// Persist the profile with the store's atomic discipline
-    /// ([`crate::store::write_atomic`]): a crash at any point leaves
+    /// Persist the profile with the index store's atomic discipline
+    /// (write a temporary file, fsync, rename): a crash at any point leaves
     /// either the old profile or the new one, never a torn file at the
     /// final path.
     pub fn save(&self, dir: &Path) -> Result<()> {
@@ -383,29 +384,6 @@ pub fn admission_should_shed(
     shed_threshold: Duration,
 ) -> bool {
     depth > queue_depth / 2 || last_latency >= shed_threshold
-}
-
-/// The adaptive ordering selection rule: score the static order (first,
-/// so ties defer to it) and the weight-derived candidate shapes against
-/// the recorded column weights, pick the cheapest. Used by
-/// [`crate::index::LogicalDatabase::build_index`] *and* by [`advise`], so
-/// the advisor predicts exactly the pick a rebuild would make.
-pub fn choose_ordering(
-    static_order: Vec<usize>,
-    weights: &[u64],
-    bits: &[u32],
-) -> (&'static str, Vec<usize>) {
-    let mut cands = vec![("static", static_order)];
-    cands.extend(order::candidates(weights));
-    let mut best: Option<(&'static str, Vec<usize>, u128)> = None;
-    for (cand, ord) in cands {
-        let cost = order::score(&ord, weights, bits);
-        if best.as_ref().is_none_or(|(_, _, b)| cost < *b) {
-            best = Some((cand, ord, cost));
-        }
-    }
-    let (picked, ord, _) = best.expect("static candidate always present");
-    (picked, ord)
 }
 
 // ---------------------------------------------------------------------------
@@ -563,7 +541,7 @@ pub fn advise(
         let mut weights = prof.weights.clone();
         weights.resize(rel.arity(), 0);
         let static_order = checker.options().ordering.order(&rel, &dom_sizes);
-        let (ordering, best_order) = choose_ordering(static_order, &weights, &bits);
+        let (ordering, best_order) = order::choose(static_order, &weights, &bits);
         let traverse = order::score(&best_order, &weights, &bits);
         let build: u128 = if prof.index_nodes > 0 {
             prof.index_nodes as u128

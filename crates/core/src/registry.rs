@@ -157,31 +157,6 @@ impl ConstraintRegistry {
         Ok(out)
     }
 
-    /// [`ConstraintRegistry::validate_all`] spread across `threads` worker
-    /// threads via [`Checker::check_all_parallel`]: constraints are batched
-    /// by the relations they read, each worker checks its batch on a
-    /// private BDD manager, and the merged reports (identical verdicts, in
-    /// registration order) refresh the cache exactly as the serial pass
-    /// would.
-    pub fn validate_all_parallel(
-        &mut self,
-        checker: &mut Checker,
-        threads: usize,
-    ) -> Result<Vec<(String, CheckReport)>> {
-        let constraints: Vec<(String, Formula)> = self
-            .entries
-            .iter()
-            .map(|e| (e.name.clone(), e.formula.clone()))
-            .collect();
-        let reports = checker.check_all_parallel(&constraints, threads)?;
-        let epoch = checker.epoch();
-        for (e, (_, r)) in self.entries.iter_mut().zip(&reports) {
-            e.last = r.verdict.is_decided().then_some(r.holds);
-            e.validated_epoch = epoch;
-        }
-        Ok(reports)
-    }
-
     /// Re-check entry `i` if it is dirty with respect to `touched` (or
     /// epoch-stale, or never validated); otherwise return its cached
     /// verdict untouched.
@@ -244,28 +219,6 @@ impl ConstraintRegistry {
         };
         let touched: HashSet<&str> = touched.iter().copied().collect();
         self.revalidate_entry(checker, i, &touched).map(Some)
-    }
-
-    /// Apply a batch of tuple deltas through the persistent store's
-    /// journaled incremental-maintenance path, then revalidate exactly
-    /// the constraints reading a touched relation. Each delta is durable
-    /// (journal-first with fsync) before it is applied, so a crash
-    /// between the apply and the next check loses no acknowledged
-    /// update — the next warm start replays the journal.
-    pub fn revalidate_after_deltas(
-        &mut self,
-        checker: &mut Checker,
-        store: &mut crate::store::IndexStore,
-        deltas: &[(String, crate::store::Delta)],
-    ) -> Result<Vec<(String, Verdict)>> {
-        let mut touched: Vec<&str> = Vec::new();
-        for (relation, delta) in deltas {
-            store.journaled_apply(checker, relation, delta)?;
-            if !touched.contains(&relation.as_str()) {
-                touched.push(relation);
-            }
-        }
-        self.revalidate(checker, &touched)
     }
 
     /// The registered `(name, formula)` pairs in registration order —

@@ -219,10 +219,6 @@ pub struct ServeEngine {
     /// profiles keep their per-relation routing attribution (the
     /// post-baseline protocol returns [`Verdict`]s, not reports).
     baseline: Vec<(String, CheckReport)>,
-    /// The session's workload profile, re-recorded (replaced, never
-    /// merged — manager counters are cumulative, see
-    /// [`WorkloadProfile::record`]) on every `advise`.
-    profile: WorkloadProfile,
     /// Counters from the most recent advise, `None` until one runs.
     policy: Option<PolicyMetrics>,
     /// How many advise passes the session ran.
@@ -251,7 +247,6 @@ impl ServeEngine {
             audit: AuditMetrics::default(),
             journal_retries: 0,
             baseline: Vec::new(),
-            profile: WorkloadProfile::default(),
             policy: None,
             readvises: 0,
         };
@@ -266,7 +261,6 @@ impl ServeEngine {
         let reports = engine.registry.validate_all(&mut engine.checker)?;
         engine.stats.full_ns = start.elapsed().as_nanos() as u64;
         engine.baseline = reports.clone();
-        engine.profile = WorkloadProfile::record(&engine.checker, constraints, &engine.baseline);
         Ok((engine, reports))
     }
 
@@ -342,19 +336,18 @@ impl ServeEngine {
         Ok(outcome)
     }
 
-    /// Re-record the workload profile from the live checker (replacing
-    /// the previous recording) and apply the cost-model advisor's
+    /// Record the workload profile from the live checker (afresh each
+    /// time, never merged — manager counters are cumulative, see
+    /// [`WorkloadProfile::record`]) and apply the cost-model advisor's
     /// routing advice. Any route change bumps the checker epoch, so
     /// cached verdicts reading a re-routed relation retire on the next
     /// check — advising never changes a verdict, only how it is reached.
     pub fn advise_now(&mut self) -> Result<(crate::policy::Advice, crate::policy::AppliedAdvice)> {
-        self.profile =
+        let profile =
             WorkloadProfile::record(&self.checker, &self.registry.constraints(), &self.baseline);
-        let (advice, applied) = self
-            .registry
-            .apply_policy(&mut self.checker, &self.profile)?;
+        let (advice, applied) = self.registry.apply_policy(&mut self.checker, &profile)?;
         self.readvises += 1;
-        let mut metrics = advice.metrics(&self.profile, Some(&applied));
+        let mut metrics = advice.metrics(&profile, Some(&applied));
         metrics.readvises = self.readvises;
         self.policy = Some(metrics);
         Ok((advice, applied))
@@ -659,11 +652,6 @@ impl ServeEngine {
     /// until one runs) — the metrics document's `policy` block.
     pub fn policy_metrics(&self) -> Option<PolicyMetrics> {
         self.policy
-    }
-
-    /// The session's most recently recorded workload profile.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
     }
 
     /// Cap the number of witness tuples each certificate carries

@@ -7,7 +7,6 @@
 
 use relcheck_core::checker::{Checker, CheckerOptions, Method};
 use relcheck_core::ordering::OrderingStrategy;
-use relcheck_core::registry::ConstraintRegistry;
 use relcheck_datagen::customer::{generate, CustomerConfig};
 use relcheck_datagen::gen_kprod;
 use relcheck_logic::{parse, Formula};
@@ -104,7 +103,6 @@ fn parallel_matches_serial_on_customer_data_across_strategies() {
         OrderingStrategy::MaxInfGain,
         OrderingStrategy::ProbConverge,
         OrderingStrategy::MinCondEntropy,
-        OrderingStrategy::Sifted,
     ];
     for strategy in strategies {
         let opts = CheckerOptions {
@@ -207,33 +205,6 @@ fn lanes_fall_back_to_sql_independently() {
             assert_reports_match(&want, &got, &format!("round={round}/threads={threads}"));
         }
     }
-}
-
-#[test]
-fn registry_parallel_validation_matches_serial_and_caches() {
-    let db = customer_db(1_000, 0.02);
-    let battery = customer_battery();
-    let mut serial_reg = ConstraintRegistry::new();
-    let mut parallel_reg = ConstraintRegistry::new();
-    for (name, f) in &battery {
-        assert!(serial_reg.register(name, f.clone()));
-        assert!(parallel_reg.register(name, f.clone()));
-    }
-    let mut serial_ck = Checker::new(db.clone(), CheckerOptions::default());
-    let want = serial_reg.validate_all(&mut serial_ck).unwrap();
-    let mut parallel_ck = Checker::new(db, CheckerOptions::default());
-    let got = parallel_reg
-        .validate_all_parallel(&mut parallel_ck, 4)
-        .unwrap();
-    assert_reports_match(&want, &got, "registry");
-    // The cache is refreshed exactly as the serial pass would.
-    assert_eq!(serial_reg.cached(), parallel_reg.cached());
-    // And a follow-up revalidation with no touched relations serves
-    // everything from that cache.
-    let verdicts = parallel_reg.revalidate(&mut parallel_ck, &[]).unwrap();
-    assert!(verdicts
-        .iter()
-        .all(|(_, v)| matches!(v, relcheck_core::registry::Verdict::Cached { .. })));
 }
 
 #[test]

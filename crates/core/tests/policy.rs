@@ -7,8 +7,8 @@
 //!
 //! * serial — [`ConstraintRegistry::validate_all`] before and after
 //!   [`ConstraintRegistry::apply_policy`];
-//! * parallel — [`ConstraintRegistry::validate_all_parallel`] with two
-//!   worker lanes against the advised serial baseline;
+//! * parallel — [`Checker::check_all_parallel`] with two worker lanes
+//!   after the advice is applied, against the static serial baseline;
 //! * serve — a randomized SplitMix64-seeded delta script with periodic
 //!   `advise` calls under armed failpoints, diffed against a cold
 //!   fault-free re-check of the shadow row-set.
@@ -215,7 +215,7 @@ fn parallel_advised_verdicts_match_static() {
         );
         let mut reg = registry();
         reg.apply_policy(&mut ck, &profile).unwrap();
-        let reports = reg.validate_all_parallel(&mut ck, 2).unwrap();
+        let reports = ck.check_all_parallel(&reg.constraints(), 2).unwrap();
         assert_eq!(
             static_sig,
             signature(&reports),

@@ -683,9 +683,8 @@ fn registry_revalidates_exactly_the_touched_constraints() {
     // One durable delta to CUST: the CUST-reading constraints re-check
     // (the rogue row is gone, so cust-in-ref now holds)…
     let del = Delta::Delete(vec![Raw::str("Toronto"), Raw::Int(212)]);
-    let round = reg
-        .revalidate_after_deltas(&mut ck, &mut store, &[("CUST".to_owned(), del)])
-        .unwrap();
+    store.journaled_apply(&mut ck, "CUST", &del).unwrap();
+    let round = reg.revalidate(&mut ck, &["CUST"]).unwrap();
     let by_name: std::collections::HashMap<_, _> = round.into_iter().collect();
     assert!(matches!(
         by_name["cust-in-ref"],

@@ -168,19 +168,6 @@ pub fn product(left: &Relation, right: &Relation) -> Result<Relation> {
     Ok(Relation::concat_rows(left, right, &all))
 }
 
-/// Group-by count over the listed columns: distinct keys with multiplicity.
-pub fn group_count(rel: &Relation, cols: &[usize]) -> Result<HashMap<Vec<u32>, usize>> {
-    for &c in cols {
-        check_col(rel, c)?;
-    }
-    let mut groups: HashMap<Vec<u32>, usize> = HashMap::new();
-    for row in rel.rows() {
-        let key: Vec<u32> = cols.iter().map(|&c| row[c]).collect();
-        *groups.entry(key).or_insert(0) += 1;
-    }
-    Ok(groups)
-}
-
 /// The rows violating the functional dependency `lhs → rhs`: every row whose
 /// `lhs` group maps to more than one distinct `rhs` value. This is the SQL
 /// group-by/having formulation the paper benchmarks in Figure 5(b).
@@ -315,14 +302,6 @@ mod tests {
         let p = product(&a, &b).unwrap();
         assert_eq!(p.len(), 6);
         assert_eq!(p.arity(), 4);
-    }
-
-    #[test]
-    fn group_count_counts() {
-        let r = rel(vec![vec![1, 2], vec![1, 3], vec![2, 2]]);
-        let g = group_count(&r, &[0]).unwrap();
-        assert_eq!(g[&vec![1]], 2);
-        assert_eq!(g[&vec![2]], 1);
     }
 
     #[test]

@@ -384,45 +384,6 @@ fn csv_store_error(relation: &str, e: CsvError) -> StoreError {
     }
 }
 
-/// Render a relation back to CSV (decoded through the database's
-/// dictionaries, with a header row of column names). Strings are quoted
-/// whenever they contain a delimiter, quote, or newline — and always when
-/// they would otherwise parse as an integer, so a load→export→load cycle
-/// preserves types.
-pub fn to_csv(db: &Database, rel: &Relation) -> String {
-    fn field(raw: &Raw) -> String {
-        match raw {
-            Raw::Int(i) => i.to_string(),
-            Raw::Str(s) => {
-                let needs_quotes = s.contains([',', '"', '\n', '\r'])
-                    || s.trim().parse::<i64>().is_ok()
-                    || s.trim() != s.as_str();
-                if needs_quotes {
-                    format!("\"{}\"", s.replace('"', "\"\""))
-                } else {
-                    s.clone()
-                }
-            }
-        }
-    }
-    let mut out = String::new();
-    let names: Vec<&str> = rel
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| c.name.as_str())
-        .collect();
-    out.push_str(&names.join(","));
-    out.push('\n');
-    for i in 0..rel.len() {
-        let decoded = db.decode_row(rel, &rel.row(i));
-        let cells: Vec<String> = decoded.iter().map(field).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,44 +526,6 @@ mod tests {
             2,
             "header skipped before dictionary encoding"
         );
-    }
-
-    #[test]
-    fn export_round_trips_through_loader() {
-        let mut db = Database::new();
-        db.create_relation_from_csv(
-            "r",
-            &[("city", "city"), ("code", "code"), ("note", "note")],
-            "\"New York, NY\",212,\"said \"\"hi\"\"\"\nToronto,416,\"416\"\n",
-            false,
-        )
-        .unwrap();
-        let rel = db.relation("r").unwrap().clone();
-        let text = to_csv(&db, &rel);
-        // Reload under fresh names; contents must survive exactly.
-        let mut db2 = Database::new();
-        db2.create_relation_from_csv(
-            "r2",
-            &[("city", "city"), ("code", "code"), ("note", "note")],
-            &text,
-            true, // the export added a header
-        )
-        .unwrap();
-        let rel2 = db2.relation("r2").unwrap();
-        assert_eq!(rel2.len(), rel.len());
-        let decode_all = |db: &Database, rel: &Relation| -> Vec<Vec<Raw>> {
-            let mut rows: Vec<Vec<Raw>> = (0..rel.len())
-                .map(|i| db.decode_row(rel, &rel.row(i)))
-                .collect();
-            rows.sort();
-            rows
-        };
-        assert_eq!(decode_all(&db, &rel), decode_all(&db2, rel2));
-        // The quoted "416" stayed a string, the bare 416 stayed an int.
-        let flat: Vec<Vec<Raw>> = decode_all(&db, &rel);
-        assert!(flat
-            .iter()
-            .any(|r| r[1] == Raw::Int(416) && r[2] == Raw::str("416")));
     }
 
     #[test]

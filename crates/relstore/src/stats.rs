@@ -1,9 +1,9 @@
 //! Information-theoretic statistics over relations (paper, Section 3).
 //!
-//! Implements Definition 1 — entropy `H(v̄)`, conditional entropy
-//! `H(v′|v̄)`, information gain `I(v̄; v′)` — and the Φ measure of
-//! Section 3.2. These drive the `MaxInf-Gain` and `Prob-Converge` variable-
-//! ordering heuristics in `relcheck-core`.
+//! Implements the entropy `H(v̄)` of Definition 1 — conditional entropy and
+//! information gain follow from it by the chain rule — and the Φ measure
+//! of Section 3.2. These drive the `MaxInf-Gain` and `Prob-Converge`
+//! variable-ordering heuristics in `relcheck-core`.
 //!
 //! On the Φ measure: the paper writes `Φ(v̄) = Σ φ log φ` and asks for
 //! orderings under which Φ "converges as rapidly as possible to 0", i.e.
@@ -209,21 +209,6 @@ pub fn entropy(rel: &Relation, cols: &[usize]) -> f64 {
     entropy_of_sizes(&group_sizes(rel, cols), rel.len())
 }
 
-/// Conditional entropy `H(target | given) = H(given ∪ target) − H(given)`
-/// (chain rule).
-pub fn cond_entropy(rel: &Relation, given: &[usize], target: usize) -> f64 {
-    let mut all = given.to_vec();
-    all.push(target);
-    (entropy(rel, &all) - entropy(rel, given)).max(0.0)
-}
-
-/// Information gain `I(given; target) = H(given) − H(target | given)` —
-/// exactly Definition 1 of the paper (note this is *not* symmetric mutual
-/// information; it follows the paper's formula).
-pub fn info_gain(rel: &Relation, given: &[usize], target: usize) -> f64 {
-    entropy(rel, given) - cond_entropy(rel, given, target)
-}
-
 /// The Φ measure of Section 3.2, in the expected-residual-uncertainty
 /// reading (see module docs): the mean, over a uniformly random prefix
 /// cell `x̄ ∈ dom(v̄)`, of the binary entropy of the membership probability
@@ -311,24 +296,6 @@ mod tests {
         ]);
         assert!(entropy(&r, &[0, 1]) >= entropy(&r, &[0]) - 1e-12);
         assert!(entropy(&r, &[0, 1]) >= entropy(&r, &[1]) - 1e-12);
-    }
-
-    #[test]
-    fn cond_entropy_zero_when_functionally_determined() {
-        // col1 = col0 mod 2 → H(col1 | col0) = 0.
-        let rows: Vec<Vec<u32>> = (0..8).map(|i| vec![i, i % 2]).collect();
-        let r = rel(rows);
-        assert!(cond_entropy(&r, &[0], 1).abs() < 1e-12);
-        // But H(col0 | col1) > 0: col1 doesn't determine col0.
-        assert!(cond_entropy(&r, &[1], 0) > 1.0);
-    }
-
-    #[test]
-    fn info_gain_matches_definition() {
-        let r = rel(vec![vec![0, 0], vec![0, 1], vec![1, 2], vec![1, 3]]);
-        let ig = info_gain(&r, &[0], 1);
-        let manual = entropy(&r, &[0]) - (entropy(&r, &[0, 1]) - entropy(&r, &[0]));
-        assert!((ig - manual).abs() < 1e-12);
     }
 
     #[test]

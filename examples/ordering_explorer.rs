@@ -9,7 +9,7 @@
 
 use relcheck::core_::ordering::{
     all_orderings, bdd_size_for_ordering, max_inf_gain, min_cond_entropy, optimal_ordering,
-    prob_converge, random_order, sift_ordering,
+    prob_converge, random_order,
 };
 use relcheck::datagen::gen_kprod;
 
@@ -45,12 +45,9 @@ fn main() {
         "{:<22} {:>10} {:>8} {:>6}",
         "strategy", "ordering", "nodes", "rank"
     );
-    let pc = prob_converge(&g.relation, &g.dom_sizes);
-    let (sifted, _) = sift_ordering(&g.relation, &g.dom_sizes, &pc).unwrap();
     for (name, order) in [
         ("optimal (exhaustive)", opt_order.clone()),
-        ("Prob-Converge", pc.clone()),
-        ("PC + sifting (ours)", sifted),
+        ("Prob-Converge", prob_converge(&g.relation, &g.dom_sizes)),
         ("MaxInf-Gain (Fig 1)", max_inf_gain(&g.relation)),
         ("MinCondEntropy (ours)", min_cond_entropy(&g.relation)),
         ("random (seed 5)", random_order(5, 5)),

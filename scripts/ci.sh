@@ -2,12 +2,12 @@
 # Offline CI gate for the relcheck workspace.
 #
 # Runs the tier-1 verification (release build + root test suite) plus the
-# full workspace tests, formatting, and lint checks. Everything here works
+# full workspace tests, docs, formatting, and lint checks. Everything here works
 # without network access: the workspace has no external dependencies and
 # CARGO_NET_OFFLINE is forced below as a belt-and-braces guard.
 #
 # Usage: scripts/ci.sh [--quick]
-#   --quick   skip the workspace and perfbench test passes (tier-1 + fmt + clippy only)
+#   --quick   skip the workspace and perfbench test passes
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -652,6 +652,11 @@ for out in "$FIG3_A" "$FIG3_B"; do
         --tuples 2000 --relations 3 >"$out"
 done
 cmp "$FIG3_A" "$FIG3_B"
+
+step "docs (cargo doc, warnings denied)"
+# A public doc that links a private item, or an intra-doc link that no
+# longer resolves, fails here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step "formatting (cargo fmt --check)"
 cargo fmt --all --check

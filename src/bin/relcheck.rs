@@ -26,8 +26,8 @@
 //! `--sql`), prints a report, lists up to `--limit` violating tuples per
 //! violated constraint, and exits non-zero if anything is violated.
 //! Orderings: `prob-converge` (default), `max-inf-gain`, `min-cond-entropy`,
-//! `sifted`, `adaptive` (workload-scored, falls back to `prob-converge`
-//! before any check has run), `schema`, `random`. With `--threads N` (N > 1) the constraint
+//! `adaptive` (workload-scored, falls back to `prob-converge` before any
+//! check has run), `schema`, `random`. With `--threads N` (N > 1) the constraint
 //! set is checked on N worker threads, each with its own BDD manager;
 //! verdicts are identical to the serial pass. `--metrics PATH` enables
 //! telemetry and writes the machine-readable run report (the schema in
@@ -185,11 +185,103 @@ fn run(args: &[String]) -> Result<bool, String> {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// One subcommand's arguments, checked against the flags its usage line
+/// lists, so a mistyped flag is an error instead of a silent default.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Split `args` into positionals and flags. Each flag listed in
+    /// `value_flags` (whitespace-separated) takes the next argument as its
+    /// value, and each listed in `switches` none. Any other `--` argument,
+    /// a value flag with no value after it, or more than `max_positional`
+    /// positionals (paths, names, `+REL:…` / `-REL:…` deltas) is an error
+    /// that names the argument.
+    fn parse(
+        args: &'a [String],
+        value_flags: &str,
+        switches: &str,
+        max_positional: usize,
+    ) -> Result<Self, String> {
+        let mut out = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut iter = args.iter().map(String::as_str).peekable();
+        while let Some(arg) = iter.next() {
+            if !arg.starts_with("--") {
+                if out.positional.len() == max_positional {
+                    return Err(format!("unexpected argument {arg:?}\n{}", usage()));
+                }
+                out.positional.push(arg);
+            } else if switches.split_whitespace().any(|f| f == arg) {
+                out.flags.push((arg, None));
+            } else if value_flags.split_whitespace().any(|f| f == arg) {
+                let value = iter
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{arg} expects a value"))?;
+                out.flags.push((arg, Some(value)));
+            } else {
+                return Err(format!("unknown flag {arg}\n{}", usage()));
+            }
+        }
+        Ok(out)
+    }
+
+    /// The `i`-th positional argument; its absence is a usage error.
+    fn positional(&self, i: usize) -> Result<&'a str, String> {
+        self.positional.get(i).copied().ok_or_else(usage)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|&(_, v)| v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value of a numeric flag, if it was given.
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{flag} expects a number, got {v:?}"))
+            })
+            .transpose()
+    }
+
+    /// `--ordering`, Prob-Converge when absent.
+    fn ordering(&self) -> Result<OrderingStrategy, String> {
+        self.value("--ordering")
+            .map_or(Ok(OrderingStrategy::ProbConverge), ordering_from)
+    }
+
+    /// `--fail-spec` armed with `--fail-seed` (default 0), if given.
+    fn arm_failpoints(&self) -> Result<(), String> {
+        let seed = self.number("--fail-seed")?.unwrap_or(0);
+        if let Some(spec) = self.value("--fail-spec") {
+            relcheck::bdd::failpoint::configure_spec(spec, seed)
+                .map_err(|e| format!("--fail-spec: {e}"))?;
+            // Injected panics are caught and folded into verdicts; keep
+            // the default hook from spraying backtraces for faults we
+            // asked for.
+            std::panic::set_hook(Box::new(|_| {}));
+        }
+        Ok(())
+    }
+
+    fn witness_limit(&self) -> Result<usize, String> {
+        Ok(self
+            .number("--witness-limit")?
+            .unwrap_or(DEFAULT_WITNESS_LIMIT))
+    }
 }
 
 fn ordering_from(name: &str) -> Result<OrderingStrategy, String> {
@@ -197,7 +289,6 @@ fn ordering_from(name: &str) -> Result<OrderingStrategy, String> {
         "prob-converge" => OrderingStrategy::ProbConverge,
         "max-inf-gain" => OrderingStrategy::MaxInfGain,
         "min-cond-entropy" => OrderingStrategy::MinCondEntropy,
-        "sifted" => OrderingStrategy::Sifted,
         "adaptive" => OrderingStrategy::Adaptive,
         "schema" => OrderingStrategy::Schema,
         "random" => OrderingStrategy::Random(0xBDD),
@@ -253,34 +344,29 @@ fn load_with(spec_path: &str, verbose: bool) -> Result<(Spec, Database), String>
 }
 
 fn cmd_run(args: &[String]) -> Result<bool, String> {
-    let spec_path = args.first().ok_or_else(usage)?;
-    let limit: usize = flag_value(args, "--limit")
-        .map(|v| v.parse().map_err(|_| "--limit expects a number".to_owned()))
-        .transpose()?
-        .unwrap_or(10);
-    let force_sql = args.iter().any(|a| a == "--sql");
-    let ordering = match flag_value(args, "--ordering") {
-        Some(name) => ordering_from(name)?,
-        None => OrderingStrategy::ProbConverge,
-    };
-    let threads: usize = flag_value(args, "--threads")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--threads expects a number".to_owned())
-        })
-        .transpose()?
-        .unwrap_or(1);
+    let args = Args::parse(
+        args,
+        "--limit --ordering --threads --metrics --deadline-ms --index-cache --route \
+         --fail-spec --fail-seed --certify --witness-limit",
+        "--sql",
+        1,
+    )?;
+    let spec_path = args.positional(0)?;
+    let limit: usize = args.number("--limit")?.unwrap_or(10);
+    let force_sql = args.has("--sql");
+    let ordering = args.ordering()?;
+    let threads: usize = args.number("--threads")?.unwrap_or(1);
     if threads == 0 {
         return Err("--threads expects at least 1".to_owned());
     }
     if force_sql && threads > 1 {
         return Err("--sql and --threads cannot be combined".to_owned());
     }
-    let index_cache = flag_value(args, "--index-cache").map(str::to_owned);
+    let index_cache = args.value("--index-cache").map(str::to_owned);
     if force_sql && index_cache.is_some() {
         return Err("--sql and --index-cache cannot be combined".to_owned());
     }
-    let route_auto = match flag_value(args, "--route") {
+    let route_auto = match args.value("--route") {
         Some("auto") => true,
         Some("static") | None => false,
         Some(other) => return Err(format!("--route expects auto or static, got {other:?}")),
@@ -288,31 +374,13 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     if force_sql && route_auto {
         return Err("--sql and --route auto cannot be combined".to_owned());
     }
-    let metrics_path = flag_value(args, "--metrics").map(str::to_owned);
-    let certify_path = flag_value(args, "--certify").map(str::to_owned);
-    let witness_limit = parse_witness_limit(args)?;
-    let deadline = flag_value(args, "--deadline-ms")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| "--deadline-ms expects a number of milliseconds".to_owned())
-        })
-        .transpose()?
+    let metrics_path = args.value("--metrics").map(str::to_owned);
+    let certify_path = args.value("--certify").map(str::to_owned);
+    let witness_limit = args.witness_limit()?;
+    let deadline = args
+        .number("--deadline-ms")?
         .map(std::time::Duration::from_millis);
-    let fail_seed: u64 = flag_value(args, "--fail-seed")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--fail-seed expects a number".to_owned())
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if let Some(spec) = flag_value(args, "--fail-spec") {
-        relcheck::bdd::failpoint::configure_spec(spec, fail_seed)
-            .map_err(|e| format!("--fail-spec: {e}"))?;
-        // Injected lane panics are caught and folded into `ERRORED`
-        // verdicts; keep the default hook from spraying backtraces for
-        // faults we asked for.
-        std::panic::set_hook(Box::new(|_| {}));
-    }
+    args.arm_failpoints()?;
     if force_sql && certify_path.is_some() {
         // Certificate witnesses come off the violation BDD; a pure-SQL
         // run has none to enumerate from.
@@ -536,16 +604,6 @@ fn print_report_line(name: &str, report: &CheckReport) {
     }
 }
 
-fn parse_witness_limit(args: &[String]) -> Result<usize, String> {
-    flag_value(args, "--witness-limit")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--witness-limit expects a number".to_owned())
-        })
-        .transpose()
-        .map(|v| v.unwrap_or(DEFAULT_WITNESS_LIMIT))
-}
-
 /// Self-verify freshly emitted certificates with the independent naive
 /// re-checker and fold the outcomes into audit metrics. Undecided
 /// (degraded/errored) certificates are unauditable by design and count
@@ -585,16 +643,13 @@ fn cmd_audit(args: &[String]) -> Result<bool, String> {
     let rest = &args[1..];
     match sub {
         "emit" => {
-            let spec_path = rest.first().ok_or_else(usage)?;
+            let rest = Args::parse(rest, "--witness-limit --ordering", "", 2)?;
+            let spec_path = rest.positional(0)?;
             let out_path = rest
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| "audit emit: output bundle path is required".to_owned())?;
-            let witness_limit = parse_witness_limit(rest)?;
-            let ordering = match flag_value(rest, "--ordering") {
-                Some(name) => ordering_from(name)?,
-                None => OrderingStrategy::ProbConverge,
-            };
+                .positional(1)
+                .map_err(|_| "audit emit: output bundle path is required".to_owned())?;
+            let witness_limit = rest.witness_limit()?;
+            let ordering = rest.ordering()?;
             let (spec, db) = load(spec_path)?;
             if spec.constraints.is_empty() {
                 return Err("spec declares no constraints".to_owned());
@@ -644,10 +699,11 @@ fn cmd_audit(args: &[String]) -> Result<bool, String> {
             Ok(true)
         }
         "verify" => {
-            let spec_path = rest.first().ok_or_else(usage)?;
+            let rest = Args::parse(rest, "", "", 2)?;
+            let spec_path = rest.positional(0)?;
             let bundle_path = rest
-                .get(1)
-                .ok_or_else(|| "audit verify: bundle path is required".to_owned())?;
+                .positional(1)
+                .map_err(|_| "audit verify: bundle path is required".to_owned())?;
             let (spec, db) = load(spec_path)?;
             let constraints: Vec<(String, Formula)> = spec
                 .constraints
@@ -699,62 +755,39 @@ fn cmd_audit(args: &[String]) -> Result<bool, String> {
 /// `relcheck serve`: the long-lived incremental check session (see the
 /// module docs for the protocol).
 fn cmd_serve(args: &[String]) -> Result<bool, String> {
-    let spec_path = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(usage)?;
-    let ordering = match flag_value(args, "--ordering") {
-        Some(name) => ordering_from(name)?,
-        None => OrderingStrategy::ProbConverge,
-    };
-    let metrics_path = flag_value(args, "--metrics").map(str::to_owned);
-    let deadline = flag_value(args, "--deadline-ms")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| "--deadline-ms expects a number of milliseconds".to_owned())
-        })
-        .transpose()?
+    let args = Args::parse(
+        args,
+        "--index-cache --socket --ordering --metrics --deadline-ms --fail-spec --fail-seed \
+         --witness-limit --max-sessions --queue-depth --idle-timeout-ms --shed-threshold-ms",
+        "",
+        1,
+    )?;
+    let spec_path = args.positional(0)?;
+    let ordering = args.ordering()?;
+    let metrics_path = args.value("--metrics").map(str::to_owned);
+    let deadline = args
+        .number("--deadline-ms")?
         .map(std::time::Duration::from_millis);
-    let fail_seed: u64 = flag_value(args, "--fail-seed")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--fail-seed expects a number".to_owned())
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if let Some(spec) = flag_value(args, "--fail-spec") {
-        relcheck::bdd::failpoint::configure_spec(spec, fail_seed)
-            .map_err(|e| format!("--fail-spec: {e}"))?;
-        std::panic::set_hook(Box::new(|_| {}));
-    }
-    let index_cache = flag_value(args, "--index-cache").map(str::to_owned);
-    let socket = flag_value(args, "--socket").map(str::to_owned);
-    let witness_limit = parse_witness_limit(args)?;
+    args.arm_failpoints()?;
+    let index_cache = args.value("--index-cache").map(str::to_owned);
+    let socket = args.value("--socket").map(str::to_owned);
+    let witness_limit = args.witness_limit()?;
     let mut cfg = ServeConfig::default();
-    if let Some(v) = flag_value(args, "--max-sessions") {
-        cfg.max_sessions = v
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or("--max-sessions expects a number >= 1")?;
+    for (flag, slot) in [
+        ("--max-sessions", &mut cfg.max_sessions),
+        ("--queue-depth", &mut cfg.queue_depth),
+    ] {
+        if let Some(n) = args.number(flag)? {
+            if n == 0 {
+                return Err(format!("{flag} expects a number >= 1"));
+            }
+            *slot = n;
+        }
     }
-    if let Some(v) = flag_value(args, "--queue-depth") {
-        cfg.queue_depth = v
-            .parse()
-            .ok()
-            .filter(|n| *n >= 1)
-            .ok_or("--queue-depth expects a number >= 1")?;
-    }
-    if let Some(v) = flag_value(args, "--idle-timeout-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| "--idle-timeout-ms expects a number of milliseconds".to_owned())?;
+    if let Some(ms) = args.number("--idle-timeout-ms")? {
         cfg.idle_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(v) = flag_value(args, "--shed-threshold-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| "--shed-threshold-ms expects a number of milliseconds".to_owned())?;
+    if let Some(ms) = args.number("--shed-threshold-ms")? {
         cfg.shed_threshold = std::time::Duration::from_millis(ms);
     }
     // The watchdog ceiling tracks the shed trigger (a request 8x slower
@@ -1138,7 +1171,7 @@ fn serve_socket(_client: &ServeClient, _path: &str) -> Result<(), String> {
 fn cmd_connect(args: &[String]) -> Result<bool, String> {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
-    let path = args.first().ok_or_else(usage)?;
+    let path = Args::parse(args, "", "", 1)?.positional(0)?;
     let stream = UnixStream::connect(path).map_err(|e| format!("connecting {path}: {e}"))?;
     let read_half = stream
         .try_clone()
@@ -1176,29 +1209,24 @@ fn cmd_connect(_args: &[String]) -> Result<bool, String> {
 /// `repair`, `gc`, `apply` (see the module docs).
 fn cmd_index(args: &[String]) -> Result<bool, String> {
     let sub = args.first().ok_or_else(usage)?.as_str();
-    let rest = &args[1..];
+    // Only `apply` takes positionals after the spec: its deltas.
+    let max_positional = if sub == "apply" { usize::MAX } else { 1 };
+    let rest = Args::parse(
+        &args[1..],
+        "--index-cache --ordering --fail-spec --fail-seed",
+        "",
+        max_positional,
+    )?;
     let spec_path = rest
-        .first()
+        .positional(0)
+        .ok()
         .filter(|a| !a.starts_with('-') && !a.starts_with('+'))
         .ok_or_else(usage)?;
-    let dir = flag_value(rest, "--index-cache")
+    let dir = rest
+        .value("--index-cache")
         .ok_or_else(|| "index: --index-cache DIR is required".to_owned())?;
-    let ordering = match flag_value(rest, "--ordering") {
-        Some(name) => ordering_from(name)?,
-        None => OrderingStrategy::ProbConverge,
-    };
-    let fail_seed: u64 = flag_value(rest, "--fail-seed")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| "--fail-seed expects a number".to_owned())
-        })
-        .transpose()?
-        .unwrap_or(0);
-    if let Some(spec) = flag_value(rest, "--fail-spec") {
-        relcheck::bdd::failpoint::configure_spec(spec, fail_seed)
-            .map_err(|e| format!("--fail-spec: {e}"))?;
-        std::panic::set_hook(Box::new(|_| {}));
-    }
+    let ordering = rest.ordering()?;
+    rest.arm_failpoints()?;
     let (_spec, db) = load(spec_path)?;
     match sub {
         "verify" => {
@@ -1234,9 +1262,8 @@ fn cmd_index(args: &[String]) -> Result<bool, String> {
             let mut store =
                 IndexStore::open(dir).map_err(|e| format!("opening index cache {dir}: {e}"))?;
             if sub == "apply" {
-                let deltas: Vec<(String, Delta)> = rest
+                let deltas: Vec<(String, Delta)> = rest.positional[1..]
                     .iter()
-                    .filter(|a| a.starts_with('+') || (a.starts_with('-') && !a.starts_with("--")))
                     .map(|a| parse_delta(a))
                     .collect::<Result<_, _>>()?;
                 if deltas.is_empty() {
@@ -1305,7 +1332,7 @@ fn cmd_index(args: &[String]) -> Result<bool, String> {
 /// Validate a metrics JSON document against the documented schema, its
 /// per-op conservation laws, and the fleet-total = Σ worker invariant.
 fn cmd_metrics_check(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or_else(usage)?;
+    let path = Args::parse(args, "", "", 1)?.positional(0)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     validate_metrics_json(&text).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: valid metrics document");
@@ -1315,13 +1342,11 @@ fn cmd_metrics_check(args: &[String]) -> Result<(), String> {
 /// Print the compiled check plan for one constraint (or, with no name
 /// given, every constraint in the spec) without executing it.
 fn cmd_plan(args: &[String]) -> Result<(), String> {
-    let spec_path = args.first().ok_or_else(usage)?;
-    let target = args.get(1).filter(|a| !a.starts_with("--"));
-    let json = args.iter().any(|a| a == "--json");
-    let ordering = match flag_value(args, "--ordering") {
-        Some(name) => ordering_from(name)?,
-        None => OrderingStrategy::ProbConverge,
-    };
+    let args = Args::parse(args, "--ordering", "--json", 2)?;
+    let spec_path = args.positional(0)?;
+    let target = args.positional.get(1).copied();
+    let json = args.has("--json");
+    let ordering = args.ordering()?;
     // JSON mode prints exactly one machine-readable line to stdout.
     let (spec, db) = if json {
         load_quiet(spec_path)?
@@ -1340,7 +1365,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
             let c = spec
                 .constraints
                 .iter()
-                .find(|c| &c.name == name)
+                .find(|c| c.name == name)
                 .ok_or_else(|| format!("no constraint named {name:?} in the spec"))?;
             vec![c]
         }
@@ -1382,12 +1407,10 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 /// runs for a fixed recorded workload; incidental progress goes to
 /// stderr.
 fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let spec_path = args.first().ok_or_else(usage)?;
-    let ordering = match flag_value(args, "--ordering") {
-        Some(name) => ordering_from(name)?,
-        None => OrderingStrategy::ProbConverge,
-    };
-    let index_cache = flag_value(args, "--index-cache").map(str::to_owned);
+    let args = Args::parse(args, "--index-cache --ordering", "", 1)?;
+    let spec_path = args.positional(0)?;
+    let ordering = args.ordering()?;
+    let index_cache = args.value("--index-cache").map(str::to_owned);
     let (spec, db) = load_quiet(spec_path)?;
     if spec.constraints.is_empty() {
         return Err("spec declares no constraints".to_owned());
@@ -1432,13 +1455,14 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let spec_path = args.first().ok_or_else(usage)?;
-    let target = args.get(1).ok_or_else(usage)?;
+    let args = Args::parse(args, "", "", 2)?;
+    let spec_path = args.positional(0)?;
+    let target = args.positional(1)?;
     let (spec, db) = load(spec_path)?;
     let c = spec
         .constraints
         .iter()
-        .find(|c| &c.name == target)
+        .find(|c| c.name == target)
         .ok_or_else(|| format!("no constraint named {target:?} in the spec"))?;
     let mut checker = Checker::new(db, CheckerOptions::default());
     let e = checker.explain(&c.formula).map_err(|e| e.to_string())?;

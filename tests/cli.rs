@@ -124,3 +124,45 @@ fn auto_routing_over_a_format1_profile_warns_and_starts_cold() {
     assert_eq!(saved.checks, 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unknown_flags_and_missing_values_are_usage_errors() {
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/phones.spec");
+    let spec = spec.to_str().unwrap();
+    for (args, names) in [
+        (
+            vec![
+                "run",
+                spec,
+                "--limt",
+                "1",
+                "--ordring",
+                "bogus",
+                "--deadlin-ms",
+                "1",
+            ],
+            "unknown flag --limt",
+        ),
+        (vec!["run", spec, "--metrics"], "--metrics expects a value"),
+        (
+            vec!["run", spec, "--metrics", "--sql"],
+            "--metrics expects a value",
+        ),
+        (
+            vec!["plan", spec, "--ordering"],
+            "--ordering expects a value",
+        ),
+        (
+            vec!["run", spec, "--ordering", "sifted"],
+            "unknown ordering \"sifted\"",
+        ),
+        (vec!["run", spec, "extra"], "unexpected argument \"extra\""),
+    ] {
+        let out = relcheck(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+        assert!(verdicts(&out).is_empty(), "{args:?} ran the checks");
+        assert!(out.stdout.is_empty(), "{args:?} printed a plan or a report");
+    }
+}

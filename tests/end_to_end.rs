@@ -94,7 +94,6 @@ fn all_orderings_give_the_same_answers() {
         OrderingStrategy::MaxInfGain,
         OrderingStrategy::ProbConverge,
         OrderingStrategy::MinCondEntropy,
-        OrderingStrategy::Sifted,
     ] {
         let opts = CheckerOptions {
             ordering: strategy,
