@@ -842,6 +842,61 @@ mod tests {
     }
 
     #[test]
+    fn lifted_negation_witnesses_match_brute_force() {
+        // Q5's shape. Five courses and six students: neither class fills
+        // its block, so the complement of the lifted ∃k carries codes
+        // outside both domains, which the ranges must cut away. Students
+        // 2 and 3 are the violators: 2 takes no programming course, 3
+        // takes nothing.
+        let mut db = Database::new();
+        let ints = |rows: &[&[i64]]| -> Vec<Vec<Raw>> {
+            rows.iter()
+                .map(|r| r.iter().map(|&v| Raw::Int(v)).collect())
+                .collect()
+        };
+        let student = [("s", "student"), ("dept", "dept"), ("year", "year")];
+        let students: &[&[i64]] = &[
+            &[1, 1, 2007],
+            &[2, 1, 2008],
+            &[3, 1, 2007],
+            &[4, 1, 2009],
+            &[5, 2, 2008],
+            &[6, 2, 2009],
+        ];
+        db.create_relation("STUDENT", &student, ints(students))
+            .unwrap();
+        let courses: &[&[i64]] = &[&[10, 1], &[11, 2], &[12, 1], &[13, 2], &[14, 3]];
+        db.create_relation("COURSE", &[("k", "course"), ("t", "title")], ints(courses))
+            .unwrap();
+        let takes: &[&[i64]] = &[&[1, 10], &[2, 11], &[2, 14], &[4, 12], &[5, 13], &[6, 10]];
+        db.create_relation("TAKES", &[("s", "student"), ("k", "course")], ints(takes))
+            .unwrap();
+        let mut l = LogicalDatabase::new(db);
+        for rel in ["STUDENT", "COURSE", "TAKES"] {
+            l.build_index(rel, OrderingStrategy::ProbConverge).unwrap();
+        }
+        let f = parse("forall s, z. STUDENT(s, 1, z) -> exists k. (COURSE(k, 1) & TAKES(s, k))")
+            .unwrap();
+        let step = crate::planner::bdd_step(l.db(), &f, PlanOptions::default(), &mut Vec::new());
+        assert_eq!(
+            step.body,
+            parse("STUDENT(s, 1, z) & !(exists k. COURSE(k, 1) & TAKES(s, k))").unwrap(),
+            "the check compiles the lifted negation"
+        );
+        let want = brute_witnesses(l.db(), &f).unwrap();
+        assert_eq!(want.1.len(), 2, "{want:?}");
+        for options in &CONFIGS[..2] {
+            assert!(!decide(&mut l, &f, *options).unwrap(), "{options:?}");
+            assert_eq!(
+                witnesses(&mut l, &f, *options).as_ref(),
+                Some(&want),
+                "{options:?}"
+            );
+            l.gc();
+        }
+    }
+
+    #[test]
     fn repeated_variable_in_atom() {
         // R(x, x): which cities are their own... use a self-pair relation.
         let mut db = Database::new();

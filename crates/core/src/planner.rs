@@ -11,7 +11,12 @@
 //! 3. `refutation-nnf` (validity only): negate and renormalize, so the BDD
 //!    built is the *violation set* rather than a near-complement;
 //! 4. `forall-pushdown` (R4 / Rule 5): distribute universal blocks over
-//!    conjunctions, **cost-gated** on `relstore::stats` cardinalities.
+//!    conjunctions, **cost-gated** on `relstore::stats` cardinalities;
+//! 5. `negation-lift` (validity only): fold a ∀ block whose relational
+//!    atoms are all negative back into `¬∃`, so the compiler complements
+//!    one projection instead of every negated atom. It is exact by De
+//!    Morgan on every domain and adds no atom complement, so it runs
+//!    ungated.
 //!
 //! Nothing here touches a BDD manager: planning is pure and total, which is
 //! what makes plans deterministic and `relcheck plan` side-effect free. The
@@ -43,12 +48,15 @@ pub mod pass {
     pub const REFUTATION_NNF: &str = "refutation-nnf";
     /// R4: universal push-down across conjunctions.
     pub const FORALL_PUSHDOWN: &str = "forall-pushdown";
+    /// Fold an all-negative ∀ block into `¬∃` (validity only; no paper rule).
+    pub const NEGATION_LIFT: &str = "negation-lift";
     /// Every pass, in pipeline order.
-    pub const ALL: [&str; 4] = [
+    pub const ALL: [&str; 5] = [
         PRENEX_PULLUP,
         STRIP_LEADING_BLOCK,
         REFUTATION_NNF,
         FORALL_PUSHDOWN,
+        NEGATION_LIFT,
     ];
 }
 use std::collections::HashSet;
@@ -146,8 +154,9 @@ pub fn bdd_step(
                 before: remainder.to_string(),
                 after: negated.to_string(),
             });
+            let pushed = apply_pushdown_pass(db, &negated, passes);
             (
-                apply_pushdown_pass(db, &negated, passes),
+                apply_negation_lift_pass(&pushed, passes),
                 BddTest::ViolationsEmpty,
             )
         }
@@ -184,6 +193,76 @@ fn apply_pushdown_pass(db: &Database, f: &Formula, passes: &mut Vec<PassRecord>)
         after: out.to_string(),
     });
     out
+}
+
+/// Run the `negation-lift` pass and record its effect: every outermost
+/// `∀ȳ φ` whose relational atoms all occur negatively (and that has at
+/// least one) becomes `¬∃ȳ ψ`, with `ψ` the simplified NNF of `¬φ`.
+///
+/// Refutation NNF pushed each ¬ down to the atoms, so the compiler would
+/// complement every negated atom — the whole relation index — and then
+/// quantify. Lifted, it builds `∃ȳ ψ` with the fused `app_exists` and
+/// complements that projection once. `∀ȳ φ ≡ ¬∃ȳ ¬φ` holds on every
+/// domain, empty ones included, and every variable stays confined to its
+/// range by its own binder, so the rewrite is exact. It drops the atoms'
+/// complements and adds one of the projection `∃ȳ A`. Without complement
+/// edges (DESIGN D1) that has as many nodes as the `∀ȳ ¬A` the pushed-down
+/// shape built anyway, so it costs more only where `∃ȳ A` is larger than
+/// `A` itself: there is no gate and no option.
+fn apply_negation_lift_pass(f: &Formula, passes: &mut Vec<PassRecord>) -> Formula {
+    let mut fired = 0;
+    let out = lift_negation(f, &mut fired);
+    passes.push(PassRecord {
+        pass: pass::NEGATION_LIFT,
+        rule: None,
+        fired,
+        gated: 0,
+        before: f.to_string(),
+        after: out.to_string(),
+    });
+    out
+}
+
+fn lift_negation(f: &Formula, fired: &mut u64) -> Formula {
+    match f {
+        Formula::Forall(vs, g) => {
+            let (mut positive, mut negative) = (0, 0);
+            count_atom_polarity(g, false, &mut positive, &mut negative);
+            if negative > 0 && positive == 0 {
+                *fired += 1;
+                let psi = simplify(&to_nnf(&g.as_ref().clone().not()));
+                Formula::Exists(vs.clone(), Box::new(psi)).not()
+            } else {
+                Formula::Forall(vs.clone(), Box::new(lift_negation(g, fired)))
+            }
+        }
+        Formula::Exists(vs, g) => Formula::Exists(vs.clone(), Box::new(lift_negation(g, fired))),
+        Formula::And(fs) => Formula::And(fs.iter().map(|g| lift_negation(g, fired)).collect()),
+        Formula::Or(fs) => Formula::Or(fs.iter().map(|g| lift_negation(g, fired)).collect()),
+        other => other.clone(),
+    }
+}
+
+/// Count the relational atoms of `f` that occur positively and negatively
+/// (under an odd number of negations, an implication's premise counting
+/// as one), with `negated` the polarity `f` itself occurs at.
+fn count_atom_polarity(f: &Formula, negated: bool, positive: &mut u32, negative: &mut u32) {
+    match f {
+        Formula::Atom { .. } if negated => *negative += 1,
+        Formula::Atom { .. } => *positive += 1,
+        Formula::Not(g) => count_atom_polarity(g, !negated, positive, negative),
+        Formula::And(fs) | Formula::Or(fs) => fs
+            .iter()
+            .for_each(|g| count_atom_polarity(g, negated, positive, negative)),
+        Formula::Implies(a, b) => {
+            count_atom_polarity(a, !negated, positive, negative);
+            count_atom_polarity(b, negated, positive, negative);
+        }
+        Formula::Exists(_, g) | Formula::Forall(_, g) => {
+            count_atom_polarity(g, negated, positive, negative)
+        }
+        Formula::True | Formula::False | Formula::Eq(..) | Formula::InSet(..) => {}
+    }
 }
 
 /// The R4 cost gate: distribute `∀x̄ (φ₁ ∧ … ∧ φₙ)` only when the estimated
@@ -330,7 +409,8 @@ mod tests {
                 "prenex-pullup",
                 "strip-leading-block",
                 "refutation-nnf",
-                "forall-pushdown"
+                "forall-pushdown",
+                "negation-lift"
             ]
         );
         assert_eq!(plan.schema_fp, 0xfeed_beef);
@@ -500,6 +580,124 @@ mod tests {
             declined > 0 && scanned_fired > 0,
             "{declined} {scanned_fired}"
         );
+    }
+
+    /// Plan `src` and return its BDD body and `negation-lift` record.
+    fn lifted(db: &Database, src: &str) -> (Formula, PassRecord) {
+        let f = relcheck_logic::parse(src).unwrap();
+        let mut passes = Vec::new();
+        let step = bdd_step(db, &f, PlanOptions::default(), &mut passes);
+        let lift = passes.pop().unwrap();
+        assert_eq!(lift.pass, pass::NEGATION_LIFT);
+        assert_eq!(lift.after, step.body.to_string());
+        (step.body, lift)
+    }
+
+    fn parsed(src: &str) -> Formula {
+        relcheck_logic::parse(src).unwrap()
+    }
+
+    #[test]
+    fn negation_lift_folds_the_q5_and_q4_shapes() {
+        let mut db = Database::new();
+        let rel = |db: &mut Database, name: &str, cols: &[(&str, &str)], rows: &[&[i64]]| {
+            let rows = rows
+                .iter()
+                .map(|r| r.iter().map(|&v| Raw::Int(v)).collect())
+                .collect();
+            db.create_relation(name, cols, rows).unwrap();
+        };
+        rel(
+            &mut db,
+            "STUDENT",
+            &[("s", "student"), ("dept", "dept"), ("year", "year")],
+            &[&[1, 1, 1], &[2, 1, 2], &[3, 2, 1]],
+        );
+        rel(
+            &mut db,
+            "COURSE",
+            &[("k", "course"), ("title", "title")],
+            &[&[1, 1], &[2, 2]],
+        );
+        rel(
+            &mut db,
+            "TAKES",
+            &[("s", "student"), ("k", "course")],
+            &[&[1, 1], &[2, 2], &[3, 1]],
+        );
+        let two = [&[1, 1, 1][..], &[2, 2, 2]];
+        rel(&mut db, "R1", &[("a", "a"), ("b", "b"), ("c", "c")], &two);
+        rel(&mut db, "R2", &[("a", "a"), ("b", "b"), ("u", "u")], &two);
+        // Q5: R4 splits the ∀k off STUDENT, and the lift folds ¬ back above
+        // the ∃k: TAKES is no longer complemented.
+        let (body, lift) = lifted(
+            &db,
+            "forall s, z. STUDENT(s, 1, z) -> exists k. (COURSE(k, 1) & TAKES(s, k))",
+        );
+        assert_eq!((lift.fired, lift.gated), (1, 0));
+        assert_eq!(
+            body,
+            parsed("STUDENT(s, 1, z) & !(exists k. COURSE(k, 1) & TAKES(s, k))")
+        );
+        // Q4: once R4 splits ∀u off R1, the inclusion dependency's ∀u ¬R2
+        // becomes ¬∃u R2.
+        let (body, lift) = lifted(&db, "forall a, b, c. R1(a, b, c) -> exists u. R2(a, b, u)");
+        assert_eq!(lift.fired, 1);
+        assert_eq!(body, parsed("R1(a, b, c) & !(exists u. R2(a, b, u))"));
+        // An FD has no ∀ left to fold: the record is there, unfired.
+        let (_, lift) = lifted(
+            &db,
+            "forall a, b, c1, c2. R1(a, b, c1) & R1(a, b, c2) -> c1 = c2",
+        );
+        assert_eq!(lift.fired, 0);
+        assert_eq!(lift.before, lift.after);
+    }
+
+    #[test]
+    fn negation_lift_declines_a_positive_atom_or_a_comparison_only_body() {
+        for src in [
+            "forall y. !S(x, y) | T(y)",
+            "forall y. !(y = 1)",
+            "forall y. !(y in {1, 2}) & !(x = y)",
+        ] {
+            let f = parsed(src);
+            let mut fired = 0;
+            assert_eq!(lift_negation(&f, &mut fired), f, "{src}");
+            assert_eq!(fired, 0, "{src}");
+        }
+    }
+
+    #[test]
+    fn negation_lift_takes_the_outermost_match_and_recurses_otherwise() {
+        let cases = [
+            // The outer block qualifies: one fold, the inner ∀z goes with it.
+            (
+                "forall y. !R(x, y) | (forall z. !S(y, z))",
+                "!(exists y. R(x, y) & (exists z. S(y, z)))",
+                1,
+            ),
+            // The outer block keeps a positive atom: the inner one folds.
+            (
+                "forall y. R(x, y) & (forall z. !S(y, z) | !(z = 1))",
+                "forall y. R(x, y) & !(exists z. S(y, z) & z = 1)",
+                1,
+            ),
+            // Through ∃, ∧ and ∨, each qualifying block once.
+            (
+                "exists w. (forall y. !R(w, y)) | (T(w) & forall z. !S(w, z))",
+                "exists w. !(exists y. R(w, y)) | (T(w) & !(exists z. S(w, z)))",
+                2,
+            ),
+        ];
+        for (src, want, n) in cases {
+            let mut fired = 0;
+            assert_eq!(
+                lift_negation(&parsed(src), &mut fired),
+                parsed(want),
+                "{src}"
+            );
+            assert_eq!(fired, n, "{src}");
+        }
     }
 
     #[test]

@@ -84,8 +84,7 @@ fn render_sans_fingerprint(ck: &mut Checker, src: &str) -> String {
 
 /// Golden snapshot: the FD's five-variable ∀-block strips entirely (R1×5
 /// after R3×5), the refutation body is the classic premise ∧ ¬conclusion,
-/// and R4 finds nothing to distribute (a single conjunction, no residual
-/// block).
+/// and neither R4 nor the negation lift finds a residual block to rewrite.
 #[test]
 fn golden_plan_fd() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
@@ -103,6 +102,9 @@ plan for: forall c, a1, s1, a2, s2. ((CUST(c, a1, s1) & CUST(c, a2, s2)) -> s1 =
        before: ((!(CUST(c, a1, s1)) | !(CUST(c, a2, s2))) | s1 = s2)
        after:  (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
     4. forall-pushdown [R4] fired=0 gated=0
+       before: (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
+       after:  (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
+    5. negation-lift [--] fired=0 gated=0
        before: (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
        after:  (CUST(c, a1, s1) & CUST(c, a2, s2) & !(s1 = s2))
   bdd step: test=violations-empty stripped=[c, a1, s1, a2, s2] join-rename=on
@@ -133,6 +135,9 @@ plan for: forall c, a, s. (CUST(c, a, s) -> ALLOWED(c, a))
     4. forall-pushdown [R4] fired=0 gated=0
        before: (CUST(c, a, s) & !(ALLOWED(c, a)))
        after:  (CUST(c, a, s) & !(ALLOWED(c, a)))
+    5. negation-lift [--] fired=0 gated=0
+       before: (CUST(c, a, s) & !(ALLOWED(c, a)))
+       after:  (CUST(c, a, s) & !(ALLOWED(c, a)))
   bdd step: test=violations-empty stripped=[c, a, s] join-rename=on
     body: (CUST(c, a, s) & !(ALLOWED(c, a)))
   sql step: shape=violations columns=[c, a, s]
@@ -143,7 +148,8 @@ plan for: forall c, a, s. (CUST(c, a, s) -> ALLOWED(c, a))
 /// Golden snapshot: the ∀∃ equi-join keeps a residual ∀-block after R1
 /// (only the outer two strip), the refutation flips it from ∃ to ∀, and
 /// the cost gate lets R4 distribute it into the conjunction (the
-/// estimated sum 4 + 5 beats the product 4·5 on this fixture).
+/// estimated sum 4 + 5 beats the product 4·5 on this fixture), and the
+/// negation lift folds the all-negative `∀s ¬CUST` back into `¬∃s CUST`.
 #[test]
 fn golden_plan_equi_join() {
     let mut ck = Checker::new(customer_db(), CheckerOptions::default());
@@ -163,8 +169,11 @@ plan for: forall c, a. (ALLOWED(c, a) -> exists s. CUST(c, a, s))
     4. forall-pushdown [R4] fired=1 gated=0
        before: forall s. (ALLOWED(c, a) & !(CUST(c, a, s)))
        after:  (ALLOWED(c, a) & forall s. !(CUST(c, a, s)))
+    5. negation-lift [--] fired=1 gated=0
+       before: (ALLOWED(c, a) & forall s. !(CUST(c, a, s)))
+       after:  (ALLOWED(c, a) & !(exists s. CUST(c, a, s)))
   bdd step: test=violations-empty stripped=[c, a] join-rename=on
-    body: (ALLOWED(c, a) & forall s. !(CUST(c, a, s)))
+    body: (ALLOWED(c, a) & !(exists s. CUST(c, a, s)))
   sql step: shape=violations columns=[c, a]
   ladder: bdd -> sql -> brute_force";
     assert_eq!(render_sans_fingerprint(&mut ck, EQUI_JOIN), expected);
@@ -344,6 +353,7 @@ fn traces_carry_per_pass_firing_counts() {
             ("strip-leading-block", 2, 0),
             ("refutation-nnf", 1, 0),
             ("forall-pushdown", 1, 0),
+            ("negation-lift", 1, 0),
         ]
     );
 }

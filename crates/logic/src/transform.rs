@@ -157,13 +157,11 @@ fn nnf(f: &Formula, neg: bool) -> Formula {
             }
         }
         Formula::Implies(a, b) => {
-            // a → b ≡ ¬a ∨ b
+            // a → b ≡ ¬a ∨ b, and ¬(a → b) ≡ a ∧ ¬b: each side once.
             let na = nnf(a, !neg);
             let nb = nnf(b, neg);
             if neg {
-                // ¬(a → b) ≡ a ∧ ¬b; nnf(a,!neg)=nnf(a,true)... careful:
-                // handled by computing through the equivalence directly:
-                Formula::And(vec![nnf(a, false), nnf(b, true)])
+                Formula::And(vec![na, nb])
             } else {
                 Formula::Or(vec![na, nb])
             }
@@ -484,6 +482,26 @@ mod tests {
             }
             other => panic!("{other}"),
         }
+    }
+
+    #[test]
+    fn nnf_is_linear_on_a_deep_negated_implication_chain() {
+        // ¬(A → (A → … → A)) with 48 arrows is A ∧ (A ∧ … (A ∧ ¬A)). Each
+        // side of a negated implication is converted once, so this takes
+        // 48 steps, not 2⁴⁸.
+        const DEPTH: usize = 48;
+        let a = Formula::atom("A", vec![crate::Term::var("c")]);
+        let chain = (0..DEPTH).fold(a.clone(), |g, _| a.clone().implies(g));
+        let mut g = to_nnf(&chain.not());
+        for level in 0..DEPTH {
+            let Formula::And(mut parts) = g else {
+                panic!("level {level}: expected a conjunction, got {g}");
+            };
+            assert_eq!(parts.len(), 2, "level {level}");
+            assert_eq!(parts[0], a, "level {level}");
+            g = parts.pop().unwrap();
+        }
+        assert_eq!(g, a.not());
     }
 
     #[test]

@@ -80,6 +80,10 @@ cmp "$PLAN_A" "$PLAN_B"
 cmp "$PLAN_A" testdata/phones.plan.txt
 cargo run --release --quiet --bin relcheck -- plan testdata/phones.spec --json \
     | cmp - testdata/phones.plan.json
+# A second spec pins the negation lift on a ∀∃ inclusion of its own
+# (supplier-city-known folds ∀s ¬CITIES back into ¬∃s CITIES).
+cargo run --release --quiet --bin relcheck -- plan testdata/dialect.spec \
+    | cmp - testdata/dialect.plan.txt
 # CSV dialect golden: testdata/dialect.spec loads CSVs with a header, CRLF
 # line endings, quoted fields with commas and "" escapes, and blank lines.
 # Its `run` output (per-constraint timings stripped) is pinned byte for byte.
