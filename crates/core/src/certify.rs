@@ -377,19 +377,7 @@ pub fn emit_certificate(
     let witnesses = if report.verdict == Verdict::Violated {
         match checker.find_violations_counted(f, witness_limit)? {
             Some(cv) if cv.vars == leading_forall_vars(f) => {
-                let db = checker.logical_db().db();
-                let tuples: Vec<Vec<Raw>> = cv
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .zip(&cv.classes)
-                            .map(|(&code, class)| {
-                                db.dict(class).expect("indexed class").decode(code).clone()
-                            })
-                            .collect()
-                    })
-                    .collect();
+                let tuples = cv.decode(checker.logical_db().db());
                 Some(Witnesses {
                     truncated: (tuples.len() as f64) < cv.total,
                     vars: cv.vars,

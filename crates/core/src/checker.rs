@@ -13,9 +13,18 @@
 //! 3. for constraint shapes outside the SQL translator's class, falls back
 //!    to brute-force active-domain evaluation as a last resort.
 //!
+//! The ladder is the only routing decision: no cost model predicts BDD
+//! size (Theorem 2 makes that NP-hard). A check enters at the SQL rung
+//! only when a relation it reads is SQL-only (its index build ran over
+//! budget, or [`Checker::mark_sql_only`] marked it, as serve does on a
+//! domain overflow) or when the serve governor sheds it
+//! ([`Checker::set_shed_load`]).
+//!
 //! Once violated constraints are identified, [`Checker::find_violations`]
-//! runs the SQL plan to materialize the offending tuples — the paper's
-//! "first identify violated constraints fast, then focus on the tuples".
+//! runs the SQL plan to materialize the offending tuples, and
+//! [`Checker::find_violations_counted`] enumerates them from the
+//! violation BDD with an exact count — the paper's "first identify
+//! violated constraints fast, then focus on the tuples".
 
 use crate::error::{CoreError, Result};
 use crate::index::LogicalDatabase;
@@ -60,11 +69,9 @@ pub struct CheckerOptions {
     /// [`BddError::Deadline`], which escalates down the degradation ladder
     /// exactly like a node-budget abort. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// BDD apply-cache slot count. `None` = the policy default
-    /// ([`crate::policy::DEFAULT_CACHE_SLOTS`]); `relcheck run --route
-    /// auto` passes a workload-derived size
-    /// ([`crate::policy::WorkloadProfile::cache_slots`]). Sizing only
-    /// affects memoization hit rates, never verdicts.
+    /// BDD apply-cache slot count. `None` = the default
+    /// ([`crate::index::DEFAULT_CACHE_SLOTS`]). Sizing only affects
+    /// memoization hit rates, never verdicts.
     pub apply_cache_slots: Option<usize>,
 }
 
@@ -292,6 +299,24 @@ pub struct CountedViolations {
     pub total: f64,
 }
 
+impl CountedViolations {
+    /// The witness rows as values, each code decoded in its variable's
+    /// class dictionary.
+    pub fn decode(&self, db: &relcheck_relstore::Database) -> Vec<Vec<relcheck_relstore::Raw>> {
+        self.rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(&self.classes)
+                    .map(|(&code, class)| {
+                        db.dict(class).expect("indexed class").decode(code).clone()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
 /// Index details inside an [`Explanation`].
 #[derive(Debug, Clone)]
 pub struct IndexInfo {
@@ -428,7 +453,7 @@ impl Checker {
     pub fn new(db: relcheck_relstore::Database, opts: CheckerOptions) -> Checker {
         let slots = opts
             .apply_cache_slots
-            .unwrap_or(crate::policy::DEFAULT_CACHE_SLOTS);
+            .unwrap_or(crate::index::DEFAULT_CACHE_SLOTS);
         let mut ldb = LogicalDatabase::with_cache_slots(db, slots);
         ldb.manager_mut().set_node_limit(opts.node_limit);
         Checker {

@@ -17,6 +17,10 @@ use relcheck_bdd::{
 use relcheck_relstore::Database;
 use std::collections::HashMap;
 
+/// Default apply-cache slot count of a [`LogicalDatabase`]'s manager —
+/// [`relcheck_bdd::BddManager::new`]'s own default.
+pub const DEFAULT_CACHE_SLOTS: usize = 1 << 18;
+
 /// A built index over one relation.
 #[derive(Debug, Clone)]
 pub struct RelIndex {
@@ -245,18 +249,14 @@ pub struct LogicalDatabase {
 }
 
 impl LogicalDatabase {
-    /// Wrap a database. No indices are built yet. The manager gets the
-    /// default apply-cache size; [`LogicalDatabase::with_cache_slots`]
-    /// sizes it from a recorded workload instead.
+    /// Wrap a database. No indices are built yet. The manager gets
+    /// [`DEFAULT_CACHE_SLOTS`] apply-cache slots.
     pub fn new(db: Database) -> LogicalDatabase {
-        LogicalDatabase::with_cache_slots(db, crate::policy::DEFAULT_CACHE_SLOTS)
+        LogicalDatabase::with_cache_slots(db, DEFAULT_CACHE_SLOTS)
     }
 
-    /// Wrap a database with an explicitly-sized BDD apply-cache —
-    /// `relcheck run --route auto` passes
-    /// [`crate::policy::WorkloadProfile::cache_slots`] here so the cache
-    /// matches the observed peak node population instead of the fixed
-    /// default.
+    /// Wrap a database with an explicitly-sized BDD apply-cache
+    /// ([`crate::checker::CheckerOptions::apply_cache_slots`]).
     pub fn with_cache_slots(db: Database, cache_slots: usize) -> LogicalDatabase {
         LogicalDatabase {
             mgr: BddManager::with_capacity(cache_slots),
@@ -529,9 +529,7 @@ impl LogicalDatabase {
                     .iter()
                     .map(|&s| relcheck_bdd::order::block_bits(s))
                     .collect();
-                // The static fallback competes first, so ties defer to it;
-                // `relcheck advise` calls the same rule, so it predicts
-                // exactly the pick a rebuild would make.
+                // The static fallback competes first, so ties defer to it.
                 let (picked, order) =
                     relcheck_bdd::order::choose(strategy.order(&rel, &dom_sizes), &weights, &bits);
                 self.adaptive_picks.insert(name.to_owned(), picked);

@@ -28,8 +28,12 @@
 //!   baseline and for the fallback when a BDD exceeds the node threshold.
 //! * [`checker`] — [`checker::Checker`], the user-facing API:
 //!   [`checker::Checker::check`] (which constraints are violated),
-//!   [`checker::Checker::find_violations`] (the offending tuples), with
-//!   per-check method/size/timing reports.
+//!   [`checker::Checker::find_violations`] and
+//!   [`checker::Checker::find_violations_counted`] (the offending tuples,
+//!   from the SQL plan or the violation BDD), with per-check
+//!   method/size/timing reports. Its degradation ladder is the one place
+//!   a check is routed to BDD or SQL: the BDD rung first, SQL past the
+//!   node budget, as in the paper.
 //! * [`parallel`] — [`checker::Checker::check_all_parallel`]: the
 //!   constraint set spread over worker threads, each with a private BDD
 //!   manager, with indices shipped as manager-independent snapshots and
@@ -69,7 +73,6 @@ pub mod ordering;
 pub mod parallel;
 pub mod plan;
 pub mod planner;
-pub mod policy;
 pub mod registry;
 pub mod serve;
 pub mod sqlgen;
@@ -82,12 +85,11 @@ pub use error::{CoreError, Result};
 pub use index::{IndexSnapshot, LogicalDatabase};
 pub use ordering::OrderingStrategy;
 pub use plan::{plans_to_json, CheckPlan, PlanOptions};
-pub use policy::{Advice, AppliedAdvice, IndexAdvice, Route, RoutePolicy, WorkloadProfile};
 pub use registry::ConstraintRegistry;
 pub use serve::{ApplyOutcome, ServeActor, ServeClient, ServeConfig, ServeEngine, Submission};
 pub use store::{Delta, IndexStore, VerifyStatus};
 pub use telemetry::{
     AuditMetrics, CheckTrace, DegradationSummary, FallbackReason, FleetTelemetry,
-    IndexCacheMetrics, OverloadMetrics, PassStat, PolicyMetrics, RecoveryRecord, RewriteRule,
-    RuleFiring, RunMetrics, ServeMetrics, WorkerTelemetry,
+    IndexCacheMetrics, OverloadMetrics, PassStat, RecoveryRecord, RewriteRule, RuleFiring,
+    RunMetrics, ServeMetrics, WorkerTelemetry,
 };

@@ -77,10 +77,7 @@ pub fn plan_check(
     let mut passes = Vec::new();
     let mut atoms = Vec::new();
     collect_atoms(f, &mut atoms);
-    // The BDD-vs-SQL routing rule is owned by `policy` (one over-budget
-    // relation sinks the whole BDD step); the planner only applies it.
-    let route_bdd =
-        crate::policy::bdd_route_allowed(atoms.iter().map(|(rel, _)| rel.as_str()), sql_only);
+    let route_bdd = bdd_route_allowed(atoms.iter().map(|(rel, _)| rel.as_str()), sql_only);
     let bdd = route_bdd.then(|| bdd_step(db, f, options, &mut passes));
     let sql = sqlgen::violation_plan(db, f).map(|translated| SqlStep { translated });
     CheckPlan {
@@ -92,6 +89,17 @@ pub fn plan_check(
         bdd,
         sql,
     }
+}
+
+/// The BDD-vs-SQL routing rule: a constraint may enter the ladder at the
+/// BDD rung only if **no** relation it reads is marked SQL-only — one
+/// over-budget relation sinks the whole BDD step, because a partial
+/// compile would still need that relation's index.
+fn bdd_route_allowed<'a, I>(reads: I, sql_only: &HashSet<String>) -> bool
+where
+    I: IntoIterator<Item = &'a str>,
+{
+    !reads.into_iter().any(|r| sql_only.contains(r))
 }
 
 /// Run the rewrite passes on one formula and assemble the prepared BDD
@@ -709,6 +717,14 @@ mod tests {
         assert!(plan.bdd.is_none());
         assert!(plan.passes.is_empty(), "no passes run when BDD is skipped");
         assert_eq!(plan.ladder(), ["sql", "brute_force"]);
+    }
+
+    #[test]
+    fn routing_rules_match_their_former_inline_forms() {
+        let sql_only: HashSet<String> = ["R".to_owned()].into_iter().collect();
+        assert!(!bdd_route_allowed(["R", "S"], &sql_only));
+        assert!(bdd_route_allowed(["S"], &sql_only));
+        assert!(bdd_route_allowed(std::iter::empty(), &sql_only));
     }
 
     #[test]

@@ -221,34 +221,6 @@ impl ConstraintRegistry {
         self.revalidate_entry(checker, i, &touched).map(Some)
     }
 
-    /// The registered `(name, formula)` pairs in registration order —
-    /// the constraint list the workload advisor scores entry rungs for.
-    pub fn constraints(&self) -> Vec<(String, Formula)> {
-        self.entries
-            .iter()
-            .map(|e| (e.name.clone(), e.formula.clone()))
-            .collect()
-    }
-
-    /// Run the workload-driven advisor over this registry's constraints
-    /// and apply its advice to the checker — the `--route auto` / serve
-    /// `advise` entry point. Any route change goes through
-    /// [`Checker::mark_sql_only`] / [`Checker::rebuild_index`], which
-    /// bump the invalidation epoch, so every cached verdict reading a
-    /// re-routed relation is retired on the next revalidate: applying
-    /// advice can re-route but never lets a stale verdict survive the
-    /// switch.
-    pub fn apply_policy(
-        &mut self,
-        checker: &mut Checker,
-        profile: &crate::policy::WorkloadProfile,
-    ) -> Result<(crate::policy::Advice, crate::policy::AppliedAdvice)> {
-        let constraints = self.constraints();
-        let advice = crate::policy::advise(profile, checker, &constraints);
-        let applied = crate::policy::apply_advice(checker, &advice)?;
-        Ok((advice, applied))
-    }
-
     /// Currently-cached verdicts (`None` = never validated).
     pub fn cached(&self) -> HashMap<String, Option<bool>> {
         self.entries
@@ -412,36 +384,6 @@ mod tests {
             .revalidate_one(&mut ck, "no-such", &[])
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn apply_policy_routes_through_epoch_invalidation() {
-        let (mut ck, mut reg) = setup();
-        let before = reg.validate_all(&mut ck).unwrap();
-        // A profile that always fell back on R forces an SQL route for
-        // it; the application must bump the epoch so the next
-        // revalidate re-checks everything reading R.
-        let mut profile = crate::policy::WorkloadProfile::default();
-        profile.relations.insert(
-            "R".to_owned(),
-            crate::policy::RelationProfile {
-                rows: 3,
-                sql_checks: 4,
-                ..Default::default()
-            },
-        );
-        let (advice, applied) = reg.apply_policy(&mut ck, &profile).unwrap();
-        assert!(advice.sql_routed().contains("R"));
-        assert_eq!(applied.sql_marked, vec!["R".to_owned()]);
-        assert!(ck.is_sql_only("R"));
-        let verdicts = reg.revalidate(&mut ck, &[]).unwrap();
-        let by_name: HashMap<_, _> = verdicts.into_iter().collect();
-        assert!(matches!(by_name["r-diagonal"], Verdict::Checked { .. }));
-        assert!(matches!(by_name["s-nonempty"], Verdict::Cached { .. }));
-        // Routing never changes a verdict.
-        for (name, r) in &before {
-            assert_eq!(by_name[name].holds(), r.holds, "{name}");
-        }
     }
 
     #[test]

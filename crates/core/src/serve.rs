@@ -55,10 +55,9 @@
 use crate::certify::{emit_certificate, verify_certificate, Certificate, DEFAULT_WITNESS_LIMIT};
 use crate::checker::{panic_message, CheckReport, Checker};
 use crate::error::{CoreError, Result};
-use crate::policy::WorkloadProfile;
 use crate::registry::{ConstraintRegistry, Verdict};
 use crate::store::{Delta, IndexStore};
-use crate::telemetry::{AuditMetrics, OverloadMetrics, PolicyMetrics, ServeMetrics};
+use crate::telemetry::{AuditMetrics, OverloadMetrics, ServeMetrics};
 use relcheck_logic::Formula;
 use relcheck_relstore::{Raw, StoreError};
 use std::collections::BTreeSet;
@@ -79,9 +78,6 @@ pub enum Command {
     /// `certify` / `certify NAME` — re-check, emit certificates, and
     /// report each one's independent audit result.
     Certify(Option<String>),
-    /// `advise` — re-record the workload profile, run the cost-model
-    /// advisor, apply its routing advice, and report what changed.
-    Advise,
     /// `stats` — session counters.
     Stats,
     /// `quit` — end the session.
@@ -133,13 +129,12 @@ pub fn parse_command(line: &str) -> std::result::Result<Option<Command>, String>
     let command = match cmd {
         "check" => Command::Check(parts.next().map(str::to_owned)),
         "certify" => Command::Certify(parts.next().map(str::to_owned)),
-        "advise" => Command::Advise,
         "stats" => Command::Stats,
         "quit" => Command::Quit,
         other => {
             return Err(format!(
                 "unknown command {other:?} \
-                 (try +REL:v,... -REL:v,... check [name] certify [name] advise stats quit)"
+                 (try +REL:v,... -REL:v,... check [name] certify [name] stats quit)"
             ))
         }
     };
@@ -200,6 +195,15 @@ pub struct ApplyOutcome {
 /// [`IndexStore::journaled_apply_retrying`]).
 pub const JOURNAL_RETRY_LIMIT: u64 = 3;
 
+/// What [`ServeEngine::policy_metrics`] would return; nothing constructs
+/// it. Exists only for perfbench's `serve.readvises` read, and goes with
+/// that figure at the next change to perfbench.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PolicyMetrics {
+    /// Always 0: no session re-advises.
+    pub readvises: u64,
+}
+
 /// The long-lived incremental check engine (see module docs).
 pub struct ServeEngine {
     checker: Checker,
@@ -215,14 +219,6 @@ pub struct ServeEngine {
     /// Journal-append retries absorbed across the session (the overload
     /// block's `retries` counter).
     journal_retries: u64,
-    /// The baseline validation's reports, retained so re-recorded
-    /// profiles keep their per-relation routing attribution (the
-    /// post-baseline protocol returns [`Verdict`]s, not reports).
-    baseline: Vec<(String, CheckReport)>,
-    /// Counters from the most recent advise, `None` until one runs.
-    policy: Option<PolicyMetrics>,
-    /// How many advise passes the session ran.
-    readvises: u64,
 }
 
 impl ServeEngine {
@@ -246,9 +242,6 @@ impl ServeEngine {
             witness_limit: DEFAULT_WITNESS_LIMIT,
             audit: AuditMetrics::default(),
             journal_retries: 0,
-            baseline: Vec::new(),
-            policy: None,
-            readvises: 0,
         };
         for (name, f) in constraints {
             if !engine.registry.register(name, f.clone()) {
@@ -260,7 +253,6 @@ impl ServeEngine {
         let start = Instant::now();
         let reports = engine.registry.validate_all(&mut engine.checker)?;
         engine.stats.full_ns = start.elapsed().as_nanos() as u64;
-        engine.baseline = reports.clone();
         Ok((engine, reports))
     }
 
@@ -334,23 +326,6 @@ impl ServeEngine {
         self.dirty.insert(relation.to_owned());
         self.stats.deltas += 1;
         Ok(outcome)
-    }
-
-    /// Record the workload profile from the live checker (afresh each
-    /// time, never merged — manager counters are cumulative, see
-    /// [`WorkloadProfile::record`]) and apply the cost-model advisor's
-    /// routing advice. Any route change bumps the checker epoch, so
-    /// cached verdicts reading a re-routed relation retire on the next
-    /// check — advising never changes a verdict, only how it is reached.
-    pub fn advise_now(&mut self) -> Result<(crate::policy::Advice, crate::policy::AppliedAdvice)> {
-        let profile =
-            WorkloadProfile::record(&self.checker, &self.registry.constraints(), &self.baseline);
-        let (advice, applied) = self.registry.apply_policy(&mut self.checker, &profile)?;
-        self.readvises += 1;
-        let mut metrics = advice.metrics(&profile, Some(&applied));
-        metrics.readvises = self.readvises;
-        self.policy = Some(metrics);
-        Ok((advice, applied))
     }
 
     /// A delta value outside a frozen BDD block: the block cannot grow
@@ -573,31 +548,6 @@ impl ServeEngine {
                     "ok certify emitted={emitted} witnesses={witnesses} failed={failed}"
                 ));
             }
-            Command::Advise => match self.advise_now() {
-                Ok((advice, applied)) => {
-                    for a in &advice.relations {
-                        reply.lines.push(format!(
-                            "advise {} route={} ordering={} predicted_bdd={} predicted_sql={}",
-                            a.relation,
-                            a.route.name(),
-                            a.ordering,
-                            a.predicted_bdd_cost,
-                            a.predicted_sql_cost
-                        ));
-                    }
-                    reply.lines.push(format!(
-                        "ok advise relations={} sql_routed={} sql_marked={} rebuilt={} \
-                         cache_slots={} readvises={}",
-                        advice.relations.len(),
-                        advice.sql_routed().len(),
-                        applied.sql_marked.len(),
-                        applied.rebuilt.len(),
-                        advice.cache_slots,
-                        self.readvises
-                    ));
-                }
-                Err(e) => reply.lines.push(format!("err advise: {e}")),
-            },
             Command::Stats => {
                 let s = &self.stats;
                 reply.lines.push(format!(
@@ -648,10 +598,11 @@ impl ServeEngine {
         self.journal_retries
     }
 
-    /// Counters from the session's most recent advise pass (`None`
-    /// until one runs) — the metrics document's `policy` block.
+    /// Always `None`: the session runs no workload advisor. Exists only
+    /// for perfbench's `serve.readvises` read, and goes with that figure
+    /// at the next change to perfbench.
     pub fn policy_metrics(&self) -> Option<PolicyMetrics> {
-        self.policy
+        None
     }
 
     /// Cap the number of witness tuples each certificate carries
@@ -768,6 +719,19 @@ pub enum Submission {
     Closed,
 }
 
+/// The admission rule: shed a request to the SQL tier when the queue is
+/// more than half full or the previous request ran at or over the shed
+/// threshold. Written as `depth > queue_depth / 2` (the same predicate as
+/// `2·depth > queue_depth` on integers) so no depth can overflow it.
+fn admission_should_shed(
+    depth: usize,
+    queue_depth: usize,
+    last_latency: Duration,
+    shed_threshold: Duration,
+) -> bool {
+    depth > queue_depth / 2 || last_latency >= shed_threshold
+}
+
 /// A cloneable handle submitting protocol lines to a [`ServeActor`].
 /// Each `submit` runs the admission governor, then blocks until the
 /// engine's reply (or the queue's verdict) comes back.
@@ -786,15 +750,10 @@ impl ServeClient {
         }
         // Governor tiers, cheapest signal first: a backlog past half the
         // queue bound or a slow last request sheds; a full queue rejects.
-        // The shed rule itself is owned by `policy`.
         let depth = self.shared.depth.load(Ordering::Acquire);
         let last = Duration::from_nanos(self.shared.last_service_ns.load(Ordering::Acquire));
-        let shed = crate::policy::admission_should_shed(
-            depth,
-            self.cfg.queue_depth,
-            last,
-            self.cfg.shed_threshold,
-        );
+        let shed =
+            admission_should_shed(depth, self.cfg.queue_depth, last, self.cfg.shed_threshold);
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let req = Request {
             line: line.to_owned(),
@@ -1080,53 +1039,26 @@ mod tests {
             parse_command("check r-diagonal").unwrap(),
             Some(Command::Check(Some("r-diagonal".to_owned())))
         );
-        assert_eq!(parse_command("advise").unwrap(), Some(Command::Advise));
         assert_eq!(parse_command("stats").unwrap(), Some(Command::Stats));
         assert_eq!(parse_command("quit").unwrap(), Some(Command::Quit));
         assert!(parse_command("bogus").is_err());
         assert!(parse_command("check a b").is_err());
-        assert!(parse_command("advise now").is_err());
+        assert!(parse_command("advise").is_err());
         assert!(parse_command("+R").is_err());
     }
 
     #[test]
-    fn advise_command_reports_and_never_changes_verdicts() {
-        let mut e = engine();
-        let before = e.check_all().unwrap();
-        let r = e.handle_line("advise");
-        let last = r.lines.last().unwrap();
-        assert!(last.starts_with("ok advise relations=2"), "{last:?}");
-        assert!(last.contains("readvises=1"), "{last:?}");
-        // Per-relation lines precede the summary, sorted by name.
-        assert!(r.lines[0].starts_with("advise R route="), "{:?}", r.lines);
-        assert!(r.lines[1].starts_with("advise S route="), "{:?}", r.lines);
-        // Advise is deterministic: a second pass reports the same
-        // advice (only the pass counter moves).
-        let r2 = e.handle_line("advise");
-        assert_eq!(r.lines[..r.lines.len() - 1], r2.lines[..r2.lines.len() - 1]);
-        // Routing never changes a verdict.
-        let after = e.check_all().unwrap();
-        for ((name, b), (_, a)) in before.iter().zip(&after) {
-            assert_eq!(b.holds(), a.holds(), "{name}");
-        }
-        assert!(e.policy_metrics().unwrap().readvises == 2);
-    }
-
-    #[test]
-    fn deltas_never_run_the_advisor() {
-        // The advisor runs on an explicit `advise` only: a long delta
-        // stream leaves the session's policy block empty.
-        let mut e = engine();
-        for i in 0..128 {
-            let delta = if i % 2 == 0 {
-                Delta::Delete(vec![Raw::Int(2)])
-            } else {
-                Delta::Insert(vec![Raw::Int(2)])
-            };
-            e.apply("S", &delta).unwrap();
-        }
-        assert_eq!(e.stats().deltas, 128);
-        assert_eq!(e.policy_metrics(), None);
+    fn admission_rule_matches_its_former_inline_form() {
+        let ms = Duration::from_millis;
+        assert!(admission_should_shed(33, 64, ms(0), ms(500)));
+        assert!(!admission_should_shed(32, 64, ms(0), ms(500)));
+        assert!(admission_should_shed(0, 64, ms(500), ms(500)));
+        // Odd bounds round the same way as `2·depth > queue_depth`, and a
+        // depth at the top of the range sheds rather than overflowing.
+        assert!(admission_should_shed(33, 65, ms(0), ms(500)));
+        assert!(!admission_should_shed(32, 65, ms(0), ms(500)));
+        assert!(admission_should_shed(usize::MAX, 64, ms(0), ms(500)));
+        assert!(!admission_should_shed(0, usize::MAX, ms(0), ms(500)));
     }
 
     #[test]

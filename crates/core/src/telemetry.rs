@@ -37,7 +37,7 @@ use std::time::Duration;
 
 /// The metrics document's `schema_version`: the one version the writer
 /// emits and the validator accepts.
-const SCHEMA_VERSION: i64 = 9;
+const SCHEMA_VERSION: i64 = 10;
 
 /// The rewrite rules of the paper's Section 4 pipeline, numbered as the
 /// telemetry schema reports them.
@@ -246,49 +246,6 @@ pub struct PassStat {
     pub fired: u64,
     /// How many candidate sites the cost gate declined.
     pub gated: u64,
-}
-
-/// Workload-driven policy counters: what the [`crate::policy`] advisor
-/// recommended and what applying it did. `None` at the [`RunMetrics`]
-/// level means the run never consulted the advisor (static routing).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyMetrics {
-    /// Relations the advisor examined.
-    pub relations: u64,
-    /// Relations advised to keep (or build) a BDD index.
-    pub advised_bdd: u64,
-    /// Relations advised to route to the SQL rung.
-    pub advised_sql: u64,
-    /// Relations newly marked SQL-only when the advice was applied.
-    pub applied_sql_only: u64,
-    /// Indexed relations rebuilt under a different advised ordering.
-    pub applied_rebuilds: u64,
-    /// Relations whose recorded weights were re-seeded into the live
-    /// workload.
-    pub reseeded: u64,
-    /// Advise passes the serve session ran (0 outside `serve`).
-    pub readvises: u64,
-    /// The apply-cache slot count the advice recommended.
-    pub cache_slots: u64,
-    /// Checks in the workload profile the advice was computed from.
-    pub profile_checks: u64,
-}
-
-impl PolicyMetrics {
-    /// The `policy` block's fields, in schema order.
-    fn counters(&self) -> [(&'static str, u64); 9] {
-        [
-            ("relations", self.relations),
-            ("advised_bdd", self.advised_bdd),
-            ("advised_sql", self.advised_sql),
-            ("applied_sql_only", self.applied_sql_only),
-            ("applied_rebuilds", self.applied_rebuilds),
-            ("reseeded", self.reseeded),
-            ("readvises", self.readvises),
-            ("cache_slots", self.cache_slots),
-            ("profile_checks", self.profile_checks),
-        ]
-    }
 }
 
 /// Structured trace of one `Checker::check` call. Attached to
@@ -601,7 +558,7 @@ impl OverloadMetrics {
     }
 }
 
-/// The top-level machine-readable report (`schema_version` 9). See
+/// The top-level machine-readable report (`schema_version` 10). See
 /// `DESIGN.md` for field meanings and stability guarantees.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
@@ -628,10 +585,6 @@ pub struct RunMetrics {
     /// Admission-governor counters; `None` for batch runs. Assembled by
     /// the caller after `from_reports`.
     pub overload: Option<OverloadMetrics>,
-    /// Workload-driven policy counters; `None` when the run never
-    /// consulted the advisor. Assembled by the caller after
-    /// `from_reports`.
-    pub policy: Option<PolicyMetrics>,
 }
 
 impl RunMetrics {
@@ -673,7 +626,7 @@ impl RunMetrics {
         }
     }
 
-    /// Render the schema-version-9 JSON document.
+    /// Render the schema-version-10 JSON document.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj_open();
@@ -704,7 +657,6 @@ impl RunMetrics {
             ("serve", self.serve.map(|b| b.counters().to_vec())),
             ("audit", self.audit.map(|b| b.counters().to_vec())),
             ("overload", self.overload.map(|b| b.counters().to_vec())),
-            ("policy", self.policy.map(|b| b.counters().to_vec())),
         ] {
             write_nullable(&mut w, key, counters.as_ref(), |w, c| {
                 write_counter_block(w, c)
@@ -1633,24 +1585,6 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
         }
     }
 
-    if let Some(po) = nullable(&doc, "", "policy")? {
-        let c = read_counters(po, "policy", PolicyMetrics::counters)?;
-        // Conservation: every examined relation got exactly one route, and
-        // only SQL-advised relations can be newly marked.
-        if c["advised_bdd"] + c["advised_sql"] != c["relations"] {
-            return Err(format!(
-                "policy.advised_bdd + policy.advised_sql = {} but relations = {}",
-                c["advised_bdd"] + c["advised_sql"],
-                c["relations"]
-            ));
-        }
-        if c["applied_sql_only"] > c["advised_sql"] {
-            return Err(format!(
-                "policy.applied_sql_only = {} exceeds advised_sql = {}",
-                c["applied_sql_only"], c["advised_sql"]
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -1848,16 +1782,16 @@ mod tests {
         // document of an older (or future) schema is accepted.
         let doc = golden_metrics().to_json();
         validate_metrics_json(&doc).unwrap();
-        for version in (1..=8).chain([10]) {
+        for version in (1..=9).chain([11]) {
             let other = doc.replace(
-                "\"schema_version\":9",
+                "\"schema_version\":10",
                 &format!("\"schema_version\":{version}"),
             );
             let err = validate_metrics_json(&other).unwrap_err();
             assert!(err.contains("schema_version"), "v{version}: {err}");
         }
         // A block an older schema lacked is still required.
-        for block in ["serve", "audit", "overload", "policy"] {
+        for block in ["serve", "audit", "overload"] {
             let stripped = RunMetrics::default()
                 .to_json()
                 .replace(&format!(",\"{block}\":null"), "");
@@ -2059,44 +1993,6 @@ mod tests {
         let stripped = doc.replace(",\"overload\":null", "");
         let err = validate_metrics_json(&stripped).unwrap_err();
         assert!(err.contains("overload"), "{err}");
-    }
-
-    #[test]
-    fn validator_checks_policy_block() {
-        let mut m = RunMetrics {
-            threads: 1,
-            policy: Some(PolicyMetrics {
-                relations: 4,
-                advised_bdd: 3,
-                advised_sql: 1,
-                applied_sql_only: 1,
-                applied_rebuilds: 2,
-                reseeded: 6,
-                readvises: 0,
-                cache_slots: 1 << 18,
-                profile_checks: 9,
-            }),
-            ..RunMetrics::default()
-        };
-        validate_metrics_json(&m.to_json()).unwrap();
-        // Every advised relation got exactly one route.
-        m.policy.as_mut().unwrap().advised_bdd = 9;
-        let err = validate_metrics_json(&m.to_json()).unwrap_err();
-        assert!(err.contains("policy.advised"), "{err}");
-        m.policy.as_mut().unwrap().advised_bdd = 3;
-        // Only SQL-routed relations can be marked sql-only.
-        m.policy.as_mut().unwrap().applied_sql_only = 5;
-        let err = validate_metrics_json(&m.to_json()).unwrap_err();
-        assert!(err.contains("policy.applied_sql_only"), "{err}");
-        m.policy.as_mut().unwrap().applied_sql_only = 1;
-        // The writer always emits the field, even as null; static runs
-        // carry it as null and that validates.
-        m.policy = None;
-        let doc = m.to_json();
-        validate_metrics_json(&doc).unwrap();
-        let stripped = doc.replace(",\"policy\":null", "");
-        let err = validate_metrics_json(&stripped).unwrap_err();
-        assert!(err.contains("policy"), "{err}");
     }
 
     #[test]
@@ -2439,17 +2335,6 @@ mod tests {
                 watchdog_fires: 1,
                 drained: 2,
             }),
-            policy: Some(PolicyMetrics {
-                relations: 3,
-                advised_bdd: 2,
-                advised_sql: 1,
-                applied_sql_only: 1,
-                applied_rebuilds: 1,
-                reseeded: 2,
-                readvises: 4,
-                cache_slots: 1 << 18,
-                profile_checks: 40,
-            }),
         }
     }
 
@@ -2464,7 +2349,7 @@ mod tests {
     }
 
     const GOLDEN_METRICS: &str = concat!(
-        r#"{"schema_version":9,"tool":"relcheck","threads":2,"telemetry_enabled":true,"constraints":["#,
+        r#"{"schema_version":10,"tool":"relcheck","threads":2,"telemetry_enabled":true,"constraints":["#,
         r#"{"name":"stays-on-bdd","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"#,
         r#""trace":{"method":"bdd","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
@@ -2539,7 +2424,6 @@ mod tests {
         r#""recoveries":[{"relation":"CUST","reason":"segment_corrupt","detail":"checksum mismatch at offset 20"},{"relation":"ALLOWED","reason":"journal_torn","detail":"tail of 7 bytes discarded"}]},"#,
         r#""serve":{"requests":9,"deltas":4,"checks":3,"constraints_checked":5,"constraints_skipped":7,"dirty_peak":2,"dirty_total":4,"incremental_ns":1500,"full_ns":9000},"#,
         r#""audit":{"emitted":8,"verified":7,"failed":1,"witnesses":12},"#,
-        r#""overload":{"admitted":11,"shed":2,"rejected":3,"retries":1,"watchdog_fires":1,"drained":2},"#,
-        r#""policy":{"relations":3,"advised_bdd":2,"advised_sql":1,"applied_sql_only":1,"applied_rebuilds":1,"reseeded":2,"readvises":4,"cache_slots":262144,"profile_checks":40}}"#,
+        r#""overload":{"admitted":11,"shed":2,"rejected":3,"retries":1,"watchdog_fires":1,"drained":2}}"#,
     );
 }

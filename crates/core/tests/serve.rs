@@ -291,6 +291,70 @@ fn differential_random_scripts_match_cold_full_recheck() {
     );
 }
 
+/// The differential under faults: every failpoint site armed at a low
+/// rate while random deltas stream in. A delta an injected fault kills is
+/// rolled back whole, so the shadow skips it; the comparison after every
+/// step runs fault-free and must be exact.
+#[test]
+fn faulted_random_deltas_match_cold_full_recheck() {
+    let _g = lock();
+    let _fp = FpGuard;
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let spec = failpoint::SITES
+        .iter()
+        .map(|s| format!("{s}=0.05"))
+        .collect::<Vec<_>>()
+        .join(",");
+    let mut faulted = 0;
+    for seed in [3u64, 88, 20070415] {
+        failpoint::clear();
+        let mut shadow = base_shadow();
+        // Prime fault-free so the session starts from decided verdicts.
+        let ck = Checker::new(db_from(&shadow), CheckerOptions::default());
+        let (mut engine, _) = ServeEngine::new(ck, &constraints(), None).unwrap();
+        failpoint::configure_spec(&spec, seed).unwrap();
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        for step in 0..60 {
+            let (relation, row) = random_delta(&mut rng);
+            let insert = rng.gen_range(0u64..2) == 0;
+            let raw: Vec<Raw> = row.iter().map(|&v| Raw::Int(v)).collect();
+            let delta = if insert {
+                Delta::Insert(raw)
+            } else {
+                Delta::Delete(raw)
+            };
+            match engine.apply(relation, &delta) {
+                Ok(outcome) => {
+                    let rows = shadow.get_mut(relation).unwrap();
+                    let shadow_changed = if insert {
+                        rows.insert(row.clone())
+                    } else {
+                        rows.remove(&row)
+                    };
+                    assert_eq!(
+                        outcome.changed, shadow_changed,
+                        "seed {seed} step {step}: engine/shadow disagree on change"
+                    );
+                }
+                Err(_) => faulted += 1,
+            }
+            failpoint::clear();
+            assert_eq!(
+                incremental(&mut engine),
+                cold_serial(&shadow),
+                "seed {seed} step {step}: faulted session diverged from cold re-check"
+            );
+            failpoint::configure_spec(&spec, seed ^ step).unwrap();
+        }
+    }
+    std::panic::set_hook(hook);
+    assert!(
+        faulted > 0,
+        "no delta was ever faulted; the lane is vacuous"
+    );
+}
+
 /// Every index root and fresh cached atom of a session, by handle.
 type Handles = (Vec<(String, Bdd)>, HashMap<(String, Vec<AtomAction>), Bdd>);
 

@@ -3,11 +3,10 @@
 //! ```text
 //! relcheck run <spec-file> [--limit N] [--sql] [--ordering STRATEGY] [--threads N]
 //!                          [--metrics PATH] [--deadline-ms N] [--index-cache DIR]
-//!                          [--route auto|static] [--fail-spec SPEC] [--fail-seed N]
+//!                          [--fail-spec SPEC] [--fail-seed N]
 //!                          [--certify PATH] [--witness-limit N]
 //! relcheck explain <spec-file> <constraint-name>
 //! relcheck plan <spec-file> [constraint-name] [--ordering STRATEGY] [--json]
-//! relcheck advise <spec-file> [--index-cache DIR] [--ordering STRATEGY]
 //! relcheck audit emit <spec-file> <bundle.json> [--witness-limit N] [--ordering STRATEGY]
 //! relcheck audit verify <spec-file> <bundle.json>
 //! relcheck metrics-check <metrics.json>
@@ -74,11 +73,6 @@
 //! deletes) and folds them into the cached indices via incremental
 //! maintenance.
 //!
-//! Routing: a run with `--index-cache DIR` records its workload profile
-//! in that directory. `advise` prints the routing report that profile
-//! implies, and `run --route auto` applies it before checking (`static`,
-//! the default, ignores it); the verdicts are the same either way.
-//!
 //! `serve` keeps everything warm across requests: it loads the spec,
 //! primes every constraint once, then reads a line-oriented command
 //! protocol from stdin (or a unix socket with `--socket PATH`) —
@@ -118,7 +112,6 @@ use relcheck::core_::certify::{
 use relcheck::core_::checker::{CheckReport, Checker, CheckerOptions, Verdict};
 use relcheck::core_::ordering::OrderingStrategy;
 use relcheck::core_::plan::plans_to_json;
-use relcheck::core_::policy::{advise, apply_advice, render_report, WorkloadProfile};
 use relcheck::core_::serve::{
     parse_delta, ServeActor, ServeClient, ServeConfig, ServeEngine, Submission,
 };
@@ -127,8 +120,9 @@ use relcheck::core_::telemetry::{
     validate_metrics_json, validate_plan_json, AuditMetrics, FleetTelemetry, RunMetrics,
     WorkerTelemetry,
 };
+use relcheck::core_::CoreError;
 use relcheck::logic::Formula;
-use relcheck::relstore::Database;
+use relcheck::relstore::{Database, Raw};
 use relcheck::spec::{parse_spec, Spec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -152,11 +146,10 @@ fn main() -> ExitCode {
 
 fn usage() -> String {
     "usage:\n  relcheck run <spec-file> [--limit N] [--sql] [--ordering STRATEGY] [--threads N] \
-     [--metrics PATH] [--deadline-ms N] [--index-cache DIR] [--route auto|static] \
+     [--metrics PATH] [--deadline-ms N] [--index-cache DIR] \
      [--fail-spec SPEC] [--fail-seed N] [--certify PATH] [--witness-limit N]\n  \
      relcheck explain <spec-file> <constraint-name>\n  \
      relcheck plan <spec-file> [constraint-name] [--ordering STRATEGY] [--json]\n  \
-     relcheck advise <spec-file> [--index-cache DIR] [--ordering STRATEGY]\n  \
      relcheck audit emit <spec-file> <bundle.json> [--witness-limit N] [--ordering STRATEGY]\n  \
      relcheck audit verify <spec-file> <bundle.json>\n  \
      relcheck metrics-check <metrics.json>\n  \
@@ -175,7 +168,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         "run" => cmd_run(&args[1..]),
         "explain" => cmd_explain(&args[1..]).map(|()| true),
         "plan" => cmd_plan(&args[1..]).map(|()| true),
-        "advise" => cmd_advise(&args[1..]).map(|()| true),
         "audit" => cmd_audit(&args[1..]),
         "metrics-check" => cmd_metrics_check(&args[1..]).map(|()| true),
         "index" => cmd_index(&args[1..]),
@@ -302,8 +294,7 @@ fn load(spec_path: &str) -> Result<(Spec, Database), String> {
 }
 
 /// [`load`] without the per-table progress lines — for commands whose
-/// stdout must be byte-deterministic report text (`advise`) or a single
-/// machine-readable document (`plan --json`).
+/// stdout must be a single machine-readable document (`plan --json`).
 fn load_quiet(spec_path: &str) -> Result<(Spec, Database), String> {
     load_with(spec_path, false)
 }
@@ -346,7 +337,7 @@ fn load_with(spec_path: &str, verbose: bool) -> Result<(Spec, Database), String>
 fn cmd_run(args: &[String]) -> Result<bool, String> {
     let args = Args::parse(
         args,
-        "--limit --ordering --threads --metrics --deadline-ms --index-cache --route \
+        "--limit --ordering --threads --metrics --deadline-ms --index-cache \
          --fail-spec --fail-seed --certify --witness-limit",
         "--sql",
         1,
@@ -366,14 +357,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     if force_sql && index_cache.is_some() {
         return Err("--sql and --index-cache cannot be combined".to_owned());
     }
-    let route_auto = match args.value("--route") {
-        Some("auto") => true,
-        Some("static") | None => false,
-        Some(other) => return Err(format!("--route expects auto or static, got {other:?}")),
-    };
-    if force_sql && route_auto {
-        return Err("--sql and --route auto cannot be combined".to_owned());
-    }
     let metrics_path = args.value("--metrics").map(str::to_owned);
     let certify_path = args.value("--certify").map(str::to_owned);
     let witness_limit = args.witness_limit()?;
@@ -390,30 +373,10 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     if spec.constraints.is_empty() {
         return Err("spec declares no constraints".to_owned());
     }
-    // A persisted workload profile (written by earlier --index-cache
-    // runs) informs auto routing and apply-cache sizing. Corruption is a
-    // warning, never an error: the run proceeds with a cold profile.
-    let loaded_profile = match &index_cache {
-        Some(dir) => match WorkloadProfile::load(Path::new(dir)) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("relcheck: warning: workload profile unreadable ({e}); starting cold");
-                None
-            }
-        },
-        None => None,
-    };
     let opts = CheckerOptions {
         ordering,
         telemetry: metrics_path.is_some(),
         deadline,
-        // Size the shared apply cache from the recorded workload before
-        // the manager exists — only auto mode changes behaviour.
-        apply_cache_slots: if route_auto {
-            loaded_profile.as_ref().map(WorkloadProfile::cache_slots)
-        } else {
-            None
-        },
         ..Default::default()
     };
     let mut checker = Checker::new(db, opts);
@@ -442,33 +405,12 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         .iter()
         .map(|c| (c.name.clone(), c.formula.clone()))
         .collect();
-    // Auto routing: score the recorded workload through the cost model
-    // and apply the advice before any check runs. Every route change
-    // goes through the epoch-bumping invalidation paths, so verdicts
-    // are unaffected — only the path to them.
-    let mut policy_metrics = None;
-    if route_auto {
-        let prof = loaded_profile.clone().unwrap_or_default();
-        let advice = advise(&prof, &mut checker, &run_constraints);
-        let applied =
-            apply_advice(&mut checker, &advice).map_err(|e| format!("applying advice: {e}"))?;
-        println!(
-            "route auto: {} relation(s) advised, {} sql-routed ({} newly marked), \
-             {} rebuilt, apply cache {} slot(s)",
-            advice.relations.len(),
-            advice.sql_routed().len(),
-            applied.sql_marked.len(),
-            applied.rebuilt.len(),
-            advice.cache_slots
-        );
-        policy_metrics = Some(advice.metrics(&prof, Some(&applied)));
-    }
     println!();
     let (reports, fleet) = if force_sql {
         run_constraints
             .iter()
             .map(|(name, f)| Ok((name.clone(), checker.check_sql(f)?)))
-            .collect::<Result<Vec<_>, relcheck::core_::CoreError>>()
+            .collect::<Result<Vec<_>, CoreError>>()
             .map(|rs| (rs, None))
     } else {
         // One thread (or one constraint) takes the serial path and
@@ -487,22 +429,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
                 "relcheck: warning: {} index-cache write(s) failed; the next run starts cold(er)",
                 store.stats.write_failures
             );
-        }
-    }
-    // Persist the workload profile next to the index cache: this run's
-    // recording merged into whatever earlier runs accumulated. Like the
-    // segment writes, a failure costs the next run advice, never
-    // correctness.
-    if let Some(dir) = &index_cache {
-        let recorded = WorkloadProfile::record(&checker, &run_constraints, &reports);
-        let mut merged = loaded_profile.clone().unwrap_or_default();
-        merged.merge(&recorded);
-        match merged.save(Path::new(dir)) {
-            Ok(()) => println!(
-                "workload profile: {} check(s) recorded into {dir}",
-                merged.checks
-            ),
-            Err(e) => eprintln!("relcheck: warning: could not save workload profile: {e}"),
         }
     }
     // Emit + self-verify certificates before the metrics document so the
@@ -529,7 +455,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
             metrics.index_cache = Some(store.stats.clone());
         }
         metrics.audit = audit_metrics;
-        metrics.policy = policy_metrics;
         let doc = metrics.to_json();
         debug_assert!(validate_metrics_json(&doc).is_ok());
         std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -563,28 +488,49 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     }
     for c in violated {
         println!("\nviolating tuples of {:?} (up to {limit}):", c.name);
-        match checker.find_violations(&c.formula) {
-            Ok((rows, cols)) => {
-                println!("  columns: {}", cols.join(", "));
-                for i in 0..rows.len().min(limit) {
-                    let decoded = checker.logical_db().db().decode_row(&rows, &rows.row(i));
-                    println!(
-                        "  ({})",
-                        decoded
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                }
-                if rows.len() > limit {
-                    println!("  … and {} more", rows.len() - limit);
-                }
-            }
-            Err(e) => println!("  (cannot enumerate: {e})"),
+        if let Err(e) = print_violating_tuples(&mut checker, &c.formula, limit) {
+            println!("  (cannot enumerate: {e})");
         }
     }
     Ok(clean)
+}
+
+/// Print up to `limit` violating tuples of a violated constraint, their
+/// column names, and how many more there are. The SQL violation plan
+/// answers when the constraint has one; a ∀ constraint outside the
+/// translator's class falls back to the violation BDD's witnesses, the
+/// ones certificates carry.
+fn print_violating_tuples(
+    checker: &mut Checker,
+    f: &Formula,
+    limit: usize,
+) -> Result<(), CoreError> {
+    let (cols, tuples, total) = match checker.find_violations(f) {
+        Ok((rows, cols)) => {
+            let db = checker.logical_db().db();
+            let tuples: Vec<Vec<Raw>> = (0..rows.len().min(limit))
+                .map(|i| db.decode_row(&rows, &rows.row(i)))
+                .collect();
+            (cols, tuples, rows.len() as f64)
+        }
+        Err(e @ CoreError::UnsupportedForViolationQuery(_)) => {
+            let Some(cv) = checker.find_violations_counted(f, limit)? else {
+                return Err(e);
+            };
+            let tuples = cv.decode(checker.logical_db().db());
+            (cv.vars, tuples, cv.total)
+        }
+        Err(e) => return Err(e),
+    };
+    println!("  columns: {}", cols.join(", "));
+    for t in &tuples {
+        let values: Vec<String> = t.iter().map(ToString::to_string).collect();
+        println!("  ({})", values.join(", "));
+    }
+    if total > tuples.len() as f64 {
+        println!("  … and {} more", total - tuples.len() as f64);
+    }
+    Ok(())
 }
 
 /// One verdict line of the `run`/`serve` baseline report.
@@ -840,7 +786,7 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     }
     println!(
         "\nserving {} constraint(s) over {} relation(s); commands: \
-         +REL:v,... -REL:v,... check [name] certify [name] advise stats quit",
+         +REL:v,... -REL:v,... check [name] certify [name] stats quit",
         reports.len(),
         engine.checker().logical_db().db().relation_names().count()
     );
@@ -873,7 +819,6 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
         metrics.serve = Some(engine.stats());
         metrics.audit = Some(engine.audit_stats());
         metrics.overload = Some(overload);
-        metrics.policy = engine.policy_metrics();
         let doc = metrics.to_json();
         debug_assert!(validate_metrics_json(&doc).is_ok());
         std::fs::write(path, &doc).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -1394,63 +1339,6 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
         println!("\nconstraint {:?}: {}", c.name, c.formula);
         println!("{}", plan.render());
     }
-    Ok(())
-}
-
-/// `relcheck advise`: print the workload-driven routing report. With
-/// `--index-cache` the profile recorded by earlier runs in that
-/// directory feeds the cost model (and the warm indexes make the BDD
-/// cost honest); without one — or when no profile exists yet — a
-/// one-shot in-memory recording of this invocation's own validation
-/// pass stands in. Read-only: never writes the cache or the profile.
-/// Everything on stdout is the report itself, byte-identical across
-/// runs for a fixed recorded workload; incidental progress goes to
-/// stderr.
-fn cmd_advise(args: &[String]) -> Result<(), String> {
-    let args = Args::parse(args, "--index-cache --ordering", "", 1)?;
-    let spec_path = args.positional(0)?;
-    let ordering = args.ordering()?;
-    let index_cache = args.value("--index-cache").map(str::to_owned);
-    let (spec, db) = load_quiet(spec_path)?;
-    if spec.constraints.is_empty() {
-        return Err("spec declares no constraints".to_owned());
-    }
-    let mut checker = Checker::new(
-        db,
-        CheckerOptions {
-            ordering,
-            ..Default::default()
-        },
-    );
-    let mut profile = None;
-    if let Some(dir) = &index_cache {
-        let mut s = IndexStore::open(dir).map_err(|e| format!("opening index cache {dir}: {e}"))?;
-        s.warm_start(&mut checker)
-            .map_err(|e| format!("warm-starting from {dir}: {e}"))?;
-        eprintln!(
-            "index-cache: {} hit(s), {} miss(es), {} rebuild(s)",
-            s.stats.hits, s.stats.misses, s.stats.rebuilds
-        );
-        profile = WorkloadProfile::load(Path::new(dir))
-            .map_err(|e| format!("loading workload profile from {dir}: {e}"))?;
-    }
-    let constraints: Vec<(String, Formula)> = spec
-        .constraints
-        .iter()
-        .map(|c| (c.name.clone(), c.formula.clone()))
-        .collect();
-    let profile = match profile {
-        Some(p) => p,
-        None => {
-            eprintln!("no recorded profile; recording this invocation's own checks");
-            let reports = checker
-                .check_all(&constraints)
-                .map_err(|e| format!("checking constraints: {e}"))?;
-            WorkloadProfile::record(&checker, &constraints, &reports)
-        }
-    };
-    let advice = advise(&profile, &mut checker, &constraints);
-    print!("{}", render_report(&profile, &advice));
     Ok(())
 }
 
