@@ -20,14 +20,18 @@ impl BddManager {
     /// Build the characteristic-function BDD of a relation given as rows of
     /// domain values. Rows are deduplicated (set semantics). Picks the
     /// sorted-tuple fast path when the layout fits 64 bits, else falls back
-    /// to OR folding.
+    /// to OR folding. The nodes it adds count as kept, not as garbage
+    /// ([`BddManager::collection_due`]).
     pub fn relation_from_rows(&mut self, domains: &[DomainId], rows: &[Vec<u64>]) -> Result<Bdd> {
+        let live_before = self.live_nodes();
         let total_bits: usize = domains.iter().map(|&d| self.domain_vars(d).len()).sum();
-        if total_bits <= 64 {
-            self.relation_from_rows_sorted(domains, rows)
+        let root = if total_bits <= 64 {
+            self.relation_from_rows_sorted(domains, rows)?
         } else {
-            self.relation_from_rows_or_fold(domains, rows)
-        }
+            self.relation_from_rows_or_fold(domains, rows)?
+        };
+        self.keep_since(live_before);
+        Ok(root)
     }
 
     /// The sorted-tuple direct construction (strategy D2, fast path).

@@ -66,7 +66,8 @@ pub use cache::{OpKind, OP_KINDS};
 pub use error::{BddError, Result};
 pub use fdd::{DomainId, DomainInfo};
 pub use manager::{
-    Bdd, BddManager, CompactStats, GcStats, ManagerStats, OpStats, StatsDelta, Var, NODE_BYTES,
+    Bdd, BddManager, CompactStats, GcStats, ManagerStats, OpStats, StatsDelta, Var,
+    DEFAULT_CACHE_SLOTS, MIN_GARBAGE, NODE_BYTES,
 };
 pub use quant::VarSet;
 pub use replace::ReplaceMap;

@@ -23,6 +23,18 @@ pub type Var = u32;
 /// the struct-of-arrays arena).
 pub const NODE_BYTES: usize = 3 * std::mem::size_of::<u32>();
 
+/// Operation-cache slot count of [`BddManager::new`].
+pub const DEFAULT_CACHE_SLOTS: usize = 1 << 18;
+
+/// The floor of the collection rule ([`BddManager::collection_due`]): no
+/// collection is due for fewer garbage nodes than this, about 0.8 MB of
+/// arena at [`NODE_BYTES`] per node.
+pub const MIN_GARBAGE: usize = 1 << 16;
+
+/// Under a node limit, a collection is due once the nodes above the kept
+/// set exceed this fraction (`1/n`) of the headroom `limit − kept`.
+const BUDGET_HEADROOM_SHARE: usize = 8;
+
 /// Sentinel level for the two terminal nodes.
 pub(crate) const LEVEL_TERMINAL: u32 = u32::MAX;
 
@@ -294,6 +306,10 @@ pub struct BddManager {
     young_from: usize,
     /// Free-list slots `mk` has reused since the last collection.
     reused: Vec<u32>,
+    /// Live nodes at the end of the last collection, plus the nodes bulk
+    /// builds added since: what the collection rule does not count as
+    /// garbage (see [`BddManager::collection_due`]).
+    kept_nodes: usize,
     pub(crate) cache: OpCache,
     num_vars: u32,
     node_limit: Option<usize>,
@@ -323,9 +339,9 @@ impl Default for BddManager {
 }
 
 impl BddManager {
-    /// Create a manager with default cache size (2¹⁸ slots).
+    /// Create a manager with [`DEFAULT_CACHE_SLOTS`] operation-cache slots.
     pub fn new() -> Self {
-        Self::with_capacity(1 << 18)
+        Self::with_capacity(DEFAULT_CACHE_SLOTS)
     }
 
     /// Create a manager with a caller-chosen operation-cache size (slots,
@@ -338,6 +354,7 @@ impl BddManager {
             gc_roots: Vec::new(),
             young_from: 2,
             reused: Vec::new(),
+            kept_nodes: 0,
             cache: OpCache::new(cache_slots),
             num_vars: 0,
             node_limit: None,
@@ -444,6 +461,44 @@ impl BddManager {
     #[inline]
     pub fn live_nodes(&self) -> usize {
         self.arena.len() - 2 - self.free.len()
+    }
+
+    /// Live nodes the collection rule counts as kept: those the last
+    /// collection kept, plus those [`BddManager::relation_from_rows`] and
+    /// [`BddManager::import_relation`] built since.
+    #[inline]
+    pub fn kept_nodes(&self) -> usize {
+        self.kept_nodes
+    }
+
+    /// How many nodes may pile up above the kept set before a collection is
+    /// due: as many as are kept (the arena may double), and at least
+    /// [`MIN_GARBAGE`]. Under a node limit, at most an eighth of the
+    /// headroom `limit − kept`, since garbage counts toward the limit.
+    pub fn garbage_allowance(&self) -> usize {
+        let doubling = self.kept_nodes.max(MIN_GARBAGE);
+        match self.node_limit {
+            Some(limit) => {
+                doubling.min(limit.saturating_sub(self.kept_nodes) / BUDGET_HEADROOM_SHARE)
+            }
+            None => doubling,
+        }
+    }
+
+    /// The collection rule: is a [`BddManager::gc`] due? True once the live
+    /// nodes above the kept set exceed [`BddManager::garbage_allowance`].
+    /// Like BuDDy, which collects only when its node table runs out, the
+    /// rule lets garbage pile up so that the operation cache survives
+    /// from one operation to the next. It reads node counts only, never a
+    /// clock, so a seeded run collects at the same points every time.
+    pub fn collection_due(&self) -> bool {
+        self.live_nodes().saturating_sub(self.kept_nodes) > self.garbage_allowance()
+    }
+
+    /// Count the nodes made since the live count was `live_before` as kept:
+    /// a fresh relation is not garbage.
+    pub(crate) fn keep_since(&mut self, live_before: usize) {
+        self.kept_nodes += self.live_nodes().saturating_sub(live_before);
     }
 
     /// Total arena slots currently allocated, excluding the two terminals
@@ -625,10 +680,11 @@ impl BddManager {
     ///
     /// The collection is generational when every root of the previous
     /// collection (or [`BddManager::compact`]) is again among `roots` — the
-    /// steady state between checks. The previous survivors are then all
-    /// still reachable, and a node never points at a younger one, so only
-    /// the nodes created since — slots appended past the previous arena
-    /// length and free-list slots `mk` reused — are marked and swept.
+    /// steady state while no delta moves an index root. The previous
+    /// survivors are then all still reachable, and a node never points at
+    /// a younger one, so only the nodes created since — slots appended past
+    /// the previous arena length and free-list slots `mk` reused — are
+    /// marked and swept.
     /// Otherwise every occupied slot is. Either way the same nodes are
     /// freed, in the same order.
     pub fn gc(&mut self, roots: &[Bdd]) -> GcStats {
@@ -682,6 +738,7 @@ impl BddManager {
         self.gc_roots = root_slots;
         self.young_from = self.arena.len();
         self.reused.clear();
+        self.kept_nodes = self.live_nodes();
         self.cache.invalidate();
         self.gc_runs += 1;
     }
@@ -1070,5 +1127,116 @@ mod tests {
         assert!(s.peak_nodes >= s.live_nodes);
         assert!(s.cache_hits >= 1);
         assert_eq!(s.num_vars, 2);
+    }
+
+    /// Make garbage, one unrooted cube of a 2²⁴-value domain at a time,
+    /// until more than `target` nodes are live. A cube adds at most 24.
+    fn pile_up(m: &mut BddManager, d: crate::DomainId, next: &mut u64, target: usize) {
+        while m.live_nodes() <= target {
+            m.insert_row(Bdd::FALSE, &[d], &[*next]).unwrap();
+            *next += 1;
+        }
+    }
+
+    /// A two-column relation of `n` distinct seeded rows over 2¹⁶-value
+    /// domains, built through [`BddManager::relation_from_rows`].
+    fn relation(m: &mut BddManager, n: u64) -> (Bdd, [crate::DomainId; 2]) {
+        let a = m.add_domain(1 << 16).unwrap();
+        let b = m.add_domain(1 << 16).unwrap();
+        let rows: Vec<Vec<u64>> = (0..n)
+            .map(|i| {
+                vec![
+                    i.wrapping_mul(40_503) % (1 << 16),
+                    i.wrapping_mul(7_919) % (1 << 16),
+                ]
+            })
+            .collect();
+        (m.relation_from_rows(&[a, b], &rows).unwrap(), [a, b])
+    }
+
+    #[test]
+    fn collection_waits_for_the_floor() {
+        let mut m = BddManager::new();
+        let d = m.add_domain(1 << 24).unwrap();
+        let mut next = 0;
+        assert_eq!((m.kept_nodes(), m.garbage_allowance()), (0, MIN_GARBAGE));
+        pile_up(&mut m, d, &mut next, MIN_GARBAGE - 25);
+        assert!(!m.collection_due(), "{} live", m.live_nodes());
+        pile_up(&mut m, d, &mut next, MIN_GARBAGE);
+        assert!(m.collection_due(), "{} live", m.live_nodes());
+        let runs = m.stats().gc_runs;
+        m.gc(&[]);
+        assert_eq!(m.stats().gc_runs, runs + 1);
+        assert_eq!(m.kept_nodes(), 0);
+        assert!(!m.collection_due());
+    }
+
+    #[test]
+    fn a_fresh_build_is_not_garbage() {
+        let mut m = BddManager::new();
+        let (r, doms) = relation(&mut m, 40_000);
+        assert!(m.live_nodes() > 2 * MIN_GARBAGE, "{} live", m.live_nodes());
+        assert_eq!(m.kept_nodes(), m.live_nodes());
+        assert!(!m.collection_due());
+        // An imported relation is not garbage either.
+        let exported = m.export_relation(r, &doms).unwrap();
+        let mut w = BddManager::new();
+        w.import_relation(&exported).unwrap();
+        assert_eq!(w.kept_nodes(), w.live_nodes());
+        assert_eq!(w.live_nodes(), m.size(r));
+        assert!(!w.collection_due());
+    }
+
+    #[test]
+    fn collection_waits_for_the_arena_to_double() {
+        let mut m = BddManager::new();
+        let (r, _) = relation(&mut m, 40_000);
+        let kept = m.size(r);
+        let d = m.add_domain(1 << 24).unwrap();
+        let mut next = 0;
+        // Garbage the size of the floor is not enough once more is kept.
+        pile_up(&mut m, d, &mut next, kept + MIN_GARBAGE);
+        assert!(!m.collection_due());
+        assert_eq!(m.garbage_allowance(), kept);
+        pile_up(&mut m, d, &mut next, 2 * kept - 25);
+        assert!(
+            !m.collection_due(),
+            "{} live of {kept} kept",
+            m.live_nodes()
+        );
+        pile_up(&mut m, d, &mut next, 2 * kept);
+        assert!(m.collection_due(), "{} live of {kept} kept", m.live_nodes());
+        m.gc(&[r]);
+        assert_eq!(m.kept_nodes(), kept);
+        assert!(!m.collection_due());
+    }
+
+    #[test]
+    fn a_node_budget_collects_at_an_eighth_of_its_headroom() {
+        let mut m = BddManager::new();
+        let (r, _) = relation(&mut m, 500);
+        let kept = m.kept_nodes();
+        let limit = kept + 8_000;
+        m.set_node_limit(Some(limit));
+        assert_eq!(m.garbage_allowance(), 1_000);
+        let d = m.add_domain(1 << 24).unwrap();
+        let mut next = 0;
+        pile_up(&mut m, d, &mut next, kept + 1_000 - 25);
+        assert!(
+            !m.collection_due(),
+            "{} live of {kept} kept",
+            m.live_nodes()
+        );
+        pile_up(&mut m, d, &mut next, kept + 1_000);
+        assert!(m.collection_due(), "{} live of {kept} kept", m.live_nodes());
+        // Without the budget the same garbage sits below the floor.
+        m.set_node_limit(None);
+        assert!(!m.collection_due());
+        m.set_node_limit(Some(limit));
+        m.gc(&[r]);
+        assert!(!m.collection_due());
+        // A kept set at the limit leaves no room for garbage at all.
+        m.set_node_limit(Some(kept));
+        assert_eq!(m.garbage_allowance(), 0);
     }
 }

@@ -430,7 +430,8 @@ impl BddManager {
     /// domain per block (appended after any existing variables) and import
     /// the function with the induced variable map. Returns the new domain
     /// handles in the *caller's original schema order* plus the rebuilt
-    /// root.
+    /// root. Like [`BddManager::relation_from_rows`], the nodes it adds
+    /// count as kept, not as garbage.
     ///
     /// Fails with [`BddError::UnmappedVariable`] if the snapshot's function
     /// mentions a variable outside the exported layout.
@@ -457,7 +458,9 @@ impl BddManager {
                 return Err(BddError::UnmappedVariable { var: v });
             }
         }
+        let live_before = self.live_nodes();
         let root = self.import(&e.bdd, |v| var_map[&v])?;
+        self.keep_since(live_before);
         let doms_in_schema_order = e.slots.iter().map(|&s| new_doms[s]).collect();
         Ok((doms_in_schema_order, root))
     }

@@ -158,11 +158,7 @@ fn main() {
     // --- BDD recheck per batch ---
     {
         let (db, dom) = build_db(rows);
-        let opts = CheckerOptions {
-            gc_between_checks: false,
-            ..Default::default()
-        };
-        let mut ck = Checker::new(db, opts);
+        let mut ck = Checker::new(db, CheckerOptions::default());
         for rel in ["CUST", "CITY_STATE"] {
             ck.ensure_index(rel).unwrap();
         }
@@ -180,12 +176,6 @@ fn main() {
             }
             t_val += t0.elapsed();
             assert_eq!(vs, verdict_log[batch], "BDD vs SQL verdicts");
-            // Reclaim scratch occasionally; sweeping every batch would
-            // throw away the operation cache that makes re-identification
-            // cheap.
-            if batch % 8 == 7 {
-                ck.logical_db_mut().gc();
-            }
         }
         table.row(&[
             "BDD recheck".into(),
@@ -198,11 +188,7 @@ fn main() {
     // --- BDD + dependency registry ---
     {
         let (db, dom) = build_db(rows);
-        let opts = CheckerOptions {
-            gc_between_checks: false,
-            ..Default::default()
-        };
-        let mut ck = Checker::new(db, opts);
+        let mut ck = Checker::new(db, CheckerOptions::default());
         for rel in ["CUST", "CITY_STATE"] {
             ck.ensure_index(rel).unwrap();
         }
@@ -223,9 +209,6 @@ fn main() {
             let vs: Vec<bool> = verdicts.iter().map(|(_, v)| v.holds()).collect();
             t_val += t0.elapsed();
             assert_eq!(vs, verdict_log[batch], "registry vs SQL verdicts");
-            if batch % 8 == 7 {
-                ck.logical_db_mut().gc();
-            }
         }
         table.row(&[
             "BDD + registry".into(),

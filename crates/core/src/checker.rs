@@ -55,8 +55,6 @@ pub struct CheckerOptions {
     pub plan: PlanOptions,
     /// Variable-ordering strategy for index construction.
     pub ordering: OrderingStrategy,
-    /// Garbage-collect query scratch space after every check.
-    pub gc_between_checks: bool,
     /// Capture a structured [`CheckTrace`] per check (phase timings,
     /// rewrite-rule firings, index provenance, BDD work). The integer
     /// counters behind the trace are maintained by the BDD manager
@@ -81,7 +79,6 @@ impl Default for CheckerOptions {
             node_limit: Some(1_000_000),
             plan: PlanOptions::default(),
             ordering: OrderingStrategy::ProbConverge,
-            gc_between_checks: true,
             telemetry: false,
             deadline: None,
             apply_cache_slots: None,
@@ -848,9 +845,7 @@ impl Checker {
             }
         };
         let eval_time = eval_start.map(|t| t.elapsed()).unwrap_or_default();
-        if self.opts.gc_between_checks {
-            self.ldb.gc();
-        }
+        self.ldb.collect_if_due();
         let elapsed = start.elapsed();
         let metrics = stats_before.map(|before| CheckTrace {
             method,
@@ -1070,9 +1065,7 @@ impl Checker {
             }
             other => other,
         };
-        if self.opts.gc_between_checks {
-            self.ldb.gc();
-        }
+        self.ldb.collect_if_due();
         result
     }
 
@@ -1123,9 +1116,7 @@ impl Checker {
             }
             other => other,
         };
-        if self.opts.gc_between_checks {
-            self.ldb.gc();
-        }
+        self.ldb.collect_if_due();
         result
     }
 

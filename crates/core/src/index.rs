@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 /// Default apply-cache slot count of a [`LogicalDatabase`]'s manager —
 /// [`relcheck_bdd::BddManager::new`]'s own default.
-pub const DEFAULT_CACHE_SLOTS: usize = 1 << 18;
+pub use relcheck_bdd::DEFAULT_CACHE_SLOTS;
 
 /// A built index over one relation.
 #[derive(Debug, Clone)]
@@ -695,6 +695,16 @@ impl LogicalDatabase {
                 .flat_map(|c| [c.index_root, c.result]),
         );
         self.mgr.gc(&roots)
+    }
+
+    /// [`LogicalDatabase::gc`], but only when the manager's collection rule
+    /// ([`BddManager::collection_due`]) says garbage has piled up. The
+    /// checker calls this after every check, so the next check still finds
+    /// this one's nodes and operation cache.
+    pub fn collect_if_due(&mut self) {
+        if self.mgr.collection_due() {
+            self.gc();
+        }
     }
 
     /// Squeeze freed slots out of the manager's arena, rewriting the index

@@ -325,6 +325,9 @@ impl ServeEngine {
         };
         self.dirty.insert(relation.to_owned());
         self.stats.deltas += 1;
+        // The replaced index paths are garbage: a run of deltas with no
+        // check between them must not grow the arena without bound.
+        self.checker.logical_db_mut().collect_if_due();
         Ok(outcome)
     }
 
@@ -550,9 +553,11 @@ impl ServeEngine {
             }
             Command::Stats => {
                 let s = &self.stats;
+                let mgr = self.checker.logical_db().manager();
                 reply.lines.push(format!(
                     "ok stats requests={} deltas={} checks={} checked={} skipped={} \
-                     dirty={} dirty_peak={} full_us={} incremental_us={}",
+                     dirty={} dirty_peak={} full_us={} incremental_us={} \
+                     live_nodes={} kept_nodes={} gc_runs={}",
                     s.requests,
                     s.deltas,
                     s.checks,
@@ -562,6 +567,9 @@ impl ServeEngine {
                     s.dirty_peak,
                     s.full_ns / 1_000,
                     s.incremental_ns / 1_000,
+                    mgr.live_nodes(),
+                    mgr.kept_nodes(),
+                    mgr.stats().gc_runs,
                 ));
             }
             Command::Quit => {
@@ -1160,6 +1168,17 @@ mod tests {
         assert!(r.lines[0].starts_with("err unknown command"));
         let r = e.handle_line("stats");
         assert!(r.lines[0].starts_with("ok stats requests=7 deltas=2 checks=2"));
+        let mgr = e.checker().logical_db().manager();
+        assert!(
+            r.lines[0].ends_with(&format!(
+                " live_nodes={} kept_nodes={} gc_runs={}",
+                mgr.live_nodes(),
+                mgr.kept_nodes(),
+                mgr.stats().gc_runs
+            )),
+            "{:?}",
+            r.lines
+        );
         let r = e.handle_line("quit");
         assert!(r.quit);
         assert_eq!(r.lines, vec!["ok bye"]);

@@ -380,16 +380,13 @@ fn handles(engine: &ServeEngine) -> Handles {
 fn inverse_delta_restores_roots_and_patched_atoms() {
     let _g = lock();
     let shadow = base_shadow();
-    let options = CheckerOptions {
-        gc_between_checks: false,
-        ..Default::default()
-    };
     let (mut engine, _) = ServeEngine::new(
-        Checker::new(db_from(&shadow), options),
+        Checker::new(db_from(&shadow), CheckerOptions::default()),
         &constraints(),
         None,
     )
     .unwrap();
+    let gc_runs = |engine: &ServeEngine| engine.checker().logical_db().manager().stats().gc_runs;
     for (relation, row) in [
         ("R", vec![4, 5]),
         ("R", vec![6, 6]),
@@ -397,6 +394,7 @@ fn inverse_delta_restores_roots_and_patched_atoms() {
         ("T", vec![4]),
     ] {
         let before = handles(&engine);
+        let collections = gc_runs(&engine);
         let raw: Vec<Raw> = row.iter().map(|&v| Raw::Int(v)).collect();
         assert!(
             engine
@@ -412,6 +410,11 @@ fn inverse_delta_restores_roots_and_patched_atoms() {
         );
         assert!(engine.apply(relation, &Delta::Delete(raw)).unwrap().changed);
         incremental(&mut engine);
+        assert_eq!(
+            gc_runs(&engine),
+            collections,
+            "{relation} {row:?}: no collection in between"
+        );
         // A delta can reorder query-domain allocation (relations sort by
         // size), so the session may hold extra entries; none it had before
         // may differ. (Growing S flips the join orientation of
@@ -429,6 +432,212 @@ fn inverse_delta_restores_roots_and_patched_atoms() {
     assert!(
         engine.checker().logical_db().atom_cache_patches() > 0,
         "no atom was patched"
+    );
+}
+
+/// The customer schema of the soak test: 148 known cities of 150, 500
+/// phone numbers, 40 area codes and 12 states. City `c` has area code
+/// `c mod 40`, and the area code decides the state, so the clean rows
+/// satisfy the whole battery.
+const SOAK_CITIES: u64 = 150;
+const SOAK_KNOWN_CITIES: i64 = 148;
+const SOAK_NUMBERS: u64 = 500;
+const SOAK_AREACODES: i64 = 40;
+const SOAK_STATES: i64 = 12;
+
+fn soak_state(city: i64) -> i64 {
+    city % SOAK_AREACODES * 7 % SOAK_STATES
+}
+
+/// A clean customer row: a known city, any number.
+fn soak_row(rng: &mut SplitMix64) -> Vec<i64> {
+    let city = rng.gen_range(0..SOAK_KNOWN_CITIES as u64) as i64;
+    let number = rng.gen_range(0..SOAK_NUMBERS) as i64;
+    vec![city % SOAK_AREACODES, number, city, soak_state(city)]
+}
+
+/// Rows the soak toggles in and out, each breaking part of the battery:
+/// an unknown city; a city in the wrong state; an area code whose state
+/// differs from its city's.
+fn soak_bad_rows() -> [Vec<i64>; 3] {
+    [
+        vec![0, 0, 149, soak_state(149)],
+        vec![3, 1, 3, (soak_state(3) + 1) % SOAK_STATES],
+        vec![6, 2, 45, soak_state(45)],
+    ]
+}
+
+fn soak_db(cust: &BTreeSet<Vec<i64>>) -> Database {
+    let mut db = Database::new();
+    let raw = |row: &[i64]| row.iter().map(|&v| Raw::Int(v)).collect::<Vec<_>>();
+    db.create_relation(
+        "CUST",
+        &[
+            ("areacode", "areacode"),
+            ("number", "number"),
+            ("city", "city"),
+            ("state", "state"),
+        ],
+        cust.iter().map(|r| raw(r)).collect(),
+    )
+    .unwrap();
+    db.create_relation(
+        "CITY_STATE",
+        &[("city", "city"), ("state", "state")],
+        (0..SOAK_KNOWN_CITIES)
+            .map(|c| raw(&[c, soak_state(c)]))
+            .collect(),
+    )
+    .unwrap();
+    for (class, size) in [
+        ("areacode", SOAK_AREACODES as u64),
+        ("number", SOAK_NUMBERS),
+        ("city", SOAK_CITIES),
+        ("state", SOAK_STATES as u64),
+    ] {
+        for v in 0..size as i64 {
+            db.encode_value(class, &Raw::Int(v));
+        }
+    }
+    db
+}
+
+fn soak_battery() -> Vec<(String, Formula)> {
+    [
+        (
+            "reference-agrees",
+            "forall a, n, c, s, s2. CUST(a, n, c, s) & CITY_STATE(c, s2) -> s = s2",
+        ),
+        (
+            "city-determines-state",
+            "forall a1, n1, c, s1, a2, n2, s2. CUST(a1, n1, c, s1) & CUST(a2, n2, c, s2) -> s1 = s2",
+        ),
+        (
+            "areacode-determines-state",
+            "forall a, n1, c1, s1, n2, c2, s2. CUST(a, n1, c1, s1) & CUST(a, n2, c2, s2) -> s1 = s2",
+        ),
+        (
+            "cities-are-known",
+            "forall a, n, c, s. CUST(a, n, c, s) -> exists s2. CITY_STATE(c, s2)",
+        ),
+    ]
+    .iter()
+    .map(|(name, text)| ((*name).to_owned(), parse(text).unwrap()))
+    .collect()
+}
+
+/// A session's live nodes, the collection rule's bound on them (kept plus
+/// the garbage allowance) and its collections so far.
+fn soak_counts(engine: &ServeEngine) -> (usize, usize, u64) {
+    let m = engine.checker().logical_db().manager();
+    (
+        m.live_nodes(),
+        m.kept_nodes() + m.garbage_allowance(),
+        m.stats().gc_runs,
+    )
+}
+
+/// After one soak request: the live nodes sit within the rule's bound, and
+/// a request that did not collect grew the arena by its live-node growth.
+fn after_request(
+    engine: &ServeEngine,
+    before: (usize, usize, u64),
+    largest_growth: &mut usize,
+    context: &str,
+) {
+    let (live, bound, runs) = soak_counts(engine);
+    if runs == before.2 {
+        *largest_growth = (*largest_growth).max(live.saturating_sub(before.0));
+    }
+    assert!(
+        live <= bound,
+        "{context}: {live} live nodes past the rule's bound {bound}"
+    );
+}
+
+/// The soak bound: 1,024 seeded CUST inserts and deletes, a check after
+/// every 8th. One delta in ten toggles a row that breaks part of the
+/// battery, so verdicts flip both ways. Every check equals a cold serial
+/// `check_all`; after every
+/// request the live nodes sit within the collection rule's bound, so the
+/// arena never grows past the widest bound plus the largest growth of one
+/// request; and the rule really collects.
+#[test]
+fn soak_keeps_the_arena_within_the_collection_rule() {
+    let _g = lock();
+    let mut rng = SplitMix64::seed_from_u64(0x50A4);
+    let mut cust: BTreeSet<Vec<i64>> = (0..1_000).map(|_| soak_row(&mut rng)).collect();
+    let battery = soak_battery();
+    let (mut engine, _) = ServeEngine::new(
+        Checker::new(soak_db(&cust), CheckerOptions::default()),
+        &battery,
+        None,
+    )
+    .unwrap();
+    let gc_runs_at_start = soak_counts(&engine).2;
+    let (mut widest_bound, mut largest_growth) = (0, 0);
+    for step in 0..1_024 {
+        let before = soak_counts(&engine);
+        widest_bound = widest_bound.max(before.1);
+        let (row, insert) = if rng.gen_bool(0.1) {
+            let row = soak_bad_rows()[rng.gen_range(0..3u64) as usize].clone();
+            let insert = !cust.contains(&row);
+            (row, insert)
+        } else if rng.gen_bool(0.5) {
+            (soak_row(&mut rng), true)
+        } else {
+            let n = rng.gen_range(0..cust.len() as u64) as usize;
+            (cust.iter().nth(n).unwrap().clone(), false)
+        };
+        let raw = row.iter().map(|&v| Raw::Int(v)).collect();
+        let delta = if insert {
+            Delta::Insert(raw)
+        } else {
+            Delta::Delete(raw)
+        };
+        let changed = engine.apply("CUST", &delta).unwrap().changed;
+        let shadow_changed = if insert {
+            cust.insert(row)
+        } else {
+            cust.remove(&row)
+        };
+        assert_eq!(changed, shadow_changed, "step {step}");
+        after_request(
+            &engine,
+            before,
+            &mut largest_growth,
+            &format!("step {step} delta"),
+        );
+        if step % 8 == 7 {
+            let before = soak_counts(&engine);
+            let got: Vec<(String, bool)> = engine
+                .check_all()
+                .unwrap()
+                .into_iter()
+                .map(|(name, v)| (name, v.holds()))
+                .collect();
+            let cold: Vec<(String, bool)> = Checker::new(soak_db(&cust), CheckerOptions::default())
+                .check_all(&battery)
+                .unwrap()
+                .into_iter()
+                .map(|(name, report)| (name, report.holds))
+                .collect();
+            assert_eq!(got, cold, "step {step}: session diverged from a cold check");
+            after_request(
+                &engine,
+                before,
+                &mut largest_growth,
+                &format!("step {step} check"),
+            );
+        }
+    }
+    let runs = soak_counts(&engine).2;
+    assert!(runs > gc_runs_at_start, "the collection rule never fired");
+    let peak = engine.checker().logical_db().manager().stats().peak_nodes;
+    assert!(
+        peak <= widest_bound + largest_growth,
+        "arena peak {peak} past the widest bound {widest_bound} \
+         plus the largest growth of one request {largest_growth}"
     );
 }
 

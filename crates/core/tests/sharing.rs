@@ -339,19 +339,20 @@ fn adaptive_rebuild_uses_recorded_workload_and_keeps_verdicts() {
     assert_same(&want, &got, "adaptive rebuild");
 }
 
-/// A long session keeps its arena bounded: a delta and its inverse, each
-/// followed by the battery, return the manager to the same live-node count
-/// (ROBDD canonicity: the same index functions and the same atom-cache
-/// entries), and the arena stops growing after the first round. The
-/// collection after a delta replaces an index root and so marks the whole
-/// arena; the ones between checks of an unchanged database only add
-/// atom-cache roots and so mark just the nodes the last check created.
+/// A long session keeps its arena bounded. After every battery the live
+/// nodes sit within the collection rule's bound: the kept set plus its
+/// garbage allowance. A delta and its inverse, each followed by the
+/// battery and then an explicit collection, return the manager to the
+/// same live-node count (ROBDD canonicity: the same index functions and
+/// the same atom-cache entries), and the arena stops growing after the
+/// first round.
 #[test]
 fn arena_stays_bounded_under_delta_churn() {
     let _g = lock();
     let battery = battery();
     let mut ck = checker(customer_db(1_500, 0.01), true);
     let want = ck.check_all(&battery).unwrap();
+    ck.logical_db_mut().gc();
     let baseline = ck.logical_db().manager().live_nodes();
     // A tuple of interned values that CUST does not hold yet: row 0 with
     // the next state over.
@@ -360,13 +361,30 @@ fn arena_stays_bounded_under_delta_churn() {
         let state = (cust.col(2)[0] + 1) % 12;
         vec![cust.col(0)[0], cust.col(1)[0], state]
     };
+    let within_rule = |ck: &Checker, what: &str| {
+        let m = ck.logical_db().manager();
+        let bound = m.kept_nodes() + m.garbage_allowance();
+        assert!(
+            m.live_nodes() <= bound,
+            "{what}: {} live nodes past the rule's bound {bound}",
+            m.live_nodes()
+        );
+    };
     let mut slots_after_round_one = None;
     for round in 0..6 {
         assert!(ck.logical_db_mut().insert_tuple("CUST", &row).unwrap());
         ck.check_all(&battery).unwrap();
+        within_rule(&ck, &format!("round {round} insert"));
         assert!(ck.logical_db_mut().delete_tuple("CUST", &row).unwrap());
         let got = ck.check_all(&battery).unwrap();
+        within_rule(&ck, &format!("round {round} delete"));
         assert_same(&want, &got, &format!("round {round}"));
+        ck.logical_db_mut().gc();
+        assert_eq!(
+            ck.logical_db().manager().live_nodes(),
+            baseline,
+            "round {round}"
+        );
         let slots = ck.logical_db().manager().arena_slots();
         let bound = *slots_after_round_one.get_or_insert(slots);
         assert!(
@@ -374,5 +392,4 @@ fn arena_stays_bounded_under_delta_churn() {
             "round {round}: arena grew to {slots} slots past its round-1 size {bound}"
         );
     }
-    assert_eq!(ck.logical_db().manager().live_nodes(), baseline);
 }

@@ -325,6 +325,12 @@ if ! grep -q 'ok check checked=2 skipped=2 dirty=1' "$SERVE_OUT"; then
     echo "serve session did not skip the read-set-disjoint constraints" >&2
     exit 1
 fi
+# `stats` reports the arena next to the session counters: live nodes, the
+# nodes the collection rule counts as kept, and collections so far.
+if ! grep -Eq '^ok stats .* live_nodes=[0-9]+ kept_nodes=[0-9]+ gc_runs=[0-9]+$' "$SERVE_OUT"; then
+    echo "serve stats reply lacks live_nodes/kept_nodes/gc_runs" >&2
+    exit 1
+fi
 set +e
 cargo run --release --quiet --bin relcheck -- \
     run testdata/phones.spec --index-cache "$SERVE_DIR" >"$BATCH_OUT"
