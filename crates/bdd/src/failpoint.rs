@@ -12,32 +12,29 @@
 //! the whole workspace shares one PRNG pedigree. Statelessness is the
 //! point: the decision does not depend on thread interleaving or on how
 //! many *other* sites probed in between, so a fault profile reproduces
-//! bit-for-bit across serial and parallel runs, and a test can aim a fault
-//! at exactly one parallel lane by keying on the lane index.
+//! bit-for-bit from run to run, and a test can aim a fault at exactly one
+//! relation by keying on its name.
 //!
-//! Sites (see [`SITES`]): `index-build`, `snapshot-decode`, `lane-spawn`,
-//! `apply`, `sql-fallback`, plus the persistent-index-store write path
+//! Sites (see [`SITES`]): `index-build`, `snapshot-decode`, `apply`,
+//! `sql-fallback`, plus the persistent-index-store write path
 //! (`segment-write`, `journal-append`, `manifest-write`). The CLI exposes
 //! the registry as `relcheck run --fail-spec 'site=p[,site=p...]'
 //! --fail-seed N`.
 //!
 //! Probes at `Result` sites return [`crate::BddError::FaultInjected`];
-//! the `lane-spawn` site is probed by the parallel engine, which responds
-//! by panicking inside the lane to exercise panic isolation. The store's
-//! write-path sites simulate a kill -9 mid-syscall: the probing code
-//! deliberately leaves a *torn* file (a partial write at the final path)
-//! before erroring, so crash recovery is exercised against exactly the
-//! artifacts a real crash would leave.
+//! the store's write-path sites simulate a kill -9 mid-syscall: the
+//! probing code deliberately leaves a *torn* file (a partial write at the
+//! final path) before erroring, so crash recovery is exercised against
+//! exactly the artifacts a real crash would leave.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Failpoint site: logical-index construction (`LogicalDatabase::build_index`).
 pub const INDEX_BUILD: &str = "index-build";
-/// Failpoint site: importing an index snapshot into a worker manager.
+/// Failpoint site: importing an index snapshot into a manager (the index
+/// store's warm start).
 pub const SNAPSHOT_DECODE: &str = "snapshot-decode";
-/// Failpoint site: parallel lane startup — fires as a *panic* in the lane.
-pub const LANE_SPAWN: &str = "lane-spawn";
 /// Failpoint site: the BDD recursion budget probe (apply/ite/quantify).
 pub const APPLY: &str = "apply";
 /// Failpoint site: entry to the SQL fallback evaluator.
@@ -53,10 +50,9 @@ pub const JOURNAL_APPEND: &str = "journal-append";
 pub const MANIFEST_WRITE: &str = "manifest-write";
 
 /// Every site name the registry accepts, in catalog order.
-pub const SITES: [&str; 8] = [
+pub const SITES: [&str; 7] = [
     INDEX_BUILD,
     SNAPSHOT_DECODE,
-    LANE_SPAWN,
     APPLY,
     SQL_FALLBACK,
     SEGMENT_WRITE,
@@ -119,7 +115,7 @@ pub fn decide(seed: u64, site: &str, key: u64, p: f64) -> bool {
 }
 
 /// Parse a `--fail-spec` string: comma-separated `site=probability` pairs,
-/// e.g. `"lane-spawn=1"` or `"apply=0.01,sql-fallback=1"`. Site names must
+/// e.g. `"index-build=1"` or `"apply=0.01,sql-fallback=1"`. Site names must
 /// come from [`SITES`]; probabilities must lie in `[0, 1]`.
 pub fn parse_spec(spec: &str) -> Result<Vec<(String, f64)>, String> {
     let mut out = Vec::new();
@@ -275,24 +271,24 @@ mod tests {
     #[test]
     fn armed_registry_fires_and_counts() {
         let _g = locked();
-        configure(&[(LANE_SPAWN.to_owned(), 1.0)], 42).unwrap();
+        configure(&[(INDEX_BUILD.to_owned(), 1.0)], 42).unwrap();
         assert!(enabled());
         assert_eq!(armed_seed(), Some(42));
-        assert!(should_fail(LANE_SPAWN, 1));
-        assert!(should_fail(LANE_SPAWN, 2));
+        assert!(should_fail(INDEX_BUILD, 1));
+        assert!(should_fail(INDEX_BUILD, 2));
         assert!(!should_fail(APPLY, 1), "unlisted sites stay at p=0");
         let counts = fired_counts();
-        let lane = counts.iter().find(|(s, _)| *s == LANE_SPAWN).unwrap();
-        assert_eq!(lane.1, 2);
+        let build = counts.iter().find(|(s, _)| *s == INDEX_BUILD).unwrap();
+        assert_eq!(build.1, 2);
         clear();
-        assert!(!should_fail(LANE_SPAWN, 3));
+        assert!(!should_fail(INDEX_BUILD, 3));
     }
 
     #[test]
     fn spec_parsing_round_trip_and_rejects() {
-        let spec = parse_spec("lane-spawn=1, apply=0.25").unwrap();
+        let spec = parse_spec("index-build=1, apply=0.25").unwrap();
         assert_eq!(spec.len(), 2);
-        assert_eq!(spec[0], (LANE_SPAWN.to_owned(), 1.0));
+        assert_eq!(spec[0], (INDEX_BUILD.to_owned(), 1.0));
         assert_eq!(spec[1], (APPLY.to_owned(), 0.25));
         assert!(parse_spec("bogus-site=1").is_err());
         assert!(parse_spec("apply=2.0").is_err());

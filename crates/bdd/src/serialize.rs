@@ -17,9 +17,9 @@ use crate::manager::{Bdd, BddManager, Var};
 
 /// Why a byte-level snapshot decode was rejected. Decoding never panics on
 /// hostile input — truncation, bit flips, and structural lies all surface
-/// as a typed error naming the offending byte offset, so callers (snapshot
-/// transfer between parallel lanes, index files read from disk) can report
-/// the corruption and degrade instead of crashing.
+/// as a typed error naming the offending byte offset, so callers (index
+/// files read from disk) can report the corruption and degrade instead of
+/// crashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
     /// Byte offset at (or just past) which the input stopped making sense.
@@ -213,16 +213,16 @@ impl ExportedBdd {
 }
 
 /// A manager-independent snapshot of a relation BDD *together with its
-/// finite-domain layout*, so another manager — typically one owned by a
-/// different worker thread — can rebuild both the domains and the function
-/// without re-running tuple construction.
+/// finite-domain layout*, so another manager — typically a later process
+/// warm-starting from an index file — can rebuild both the domains and the
+/// function without re-running tuple construction.
 ///
 /// `blocks` lists the layout's domains in ascending source-variable order
 /// (i.e. declaration order); `slots[i]` says which block the caller's `i`-th
 /// domain became, so [`BddManager::import_relation`] can hand back domain
 /// handles in the caller's original order. Everything here is plain owned
-/// data (`Send + Sync`), which is what makes it a safe hand-off format
-/// between per-worker BDD managers.
+/// data, so it serializes to bytes and back without reference to either
+/// manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExportedRelation {
     /// The function, children before parents (see [`ExportedBdd`]).

@@ -14,7 +14,6 @@
 //! | `table1`    | Table 1: Q1–Q5, SQL vs BDD-random vs BDD-optimized            |
 //! | `threshold` | §5.2 node-buffer fill times (10³ … 10⁷ nodes)                 |
 //! | `dynamic`   | update-stream re-validation: SQL vs BDD vs BDD+registry       |
-//! | `par_scaling` | serial vs parallel constraint checking at 1/2/4/8 workers   |
 //!
 //! Run with `cargo run -p relcheck-bench --release --bin <target> [-- args]`.
 //! Each binary accepts `--tuples N` (and prints its defaults) so the

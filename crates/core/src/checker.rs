@@ -32,8 +32,7 @@ use crate::ordering::OrderingStrategy;
 use crate::plan::{fnv1a, formula_fingerprint, BddStep, BddTest, CheckPlan, PlanOptions, SqlStep};
 use crate::sqlgen::{self, Shape};
 use crate::telemetry::{
-    CheckTrace, FallbackReason, FleetTelemetry, IndexEvent, IndexProvenance, PassStat,
-    PhaseTimings, RuleFiring, WorkerTelemetry,
+    CheckTrace, FallbackReason, IndexEvent, IndexProvenance, PassStat, PhaseTimings, RuleFiring,
 };
 use relcheck_bdd::{failpoint, BddError, StatsDelta};
 use relcheck_logic::eval::eval_sentence;
@@ -547,9 +546,9 @@ impl Checker {
     }
 
     /// Mark a relation permanently SQL-only, as if its index build had
-    /// busted the node budget. The parallel checker uses this to seed
-    /// workers with the coordinator's over-budget set so every lane makes
-    /// the same BDD-vs-SQL routing decisions.
+    /// busted the node budget. `serve` uses this when a delta value falls
+    /// outside a frozen BDD block, so the relation keeps answering on the
+    /// SQL rung until a restart rebuilds wider blocks.
     pub fn mark_sql_only(&mut self, name: &str) {
         // The sql_only set is part of the schema fingerprint, but bump the
         // epoch too so the invalidation does not depend on set contents
@@ -577,10 +576,6 @@ impl Checker {
     /// Is this relation on the permanent SQL-only list?
     pub fn is_sql_only(&self, name: &str) -> bool {
         self.sql_only.contains(name)
-    }
-
-    pub(crate) fn sql_only_set(&self) -> &HashSet<String> {
-        &self.sql_only
     }
 
     pub(crate) fn referenced_relations(f: &Formula) -> Vec<String> {
@@ -702,8 +697,8 @@ impl Checker {
     /// constraint that panics (a compiler bug, an injected fault) yields a
     /// [`Verdict::Errored`] report carrying the payload instead of
     /// unwinding into the caller. Typed errors still propagate. Every
-    /// batch path — [`Checker::check_all`], the registry, the parallel
-    /// lanes, serve `certify` — checks through this one guard.
+    /// batch path — [`Checker::check_all`], the registry, serve
+    /// `certify` — checks through this one guard.
     pub(crate) fn check_guarded(&mut self, f: &Formula) -> Result<CheckReport> {
         match catch_unwind(AssertUnwindSafe(|| self.check(f))) {
             Ok(result) => result,
@@ -971,66 +966,6 @@ impl Checker {
             .iter()
             .map(|(name, f)| Ok((name.clone(), self.check_guarded(f)?)))
             .collect()
-    }
-
-    /// [`Checker::check_all`] spread over `threads` worker threads, each
-    /// with its own BDD manager (see [`crate::parallel`]). The coordinator
-    /// builds each referenced index once and ships it to the workers as a
-    /// manager-independent snapshot; constraints are batched by the
-    /// relations they read, and every worker keeps the full node-budget /
-    /// SQL-fallback strategy independently. Reports come back in input
-    /// order with verdicts identical to the serial path.
-    pub fn check_all_parallel(
-        &mut self,
-        constraints: &[(String, Formula)],
-        threads: usize,
-    ) -> Result<Vec<(String, CheckReport)>> {
-        Ok(self.check_all_parallel_telemetry(constraints, threads)?.0)
-    }
-
-    /// [`Checker::check_all_parallel`] plus the merged lane-level
-    /// telemetry: one [`WorkerTelemetry`] per lane (in deterministic batch
-    /// order) and fleet totals that are exactly the sum of the per-lane
-    /// counters. A serial pass (one thread or one constraint) reports a
-    /// single lane covering every constraint.
-    pub fn check_all_parallel_telemetry(
-        &mut self,
-        constraints: &[(String, Formula)],
-        threads: usize,
-    ) -> Result<(Vec<(String, CheckReport)>, FleetTelemetry)> {
-        if threads <= 1 || constraints.len() <= 1 {
-            let before = self.ldb.manager().stats();
-            let reports = self.check_all(constraints)?;
-            let after = self.ldb.manager().stats();
-            let lane = WorkerTelemetry {
-                worker: 0,
-                constraints: (0..constraints.len()).collect(),
-                bdd: after.delta_since(&before),
-                peak_nodes: after.peak_nodes,
-                depth_hwm: after.depth_hwm,
-            };
-            return Ok((reports, FleetTelemetry::from_workers(vec![lane])));
-        }
-        // Build (or budget-out) every referenced index exactly once, then
-        // snapshot for transfer — workers import instead of re-running
-        // tuple construction.
-        let mut snapshots = Vec::new();
-        let mut seen = HashSet::new();
-        for (_, f) in constraints {
-            for rel in Self::referenced_relations(f) {
-                if seen.insert(rel.clone()) && self.ensure_index(&rel)? {
-                    snapshots.push(self.ldb.export_index(&rel).expect("just ensured"));
-                }
-            }
-        }
-        crate::parallel::run(
-            self.ldb.db(),
-            self.opts,
-            self.sql_only_set(),
-            &snapshots,
-            constraints,
-            threads,
-        )
     }
 
     /// Materialize up to `limit` violating assignments **on the BDD path**,

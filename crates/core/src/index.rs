@@ -35,9 +35,9 @@ pub struct RelIndex {
 
 /// A manager-independent snapshot of one relation's logical index:
 /// everything a *different* BDD manager needs to adopt the index without
-/// re-running tuple construction. This is the hand-off format the parallel
-/// checker uses to ship coordinator-built indices to per-worker managers
-/// (all fields are plain owned data, so the snapshot is `Send`).
+/// re-running tuple construction. This is the payload of the index store's
+/// segments ([`IndexSnapshot::to_bytes`]), which a warm start imports into
+/// a fresh manager instead of rebuilding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexSnapshot {
     /// The indexed relation's name.

@@ -34,10 +34,6 @@
 //!   method/size/timing reports. Its degradation ladder is the one place
 //!   a check is routed to BDD or SQL: the BDD rung first, SQL past the
 //!   node budget, as in the paper.
-//! * [`parallel`] — [`checker::Checker::check_all_parallel`]: the
-//!   constraint set spread over worker threads, each with a private BDD
-//!   manager, with indices shipped as manager-independent snapshots and
-//!   reports merged back deterministically.
 //! * [`serve`] — [`serve::ServeEngine`], the long-lived session engine
 //!   behind `relcheck serve`: deltas dirty relations, and each check
 //!   re-verifies only the constraints whose read-set intersects the
@@ -70,7 +66,6 @@ mod error;
 pub mod exec;
 pub mod index;
 pub mod ordering;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod registry;
@@ -89,7 +84,7 @@ pub use registry::ConstraintRegistry;
 pub use serve::{ApplyOutcome, ServeActor, ServeClient, ServeConfig, ServeEngine, Submission};
 pub use store::{Delta, IndexStore, VerifyStatus};
 pub use telemetry::{
-    AuditMetrics, CheckTrace, DegradationSummary, FallbackReason, FleetTelemetry,
-    IndexCacheMetrics, OverloadMetrics, PassStat, RecoveryRecord, RewriteRule, RuleFiring,
-    RunMetrics, ServeMetrics, WorkerTelemetry,
+    AuditMetrics, CheckTrace, DegradationSummary, FallbackReason, IndexCacheMetrics,
+    OverloadMetrics, PassStat, RecoveryRecord, RewriteRule, RuleFiring, RunBdd, RunMetrics,
+    ServeMetrics,
 };

@@ -19,6 +19,7 @@ use std::collections::{HashMap, HashSet};
 struct Entry {
     name: String,
     formula: Formula,
+    /// The read-set: every relation an atom of `formula` names.
     reads: HashSet<String>,
     last: Option<bool>,
     /// [`Checker::epoch`] at the moment `last` was cached. A verdict is
@@ -105,9 +106,9 @@ impl ConstraintRegistry {
         if self.entries.iter().any(|e| e.name == name) {
             return false;
         }
-        // The exact signature the parallel partitioner groups by, so the
-        // registry's skip/recheck decisions agree with lane scheduling.
-        let reads = crate::parallel::read_set(&formula).into_iter().collect();
+        let reads = Checker::referenced_relations(&formula)
+            .into_iter()
+            .collect();
         self.entries.push(Entry {
             name: name.to_owned(),
             formula,
@@ -116,15 +117,6 @@ impl ConstraintRegistry {
             validated_epoch: 0,
         });
         true
-    }
-
-    /// The relations a registered constraint reads (its read-set
-    /// signature, from [`crate::parallel::read_set`]).
-    pub fn read_set(&self, name: &str) -> Option<&HashSet<String>> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| &e.reads)
     }
 
     /// Names in registration order.

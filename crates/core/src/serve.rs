@@ -8,9 +8,8 @@
 //! [`IndexStore`] alive across requests, and re-checks **only the
 //! constraints whose read-set intersects the relations dirtied since the
 //! last check** — everything else answers from the registry's cached
-//! verdict. The read-set signature is the same one
-//! [`crate::parallel::read_set`] computes for lane partitioning, so the
-//! skip decisions agree with the parallel scheduler's grouping.
+//! verdict. The skip decision is [`ConstraintRegistry::revalidate`]'s,
+//! over the relations each constraint's atoms name.
 //!
 //! The protocol is line-oriented (stdin or a unix socket in the CLI):
 //!

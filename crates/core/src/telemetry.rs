@@ -1,5 +1,5 @@
-//! End-to-end telemetry: per-constraint traces, lane aggregation, and the
-//! stable metrics JSON schema.
+//! End-to-end telemetry: per-constraint traces, the run's BDD totals, and
+//! the stable metrics JSON schema.
 //!
 //! The paper's argument is that logical indices let the checker *decide*
 //! where time goes — BDD vs SQL fallback, which rewrite rules fired, how
@@ -10,10 +10,8 @@
 //!   phase timings, rewrite-rule firings (R1–R4, in application order),
 //!   index build-vs-reuse, the BDD-vs-SQL routing decision with the
 //!   node-budget reason on fallback, and the [`StatsDelta`] of BDD work.
-//! * [`FleetTelemetry`] — lane-level aggregation across
-//!   [`crate::parallel`] workers, merged deterministically (workers in
-//!   batch order, constraint indices in input order), with fleet totals
-//!   that are exactly the sum of the per-worker counters.
+//! * [`RunBdd`] — the BDD work of a whole batch or session, read off the
+//!   one shared manager before and after it.
 //! * [`RunMetrics`] — the machine-readable report emitted by
 //!   `relcheck run --metrics <path.json>` and the bench binaries. The
 //!   schema is documented in `DESIGN.md` and validated by
@@ -32,12 +30,12 @@
 
 use crate::checker::{rung, Method, Verdict};
 use crate::planner::pass;
-use relcheck_bdd::{OpKind, OpStats, StatsDelta};
+use relcheck_bdd::{ManagerStats, OpKind, OpStats, StatsDelta};
 use std::time::Duration;
 
 /// The metrics document's `schema_version`: the one version the writer
 /// emits and the validator accepts.
-const SCHEMA_VERSION: i64 = 10;
+const SCHEMA_VERSION: i64 = 11;
 
 /// The rewrite rules of the paper's Section 4 pipeline, numbered as the
 /// telemetry schema reports them.
@@ -276,38 +274,34 @@ pub struct CheckTrace {
     pub bdd: StatsDelta,
 }
 
-/// Telemetry for one parallel lane (or the single lane of a serial pass).
-#[derive(Debug, Clone)]
-pub struct WorkerTelemetry {
-    /// Lane number, in deterministic batch order.
-    pub worker: usize,
-    /// Input indices of the constraints this lane checked, ascending.
-    pub constraints: Vec<usize>,
-    /// All BDD work in the lane (index import/build + checks).
-    pub bdd: StatsDelta,
-    /// The lane manager's live-node high-water mark.
+/// The BDD work of a whole run: the counter delta between two snapshots
+/// of the run's manager, plus the manager's high-water marks at the end.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunBdd {
+    /// Every counter's growth over the run, index builds included.
+    pub delta: StatsDelta,
+    /// The manager's arena high-water mark (live nodes plus free holes).
     pub peak_nodes: usize,
-    /// The lane manager's recursion-depth high-water mark.
+    /// The manager's recursion-depth high-water mark.
     pub depth_hwm: u32,
 }
 
-/// Deterministic merged telemetry for a whole `check_all_parallel` run.
-#[derive(Debug, Clone)]
-pub struct FleetTelemetry {
-    /// Per-worker telemetry, in batch order.
-    pub workers: Vec<WorkerTelemetry>,
-    /// Sum of every worker's [`StatsDelta`] — exactly, by construction.
-    pub total: StatsDelta,
-}
-
-impl FleetTelemetry {
-    /// Assemble a fleet from its lanes, computing the total.
-    pub fn from_workers(workers: Vec<WorkerTelemetry>) -> FleetTelemetry {
-        let mut total = StatsDelta::default();
-        for w in &workers {
-            total += w.bdd;
+impl RunBdd {
+    /// The work done between the `before` and `after` snapshots.
+    pub fn between(before: &ManagerStats, after: &ManagerStats) -> RunBdd {
+        RunBdd {
+            delta: after.delta_since(before),
+            peak_nodes: after.peak_nodes,
+            depth_hwm: after.depth_hwm,
         }
-        FleetTelemetry { workers, total }
+    }
+
+    /// The high-water marks, written ahead of the delta's counters.
+    fn marks(&self) -> [(&'static str, u64); 2] {
+        [
+            ("peak_nodes", self.peak_nodes as u64),
+            ("depth_hwm", u64::from(self.depth_hwm)),
+        ]
     }
 }
 
@@ -558,19 +552,17 @@ impl OverloadMetrics {
     }
 }
 
-/// The top-level machine-readable report (`schema_version` 10). See
+/// The top-level machine-readable report (`schema_version` 11). See
 /// `DESIGN.md` for field meanings and stability guarantees.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
-    /// Worker threads the run was configured with.
-    pub threads: usize,
     /// Whether per-check traces were captured.
     pub telemetry_enabled: bool,
     /// Per-constraint metrics, in input order.
     pub constraints: Vec<ConstraintMetrics>,
-    /// Lane-level aggregation, when the run went through the parallel
-    /// front-end (serial passes report a single lane).
-    pub fleet: Option<FleetTelemetry>,
+    /// The run's BDD work; `None` when it never touched the BDD engine
+    /// (`relcheck run --sql`).
+    pub bdd: Option<RunBdd>,
     /// Degraded/errored counts and fault-injection evidence.
     pub degradation: DegradationSummary,
     /// Persistent index store counters; `None` when the run did not use
@@ -592,8 +584,7 @@ impl RunMetrics {
     /// Captures the failpoint registry's fired counts if it is armed.
     pub fn from_reports(
         reports: &[(String, crate::checker::CheckReport)],
-        fleet: Option<FleetTelemetry>,
-        threads: usize,
+        bdd: Option<RunBdd>,
     ) -> RunMetrics {
         let count = |keep: &dyn Fn(&crate::checker::CheckReport) -> bool| {
             reports.iter().filter(|(_, r)| keep(r)).count()
@@ -606,7 +597,6 @@ impl RunMetrics {
                 .map(|seed| (seed, relcheck_bdd::failpoint::fired_counts())),
         };
         RunMetrics {
-            threads,
             telemetry_enabled: reports.iter().any(|(_, r)| r.metrics.is_some()),
             constraints: reports
                 .iter()
@@ -620,13 +610,13 @@ impl RunMetrics {
                     trace: r.metrics.clone(),
                 })
                 .collect(),
-            fleet,
+            bdd,
             degradation,
             ..RunMetrics::default()
         }
     }
 
-    /// Render the schema-version-10 JSON document.
+    /// Render the schema-version-11 JSON document.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj_open();
@@ -634,8 +624,6 @@ impl RunMetrics {
         w.raw(&SCHEMA_VERSION.to_string());
         w.key("tool");
         w.string("relcheck");
-        w.key("threads");
-        w.raw(&self.threads.to_string());
         w.key("telemetry_enabled");
         w.bool(self.telemetry_enabled);
         w.key("constraints");
@@ -644,7 +632,9 @@ impl RunMetrics {
             write_constraint(&mut w, c);
         }
         w.arr_close();
-        write_nullable(&mut w, "fleet", self.fleet.as_ref(), write_fleet);
+        write_nullable(&mut w, "bdd", self.bdd.as_ref(), |w, b| {
+            write_delta(w, &b.marks(), &b.delta)
+        });
         w.key("degradation");
         write_degradation(&mut w, &self.degradation);
         write_nullable(
@@ -812,7 +802,7 @@ fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
     w.key("timings");
     write_counter_block(w, &t.timings.counters());
     w.key("bdd");
-    write_delta(w, &t.bdd);
+    write_delta(w, &[], &t.bdd);
     w.obj_close();
 }
 
@@ -838,8 +828,11 @@ fn write_fallback(w: &mut JsonWriter, fb: &FallbackReason) {
     w.obj_close();
 }
 
-fn write_delta(w: &mut JsonWriter, d: &StatsDelta) {
+/// Write a `bdd` block: `lead` counters, then the delta's counters and
+/// its per-op entries.
+fn write_delta(w: &mut JsonWriter, lead: &[(&str, u64)], d: &StatsDelta) {
     w.obj_open();
+    write_counters(w, lead);
     write_counters(w, &delta_counters(d));
     w.key("ops");
     w.arr_open();
@@ -851,34 +844,6 @@ fn write_delta(w: &mut JsonWriter, d: &StatsDelta) {
         w.obj_close();
     }
     w.arr_close();
-    w.obj_close();
-}
-
-fn write_fleet(w: &mut JsonWriter, fl: &FleetTelemetry) {
-    w.obj_open();
-    w.key("workers");
-    w.arr_open();
-    for wk in &fl.workers {
-        w.obj_open();
-        w.key("worker");
-        w.raw(&wk.worker.to_string());
-        w.key("constraints");
-        w.arr_open();
-        for &i in &wk.constraints {
-            w.raw(&i.to_string());
-        }
-        w.arr_close();
-        w.key("peak_nodes");
-        w.raw(&wk.peak_nodes.to_string());
-        w.key("depth_hwm");
-        w.raw(&wk.depth_hwm.to_string());
-        w.key("bdd");
-        write_delta(w, &wk.bdd);
-        w.obj_close();
-    }
-    w.arr_close();
-    w.key("total");
-    write_delta(w, &fl.total);
     w.obj_close();
 }
 
@@ -1296,12 +1261,10 @@ fn read_counters<T: Default, const N: usize>(
         .map(Counters)
 }
 
-/// Check a `bdd` block — its counters and one entry per op kind, each
-/// conserving `calls == cache_hits + cache_misses` — and return every
-/// counter flattened (per-op ones as `ops[<kind>].<field>`) for the
-/// fleet-sum check.
-fn check_delta_block(v: &Json, at: &str) -> Check<Counters> {
-    let mut flat = read_counters(v, at, delta_counters)?;
+/// Check a `bdd` block: its counters and one entry per op kind, each
+/// conserving `calls == cache_hits + cache_misses`.
+fn check_delta_block(v: &Json, at: &str) -> Check<()> {
+    read_counters(v, at, delta_counters)?;
     let ops = array(v, at, "ops")?;
     if ops.len() != OpKind::ALL.len() {
         return Err(format!(
@@ -1324,12 +1287,8 @@ fn check_delta_block(v: &Json, at: &str) -> Check<Counters> {
                 c["calls"], c["cache_hits"], c["cache_misses"]
             ));
         }
-        let prefixed =
-            c.0.into_iter()
-                .map(|(k, n)| (format!("ops[{want}].{k}"), n));
-        flat.0.extend(prefixed);
     }
-    Ok(flat)
+    Ok(())
 }
 
 /// Check one planner pass entry (trace or plan): a known pass name, a
@@ -1415,9 +1374,7 @@ fn check_trace(t: &Json, at: &str) -> Check<()> {
 /// Validate a metrics document against the current schema (the one
 /// [`RunMetrics::to_json`] writes; any other `schema_version` is
 /// rejected): required fields and types, closed vocabularies, per-op
-/// conservation laws, each block's conservation rules, and — when a
-/// fleet section is present — that the fleet totals equal the sum of the
-/// per-worker counters.
+/// conservation laws and each block's conservation rules.
 pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
     let doc = parse_json(text)?;
     let version = expect(&doc, "", "schema_version", "an integer", Json::as_int)?;
@@ -1427,7 +1384,6 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
         ));
     }
     string(&doc, "", "tool")?;
-    count(&doc, "", "threads")?;
     boolean(&doc, "", "telemetry_enabled")?;
     let constraints = array(&doc, "", "constraints")?;
     for (i, c) in constraints.iter().enumerate() {
@@ -1452,23 +1408,9 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
         }
     }
 
-    if let Some(fleet) = nullable(&doc, "", "fleet")? {
-        let total = check_delta_block(field(fleet, "fleet", "total")?, "fleet.total")?;
-        let mut sums = vec![0u128; total.0.len()];
-        for (i, w) in array(fleet, "fleet", "workers")?.iter().enumerate() {
-            let at = format!("fleet.workers[{i}]");
-            let bdd = check_delta_block(field(w, &at, "bdd")?, &join(&at, "bdd"))?;
-            for (sum, (_, n)) in sums.iter_mut().zip(&bdd.0) {
-                *sum += u128::from(*n);
-            }
-        }
-        for ((name, t), sum) in total.0.iter().zip(sums) {
-            if u128::from(*t) != sum {
-                return Err(format!(
-                    "fleet.total.{name} = {t} but per-worker sum is {sum}"
-                ));
-            }
-        }
+    if let Some(bdd) = nullable(&doc, "", "bdd")? {
+        read_counters(bdd, "bdd", RunBdd::marks)?;
+        check_delta_block(bdd, "bdd")?;
     }
 
     let deg = field(&doc, "", "degradation")?;
@@ -1769,11 +1711,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_document_validates() {
-        let m = RunMetrics {
-            threads: 1,
-            ..RunMetrics::default()
-        };
-        validate_metrics_json(&m.to_json()).unwrap();
+        validate_metrics_json(&RunMetrics::default().to_json()).unwrap();
     }
 
     #[test]
@@ -1782,9 +1720,9 @@ mod tests {
         // document of an older (or future) schema is accepted.
         let doc = golden_metrics().to_json();
         validate_metrics_json(&doc).unwrap();
-        for version in (1..=9).chain([11]) {
+        for version in (1..=10).chain([12]) {
             let other = doc.replace(
-                "\"schema_version\":10",
+                "\"schema_version\":11",
                 &format!("\"schema_version\":{version}"),
             );
             let err = validate_metrics_json(&other).unwrap_err();
@@ -1871,7 +1809,6 @@ mod tests {
     #[test]
     fn index_cache_metrics_validate_and_conserve() {
         let mut m = RunMetrics {
-            threads: 1,
             index_cache: Some(IndexCacheMetrics {
                 hits: 1,
                 misses: 2,
@@ -1924,7 +1861,6 @@ mod tests {
     #[test]
     fn serve_metrics_validate_and_conserve() {
         let mut m = RunMetrics {
-            threads: 1,
             serve: Some(serve_counters()),
             ..RunMetrics::default()
         };
@@ -1956,7 +1892,6 @@ mod tests {
     #[test]
     fn validator_checks_overload_block() {
         let mut m = RunMetrics {
-            threads: 1,
             serve: Some(serve_counters()),
             overload: Some(OverloadMetrics {
                 admitted: 6,
@@ -1998,7 +1933,6 @@ mod tests {
     #[test]
     fn validator_checks_audit_block() {
         let mut m = RunMetrics {
-            threads: 1,
             audit: Some(AuditMetrics {
                 emitted: 3,
                 verified: 3,
@@ -2030,46 +1964,35 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_bad_fleet_totals() {
-        let wk = WorkerTelemetry {
-            worker: 0,
-            constraints: vec![0],
-            bdd: StatsDelta {
-                created_nodes: 5,
-                ..Default::default()
-            },
+    fn validator_rejects_a_run_bdd_block_that_breaks_conservation() {
+        let mut bdd = RunBdd {
             peak_nodes: 10,
             depth_hwm: 3,
+            ..RunBdd::default()
         };
-        let mut fleet = FleetTelemetry::from_workers(vec![wk]);
+        bdd.delta.ops[0].calls = 2;
+        bdd.delta.ops[0].cache_hits = 1;
+        bdd.delta.ops[0].cache_misses = 1;
         let good = RunMetrics {
-            threads: 2,
-            telemetry_enabled: true,
-            fleet: Some(fleet.clone()),
+            bdd: Some(bdd),
             ..RunMetrics::default()
         };
         validate_metrics_json(&good.to_json()).unwrap();
-        fleet.total.created_nodes += 1;
+        bdd.delta.ops[0].calls += 1;
         let bad = RunMetrics {
-            fleet: Some(fleet.clone()),
-            ..good.clone()
+            bdd: Some(bdd),
+            ..RunMetrics::default()
         };
         let err = validate_metrics_json(&bad.to_json()).unwrap_err();
-        assert!(err.contains("created_nodes"), "{err}");
-        // Per-op totals are worker sums too.
-        fleet.total.created_nodes -= 1;
-        fleet.total.ops[0].calls += 1;
-        fleet.total.ops[0].cache_misses += 1;
-        let bad = RunMetrics {
-            fleet: Some(fleet),
-            ..good
-        };
-        let err = validate_metrics_json(&bad.to_json()).unwrap_err();
-        assert!(err.contains("ops[apply].calls"), "{err}");
+        assert!(err.contains("bdd.ops[apply]"), "{err}");
+        // The high-water marks are required counters of the block.
+        let doc = good.to_json().replace("\"depth_hwm\":3,", "");
+        let err = validate_metrics_json(&doc).unwrap_err();
+        assert!(err.contains("bdd.depth_hwm"), "{err}");
     }
 
     /// One document exercising every block the writer can emit: all
-    /// optional blocks present, a two-worker fleet, armed-failpoint
+    /// optional blocks present, a run-level `bdd` block, armed-failpoint
     /// evidence, an index-cache recovery, all six fallback reasons, a
     /// pass with no paper rule, and every ladder rung.
     fn golden_metrics() -> RunMetrics {
@@ -2177,24 +2100,7 @@ mod tests {
             }
         }
         use crate::checker::Verdict;
-        let workers = vec![
-            WorkerTelemetry {
-                worker: 0,
-                constraints: vec![0, 2, 4, 6],
-                bdd: delta(1),
-                peak_nodes: 100,
-                depth_hwm: 7,
-            },
-            WorkerTelemetry {
-                worker: 1,
-                constraints: vec![1, 3, 5],
-                bdd: delta(2),
-                peak_nodes: 250,
-                depth_hwm: 9,
-            },
-        ];
         RunMetrics {
-            threads: 2,
             telemetry_enabled: true,
             constraints: vec![
                 constraint(
@@ -2284,7 +2190,11 @@ mod tests {
                 ),
                 constraint("untraced", Verdict::Holds, None, Method::Bdd, None),
             ],
-            fleet: Some(FleetTelemetry::from_workers(workers)),
+            bdd: Some(RunBdd {
+                delta: delta(3),
+                peak_nodes: 250,
+                depth_hwm: 9,
+            }),
             degradation: DegradationSummary {
                 degraded: 1,
                 errored: 1,
@@ -2349,7 +2259,7 @@ mod tests {
     }
 
     const GOLDEN_METRICS: &str = concat!(
-        r#"{"schema_version":10,"tool":"relcheck","threads":2,"telemetry_enabled":true,"constraints":["#,
+        r#"{"schema_version":11,"tool":"relcheck","telemetry_enabled":true,"constraints":["#,
         r#"{"name":"stays-on-bdd","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"#,
         r#""trace":{"method":"bdd","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
@@ -2407,18 +2317,9 @@ mod tests {
         r#"{"op":"exists","calls":13,"cache_hits":10,"cache_misses":3},{"op":"forall","calls":15,"cache_hits":11,"cache_misses":4},{"op":"app_exists","calls":17,"cache_hits":12,"cache_misses":5},{"op":"app_forall","calls":19,"cache_hits":13,"cache_misses":6},"#,
         r#"{"op":"replace","calls":21,"cache_hits":14,"cache_misses":7},{"op":"restrict","calls":23,"cache_hits":15,"cache_misses":8},{"op":"constrain","calls":25,"cache_hits":16,"cache_misses":9}]}}},"#,
         r#"{"name":"untraced","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"trace":null}],"#,
-        r#""fleet":{"workers":["#,
-        r#"{"worker":0,"constraints":[0,2,4,6],"peak_nodes":100,"depth_hwm":7,"#,
-        r#""bdd":{"created_nodes":10,"cache_hits":3,"cache_misses":2,"gc_runs":1,"ops":[{"op":"apply","calls":1,"cache_hits":1,"cache_misses":0},{"op":"not","calls":3,"cache_hits":2,"cache_misses":1},{"op":"ite","calls":5,"cache_hits":3,"cache_misses":2},"#,
-        r#"{"op":"exists","calls":7,"cache_hits":4,"cache_misses":3},{"op":"forall","calls":9,"cache_hits":5,"cache_misses":4},{"op":"app_exists","calls":11,"cache_hits":6,"cache_misses":5},{"op":"app_forall","calls":13,"cache_hits":7,"cache_misses":6},"#,
-        r#"{"op":"replace","calls":15,"cache_hits":8,"cache_misses":7},{"op":"restrict","calls":17,"cache_hits":9,"cache_misses":8},{"op":"constrain","calls":19,"cache_hits":10,"cache_misses":9}]}},"#,
-        r#"{"worker":1,"constraints":[1,3,5],"peak_nodes":250,"depth_hwm":9,"#,
-        r#""bdd":{"created_nodes":20,"cache_hits":6,"cache_misses":4,"gc_runs":2,"ops":[{"op":"apply","calls":2,"cache_hits":2,"cache_misses":0},{"op":"not","calls":4,"cache_hits":3,"cache_misses":1},{"op":"ite","calls":6,"cache_hits":4,"cache_misses":2},"#,
-        r#"{"op":"exists","calls":8,"cache_hits":5,"cache_misses":3},{"op":"forall","calls":10,"cache_hits":6,"cache_misses":4},{"op":"app_exists","calls":12,"cache_hits":7,"cache_misses":5},{"op":"app_forall","calls":14,"cache_hits":8,"cache_misses":6},"#,
-        r#"{"op":"replace","calls":16,"cache_hits":9,"cache_misses":7},{"op":"restrict","calls":18,"cache_hits":10,"cache_misses":8},{"op":"constrain","calls":20,"cache_hits":11,"cache_misses":9}]}}],"#,
-        r#""total":{"created_nodes":30,"cache_hits":9,"cache_misses":6,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":7,"cache_hits":5,"cache_misses":2},{"op":"ite","calls":11,"cache_hits":7,"cache_misses":4},"#,
-        r#"{"op":"exists","calls":15,"cache_hits":9,"cache_misses":6},{"op":"forall","calls":19,"cache_hits":11,"cache_misses":8},{"op":"app_exists","calls":23,"cache_hits":13,"cache_misses":10},{"op":"app_forall","calls":27,"cache_hits":15,"cache_misses":12},"#,
-        r#"{"op":"replace","calls":31,"cache_hits":17,"cache_misses":14},{"op":"restrict","calls":35,"cache_hits":19,"cache_misses":16},{"op":"constrain","calls":39,"cache_hits":21,"cache_misses":18}]}},"#,
+        r#""bdd":{"peak_nodes":250,"depth_hwm":9,"created_nodes":30,"cache_hits":9,"cache_misses":6,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":5,"cache_hits":4,"cache_misses":1},{"op":"ite","calls":7,"cache_hits":5,"cache_misses":2},"#,
+        r#"{"op":"exists","calls":9,"cache_hits":6,"cache_misses":3},{"op":"forall","calls":11,"cache_hits":7,"cache_misses":4},{"op":"app_exists","calls":13,"cache_hits":8,"cache_misses":5},{"op":"app_forall","calls":15,"cache_hits":9,"cache_misses":6},"#,
+        r#"{"op":"replace","calls":17,"cache_hits":10,"cache_misses":7},{"op":"restrict","calls":19,"cache_hits":11,"cache_misses":8},{"op":"constrain","calls":21,"cache_hits":12,"cache_misses":9}]},"#,
         r#""degradation":{"degraded":1,"errored":1,"fallbacks":6,"failpoints":{"seed":"18446744073709551615","fired":[{"site":"apply","count":3},{"site":"index-build","count":0}]}},"#,
         r#""index_cache":{"hits":1,"misses":2,"rebuilds":1,"journal_replayed":4,"write_failures":1,"#,
         r#""recoveries":[{"relation":"CUST","reason":"segment_corrupt","detail":"checksum mismatch at offset 20"},{"relation":"ALLOWED","reason":"journal_torn","detail":"tail of 7 bytes discarded"}]},"#,

@@ -197,7 +197,7 @@ fn plans_are_deterministic_across_checkers() {
 
 /// The differential gate: for every corpus constraint, the plan-based
 /// path returns the same four-valued verdict under the default plan, with
-/// every ablation switched off, and as brute force — serial and parallel.
+/// every ablation switched off, and as brute force.
 #[test]
 fn plan_execution_matches_legacy_and_brute_force() {
     let brute = Checker::new(customer_db(), CheckerOptions::default());
@@ -232,17 +232,6 @@ fn plan_execution_matches_legacy_and_brute_force() {
                 "{name} under {plan:?}"
             );
         }
-    }
-    // Parallel front-end over the whole corpus at once.
-    let battery: Vec<(String, Formula)> = corpus()
-        .into_iter()
-        .map(|(n, f)| (n.to_owned(), f))
-        .collect();
-    let mut ck = Checker::new(customer_db(), CheckerOptions::default());
-    for (name, report) in ck.check_all_parallel(&battery, 3).unwrap() {
-        let f = &battery.iter().find(|(n, _)| *n == name).unwrap().1;
-        let expected = eval_sentence(&customer_db(), f).unwrap();
-        assert_eq!(report.holds, expected, "{name} (parallel)");
     }
 }
 

@@ -7,8 +7,8 @@
 //! (sharing switched off through
 //! `LogicalDatabase::set_subgraph_sharing(false)`) on every verdict and
 //! method, serially (also across delta batches, which the shared side
-//! absorbs by patching its cached atoms), under 2-lane parallelism, and
-//! under fault injection at the index-build site. The suite also covers the core half
+//! absorbs by patching its cached atoms) and under fault injection at the
+//! index-build site. The suite also covers the core half
 //! of the ordering-invariance oracle: every ordering strategy, including
 //! the workload-adaptive one, yields the same verdicts.
 
@@ -242,17 +242,6 @@ fn sharing_matches_unshared_serially_and_actually_shares() {
             "{context}: no stale atom was patched"
         );
     }
-}
-
-#[test]
-fn sharing_matches_unshared_across_parallel_lanes() {
-    let _g = lock();
-    let db = customer_db(1_200, 0.02);
-    let battery = battery();
-    let want = checker(db.clone(), false).check_all(&battery).unwrap();
-    // Lanes build their own checkers, which always share.
-    let got = checker(db, true).check_all_parallel(&battery, 2).unwrap();
-    assert_same(&want, &got, "parallel");
 }
 
 #[test]

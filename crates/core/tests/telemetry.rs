@@ -11,12 +11,15 @@
 //!   equi-join-with-∃ constraint must fire exactly the R1–R4 sequence
 //!   checked in below. These pin the §4 pipeline: a refactor that changes
 //!   which rules fire (or how often) must update the goldens consciously.
-//! * **Schema round-trip** — the metrics JSON of a real run parses,
-//!   validates, and preserves the fleet-total = Σ worker invariant.
+//! * **Schema round-trip** — the metrics JSON of a real run parses and
+//!   validates, and its run-level `bdd` block is the Σ of the per-check
+//!   trace deltas.
 
 use relcheck_bdd::{OpKind, StatsDelta};
 use relcheck_core::checker::{Checker, CheckerOptions, Method};
-use relcheck_core::telemetry::{validate_metrics_json, RewriteRule, RuleFiring, RunMetrics};
+use relcheck_core::telemetry::{
+    validate_metrics_json, RewriteRule, RuleFiring, RunBdd, RunMetrics,
+};
 use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Raw};
 
@@ -303,43 +306,47 @@ fn disabled_telemetry_attaches_no_trace() {
 }
 
 #[test]
-fn fleet_totals_equal_worker_sums_and_json_validates() {
-    let opts = CheckerOptions {
-        telemetry: true,
-        ..Default::default()
-    };
-    for threads in [1usize, 2, 8] {
-        let mut ck = Checker::new(customer_db(), opts);
-        let (reports, fleet) = ck
-            .check_all_parallel_telemetry(&battery(), threads)
-            .unwrap();
-        // Fleet totals are exactly the per-worker sum.
-        let mut sum = StatsDelta::default();
-        for w in &fleet.workers {
-            sum += w.bdd;
-            assert_conservation(&w.bdd, &format!("threads={threads} worker={}", w.worker));
-        }
-        assert_eq!(sum, fleet.total, "threads={threads}");
-        // Every constraint index appears in exactly one lane, ascending.
-        let mut covered: Vec<usize> = fleet
-            .workers
-            .iter()
-            .flat_map(|w| w.constraints.iter().copied())
-            .collect();
-        covered.sort_unstable();
-        assert_eq!(covered, (0..reports.len()).collect::<Vec<_>>());
-        // The emitted JSON survives its own validator (which re-checks the
-        // conservation laws and the fleet-total invariant from the text).
-        let doc = RunMetrics::from_reports(&reports, Some(fleet), threads).to_json();
-        validate_metrics_json(&doc).unwrap_or_else(|e| panic!("threads={threads}: {e}"));
+fn run_bdd_block_sums_the_traces_and_json_validates() {
+    let mut ck = telemetry_checker();
+    let before = ck.logical_db().manager().stats();
+    let reports = ck.check_all(&battery()).unwrap();
+    let after = ck.logical_db().manager().stats();
+    let run = RunBdd::between(&before, &after);
+    // Every manager operation of the batch happens inside some check, so
+    // the run's delta is exactly the sum of the per-check trace deltas.
+    let mut sum = StatsDelta::default();
+    for (name, r) in &reports {
+        sum += r.metrics.as_ref().unwrap().bdd;
+        assert_conservation(&r.metrics.as_ref().unwrap().bdd, name);
     }
+    assert_eq!(run.delta, sum);
+    assert_conservation(&run.delta, "run");
+    assert!(run.delta.created_nodes > 0, "the battery built indices");
+    assert_eq!(
+        (run.peak_nodes, run.depth_hwm),
+        (after.peak_nodes, after.depth_hwm)
+    );
+    // The emitted JSON survives its own validator (which re-checks the
+    // per-kind conservation law from the text) and carries the marks.
+    let doc = RunMetrics::from_reports(&reports, Some(run)).to_json();
+    validate_metrics_json(&doc).unwrap();
+    let parsed = relcheck_core::telemetry::parse_json(&doc).unwrap();
+    let bdd = parsed.get("bdd").unwrap();
+    assert_eq!(
+        bdd.get("peak_nodes").unwrap().as_int(),
+        Some(after.peak_nodes as i64)
+    );
+    assert_eq!(
+        bdd.get("created_nodes").unwrap().as_int(),
+        Some(run.delta.created_nodes as i64)
+    );
 }
 
 #[test]
 fn metrics_json_reflects_report_content() {
     let mut ck = telemetry_checker();
     let reports = ck.check_all(&battery()).unwrap();
-    let doc = RunMetrics::from_reports(&reports, None, 1).to_json();
+    let doc = RunMetrics::from_reports(&reports, None).to_json();
     validate_metrics_json(&doc).unwrap();
     let parsed = relcheck_core::telemetry::parse_json(&doc).unwrap();
     let cs = parsed.get("constraints").unwrap().as_arr().unwrap();

@@ -57,7 +57,7 @@ METRICS_OUT="$(mktemp /tmp/relcheck-metrics.XXXXXX.json)"
 trap 'rm -f "$METRICS_OUT"' EXIT
 set +e
 cargo run --release --quiet --bin relcheck -- \
-    run testdata/phones.spec --threads 4 --metrics "$METRICS_OUT"
+    run testdata/phones.spec --metrics "$METRICS_OUT"
 rc=$?
 set -e
 if [ "$rc" -ge 2 ]; then
@@ -102,30 +102,17 @@ for want in "passes:" "bdd step:" "sql step:" "ladder: bdd"; do
         exit 1
     fi
 done
-# A serial run and a four-thread run decide the same verdicts: their
-# report lines (per-constraint timings stripped) are byte-identical, and
-# the serial run's metrics document validates.
+# The run's metrics document validates.
 set +e
 cargo run --release --quiet --bin relcheck -- \
-    run testdata/phones.spec --threads 1 --metrics "$METRICS_OUT" >"$PLAN_A"
+    run testdata/phones.spec --metrics "$METRICS_OUT" >"$PLAN_A"
 rc=$?
 set -e
 if [ "$rc" -ge 2 ]; then
-    echo "serial relcheck run failed operationally (exit $rc)" >&2
+    echo "relcheck run failed operationally (exit $rc)" >&2
     exit 1
 fi
 cargo run --release --quiet --bin relcheck -- metrics-check "$METRICS_OUT"
-set +e
-cargo run --release --quiet --bin relcheck -- \
-    run testdata/phones.spec --threads 4 >"$PLAN_B"
-rc=$?
-set -e
-if [ "$rc" -ge 2 ]; then
-    echo "four-thread relcheck run failed operationally (exit $rc)" >&2
-    exit 1
-fi
-cmp <(grep " via " "$PLAN_A" | awk '{sub(/ in [0-9].*$/,"")}1') \
-    <(grep " via " "$PLAN_B" | awk '{sub(/ in [0-9].*$/,"")}1')
 
 step "path differential: BDD vs SQL verdicts on testdata/phones.spec"
 # The same spec decided twice, once on the BDD logical indices and once
@@ -163,14 +150,30 @@ step "fault-injection smoke: each failpoint site, fixed seed"
 # ERRORED, not as violations — or exit 1 when the surviving constraints
 # include the fixture's genuine violations), the metrics document must
 # stay schema-valid, and the degradation section must record the firing.
-for site in index-build snapshot-decode lane-spawn apply sql-fallback; do
+# Snapshots are decoded only when a warm start imports them, so the
+# snapshot-decode run reads an index cache a clean run filled first.
+FAULT_CACHE="$(mktemp -d /tmp/relcheck-fault-cache.XXXXXX)"
+trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$FAULT_CACHE"' EXIT
+set +e
+cargo run --release --quiet --bin relcheck -- \
+    run testdata/phones.spec --index-cache "$FAULT_CACHE" >/dev/null
+rc=$?
+set -e
+if [ "$rc" -ge 2 ]; then
+    echo "filling the fault-injection index cache failed (exit $rc)" >&2
+    exit 1
+fi
+for site in index-build snapshot-decode apply sql-fallback; do
     spec="$site=1"
+    extra=""
     # The sql-fallback site only fires once the ladder actually reaches the
     # SQL rung, so knock out the BDD rung alongside it.
     if [ "$site" = sql-fallback ]; then spec="apply=1,sql-fallback=1"; fi
+    if [ "$site" = snapshot-decode ]; then extra="--index-cache $FAULT_CACHE"; fi
     set +e
+    # shellcheck disable=SC2086 # $extra is empty or one flag and its value
     cargo run --release --quiet --bin relcheck -- \
-        run testdata/phones.spec --threads 2 \
+        run testdata/phones.spec $extra \
         --fail-spec "$spec" --fail-seed 20070415 \
         --metrics "$METRICS_OUT" >/dev/null
     rc=$?
@@ -189,6 +192,7 @@ for site in index-build snapshot-decode lane-spawn apply sql-fallback; do
         exit 1
     fi
 done
+rm -rf "$FAULT_CACHE"
 
 step "crash-recovery smoke: index cache warm starts, kills, and recovery"
 # The warm-start differential: a second run against the same cache must
@@ -543,15 +547,21 @@ if ! grep -q 'FAILED' "$AUDIT_OUT"; then
     exit 1
 fi
 
-step "metrics schema smoke: metrics-check accepts exactly schema 10"
+step "metrics schema smoke: metrics-check accepts exactly schema 11"
 # The audit smoke's certified run left a complete metrics document (its
 # audit block included) in $METRICS_OUT.
-if ! grep -q '"schema_version":10' "$METRICS_OUT"; then
-    echo "run metrics is not schema v10" >&2
+if ! grep -q '"schema_version":11' "$METRICS_OUT"; then
+    echo "run metrics is not schema v11" >&2
     exit 1
 fi
-if grep -q '"policy":' "$METRICS_OUT"; then
-    echo "run metrics still carries the removed policy block" >&2
+for removed in policy threads fleet; do
+    if grep -q "\"$removed\":" "$METRICS_OUT"; then
+        echo "run metrics still carries the removed $removed field" >&2
+        exit 1
+    fi
+done
+if ! grep -q '"bdd":{"peak_nodes":' "$METRICS_OUT"; then
+    echo "run metrics lacks the run-level bdd block" >&2
     exit 1
 fi
 # The validator reads exactly the schema the writer emits: the same
@@ -570,8 +580,8 @@ expect_rejected() { # expect_rejected <label>
         exit 1
     fi
 }
-for version in 9 11; do
-    sed "s/\"schema_version\":10/\"schema_version\":$version/" "$METRICS_OUT" >"$NEG_DOC"
+for version in 10 12; do
+    sed "s/\"schema_version\":11/\"schema_version\":$version/" "$METRICS_OUT" >"$NEG_DOC"
     if cmp -s "$METRICS_OUT" "$NEG_DOC"; then
         echo "schema_version rewrite to $version matched nothing" >&2
         exit 1
@@ -588,28 +598,23 @@ if [ "$QUICK" -eq 0 ]; then
         cargo test --release -q -p relcheck-core --test chaos -- --ignored
 fi
 
-step "experiment smoke: table1, par_scaling and fig6 at small size + metrics validation"
-# The figure binaries still run end to end: table1 at 2,000 tuples and
-# par_scaling at 2,000 rows (which asserts parallel verdicts equal the
-# serial pass at 1/2/4/8 workers and bounds the telemetry overhead). Each
-# writes the metrics document `relcheck run --metrics` emits, and both
-# documents must validate. fig6 asserts that the fused `app_exists` /
+step "experiment smoke: table1 and fig6 at small size + metrics validation"
+# The figure binaries still run end to end: table1 at 2,000 tuples, which
+# with --metrics bounds the telemetry overhead on Q1-Q5 and writes the
+# metrics document `relcheck run --metrics` emits; that document must
+# validate. fig6 asserts that the fused `app_exists` /
 # `app_forall` the compiler quantifies with build the same BDDs as the
 # separate and pushed-down forms. fig3 prints no timings, only the ordering
 # heuristics' accuracy, so two runs must print the same bytes: the
 # heuristics are deterministic, whatever order the generators' hash sets
 # hand them rows in.
 TABLE1_METRICS="$(mktemp /tmp/relcheck-table1.XXXXXX.json)"
-PAR_METRICS="$(mktemp /tmp/relcheck-par.XXXXXX.json)"
 FIG3_A="$(mktemp /tmp/relcheck-fig3-a.XXXXXX.txt)"
 FIG3_B="$(mktemp /tmp/relcheck-fig3-b.XXXXXX.txt)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$NEG_DOC" "$TABLE1_METRICS" "$PAR_METRICS" "$FIG3_A" "$FIG3_B"' EXIT
+trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$NEG_DOC" "$TABLE1_METRICS" "$FIG3_A" "$FIG3_B"' EXIT
 cargo run --release --quiet -p relcheck-bench --bin table1 -- \
     --tuples 2000 --metrics "$TABLE1_METRICS" >/dev/null
-cargo run --release --quiet -p relcheck-bench --bin par_scaling -- \
-    --rows 2000 --samples 1 --metrics "$PAR_METRICS" >/dev/null
 cargo run --release --quiet --bin relcheck -- metrics-check "$TABLE1_METRICS"
-cargo run --release --quiet --bin relcheck -- metrics-check "$PAR_METRICS"
 cargo run --release --quiet -p relcheck-bench --bin fig6 -- \
     --steps 1 --base 2000 >/dev/null
 for out in "$FIG3_A" "$FIG3_B"; do

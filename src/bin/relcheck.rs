@@ -1,7 +1,7 @@
 //! `relcheck` — command-line constraint validation.
 //!
 //! ```text
-//! relcheck run <spec-file> [--limit N] [--sql] [--ordering STRATEGY] [--threads N]
+//! relcheck run <spec-file> [--limit N] [--sql] [--ordering STRATEGY]
 //!                          [--metrics PATH] [--deadline-ms N] [--index-cache DIR]
 //!                          [--fail-spec SPEC] [--fail-seed N]
 //!                          [--certify PATH] [--witness-limit N]
@@ -25,10 +25,9 @@
 //! `--sql`), prints a report, lists up to `--limit` violating tuples per
 //! violated constraint, and exits non-zero if anything is violated.
 //! Orderings: `prob-converge` (default), `max-inf-gain`, `min-cond-entropy`,
-//! `adaptive` (workload-scored, falls back to `prob-converge` before any
-//! check has run), `schema`, `random`. With `--threads N` (N > 1) the constraint
-//! set is checked on N worker threads, each with its own BDD manager;
-//! verdicts are identical to the serial pass. `--metrics PATH` enables
+//! `adaptive` (scores orders against a recorded workload, but `run` and
+//! `serve` build each index before any check has read it, so both build
+//! the `prob-converge` order), `schema`, `random`. `--metrics PATH` enables
 //! telemetry and writes the machine-readable run report (the schema in
 //! DESIGN.md) to PATH; `metrics-check` validates such a file against the
 //! schema and its conservation laws.
@@ -38,7 +37,7 @@
 //! exceeds it walks the degradation ladder (SQL fallback, brute force)
 //! instead of stalling the run. `--fail-spec 'site=p,...'` arms the
 //! deterministic fault-injection registry (sites: `index-build`,
-//! `snapshot-decode`, `lane-spawn`, `apply`, `sql-fallback`,
+//! `snapshot-decode`, `apply`, `sql-fallback`,
 //! `segment-write`, `journal-append`, `manifest-write`) with firing
 //! probability `p`, seeded by `--fail-seed N` (default 0). Constraints that
 //! cannot be decided under injected faults report `DEGRADED`/`ERRORED`
@@ -117,8 +116,7 @@ use relcheck::core_::serve::{
 };
 use relcheck::core_::store::{Delta, IndexStore, VerifyStatus};
 use relcheck::core_::telemetry::{
-    validate_metrics_json, validate_plan_json, AuditMetrics, FleetTelemetry, RunMetrics,
-    WorkerTelemetry,
+    validate_metrics_json, validate_plan_json, AuditMetrics, RunBdd, RunMetrics,
 };
 use relcheck::core_::CoreError;
 use relcheck::logic::Formula;
@@ -145,7 +143,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage:\n  relcheck run <spec-file> [--limit N] [--sql] [--ordering STRATEGY] [--threads N] \
+    "usage:\n  relcheck run <spec-file> [--limit N] [--sql] [--ordering STRATEGY] \
      [--metrics PATH] [--deadline-ms N] [--index-cache DIR] \
      [--fail-spec SPEC] [--fail-seed N] [--certify PATH] [--witness-limit N]\n  \
      relcheck explain <spec-file> <constraint-name>\n  \
@@ -337,7 +335,7 @@ fn load_with(spec_path: &str, verbose: bool) -> Result<(Spec, Database), String>
 fn cmd_run(args: &[String]) -> Result<bool, String> {
     let args = Args::parse(
         args,
-        "--limit --ordering --threads --metrics --deadline-ms --index-cache \
+        "--limit --ordering --metrics --deadline-ms --index-cache \
          --fail-spec --fail-seed --certify --witness-limit",
         "--sql",
         1,
@@ -346,13 +344,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     let limit: usize = args.number("--limit")?.unwrap_or(10);
     let force_sql = args.has("--sql");
     let ordering = args.ordering()?;
-    let threads: usize = args.number("--threads")?.unwrap_or(1);
-    if threads == 0 {
-        return Err("--threads expects at least 1".to_owned());
-    }
-    if force_sql && threads > 1 {
-        return Err("--sql and --threads cannot be combined".to_owned());
-    }
     let index_cache = args.value("--index-cache").map(str::to_owned);
     if force_sql && index_cache.is_some() {
         return Err("--sql and --index-cache cannot be combined".to_owned());
@@ -406,20 +397,18 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         .map(|c| (c.name.clone(), c.formula.clone()))
         .collect();
     println!();
-    let (reports, fleet) = if force_sql {
+    let before = checker.logical_db().manager().stats();
+    let reports = if force_sql {
         run_constraints
             .iter()
             .map(|(name, f)| Ok((name.clone(), checker.check_sql(f)?)))
             .collect::<Result<Vec<_>, CoreError>>()
-            .map(|rs| (rs, None))
     } else {
-        // One thread (or one constraint) takes the serial path and
-        // reports a single lane.
-        checker
-            .check_all_parallel_telemetry(&run_constraints, threads)
-            .map(|(rs, fleet)| (rs, Some(fleet)))
+        checker.check_all(&run_constraints)
     }
     .map_err(|e| format!("checking constraints: {e}"))?;
+    let bdd =
+        (!force_sql).then(|| RunBdd::between(&before, &checker.logical_db().manager().stats()));
     if let Some(store) = &mut store {
         store
             .write_back(&mut checker)
@@ -450,7 +439,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
         audit_failures = failures;
     }
     if let Some(path) = &metrics_path {
-        let mut metrics = RunMetrics::from_reports(&reports, fleet, threads);
+        let mut metrics = RunMetrics::from_reports(&reports, bdd);
         if let Some(store) = &store {
             metrics.index_cache = Some(store.stats.clone());
         }
@@ -806,15 +795,8 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
         .map_err(|e| format!("writing back index cache: {e}"))?;
     if let Some(path) = &metrics_path {
         let after = engine.checker().logical_db().manager().stats();
-        let lane = WorkerTelemetry {
-            worker: 0,
-            constraints: (0..reports.len()).collect(),
-            bdd: after.delta_since(&before),
-            peak_nodes: after.peak_nodes,
-            depth_hwm: after.depth_hwm,
-        };
         let mut metrics =
-            RunMetrics::from_reports(&reports, Some(FleetTelemetry::from_workers(vec![lane])), 1);
+            RunMetrics::from_reports(&reports, Some(RunBdd::between(&before, &after)));
         metrics.index_cache = engine.store().map(|s| s.stats.clone());
         metrics.serve = Some(engine.stats());
         metrics.audit = Some(engine.audit_stats());
@@ -1274,8 +1256,8 @@ fn cmd_index(args: &[String]) -> Result<bool, String> {
     }
 }
 
-/// Validate a metrics JSON document against the documented schema, its
-/// per-op conservation laws, and the fleet-total = Σ worker invariant.
+/// Validate a metrics JSON document against the documented schema and
+/// its conservation laws.
 fn cmd_metrics_check(args: &[String]) -> Result<(), String> {
     let path = Args::parse(args, "", "", 1)?.positional(0)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;

