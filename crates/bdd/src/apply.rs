@@ -5,6 +5,10 @@
 //! O(‖f‖·‖g‖) node visits in the worst case — this is the "node count is only
 //! additive for Cartesian product" property the paper exploits in Section 2.2
 //! (the conjunction of BDDs over disjoint variables never multiplies sizes).
+//!
+//! [`BddManager::and_is_false`] walks the same descent over up to three
+//! operands but builds nothing: it only decides whether their conjunction
+//! is empty, which is all a constraint check asks.
 
 use crate::cache::{OpCode, OpKind};
 use crate::error::Result;
@@ -152,6 +156,49 @@ impl BddManager {
         self.mk(top, low, high)
     }
 
+    /// Is `f ∧ g ∧ h` empty? The answer `and` followed by
+    /// [`Bdd::is_false`] gives, without building the conjunction: a
+    /// simultaneous descent over the three operands that creates no node
+    /// and returns at the first satisfying path. Pass [`Bdd::TRUE`] for an
+    /// unused operand. TRUE and repeated operands drop out, and one
+    /// non-constant operand left is satisfiable (every ROBDD node reaches
+    /// TRUE). Each subproblem is memoised in the op cache as 1 (empty) or
+    /// 0, keyed on its operands sorted so that argument order does not
+    /// split entries, and counts as an apply-class call. It polls the
+    /// budget like every memoised recursion, so deadlines and the `apply`
+    /// failpoint fire inside it; it cannot exceed a node limit.
+    pub fn and_is_false(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Result<bool> {
+        let ops = match conjunction_operands([f, g, h]) {
+            Ok(ops) => ops,
+            Err(empty) => return Ok(empty),
+        };
+        let [a, b, c] = ops.map(|x| x.0);
+        self.budget_check()?;
+        self.count_op(OpKind::Apply);
+        if let Some(r) = self.cache.get(OpCode::AndIsFalse, a, b, c) {
+            return Ok(r == 1);
+        }
+        self.depth_enter();
+        let descended = self.and_is_false_descend(ops);
+        self.depth_exit();
+        let empty = descended?;
+        self.cache.put(OpCode::AndIsFalse, a, b, c, empty as u32);
+        Ok(empty)
+    }
+
+    fn and_is_false_descend(&mut self, ops: [Bdd; 3]) -> Result<bool> {
+        let levels = ops.map(|x| self.level(x));
+        let top = levels[0].min(levels[1]).min(levels[2]);
+        let (mut low, mut high) = (ops, ops);
+        for i in 0..3 {
+            if levels[i] == top {
+                (low[i], high[i]) = self.cofactors(ops[i]);
+            }
+        }
+        Ok(self.and_is_false(low[0], low[1], low[2])?
+            && self.and_is_false(high[0], high[1], high[2])?)
+    }
+
     /// Fold a conjunction over many operands, smallest-first. Ordering by
     /// size keeps intermediate results small — the same motivation as join
     /// ordering in a relational optimizer.
@@ -187,6 +234,37 @@ fn op_code(op: Op) -> u8 {
         Op::Biimp => 6,
         Op::Diff => 7,
     }
+}
+
+/// The operands of [`BddManager::and_is_false`] in canonical form: the
+/// distinct non-constant ones in ascending order, padded with TRUE. A
+/// conjunction that decides without recursion is `Err(empty)`: any FALSE
+/// operand makes it empty, and fewer than two non-constant operands make
+/// it satisfiable.
+#[inline]
+fn conjunction_operands(mut ops: [Bdd; 3]) -> std::result::Result<[Bdd; 3], bool> {
+    if ops.iter().any(|x| x.is_false()) {
+        return Err(true);
+    }
+    // Three compare-exchanges sort the operands; TRUE (handle 1) and
+    // duplicates then sit where one pass can drop them.
+    for (i, j) in [(0, 1), (1, 2), (0, 1)] {
+        if ops[i] > ops[j] {
+            ops.swap(i, j);
+        }
+    }
+    let mut out = [Bdd::TRUE; 3];
+    let mut n = 0;
+    for x in ops {
+        if !x.is_const() && (n == 0 || out[n - 1] != x) {
+            out[n] = x;
+            n += 1;
+        }
+    }
+    if n < 2 {
+        return Err(false);
+    }
+    Ok(out)
 }
 
 /// Terminal and absorption cases that resolve without recursion.

@@ -35,6 +35,9 @@ pub(crate) enum OpCode {
     Restrict,
     /// `constrain(f, care)` — Coudert–Madre generalized cofactor.
     Constrain,
+    /// `and_is_false(f, g, h)`: the result word is 1 if the conjunction is
+    /// empty, 0 if it has a satisfying path (never a node handle).
+    AndIsFalse,
 }
 
 /// Bits of an entry's op word that hold the [`OpCode`]; the bits above
@@ -59,6 +62,7 @@ impl OpCode {
             OpCode::Replace => 0x800,
             OpCode::Restrict => 0x900,
             OpCode::Constrain => 0xA00,
+            OpCode::AndIsFalse => 0xB00,
         }
     }
 
@@ -67,7 +71,7 @@ impl OpCode {
     #[inline]
     pub(crate) fn kind(self) -> OpKind {
         match self {
-            OpCode::Apply(_) => OpKind::Apply,
+            OpCode::Apply(_) | OpCode::AndIsFalse => OpKind::Apply,
             OpCode::Not => OpKind::Not,
             OpCode::Ite => OpKind::Ite,
             OpCode::Exists => OpKind::Exists,
@@ -87,7 +91,8 @@ impl OpCode {
 /// apply-quantify operators, and so on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
-    /// Binary connectives (`and`, `or`, `imp`, …) via `apply`.
+    /// Binary connectives (`and`, `or`, `imp`, …) via `apply`, and the
+    /// non-constructive conjunction test `and_is_false`.
     Apply,
     /// Negation.
     Not,
@@ -334,6 +339,7 @@ mod tests {
             OpCode::Replace,
             OpCode::Restrict,
             OpCode::Constrain,
+            OpCode::AndIsFalse,
         ];
         for code in codes {
             let e = code.encode();

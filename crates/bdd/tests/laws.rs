@@ -4,8 +4,10 @@
 //! point by point against direct evaluation over all 64 assignments; each
 //! operation the checker composes (model counting and enumeration,
 //! quantification, fused quantification, renaming, restriction, relation
-//! builds) must agree with the truth table it denotes. Inputs come from a
-//! seeded SplitMix64 stream, so every run sees the same cases.
+//! builds) must agree with the truth table it denotes, and the
+//! non-constructive emptiness test must agree with the conjunction it
+//! does not build. Inputs come from a seeded SplitMix64 stream, so every
+//! run sees the same cases.
 
 use relcheck_bdd::{Bdd, BddManager, DomainId, Op, Var};
 
@@ -249,4 +251,65 @@ fn build_strategies_agree_and_rows_round_trip() {
         got.sort();
         assert_eq!(got, want, "case {case}");
     }
+}
+
+#[test]
+fn and_is_false_decides_the_built_conjunction() {
+    let (mut empty, mut decided) = (0, 0);
+    for_each_expr(0xB00_0008, |state, m, a| {
+        let fa = a.to_bdd(m);
+        let fb = Expr::random(state, 5).to_bdd(m);
+        let fc = Expr::random(state, 5).to_bdd(m);
+        // Constants, repeats and a complement, so the shortcuts and the
+        // empty answer both come up.
+        let pool = [fa, fb, fc, Bdd::TRUE, Bdd::FALSE, m.not(fa).unwrap()];
+        let mut pick = || pool[below(state, pool.len() as u64) as usize];
+        let ops = [fa, pick(), pick()];
+        let before = m.stats();
+        let got = m.and_is_false(ops[0], ops[1], ops[2]).unwrap();
+        let after = m.stats();
+        let ctx = format!("{ops:?} from {a:?}");
+        assert_eq!(after.created_nodes, before.created_nodes, "{ctx}");
+        assert_eq!(after.live_nodes, before.live_nodes, "{ctx}");
+        // Every argument order gives the same answer, from the memo.
+        for [i, j, k] in [[2, 1, 0], [1, 0, 2], [0, 2, 1]] {
+            assert_eq!(
+                m.and_is_false(ops[i], ops[j], ops[k]).unwrap(),
+                got,
+                "{ctx}"
+            );
+        }
+        let fg = m.and(ops[0], ops[1]).unwrap();
+        let want = m.and(fg, ops[2]).unwrap().is_false();
+        assert_eq!(got, want, "{ctx}");
+        empty += got as usize;
+        decided += 1;
+    });
+    // Both answers must be exercised.
+    assert!(
+        empty * 8 >= decided && empty * 8 <= 7 * decided,
+        "{empty}/{decided}"
+    );
+}
+
+#[test]
+fn and_is_false_honours_a_passed_deadline() {
+    // x₀ ⊕ … ⊕ x₃₉₉ against its complement: an empty conjunction whose
+    // proof visits two operand pairs per level, more than one deadline
+    // stride of budget steps.
+    let mut m = BddManager::new();
+    let mut parity = Bdd::FALSE;
+    for _ in 0..400 {
+        let v = m.new_var();
+        let x = m.var(v).unwrap();
+        parity = m.xor(parity, x).unwrap();
+    }
+    let odd = m.not(parity).unwrap();
+    m.set_deadline(Some(std::time::Instant::now()));
+    assert!(matches!(
+        m.and_is_false(parity, odd, Bdd::TRUE),
+        Err(relcheck_bdd::BddError::Deadline { .. })
+    ));
+    m.set_deadline(None);
+    assert!(m.and_is_false(parity, odd, Bdd::TRUE).unwrap());
 }

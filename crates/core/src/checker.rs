@@ -1083,11 +1083,10 @@ impl Checker {
 
     /// The SQL group-by formulation of the same FD check (baseline).
     pub fn check_fd_sql(&self, relation: &str, lhs: &[usize], rhs: &[usize]) -> Result<bool> {
-        Ok(relcheck_relstore::algebra::fd_holds(
-            self.ldb.db().relation(relation)?,
-            lhs,
-            rhs,
-        )?)
+        Ok(
+            relcheck_relstore::algebra::fd_violations(self.ldb.db().relation(relation)?, lhs, rhs)?
+                .is_empty(),
+        )
     }
 
     /// EXPLAIN-style description of how a constraint would be evaluated:
@@ -1175,6 +1174,47 @@ mod tests {
         let r = ck.check(&f).unwrap();
         assert!(r.holds);
         assert_eq!(r.method, Method::Bdd);
+    }
+
+    #[test]
+    fn a_panicking_check_errors_and_leaves_the_checker_clean() {
+        let mut ck = Checker::new(
+            db(),
+            CheckerOptions {
+                telemetry: true,
+                deadline: Some(Duration::from_secs(60)),
+                ..Default::default()
+            },
+        );
+        let fd = parse("forall c, a1, s1, a2, s2. CUST(c, a1, s1) & CUST(c, a2, s2) -> s1 = s2")
+            .unwrap();
+        let first = ck.check_guarded(&fd).unwrap();
+        assert_eq!(first.verdict, Verdict::Violated);
+        assert!(
+            !ck.ldb.fresh_atoms().is_empty(),
+            "the check cached its atoms"
+        );
+        let gc_before = ck.ldb.manager().stats().gc_runs;
+        crate::exec::PANIC_BEFORE_TEST.with(|armed| armed.set(true));
+        let r = ck.check_guarded(&fd).unwrap();
+        assert_eq!(r.verdict, Verdict::Errored);
+        assert_eq!(r.method, Method::Aborted);
+        let message = "injected panic before the emptiness test";
+        assert_eq!(r.error.as_deref(), Some(message));
+        let trace = r.metrics.expect("telemetry on");
+        assert!(
+            matches!(&trace.fallback, Some(FallbackReason::Panic(m)) if m == message),
+            "{:?}",
+            trace.fallback
+        );
+        assert_eq!(ck.ldb.manager().deadline(), None, "deadline disarmed");
+        assert!(ck.ldb.fresh_atoms().is_empty(), "atom cache shed");
+        assert!(ck.ldb.manager().stats().gc_runs > gc_before, "collected");
+        // The next check decides normally, on the BDD rung.
+        let next = ck.check_guarded(&fd).unwrap();
+        assert_eq!(next.verdict, Verdict::Violated);
+        assert_eq!(next.method, Method::Bdd);
+        assert_eq!(ck.ldb.manager().deadline(), None);
     }
 
     #[test]

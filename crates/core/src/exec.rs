@@ -6,17 +6,23 @@
 //! is the only module on the check path that touches a BDD manager, so the
 //! degradation ladder in [`crate::checker`] can treat every rung as "execute
 //! a different node of the same plan" rather than re-deriving the query.
-//! The witness path ([`violations_bdd`]) derives nothing either: it asks
-//! the planner for a violation-set step, compiles it with the same step
-//! compiler as the check, and conjoins each projected atom back in whole.
+//!
+//! A check decides without building the set it tests: [`execute_bdd`]
+//! compiles the body's top-level conjuncts one by one and asks the kernel
+//! whether their conjunction is empty
+//! ([`relcheck_bdd::BddManager::and_is_false`]), which creates no node.
+//! The witness path ([`violations_bdd`]) needs the set itself, so it
+//! builds it: it asks the planner for a violation-set step, compiles it
+//! with the same compiler as the check, and conjoins each projected atom
+//! back in whole.
 //!
 //! Domain hygiene (carried over from the monolith): BDD blocks of
 //! `⌈log₂ n⌉` bits can encode values ≥ `n`. Relation indices never contain
 //! such codes, but complements introduced by negation do, so every
-//! quantifier (and the final validity / satisfiability test) confines its
-//! variables with the block's range constraint. This keeps BDD answers
-//! identical to active-domain semantics (the brute-force oracle in
-//! `relcheck-logic`).
+//! quantifier confines its variables with the block's range constraint,
+//! and the final test confines every stripped variable that no positive
+//! top-level atom already confines. This keeps BDD answers identical to
+//! active-domain semantics (the brute-force oracle in `relcheck-logic`).
 
 use crate::error::{CoreError, Result};
 use crate::index::{AtomAction, LogicalDatabase};
@@ -31,7 +37,17 @@ use relcheck_relstore::Database;
 use std::collections::HashMap;
 
 /// Execute a plan's BDD step against the live indices and apply the step's
-/// O(1) test.
+/// O(1) test — without building the set it tests.
+///
+/// Both tests ask one question: is `ranges ∧ c₁ ∧ … ∧ cₙ` empty, over the
+/// body's top-level conjuncts `cᵢ`? Each conjunct is compiled on its own,
+/// and a FALSE one answers at once. The rest go to
+/// [`relcheck_bdd::BddManager::and_is_false`], which walks their
+/// conjunction for one satisfying path and builds no node; past three
+/// operands the leading ones are conjoined first. Only the ranges of
+/// stripped variables that no positive top-level atom mentions are
+/// conjoined: an index holds no out-of-range code, so an atom implies the
+/// ranges of its variables (DESIGN §5b F6).
 ///
 /// Every relation mentioned must already have an index built (the
 /// [`crate::checker::Checker`] guarantees this). Propagates
@@ -44,40 +60,40 @@ pub fn execute_bdd(
     step: &BddStep,
     rules: Option<&mut Vec<RuleFiring>>,
 ) -> Result<bool> {
-    let (test, _) = compile_step(ldb, step, rules)?;
+    let mut c = Compiler::for_step(ldb, step, rules)?;
+    let mut ops = vec![c.ranges(&unconfined(step))?];
+    for g in conjuncts(&step.body) {
+        let x = c.compile(g)?;
+        if x.is_false() {
+            return Ok(step.test == BddTest::ViolationsEmpty);
+        }
+        ops.push(x);
+    }
+    ops.retain(|x| !x.is_true());
+    #[cfg(test)]
+    if PANIC_BEFORE_TEST.with(|armed| armed.replace(false)) {
+        panic!("injected panic before the emptiness test");
+    }
+    let mgr = c.ldb.manager_mut();
+    while ops.len() > 3 {
+        let first = ops.remove(0);
+        ops[0] = mgr.and(first, ops[0])?;
+    }
+    ops.resize(3, Bdd::TRUE);
+    let empty = mgr.and_is_false(ops[0], ops[1], ops[2])?;
     Ok(match step.test {
-        BddTest::ViolationsEmpty => test.is_false(),
-        BddTest::Satisfiable => !test.is_false(),
+        BddTest::ViolationsEmpty => empty,
+        BddTest::Satisfiable => !empty,
     })
 }
 
-/// Compile a BDD step: allocate query domains over the step's `alloc`
-/// formula, compile the rewritten body and confine the stripped variables
-/// to their ranges. Atom-local variables ([`atom_local_vars`]) are
-/// projected out of their atom before anything is renamed — sound for the
-/// O(1) test, which only asks whether the result is false; the witness
-/// path ([`violations_bdd`]) conjoins the projected atoms back in whole
-/// with the returned compiler.
-fn compile_step<'a>(
-    ldb: &'a mut LogicalDatabase,
-    step: &BddStep,
-    rules: Option<&'a mut Vec<RuleFiring>>,
-) -> Result<(Bdd, Compiler<'a>)> {
-    let sorts = infer_sorts(ldb.db(), &step.alloc)?;
-    let var_doms = allocate_query_domains(ldb, &step.alloc, &sorts)?;
-    let mut c = Compiler {
-        ldb,
-        var_doms,
-        sorts,
-        join_rename: step.join_rename,
-        local: atom_local_vars(&step.body, &step.stripped),
-        record_use: true,
-        rules,
-    };
-    let phi = c.compile(&step.body)?;
-    let ranges = c.ranges(&step.stripped)?;
-    let bdd = c.ldb.manager_mut().and(ranges, phi)?;
-    Ok((bdd, c))
+#[cfg(test)]
+thread_local! {
+    /// Armed, the next [`execute_bdd`] on this thread panics once its
+    /// operands are compiled: the test-only site that drives the checker's
+    /// panic guard.
+    pub(crate) static PANIC_BEFORE_TEST: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
 }
 
 /// The top-level conjuncts of a check body (the whole body if it is not a
@@ -87,6 +103,28 @@ fn conjuncts(body: &Formula) -> &[Formula] {
         Formula::And(fs) => fs.as_slice(),
         f => std::slice::from_ref(f),
     }
+}
+
+/// The stripped variables whose ranges a step must conjoin: those that no
+/// positive top-level atom of its body mentions. An index holds no code
+/// outside its columns' domains, so such an atom confines its variables —
+/// renamed, equated or projected — and conjoining their ranges would
+/// change nothing (DESIGN §5b F6).
+fn unconfined(step: &BddStep) -> Vec<String> {
+    let mut confined: Vec<&String> = Vec::new();
+    for g in conjuncts(&step.body) {
+        if let Formula::Atom { args, .. } = g {
+            confined.extend(args.iter().filter_map(|t| match t {
+                Term::Var(v) => Some(v),
+                Term::Const(_) => None,
+            }));
+        }
+    }
+    step.stripped
+        .iter()
+        .filter(|v| !confined.contains(v))
+        .cloned()
+        .collect()
 }
 
 /// The atom-local variables of a check body: stripped leading-block
@@ -164,12 +202,14 @@ pub struct ViolationSet {
 /// whether or not the check plan ran them — but the options' join
 /// strategy is honoured.
 ///
-/// The step compiles exactly as the check compiles it, atom-local columns
-/// projected, into `P = ranges ∧ body[A ↦ ∃l.A]`. Since `A ⇒ ∃l.A`, the
-/// violation set is `V = P ∧ A` for every such atom `A`: each one is
-/// compiled again whole (no column use recorded a second time) and
-/// conjoined in body order. ROBDD canonicity makes `V` the very node an
-/// unprojected compile would build, without its unpruned joins.
+/// The step compiles with the check's compiler, atom-local columns
+/// projected, and is built: `P = ranges ∧ body[A ↦ ∃l.A]`, over the ranges
+/// the check conjoins ([`execute_bdd`]). Since `A ⇒ ∃l.A`, the violation
+/// set is `V = P ∧ A` for every such atom `A`: each one is compiled again
+/// whole (no column use recorded a second time) and conjoined in body
+/// order, which also confines its local variables. ROBDD canonicity makes
+/// `V` the very node an unprojected compile with every range conjoined
+/// would build, without its unpruned joins.
 pub fn violations_bdd(
     ldb: &mut LogicalDatabase,
     f: &Formula,
@@ -183,7 +223,10 @@ pub fn violations_bdd(
     if step.test != BddTest::ViolationsEmpty {
         return Ok(None);
     }
-    let (mut bdd, mut c) = compile_step(ldb, &step, None)?;
+    let mut c = Compiler::for_step(ldb, &step, None)?;
+    let phi = c.compile(&step.body)?;
+    let ranges = c.ranges(&unconfined(&step))?;
+    let mut bdd = c.ldb.manager_mut().and(ranges, phi)?;
     let local = std::mem::take(&mut c.local);
     c.record_use = false;
     for atom in conjuncts(&step.body) {
@@ -291,7 +334,27 @@ struct Compiler<'a> {
     rules: Option<&'a mut Vec<RuleFiring>>,
 }
 
-impl Compiler<'_> {
+impl<'a> Compiler<'a> {
+    /// A compiler for `step`: query domains allocated over its `alloc`
+    /// formula, atom-local variables found in its body.
+    fn for_step(
+        ldb: &'a mut LogicalDatabase,
+        step: &BddStep,
+        rules: Option<&'a mut Vec<RuleFiring>>,
+    ) -> Result<Self> {
+        let sorts = infer_sorts(ldb.db(), &step.alloc)?;
+        let var_doms = allocate_query_domains(ldb, &step.alloc, &sorts)?;
+        Ok(Compiler {
+            ldb,
+            var_doms,
+            sorts,
+            join_rename: step.join_rename,
+            local: atom_local_vars(&step.body, &step.stripped),
+            record_use: true,
+            rules,
+        })
+    }
+
     fn compile(&mut self, f: &Formula) -> Result<Bdd> {
         match f {
             Formula::True => Ok(Bdd::TRUE),
@@ -763,6 +826,10 @@ mod tests {
         // Atoms whose every column is local.
         "forall x, y, z. R(x, y) -> !T(z)",
         "forall x, y, z. R(x, y) & T(z) -> S(x, z)",
+        // Four conjuncts, one more than the emptiness test takes.
+        "forall x, y. R(x, x) & S(x, y) & T(y) -> U(x, x, y)",
+        // A variable no positive atom confines: its range is conjoined.
+        "forall x, y. !R(x, x) -> S(x, y)",
     ];
 
     /// Small random relations `R(k, k)`, `S(k, m)`, `T(m)`, `U(k, k, m)`
@@ -839,6 +906,33 @@ mod tests {
         }
         // The corpus must exercise non-empty violation sets.
         assert!(violated * 3 >= 30 * WITNESS_CORPUS.len(), "{violated}");
+    }
+
+    #[test]
+    fn checks_match_brute_force_on_random_databases() {
+        let mut rng = SplitMix64::seed_from_u64(0x5EED_0031);
+        let mut held = 0;
+        for round in 0..30 {
+            let mut l = LogicalDatabase::new(random_db(&mut rng));
+            for rel in ["R", "S", "T", "U"] {
+                l.build_index(rel, OrderingStrategy::ProbConverge).unwrap();
+            }
+            for src in WITNESS_CORPUS {
+                let f = parse(src).unwrap();
+                let want = eval_sentence(l.db(), &f).unwrap();
+                held += want as usize;
+                for options in CONFIGS {
+                    let got = decide(&mut l, &f, options).unwrap();
+                    assert_eq!(got, want, "round {round}, {options:?}: {src}");
+                }
+            }
+        }
+        // Both verdicts must come up.
+        let checks = 30 * WITNESS_CORPUS.len();
+        assert!(
+            held * 8 >= checks && held * 8 <= 7 * checks,
+            "{held}/{checks}"
+        );
     }
 
     #[test]

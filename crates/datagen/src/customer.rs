@@ -187,9 +187,17 @@ mod tests {
     fn clean_data_satisfies_model_fds() {
         let d = generate(&small_cfg());
         // city → state holds on clean data.
-        assert!(algebra::fd_holds(&d.relation, &[col::CITY], &[col::STATE]).unwrap());
+        assert!(
+            algebra::fd_violations(&d.relation, &[col::CITY], &[col::STATE])
+                .unwrap()
+                .is_empty()
+        );
         // zipcode → city holds.
-        assert!(algebra::fd_holds(&d.relation, &[col::ZIPCODE], &[col::CITY]).unwrap());
+        assert!(
+            algebra::fd_violations(&d.relation, &[col::ZIPCODE], &[col::CITY])
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]

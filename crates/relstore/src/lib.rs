@@ -39,6 +39,7 @@ pub mod algebra;
 mod catalog;
 pub mod csv;
 mod error;
+mod hash;
 pub mod plan;
 mod relation;
 pub mod stats;

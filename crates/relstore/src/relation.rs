@@ -7,6 +7,7 @@
 //! experiments (Figure 4(b)) run against both representations.
 
 use crate::error::{Result, StoreError};
+use crate::hash::CodeSet;
 use std::collections::HashSet;
 
 /// A column declaration: name plus the attribute class whose dictionary the
@@ -139,7 +140,7 @@ impl Relation {
             return rel;
         }
         debug_assert_eq!(flat.len(), n * arity);
-        let mut seen: HashSet<&[u32]> = HashSet::with_capacity(n);
+        let mut seen: CodeSet<&[u32]> = CodeSet::with_capacity_and_hasher(n, Default::default());
         for row in flat.chunks_exact(arity) {
             if seen.insert(row) {
                 rel.push_unchecked(row);

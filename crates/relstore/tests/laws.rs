@@ -1,13 +1,14 @@
 //! Relational algebra laws against brute-force set semantics, and the CSV
 //! quoting round trip.
 //!
-//! Inputs are small random relations over `[0, 8)²` (duplicates allowed,
-//! sometimes empty) drawn from a seeded SplitMix64 stream, so every run
-//! sees the same cases.
+//! Inputs are small random relations over `[0, 8)²` or `[0, 4)³`
+//! (duplicates allowed, sometimes empty) drawn from a seeded SplitMix64
+//! stream, so every run sees the same cases. The FD check and difference
+//! are also held against naive pairwise references.
 
 use relcheck_relstore::csv::parse_csv;
 use relcheck_relstore::{algebra, Raw, Relation, Schema};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Random inputs per law.
 const CASES: usize = 256;
@@ -107,24 +108,98 @@ fn union_and_difference_match_set_semantics() {
     }
 }
 
+/// Up to 11 triples over `[0, 4)³`, duplicates allowed: few enough that
+/// an FD often holds, over a range small enough that keys repeat.
+fn triples(rng: &mut Rng) -> Vec<Vec<u32>> {
+    let n = rng.below(12);
+    (0..n)
+        .map(|_| (0..3).map(|_| rng.below(4) as u32).collect())
+        .collect()
+}
+
+fn rel3(rows: &[Vec<u32>]) -> Relation {
+    let schema = Schema::new(&[("a", "k"), ("b", "k"), ("c", "k")]);
+    Relation::from_rows(schema, rows.iter().cloned()).unwrap()
+}
+
 #[test]
-fn fd_violations_are_the_rows_of_multi_valued_keys() {
+fn fd_violations_match_a_pairwise_reference() {
+    // 1- and 2-column sides, overlapping or not.
+    const FDS: [(&[usize], &[usize]); 6] = [
+        (&[0], &[1]),
+        (&[1], &[0]),
+        (&[0], &[1, 2]),
+        (&[0, 1], &[2]),
+        (&[2, 0], &[1]),
+        (&[0, 1], &[1, 2]),
+    ];
     let mut rng = Rng(0x5E1_0004);
+    let (mut violated, mut checked) = (0, 0);
     for _ in 0..CASES {
-        let rows = rng.pairs();
-        let r = rel2(&rows);
-        let mut by_key: HashMap<u32, HashSet<u32>> = HashMap::new();
-        for (a, b) in set(&rows) {
-            by_key.entry(a).or_default().insert(b);
+        let rows = triples(&mut rng);
+        let r = rel3(&rows);
+        let distinct: HashSet<Vec<u32>> = rows.iter().cloned().collect();
+        for (lhs, rhs) in FDS {
+            let on = |row: &[u32], cols: &[usize]| -> Vec<u32> {
+                cols.iter().map(|&c| row[c]).collect()
+            };
+            // A row violates lhs → rhs iff another row agrees on lhs and
+            // differs on rhs.
+            let want: HashSet<Vec<u32>> = distinct
+                .iter()
+                .filter(|t| {
+                    distinct
+                        .iter()
+                        .any(|u| on(t, lhs) == on(u, lhs) && on(t, rhs) != on(u, rhs))
+                })
+                .cloned()
+                .collect();
+            let got = algebra::fd_violations(&r, lhs, rhs).unwrap();
+            let ctx = format!("{lhs:?} -> {rhs:?} on {rows:?}");
+            assert_eq!(got.len(), want.len(), "{ctx}");
+            assert_eq!(got.rows().collect::<HashSet<_>>(), want, "{ctx}");
+            violated += !want.is_empty() as usize;
+            checked += 1;
         }
-        let want: HashSet<Vec<u32>> = by_key
-            .iter()
-            .filter(|(_, bs)| bs.len() > 1)
-            .flat_map(|(&a, bs)| bs.iter().map(move |&b| vec![a, b]))
-            .collect();
-        let got = algebra::fd_violations(&r, &[0], &[1]).unwrap();
-        assert_eq!(got.rows().collect::<HashSet<_>>(), want, "{rows:?}");
-        assert_eq!(algebra::fd_holds(&r, &[0], &[1]).unwrap(), want.is_empty());
+    }
+    assert!(
+        violated * 4 >= checked && violated * 4 <= 3 * checked,
+        "{violated}/{checked}"
+    );
+}
+
+#[test]
+fn join_on_no_columns_is_the_product() {
+    let mut rng = Rng(0x5E1_0007);
+    for _ in 0..CASES {
+        let (l, r) = (rng.pairs(), rng.pairs());
+        let (lr, rr) = (rel2(&l), rel2(&r));
+        let joined = algebra::equi_join(&lr, &rr, &[]).unwrap();
+        let product = algebra::product(&lr, &rr).unwrap();
+        let ctx = format!("{l:?} × {r:?}");
+        assert_eq!(joined.len(), product.len(), "{ctx}");
+        assert_eq!(
+            joined.rows().collect::<HashSet<_>>(),
+            product.rows().collect(),
+            "{ctx}"
+        );
+    }
+}
+
+#[test]
+fn difference_matches_a_naive_reference() {
+    let mut rng = Rng(0x5E1_0008);
+    for _ in 0..CASES {
+        let (a, b) = (triples(&mut rng), triples(&mut rng));
+        let d = algebra::difference(&rel3(&a), &rel3(&b)).unwrap();
+        let mut want: Vec<Vec<u32>> = Vec::new();
+        for row in &a {
+            if !b.contains(row) && !want.contains(row) {
+                want.push(row.clone());
+            }
+        }
+        // First occurrences, in the left input's order.
+        assert_eq!(d.rows().collect::<Vec<_>>(), want, "{a:?} − {b:?}");
     }
 }
 

@@ -114,34 +114,36 @@ if [ "$rc" -ge 2 ]; then
 fi
 cargo run --release --quiet --bin relcheck -- metrics-check "$METRICS_OUT"
 
-step "path differential: BDD vs SQL verdicts on testdata/phones.spec"
-# The same spec decided twice, once on the BDD logical indices and once
-# strictly through the translated SQL plans: the verdict lines (name and
-# verdict) must be identical, and the first run must really have stayed on
-# the BDD rung for the comparison to mean anything.
+step "path differential: BDD vs SQL verdicts on every testdata/*.spec"
+# Each committed spec decided twice, once on the BDD logical indices and
+# once strictly through the translated SQL plans: the verdict lines (name
+# and verdict) must be identical, and the first run must really have
+# stayed on the BDD rung for the comparison to mean anything.
 BDD_OUT="$(mktemp /tmp/relcheck-bdd.XXXXXX.txt)"
 SQL_OUT="$(mktemp /tmp/relcheck-sql.XXXXXX.txt)"
 trap 'rm -f "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$BDD_OUT" "$SQL_OUT"' EXIT
-for mode in bdd sql; do
-    out="$BDD_OUT"; extra=""
-    if [ "$mode" = sql ]; then out="$SQL_OUT"; extra="--sql"; fi
-    set +e
-    # shellcheck disable=SC2086 # $extra is empty or one flag
-    cargo run --release --quiet --bin relcheck -- \
-        run testdata/phones.spec $extra >"$out"
-    rc=$?
-    set -e
-    if [ "$rc" -ge 2 ]; then
-        echo "$mode run failed operationally (exit $rc)" >&2
+for spec in testdata/*.spec; do
+    for mode in bdd sql; do
+        out="$BDD_OUT"; extra=""
+        if [ "$mode" = sql ]; then out="$SQL_OUT"; extra="--sql"; fi
+        set +e
+        # shellcheck disable=SC2086 # $extra is empty or one flag
+        cargo run --release --quiet --bin relcheck -- \
+            run "$spec" $extra >"$out"
+        rc=$?
+        set -e
+        if [ "$rc" -ge 2 ]; then
+            echo "$mode run on $spec failed operationally (exit $rc)" >&2
+            exit 1
+        fi
+    done
+    if ! grep -q " via " "$BDD_OUT" || grep " via " "$BDD_OUT" | grep -qv " via Bdd "; then
+        echo "the BDD run must decide every constraint of $spec on the BDD rung" >&2
         exit 1
     fi
+    diff <(grep " via " "$BDD_OUT" | awk '{print $1, $2}') \
+        <(grep " via " "$SQL_OUT" | awk '{print $1, $2}')
 done
-if ! grep -q " via " "$BDD_OUT" || grep " via " "$BDD_OUT" | grep -qv " via Bdd "; then
-    echo "the BDD run must decide every constraint on the BDD rung" >&2
-    exit 1
-fi
-diff <(grep " via " "$BDD_OUT" | awk '{print $1, $2}') \
-    <(grep " via " "$SQL_OUT" | awk '{print $1, $2}')
 rm -f "$BDD_OUT" "$SQL_OUT"
 
 step "fault-injection smoke: each failpoint site, fixed seed"
