@@ -19,23 +19,15 @@
 //! the overall gain to 4–6x.
 //!
 //! Flags: `--tuples N` (default 100000), `--metrics PATH` (write the
-//! metrics JSON of a telemetry-enabled `check_all` over Q1–Q5 under the
-//! optimized ordering — the same document `relcheck run --metrics`
-//! emits). With `--metrics` the binary also times that battery, index
-//! builds included, with telemetry off and on (median of
-//! `OVERHEAD_SAMPLES` interleaved runs each), prints the overhead and
-//! asserts it stays within 1.5× plus 25 ms: the counters tick either way,
-//! and the switch only adds clock reads and trace allocation.
+//! metrics JSON of one `check_all` over Q1–Q5 from a fresh checker under
+//! the optimized ordering, index builds included — the same document
+//! `relcheck run --metrics` emits).
 
 use relcheck_bench::{arg_str, arg_usize, ms, queries, timed, Table};
 use relcheck_core::checker::{Checker, CheckerOptions, Method};
 use relcheck_core::ordering::OrderingStrategy;
 use relcheck_core::telemetry::{validate_metrics_json, RunBdd, RunMetrics};
 use relcheck_core::PlanOptions;
-use std::time::Duration;
-
-/// Timed runs per telemetry setting in the `--metrics` overhead check.
-const OVERHEAD_SAMPLES: usize = 5;
 
 fn main() {
     let tuples = arg_usize("--tuples", 100_000);
@@ -119,60 +111,24 @@ fn main() {
          ordering is up to ~5x larger than under the optimized ordering."
     );
 
-    // Optional: the telemetry-overhead check, then the machine-readable
-    // metrics of a telemetry-enabled pass under the optimized ordering
-    // (same schema as `relcheck run --metrics`).
+    // Optional: the machine-readable metrics of one pass under the
+    // optimized ordering (same schema as `relcheck run --metrics`).
     if let Some(path) = arg_str("--metrics") {
-        let db = queries::build(tuples, 77);
         let battery: Vec<(String, relcheck_logic::Formula)> = qs
             .iter()
             .map(|(n, q)| ((*n).to_owned(), q.clone()))
             .collect();
-        let run = |telemetry: bool| {
-            let opts = CheckerOptions {
-                ordering: OrderingStrategy::ProbConverge,
-                telemetry,
-                ..Default::default()
-            };
-            let mut ck = Checker::new(db.clone(), opts);
-            let before = ck.logical_db().manager().stats();
-            let (reports, t) = timed(|| ck.check_all(&battery).unwrap());
-            let bdd = RunBdd::between(&before, &ck.logical_db().manager().stats());
-            assert!(reports
-                .iter()
-                .all(|(_, r)| r.metrics.is_some() == telemetry));
-            (reports, bdd, t)
+        let opts = CheckerOptions {
+            ordering: OrderingStrategy::ProbConverge,
+            ..Default::default()
         };
-        let (mut off, mut on) = (Vec::new(), Vec::new());
-        let mut last = None;
-        for _ in 0..OVERHEAD_SAMPLES {
-            off.push(run(false).2);
-            let (reports, bdd, t) = run(true);
-            on.push(t);
-            last = Some((reports, bdd));
-        }
-        let (t_off, t_on) = (median(off), median(on));
-        println!(
-            "\nTelemetry overhead (Q1-Q5 from a fresh checker, median of {OVERHEAD_SAMPLES}): \
-             off {} ms, on {} ms ({:+.1}%)",
-            ms(t_off),
-            ms(t_on),
-            (t_on.as_secs_f64() / t_off.as_secs_f64() - 1.0) * 100.0
-        );
-        assert!(
-            t_on <= t_off.mul_f64(1.5) + Duration::from_millis(25),
-            "telemetry overhead beyond noise bounds: on={t_on:?} off={t_off:?}"
-        );
-        let (reports, bdd) = last.expect("at least one sample");
+        let mut ck = Checker::new(queries::build(tuples, 77), opts);
+        let before = ck.logical_db().manager().stats();
+        let reports = ck.check_all(&battery).unwrap();
+        let bdd = RunBdd::between(&before, &ck.logical_db().manager().stats());
         let doc = RunMetrics::from_reports(&reports, Some(bdd)).to_json();
         validate_metrics_json(&doc).expect("emitted metrics must be schema-valid");
         std::fs::write(&path, doc).expect("write metrics file");
         println!("\nmetrics written to {path}");
     }
-}
-
-/// The median of a set of timings.
-fn median(mut times: Vec<Duration>) -> Duration {
-    times.sort_unstable();
-    times[times.len() / 2]
 }

@@ -32,7 +32,7 @@
 //! [`sat_assignments`]: relcheck_bdd::BddManager::sat_assignments
 //! [`sat_count`]: relcheck_bdd::BddManager::sat_count
 
-use crate::checker::{rung, CheckReport, Checker, Method, Verdict};
+use crate::checker::{rung, CheckReport, Checker, Verdict};
 use crate::error::Result;
 use crate::plan::formula_fingerprint;
 use crate::telemetry::{parse_json, Json, JsonWriter};
@@ -340,23 +340,6 @@ fn skip_leading_foralls(f: &Formula) -> &Formula {
     cur
 }
 
-/// The ladder rung that decided a report: the trace's last rung when
-/// telemetry was on, otherwise reconstructed from method + verdict.
-fn rung_name(report: &CheckReport) -> &'static str {
-    if let Some(t) = &report.metrics {
-        if let Some(last) = t.ladder.last() {
-            return last;
-        }
-    }
-    match (report.verdict, report.method) {
-        (Verdict::Degraded, _) => rung::DEGRADED,
-        (Verdict::Errored, _) | (_, Method::Aborted) => rung::ERRORED,
-        (_, Method::Bdd) => rung::BDD,
-        (_, Method::SqlFallback) => rung::SQL,
-        (_, Method::BruteForce) => rung::BRUTE_FORCE,
-    }
-}
-
 /// Emit a certificate for one checked constraint.
 ///
 /// For `Violated` verdicts this enumerates up to `witness_limit` witness
@@ -401,7 +384,14 @@ pub fn emit_certificate(
         schema_fp,
         data_version,
         verdict: report.verdict,
-        rung: rung_name(report).to_owned(),
+        // The rung the trace's ladder ended on. Every check walks one; a
+        // hand-built report with an empty ladder certifies as errored.
+        rung: report
+            .trace
+            .ladder
+            .last()
+            .unwrap_or(&rung::ERRORED)
+            .to_string(),
         witnesses,
     })
 }

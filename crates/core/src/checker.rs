@@ -54,12 +54,6 @@ pub struct CheckerOptions {
     pub plan: PlanOptions,
     /// Variable-ordering strategy for index construction.
     pub ordering: OrderingStrategy,
-    /// Capture a structured [`CheckTrace`] per check (phase timings,
-    /// rewrite-rule firings, index provenance, BDD work). The integer
-    /// counters behind the trace are maintained by the BDD manager
-    /// unconditionally; this switch only gates the clock reads and the
-    /// trace allocation, so leaving it off costs nothing measurable.
-    pub telemetry: bool,
     /// Per-constraint wall-clock budget. Armed at the start of every
     /// [`Checker::check`] call; the BDD recursion polls it (see
     /// [`relcheck_bdd::BddManager::set_deadline`]) and aborts with
@@ -78,7 +72,6 @@ impl Default for CheckerOptions {
             node_limit: Some(1_000_000),
             plan: PlanOptions::default(),
             ordering: OrderingStrategy::ProbConverge,
-            telemetry: false,
             deadline: None,
             apply_cache_slots: None,
         }
@@ -204,38 +197,79 @@ pub struct CheckReport {
     pub method: Method,
     /// Wall-clock time for the decision.
     pub elapsed: Duration,
-    /// Live BDD nodes after the check (post-GC if enabled).
+    /// Live BDD nodes after the check, after the collection that runs
+    /// when garbage has piled up past the manager's allowance.
     pub live_nodes: usize,
-    /// Structured trace of the check, present iff
-    /// [`CheckerOptions::telemetry`] was set.
-    pub metrics: Option<CheckTrace>,
+    /// What the check did: the ladder it walked and why, the planner's
+    /// rule firings and passes, index provenance, phase timings and BDD
+    /// work. Every report carries one.
+    pub trace: CheckTrace,
 }
 
 impl CheckReport {
     /// A report for a check that died before any ladder rung could answer
     /// (a caught panic or an injected fault): verdict
-    /// [`Verdict::Errored`], with the payload preserved in `error` and —
-    /// when telemetry is on — in the trace's [`FallbackReason::Panic`].
-    pub(crate) fn errored(message: String, telemetry: bool) -> CheckReport {
-        let metrics = telemetry.then(|| CheckTrace {
-            method: Method::Aborted,
-            rules: Vec::new(),
-            passes: Vec::new(),
-            index_events: Vec::new(),
-            fallback: Some(FallbackReason::Panic(message.clone())),
-            ladder: vec![rung::ERRORED],
-            timings: PhaseTimings::default(),
-            bdd: StatsDelta::default(),
-        });
+    /// [`Verdict::Errored`], with the payload preserved in `error` and in
+    /// the trace's [`FallbackReason::Panic`].
+    pub(crate) fn errored(message: String) -> CheckReport {
         CheckReport {
             holds: true,
             verdict: Verdict::Errored,
+            trace: trace(
+                None,
+                Some(FallbackReason::Panic(message.clone())),
+                vec![rung::ERRORED],
+                PhaseTimings::default(),
+                StatsDelta::default(),
+            ),
             error: Some(message),
             method: Method::Aborted,
             elapsed: Duration::ZERO,
             live_nodes: 0,
-            metrics,
         }
+    }
+}
+
+/// Build a check's trace: the one constructor [`Checker::check`],
+/// [`Checker::check_sql`] and [`CheckReport::errored`] share. `planned`
+/// carries the check's plan, the executor's R2 firings and the index
+/// provenance; the paths that run no plan pass `None` and record only
+/// the ladder, the fallback reason, the timings and the BDD work.
+fn trace(
+    planned: Option<(&CheckPlan, Vec<RuleFiring>, Vec<IndexEvent>)>,
+    fallback: Option<FallbackReason>,
+    ladder: Vec<&'static str>,
+    timings: PhaseTimings,
+    bdd: StatsDelta,
+) -> CheckTrace {
+    let (rules, passes, index_events) = match planned {
+        Some((plan, mut r2, index_events)) => {
+            // Plan-level R3/R1/R4 firings in application order, then the
+            // executor's R2 events.
+            let mut rules = plan.rule_firings();
+            rules.append(&mut r2);
+            let passes = plan
+                .passes
+                .iter()
+                .map(|p| PassStat {
+                    pass: p.pass,
+                    rule: p.rule,
+                    fired: p.fired,
+                    gated: p.gated,
+                })
+                .collect();
+            (rules, passes, index_events)
+        }
+        None => Default::default(),
+    };
+    CheckTrace {
+        rules,
+        passes,
+        index_events,
+        fallback,
+        ladder,
+        timings,
+        bdd,
     }
 }
 
@@ -709,24 +743,19 @@ impl Checker {
                 self.ldb.manager_mut().set_deadline(None);
                 self.ldb.shed_atom_cache();
                 self.ldb.gc();
-                Ok(CheckReport::errored(
-                    panic_message(payload),
-                    self.opts.telemetry,
-                ))
+                Ok(CheckReport::errored(panic_message(payload)))
             }
         }
     }
 
     fn check_inner(&mut self, f: &Formula) -> Result<CheckReport> {
         let start = Instant::now();
-        let tel = self.opts.telemetry;
-        let stats_before = tel.then(|| self.ldb.manager().stats());
-        let index_start = tel.then(Instant::now);
+        let before = self.ldb.manager().stats();
         let index_events = self.prepare(f)?;
         let all_indexed = index_events
             .iter()
             .all(|e| e.provenance != IndexProvenance::SqlOnly);
-        let index_time = index_start.map(|t| t.elapsed()).unwrap_or_default();
+        let index_time = start.elapsed();
         // Plan after ensuring indices: a budget-out build lands its
         // relation in `sql_only`, which the plan's routing and its schema
         // fingerprint both read.
@@ -742,7 +771,7 @@ impl Checker {
             all_indexed,
             "plan routing must agree with index state"
         );
-        let eval_start = tel.then(Instant::now);
+        let eval_start = Instant::now();
         // R2 firings from the executor. They survive a node-budget abort on
         // purpose: they record the renames the BDD attempt performed before
         // defaulting to SQL. (R1/R3/R4 firings live in the plan's passes.)
@@ -765,8 +794,7 @@ impl Checker {
         } else if let Some(step) = plan.bdd.as_ref() {
             // Rung 1: the paper's BDD path — execute the plan's BDD step.
             ladder.push(rung::BDD);
-            let sink = if tel { Some(&mut r2) } else { None };
-            match crate::exec::execute_bdd(&mut self.ldb, step, sink) {
+            match crate::exec::execute_bdd(&mut self.ldb, step, &mut r2) {
                 Ok(h) => decided = Some((h, Method::Bdd)),
                 Err(e) => {
                     let Some(abort) = budget_abort(&e) else {
@@ -783,8 +811,7 @@ impl Checker {
                         // retry exactly once before giving up on BDDs.
                         ladder.push(rung::GC_RETRY);
                         r2.clear();
-                        let sink = if tel { Some(&mut r2) } else { None };
-                        match crate::exec::execute_bdd(&mut self.ldb, step, sink) {
+                        match crate::exec::execute_bdd(&mut self.ldb, step, &mut r2) {
                             Ok(h) => decided = Some((h, Method::Bdd)),
                             Err(e2) => {
                                 let Some(abort2) = budget_abort(&e2) else {
@@ -839,49 +866,27 @@ impl Checker {
                 (true, Method::Aborted, Verdict::Degraded)
             }
         };
-        let eval_time = eval_start.map(|t| t.elapsed()).unwrap_or_default();
+        let eval_time = eval_start.elapsed();
         self.ldb.collect_if_due();
-        let elapsed = start.elapsed();
-        let metrics = stats_before.map(|before| CheckTrace {
-            method,
-            rules: {
-                // Plan-level R3/R1/R4 firings in application order, then
-                // the executor's R2 events — the same order the monolith
-                // emitted.
-                let mut rules = plan.rule_firings();
-                rules.append(&mut r2);
-                rules
-            },
-            passes: plan
-                .passes
-                .iter()
-                .map(|p| PassStat {
-                    pass: p.pass,
-                    rule: p.rule,
-                    fired: p.fired,
-                    gated: p.gated,
-                })
-                .collect(),
-            index_events,
-            fallback,
-            ladder,
-            timings: PhaseTimings {
-                index: index_time,
-                eval: eval_time,
-                total: elapsed,
-            },
-            bdd: self.ldb.manager().stats().delta_since(&before),
-        });
-        let report = CheckReport {
+        let bdd = self.ldb.manager().stats().delta_since(&before);
+        Ok(CheckReport {
             holds,
             verdict,
             error,
             method,
-            elapsed,
+            elapsed: start.elapsed(),
             live_nodes: self.ldb.manager().live_nodes(),
-            metrics,
-        };
-        Ok(report)
+            trace: trace(
+                Some((&plan, r2, index_events)),
+                fallback,
+                ladder,
+                PhaseTimings {
+                    index: index_time,
+                    eval: eval_time,
+                },
+                bdd,
+            ),
+        })
     }
 
     /// The SQL-plan rung: execute the plan's pre-translated step.
@@ -918,23 +923,15 @@ impl Checker {
     /// used by the benchmark harness for the BDD-vs-SQL comparisons).
     pub fn check_sql(&mut self, f: &Formula) -> Result<CheckReport> {
         let start = Instant::now();
-        let stats_before = self.opts.telemetry.then(|| self.ldb.manager().stats());
+        let before = self.ldb.manager().stats();
         let (holds, method) = self.check_via_sql(f)?;
         let elapsed = start.elapsed();
-        let metrics = stats_before.map(|before| CheckTrace {
-            method,
-            rules: Vec::new(),
-            passes: Vec::new(),
-            index_events: Vec::new(),
-            fallback: None,
-            ladder: vec![rung::SQL],
-            timings: PhaseTimings {
-                index: Duration::ZERO,
-                eval: elapsed,
-                total: elapsed,
-            },
-            bdd: self.ldb.manager().stats().delta_since(&before),
-        });
+        let ladder = if method == Method::BruteForce {
+            vec![rung::SQL, rung::BRUTE_FORCE]
+        } else {
+            vec![rung::SQL]
+        };
+        let bdd = self.ldb.manager().stats().delta_since(&before);
         Ok(CheckReport {
             holds,
             verdict: if holds {
@@ -946,7 +943,16 @@ impl Checker {
             method,
             elapsed,
             live_nodes: self.ldb.manager().live_nodes(),
-            metrics,
+            trace: trace(
+                None,
+                None,
+                ladder,
+                PhaseTimings {
+                    index: Duration::ZERO,
+                    eval: elapsed,
+                },
+                bdd,
+            ),
         })
     }
 
@@ -1181,7 +1187,6 @@ mod tests {
         let mut ck = Checker::new(
             db(),
             CheckerOptions {
-                telemetry: true,
                 deadline: Some(Duration::from_secs(60)),
                 ..Default::default()
             },
@@ -1201,7 +1206,8 @@ mod tests {
         assert_eq!(r.method, Method::Aborted);
         let message = "injected panic before the emptiness test";
         assert_eq!(r.error.as_deref(), Some(message));
-        let trace = r.metrics.expect("telemetry on");
+        let trace = r.trace;
+        assert_eq!(trace.ladder, vec![rung::ERRORED]);
         assert!(
             matches!(&trace.fallback, Some(FallbackReason::Panic(m)) if m == message),
             "{:?}",

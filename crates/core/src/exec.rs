@@ -52,13 +52,13 @@ use std::collections::HashMap;
 /// Every relation mentioned must already have an index built (the
 /// [`crate::checker::Checker`] guarantees this). Propagates
 /// `BddError::NodeLimit` if the manager's node budget is exhausted — the
-/// signal to fall to the next rung. When `rules` is provided, one R2 event
-/// is appended per atom compiled with ≥ 1 rename (the plan-level R1/R3/R4
-/// firings are already recorded in the plan's passes).
+/// signal to fall to the next rung. One R2 event is appended to `rules`
+/// per atom compiled with ≥ 1 rename (the plan-level R1/R3/R4 firings are
+/// already recorded in the plan's passes).
 pub fn execute_bdd(
     ldb: &mut LogicalDatabase,
     step: &BddStep,
-    rules: Option<&mut Vec<RuleFiring>>,
+    rules: &mut Vec<RuleFiring>,
 ) -> Result<bool> {
     let mut c = Compiler::for_step(ldb, step, rules)?;
     let mut ops = vec![c.ranges(&unconfined(step))?];
@@ -223,7 +223,9 @@ pub fn violations_bdd(
     if step.test != BddTest::ViolationsEmpty {
         return Ok(None);
     }
-    let mut c = Compiler::for_step(ldb, &step, None)?;
+    // Witness enumeration reports no rule firings; a check already did.
+    let mut unreported = Vec::new();
+    let mut c = Compiler::for_step(ldb, &step, &mut unreported)?;
     let phi = c.compile(&step.body)?;
     let ranges = c.ranges(&unconfined(&step))?;
     let mut bdd = c.ldb.manager_mut().and(ranges, phi)?;
@@ -331,7 +333,7 @@ struct Compiler<'a> {
     /// compiled (and recorded) projected.
     record_use: bool,
     /// R2 firing sink: one event per atom compiled with ≥ 1 rename.
-    rules: Option<&'a mut Vec<RuleFiring>>,
+    rules: &'a mut Vec<RuleFiring>,
 }
 
 impl<'a> Compiler<'a> {
@@ -340,7 +342,7 @@ impl<'a> Compiler<'a> {
     fn for_step(
         ldb: &'a mut LogicalDatabase,
         step: &BddStep,
-        rules: Option<&'a mut Vec<RuleFiring>>,
+        rules: &'a mut Vec<RuleFiring>,
     ) -> Result<Self> {
         let sorts = infer_sorts(ldb.db(), &step.alloc)?;
         let var_doms = allocate_query_domains(ldb, &step.alloc, &sorts)?;
@@ -514,12 +516,10 @@ impl<'a> Compiler<'a> {
         // served from the cache: telemetry stays identical to a cold
         // compile.
         if renames > 0 {
-            if let Some(rs) = self.rules.as_deref_mut() {
-                rs.push(RuleFiring {
-                    rule: RewriteRule::R2JoinRename,
-                    count: renames as u64,
-                });
-            }
+            self.rules.push(RuleFiring {
+                rule: RewriteRule::R2JoinRename,
+                count: renames as u64,
+            });
         }
         Ok(atom)
     }
@@ -589,7 +589,7 @@ mod tests {
     /// Plan `f` under `options` and decide it on the BDD path.
     fn decide(l: &mut LogicalDatabase, f: &Formula, options: PlanOptions) -> Result<bool> {
         let step = crate::planner::bdd_step(l.db(), f, options, &mut Vec::new());
-        execute_bdd(l, &step, None)
+        execute_bdd(l, &step, &mut Vec::new())
     }
 
     fn local(body: &str, stripped: &[&str]) -> Vec<String> {

@@ -8,8 +8,9 @@
 //!
 //! * [`CheckTrace`] — what one [`crate::checker::Checker::check`] call did:
 //!   phase timings, rewrite-rule firings (R1–R4, in application order),
-//!   index build-vs-reuse, the BDD-vs-SQL routing decision with the
-//!   node-budget reason on fallback, and the [`StatsDelta`] of BDD work.
+//!   index build-vs-reuse, the ladder rungs walked with the reason for
+//!   leaving the BDD path, and the [`StatsDelta`] of BDD work. Every
+//!   [`crate::checker::CheckReport`] carries one.
 //! * [`RunBdd`] — the BDD work of a whole batch or session, read off the
 //!   one shared manager before and after it.
 //! * [`RunMetrics`] — the machine-readable report emitted by
@@ -25,17 +26,18 @@
 //! fallback reasons) is defined once next to its producer.
 //!
 //! Overhead discipline: counters are plain integers maintained by
-//! `relcheck-bdd` unconditionally; everything that allocates or reads the
-//! clock is gated on `CheckerOptions::telemetry`.
+//! `relcheck-bdd` unconditionally, and a trace adds a few clock reads, two
+//! counter snapshots and a handful of small allocations per check — cheap
+//! enough that there is no switch to turn it off (DESIGN.md §5d).
 
-use crate::checker::{rung, Method, Verdict};
+use crate::checker::{rung, CheckReport, Method, Verdict};
 use crate::planner::pass;
 use relcheck_bdd::{ManagerStats, OpKind, OpStats, StatsDelta};
 use std::time::Duration;
 
 /// The metrics document's `schema_version`: the one version the writer
 /// emits and the validator accepts.
-const SCHEMA_VERSION: i64 = 11;
+const SCHEMA_VERSION: i64 = 12;
 
 /// The rewrite rules of the paper's Section 4 pipeline, numbered as the
 /// telemetry schema reports them.
@@ -183,25 +185,22 @@ impl FallbackReason {
     }
 }
 
-/// Wall-clock phase breakdown of one check (captured only with telemetry
-/// enabled).
+/// Wall-clock phase breakdown of one check. The whole check, post-check
+/// collection included, is the report's `elapsed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Ensuring every referenced index exists (build or reuse).
     pub index: Duration,
     /// Compile + decide (BDD path and/or SQL fallback).
     pub eval: Duration,
-    /// Whole check, including post-check GC.
-    pub total: Duration,
 }
 
 impl PhaseTimings {
     /// The `timings` block's fields, in schema order.
-    fn counters(&self) -> [(&'static str, u64); 3] {
+    fn counters(&self) -> [(&'static str, u64); 2] {
         [
             ("index_ns", nanos(self.index)),
             ("eval_ns", nanos(self.eval)),
-            ("total_ns", nanos(self.total)),
         ]
     }
 }
@@ -246,14 +245,11 @@ pub struct PassStat {
     pub gated: u64,
 }
 
-/// Structured trace of one `Checker::check` call. Attached to
-/// [`crate::checker::CheckReport::metrics`] when
-/// `CheckerOptions::telemetry` is set.
+/// Structured trace of one check: every
+/// [`crate::checker::CheckReport::trace`] holds one. The report's
+/// `method` and `elapsed` are not repeated here.
 #[derive(Debug, Clone)]
 pub struct CheckTrace {
-    /// The routing decision (mirrors `CheckReport::method`, so the trace
-    /// is self-contained).
-    pub method: Method,
     /// Rewrite-rule firings in application order (R3 prenex, R1 strip,
     /// R4 push-down, then R2 per compiled atom). Empty on the SQL path.
     pub rules: Vec<RuleFiring>,
@@ -305,25 +301,6 @@ impl RunBdd {
     }
 }
 
-/// Metrics for one named constraint, as serialized.
-#[derive(Debug, Clone)]
-pub struct ConstraintMetrics {
-    /// Constraint name.
-    pub name: String,
-    /// Verdict.
-    pub holds: bool,
-    /// What the check established (decided vs degraded vs errored).
-    pub verdict: Verdict,
-    /// Why the check could not decide, for undecided verdicts.
-    pub error: Option<String>,
-    /// Decision path.
-    pub method: Method,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-    /// The structured trace, when telemetry was enabled.
-    pub trace: Option<CheckTrace>,
-}
-
 /// Run-level degradation summary: how many constraints came back without
 /// a decided verdict, plus the fault-injection evidence when failpoints
 /// were armed.
@@ -334,7 +311,7 @@ pub struct DegradationSummary {
     /// Constraints whose verdict was `errored`.
     pub errored: usize,
     /// Constraints that left the straight BDD path (trace has a fallback
-    /// reason). Zero when telemetry is off.
+    /// reason).
     pub fallbacks: usize,
     /// Failpoint evidence: `(seed, fired counts per site)`, present iff
     /// the registry was armed when the report was assembled.
@@ -552,14 +529,12 @@ impl OverloadMetrics {
     }
 }
 
-/// The top-level machine-readable report (`schema_version` 11). See
+/// The top-level machine-readable report (`schema_version` 12). See
 /// `DESIGN.md` for field meanings and stability guarantees.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
-    /// Whether per-check traces were captured.
-    pub telemetry_enabled: bool,
-    /// Per-constraint metrics, in input order.
-    pub constraints: Vec<ConstraintMetrics>,
+    /// The named check reports, in input order.
+    pub constraints: Vec<(String, CheckReport)>,
     /// The run's BDD work; `None` when it never touched the BDD engine
     /// (`relcheck run --sql`).
     pub bdd: Option<RunBdd>,
@@ -582,41 +557,25 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Assemble a report from named check reports (input order preserved).
     /// Captures the failpoint registry's fired counts if it is armed.
-    pub fn from_reports(
-        reports: &[(String, crate::checker::CheckReport)],
-        bdd: Option<RunBdd>,
-    ) -> RunMetrics {
-        let count = |keep: &dyn Fn(&crate::checker::CheckReport) -> bool| {
-            reports.iter().filter(|(_, r)| keep(r)).count()
-        };
+    pub fn from_reports(reports: &[(String, CheckReport)], bdd: Option<RunBdd>) -> RunMetrics {
+        let count =
+            |keep: &dyn Fn(&CheckReport) -> bool| reports.iter().filter(|(_, r)| keep(r)).count();
         let degradation = DegradationSummary {
             degraded: count(&|r| r.verdict == Verdict::Degraded),
             errored: count(&|r| r.verdict == Verdict::Errored),
-            fallbacks: count(&|r| r.metrics.as_ref().is_some_and(|t| t.fallback.is_some())),
+            fallbacks: count(&|r| r.trace.fallback.is_some()),
             failpoints: relcheck_bdd::failpoint::armed_seed()
                 .map(|seed| (seed, relcheck_bdd::failpoint::fired_counts())),
         };
         RunMetrics {
-            telemetry_enabled: reports.iter().any(|(_, r)| r.metrics.is_some()),
-            constraints: reports
-                .iter()
-                .map(|(name, r)| ConstraintMetrics {
-                    name: name.clone(),
-                    holds: r.holds,
-                    verdict: r.verdict,
-                    error: r.error.clone(),
-                    method: r.method,
-                    elapsed: r.elapsed,
-                    trace: r.metrics.clone(),
-                })
-                .collect(),
+            constraints: reports.to_vec(),
             bdd,
             degradation,
             ..RunMetrics::default()
         }
     }
 
-    /// Render the schema-version-11 JSON document.
+    /// Render the schema-version-12 JSON document.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj_open();
@@ -624,12 +583,10 @@ impl RunMetrics {
         w.raw(&SCHEMA_VERSION.to_string());
         w.key("tool");
         w.string("relcheck");
-        w.key("telemetry_enabled");
-        w.bool(self.telemetry_enabled);
         w.key("constraints");
         w.arr_open();
-        for c in &self.constraints {
-            write_constraint(&mut w, c);
+        for (name, report) in &self.constraints {
+            write_constraint(&mut w, name, report);
         }
         w.arr_close();
         write_nullable(&mut w, "bdd", self.bdd.as_ref(), |w, b| {
@@ -735,27 +692,26 @@ fn write_degradation(w: &mut JsonWriter, d: &DegradationSummary) {
     w.obj_close();
 }
 
-fn write_constraint(w: &mut JsonWriter, c: &ConstraintMetrics) {
+fn write_constraint(w: &mut JsonWriter, name: &str, r: &CheckReport) {
     w.obj_open();
     w.key("name");
-    w.string(&c.name);
+    w.string(name);
     w.key("holds");
-    w.bool(c.holds);
+    w.bool(r.holds);
     w.key("verdict");
-    w.string(c.verdict.name());
-    write_nullable(w, "error", c.error.as_ref(), |w, e| w.string(e));
+    w.string(r.verdict.name());
+    write_nullable(w, "error", r.error.as_ref(), |w, e| w.string(e));
     w.key("method");
-    w.string(c.method.name());
+    w.string(r.method.name());
     w.key("elapsed_ns");
-    w.raw(&nanos(c.elapsed).to_string());
-    write_nullable(w, "trace", c.trace.as_ref(), write_trace);
+    w.raw(&nanos(r.elapsed).to_string());
+    w.key("trace");
+    write_trace(w, &r.trace);
     w.obj_close();
 }
 
 fn write_trace(w: &mut JsonWriter, t: &CheckTrace) {
     w.obj_open();
-    w.key("method");
-    w.string(t.method.name());
     w.key("rules");
     w.arr_open();
     for r in &t.rules {
@@ -1262,9 +1218,10 @@ fn read_counters<T: Default, const N: usize>(
 }
 
 /// Check a `bdd` block: its counters and one entry per op kind, each
-/// conserving `calls == cache_hits + cache_misses`.
+/// conserving `calls == cache_hits + cache_misses`, whose hits and misses
+/// sum to the block's `cache_hits` and `cache_misses`.
 fn check_delta_block(v: &Json, at: &str) -> Check<()> {
-    read_counters(v, at, delta_counters)?;
+    let totals = read_counters(v, at, delta_counters)?;
     let ops = array(v, at, "ops")?;
     if ops.len() != OpKind::ALL.len() {
         return Err(format!(
@@ -1273,6 +1230,7 @@ fn check_delta_block(v: &Json, at: &str) -> Check<()> {
             ops.len()
         ));
     }
+    let (mut hits, mut misses) = (0, 0);
     for (o, kind) in ops.iter().zip(OpKind::ALL) {
         let want = kind.name();
         let oat = format!("{at}.ops[{want}]");
@@ -1285,6 +1243,16 @@ fn check_delta_block(v: &Json, at: &str) -> Check<()> {
             return Err(format!(
                 "{oat}: violates calls == hits + misses ({} != {} + {})",
                 c["calls"], c["cache_hits"], c["cache_misses"]
+            ));
+        }
+        hits += c["cache_hits"];
+        misses += c["cache_misses"];
+    }
+    for (name, sum) in [("cache_hits", hits), ("cache_misses", misses)] {
+        if sum != totals[name] {
+            return Err(format!(
+                "{at}: the ops' {name} sum to {sum}, not {at}.{name} = {}",
+                totals[name]
             ));
         }
     }
@@ -1307,13 +1275,19 @@ fn check_pass(p: &Json, at: &str) -> Check<()> {
     Ok(())
 }
 
-fn check_trace(t: &Json, at: &str) -> Check<()> {
-    member(
-        at,
-        "method",
-        string(t, at, "method")?,
-        Method::ALL.map(Method::name),
-    )?;
+/// The method a report whose ladder ended on `last` carries.
+fn rung_method(last: &str) -> Method {
+    match last {
+        rung::BDD | rung::GC_RETRY => Method::Bdd,
+        rung::SQL => Method::SqlFallback,
+        rung::BRUTE_FORCE => Method::BruteForce,
+        _ => Method::Aborted,
+    }
+}
+
+/// Check a constraint's trace; its ladder's last rung must agree with the
+/// constraint's `method`. Returns whether the trace records a fallback.
+fn check_trace(t: &Json, at: &str, method: &str) -> Check<bool> {
     for (i, r) in array(t, at, "rules")?.iter().enumerate() {
         let rat = format!("{at}.rules[{i}]");
         let name = string(r, &rat, "rule")?;
@@ -1336,7 +1310,8 @@ fn check_trace(t: &Json, at: &str) -> Check<()> {
             IndexProvenance::ALL.map(IndexProvenance::name),
         )?;
     }
-    if let Some(fb) = nullable(t, at, "fallback")? {
+    let fallback = nullable(t, at, "fallback")?;
+    if let Some(fb) = fallback {
         let fat = join(at, "fallback");
         let reason = string(fb, &fat, "reason")?;
         let variant = FallbackReason::VARIANTS
@@ -1356,11 +1331,21 @@ fn check_trace(t: &Json, at: &str) -> Check<()> {
             | FallbackReason::Overload => {}
         }
     }
-    for r in array(t, at, "ladder")? {
+    let ladder = array(t, at, "ladder")?;
+    for r in ladder {
         let name = r
             .as_str()
             .ok_or(format!("{at}.ladder: rung must be a string"))?;
         member(&join(at, "ladder"), "rung", name, rung::ALL)?;
+    }
+    let last = ladder
+        .last()
+        .and_then(Json::as_str)
+        .ok_or(format!("{at}.ladder: a check walks at least one rung"))?;
+    if rung_method(last).name() != method {
+        return Err(format!(
+            "{at}.ladder ends on {last:?}, which disagrees with method {method:?}"
+        ));
     }
     read_counters(
         field(t, at, "timings")?,
@@ -1368,7 +1353,7 @@ fn check_trace(t: &Json, at: &str) -> Check<()> {
         PhaseTimings::counters,
     )?;
     check_delta_block(field(t, at, "bdd")?, &join(at, "bdd"))?;
-    Ok(())
+    Ok(fallback.is_some())
 }
 
 /// Validate a metrics document against the current schema (the one
@@ -1384,8 +1369,8 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
         ));
     }
     string(&doc, "", "tool")?;
-    boolean(&doc, "", "telemetry_enabled")?;
     let constraints = array(&doc, "", "constraints")?;
+    let mut fallbacks = 0;
     for (i, c) in constraints.iter().enumerate() {
         let at = format!("constraints[{i}]");
         string(c, &at, "name")?;
@@ -1396,16 +1381,14 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
             e.as_str()
                 .ok_or(format!("{at}.error: expected null or a string"))?;
         }
-        member(
-            &at,
-            "method",
-            string(c, &at, "method")?,
-            Method::ALL.map(Method::name),
-        )?;
+        let method = string(c, &at, "method")?;
+        member(&at, "method", method, Method::ALL.map(Method::name))?;
         count(c, &at, "elapsed_ns")?;
-        if let Some(t) = nullable(c, &at, "trace")? {
-            check_trace(t, &join(&at, "trace"))?;
+        let trace = field(c, &at, "trace")?;
+        if *trace == Json::Null {
+            return Err(format!("{at}.trace: every constraint carries a trace"));
         }
+        fallbacks += u64::from(check_trace(trace, &join(&at, "trace"), method)?);
     }
 
     if let Some(bdd) = nullable(&doc, "", "bdd")? {
@@ -1428,6 +1411,12 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
                 c[name]
             ));
         }
+    }
+    if c["fallbacks"] != fallbacks {
+        return Err(format!(
+            "degradation.fallbacks = {} but {fallbacks} traces record a fallback",
+            c["fallbacks"]
+        ));
     }
     if let Some(fp) = nullable(deg, "degradation", "failpoints")? {
         string(fp, "degradation.failpoints", "seed")?;
@@ -1647,15 +1636,15 @@ mod tests {
         // rest of the document per character made this quadratic.
         let name = "a".repeat(400_000);
         let doc = RunMetrics {
-            constraints: vec![ConstraintMetrics {
-                name: name.clone(),
-                holds: true,
-                verdict: Verdict::Holds,
-                error: None,
-                method: Method::Bdd,
-                elapsed: Duration::from_nanos(1),
-                trace: None,
-            }],
+            constraints: vec![(
+                name.clone(),
+                report(
+                    Verdict::Holds,
+                    None,
+                    Method::Bdd,
+                    trace(None, vec!["bdd"], 1),
+                ),
+            )],
             ..RunMetrics::default()
         }
         .to_json();
@@ -1720,9 +1709,9 @@ mod tests {
         // document of an older (or future) schema is accepted.
         let doc = golden_metrics().to_json();
         validate_metrics_json(&doc).unwrap();
-        for version in (1..=10).chain([12]) {
+        for version in (1..=11).chain([13]) {
             let other = doc.replace(
-                "\"schema_version\":11",
+                "\"schema_version\":12",
                 &format!("\"schema_version\":{version}"),
             );
             let err = validate_metrics_json(&other).unwrap_err();
@@ -1795,7 +1784,7 @@ mod tests {
             ("\"requests\":9,", ""),
             ("\"witnesses\":12", "\"witnesses\":\"12\""),
             ("\"watchdog_fires\":1", "\"watchdog_fires\":-1"),
-            ("\"eval_ns\":201,", ""),
+            ("\"index_ns\":101,", ""),
             ("\"gc_runs\":1,", "\"gc_runs\":-1,"),
             ("\"fallbacks\":6", "\"fallbacks\":1.5"),
             ("\"limit\":500,", ""),
@@ -1973,22 +1962,188 @@ mod tests {
         bdd.delta.ops[0].calls = 2;
         bdd.delta.ops[0].cache_hits = 1;
         bdd.delta.ops[0].cache_misses = 1;
+        bdd.delta.cache_hits = 1;
+        bdd.delta.cache_misses = 1;
         let good = RunMetrics {
             bdd: Some(bdd),
             ..RunMetrics::default()
         };
         validate_metrics_json(&good.to_json()).unwrap();
-        bdd.delta.ops[0].calls += 1;
-        let bad = RunMetrics {
-            bdd: Some(bdd),
-            ..RunMetrics::default()
-        };
+        let mut bad = good.clone();
+        bad.bdd.as_mut().unwrap().delta.ops[0].calls += 1;
         let err = validate_metrics_json(&bad.to_json()).unwrap_err();
         assert!(err.contains("bdd.ops[apply]"), "{err}");
+        // The ops' hits and misses sum to the block's totals.
+        let mut bad = good.clone();
+        bad.bdd.as_mut().unwrap().delta.cache_misses += 1;
+        let err = validate_metrics_json(&bad.to_json()).unwrap_err();
+        assert!(err.contains("bdd: the ops' cache_misses sum to 1"), "{err}");
         // The high-water marks are required counters of the block.
         let doc = good.to_json().replace("\"depth_hwm\":3,", "");
         let err = validate_metrics_json(&doc).unwrap_err();
         assert!(err.contains("bdd.depth_hwm"), "{err}");
+    }
+
+    #[test]
+    fn validator_requires_one_trace_per_constraint_that_agrees_with_it() {
+        let golden = golden_metrics();
+        validate_metrics_json(&golden.to_json()).unwrap();
+        // A constraint without a trace.
+        let one = RunMetrics {
+            constraints: vec![golden.constraints[0].clone()],
+            ..RunMetrics::default()
+        };
+        let doc = one.to_json();
+        validate_metrics_json(&doc).unwrap();
+        let (head, tail) = doc.split_at(doc.find("\"trace\":").unwrap());
+        let rest = &tail[tail.find("}],\"bdd\"").unwrap()..];
+        let err = validate_metrics_json(&format!("{head}\"trace\":null{rest}")).unwrap_err();
+        assert!(err.contains("constraints[0].trace"), "{err}");
+        // The ladder's last rung names the method: `bdd` is no SQL answer.
+        let mut bad = golden.clone();
+        bad.constraints[0].1.method = Method::SqlFallback;
+        let err = validate_metrics_json(&bad.to_json()).unwrap_err();
+        assert!(
+            err.contains("constraints[0].trace.ladder ends on \"bdd\""),
+            "{err}"
+        );
+        // Nor may an undecided check end on a deciding rung.
+        let mut bad = golden.clone();
+        bad.constraints[4].1.trace.ladder.pop();
+        let err = validate_metrics_json(&bad.to_json()).unwrap_err();
+        assert!(err.contains("disagrees with method \"aborted\""), "{err}");
+        // Every check walks a rung.
+        let mut bad = golden.clone();
+        bad.constraints[0].1.trace.ladder.clear();
+        let err = validate_metrics_json(&bad.to_json()).unwrap_err();
+        assert!(err.contains("at least one rung"), "{err}");
+    }
+
+    #[test]
+    fn validator_counts_the_fallbacks_the_traces_record() {
+        let mut m = golden_metrics();
+        m.degradation.fallbacks = 5;
+        let err = validate_metrics_json(&m.to_json()).unwrap_err();
+        assert!(
+            err.contains("degradation.fallbacks = 5 but 6 traces record a fallback"),
+            "{err}"
+        );
+        m.degradation.fallbacks = 6;
+        m.constraints[0].1.trace.fallback = Some(FallbackReason::Deadline);
+        let err = validate_metrics_json(&m.to_json()).unwrap_err();
+        assert!(err.contains("but 7 traces"), "{err}");
+    }
+
+    #[test]
+    fn validator_sums_a_trace_blocks_ops_to_its_totals() {
+        let mut m = golden_metrics();
+        m.constraints[1].1.trace.bdd.cache_hits += 1;
+        let err = validate_metrics_json(&m.to_json()).unwrap_err();
+        assert!(
+            err.contains("constraints[1].trace.bdd: the ops' cache_hits sum to 65"),
+            "{err}"
+        );
+    }
+
+    /// A `bdd` delta whose counters all derive from `seed` and which
+    /// keeps both conservation laws.
+    fn delta(seed: u64) -> StatsDelta {
+        let mut d = StatsDelta {
+            created_nodes: 10 * seed,
+            gc_runs: seed,
+            ..Default::default()
+        };
+        for (i, op) in d.ops.iter_mut().enumerate() {
+            let i = i as u64;
+            op.cache_hits = seed + i;
+            op.cache_misses = i;
+            op.calls = seed + 2 * i;
+            d.cache_hits += op.cache_hits;
+            d.cache_misses += op.cache_misses;
+        }
+        d
+    }
+
+    /// A trace with a full planner record, the given fallback and ladder.
+    fn trace(fallback: Option<FallbackReason>, ladder: Vec<&'static str>, seed: u64) -> CheckTrace {
+        CheckTrace {
+            rules: vec![
+                RuleFiring {
+                    rule: RewriteRule::R3PrenexPullup,
+                    count: 2,
+                },
+                RuleFiring {
+                    rule: RewriteRule::R1LeadingBlock,
+                    count: 1,
+                },
+                RuleFiring {
+                    rule: RewriteRule::R4ForallPushdown,
+                    count: 1,
+                },
+                RuleFiring {
+                    rule: RewriteRule::R2JoinRename,
+                    count: 3,
+                },
+            ],
+            passes: vec![
+                PassStat {
+                    pass: "prenex-pullup",
+                    rule: Some(RewriteRule::R3PrenexPullup),
+                    fired: 2,
+                    gated: 0,
+                },
+                PassStat {
+                    pass: "refutation-nnf",
+                    rule: None,
+                    fired: 1,
+                    gated: 0,
+                },
+                PassStat {
+                    pass: "forall-pushdown",
+                    rule: Some(RewriteRule::R4ForallPushdown),
+                    fired: 1,
+                    gated: 1,
+                },
+            ],
+            index_events: vec![
+                IndexEvent {
+                    relation: "CUST".to_owned(),
+                    provenance: IndexProvenance::Built,
+                },
+                IndexEvent {
+                    relation: "ALLOWED".to_owned(),
+                    provenance: IndexProvenance::Reused,
+                },
+                IndexEvent {
+                    relation: "BIG".to_owned(),
+                    provenance: IndexProvenance::SqlOnly,
+                },
+            ],
+            fallback,
+            ladder,
+            timings: PhaseTimings {
+                index: Duration::from_nanos(100 + seed),
+                eval: Duration::from_nanos(200 + seed),
+            },
+            bdd: delta(seed),
+        }
+    }
+
+    fn report(
+        verdict: Verdict,
+        error: Option<&str>,
+        method: Method,
+        trace: CheckTrace,
+    ) -> CheckReport {
+        CheckReport {
+            holds: verdict != Verdict::Violated,
+            verdict,
+            error: error.map(str::to_owned),
+            method,
+            elapsed: Duration::from_nanos(1234),
+            live_nodes: 0,
+            trace,
+        }
     }
 
     /// One document exercising every block the writer can emit: all
@@ -1996,199 +2151,94 @@ mod tests {
     /// evidence, an index-cache recovery, all six fallback reasons, a
     /// pass with no paper rule, and every ladder rung.
     fn golden_metrics() -> RunMetrics {
-        fn delta(seed: u64) -> StatsDelta {
-            let mut d = StatsDelta {
-                created_nodes: 10 * seed,
-                cache_hits: 3 * seed,
-                cache_misses: 2 * seed,
-                gc_runs: seed,
-                ..Default::default()
-            };
-            for (i, op) in d.ops.iter_mut().enumerate() {
-                let i = i as u64;
-                op.cache_hits = seed + i;
-                op.cache_misses = i;
-                op.calls = seed + 2 * i;
-            }
-            d
-        }
-        fn trace(
-            method: Method,
-            fallback: Option<FallbackReason>,
-            ladder: Vec<&'static str>,
-            seed: u64,
-        ) -> CheckTrace {
-            CheckTrace {
-                method,
-                rules: vec![
-                    RuleFiring {
-                        rule: RewriteRule::R3PrenexPullup,
-                        count: 2,
-                    },
-                    RuleFiring {
-                        rule: RewriteRule::R1LeadingBlock,
-                        count: 1,
-                    },
-                    RuleFiring {
-                        rule: RewriteRule::R4ForallPushdown,
-                        count: 1,
-                    },
-                    RuleFiring {
-                        rule: RewriteRule::R2JoinRename,
-                        count: 3,
-                    },
-                ],
-                passes: vec![
-                    PassStat {
-                        pass: "prenex-pullup",
-                        rule: Some(RewriteRule::R3PrenexPullup),
-                        fired: 2,
-                        gated: 0,
-                    },
-                    PassStat {
-                        pass: "refutation-nnf",
-                        rule: None,
-                        fired: 1,
-                        gated: 0,
-                    },
-                    PassStat {
-                        pass: "forall-pushdown",
-                        rule: Some(RewriteRule::R4ForallPushdown),
-                        fired: 1,
-                        gated: 1,
-                    },
-                ],
-                index_events: vec![
-                    IndexEvent {
-                        relation: "CUST".to_owned(),
-                        provenance: IndexProvenance::Built,
-                    },
-                    IndexEvent {
-                        relation: "ALLOWED".to_owned(),
-                        provenance: IndexProvenance::Reused,
-                    },
-                    IndexEvent {
-                        relation: "BIG".to_owned(),
-                        provenance: IndexProvenance::SqlOnly,
-                    },
-                ],
-                fallback,
-                ladder,
-                timings: PhaseTimings {
-                    index: Duration::from_nanos(100 + seed),
-                    eval: Duration::from_nanos(200 + seed),
-                    total: Duration::from_nanos(400 + seed),
-                },
-                bdd: delta(seed),
-            }
-        }
-        fn constraint(
-            name: &str,
-            verdict: crate::checker::Verdict,
-            error: Option<&str>,
-            method: Method,
-            trace: Option<CheckTrace>,
-        ) -> ConstraintMetrics {
-            ConstraintMetrics {
-                name: name.to_owned(),
-                holds: verdict != crate::checker::Verdict::Violated,
-                verdict,
-                error: error.map(str::to_owned),
-                method,
-                elapsed: Duration::from_nanos(1234),
-                trace,
-            }
-        }
-        use crate::checker::Verdict;
+        let named = |name: &str, report| (name.to_owned(), report);
         RunMetrics {
-            telemetry_enabled: true,
             constraints: vec![
-                constraint(
+                named(
                     "stays-on-bdd",
-                    Verdict::Holds,
-                    None,
-                    Method::Bdd,
-                    Some(trace(Method::Bdd, None, vec!["bdd"], 1)),
+                    report(
+                        Verdict::Holds,
+                        None,
+                        Method::Bdd,
+                        trace(None, vec!["bdd"], 1),
+                    ),
                 ),
-                constraint(
+                named(
                     "node-limit",
-                    Verdict::Violated,
-                    None,
-                    Method::SqlFallback,
-                    Some(trace(
+                    report(
+                        Verdict::Violated,
+                        None,
                         Method::SqlFallback,
-                        Some(FallbackReason::NodeLimit {
-                            limit: 500,
-                            live: 501,
-                        }),
-                        vec!["bdd", "sql"],
-                        2,
-                    )),
+                        trace(
+                            Some(FallbackReason::NodeLimit {
+                                limit: 500,
+                                live: 501,
+                            }),
+                            vec!["bdd", "sql"],
+                            2,
+                        ),
+                    ),
                 ),
-                constraint(
+                named(
                     "unindexed",
-                    Verdict::Holds,
-                    None,
-                    Method::SqlFallback,
-                    Some(trace(
+                    report(
+                        Verdict::Holds,
+                        None,
                         Method::SqlFallback,
-                        Some(FallbackReason::UnindexedRelation),
-                        vec!["sql"],
-                        3,
-                    )),
+                        trace(Some(FallbackReason::UnindexedRelation), vec!["sql"], 3),
+                    ),
                 ),
-                constraint(
+                named(
                     "deadline",
-                    Verdict::Holds,
-                    None,
-                    Method::BruteForce,
-                    Some(trace(
+                    report(
+                        Verdict::Holds,
+                        None,
                         Method::BruteForce,
-                        Some(FallbackReason::Deadline),
-                        vec!["bdd", "sql", "brute_force"],
-                        4,
-                    )),
+                        trace(
+                            Some(FallbackReason::Deadline),
+                            vec!["bdd", "sql", "brute_force"],
+                            4,
+                        ),
+                    ),
                 ),
-                constraint(
+                named(
                     "retry-exhausted",
-                    Verdict::Degraded,
-                    Some("every rung failed"),
-                    Method::Aborted,
-                    Some(trace(
+                    report(
+                        Verdict::Degraded,
+                        Some("every rung failed"),
                         Method::Aborted,
-                        Some(FallbackReason::RetryExhausted {
-                            limit: 500,
-                            live: 777,
-                        }),
-                        vec!["bdd", "gc_retry", "sql", "brute_force", "degraded"],
-                        5,
-                    )),
+                        trace(
+                            Some(FallbackReason::RetryExhausted {
+                                limit: 500,
+                                live: 777,
+                            }),
+                            vec!["bdd", "gc_retry", "sql", "brute_force", "degraded"],
+                            5,
+                        ),
+                    ),
                 ),
-                constraint(
+                named(
                     "panicked",
-                    Verdict::Errored,
-                    Some("injected \"fault\"\n"),
-                    Method::Aborted,
-                    Some(trace(
+                    report(
+                        Verdict::Errored,
+                        Some("injected \"fault\"\n"),
                         Method::Aborted,
-                        Some(FallbackReason::Panic("injected \"fault\"\n".to_owned())),
-                        vec!["errored"],
-                        6,
-                    )),
+                        trace(
+                            Some(FallbackReason::Panic("injected \"fault\"\n".to_owned())),
+                            vec!["errored"],
+                            6,
+                        ),
+                    ),
                 ),
-                constraint(
+                named(
                     "shed",
-                    Verdict::Violated,
-                    None,
-                    Method::SqlFallback,
-                    Some(trace(
+                    report(
+                        Verdict::Violated,
+                        None,
                         Method::SqlFallback,
-                        Some(FallbackReason::Overload),
-                        vec!["sql"],
-                        7,
-                    )),
+                        trace(Some(FallbackReason::Overload), vec!["sql"], 7),
+                    ),
                 ),
-                constraint("untraced", Verdict::Holds, None, Method::Bdd, None),
             ],
             bdd: Some(RunBdd {
                 delta: delta(3),
@@ -2248,9 +2298,8 @@ mod tests {
         }
     }
 
-    /// The metrics bytes are pinned: this literal was captured from the
-    /// writer before the field tables replaced the hand-written blocks,
-    /// and must only change together with `schema_version`.
+    /// The metrics bytes are pinned: this literal must only change
+    /// together with `schema_version`.
     #[test]
     fn golden_metrics_document_bytes() {
         let doc = golden_metrics().to_json();
@@ -2259,65 +2308,64 @@ mod tests {
     }
 
     const GOLDEN_METRICS: &str = concat!(
-        r#"{"schema_version":11,"tool":"relcheck","telemetry_enabled":true,"constraints":["#,
+        r#"{"schema_version":12,"tool":"relcheck","constraints":["#,
         r#"{"name":"stays-on-bdd","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"#,
-        r#""trace":{"method":"bdd","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":null,"ladder":["bdd"],"timings":{"index_ns":101,"eval_ns":201,"total_ns":401},"#,
-        r#""bdd":{"created_nodes":10,"cache_hits":3,"cache_misses":2,"gc_runs":1,"ops":[{"op":"apply","calls":1,"cache_hits":1,"cache_misses":0},{"op":"not","calls":3,"cache_hits":2,"cache_misses":1},{"op":"ite","calls":5,"cache_hits":3,"cache_misses":2},"#,
+        r#""fallback":null,"ladder":["bdd"],"timings":{"index_ns":101,"eval_ns":201},"#,
+        r#""bdd":{"created_nodes":10,"cache_hits":55,"cache_misses":45,"gc_runs":1,"ops":[{"op":"apply","calls":1,"cache_hits":1,"cache_misses":0},{"op":"not","calls":3,"cache_hits":2,"cache_misses":1},{"op":"ite","calls":5,"cache_hits":3,"cache_misses":2},"#,
         r#"{"op":"exists","calls":7,"cache_hits":4,"cache_misses":3},{"op":"forall","calls":9,"cache_hits":5,"cache_misses":4},{"op":"app_exists","calls":11,"cache_hits":6,"cache_misses":5},{"op":"app_forall","calls":13,"cache_hits":7,"cache_misses":6},"#,
         r#"{"op":"replace","calls":15,"cache_hits":8,"cache_misses":7},{"op":"restrict","calls":17,"cache_hits":9,"cache_misses":8},{"op":"constrain","calls":19,"cache_hits":10,"cache_misses":9}]}}},"#,
         r#"{"name":"node-limit","holds":false,"verdict":"violated","error":null,"method":"sql_fallback","elapsed_ns":1234,"#,
-        r#""trace":{"method":"sql_fallback","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"node_limit","limit":500,"live":501},"ladder":["bdd","sql"],"timings":{"index_ns":102,"eval_ns":202,"total_ns":402},"#,
-        r#""bdd":{"created_nodes":20,"cache_hits":6,"cache_misses":4,"gc_runs":2,"ops":[{"op":"apply","calls":2,"cache_hits":2,"cache_misses":0},{"op":"not","calls":4,"cache_hits":3,"cache_misses":1},{"op":"ite","calls":6,"cache_hits":4,"cache_misses":2},"#,
+        r#""fallback":{"reason":"node_limit","limit":500,"live":501},"ladder":["bdd","sql"],"timings":{"index_ns":102,"eval_ns":202},"#,
+        r#""bdd":{"created_nodes":20,"cache_hits":65,"cache_misses":45,"gc_runs":2,"ops":[{"op":"apply","calls":2,"cache_hits":2,"cache_misses":0},{"op":"not","calls":4,"cache_hits":3,"cache_misses":1},{"op":"ite","calls":6,"cache_hits":4,"cache_misses":2},"#,
         r#"{"op":"exists","calls":8,"cache_hits":5,"cache_misses":3},{"op":"forall","calls":10,"cache_hits":6,"cache_misses":4},{"op":"app_exists","calls":12,"cache_hits":7,"cache_misses":5},{"op":"app_forall","calls":14,"cache_hits":8,"cache_misses":6},"#,
         r#"{"op":"replace","calls":16,"cache_hits":9,"cache_misses":7},{"op":"restrict","calls":18,"cache_hits":10,"cache_misses":8},{"op":"constrain","calls":20,"cache_hits":11,"cache_misses":9}]}}},"#,
         r#"{"name":"unindexed","holds":true,"verdict":"holds","error":null,"method":"sql_fallback","elapsed_ns":1234,"#,
-        r#""trace":{"method":"sql_fallback","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"unindexed_relation"},"ladder":["sql"],"timings":{"index_ns":103,"eval_ns":203,"total_ns":403},"#,
-        r#""bdd":{"created_nodes":30,"cache_hits":9,"cache_misses":6,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":5,"cache_hits":4,"cache_misses":1},{"op":"ite","calls":7,"cache_hits":5,"cache_misses":2},"#,
+        r#""fallback":{"reason":"unindexed_relation"},"ladder":["sql"],"timings":{"index_ns":103,"eval_ns":203},"#,
+        r#""bdd":{"created_nodes":30,"cache_hits":75,"cache_misses":45,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":5,"cache_hits":4,"cache_misses":1},{"op":"ite","calls":7,"cache_hits":5,"cache_misses":2},"#,
         r#"{"op":"exists","calls":9,"cache_hits":6,"cache_misses":3},{"op":"forall","calls":11,"cache_hits":7,"cache_misses":4},{"op":"app_exists","calls":13,"cache_hits":8,"cache_misses":5},{"op":"app_forall","calls":15,"cache_hits":9,"cache_misses":6},"#,
         r#"{"op":"replace","calls":17,"cache_hits":10,"cache_misses":7},{"op":"restrict","calls":19,"cache_hits":11,"cache_misses":8},{"op":"constrain","calls":21,"cache_hits":12,"cache_misses":9}]}}},"#,
         r#"{"name":"deadline","holds":true,"verdict":"holds","error":null,"method":"brute_force","elapsed_ns":1234,"#,
-        r#""trace":{"method":"brute_force","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"deadline"},"ladder":["bdd","sql","brute_force"],"timings":{"index_ns":104,"eval_ns":204,"total_ns":404},"#,
-        r#""bdd":{"created_nodes":40,"cache_hits":12,"cache_misses":8,"gc_runs":4,"ops":[{"op":"apply","calls":4,"cache_hits":4,"cache_misses":0},{"op":"not","calls":6,"cache_hits":5,"cache_misses":1},{"op":"ite","calls":8,"cache_hits":6,"cache_misses":2},"#,
+        r#""fallback":{"reason":"deadline"},"ladder":["bdd","sql","brute_force"],"timings":{"index_ns":104,"eval_ns":204},"#,
+        r#""bdd":{"created_nodes":40,"cache_hits":85,"cache_misses":45,"gc_runs":4,"ops":[{"op":"apply","calls":4,"cache_hits":4,"cache_misses":0},{"op":"not","calls":6,"cache_hits":5,"cache_misses":1},{"op":"ite","calls":8,"cache_hits":6,"cache_misses":2},"#,
         r#"{"op":"exists","calls":10,"cache_hits":7,"cache_misses":3},{"op":"forall","calls":12,"cache_hits":8,"cache_misses":4},{"op":"app_exists","calls":14,"cache_hits":9,"cache_misses":5},{"op":"app_forall","calls":16,"cache_hits":10,"cache_misses":6},"#,
         r#"{"op":"replace","calls":18,"cache_hits":11,"cache_misses":7},{"op":"restrict","calls":20,"cache_hits":12,"cache_misses":8},{"op":"constrain","calls":22,"cache_hits":13,"cache_misses":9}]}}},"#,
         r#"{"name":"retry-exhausted","holds":true,"verdict":"degraded","error":"every rung failed","method":"aborted","elapsed_ns":1234,"#,
-        r#""trace":{"method":"aborted","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"retry_exhausted","limit":500,"live":777},"ladder":["bdd","gc_retry","sql","brute_force","degraded"],"timings":{"index_ns":105,"eval_ns":205,"total_ns":405},"#,
-        r#""bdd":{"created_nodes":50,"cache_hits":15,"cache_misses":10,"gc_runs":5,"ops":[{"op":"apply","calls":5,"cache_hits":5,"cache_misses":0},{"op":"not","calls":7,"cache_hits":6,"cache_misses":1},{"op":"ite","calls":9,"cache_hits":7,"cache_misses":2},"#,
+        r#""fallback":{"reason":"retry_exhausted","limit":500,"live":777},"ladder":["bdd","gc_retry","sql","brute_force","degraded"],"timings":{"index_ns":105,"eval_ns":205},"#,
+        r#""bdd":{"created_nodes":50,"cache_hits":95,"cache_misses":45,"gc_runs":5,"ops":[{"op":"apply","calls":5,"cache_hits":5,"cache_misses":0},{"op":"not","calls":7,"cache_hits":6,"cache_misses":1},{"op":"ite","calls":9,"cache_hits":7,"cache_misses":2},"#,
         r#"{"op":"exists","calls":11,"cache_hits":8,"cache_misses":3},{"op":"forall","calls":13,"cache_hits":9,"cache_misses":4},{"op":"app_exists","calls":15,"cache_hits":10,"cache_misses":5},{"op":"app_forall","calls":17,"cache_hits":11,"cache_misses":6},"#,
         r#"{"op":"replace","calls":19,"cache_hits":12,"cache_misses":7},{"op":"restrict","calls":21,"cache_hits":13,"cache_misses":8},{"op":"constrain","calls":23,"cache_hits":14,"cache_misses":9}]}}},"#,
         r#"{"name":"panicked","holds":true,"verdict":"errored","error":"injected \"fault\"\n","method":"aborted","elapsed_ns":1234,"#,
-        r#""trace":{"method":"aborted","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"panic","message":"injected \"fault\"\n"},"ladder":["errored"],"timings":{"index_ns":106,"eval_ns":206,"total_ns":406},"#,
-        r#""bdd":{"created_nodes":60,"cache_hits":18,"cache_misses":12,"gc_runs":6,"ops":[{"op":"apply","calls":6,"cache_hits":6,"cache_misses":0},{"op":"not","calls":8,"cache_hits":7,"cache_misses":1},{"op":"ite","calls":10,"cache_hits":8,"cache_misses":2},"#,
+        r#""fallback":{"reason":"panic","message":"injected \"fault\"\n"},"ladder":["errored"],"timings":{"index_ns":106,"eval_ns":206},"#,
+        r#""bdd":{"created_nodes":60,"cache_hits":105,"cache_misses":45,"gc_runs":6,"ops":[{"op":"apply","calls":6,"cache_hits":6,"cache_misses":0},{"op":"not","calls":8,"cache_hits":7,"cache_misses":1},{"op":"ite","calls":10,"cache_hits":8,"cache_misses":2},"#,
         r#"{"op":"exists","calls":12,"cache_hits":9,"cache_misses":3},{"op":"forall","calls":14,"cache_hits":10,"cache_misses":4},{"op":"app_exists","calls":16,"cache_hits":11,"cache_misses":5},{"op":"app_forall","calls":18,"cache_hits":12,"cache_misses":6},"#,
         r#"{"op":"replace","calls":20,"cache_hits":13,"cache_misses":7},{"op":"restrict","calls":22,"cache_hits":14,"cache_misses":8},{"op":"constrain","calls":24,"cache_hits":15,"cache_misses":9}]}}},"#,
         r#"{"name":"shed","holds":false,"verdict":"violated","error":null,"method":"sql_fallback","elapsed_ns":1234,"#,
-        r#""trace":{"method":"sql_fallback","rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
+        r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"overload"},"ladder":["sql"],"timings":{"index_ns":107,"eval_ns":207,"total_ns":407},"#,
-        r#""bdd":{"created_nodes":70,"cache_hits":21,"cache_misses":14,"gc_runs":7,"ops":[{"op":"apply","calls":7,"cache_hits":7,"cache_misses":0},{"op":"not","calls":9,"cache_hits":8,"cache_misses":1},{"op":"ite","calls":11,"cache_hits":9,"cache_misses":2},"#,
+        r#""fallback":{"reason":"overload"},"ladder":["sql"],"timings":{"index_ns":107,"eval_ns":207},"#,
+        r#""bdd":{"created_nodes":70,"cache_hits":115,"cache_misses":45,"gc_runs":7,"ops":[{"op":"apply","calls":7,"cache_hits":7,"cache_misses":0},{"op":"not","calls":9,"cache_hits":8,"cache_misses":1},{"op":"ite","calls":11,"cache_hits":9,"cache_misses":2},"#,
         r#"{"op":"exists","calls":13,"cache_hits":10,"cache_misses":3},{"op":"forall","calls":15,"cache_hits":11,"cache_misses":4},{"op":"app_exists","calls":17,"cache_hits":12,"cache_misses":5},{"op":"app_forall","calls":19,"cache_hits":13,"cache_misses":6},"#,
-        r#"{"op":"replace","calls":21,"cache_hits":14,"cache_misses":7},{"op":"restrict","calls":23,"cache_hits":15,"cache_misses":8},{"op":"constrain","calls":25,"cache_hits":16,"cache_misses":9}]}}},"#,
-        r#"{"name":"untraced","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"trace":null}],"#,
-        r#""bdd":{"peak_nodes":250,"depth_hwm":9,"created_nodes":30,"cache_hits":9,"cache_misses":6,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":5,"cache_hits":4,"cache_misses":1},{"op":"ite","calls":7,"cache_hits":5,"cache_misses":2},"#,
+        r#"{"op":"replace","calls":21,"cache_hits":14,"cache_misses":7},{"op":"restrict","calls":23,"cache_hits":15,"cache_misses":8},{"op":"constrain","calls":25,"cache_hits":16,"cache_misses":9}]}}}],"#,
+        r#""bdd":{"peak_nodes":250,"depth_hwm":9,"created_nodes":30,"cache_hits":75,"cache_misses":45,"gc_runs":3,"ops":[{"op":"apply","calls":3,"cache_hits":3,"cache_misses":0},{"op":"not","calls":5,"cache_hits":4,"cache_misses":1},{"op":"ite","calls":7,"cache_hits":5,"cache_misses":2},"#,
         r#"{"op":"exists","calls":9,"cache_hits":6,"cache_misses":3},{"op":"forall","calls":11,"cache_hits":7,"cache_misses":4},{"op":"app_exists","calls":13,"cache_hits":8,"cache_misses":5},{"op":"app_forall","calls":15,"cache_hits":9,"cache_misses":6},"#,
         r#"{"op":"replace","calls":17,"cache_hits":10,"cache_misses":7},{"op":"restrict","calls":19,"cache_hits":11,"cache_misses":8},{"op":"constrain","calls":21,"cache_hits":12,"cache_misses":9}]},"#,
         r#""degradation":{"degraded":1,"errored":1,"fallbacks":6,"failpoints":{"seed":"18446744073709551615","fired":[{"site":"apply","count":3},{"site":"index-build","count":0}]}},"#,

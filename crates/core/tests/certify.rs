@@ -370,3 +370,57 @@ fn non_forall_prefixed_constraints_certify_witness_free() {
     assert!(cert.witnesses.is_none());
     verify_certificate(&db, &battery, &cert).unwrap();
 }
+
+/// A check the GC-and-retry rung decides certifies as `gc_retry`, the
+/// rung its trace ends on, and the certificate still audits. The node
+/// limit is set to exactly what the check needs over the indices, and
+/// unreferenced nodes are left in the arena first: the first BDD attempt
+/// trips the limit, the collection frees the garbage, and the retry fits.
+#[test]
+fn a_check_decided_on_the_gc_retry_certifies_as_gc_retry() {
+    let db = phones_db();
+    let battery = battery();
+    let (name, f) = &battery[1]; // city-determines-state: violated
+    let ready = |limit: Option<usize>| {
+        let mut ck = Checker::new(
+            db.clone(),
+            CheckerOptions {
+                node_limit: limit,
+                ..Default::default()
+            },
+        );
+        for rel in ["CUST", "CITY_STATE"] {
+            ck.ensure_index(rel).unwrap();
+        }
+        ck.logical_db_mut().gc();
+        let kept = ck.logical_db().manager().live_nodes();
+        (ck, kept)
+    };
+    // What the check adds over the indices, collection-free.
+    let (mut probe, kept) = ready(None);
+    let gc_runs = probe.logical_db().manager().stats().gc_runs;
+    let clean = probe.check(f).unwrap();
+    assert_eq!(clean.trace.ladder, vec!["bdd"]);
+    assert_eq!(probe.logical_db().manager().stats().gc_runs, gc_runs);
+    let need = probe.logical_db().manager().live_nodes() - kept;
+
+    let (mut ck, kept_again) = ready(Some(kept + need));
+    assert_eq!(kept_again, kept);
+    // Garbage: the parity of the first three variables, referenced by
+    // nothing.
+    let m = ck.logical_db_mut().manager_mut();
+    let mut parity = relcheck_bdd::Bdd::FALSE;
+    for v in 0..3 {
+        let x = m.var(v).unwrap();
+        parity = m.xor(parity, x).unwrap();
+    }
+    assert!(m.live_nodes() > kept, "garbage left in the arena");
+    let report = ck.check(f).unwrap();
+    assert_eq!(report.trace.ladder, vec!["bdd", "gc_retry"]);
+    assert_eq!(report.trace.fallback, None);
+    assert_eq!(report.verdict, Verdict::Violated);
+
+    let cert = emit_certificate(&mut ck, name, f, &report, 10).unwrap();
+    assert_eq!(cert.rung, "gc_retry");
+    verify_certificate(&db, &battery, &cert).unwrap();
+}

@@ -170,7 +170,6 @@ fn soak(seed: u64, steps: usize, store_dir: Option<&std::path::Path>) -> SoakSta
     let opts = CheckerOptions {
         node_limit: Some(3_000),
         deadline: Some(Duration::from_millis(50)),
-        telemetry: true,
         ..Default::default()
     };
     let mut checker = Checker::new(chaos_db(), opts);

@@ -295,13 +295,7 @@ fn registry_rechecks_after_rebuild_and_sql_routing_keep_the_verdict() {
 /// all, and the plan's declared ladder matches what executing it reports.
 #[test]
 fn sql_only_plans_skip_the_bdd_rung() {
-    let mut ck = Checker::new(
-        customer_db(),
-        CheckerOptions {
-            telemetry: true,
-            ..Default::default()
-        },
-    );
+    let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     ck.mark_sql_only("CUST");
     let f = parse(INCLUSION).unwrap();
     let plan = ck.plan(&f).unwrap();
@@ -309,7 +303,7 @@ fn sql_only_plans_skip_the_bdd_rung() {
     assert_eq!(plan.ladder(), vec!["sql", "brute_force"]);
     let report = ck.check(&f).unwrap();
     assert_eq!(report.method, Method::SqlFallback);
-    let trace = report.metrics.expect("telemetry on");
+    let trace = report.trace;
     assert_eq!(trace.ladder, vec!["sql"], "decided on the first rung tried");
     assert!(
         trace.passes.is_empty(),
@@ -321,15 +315,9 @@ fn sql_only_plans_skip_the_bdd_rung() {
 /// pipeline order and the fired counters must match the plan's records.
 #[test]
 fn traces_carry_per_pass_firing_counts() {
-    let mut ck = Checker::new(
-        customer_db(),
-        CheckerOptions {
-            telemetry: true,
-            ..Default::default()
-        },
-    );
+    let mut ck = Checker::new(customer_db(), CheckerOptions::default());
     let report = ck.check(&parse(EQUI_JOIN).unwrap()).unwrap();
-    let trace = report.metrics.expect("telemetry on");
+    let trace = report.trace;
     let got: Vec<(&str, u64, u64)> = trace
         .passes
         .iter()

@@ -161,7 +161,6 @@ fn ten_ms_deadline_terminates_with_deadline_fallback() {
         let mut ck = Checker::new(
             db,
             CheckerOptions {
-                telemetry: true,
                 plan: relcheck_core::PlanOptions {
                     rewrites: false,
                     join_rename: false,
@@ -175,7 +174,7 @@ fn ten_ms_deadline_terminates_with_deadline_fallback() {
         // the compile itself, not in index construction.
         ck.logical_db_mut().build_index("CUST", ord).unwrap();
         let report = ck.check(&heavy).expect("a deadline abort is not an error");
-        let trace = report.metrics.clone().expect("telemetry on");
+        let trace = &report.trace;
         if matches!(trace.fallback, Some(FallbackReason::Deadline)) {
             assert_ne!(report.method, Method::Bdd, "the BDD rung was aborted");
             assert_eq!(trace.ladder.first(), Some(&"bdd"));
@@ -208,20 +207,13 @@ fn expired_deadline_walks_ladder_and_still_decides() {
     let f =
         parse("forall a1, c, s1, a2, s2. CUST(a1, c, s1) & CUST(a2, c, s2) -> a1 = a2 & s1 = s2")
             .unwrap();
-    let mut clean = Checker::new(
-        db.clone(),
-        CheckerOptions {
-            telemetry: true,
-            ..Default::default()
-        },
-    );
+    let mut clean = Checker::new(db.clone(), CheckerOptions::default());
     let want = clean.check(&f).unwrap();
     assert_eq!(want.method, Method::Bdd);
 
     let mut ck = Checker::new(
         db,
         CheckerOptions {
-            telemetry: true,
             deadline: Some(Duration::ZERO),
             ..Default::default()
         },
@@ -230,7 +222,7 @@ fn expired_deadline_walks_ladder_and_still_decides() {
         .build_index("CUST", OrderingStrategy::ProbConverge)
         .unwrap();
     let report = ck.check(&f).unwrap();
-    let trace = report.metrics.clone().unwrap();
+    let trace = &report.trace;
     assert_eq!(trace.fallback, Some(FallbackReason::Deadline));
     assert!(trace.ladder.contains(&"sql") || trace.ladder.contains(&"brute_force"));
     assert!(
@@ -250,10 +242,7 @@ fn fault_profiles_never_silently_change_a_verdict() {
     quiet_panics();
     let db = mini_db();
     let battery = battery();
-    let opts = CheckerOptions {
-        telemetry: true,
-        ..Default::default()
-    };
+    let opts = CheckerOptions::default();
     let mut ck = Checker::new(db.clone(), opts);
     let clean: Vec<(String, CheckReport)> = ck.check_all(&battery).unwrap();
     assert!(clean.iter().any(|(_, r)| !r.holds));
@@ -321,7 +310,6 @@ fn fault_profiles_never_silently_change_a_verdict() {
     let mut ck = Checker::new(
         db,
         CheckerOptions {
-            telemetry: true,
             deadline: Some(Duration::ZERO),
             ..Default::default()
         },
@@ -343,10 +331,7 @@ fn registry_path_respects_the_fault_differential() {
     quiet_panics();
     let db = mini_db();
     let battery = battery();
-    let opts = CheckerOptions {
-        telemetry: true,
-        ..Default::default()
-    };
+    let opts = CheckerOptions::default();
     let mut ck = Checker::new(db.clone(), opts);
     let clean: Vec<(String, CheckReport)> = ck.check_all(&battery).unwrap();
 

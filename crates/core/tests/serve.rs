@@ -907,23 +907,20 @@ fn actor_replies_are_byte_identical_to_the_direct_engine() {
 #[test]
 fn shed_tier_enters_the_ladder_at_sql_and_preserves_the_verdict() {
     let _g = lock();
-    let opts = CheckerOptions {
-        telemetry: true,
-        ..CheckerOptions::default()
-    };
+    let opts = CheckerOptions::default();
     let mut shadow = base_shadow();
     shadow.get_mut("R").unwrap().insert(vec![1, 2]); // breaks r-diagonal
     let diagonal = parse("forall x, y. R(x, y) -> x = y").unwrap();
     let mut normal = Checker::new(db_from(&shadow), opts);
     let baseline = normal.check(&diagonal).unwrap();
-    let base_trace = baseline.metrics.as_ref().unwrap();
+    let base_trace = &baseline.trace;
     assert_eq!(base_trace.ladder.first(), Some(&"bdd"));
     assert!(!baseline.holds);
 
     let mut shedding = Checker::new(db_from(&shadow), opts);
     shedding.set_shed_load(true);
     let shed = shedding.check(&diagonal).unwrap();
-    let shed_trace = shed.metrics.as_ref().unwrap();
+    let shed_trace = &shed.trace;
     // The BDD rung is skipped entirely: the ladder *starts* at sql, the
     // trace records why, and the verdict is exactly the BDD rung's.
     assert_eq!(shed_trace.ladder.first(), Some(&"sql"));
@@ -939,7 +936,7 @@ fn shed_tier_enters_the_ladder_at_sql_and_preserves_the_verdict() {
     shedding.mark_sql_only("R");
     let routed = shedding.check(&diagonal).unwrap();
     assert!(matches!(
-        routed.metrics.as_ref().unwrap().fallback,
+        routed.trace.fallback,
         Some(relcheck_core::FallbackReason::UnindexedRelation)
     ));
     assert_eq!(routed.verdict, baseline.verdict);

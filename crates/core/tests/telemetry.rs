@@ -76,14 +76,8 @@ fn battery() -> Vec<(String, Formula)> {
     .collect()
 }
 
-fn telemetry_checker() -> Checker {
-    Checker::new(
-        customer_db(),
-        CheckerOptions {
-            telemetry: true,
-            ..Default::default()
-        },
-    )
+fn checker() -> Checker {
+    Checker::new(customer_db(), CheckerOptions::default())
 }
 
 /// Every window of BDD work must satisfy `calls == hits + misses` per op
@@ -112,14 +106,10 @@ fn assert_conservation(d: &StatsDelta, context: &str) {
 
 #[test]
 fn per_kind_conservation_holds_in_every_trace() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     for (name, f) in battery() {
         let report = ck.check(&f).unwrap();
-        let trace = report.metrics.expect("telemetry enabled");
-        assert_eq!(
-            trace.method, report.method,
-            "{name}: trace is self-contained"
-        );
+        let trace = report.trace;
         assert_conservation(&trace.bdd, &name);
         assert_eq!(report.method, Method::Bdd, "{name}");
         let applied = trace.bdd.ops[OpKind::Apply.index()].calls;
@@ -132,7 +122,7 @@ fn per_kind_conservation_holds_in_every_trace() {
             assert!(applied > 0, "{name}: a ∀ check tests a conjunction");
         }
         assert!(
-            trace.timings.total >= trace.timings.eval,
+            report.elapsed >= trace.timings.index + trace.timings.eval,
             "{name}: timing nesting"
         );
     }
@@ -145,7 +135,7 @@ fn per_kind_conservation_holds_in_every_trace() {
 
 #[test]
 fn counters_are_monotone_across_checks() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     let mut prev = ck.logical_db().manager().stats();
     for (name, f) in battery() {
         ck.check(&f).unwrap();
@@ -170,7 +160,7 @@ fn counters_are_monotone_across_checks() {
 fn deltas_of_sequential_checks_sum_to_combined_delta() {
     let cs = battery();
     // One checker, windows around each check.
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     let s0 = ck.logical_db().manager().stats();
     ck.check(&cs[0].1).unwrap();
     let s1 = ck.logical_db().manager().stats();
@@ -185,9 +175,9 @@ fn deltas_of_sequential_checks_sum_to_combined_delta() {
         "StatsDelta is exactly additive"
     );
     // The per-check traces are those same windows.
-    let mut ck2 = telemetry_checker();
-    let t0 = ck2.check(&cs[0].1).unwrap().metrics.unwrap();
-    let t1 = ck2.check(&cs[1].1).unwrap().metrics.unwrap();
+    let mut ck2 = checker();
+    let t0 = ck2.check(&cs[0].1).unwrap().trace;
+    let t1 = ck2.check(&cs[1].1).unwrap().trace;
     assert_eq!(
         t0.bdd + t1.bdd,
         d_combined,
@@ -202,7 +192,7 @@ fn deltas_of_sequential_checks_sum_to_combined_delta() {
 /// reported peak.)
 #[test]
 fn peak_nodes_is_an_arena_high_water_mark() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     for (_, f) in battery() {
         ck.check(&f).unwrap();
         let m = ck.logical_db().manager();
@@ -239,8 +229,7 @@ fn firings(ck: &mut Checker, src: &str) -> Vec<(RewriteRule, u64)> {
     let report = ck.check(&f).unwrap();
     assert_eq!(report.method, Method::Bdd);
     report
-        .metrics
-        .unwrap()
+        .trace
         .rules
         .iter()
         .map(|RuleFiring { rule, count }| (*rule, *count))
@@ -249,7 +238,7 @@ fn firings(ck: &mut Checker, src: &str) -> Vec<(RewriteRule, u64)> {
 
 #[test]
 fn golden_rewrite_trace_functional_dependency() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     let got = firings(
         &mut ck,
         "forall c, a1, s1, a2, s2. CUST(c, a1, s1) & CUST(c, a2, s2) -> s1 = s2",
@@ -270,7 +259,7 @@ fn golden_rewrite_trace_functional_dependency() {
 
 #[test]
 fn golden_rewrite_trace_inclusion_dependency() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     let got = firings(&mut ck, "forall c, a, s. CUST(c, a, s) -> ALLOWED(c, a)");
     // CUST is the larger relation, so its atom claims the column domains;
     // the ALLOWED atom is renamed on both positions (c, a).
@@ -284,7 +273,7 @@ fn golden_rewrite_trace_inclusion_dependency() {
 
 #[test]
 fn golden_rewrite_trace_equijoin_with_existential() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     let got = firings(
         &mut ck,
         "forall c, a. ALLOWED(c, a) -> exists s. CUST(c, a, s)",
@@ -303,17 +292,8 @@ fn golden_rewrite_trace_equijoin_with_existential() {
 }
 
 #[test]
-fn disabled_telemetry_attaches_no_trace() {
-    let mut ck = Checker::new(customer_db(), CheckerOptions::default());
-    for (name, f) in battery() {
-        let report = ck.check(&f).unwrap();
-        assert!(report.metrics.is_none(), "{name}: no trace when disabled");
-    }
-}
-
-#[test]
 fn run_bdd_block_sums_the_traces_and_json_validates() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     let before = ck.logical_db().manager().stats();
     let reports = ck.check_all(&battery()).unwrap();
     let after = ck.logical_db().manager().stats();
@@ -322,8 +302,8 @@ fn run_bdd_block_sums_the_traces_and_json_validates() {
     // the run's delta is exactly the sum of the per-check trace deltas.
     let mut sum = StatsDelta::default();
     for (name, r) in &reports {
-        sum += r.metrics.as_ref().unwrap().bdd;
-        assert_conservation(&r.metrics.as_ref().unwrap().bdd, name);
+        sum += r.trace.bdd;
+        assert_conservation(&r.trace.bdd, name);
     }
     assert_eq!(run.delta, sum);
     assert_conservation(&run.delta, "run");
@@ -350,7 +330,7 @@ fn run_bdd_block_sums_the_traces_and_json_validates() {
 
 #[test]
 fn metrics_json_reflects_report_content() {
-    let mut ck = telemetry_checker();
+    let mut ck = checker();
     let reports = ck.check_all(&battery()).unwrap();
     let doc = RunMetrics::from_reports(&reports, None).to_json();
     validate_metrics_json(&doc).unwrap();
@@ -376,7 +356,7 @@ fn metrics_json_reflects_report_content() {
             .unwrap();
         assert_eq!(
             rules.len(),
-            report.metrics.as_ref().unwrap().rules.len(),
+            report.trace.rules.len(),
             "{name}: rule firings round-trip"
         );
     }
@@ -388,14 +368,13 @@ fn node_limit_fallback_is_reported_in_the_trace() {
         customer_db(),
         CheckerOptions {
             node_limit: Some(18),
-            telemetry: true,
             ..Default::default()
         },
     );
     let f = parse(r#"forall c, a, s. CUST(c, a, s) & c = "Newark" -> s = "NJ""#).unwrap();
     let report = ck.check(&f).unwrap();
     assert_eq!(report.method, Method::SqlFallback);
-    let trace = report.metrics.unwrap();
+    let trace = report.trace;
     // The ladder records both BDD attempts (the GC-and-retry also busted
     // the budget) before the SQL rung decided the check.
     assert_eq!(trace.ladder, vec!["bdd", "gc_retry", "sql"]);
@@ -406,4 +385,28 @@ fn node_limit_fallback_is_reported_in_the_trace() {
         }
         other => panic!("expected a retry-exhausted fallback reason, got {other:?}"),
     }
+}
+
+#[test]
+fn check_sql_ladder_shows_the_rung_that_answered() {
+    let mut ck = checker();
+    // A disjunctive premise is outside the SQL-translatable class: the
+    // SQL rung is tried, and brute force decides.
+    let outside =
+        parse(r#"forall c, a, s. CUST(c, a, s) | CUST(c, a, s) -> s in {"ON", "NJ", "NY"}"#)
+            .unwrap();
+    let report = ck.check_sql(&outside).unwrap();
+    assert_eq!(report.method, Method::BruteForce);
+    assert_eq!(report.trace.ladder, vec!["sql", "brute_force"]);
+    assert_eq!(report.trace.fallback, None);
+    let inside = parse("forall c, a, s. CUST(c, a, s) -> ALLOWED(c, a)").unwrap();
+    let translated = ck.check_sql(&inside).unwrap();
+    assert_eq!(translated.method, Method::SqlFallback);
+    assert_eq!(translated.trace.ladder, vec!["sql"]);
+    // Both agree with their method, so the document validates.
+    let reports = vec![
+        ("outside".to_owned(), report),
+        ("inside".to_owned(), translated),
+    ];
+    validate_metrics_json(&RunMetrics::from_reports(&reports, None).to_json()).unwrap();
 }

@@ -549,14 +549,14 @@ if ! grep -q 'FAILED' "$AUDIT_OUT"; then
     exit 1
 fi
 
-step "metrics schema smoke: metrics-check accepts exactly schema 11"
+step "metrics schema smoke: metrics-check accepts exactly schema 12"
 # The audit smoke's certified run left a complete metrics document (its
 # audit block included) in $METRICS_OUT.
-if ! grep -q '"schema_version":11' "$METRICS_OUT"; then
-    echo "run metrics is not schema v11" >&2
+if ! grep -q '"schema_version":12' "$METRICS_OUT"; then
+    echo "run metrics is not schema v12" >&2
     exit 1
 fi
-for removed in policy threads fleet; do
+for removed in policy threads fleet telemetry_enabled total_ns; do
     if grep -q "\"$removed\":" "$METRICS_OUT"; then
         echo "run metrics still carries the removed $removed field" >&2
         exit 1
@@ -567,7 +567,8 @@ if ! grep -q '"bdd":{"peak_nodes":' "$METRICS_OUT"; then
     exit 1
 fi
 # The validator reads exactly the schema the writer emits: the same
-# document relabelled as an older or a newer schema_version, and a
+# document relabelled as an older or a newer schema_version, a constraint
+# whose trace is null, a method its ladder's last rung contradicts, and a
 # hostile nesting depth, must each be rejected as an error (exit 2),
 # never crash the process (134 is a stack-overflow abort).
 NEG_DOC="$(mktemp /tmp/relcheck-neg.XXXXXX.json)"
@@ -582,14 +583,23 @@ expect_rejected() { # expect_rejected <label>
         exit 1
     fi
 }
-for version in 10 12; do
-    sed "s/\"schema_version\":11/\"schema_version\":$version/" "$METRICS_OUT" >"$NEG_DOC"
+neg_edit() { # neg_edit <label> <sed-expression>: NEG_DOC := edited METRICS_OUT
+    sed "$2" "$METRICS_OUT" >"$NEG_DOC"
     if cmp -s "$METRICS_OUT" "$NEG_DOC"; then
-        echo "schema_version rewrite to $version matched nothing" >&2
+        echo "$1 rewrite matched nothing" >&2
         exit 1
     fi
-    expect_rejected "a schema_version $version document"
+    expect_rejected "$1"
+}
+for version in 11 13; do
+    neg_edit "a schema_version $version document" \
+        "s/\"schema_version\":12/\"schema_version\":$version/"
 done
+# The first constraint's trace becomes null (its object is kept under
+# another key, so the document stays well-formed).
+neg_edit "a null trace" 's/"trace":{/"trace":null,"untraced":{/'
+# The first constraint decides on the BDD rung; relabel its method.
+neg_edit "a ladder/method mismatch" 's/"method":"bdd"/"method":"sql_fallback"/'
 head -c 100000 /dev/zero | tr '\0' '[' >"$NEG_DOC"
 expect_rejected "a 100000-deep array"
 rm -f "$NEG_DOC"
@@ -602,9 +612,8 @@ fi
 
 step "experiment smoke: table1 and fig6 at small size + metrics validation"
 # The figure binaries still run end to end: table1 at 2,000 tuples, which
-# with --metrics bounds the telemetry overhead on Q1-Q5 and writes the
-# metrics document `relcheck run --metrics` emits; that document must
-# validate. fig6 asserts that the fused `app_exists` /
+# with --metrics writes the metrics document `relcheck run --metrics`
+# emits for Q1-Q5; that document must validate. fig6 asserts that the fused `app_exists` /
 # `app_forall` the compiler quantifies with build the same BDDs as the
 # separate and pushed-down forms. fig3 prints no timings, only the ordering
 # heuristics' accuracy, so two runs must print the same bytes: the

@@ -27,10 +27,10 @@
 //! Orderings: `prob-converge` (default), `max-inf-gain`, `min-cond-entropy`,
 //! `adaptive` (scores orders against a recorded workload, but `run` and
 //! `serve` build each index before any check has read it, so both build
-//! the `prob-converge` order), `schema`, `random`. `--metrics PATH` enables
-//! telemetry and writes the machine-readable run report (the schema in
-//! DESIGN.md) to PATH; `metrics-check` validates such a file against the
-//! schema and its conservation laws.
+//! the `prob-converge` order), `schema`, `random`. `--metrics PATH` writes
+//! the machine-readable run report, with every check's trace (the schema
+//! in DESIGN.md), to PATH; `metrics-check` validates such a file against
+//! the schema and its conservation laws.
 //!
 //! Resilience controls: `--deadline-ms N` bounds the wall-clock time any
 //! single constraint may spend inside the BDD engine — a constraint that
@@ -366,7 +366,6 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
     }
     let opts = CheckerOptions {
         ordering,
-        telemetry: metrics_path.is_some(),
         deadline,
         ..Default::default()
     };
@@ -735,7 +734,6 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     }
     let opts = CheckerOptions {
         ordering,
-        telemetry: metrics_path.is_some(),
         deadline,
         ..Default::default()
     };
