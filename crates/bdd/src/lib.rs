@@ -56,7 +56,6 @@ pub mod failpoint;
 pub mod fdd;
 mod hash;
 mod manager;
-pub mod order;
 mod quant;
 mod replace;
 mod sat;

@@ -210,8 +210,14 @@ impl CheckReport {
     /// A report for a check that died before any ladder rung could answer
     /// (a caught panic or an injected fault): verdict
     /// [`Verdict::Errored`], with the payload preserved in `error` and in
-    /// the trace's [`FallbackReason::Panic`].
-    pub(crate) fn errored(message: String) -> CheckReport {
+    /// the trace's [`FallbackReason::Panic`]. The check still ran, so it
+    /// keeps its wall time, its BDD work `bdd` and the live nodes it left.
+    pub(crate) fn errored(
+        message: String,
+        elapsed: Duration,
+        bdd: StatsDelta,
+        live_nodes: usize,
+    ) -> CheckReport {
         CheckReport {
             holds: true,
             verdict: Verdict::Errored,
@@ -220,12 +226,12 @@ impl CheckReport {
                 Some(FallbackReason::Panic(message.clone())),
                 vec![rung::ERRORED],
                 PhaseTimings::default(),
-                StatsDelta::default(),
+                bdd,
             ),
             error: Some(message),
             method: Method::Aborted,
-            elapsed: Duration::ZERO,
-            live_nodes: 0,
+            elapsed,
+            live_nodes,
         }
     }
 }
@@ -734,16 +740,25 @@ impl Checker {
     /// batch path — [`Checker::check_all`], the registry, serve
     /// `certify` — checks through this one guard.
     pub(crate) fn check_guarded(&mut self, f: &Formula) -> Result<CheckReport> {
+        let start = Instant::now();
+        let before = self.ldb.manager().stats();
         match catch_unwind(AssertUnwindSafe(|| self.check(f))) {
             Ok(result) => result,
             Err(payload) => {
                 // The manager's tables are structurally sound at any
                 // unwind point (no unsafe code); disarm the deadline and
-                // drop scratch so the next check starts clean.
+                // drop scratch so the next check starts clean. That
+                // cleanup is the check's work too, so the report's window
+                // closes after it.
                 self.ldb.manager_mut().set_deadline(None);
                 self.ldb.shed_atom_cache();
                 self.ldb.gc();
-                Ok(CheckReport::errored(panic_message(payload)))
+                Ok(CheckReport::errored(
+                    panic_message(payload),
+                    start.elapsed(),
+                    self.ldb.manager().stats().delta_since(&before),
+                    self.ldb.manager().live_nodes(),
+                ))
             }
         }
     }
@@ -1149,6 +1164,7 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{validate_metrics_json, RunBdd, RunMetrics};
     use relcheck_logic::parse;
     use relcheck_relstore::{Database, Raw};
 
@@ -1199,10 +1215,20 @@ mod tests {
             !ck.ldb.fresh_atoms().is_empty(),
             "the check cached its atoms"
         );
-        let gc_before = ck.ldb.manager().stats().gc_runs;
+        let stats_before = ck.ldb.manager().stats();
+        let gc_before = stats_before.gc_runs;
         crate::exec::PANIC_BEFORE_TEST.with(|armed| armed.set(true));
         let r = ck.check_guarded(&fd).unwrap();
         assert_eq!(r.verdict, Verdict::Errored);
+        // The check ran before it died, and the guard's cleanup is its
+        // work too: the report's window covers both.
+        assert!(r.elapsed > Duration::ZERO);
+        assert_eq!(
+            r.trace.bdd,
+            ck.ldb.manager().stats().delta_since(&stats_before)
+        );
+        assert!(r.trace.bdd.gc_runs > 0, "the guard's collection is inside");
+        assert_eq!(r.live_nodes, ck.ldb.manager().live_nodes());
         assert_eq!(r.method, Method::Aborted);
         let message = "injected panic before the emptiness test";
         assert_eq!(r.error.as_deref(), Some(message));
@@ -1221,6 +1247,23 @@ mod tests {
         assert_eq!(next.verdict, Verdict::Violated);
         assert_eq!(next.method, Method::Bdd);
         assert_eq!(ck.ldb.manager().deadline(), None);
+
+        // In a batch, the run's BDD block stays the sum of the traces even
+        // when a check errors, and the metrics document validates.
+        let battery = vec![("panics".to_owned(), fd.clone()), ("after".to_owned(), fd)];
+        let mut ck = Checker::new(db(), CheckerOptions::default());
+        let before = ck.ldb.manager().stats();
+        crate::exec::PANIC_BEFORE_TEST.with(|armed| armed.set(true));
+        let reports = ck.check_all(&battery).unwrap();
+        let run = RunBdd::between(&before, &ck.ldb.manager().stats());
+        assert_eq!(reports[0].1.verdict, Verdict::Errored);
+        assert_eq!(reports[1].1.verdict, Verdict::Violated);
+        let mut sum = StatsDelta::default();
+        for (_, r) in &reports {
+            sum += r.trace.bdd;
+        }
+        assert_eq!(run.delta, sum);
+        validate_metrics_json(&RunMetrics::from_reports(&reports, Some(run)).to_json()).unwrap();
     }
 
     #[test]

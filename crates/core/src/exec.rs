@@ -206,8 +206,8 @@ pub struct ViolationSet {
 /// projected, and is built: `P = ranges ∧ body[A ↦ ∃l.A]`, over the ranges
 /// the check conjoins ([`execute_bdd`]). Since `A ⇒ ∃l.A`, the violation
 /// set is `V = P ∧ A` for every such atom `A`: each one is compiled again
-/// whole (no column use recorded a second time) and conjoined in body
-/// order, which also confines its local variables. ROBDD canonicity makes
+/// whole and conjoined in body order, which also confines its local
+/// variables. ROBDD canonicity makes
 /// `V` the very node an unprojected compile with every range conjoined
 /// would build, without its unpruned joins.
 pub fn violations_bdd(
@@ -230,7 +230,6 @@ pub fn violations_bdd(
     let ranges = c.ranges(&unconfined(&step))?;
     let mut bdd = c.ldb.manager_mut().and(ranges, phi)?;
     let local = std::mem::take(&mut c.local);
-    c.record_use = false;
     for atom in conjuncts(&step.body) {
         if bdd.is_false() {
             break;
@@ -328,10 +327,6 @@ struct Compiler<'a> {
     /// Atom-local variables ([`atom_local_vars`]): their columns are
     /// projected away instead of renamed.
     local: Vec<String>,
-    /// Feed atoms' column use to the adaptive ordering. Off only for the
-    /// witness path's second, whole compile of an atom the step already
-    /// compiled (and recorded) projected.
-    record_use: bool,
     /// R2 firing sink: one event per atom compiled with ≥ 1 rename.
     rules: &'a mut Vec<RuleFiring>,
 }
@@ -352,7 +347,6 @@ impl<'a> Compiler<'a> {
             sorts,
             join_rename: step.join_rename,
             local: atom_local_vars(&step.body, &step.stripped),
-            record_use: true,
             rules,
         })
     }
@@ -436,19 +430,6 @@ impl<'a> Compiler<'a> {
             .index(relation)
             .ok_or_else(|| CoreError::MissingIndex(relation.to_owned()))?
             .clone();
-        // Feed the adaptive-ordering workload: constants weigh 1 (one
-        // restrict), variables 2 (join/rename traffic dominates descent
-        // depth). Recorded whether or not the cache hits below.
-        if self.record_use {
-            let usage: Vec<u64> = args
-                .iter()
-                .map(|t| match t {
-                    Term::Const(_) => 1,
-                    Term::Var(_) => 2,
-                })
-                .collect();
-            self.ldb.record_column_use(relation, &usage);
-        }
         // Resolve argument actions against the database. The action list
         // is also the subgraph cache key: the compiled BDD is a pure
         // function of (index root, actions), so equal lists reuse one

@@ -244,8 +244,6 @@ pub struct LogicalDatabase {
     atom_misses: u64,
     atom_patches: u64,
     sharing: bool,
-    workload: HashMap<String, Vec<u64>>,
-    adaptive_picks: HashMap<String, &'static str>,
 }
 
 impl LogicalDatabase {
@@ -270,41 +268,7 @@ impl LogicalDatabase {
             atom_misses: 0,
             atom_patches: 0,
             sharing: true,
-            workload: HashMap::new(),
-            adaptive_picks: HashMap::new(),
         }
-    }
-
-    /// Add `col_weights[i]` to column `i`'s recorded access weight for a
-    /// relation. The executor calls this once per compiled atom (cache
-    /// hits included), so the weights mirror the observed check workload —
-    /// the feature set [`OrderingStrategy::Adaptive`] scores candidate
-    /// orderings against on the next index (re)build.
-    pub fn record_column_use(&mut self, relation: &str, col_weights: &[u64]) {
-        let w = self
-            .workload
-            .entry(relation.to_owned())
-            .or_insert_with(|| vec![0; col_weights.len()]);
-        if w.len() < col_weights.len() {
-            w.resize(col_weights.len(), 0);
-        }
-        for (t, &d) in w.iter_mut().zip(col_weights) {
-            *t = t.saturating_add(d);
-        }
-    }
-
-    /// The recorded per-column access weights for a relation, if any check
-    /// has touched it.
-    pub fn column_weights(&self, relation: &str) -> Option<&[u64]> {
-        self.workload.get(relation).map(Vec::as_slice)
-    }
-
-    /// Which candidate shape the last adaptive build of this relation's
-    /// index picked (`"static"` when the fallback ordering won, else
-    /// `"concatenated"` / `"frequency"` / `"interleaved"`), or `None` if
-    /// the index was never built adaptively from a workload.
-    pub fn adaptive_pick(&self, relation: &str) -> Option<&'static str> {
-        self.adaptive_picks.get(relation).copied()
     }
 
     /// Enable or disable the shared-subgraph atom cache (enabled by
@@ -508,35 +472,9 @@ impl LogicalDatabase {
             .schema()
             .columns()
             .iter()
-            .map(|c| c.class.clone())
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|class| self.class_domain_size(&class))
+            .map(|c| self.class_domain_size(&c.class))
             .collect();
-        let ordering = match strategy {
-            // The weight-aware adaptive path: score the candidate shapes
-            // against this relation's recorded workload; a build before any
-            // check ran (no weights) uses the strategy's static fallback.
-            OrderingStrategy::Adaptive
-                if self
-                    .workload
-                    .get(name)
-                    .is_some_and(|w| w.iter().any(|&x| x > 0)) =>
-            {
-                let mut weights = self.workload[name].clone();
-                weights.resize(rel.arity(), 0);
-                let bits: Vec<u32> = dom_sizes
-                    .iter()
-                    .map(|&s| relcheck_bdd::order::block_bits(s))
-                    .collect();
-                // The static fallback competes first, so ties defer to it.
-                let (picked, order) =
-                    relcheck_bdd::order::choose(strategy.order(&rel, &dom_sizes), &weights, &bits);
-                self.adaptive_picks.insert(name.to_owned(), picked);
-                order
-            }
-            _ => strategy.order(&rel, &dom_sizes),
-        };
+        let ordering = strategy.order(&rel, &dom_sizes);
         let mut domains: Vec<Option<DomainId>> = vec![None; rel.arity()];
         for &col in &ordering {
             domains[col] = Some(self.mgr.add_domain(dom_sizes[col])?);

@@ -44,15 +44,6 @@ pub enum OrderingStrategy {
     ProbConverge,
     /// Minimal conditional entropy — our corrected `argmax`-gain variant.
     MinCondEntropy,
-    /// Workload-adaptive (our extension): score the candidate shapes in
-    /// [`relcheck_bdd::order`] against the per-column access weights the
-    /// [`crate::index::LogicalDatabase`] records while compiling atoms,
-    /// and build under the cheapest. A build with no recorded workload
-    /// (e.g. the first, before any check ran) falls back to
-    /// [`OrderingStrategy::ProbConverge`]; any static strategy remains the
-    /// escape hatch. The ordering-invariance suite pins that the pick can
-    /// never change a verdict.
-    Adaptive,
 }
 
 impl OrderingStrategy {
@@ -64,7 +55,6 @@ impl OrderingStrategy {
             OrderingStrategy::MaxInfGain => "max-inf-gain",
             OrderingStrategy::ProbConverge => "prob-converge",
             OrderingStrategy::MinCondEntropy => "min-cond-entropy",
-            OrderingStrategy::Adaptive => "adaptive",
         }
     }
 
@@ -81,7 +71,6 @@ impl OrderingStrategy {
             OrderingStrategy::MaxInfGain => 3,
             OrderingStrategy::ProbConverge => 4,
             OrderingStrategy::MinCondEntropy => 5,
-            OrderingStrategy::Adaptive => 7,
         }
     }
 
@@ -93,11 +82,6 @@ impl OrderingStrategy {
             OrderingStrategy::MaxInfGain => max_inf_gain(rel),
             OrderingStrategy::ProbConverge => prob_converge(rel, dom_sizes),
             OrderingStrategy::MinCondEntropy => min_cond_entropy(rel),
-            // Without workload weights (this signature has none) Adaptive
-            // degrades to the paper's recommended static heuristic; the
-            // weight-aware path lives in `LogicalDatabase::build_index`,
-            // which holds the recorded workload.
-            OrderingStrategy::Adaptive => prob_converge(rel, dom_sizes),
         }
     }
 }
@@ -551,7 +535,6 @@ mod tests {
             (OrderingStrategy::MaxInfGain, 3),
             (OrderingStrategy::ProbConverge, 4),
             (OrderingStrategy::MinCondEntropy, 5),
-            (OrderingStrategy::Adaptive, 7),
         ];
         for (strategy, fp) in pinned {
             assert_eq!(strategy.fingerprint(), fp, "{}", strategy.name());

@@ -380,30 +380,3 @@ fn a_budget_abort_in_the_witness_recovery_yields_none() {
     assert!(ck.find_violations_counted(&f, 10).unwrap().is_none());
     assert!(ck.logical_db().manager().live_nodes() <= live);
 }
-
-#[test]
-fn witnesses_record_the_same_column_use_as_the_check() {
-    // The witness step compiles each projected atom a second time, whole;
-    // that compile must not feed the adaptive ordering again.
-    let city_determines_state =
-        "forall a1, c, s1, a2, s2. CUST(a1, c, s1) & CUST(a2, c, s2) -> s1 = s2";
-    for src in [AREACODE_DETERMINES_STATE, city_determines_state] {
-        let f = parse(src).unwrap();
-        let mut ck = Checker::new(customer_db(), CheckerOptions::default());
-        let weights = |ck: &Checker| {
-            let w = ck.logical_db().column_weights("CUST");
-            w.map_or(vec![0; 3], <[u64]>::to_vec)
-        };
-        let w0 = weights(&ck);
-        ck.check(&f).unwrap();
-        let w1 = weights(&ck);
-        ck.find_violations_counted(&f, 10)
-            .unwrap()
-            .expect("no budget");
-        let w2 = weights(&ck);
-        let delta =
-            |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(x, y)| y - x).collect() };
-        assert_eq!(delta(&w1, &w2), delta(&w0, &w1), "{src}");
-        assert!(delta(&w0, &w1).iter().any(|&d| d > 0), "{src}");
-    }
-}

@@ -146,6 +146,52 @@ for spec in testdata/*.spec; do
 done
 rm -f "$BDD_OUT" "$SQL_OUT"
 
+step "ordering smoke: every --ordering prints the same run report"
+# The variable ordering changes node counts, never an answer: for each
+# committed spec, every strategy `run` accepts must print the report and
+# the listed tuples of the default prob-converge run byte for byte (the
+# per-constraint timings stripped). A removed strategy is a usage error.
+REF_OUT="$(mktemp /tmp/relcheck-ordering-ref.XXXXXX.txt)"
+ORD_OUT="$(mktemp /tmp/relcheck-ordering.XXXXXX.txt)"
+trap 'rm -f "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$REF_OUT" "$ORD_OUT"' EXIT
+for spec in testdata/*.spec; do
+    for ordering in prob-converge max-inf-gain min-cond-entropy schema random; do
+        out="$ORD_OUT"
+        if [ "$ordering" = prob-converge ]; then out="$REF_OUT"; fi
+        set +e
+        cargo run --release --quiet --bin relcheck -- \
+            run "$spec" --ordering "$ordering" >"$out.raw"
+        rc=$?
+        set -e
+        if [ "$rc" -ge 2 ]; then
+            echo "run on $spec under --ordering $ordering failed (exit $rc)" >&2
+            exit 1
+        fi
+        awk '{sub(/ in [0-9].*$/,"")}1' "$out.raw" >"$out"
+        rm -f "$out.raw"
+        if [ "$ordering" = prob-converge ]; then ref_rc=$rc; fi
+        if [ "$rc" -ne "$ref_rc" ]; then
+            echo "--ordering $ordering exits $rc on $spec, prob-converge $ref_rc" >&2
+            exit 1
+        fi
+        if [ "$ordering" != prob-converge ] && ! cmp -s "$REF_OUT" "$ORD_OUT"; then
+            echo "--ordering $ordering changed the run report of $spec" >&2
+            diff "$REF_OUT" "$ORD_OUT" >&2 || true
+            exit 1
+        fi
+    done
+done
+set +e
+cargo run --release --quiet --bin relcheck -- \
+    run testdata/phones.spec --ordering adaptive >/dev/null 2>&1
+rc=$?
+set -e
+if [ "$rc" -ne 2 ]; then
+    echo "--ordering adaptive should be a usage error (exit 2, got $rc)" >&2
+    exit 1
+fi
+rm -f "$REF_OUT" "$ORD_OUT"
+
 step "fault-injection smoke: each failpoint site, fixed seed"
 # Fire every site at probability 1 with a fixed seed; the run must still
 # terminate cleanly (exit 0 — injected faults are reported as DEGRADED/

@@ -25,12 +25,10 @@
 //! `--sql`), prints a report, lists up to `--limit` violating tuples per
 //! violated constraint, and exits non-zero if anything is violated.
 //! Orderings: `prob-converge` (default), `max-inf-gain`, `min-cond-entropy`,
-//! `adaptive` (scores orders against a recorded workload, but `run` and
-//! `serve` build each index before any check has read it, so both build
-//! the `prob-converge` order), `schema`, `random`. `--metrics PATH` writes
-//! the machine-readable run report, with every check's trace (the schema
-//! in DESIGN.md), to PATH; `metrics-check` validates such a file against
-//! the schema and its conservation laws.
+//! `schema`, `random`. `--metrics PATH` writes the machine-readable run
+//! report, with every check's trace (the schema in DESIGN.md), to PATH;
+//! `metrics-check` validates such a file against the schema and its
+//! conservation laws.
 //!
 //! Resilience controls: `--deadline-ms N` bounds the wall-clock time any
 //! single constraint may spend inside the BDD engine — a constraint that
@@ -279,7 +277,6 @@ fn ordering_from(name: &str) -> Result<OrderingStrategy, String> {
         "prob-converge" => OrderingStrategy::ProbConverge,
         "max-inf-gain" => OrderingStrategy::MaxInfGain,
         "min-cond-entropy" => OrderingStrategy::MinCondEntropy,
-        "adaptive" => OrderingStrategy::Adaptive,
         "schema" => OrderingStrategy::Schema,
         "random" => OrderingStrategy::Random(0xBDD),
         other => return Err(format!("unknown ordering {other:?}")),

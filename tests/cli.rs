@@ -163,6 +163,10 @@ fn unknown_flags_and_missing_values_are_usage_errors() {
             vec!["run", spec, "--ordering", "sifted"],
             "unknown ordering \"sifted\"",
         ),
+        (
+            vec!["run", spec, "--ordering", "adaptive"],
+            "unknown ordering \"adaptive\"",
+        ),
         (vec!["run", spec, "extra"], "unexpected argument \"extra\""),
         (vec!["run", spec, "--route", "auto"], "unknown flag --route"),
         (
