@@ -172,13 +172,6 @@ impl ExportedBdd {
         out
     }
 
-    /// Inverse of [`ExportedBdd::to_bytes`]. Returns `None` on malformed
-    /// input (wrong length, out-of-range references); [`ExportedBdd::decode`]
-    /// reports *why* the input was rejected.
-    pub fn from_bytes(bytes: &[u8]) -> Option<ExportedBdd> {
-        Self::decode(bytes).ok()
-    }
-
     /// Inverse of [`ExportedBdd::to_bytes`] with a typed rejection reason.
     /// Every structural invariant of the format is validated — node count
     /// vs payload length, children-precede-parents topology, root range —
@@ -252,12 +245,6 @@ impl ExportedRelation {
         }
         out.extend_from_slice(&self.bdd.to_bytes());
         out
-    }
-
-    /// Inverse of [`ExportedRelation::to_bytes`]. Returns `None` on
-    /// malformed input; [`ExportedRelation::decode`] reports *why*.
-    pub fn from_bytes(bytes: &[u8]) -> Option<ExportedRelation> {
-        Self::decode(bytes).ok()
     }
 
     /// Inverse of [`ExportedRelation::to_bytes`] with a typed rejection
@@ -536,19 +523,19 @@ mod tests {
         let (_, r) = sample_relation(&mut m);
         let e = m.export(r);
         let bytes = e.to_bytes();
-        let decoded = ExportedBdd::from_bytes(&bytes).unwrap();
+        let decoded = ExportedBdd::decode(&bytes).unwrap();
         assert_eq!(e, decoded);
     }
 
     #[test]
-    fn from_bytes_rejects_malformed_input() {
-        assert!(ExportedBdd::from_bytes(&[]).is_none());
-        assert!(ExportedBdd::from_bytes(&[0; 7]).is_none());
+    fn decode_rejects_malformed_input() {
+        assert!(ExportedBdd::decode(&[]).is_err());
+        assert!(ExportedBdd::decode(&[0; 7]).is_err());
         // Count says 1 node but no payload.
         let mut bad = Vec::new();
         bad.extend_from_slice(&1u32.to_le_bytes());
         bad.extend_from_slice(&2u32.to_le_bytes());
-        assert!(ExportedBdd::from_bytes(&bad).is_none());
+        assert!(ExportedBdd::decode(&bad).is_err());
         // Forward reference (child at or after parent).
         let mut fwd = Vec::new();
         fwd.extend_from_slice(&1u32.to_le_bytes());
@@ -556,12 +543,12 @@ mod tests {
         fwd.extend_from_slice(&0u32.to_le_bytes()); // var
         fwd.extend_from_slice(&2u32.to_le_bytes()); // low: self-reference
         fwd.extend_from_slice(&1u32.to_le_bytes());
-        assert!(ExportedBdd::from_bytes(&fwd).is_none());
+        assert!(ExportedBdd::decode(&fwd).is_err());
         // Root out of range.
         let mut bad_root = Vec::new();
         bad_root.extend_from_slice(&0u32.to_le_bytes());
         bad_root.extend_from_slice(&9u32.to_le_bytes());
-        assert!(ExportedBdd::from_bytes(&bad_root).is_none());
+        assert!(ExportedBdd::decode(&bad_root).is_err());
     }
 
     #[test]
@@ -620,7 +607,7 @@ mod tests {
         let mut m = BddManager::new();
         let (doms, r) = sample_relation(&mut m);
         let e = m.export_relation(r, &doms).unwrap();
-        let decoded = ExportedRelation::from_bytes(&e.to_bytes()).unwrap();
+        let decoded = ExportedRelation::decode(&e.to_bytes()).unwrap();
         assert_eq!(e, decoded);
         // And the decoded form is actually usable.
         let mut m2 = BddManager::new();
@@ -632,30 +619,30 @@ mod tests {
     }
 
     #[test]
-    fn relation_from_bytes_rejects_malformed_input() {
-        assert!(ExportedRelation::from_bytes(&[]).is_none());
+    fn relation_decode_rejects_malformed_input() {
+        assert!(ExportedRelation::decode(&[]).is_err());
         let mut m = BddManager::new();
         let (doms, r) = sample_relation(&mut m);
         let good = m.export_relation(r, &doms).unwrap();
         // Zero-sized domain.
         let mut e = good.clone();
         e.blocks[0].0 = 0;
-        assert!(ExportedRelation::from_bytes(&e.to_bytes()).is_none());
+        assert!(ExportedRelation::decode(&e.to_bytes()).is_err());
         // Width disagrees with the size.
         let mut e = good.clone();
         e.blocks[0].0 = 1000;
-        assert!(ExportedRelation::from_bytes(&e.to_bytes()).is_none());
+        assert!(ExportedRelation::decode(&e.to_bytes()).is_err());
         // Non-ascending variables (blocks swapped without renumbering).
         let mut e = good.clone();
         e.blocks.swap(0, 1);
-        assert!(ExportedRelation::from_bytes(&e.to_bytes()).is_none());
+        assert!(ExportedRelation::decode(&e.to_bytes()).is_err());
         // Slot table not a permutation.
         let mut e = good.clone();
         e.slots[1] = e.slots[0];
-        assert!(ExportedRelation::from_bytes(&e.to_bytes()).is_none());
+        assert!(ExportedRelation::decode(&e.to_bytes()).is_err());
         // Truncated payload.
         let bytes = good.to_bytes();
-        assert!(ExportedRelation::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        assert!(ExportedRelation::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

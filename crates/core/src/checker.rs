@@ -174,6 +174,17 @@ impl Verdict {
         }
     }
 
+    /// The status word `relcheck run` and `serve` print: `ok`,
+    /// `VIOLATED`, `DEGRADED` or `ERRORED`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Verdict::Holds => "ok",
+            Verdict::Violated => "VIOLATED",
+            Verdict::Degraded => "DEGRADED",
+            Verdict::Errored => "ERRORED",
+        }
+    }
+
     /// True for [`Verdict::Holds`] / [`Verdict::Violated`] — the check
     /// produced a real answer.
     pub fn is_decided(self) -> bool {

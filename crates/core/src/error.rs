@@ -1,6 +1,6 @@
 //! Unified error type for the checker stack.
 
-use relcheck_bdd::{BddError, DecodeError};
+use relcheck_bdd::BddError;
 use relcheck_logic::LogicError;
 use relcheck_relstore::StoreError;
 use std::fmt;
@@ -20,9 +20,6 @@ pub enum CoreError {
     UnsupportedForViolationQuery(String),
     /// The compiler needed a relation's BDD index but none was built.
     MissingIndex(String),
-    /// An index snapshot's byte representation failed structural
-    /// validation (truncated, bit-flipped, or otherwise corrupted input).
-    SnapshotDecode(DecodeError),
     /// A filesystem operation in the persistent index store failed.
     /// `std::io::Error` is neither `Clone` nor `Eq`, so the store captures
     /// the operation, path, and rendered message instead.
@@ -62,7 +59,6 @@ impl fmt::Display for CoreError {
             CoreError::MissingIndex(rel) => {
                 write!(f, "no BDD index built for relation {rel:?}")
             }
-            CoreError::SnapshotDecode(e) => write!(f, "snapshot: {e}"),
             CoreError::Io { op, path, message } => {
                 write!(f, "index store: cannot {op} {path}: {message}")
             }
@@ -94,12 +90,6 @@ impl From<StoreError> for CoreError {
 impl From<LogicError> for CoreError {
     fn from(e: LogicError) -> Self {
         CoreError::Logic(e)
-    }
-}
-
-impl From<DecodeError> for CoreError {
-    fn from(e: DecodeError) -> Self {
-        CoreError::SnapshotDecode(e)
     }
 }
 

@@ -11,9 +11,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::ordering::OrderingStrategy;
-use relcheck_bdd::{
-    failpoint, Bdd, BddError, BddManager, DecodeError, DomainId, ExportedRelation, GcStats,
-};
+use relcheck_bdd::{failpoint, Bdd, BddError, BddManager, DomainId, ExportedRelation, GcStats};
 use relcheck_relstore::Database;
 use std::collections::HashMap;
 
@@ -31,102 +29,6 @@ pub struct RelIndex {
     pub root: Bdd,
     /// The column ordering the blocks were declared in.
     pub ordering: Vec<usize>,
-}
-
-/// A manager-independent snapshot of one relation's logical index:
-/// everything a *different* BDD manager needs to adopt the index without
-/// re-running tuple construction. This is the payload of the index store's
-/// segments ([`IndexSnapshot::to_bytes`]), which a warm start imports into
-/// a fresh manager instead of rebuilding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexSnapshot {
-    /// The indexed relation's name.
-    pub relation: String,
-    /// The column ordering the blocks were declared in.
-    pub ordering: Vec<usize>,
-    /// The characteristic function plus its finite-domain layout, with
-    /// domains in schema order.
-    pub rel: ExportedRelation,
-}
-
-impl IndexSnapshot {
-    /// Serialize into a self-contained byte buffer (relation name, column
-    /// ordering, then the [`ExportedRelation`] payload, all little-endian) —
-    /// an index persisted to disk or shipped across a process boundary.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let name = self.relation.as_bytes();
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name);
-        out.extend_from_slice(&(self.ordering.len() as u32).to_le_bytes());
-        for &c in &self.ordering {
-            out.extend_from_slice(&(c as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&self.rel.to_bytes());
-        out
-    }
-
-    /// Inverse of [`IndexSnapshot::to_bytes`]. Corrupted input — truncation,
-    /// bit flips, structural lies at any layer — always yields a typed
-    /// [`CoreError::SnapshotDecode`]; this function never panics.
-    pub fn from_bytes(bytes: &[u8]) -> Result<IndexSnapshot> {
-        let fail = |offset: usize, reason: &'static str| {
-            Err(CoreError::SnapshotDecode(DecodeError { offset, reason }))
-        };
-        let mut off = 0usize;
-        let Some(w) = bytes.get(0..4) else {
-            return fail(0, "buffer truncated inside the name length");
-        };
-        let name_len = u32::from_le_bytes(w.try_into().unwrap()) as usize;
-        off += 4;
-        let Some(name_bytes) = bytes.get(off..off.saturating_add(name_len)) else {
-            return fail(off, "buffer truncated inside the relation name");
-        };
-        let Ok(relation) = std::str::from_utf8(name_bytes) else {
-            return fail(off, "relation name is not valid UTF-8");
-        };
-        let relation = relation.to_owned();
-        off += name_len;
-        let Some(w) = bytes.get(off..off + 4) else {
-            return fail(off, "buffer truncated inside the ordering length");
-        };
-        let ncols = u32::from_le_bytes(w.try_into().unwrap()) as usize;
-        off += 4;
-        let mut ordering = Vec::with_capacity(ncols.min(1 << 16));
-        let mut seen = Vec::new();
-        for _ in 0..ncols {
-            let Some(w) = bytes.get(off..off + 4) else {
-                return fail(off, "buffer truncated inside the ordering table");
-            };
-            let c = u32::from_le_bytes(w.try_into().unwrap()) as usize;
-            if c >= ncols {
-                return fail(off, "ordering entry outside the column range");
-            }
-            if seen.len() < ncols {
-                seen.resize(ncols, false);
-            }
-            if seen[c] {
-                return fail(off, "ordering table repeats a column");
-            }
-            seen[c] = true;
-            ordering.push(c);
-            off += 4;
-        }
-        let rel = ExportedRelation::decode(&bytes[off..]).map_err(|e| {
-            CoreError::SnapshotDecode(DecodeError {
-                offset: off + e.offset,
-                reason: e.reason,
-            })
-        })?;
-        if rel.slots.len() != ordering.len() {
-            return fail(off, "ordering length disagrees with the relation arity");
-        }
-        Ok(IndexSnapshot {
-            relation,
-            ordering,
-            rel,
-        })
-    }
 }
 
 /// One argument's resolved effect on a relation index — the
@@ -564,42 +466,37 @@ impl LogicalDatabase {
         Ok(pool[slot])
     }
 
-    /// Snapshot a built index into a manager-independent [`IndexSnapshot`]
-    /// (or `None` if the relation has no index). The snapshot can be
-    /// adopted by another [`LogicalDatabase`] over the same data via
-    /// [`LogicalDatabase::import_index`].
-    pub fn export_index(&self, name: &str) -> Option<IndexSnapshot> {
+    /// Export a built index as a manager-independent [`ExportedRelation`]
+    /// (or `None` if the relation has no index): the payload of the index
+    /// store's segments, which another [`LogicalDatabase`] over the same
+    /// data adopts via [`LogicalDatabase::import_index`].
+    pub fn export_index(&self, name: &str) -> Option<ExportedRelation> {
         let idx = self.indices.get(name)?;
-        let rel = self.mgr.export_relation(idx.root, &idx.domains).ok()?;
-        Some(IndexSnapshot {
-            relation: name.to_owned(),
-            ordering: idx.ordering.clone(),
-            rel,
-        })
+        self.mgr.export_relation(idx.root, &idx.domains).ok()
     }
 
-    /// Adopt a snapshot exported from another manager: declare fresh
-    /// finite-domain blocks, rebuild the characteristic function, and
-    /// install it as this database's index for the relation. The snapshot
-    /// must come from a [`LogicalDatabase`] over the same (dictionary-
-    /// encoded) data — the block sizes freeze the attribute-class domain
-    /// sizes here exactly as a local [`LogicalDatabase::build_index`]
-    /// would, so later query-domain pools stay width-compatible.
-    pub fn import_index(&mut self, snap: &IndexSnapshot) -> Result<()> {
+    /// Adopt relation `name`'s index exported from another manager:
+    /// declare fresh finite-domain blocks, rebuild the characteristic
+    /// function, and install it as this database's index for the
+    /// relation. The export must come from a [`LogicalDatabase`] over the
+    /// same (dictionary-encoded) data — the block sizes freeze the
+    /// attribute-class domain sizes here exactly as a local
+    /// [`LogicalDatabase::build_index`] would, so later query-domain pools
+    /// stay width-compatible. [`LogicalDatabase::build_index`] declares
+    /// the blocks in ordering order, so the ordering is the inverse of the
+    /// slot table.
+    pub fn import_index(&mut self, name: &str, rel: &ExportedRelation) -> Result<()> {
         if failpoint::enabled()
-            && failpoint::should_fail(
-                failpoint::SNAPSHOT_DECODE,
-                failpoint::key_str(&snap.relation),
-            )
+            && failpoint::should_fail(failpoint::SNAPSHOT_DECODE, failpoint::key_str(name))
         {
             return Err(CoreError::Bdd(BddError::FaultInjected {
                 site: failpoint::SNAPSHOT_DECODE,
             }));
         }
-        let (domains, root) = self.mgr.import_relation(&snap.rel)?;
+        let (domains, root) = self.mgr.import_relation(rel)?;
         let classes: Vec<String> = self
             .db
-            .relation(&snap.relation)?
+            .relation(name)?
             .schema()
             .columns()
             .iter()
@@ -609,13 +506,17 @@ impl LogicalDatabase {
             let size = self.mgr.domain_info(d).size;
             self.class_sizes.entry(class.clone()).or_insert(size);
         }
-        self.reset_atoms(&snap.relation);
+        let mut ordering = vec![0; rel.slots.len()];
+        for (col, &slot) in rel.slots.iter().enumerate() {
+            ordering[slot] = col;
+        }
+        self.reset_atoms(name);
         self.indices.insert(
-            snap.relation.clone(),
+            name.to_owned(),
             RelIndex {
                 domains,
                 root,
-                ordering: snap.ordering.clone(),
+                ordering,
             },
         );
         self.version += 1;
@@ -804,10 +705,10 @@ mod tests {
         assert!(src.export_index("missing").is_none());
 
         let mut dst = LogicalDatabase::new(data);
-        dst.import_index(&snap).unwrap();
+        dst.import_index("R", &snap).unwrap();
         assert!(dst.has_index("R"));
         let idx = dst.index("R").unwrap().clone();
-        assert_eq!(idx.ordering, snap.ordering);
+        assert_eq!(idx.ordering, src.index("R").unwrap().ordering);
         assert_eq!(
             dst.manager_mut()
                 .tuple_count(idx.root, &idx.domains)
@@ -831,6 +732,32 @@ mod tests {
             .manager_mut()
             .replace_domains(idx.root, &[(idx.domains[0], q)])
             .is_ok());
+    }
+
+    #[test]
+    fn import_recovers_the_ordering_from_the_slot_table() {
+        let mut data = Database::new();
+        data.create_relation(
+            "T",
+            &[("a", "a"), ("b", "b"), ("c", "c")],
+            (0..12i64)
+                .map(|i| vec![Raw::Int(i % 5), Raw::Int(i % 3), Raw::Int(i % 7)])
+                .collect(),
+        )
+        .unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for seed in 0..12 {
+            let mut src = LogicalDatabase::new(data.clone());
+            src.build_index("T", OrderingStrategy::Random(seed))
+                .unwrap();
+            let mut dst = LogicalDatabase::new(data.clone());
+            dst.import_index("T", &src.export_index("T").unwrap())
+                .unwrap();
+            let ordering = src.index("T").unwrap().ordering.clone();
+            assert_eq!(dst.index("T").unwrap().ordering, ordering);
+            seen.insert(ordering);
+        }
+        assert!(seen.len() > 2, "the seeds cover several orderings");
     }
 
     /// Differential property: any interleaving of inserts and deletes,

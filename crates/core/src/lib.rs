@@ -77,12 +77,12 @@ pub mod telemetry;
 pub use certify::{AuditError, AuditOutcome, Certificate, Witnesses};
 pub use checker::{CheckReport, Checker, CheckerOptions, Method, Verdict};
 pub use error::{CoreError, Result};
-pub use index::{IndexSnapshot, LogicalDatabase};
+pub use index::LogicalDatabase;
 pub use ordering::OrderingStrategy;
 pub use plan::{plans_to_json, CheckPlan, PlanOptions};
 pub use registry::ConstraintRegistry;
 pub use serve::{ApplyOutcome, ServeActor, ServeClient, ServeConfig, ServeEngine, Submission};
-pub use store::{Delta, IndexStore, VerifyStatus};
+pub use store::{Delta, IndexStore, VerifyOutcome};
 pub use telemetry::{
     AuditMetrics, CheckTrace, DegradationSummary, FallbackReason, IndexCacheMetrics,
     OverloadMetrics, PassStat, RecoveryRecord, RewriteRule, RuleFiring, RunBdd, RunMetrics,

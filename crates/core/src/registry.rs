@@ -9,7 +9,7 @@
 //! indices themselves are maintained incrementally by
 //! [`crate::index::LogicalDatabase`]).
 
-use crate::checker::{CheckReport, Checker};
+use crate::checker::{self, CheckReport, Checker};
 use crate::error::Result;
 use relcheck_logic::Formula;
 use std::collections::{HashMap, HashSet};
@@ -21,12 +21,13 @@ struct Entry {
     formula: Formula,
     /// The read-set: every relation an atom of `formula` names.
     reads: HashSet<String>,
-    last: Option<bool>,
+    /// The last decided verdict (undecided ones are never cached).
+    last: Option<checker::Verdict>,
     /// [`Checker::epoch`] at the moment `last` was cached. A verdict is
     /// stale — even with an empty touched set — once any relation in
     /// `reads` has been explicitly invalidated (`rebuild_index` /
     /// `mark_sql_only`) at a later epoch: those maintenance paths mutate
-    /// rows and indices out-of-band, so the cached boolean may no longer
+    /// rows and indices out-of-band, so the cached verdict may no longer
     /// describe the data.
     validated_epoch: u64,
 }
@@ -47,29 +48,36 @@ impl Entry {
 pub enum Verdict {
     /// Re-checked this round (a relation it reads changed).
     Checked {
-        /// Whether the constraint holds now.
-        holds: bool,
+        /// What the check established, undecided outcomes included.
+        verdict: checker::Verdict,
     },
     /// Untouched by the update set; the cached verdict still applies.
     Cached {
-        /// The cached result.
-        holds: bool,
+        /// The cached result, always decided.
+        verdict: checker::Verdict,
     },
 }
 
 impl Verdict {
-    /// The boolean outcome regardless of provenance.
-    pub fn holds(&self) -> bool {
+    /// What the check established, regardless of provenance.
+    pub fn verdict(&self) -> checker::Verdict {
         match *self {
-            Verdict::Checked { holds } | Verdict::Cached { holds } => holds,
+            Verdict::Checked { verdict } | Verdict::Cached { verdict } => verdict,
         }
+    }
+
+    /// The boolean outcome regardless of provenance. Like
+    /// [`CheckReport::holds`], an undecided check reads as holding; ask
+    /// [`Verdict::verdict`] to tell them apart.
+    pub fn holds(&self) -> bool {
+        self.verdict() != checker::Verdict::Violated
     }
 }
 
 /// Named constraints with dependency tracking (see module docs).
 ///
 /// ```
-/// use relcheck_core::checker::{Checker, CheckerOptions};
+/// use relcheck_core::checker::{self, Checker, CheckerOptions};
 /// use relcheck_core::registry::{ConstraintRegistry, Verdict};
 /// use relcheck_logic::parse;
 /// use relcheck_relstore::{Database, Raw};
@@ -86,8 +94,9 @@ impl Verdict {
 ///
 /// // An update touches only R: the S-only constraint is served from cache.
 /// let verdicts = registry.revalidate(&mut checker, &["R"]).unwrap();
-/// assert!(matches!(verdicts[0].1, Verdict::Checked { holds: true }));
-/// assert!(matches!(verdicts[1].1, Verdict::Cached { holds: true }));
+/// let holds = checker::Verdict::Holds;
+/// assert_eq!(verdicts[0].1, Verdict::Checked { verdict: holds });
+/// assert_eq!(verdicts[1].1, Verdict::Cached { verdict: holds });
 /// ```
 #[derive(Debug, Default)]
 pub struct ConstraintRegistry {
@@ -142,7 +151,7 @@ impl ConstraintRegistry {
             let e = &mut self.entries[i];
             // Undecided verdicts (degraded/errored) are never cached: the
             // constraint stays dirty and is re-checked next round.
-            e.last = report.verdict.is_decided().then_some(report.holds);
+            e.last = report.verdict.is_decided().then_some(report.verdict);
             e.validated_epoch = epoch;
             out.push((e.name.clone(), report));
         }
@@ -161,16 +170,16 @@ impl ConstraintRegistry {
         let e = &self.entries[i];
         if !e.dirty(checker, touched) {
             return Ok(Verdict::Cached {
-                holds: e.last.expect("clean entries have a cached verdict"),
+                verdict: e.last.expect("clean entries have a cached verdict"),
             });
         }
         let report = checker.check_guarded(&e.formula)?;
         let epoch = checker.epoch();
         let e = &mut self.entries[i];
-        e.last = report.verdict.is_decided().then_some(report.holds);
+        e.last = report.verdict.is_decided().then_some(report.verdict);
         e.validated_epoch = epoch;
         Ok(Verdict::Checked {
-            holds: report.holds,
+            verdict: report.verdict,
         })
     }
 
@@ -217,7 +226,7 @@ impl ConstraintRegistry {
     pub fn cached(&self) -> HashMap<String, Option<bool>> {
         self.entries
             .iter()
-            .map(|e| (e.name.clone(), e.last))
+            .map(|e| (e.name.clone(), e.last.map(|v| v == checker::Verdict::Holds)))
             .collect()
     }
 }
@@ -226,6 +235,7 @@ impl ConstraintRegistry {
 mod tests {
     use super::*;
     use crate::checker::CheckerOptions;
+    use crate::checker::Verdict::{Holds, Violated};
     use relcheck_logic::parse;
     use relcheck_relstore::{Database, Raw};
 
@@ -288,16 +298,16 @@ mod tests {
         let by_name: HashMap<_, _> = verdicts.into_iter().collect();
         assert!(matches!(
             by_name["r-diagonal"],
-            Verdict::Checked { holds: false }
+            Verdict::Checked { verdict: Violated }
         ));
         assert!(matches!(
             by_name["r-covers-s"],
-            Verdict::Checked { holds: true }
+            Verdict::Checked { verdict: Holds }
         ));
         // s-nonempty does not read R: cached.
         assert!(matches!(
             by_name["s-nonempty"],
-            Verdict::Cached { holds: true }
+            Verdict::Cached { verdict: Holds }
         ));
     }
 
@@ -322,12 +332,12 @@ mod tests {
         let by_name: HashMap<_, _> = verdicts.into_iter().collect();
         assert!(matches!(
             by_name["r-diagonal"],
-            Verdict::Checked { holds: false }
+            Verdict::Checked { verdict: Violated }
         ));
         // A constraint not reading R keeps its cache.
         assert!(matches!(
             by_name["s-nonempty"],
-            Verdict::Cached { holds: true }
+            Verdict::Cached { verdict: Holds }
         ));
     }
 
@@ -342,15 +352,15 @@ mod tests {
         // S-only constraint still answers from cache.
         assert!(matches!(
             by_name["r-diagonal"],
-            Verdict::Checked { holds: true }
+            Verdict::Checked { verdict: Holds }
         ));
         assert!(matches!(
             by_name["r-covers-s"],
-            Verdict::Checked { holds: true }
+            Verdict::Checked { verdict: Holds }
         ));
         assert!(matches!(
             by_name["s-nonempty"],
-            Verdict::Cached { holds: true }
+            Verdict::Cached { verdict: Holds }
         ));
     }
 
@@ -366,7 +376,7 @@ mod tests {
             .revalidate_one(&mut ck, "r-diagonal", &["R"])
             .unwrap()
             .unwrap();
-        assert!(matches!(v, Verdict::Checked { holds: false }));
+        assert!(matches!(v, Verdict::Checked { verdict: Violated }));
         // …without consuming other entries' dirtiness: a later full
         // revalidate over the same touched set still re-checks them.
         let verdicts = reg.revalidate(&mut ck, &["R"]).unwrap();

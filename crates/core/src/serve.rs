@@ -971,10 +971,11 @@ fn engine_loop(
     (engine, watchdog_fires, drained)
 }
 
-/// One verdict line: aligned like `relcheck run`'s report so scripted
-/// sessions can diff name/status pairs against a batch run.
+/// One verdict line: aligned like `relcheck run`'s report, status word
+/// included, so scripted sessions can diff name/status pairs against a
+/// batch run and an undecided check never reads as `ok`.
 fn render_verdict(name: &str, v: &Verdict) -> String {
-    let status = if v.holds() { "ok" } else { "VIOLATED" };
+    let status = v.verdict().label();
     let source = match v {
         Verdict::Checked { .. } => "checked",
         Verdict::Cached { .. } => "cached",
@@ -986,6 +987,7 @@ fn render_verdict(name: &str, v: &Verdict) -> String {
 mod tests {
     use super::*;
     use crate::checker::CheckerOptions;
+    use crate::checker::Verdict::{Holds, Violated};
     use relcheck_logic::parse;
     use relcheck_relstore::Database;
 
@@ -1078,15 +1080,15 @@ mod tests {
         let by_name: std::collections::HashMap<_, _> = verdicts.into_iter().collect();
         assert!(matches!(
             by_name["r-diagonal"],
-            Verdict::Cached { holds: true }
+            Verdict::Cached { verdict: Holds }
         ));
         assert!(matches!(
             by_name["r-covers-s"],
-            Verdict::Checked { holds: true }
+            Verdict::Checked { verdict: Holds }
         ));
         assert!(matches!(
             by_name["s-nonempty"],
-            Verdict::Checked { holds: true }
+            Verdict::Checked { verdict: Holds }
         ));
         let s = e.stats();
         assert_eq!(s.constraints_checked, 2);
@@ -1128,7 +1130,7 @@ mod tests {
         e.apply("R", &Delta::Insert(vec![Raw::Int(1), Raw::Int(2)]))
             .unwrap();
         let v = e.check_one("r-diagonal").unwrap().unwrap();
-        assert!(matches!(v, Verdict::Checked { holds: false }));
+        assert!(matches!(v, Verdict::Checked { verdict: Violated }));
         // The dirty set survives a targeted check…
         assert!(e.dirty().contains("R"));
         // …so the next full check still re-checks the other R-reader.
@@ -1184,6 +1186,27 @@ mod tests {
     }
 
     #[test]
+    fn a_check_that_errors_replies_errored_and_is_not_cached() {
+        let mut e = engine();
+        // R(1, 2) breaks the diagonal; the check then dies before its
+        // emptiness test, so it decides nothing.
+        let r = e.handle_line("+R:1,2");
+        assert_eq!(r.lines, vec!["ok delta +R applied=true dirty=1"]);
+        crate::exec::PANIC_BEFORE_TEST.with(|armed| armed.set(true));
+        let r = e.handle_line("check r-diagonal");
+        assert_eq!(
+            r.lines[0],
+            format!("{:<32} {:<9} (checked)", "r-diagonal", "ERRORED")
+        );
+        // Nothing was cached, so the next check re-checks and decides.
+        let r = e.handle_line("check r-diagonal");
+        assert_eq!(
+            r.lines[0],
+            format!("{:<32} {:<9} (checked)", "r-diagonal", "VIOLATED")
+        );
+    }
+
+    #[test]
     fn maintenance_through_the_engine_retires_stale_verdicts() {
         let mut e = engine();
         // Out-of-band row mutation + rebuild (what store recovery does):
@@ -1213,11 +1236,11 @@ mod tests {
         let by_name: std::collections::HashMap<_, _> = verdicts.into_iter().collect();
         assert!(matches!(
             by_name["r-diagonal"],
-            Verdict::Checked { holds: false }
+            Verdict::Checked { verdict: Violated }
         ));
         assert!(matches!(
             by_name["s-nonempty"],
-            Verdict::Cached { holds: true }
+            Verdict::Cached { verdict: Holds }
         ));
     }
 
@@ -1233,15 +1256,15 @@ mod tests {
         // and the verdict is decided correctly on the SQL rung.
         assert!(matches!(
             by_name["r-covers-s"],
-            Verdict::Checked { holds: false }
+            Verdict::Checked { verdict: Violated }
         ));
         assert!(matches!(
             by_name["s-nonempty"],
-            Verdict::Checked { holds: true }
+            Verdict::Checked { verdict: Holds }
         ));
         assert!(matches!(
             by_name["r-diagonal"],
-            Verdict::Cached { holds: true }
+            Verdict::Cached { verdict: Holds }
         ));
     }
 }

@@ -6,11 +6,11 @@
 //! index durably and recovering it on open. Three kinds of file live in
 //! the cache directory:
 //!
-//! - **Segments** (`NAME-HASH.seg`): one relation's [`IndexSnapshot`]
-//!   inside a checksummed, versioned frame whose meta block records the
-//!   base-data fingerprint, the ordering tag, and `seg_seq` — how many
-//!   journal records the snapshot already folds in. Written via
-//!   write-temp + fsync + atomic-rename.
+//! - **Segments** (`NAME-HASH.seg`): one relation's index as an
+//!   [`ExportedRelation`] inside a checksummed, versioned frame whose meta
+//!   block records the relation name, the base-data fingerprint, the
+//!   ordering tag, and `seg_seq` — how many journal records the index
+//!   already folds in. Written via write-temp + fsync + atomic-rename.
 //! - **Journals** (`NAME-HASH.jnl`): an append-only log of tuple deltas,
 //!   one CRC-framed record per insert/delete, holding **raw values** (not
 //!   dictionary codes — codes minted in a previous session are not
@@ -32,7 +32,10 @@
 //! warm start that cannot trust the disk degrades to exactly what a cold
 //! start would compute. Reads are paranoid; writes are best-effort (a
 //! failed segment or manifest write increments `write_failures` and the
-//! run carries on — the cache just stays cold).
+//! run carries on — the cache just stays cold). One function,
+//! `IndexStore::decide`, holds the segment checks: warm start acts on its
+//! answer, and [`IndexStore::verify`] (`relcheck index verify`) reports it
+//! without the repairs.
 //!
 //! Every write-path syscall site is guarded by a [`failpoint`] so crash
 //! recovery is tested deterministically: an armed site leaves a *torn*
@@ -41,11 +44,13 @@
 
 use crate::checker::Checker;
 use crate::error::{CoreError, Result};
-use crate::index::{IndexSnapshot, LogicalDatabase};
+use crate::index::LogicalDatabase;
 use crate::ordering::OrderingStrategy;
 use crate::telemetry::{recovery_reason, IndexCacheMetrics, RecoveryRecord};
-use relcheck_bdd::{crc32, decode_frame, encode_frame, failpoint, BddError, DecodeError};
-use relcheck_relstore::{Database, Raw};
+use relcheck_bdd::{
+    crc32, decode_frame, encode_frame, failpoint, BddError, DecodeError, ExportedRelation,
+};
+use relcheck_relstore::Raw;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
@@ -60,8 +65,13 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"RCM1";
 const MANIFEST_FILE: &str = "manifest";
 /// Magic opening a journal file's header.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"RCJ1";
-/// On-disk format version shared by all three file kinds.
+/// On-disk format version of journal headers and the manifest.
 pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version of segments: 2 since the payload became the
+/// bare [`ExportedRelation`]. A version-1 segment fails its frame check and
+/// is rebuilt (`segment_corrupt`); journals and the manifest stay at
+/// [`FORMAT_VERSION`], so no acknowledged journal record is lost.
+pub const SEGMENT_VERSION: u32 = 2;
 
 /// One tuple delta, in raw (pre-dictionary) values.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,69 +145,21 @@ impl Delta {
     }
 }
 
-/// What `index verify` reports per relation — read-only, no repairs.
+/// What [`IndexStore::warm_start`] would do with one relation, as
+/// [`IndexStore::verify`] reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifyStatus {
-    /// Segment and journal are healthy.
-    Ok {
+pub enum VerifyOutcome {
+    /// A clean hit: the segment is adopted with no recovery.
+    Hit {
         /// Journal records the segment folds in.
         seg_seq: u64,
         /// Readable journal records on disk.
         journal: u64,
     },
-    /// No manifest entry for this relation.
+    /// No manifest entry: the index is built from the base data.
     NotCached,
-    /// The base data changed since the segment was written.
-    Stale,
-    /// Manifest references a segment that is not on disk.
-    SegmentMissing,
-    /// The segment failed frame or structural validation.
-    SegmentCorrupt {
-        /// Offset where decoding stopped making sense.
-        offset: usize,
-        /// Why.
-        reason: String,
-    },
-    /// The journal ends in a partial record (recoverable by truncation).
-    JournalTorn {
-        /// Readable records before the tear.
-        valid: u64,
-    },
-    /// A journal record in the body failed its CRC.
-    JournalCorrupt {
-        /// Byte offset of the bad record.
-        offset: usize,
-        /// Readable records before it.
-        valid: u64,
-    },
-}
-
-impl std::fmt::Display for VerifyStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifyStatus::Ok { seg_seq, journal } => {
-                write!(
-                    f,
-                    "ok (segment folds {seg_seq} of {journal} journal records)"
-                )
-            }
-            VerifyStatus::NotCached => write!(f, "not cached"),
-            VerifyStatus::Stale => write!(f, "stale (base data changed)"),
-            VerifyStatus::SegmentMissing => write!(f, "segment file missing"),
-            VerifyStatus::SegmentCorrupt { offset, reason } => {
-                write!(f, "segment corrupt at offset {offset}: {reason}")
-            }
-            VerifyStatus::JournalTorn { valid } => {
-                write!(f, "journal torn after {valid} record(s)")
-            }
-            VerifyStatus::JournalCorrupt { offset, valid } => {
-                write!(
-                    f,
-                    "journal corrupt at offset {offset} ({valid} record(s) readable)"
-                )
-            }
-        }
-    }
+    /// Warm start would record these recoveries and repair or rebuild.
+    Recover(Vec<RecoveryRecord>),
 }
 
 /// One manifest entry: which segment is current for a relation and what
@@ -213,10 +175,8 @@ struct ManifestEntry {
 /// How a journal scan ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum JournalTail {
-    /// Every byte accounted for.
+    /// Every byte accounted for (no journal file is an empty journal).
     Clean,
-    /// No journal file (equivalent to an empty journal).
-    Missing,
     /// Partial record at the tail; `valid_bytes` is the healthy prefix.
     Torn { valid_bytes: u64 },
     /// A record in the body failed validation at `offset`.
@@ -388,7 +348,7 @@ pub fn journal_header(relation: &str) -> Vec<u8> {
 fn scan_journal(path: &Path, relation: &str) -> (Vec<Delta>, JournalTail) {
     let bytes = match fs::read(path) {
         Ok(b) => b,
-        Err(_) => return (Vec::new(), JournalTail::Missing),
+        Err(_) => return (Vec::new(), JournalTail::Clean),
     };
     let header = journal_header(relation);
     if bytes.len() < header.len() {
@@ -460,6 +420,81 @@ fn scan_journal(path: &Path, relation: &str) -> (Vec<Delta>, JournalTail) {
         off += 8 + len;
     }
     (records, JournalTail::Clean)
+}
+
+/// One relation's journal as warm start's phase 2 finds it: the records
+/// it keeps, the recoveries it records, and the repairs that make the file
+/// match.
+struct JournalScan {
+    records: Vec<Delta>,
+    recoveries: Vec<RecoveryRecord>,
+    /// Tail damage: cut the file back to this many healthy bytes.
+    truncate_to: Option<u64>,
+    /// A record has the wrong arity: rewrite the file from `records`.
+    rewrite: bool,
+}
+
+/// Phase 2's detection: scan a journal and keep its healthy record
+/// prefix. A record whose arity disagrees with the schema is damage the
+/// CRC cannot catch (it protects bytes, not meaning). Writes nothing.
+fn check_journal(path: &Path, name: &str, arity: usize) -> JournalScan {
+    let (mut records, tail) = scan_journal(path, name);
+    let mut recoveries = Vec::new();
+    let mut record = |reason, detail| {
+        recoveries.push(RecoveryRecord {
+            relation: name.to_owned(),
+            reason,
+            detail,
+        })
+    };
+    let truncate_to = match tail {
+        JournalTail::Clean => None,
+        JournalTail::Torn { valid_bytes } => {
+            record(
+                recovery_reason::JOURNAL_TORN,
+                format!(
+                    "partial record discarded; {} record(s) retained",
+                    records.len()
+                ),
+            );
+            Some(valid_bytes)
+        }
+        JournalTail::Corrupt {
+            offset,
+            reason,
+            valid_bytes,
+        } => {
+            record(
+                recovery_reason::JOURNAL_CORRUPT,
+                format!(
+                    "offset {offset}: {reason}; {} record(s) retained",
+                    records.len()
+                ),
+            );
+            Some(valid_bytes)
+        }
+    };
+    let bad = records.iter().position(|d| d.values().len() != arity);
+    if let Some(bad) = bad {
+        records.truncate(bad);
+        record(
+            recovery_reason::JOURNAL_CORRUPT,
+            format!("record {bad} has the wrong arity; suffix discarded"),
+        );
+    }
+    JournalScan {
+        records,
+        recoveries,
+        truncate_to,
+        rewrite: bad.is_some(),
+    }
+}
+
+/// What warm start's phases 1–4 find for one relation.
+struct Probe {
+    name: String,
+    base_fp: u64,
+    journal: JournalScan,
 }
 
 /// Segment meta block: relation name, base fingerprint, ordering tag,
@@ -573,7 +608,7 @@ fn decode_manifest(
 
 /// Per-relation decision after probing the cache.
 enum Decision {
-    Hit(Box<IndexSnapshot>, u64),
+    Hit(ExportedRelation, u64),
     Miss,
     Rebuild(RecoveryRecord),
 }
@@ -629,6 +664,43 @@ impl IndexStore {
     /// built and compact replayed journals into fresh segments.
     pub fn warm_start(&mut self, ck: &mut Checker) -> Result<()> {
         self.ordering_tag = ordering_tag(ck.options().ordering);
+        let probes = self.probe(ck)?;
+        // Phase 2's repairs: truncate torn tails and corrupt suffixes (the
+        // records before the damage stay).
+        for p in &probes {
+            let path = self.dir.join(journal_file_name(&p.name));
+            if let Some(valid_bytes) = p.journal.truncate_to {
+                self.repair_journal(&p.name, &path, valid_bytes);
+            }
+            if p.journal.rewrite {
+                let _ = rewrite_journal(&path, &p.name, &p.journal.records);
+            }
+            self.stats
+                .recoveries
+                .extend(p.journal.recoveries.iter().cloned());
+            self.base_fps.insert(p.name.clone(), p.base_fp);
+            self.journal_counts
+                .insert(p.name.clone(), p.journal.records.len() as u64);
+        }
+
+        // Phase 5 — per relation: adopt the cached segment or rebuild.
+        for p in probes {
+            let (name, records) = (&p.name, &p.journal.records);
+            match self.decide(ck, name, p.base_fp, self.ordering_tag, records.len() as u64)? {
+                Decision::Hit(rel, seg_seq) => self.adopt(ck, name, &rel, seg_seq, records)?,
+                Decision::Miss => self.rebuild(ck, name, records, false)?,
+                Decision::Rebuild(rec) => {
+                    self.stats.recoveries.push(rec);
+                    self.rebuild(ck, name, records, true)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Warm start's phases 1–4, shared with [`IndexStore::verify`]: they
+    /// read the cache and widen `ck`'s dictionaries, and write no file.
+    fn probe(&self, ck: &mut Checker) -> Result<Vec<Probe>> {
         let mut names: Vec<String> = ck
             .logical_db()
             .db()
@@ -636,71 +708,27 @@ impl IndexStore {
             .map(str::to_owned)
             .collect();
         names.sort();
-
-        // Phase 1 — fingerprints, *before* journal values widen any
-        // dictionary: segments are stamped with the base-CSV state.
-        for name in &names {
-            let fp = ck.logical_db().db().relation_fingerprint(name)?;
-            self.base_fps.insert(name.clone(), fp);
-        }
-
-        // Phase 2 — scan journals, repairing torn tails and truncating
-        // away corrupt suffixes (the records before the damage stay).
-        let mut journals: BTreeMap<String, Vec<Delta>> = BTreeMap::new();
-        for name in &names {
-            let path = self.dir.join(journal_file_name(name));
-            let (mut records, tail) = scan_journal(&path, name);
-            match tail {
-                JournalTail::Clean | JournalTail::Missing => {}
-                JournalTail::Torn { valid_bytes } => {
-                    self.repair_journal(name, &path, &records, valid_bytes);
-                    self.stats.recoveries.push(RecoveryRecord {
-                        relation: name.clone(),
-                        reason: recovery_reason::JOURNAL_TORN,
-                        detail: format!(
-                            "partial record discarded; {} record(s) retained",
-                            records.len()
-                        ),
-                    });
-                }
-                JournalTail::Corrupt {
-                    offset,
-                    reason,
-                    valid_bytes,
-                } => {
-                    self.repair_journal(name, &path, &records, valid_bytes);
-                    self.stats.recoveries.push(RecoveryRecord {
-                        relation: name.clone(),
-                        reason: recovery_reason::JOURNAL_CORRUPT,
-                        detail: format!(
-                            "offset {offset}: {reason}; {} record(s) retained",
-                            records.len()
-                        ),
-                    });
-                }
-            }
-            // A record whose arity disagrees with the schema is corruption
-            // the CRC cannot catch (it protects bytes, not meaning).
-            let arity = ck.logical_db().db().relation(name)?.arity();
-            if let Some(bad) = records.iter().position(|d| d.values().len() != arity) {
-                records.truncate(bad);
-                let _ = rewrite_journal(&path, name, &records);
-                self.stats.recoveries.push(RecoveryRecord {
-                    relation: name.clone(),
-                    reason: recovery_reason::JOURNAL_CORRUPT,
-                    detail: format!("record {bad} has the wrong arity; suffix discarded"),
-                });
-            }
-            self.journal_counts
-                .insert(name.clone(), records.len() as u64);
-            journals.insert(name.clone(), records);
+        let mut probes = Vec::with_capacity(names.len());
+        for name in names {
+            let db = ck.logical_db().db();
+            // Phase 1 — fingerprints, *before* journal values widen any
+            // dictionary: segments are stamped with the base-CSV state.
+            let base_fp = db.relation_fingerprint(&name)?;
+            // Phase 2 — scan the journal down to its healthy prefix.
+            let arity = db.relation(&name)?.arity();
+            let journal = check_journal(&self.dir.join(journal_file_name(&name)), &name, arity);
+            probes.push(Probe {
+                name,
+                base_fp,
+                journal,
+            });
         }
 
         // Phase 3 — intern every journaled value so dictionaries (and the
         // class sizes frozen next) cover the post-replay state uniformly.
-        for name in &names {
-            let classes = column_classes(ck, name)?;
-            for d in &journals[name] {
+        for p in &probes {
+            let classes = column_classes(ck, &p.name)?;
+            for d in &p.journal.records {
                 for (i, v) in d.values().iter().enumerate() {
                     ck.logical_db_mut().db_mut().encode_value(&classes[i], v);
                 }
@@ -710,35 +738,17 @@ impl IndexStore {
         // Phase 4 — freeze all class sizes before importing any segment,
         // so a shared class cannot be frozen narrow by one relation's
         // import and then overflowed by a sibling's journal.
-        for name in &names {
-            for class in column_classes(ck, name)? {
+        for p in &probes {
+            for class in column_classes(ck, &p.name)? {
                 ck.logical_db_mut().class_domain_size(&class);
             }
         }
-
-        // Phase 5 — per relation: adopt the cached segment or rebuild.
-        for name in &names {
-            let records = journals.remove(name).unwrap_or_default();
-            let decision = self.decide(ck, name, records.len() as u64)?;
-            match decision {
-                Decision::Hit(snap, seg_seq) => {
-                    self.adopt(ck, name, &snap, seg_seq, &records)?;
-                }
-                Decision::Miss => {
-                    self.rebuild(ck, name, &records, false)?;
-                }
-                Decision::Rebuild(rec) => {
-                    self.stats.recoveries.push(rec);
-                    self.rebuild(ck, name, &records, true)?;
-                }
-            }
-        }
-        Ok(())
+        Ok(probes)
     }
 
     /// Truncate a journal back to its healthy prefix (best-effort; if the
     /// rewrite fails the next open will just re-detect the damage).
-    fn repair_journal(&mut self, name: &str, path: &Path, records: &[Delta], valid_bytes: u64) {
+    fn repair_journal(&mut self, name: &str, path: &Path, valid_bytes: u64) {
         let rewrite = if valid_bytes >= journal_header(name).len() as u64 {
             // Healthy header: truncate in place.
             fs::OpenOptions::new()
@@ -746,22 +756,31 @@ impl IndexStore {
                 .open(path)
                 .and_then(|f| f.set_len(valid_bytes))
         } else {
-            // Header itself damaged: rewrite from the decoded records.
-            rewrite_journal(path, name, records)
+            // Header itself damaged (so no record was readable): rewrite
+            // the bare header.
+            rewrite_journal(path, name, &[])
         };
         if rewrite.is_err() {
             self.stats.write_failures += 1;
         }
     }
 
-    /// Probe manifest + segment for one relation. Does not touch the
-    /// checker's indices; domain-width checks happen here too since the
-    /// class sizes are already frozen.
-    fn decide(&mut self, ck: &mut Checker, name: &str, journal_len: u64) -> Result<Decision> {
-        let Some(entry) = self.manifest.get(name).cloned() else {
+    /// Probe manifest + segment for one relation — the store's one segment
+    /// check, which both [`IndexStore::warm_start`] and
+    /// [`IndexStore::verify`] act on. Does not touch the checker's indices;
+    /// domain-width checks happen here too since the class sizes are
+    /// already frozen.
+    fn decide(
+        &self,
+        ck: &mut Checker,
+        name: &str,
+        base_fp: u64,
+        ordering_tag: u64,
+        journal_len: u64,
+    ) -> Result<Decision> {
+        let Some(entry) = self.manifest.get(name) else {
             return Ok(Decision::Miss);
         };
-        let fp = self.base_fps[name];
         let rebuild = |reason, detail: String| {
             Ok(Decision::Rebuild(RecoveryRecord {
                 relation: name.to_owned(),
@@ -769,16 +788,16 @@ impl IndexStore {
                 detail,
             }))
         };
-        if entry.base_fp != fp {
+        if entry.base_fp != base_fp {
             return rebuild(
                 recovery_reason::STALE_FINGERPRINT,
                 format!(
                     "segment fp {:016x}, base data fp {:016x}",
-                    entry.base_fp, fp
+                    entry.base_fp, base_fp
                 ),
             );
         }
-        if entry.ordering_tag != self.ordering_tag {
+        if entry.ordering_tag != ordering_tag {
             return rebuild(
                 recovery_reason::STALE_FINGERPRINT,
                 "ordering strategy changed since the segment was written".to_owned(),
@@ -794,7 +813,7 @@ impl IndexStore {
                 )
             }
         };
-        let (meta, payload) = match decode_frame(&bytes, SEGMENT_MAGIC, FORMAT_VERSION) {
+        let (meta, payload) = match decode_frame(&bytes, SEGMENT_MAGIC, SEGMENT_VERSION) {
             Ok(mp) => mp,
             Err(e) => {
                 return rebuild(
@@ -830,35 +849,28 @@ impl IndexStore {
                 ),
             );
         }
-        let snap = match IndexSnapshot::from_bytes(payload) {
-            Ok(s) => s,
-            Err(CoreError::SnapshotDecode(e)) => {
+        let rel = match ExportedRelation::decode(payload) {
+            Ok(r) => r,
+            Err(e) => {
                 return rebuild(
                     recovery_reason::SEGMENT_CORRUPT,
-                    format!("snapshot offset {}: {}", e.offset, e.reason),
+                    format!("payload offset {}: {}", e.offset, e.reason),
                 )
             }
-            Err(e) => return Err(e),
         };
-        if snap.relation != name {
-            return rebuild(
-                recovery_reason::SEGMENT_CORRUPT,
-                "snapshot names a different relation".to_owned(),
-            );
-        }
         // Domain-width check against the frozen class sizes: a journaled
         // value from a class that outgrew its block cannot be replayed
-        // into this snapshot.
+        // into this index.
         let classes = column_classes(ck, name)?;
-        if snap.rel.slots.len() != classes.len() {
+        if rel.slots.len() != classes.len() {
             return rebuild(
                 recovery_reason::SEGMENT_CORRUPT,
-                "snapshot arity disagrees with the schema".to_owned(),
+                "segment arity disagrees with the schema".to_owned(),
             );
         }
         for (i, class) in classes.iter().enumerate() {
             let need = ck.logical_db_mut().class_domain_size(class);
-            let have = snap.rel.blocks[snap.rel.slots[i]].0;
+            let have = rel.blocks[rel.slots[i]].0;
             if have != need {
                 return rebuild(
                     recovery_reason::DOMAIN_OVERFLOW,
@@ -866,11 +878,11 @@ impl IndexStore {
                 );
             }
         }
-        Ok(Decision::Hit(Box::new(snap), seg_seq))
+        Ok(Decision::Hit(rel, seg_seq))
     }
 
-    /// Adopt a validated snapshot and replay its journal. Records older
-    /// than `seg_seq` are already folded into the snapshot's BDD, so they
+    /// Adopt a validated segment and replay its journal. Records older
+    /// than `seg_seq` are already folded into the segment's BDD, so they
     /// re-apply to the relation rows only; newer records go through full
     /// incremental maintenance. Any maintenance failure degrades to a
     /// rebuild.
@@ -878,11 +890,11 @@ impl IndexStore {
         &mut self,
         ck: &mut Checker,
         name: &str,
-        snap: &IndexSnapshot,
+        rel: &ExportedRelation,
         seg_seq: u64,
         records: &[Delta],
     ) -> Result<()> {
-        if let Err(e) = ck.logical_db_mut().import_index(snap) {
+        if let Err(e) = ck.logical_db_mut().import_index(name, rel) {
             // Injected faults and budget aborts degrade to a rebuild;
             // anything else is a genuine bug worth surfacing.
             if crate::checker::budget_abort(&e).is_none() {
@@ -1103,46 +1115,33 @@ impl IndexStore {
                 }
                 continue;
             }
-            let Some(snap) = ck.logical_db().export_index(name) else {
+            let Some(rel) = ck.logical_db().export_index(name) else {
                 self.stats.write_failures += 1;
                 continue;
             };
             let seg_seq = self.journal_counts.get(name).copied().unwrap_or(0);
             let base_fp = self.base_fps.get(name).copied().unwrap_or(0);
             let meta = encode_segment_meta(name, base_fp, self.ordering_tag, seg_seq);
-            let bytes = encode_frame(SEGMENT_MAGIC, FORMAT_VERSION, &meta, &snap.to_bytes());
+            let bytes = encode_frame(SEGMENT_MAGIC, SEGMENT_VERSION, &meta, &rel.to_bytes());
             let seg_name = segment_file_name(name);
-            match self.write_segment(name, &seg_name, &bytes) {
-                Ok(()) => {
-                    self.manifest.insert(
-                        name.clone(),
-                        ManifestEntry {
-                            segment: seg_name,
-                            base_fp,
-                            ordering_tag: self.ordering_tag,
-                            seg_seq,
-                        },
-                    );
-                    changed = true;
-                }
-                Err(injected) => {
-                    self.stats.write_failures += 1;
-                    if injected {
-                        // The fault model is "the process believed this
-                        // write completed": commit the manifest entry so
-                        // the next open exercises torn-segment recovery.
-                        self.manifest.insert(
-                            name.clone(),
-                            ManifestEntry {
-                                segment: seg_name,
-                                base_fp,
-                                ordering_tag: self.ordering_tag,
-                                seg_seq,
-                            },
-                        );
-                        changed = true;
-                    }
-                }
+            let written = self.write_segment(name, &seg_name, &bytes);
+            if written.is_err() {
+                self.stats.write_failures += 1;
+            }
+            // A real I/O error commits no entry. An injected one does: its
+            // fault model is "the process believed this write completed",
+            // so the next open exercises torn-segment recovery.
+            if written != Err(false) {
+                self.manifest.insert(
+                    name.clone(),
+                    ManifestEntry {
+                        segment: seg_name,
+                        base_fp,
+                        ordering_tag: self.ordering_tag,
+                        seg_seq,
+                    },
+                );
+                changed = true;
             }
         }
         if changed {
@@ -1184,87 +1183,34 @@ impl IndexStore {
         }
     }
 
-    /// Read-only health report for every relation in `db` (plus manifest
-    /// entries for relations the database no longer has, reported as
-    /// stale). Performs no repairs and no truncation.
-    pub fn verify(&self, db: &Database, strategy: OrderingStrategy) -> Vec<(String, VerifyStatus)> {
-        let tag = ordering_tag(strategy);
-        let mut names: Vec<String> = db.relation_names().map(str::to_owned).collect();
-        names.sort();
+    /// What [`IndexStore::warm_start`] would do with each of `ck`'s
+    /// relations, in name order: warm start's phases 1–4 and its
+    /// per-relation decision, without the repairs, imports and replays —
+    /// `verify` writes no file. `ck` is a throwaway checker built with the
+    /// ordering to verify against: its dictionaries take the journaled
+    /// values and its class sizes freeze, as a warm start's would.
+    /// Manifest entries of relations the database no longer has are not
+    /// reported; [`IndexStore::gc`] drops them.
+    pub fn verify(&self, ck: &mut Checker) -> Result<Vec<(String, VerifyOutcome)>> {
+        let tag = ordering_tag(ck.options().ordering);
         let mut out = Vec::new();
-        for name in &names {
-            out.push((name.clone(), self.verify_one(db, name, tag)));
-        }
-        out
-    }
-
-    fn verify_one(&self, db: &Database, name: &str, tag: u64) -> VerifyStatus {
-        let jnl_path = self.dir.join(journal_file_name(name));
-        let (records, tail) = scan_journal(&jnl_path, name);
-        match tail {
-            JournalTail::Torn { .. } => {
-                return VerifyStatus::JournalTorn {
-                    valid: records.len() as u64,
+        for p in self.probe(ck)? {
+            let journal = p.journal.records.len() as u64;
+            let mut recoveries = p.journal.recoveries;
+            let outcome = match self.decide(ck, &p.name, p.base_fp, tag, journal)? {
+                Decision::Hit(_, seg_seq) if recoveries.is_empty() => {
+                    VerifyOutcome::Hit { seg_seq, journal }
                 }
-            }
-            JournalTail::Corrupt { offset, .. } => {
-                return VerifyStatus::JournalCorrupt {
-                    offset,
-                    valid: records.len() as u64,
+                Decision::Miss if recoveries.is_empty() => VerifyOutcome::NotCached,
+                Decision::Rebuild(rec) => {
+                    recoveries.push(rec);
+                    VerifyOutcome::Recover(recoveries)
                 }
-            }
-            JournalTail::Clean | JournalTail::Missing => {}
-        }
-        let Some(entry) = self.manifest.get(name) else {
-            return VerifyStatus::NotCached;
-        };
-        let fp = match db.relation_fingerprint(name) {
-            Ok(fp) => fp,
-            Err(_) => return VerifyStatus::Stale,
-        };
-        if entry.base_fp != fp || entry.ordering_tag != tag {
-            return VerifyStatus::Stale;
-        }
-        let seg_path = self.dir.join(&entry.segment);
-        let bytes = match fs::read(&seg_path) {
-            Ok(b) => b,
-            Err(_) => return VerifyStatus::SegmentMissing,
-        };
-        let corrupt = |e: DecodeError| VerifyStatus::SegmentCorrupt {
-            offset: e.offset,
-            reason: e.reason.to_owned(),
-        };
-        let (meta, payload) = match decode_frame(&bytes, SEGMENT_MAGIC, FORMAT_VERSION) {
-            Ok(mp) => mp,
-            Err(e) => return corrupt(e),
-        };
-        let (seg_name, seg_fp, seg_tag, seg_seq) = match decode_segment_meta(meta) {
-            Ok(m) => m,
-            Err(e) => return corrupt(e),
-        };
-        if seg_name != name || seg_fp != entry.base_fp || seg_tag != entry.ordering_tag {
-            return VerifyStatus::SegmentCorrupt {
-                offset: 0,
-                reason: "segment meta disagrees with the manifest".to_owned(),
+                Decision::Hit(..) | Decision::Miss => VerifyOutcome::Recover(recoveries),
             };
+            out.push((p.name, outcome));
         }
-        if seg_seq > records.len() as u64 {
-            return VerifyStatus::JournalCorrupt {
-                offset: 0,
-                valid: records.len() as u64,
-            };
-        }
-        match IndexSnapshot::from_bytes(payload) {
-            Ok(_) => VerifyStatus::Ok {
-                seg_seq,
-                journal: records.len() as u64,
-            },
-            Err(CoreError::SnapshotDecode(e)) => corrupt(e),
-            Err(_) => VerifyStatus::SegmentCorrupt {
-                offset: 0,
-                reason: "snapshot rejected".to_owned(),
-            },
-        }
+        Ok(out)
     }
 
     /// Remove cache files that belong to no known relation: segments the

@@ -262,7 +262,12 @@ fn registry_recheck_sees_a_mutation() {
         .unwrap();
     // ...and the re-check must see the mutation.
     let verdicts = reg.revalidate(&mut ck, &["ALLOWED"]).unwrap();
-    assert!(matches!(verdicts[0].1, Recheck::Checked { holds: true }));
+    assert_eq!(
+        verdicts[0].1,
+        Recheck::Checked {
+            verdict: Verdict::Holds
+        }
+    );
 }
 
 /// `rebuild_index` and `mark_sql_only` change no tuple: registry

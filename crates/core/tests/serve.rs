@@ -705,7 +705,9 @@ fn torn_journal_append_loses_only_the_unacknowledged_delta() {
         let verdicts: BTreeMap<String, Verdict> = engine.check_all().unwrap().into_iter().collect();
         assert!(matches!(
             verdicts["r-diagonal"],
-            Verdict::Checked { holds: false }
+            Verdict::Checked {
+                verdict: relcheck_core::checker::Verdict::Violated
+            }
         ));
 
         let _fp = FpGuard;

@@ -5,18 +5,20 @@
 //! tails, stale fingerprints, domain growth, and failpoint-injected
 //! partial writes must all be *detected* (typed recovery records, never a
 //! panic) and *recovered* (rebuild from base data, never a wrong verdict).
+//! Every damage case also runs `IndexStore::verify` first and checks that
+//! it reports exactly what the warm start then does.
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! one mutex (cheap: each test runs in milliseconds on these tiny
 //! relations).
 
-use relcheck_bdd::failpoint;
-use relcheck_core::checker::{Checker, CheckerOptions};
+use relcheck_bdd::{decode_frame, encode_frame, failpoint, ExportedRelation};
+use relcheck_core::checker::{self, Checker, CheckerOptions};
 use relcheck_core::ordering::OrderingStrategy;
 use relcheck_core::registry::{ConstraintRegistry, Verdict};
 use relcheck_core::store::{
     encode_journal_record, journal_file_name, journal_header, segment_file_name, Delta, IndexStore,
-    VerifyStatus,
+    VerifyOutcome, MANIFEST_MAGIC, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 use relcheck_core::telemetry::recovery_reason;
 use relcheck_core::CoreError;
@@ -125,6 +127,67 @@ fn reasons(store: &IndexStore) -> Vec<&'static str> {
     store.stats.recoveries.iter().map(|r| r.reason).collect()
 }
 
+/// Every journal file's length, `None` where there is none.
+fn journal_lens(dir: &std::path::Path) -> Vec<Option<u64>> {
+    ["CUST", "REF"]
+        .iter()
+        .map(|r| {
+            fs::metadata(dir.join(journal_file_name(r)))
+                .ok()
+                .map(|m| m.len())
+        })
+        .collect()
+}
+
+/// `verify` on a checker from `make`, then a warm start on another: the
+/// two must agree. A relation with recoveries gets the same reasons from
+/// both; one without is a verify hit exactly when the warm start adopted
+/// it, so the verify misses are the warm start's misses that rebuilt
+/// nothing (no relation missing from the manifest here has a damaged
+/// journal). `verify` leaves every journal's length as it was. Returns
+/// the warm-started checker and store.
+fn verified_warm_start(dir: &std::path::Path, make: impl Fn() -> Checker) -> (Checker, IndexStore) {
+    let before = journal_lens(dir);
+    let outcomes = IndexStore::open(dir).unwrap().verify(&mut make()).unwrap();
+    assert_eq!(journal_lens(dir), before, "verify changed a journal");
+    let mut ck = make();
+    let mut store = IndexStore::open(dir).unwrap();
+    store.warm_start(&mut ck).unwrap();
+    let mut not_cached = 0;
+    for (name, outcome) in &outcomes {
+        let warm: Vec<&str> = store
+            .stats
+            .recoveries
+            .iter()
+            .filter(|r| r.relation == *name)
+            .map(|r| r.reason)
+            .collect();
+        let verified: Vec<&str> = match outcome {
+            VerifyOutcome::Hit { .. } => Vec::new(),
+            VerifyOutcome::NotCached => {
+                not_cached += 1;
+                Vec::new()
+            }
+            VerifyOutcome::Recover(recs) => {
+                assert!(!recs.is_empty());
+                recs.iter().map(|r| r.reason).collect()
+            }
+        };
+        assert_eq!(verified, warm, "{name}: verify said {outcome:?}");
+    }
+    assert_eq!(
+        not_cached,
+        store.stats.misses - store.stats.rebuilds,
+        "verify misses {outcomes:?}, warm start {:?}",
+        store.stats
+    );
+    (ck, store)
+}
+
+fn base_checker() -> Checker {
+    checker(make_db(base_rows()))
+}
+
 #[test]
 fn warm_start_matches_cold_and_hits_cleanly() {
     let _g = lock();
@@ -211,9 +274,7 @@ fn segment_truncation_always_detected_and_recovered() {
         original.len() - 1,
     ] {
         fs::write(&seg, &original[..cut]).unwrap();
-        let mut ck = checker(make_db(base_rows()));
-        let mut store = IndexStore::open(&dir).unwrap();
-        store.warm_start(&mut ck).unwrap();
+        let (mut ck, store) = verified_warm_start(&dir, base_checker);
         assert_eq!(store.stats.rebuilds, 1, "cut at {cut} went undetected");
         assert_eq!(store.stats.hits, 1); // REF is untouched
         assert_eq!(reasons(&store), vec![recovery_reason::SEGMENT_CORRUPT]);
@@ -241,9 +302,7 @@ fn segment_bit_flips_always_detected_and_recovered() {
         let mut corrupt = original.clone();
         corrupt[pos] ^= 1 << (pos % 8);
         fs::write(&seg, &corrupt).unwrap();
-        let mut ck = checker(make_db(base_rows()));
-        let mut store = IndexStore::open(&dir).unwrap();
-        store.warm_start(&mut ck).unwrap();
+        let (mut ck, store) = verified_warm_start(&dir, base_checker);
         assert_eq!(
             store.stats.rebuilds, 1,
             "bit flip at byte {pos} went undetected"
@@ -288,9 +347,7 @@ fn torn_journal_tail_is_truncated_and_replay_keeps_prefix() {
     // is base-minus-(Toronto,212) — which makes every constraint hold.
     let want = cold_verdicts(base_rows()[..3].to_vec());
     assert_eq!(want, vec![true, true]);
-    let mut ck = checker(make_db(base_rows()));
-    let mut store = IndexStore::open(&dir).unwrap();
-    store.warm_start(&mut ck).unwrap();
+    let (mut ck, store) = verified_warm_start(&dir, base_checker);
     assert_eq!(reasons(&store), vec![recovery_reason::JOURNAL_TORN]);
     assert_eq!(store.stats.journal_replayed, 1);
     assert_eq!(store.stats.hits, 2);
@@ -323,9 +380,7 @@ fn journal_bit_flip_discards_the_damaged_suffix() {
     fs::write(&path, bytes).unwrap();
 
     let cold = cold_verdicts(base_rows());
-    let mut ck = checker(make_db(base_rows()));
-    let mut store = IndexStore::open(&dir).unwrap();
-    store.warm_start(&mut ck).unwrap();
+    let (mut ck, store) = verified_warm_start(&dir, base_checker);
     assert_eq!(reasons(&store), vec![recovery_reason::JOURNAL_CORRUPT]);
     assert_eq!(store.stats.journal_replayed, 0);
     assert_eq!(verdicts(&mut ck), cold);
@@ -342,9 +397,7 @@ fn stale_fingerprint_forces_rebuild() {
     let mut grown = base_rows();
     grown.push(vec![Raw::str("Newark"), Raw::Int(647)]);
     let cold = cold_verdicts(grown.clone());
-    let mut ck = checker(make_db(grown));
-    let mut store = IndexStore::open(&dir).unwrap();
-    store.warm_start(&mut ck).unwrap();
+    let (mut ck, store) = verified_warm_start(&dir, || checker(make_db(grown.clone())));
     assert_eq!(reasons(&store), vec![recovery_reason::STALE_FINGERPRINT]);
     assert_eq!((store.stats.hits, store.stats.rebuilds), (1, 1));
     assert_eq!(verdicts(&mut ck), cold);
@@ -356,25 +409,17 @@ fn ordering_change_invalidates_segments() {
     let _g = lock();
     let dir = scratch("ordering");
     build_cache(&dir); // default ordering (ProbConverge)
-    let cold = {
-        let mut ck = Checker::new(
+    let max_inf_gain = || {
+        Checker::new(
             make_db(base_rows()),
             CheckerOptions {
                 ordering: OrderingStrategy::MaxInfGain,
                 ..Default::default()
             },
-        );
-        verdicts(&mut ck)
+        )
     };
-    let mut ck = Checker::new(
-        make_db(base_rows()),
-        CheckerOptions {
-            ordering: OrderingStrategy::MaxInfGain,
-            ..Default::default()
-        },
-    );
-    let mut store = IndexStore::open(&dir).unwrap();
-    store.warm_start(&mut ck).unwrap();
+    let cold = verdicts(&mut max_inf_gain());
+    let (mut ck, store) = verified_warm_start(&dir, max_inf_gain);
     assert_eq!(store.stats.hits, 0);
     assert_eq!(store.stats.rebuilds, 2);
     assert!(reasons(&store)
@@ -431,9 +476,7 @@ fn torn_segment_write_recovers_on_next_open() {
     assert_eq!(store.stats.write_failures, 2);
     failpoint::clear();
 
-    let mut ck = checker(make_db(base_rows()));
-    let mut store = IndexStore::open(&dir).unwrap();
-    store.warm_start(&mut ck).unwrap();
+    let (mut ck, mut store) = verified_warm_start(&dir, base_checker);
     assert_eq!(store.stats.rebuilds, 2);
     assert!(reasons(&store)
         .iter()
@@ -468,9 +511,7 @@ fn torn_journal_append_is_never_acknowledged() {
 
     // The delta failed before acknowledgment, so recovery must converge
     // on the *original* state: torn tail truncated, verdicts unchanged.
-    let mut ck = checker(make_db(base_rows()));
-    let mut store = IndexStore::open(&dir).unwrap();
-    store.warm_start(&mut ck).unwrap();
+    let (mut ck, store) = verified_warm_start(&dir, base_checker);
     assert_eq!(reasons(&store), vec![recovery_reason::JOURNAL_TORN]);
     assert_eq!(store.stats.hits, 2);
     assert_eq!(store.stats.journal_replayed, 0);
@@ -515,9 +556,7 @@ fn journaled_value_outside_the_frozen_domain_rebuilds_wider() {
     let mut with_ottawa = base_rows();
     with_ottawa.push(vec![Raw::str("Ottawa"), Raw::Int(416)]);
     let cold = cold_verdicts(with_ottawa);
-    let mut ck = checker(make_db(base_rows()));
-    let mut store = IndexStore::open(&dir).unwrap();
-    store.warm_start(&mut ck).unwrap();
+    let (mut ck, mut store) = verified_warm_start(&dir, base_checker);
     assert!(
         reasons(&store).contains(&recovery_reason::DOMAIN_OVERFLOW),
         "expected a domain-overflow recovery, got {:?}",
@@ -594,32 +633,30 @@ fn gc_removes_orphans_and_keeps_the_live_cache() {
 fn verify_reports_each_failure_mode_read_only() {
     let _g = lock();
     let dir = scratch("verify");
-    let db = make_db(base_rows());
-    let strategy = OrderingStrategy::ProbConverge;
+    let verify = |ck: &mut Checker| IndexStore::open(&dir).unwrap().verify(ck).unwrap();
+    let reasons_of = |outcomes: Vec<(String, VerifyOutcome)>, name: &str| -> Vec<&str> {
+        match outcomes.into_iter().find(|(n, _)| n == name).unwrap().1 {
+            VerifyOutcome::Recover(recs) => recs.iter().map(|r| r.reason).collect(),
+            other => panic!("{name}: expected recoveries, got {other:?}"),
+        }
+    };
 
-    let store = IndexStore::open(&dir).unwrap();
-    assert!(store
-        .verify(&db, strategy)
+    assert!(verify(&mut base_checker())
         .iter()
-        .all(|(_, s)| *s == VerifyStatus::NotCached));
-
+        .all(|(_, o)| *o == VerifyOutcome::NotCached));
     build_cache(&dir);
-    let store = IndexStore::open(&dir).unwrap();
-    assert!(store
-        .verify(&db, strategy)
-        .iter()
-        .all(|(_, s)| matches!(s, VerifyStatus::Ok { .. })));
+    assert!(verify(&mut base_checker()).iter().all(|(_, o)| *o
+        == VerifyOutcome::Hit {
+            seg_seq: 0,
+            journal: 0
+        }));
 
     // Stale: the database grew a row.
     let mut grown = base_rows();
     grown.push(vec![Raw::str("Newark"), Raw::Int(647)]);
-    let grown_db = make_db(grown);
-    let by_name = |statuses: Vec<(String, VerifyStatus)>, name: &str| {
-        statuses.into_iter().find(|(n, _)| n == name).unwrap().1
-    };
     assert_eq!(
-        by_name(store.verify(&grown_db, strategy), "CUST"),
-        VerifyStatus::Stale
+        reasons_of(verify(&mut checker(make_db(grown))), "CUST"),
+        vec![recovery_reason::STALE_FINGERPRINT]
     );
 
     // Corrupt: flip a byte mid-segment.
@@ -629,35 +666,127 @@ fn verify_reports_each_failure_mode_read_only() {
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x04;
     fs::write(&seg, &corrupt).unwrap();
-    assert!(matches!(
-        by_name(store.verify(&db, strategy), "CUST"),
-        VerifyStatus::SegmentCorrupt { .. }
-    ));
-    fs::write(&seg, &original).unwrap();
+    assert_eq!(
+        reasons_of(verify(&mut base_checker()), "CUST"),
+        vec![recovery_reason::SEGMENT_CORRUPT]
+    );
 
     // Missing: the manifest references a file that is gone.
     fs::remove_file(&seg).unwrap();
     assert_eq!(
-        by_name(store.verify(&db, strategy), "CUST"),
-        VerifyStatus::SegmentMissing
+        reasons_of(verify(&mut base_checker()), "CUST"),
+        vec![recovery_reason::SEGMENT_MISSING]
     );
 
     // Torn journal: verify reports it and — read-only — repairs nothing.
     let rec = encode_journal_record(&Delta::Delete(vec![Raw::str("Toronto"), Raw::Int(212)]));
     append_journal_bytes(&dir, "REF", &rec[..rec.len() / 2]);
-    let jnl_len = fs::metadata(dir.join(journal_file_name("REF")))
-        .unwrap()
-        .len();
+    let lens = journal_lens(&dir);
     assert_eq!(
-        by_name(store.verify(&db, strategy), "REF"),
-        VerifyStatus::JournalTorn { valid: 0 }
+        reasons_of(verify(&mut base_checker()), "REF"),
+        vec![recovery_reason::JOURNAL_TORN]
     );
+    assert_eq!(journal_lens(&dir), lens);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash between a segment's rename and the manifest commit leaves a
+/// segment that folds a journal record the old manifest does not know
+/// about. Verify and warm start both call it corrupt, and the rebuild
+/// still replays the acknowledged record.
+#[test]
+fn manifest_rolled_back_behind_its_segment_rebuilds() {
+    let _g = lock();
+    let dir = scratch("rollback");
+    build_cache(&dir);
+    let manifest = fs::read(dir.join("manifest")).unwrap();
+
+    let mut ck = base_checker();
+    let mut store = IndexStore::open(&dir).unwrap();
+    store.warm_start(&mut ck).unwrap();
+    let del = Delta::Delete(vec![Raw::str("Toronto"), Raw::Int(212)]);
+    assert!(store.journaled_apply(&mut ck, "CUST", &del).unwrap());
+    store.write_back(&mut ck).unwrap();
+    assert_eq!(store.stats.write_failures, 0);
+    fs::write(dir.join("manifest"), &manifest).unwrap();
+
+    let (mut ck, store) = verified_warm_start(&dir, base_checker);
+    assert_eq!(reasons(&store), vec![recovery_reason::SEGMENT_CORRUPT]);
     assert_eq!(
-        fs::metadata(dir.join(journal_file_name("REF")))
-            .unwrap()
-            .len(),
-        jnl_len
+        store.stats.recoveries[0].detail,
+        "segment meta disagrees with the manifest"
     );
+    assert_eq!((store.stats.hits, store.stats.rebuilds), (1, 1));
+    assert_eq!(verdicts(&mut ck), cold_verdicts(base_rows()[..3].to_vec()));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A cache written before segments moved to version 2: each segment
+/// framed as version 1 around the old payload (relation name, column
+/// ordering, then the exported relation), beside a journal of two
+/// acknowledged records. Journals and the manifest kept version 1, so the
+/// warm start rebuilds both segments and replays both records.
+#[test]
+fn a_version_1_segment_is_rebuilt_and_its_journal_kept() {
+    let _g = lock();
+    let dir = scratch("format1");
+    build_cache(&dir);
+    let manifest = fs::read(dir.join("manifest")).unwrap();
+    assert!(decode_frame(&manifest, MANIFEST_MAGIC, 1).is_ok());
+    assert_eq!(journal_header("CUST")[8..12], 1u32.to_le_bytes());
+    for name in ["CUST", "REF"] {
+        let path = dir.join(segment_file_name(name));
+        let bytes = fs::read(&path).unwrap();
+        let (meta, payload) = decode_frame(&bytes, SEGMENT_MAGIC, SEGMENT_VERSION).unwrap();
+        let rel = ExportedRelation::decode(payload).unwrap();
+        let mut ordering = vec![0u32; rel.slots.len()];
+        for (col, &slot) in rel.slots.iter().enumerate() {
+            ordering[slot] = col as u32;
+        }
+        let mut old = (name.len() as u32).to_le_bytes().to_vec();
+        old.extend_from_slice(name.as_bytes());
+        old.extend_from_slice(&(ordering.len() as u32).to_le_bytes());
+        for col in ordering {
+            old.extend_from_slice(&col.to_le_bytes());
+        }
+        old.extend_from_slice(payload);
+        fs::write(&path, encode_frame(SEGMENT_MAGIC, 1, meta, &old)).unwrap();
+    }
+    // Each record moves a verdict, so a lost one would show.
+    let records = [
+        Delta::Delete(vec![Raw::str("Toronto"), Raw::Int(212)]),
+        Delta::Delete(vec![Raw::str("Newark"), Raw::Int(973)]),
+    ];
+    for d in &records {
+        append_journal_bytes(&dir, "CUST", &encode_journal_record(d));
+    }
+    let lens = journal_lens(&dir);
+    let want = cold_verdicts(base_rows()[..2].to_vec());
+    assert_eq!(want, vec![true, false]);
+
+    let (mut ck, mut store) = verified_warm_start(&dir, base_checker);
+    assert_eq!(
+        reasons(&store),
+        vec![recovery_reason::SEGMENT_CORRUPT; 2],
+        "{:?}",
+        store.stats.recoveries
+    );
+    assert!(store
+        .stats
+        .recoveries
+        .iter()
+        .all(|r| r.detail.contains("unsupported format version")));
+    assert_eq!(store.stats.rebuilds, 2);
+    assert_eq!(verdicts(&mut ck), want);
+    assert_eq!(journal_lens(&dir), lens, "a journal record was dropped");
+    store.write_back(&mut ck).unwrap();
+
+    // The rebuilt segments fold both records: clean hits, nothing replayed.
+    let (mut ck, store) = verified_warm_start(&dir, base_checker);
+    assert_eq!(store.stats.hits, 2);
+    assert_eq!(store.stats.journal_replayed, 0);
+    assert!(store.stats.recoveries.is_empty());
+    assert_eq!(verdicts(&mut ck), want);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -688,7 +817,9 @@ fn registry_revalidates_exactly_the_touched_constraints() {
     let by_name: std::collections::HashMap<_, _> = round.into_iter().collect();
     assert!(matches!(
         by_name["cust-in-ref"],
-        Verdict::Checked { holds: true }
+        Verdict::Checked {
+            verdict: checker::Verdict::Holds
+        }
     ));
     assert!(matches!(by_name["ref-covered"], Verdict::Checked { .. }));
     store.write_back(&mut ck).unwrap();

@@ -340,6 +340,37 @@ run_cached "$WARM_OUT"
 grep " via " "$WARM_OUT" | awk '{print $1, $2, $4}' > "$WARM_OUT.verdicts"
 diff "$COLD_OUT.verdicts" "$WARM_OUT.verdicts"
 
+# Manifest rolled back behind its segments, as a crash between a segment
+# rename and the manifest commit leaves it: the apply's fresh CUSTOMERS
+# segment folds two journal records the restored manifest does not know.
+# `index verify` runs warm start's own check, so it must fail and name
+# segment_corrupt, and the next cached run must rebuild to cold verdicts.
+rm -rf "$CACHE_DIR"; mkdir -p "$CACHE_DIR"
+cargo run --release --quiet --bin relcheck -- \
+    index build testdata/phones.spec --index-cache "$CACHE_DIR" >/dev/null
+cp "$CACHE_DIR/manifest" "$CACHE_DIR.manifest"
+cargo run --release --quiet --bin relcheck -- \
+    index apply testdata/phones.spec --index-cache "$CACHE_DIR" \
+    '+CUSTOMERS:Oshawa,416,ON' '-CUSTOMERS:Oshawa,416,ON' >/dev/null
+mv "$CACHE_DIR.manifest" "$CACHE_DIR/manifest"
+set +e
+cargo run --release --quiet --bin relcheck -- \
+    index verify testdata/phones.spec --index-cache "$CACHE_DIR" >"$WARM_OUT"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ] || ! grep -q "segment_corrupt" "$WARM_OUT"; then
+    echo "index verify passed a manifest rolled back behind its segment (exit $rc)" >&2
+    cat "$WARM_OUT" >&2
+    exit 1
+fi
+run_cached "$WARM_OUT"
+grep " via " "$WARM_OUT" | awk '{print $1, $2, $4}' > "$WARM_OUT.verdicts"
+diff "$COLD_OUT.verdicts" "$WARM_OUT.verdicts"
+if ! grep -q '"reason":"segment_corrupt"' "$METRICS_OUT"; then
+    echo "metrics record no segment_corrupt recovery after the manifest rollback" >&2
+    exit 1
+fi
+
 step "serve smoke: scripted incremental session vs batch recheck"
 # A scripted session: a delta dirties CITY_STATE, so the check must
 # re-verify only the two constraints reading it and answer the two

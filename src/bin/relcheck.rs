@@ -64,7 +64,10 @@
 //! on-disk index store (building and persisting whatever is missing or
 //! unusable); verdicts are identical to a cold run. The `index`
 //! subcommands manage the same store directly: `build` populates it,
-//! `verify` reports per-relation health read-only, `repair` rebuilds
+//! `verify` runs warm start's own segment checks without its repairs and
+//! prints, per relation, a clean hit, `not cached`, or the recoveries a
+//! warm start would record (the metrics `index_cache` reasons), exiting 0
+//! only when every relation would be a clean hit; `repair` rebuilds
 //! anything broken, `gc` removes orphaned files, and `apply` durably
 //! journals tuple deltas (`+REL:v1,v2,...` inserts, `-REL:v1,v2,...`
 //! deletes) and folds them into the cached indices via incremental
@@ -112,9 +115,9 @@ use relcheck::core_::plan::plans_to_json;
 use relcheck::core_::serve::{
     parse_delta, ServeActor, ServeClient, ServeConfig, ServeEngine, Submission,
 };
-use relcheck::core_::store::{Delta, IndexStore, VerifyStatus};
+use relcheck::core_::store::{Delta, IndexStore, VerifyOutcome};
 use relcheck::core_::telemetry::{
-    validate_metrics_json, validate_plan_json, AuditMetrics, RunBdd, RunMetrics,
+    validate_metrics_json, validate_plan_json, AuditMetrics, RecoveryRecord, RunBdd, RunMetrics,
 };
 use relcheck::core_::CoreError;
 use relcheck::logic::Formula;
@@ -520,15 +523,12 @@ fn print_violating_tuples(
 
 /// One verdict line of the `run`/`serve` baseline report.
 fn print_report_line(name: &str, report: &CheckReport) {
-    let status = match report.verdict {
-        Verdict::Holds => "ok",
-        Verdict::Violated => "VIOLATED",
-        Verdict::Degraded => "DEGRADED",
-        Verdict::Errored => "ERRORED",
-    };
     println!(
         "{:<32} {:<9} via {:?} in {:.2?}",
-        name, status, report.method, report.elapsed
+        name,
+        report.verdict.label(),
+        report.method,
+        report.elapsed
     );
     if let Some(err) = &report.error {
         println!("{:<32} ^ {err}", "");
@@ -1150,20 +1150,39 @@ fn cmd_index(args: &[String]) -> Result<bool, String> {
     let ordering = rest.ordering()?;
     rest.arm_failpoints()?;
     let (_spec, db) = load(spec_path)?;
+    let opts = CheckerOptions {
+        ordering,
+        ..Default::default()
+    };
+    let mut checker = Checker::new(db, opts);
     match sub {
         "verify" => {
             let store =
                 IndexStore::open(dir).map_err(|e| format!("opening index cache {dir}: {e}"))?;
-            let mut clean = true;
-            for (relation, status) in store.verify(&db, ordering) {
-                println!("{relation:<24} {status}");
-                if !matches!(status, VerifyStatus::Ok { .. }) {
-                    clean = false;
+            let outcomes = store
+                .verify(&mut checker)
+                .map_err(|e| format!("verifying {dir}: {e}"))?;
+            // A corrupt manifest is a store-wide recovery (relation `*`),
+            // recorded when the store opens.
+            let print = |rec: &RecoveryRecord| {
+                println!("{:<24} {}: {}", rec.relation, rec.reason, rec.detail);
+            };
+            store.stats.recoveries.iter().for_each(print);
+            let mut clean = store.stats.recoveries.is_empty();
+            for (relation, outcome) in &outcomes {
+                match outcome {
+                    VerifyOutcome::Hit { seg_seq, journal } => println!(
+                        "{relation:<24} ok (segment folds {seg_seq} of {journal} journal records)"
+                    ),
+                    VerifyOutcome::NotCached => println!("{relation:<24} not cached"),
+                    VerifyOutcome::Recover(recs) => recs.iter().for_each(print),
                 }
+                clean &= matches!(outcome, VerifyOutcome::Hit { .. });
             }
             Ok(clean)
         }
         "gc" => {
+            let db = checker.logical_db().db();
             let known: Vec<String> = db.relation_names().map(str::to_owned).collect();
             let mut store =
                 IndexStore::open(dir).map_err(|e| format!("opening index cache {dir}: {e}"))?;
@@ -1194,7 +1213,8 @@ fn cmd_index(args: &[String]) -> Result<bool, String> {
                     );
                 }
                 for (relation, delta) in &deltas {
-                    let arity = db.relation(relation).map_err(|e| e.to_string())?.arity();
+                    let rel = checker.logical_db().db().relation(relation);
+                    let arity = rel.map_err(|e| e.to_string())?.arity();
                     if delta.values().len() != arity {
                         return Err(format!(
                             "delta for {relation:?} has {} value(s); the relation has arity {arity}",
@@ -1220,11 +1240,6 @@ fn cmd_index(args: &[String]) -> Result<bool, String> {
                     );
                 }
             }
-            let opts = CheckerOptions {
-                ordering,
-                ..Default::default()
-            };
-            let mut checker = Checker::new(db, opts);
             store
                 .warm_start(&mut checker)
                 .map_err(|e| format!("warm-starting from {dir}: {e}"))?;

@@ -3,7 +3,7 @@
 //! persistence — each exercised end to end through the public facade.
 
 use relcheck::bdd::{BddManager, ExportedBdd};
-use relcheck::core_::checker::{Checker, CheckerOptions, CountedViolations};
+use relcheck::core_::checker::{self, Checker, CheckerOptions, CountedViolations};
 use relcheck::core_::registry::{ConstraintRegistry, Verdict};
 use relcheck::relstore::{Database, Raw};
 use relcheck::spec::parse_spec;
@@ -131,11 +131,15 @@ fn registry_over_spec_constraints() {
     let by_name: std::collections::HashMap<_, _> = verdicts.into_iter().collect();
     assert!(matches!(
         by_name["toronto-prefixes"],
-        Verdict::Cached { holds: false }
+        Verdict::Cached {
+            verdict: checker::Verdict::Violated
+        }
     ));
     assert!(matches!(
         by_name["reference-agrees"],
-        Verdict::Checked { holds: false }
+        Verdict::Checked {
+            verdict: checker::Verdict::Violated
+        }
     ));
 }
 
@@ -152,7 +156,7 @@ fn index_persistence_round_trip() {
     let bytes = snapshot.to_bytes();
 
     // "Restart": rebuild the same domain layout in a fresh manager.
-    let decoded = ExportedBdd::from_bytes(&bytes).unwrap();
+    let decoded = ExportedBdd::decode(&bytes).unwrap();
     let mut m2 = BddManager::new();
     let mut doms2 = Vec::new();
     {
