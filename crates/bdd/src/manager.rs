@@ -406,11 +406,6 @@ impl BddManager {
         self.node_limit = limit;
     }
 
-    /// The configured live-node limit, if any.
-    pub fn node_limit(&self) -> Option<usize> {
-        self.node_limit
-    }
-
     /// Arm (or clear) the cooperative wall-clock deadline. Once the instant
     /// passes, any in-flight memoized operation aborts with
     /// [`BddError::Deadline`] at its next recursion boundary (checked every
@@ -422,11 +417,6 @@ impl BddManager {
     /// The armed deadline, if any.
     pub fn deadline(&self) -> Option<std::time::Instant> {
         self.deadline
-    }
-
-    /// Total budget probes so far (one per memoized recursive call).
-    pub fn budget_steps(&self) -> u64 {
-        self.budget_steps
     }
 
     /// The cooperative cancellation probe, called at every memoized

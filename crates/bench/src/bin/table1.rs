@@ -76,9 +76,7 @@ fn main() {
         }
         let mut sizes = String::new();
         for (name, q) in &qs {
-            let ldb = ck.logical_db_mut();
-            ldb.shed_atom_cache();
-            ldb.gc();
+            ck.logical_db_mut().release_scratch();
             let (r, t) = timed(|| ck.check(q).unwrap());
             let cell = if r.method == Method::Bdd {
                 ms(t)

@@ -7,18 +7,21 @@
 //!
 //! 1. tries the **BDD path** — the rewrite pipeline plus compiled BDD
 //!    manipulation of Section 4;
-//! 2. on a node-budget abort (`BddError::NodeLimit`), garbage-collects and
-//!    **falls back to SQL** (the translated violation plan of
-//!    [`crate::sqlgen`]), exactly the paper's thresholding strategy;
-//! 3. for constraint shapes outside the SQL translator's class, falls back
-//!    to brute-force active-domain evaluation as a last resort.
+//! 2. on a budget abort (`BddError::NodeLimit`, a deadline or an injected
+//!    fault), releases the aborted work's scratch and **falls back to
+//!    SQL** (the translated violation plan of [`crate::sqlgen`]), exactly
+//!    the paper's thresholding strategy;
+//! 3. for constraint shapes outside the SQL translator's class, or when
+//!    the SQL rung fails, falls back to brute-force active-domain
+//!    evaluation as a last resort.
 //!
 //! The ladder is the only routing decision: no cost model predicts BDD
 //! size (Theorem 2 makes that NP-hard). A check enters at the SQL rung
 //! only when a relation it reads is SQL-only (its index build ran over
 //! budget, or [`Checker::mark_sql_only`] marked it, as serve does on a
-//! domain overflow) or when the serve governor sheds it
-//! ([`Checker::set_shed_load`]).
+//! domain overflow), when the serve governor sheds it
+//! ([`Checker::set_shed_load`]), or when the caller asks for the SQL
+//! baseline ([`Checker::check_sql`]). All three walk the same ladder.
 //!
 //! Once violated constraints are identified, [`Checker::find_violations`]
 //! runs the SQL plan to materialize the offending tuples, and
@@ -34,7 +37,7 @@ use crate::sqlgen::{self, Shape};
 use crate::telemetry::{
     CheckTrace, FallbackReason, IndexEvent, IndexProvenance, PassStat, PhaseTimings, RuleFiring,
 };
-use relcheck_bdd::{failpoint, BddError, StatsDelta};
+use relcheck_bdd::{failpoint, BddError, ManagerStats, StatsDelta};
 use relcheck_logic::eval::eval_sentence;
 use relcheck_logic::Formula;
 use relcheck_relstore::plan::execute;
@@ -83,18 +86,16 @@ impl Default for CheckerOptions {
 pub mod rung {
     /// Rung 1: the paper's BDD path.
     pub const BDD: &str = "bdd";
-    /// Rung 2: one retry of the BDD path after a GC.
-    pub const GC_RETRY: &str = "gc_retry";
-    /// Rung 3: the pre-translated SQL plan.
+    /// Rung 2: the pre-translated SQL plan.
     pub const SQL: &str = "sql";
-    /// Rung 4: brute-force active-domain evaluation.
+    /// Rung 3: brute-force active-domain evaluation.
     pub const BRUTE_FORCE: &str = "brute_force";
-    /// Rung 5: every rung failed; the verdict is degraded.
+    /// Rung 4: every rung failed; the verdict is degraded.
     pub const DEGRADED: &str = "degraded";
     /// The check died (panic or injected fault) before any rung answered.
     pub const ERRORED: &str = "errored";
     /// Every rung, in ladder order.
-    pub const ALL: [&str; 6] = [BDD, GC_RETRY, SQL, BRUTE_FORCE, DEGRADED, ERRORED];
+    pub const ALL: [&str; 5] = [BDD, SQL, BRUTE_FORCE, DEGRADED, ERRORED];
 }
 
 /// How a check was ultimately decided.
@@ -247,11 +248,11 @@ impl CheckReport {
     }
 }
 
-/// Build a check's trace: the one constructor [`Checker::check`],
-/// [`Checker::check_sql`] and [`CheckReport::errored`] share. `planned`
-/// carries the check's plan, the executor's R2 firings and the index
-/// provenance; the paths that run no plan pass `None` and record only
-/// the ladder, the fallback reason, the timings and the BDD work.
+/// Build a check's trace: the one constructor the ladder walk and
+/// [`CheckReport::errored`] share. `planned` carries the check's plan,
+/// the executor's R2 firings and the index provenance; the paths that run
+/// no plan pass `None` and record only the ladder, the fallback reason,
+/// the timings and the BDD work.
 fn trace(
     planned: Option<(&CheckPlan, Vec<RuleFiring>, Vec<IndexEvent>)>,
     fallback: Option<FallbackReason>,
@@ -471,6 +472,17 @@ impl std::fmt::Display for Explanation {
     }
 }
 
+/// Where a check enters the degradation ladder.
+enum Entry<'p> {
+    /// [`Checker::check`]: the plan's BDD step (when it has one and the
+    /// governor did not shed the check), then its SQL step. The trace
+    /// records the plan's passes and the index provenance.
+    Plan(&'p CheckPlan, Vec<IndexEvent>),
+    /// [`Checker::check_sql`]: the SQL rung, with the translated step
+    /// when the constraint has one.
+    Sql(Option<&'p SqlStep>),
+}
+
 /// The constraint-checking system (see module docs).
 pub struct Checker {
     ldb: LogicalDatabase,
@@ -529,17 +541,12 @@ impl Checker {
     }
 
     /// Enter (or leave) load-shedding mode: while set, checks skip the
-    /// BDD rungs and enter the ladder at SQL, recorded in the trace as
+    /// BDD rung and enter the ladder at SQL, recorded in the trace as
     /// [`FallbackReason::Overload`]. The SQL and brute-force rungs decide
     /// the same verdict the full ladder would, so shedding trades memory
     /// headroom for per-check speed without ever changing an answer.
     pub fn set_shed_load(&mut self, shed: bool) {
         self.shed_load = shed;
-    }
-
-    /// Whether load-shedding mode is active (see [`Checker::set_shed_load`]).
-    pub fn shed_load(&self) -> bool {
-        self.shed_load
     }
 
     /// Replace the per-check wall-clock deadline. The serve watchdog uses
@@ -587,8 +594,7 @@ impl Checker {
             // makes the relation SQL-only instead of failing the check:
             // every later reference routes through the fallback ladder.
             Err(e) if budget_abort(&e).is_some() => {
-                self.ldb.shed_atom_cache();
-                self.ldb.gc();
+                self.ldb.release_scratch();
                 self.sql_only.insert(name.to_owned());
                 Ok(false)
             }
@@ -672,17 +678,28 @@ impl Checker {
         fnv1a(&bytes)
     }
 
-    /// The preamble of every entry point that plans a constraint: reject
-    /// free variables, then index every relation the constraint reads (or
-    /// find it SQL-only). Returns one [`IndexEvent`] per relation, in
-    /// reference order.
-    fn prepare(&mut self, f: &Formula) -> Result<Vec<IndexEvent>> {
+    /// Reject a constraint no rung could read: one with free variables or
+    /// naming an unknown relation. Both are typed errors, never a
+    /// degraded verdict.
+    fn reject_malformed(&self, f: &Formula) -> Result<()> {
         let free = f.free_vars();
         if !free.is_empty() {
             return Err(CoreError::Logic(relcheck_logic::LogicError::FreeVariables(
                 free,
             )));
         }
+        for relation in Self::referenced_relations(f) {
+            self.ldb.db().relation(&relation)?;
+        }
+        Ok(())
+    }
+
+    /// The preamble of every entry point that plans a constraint: reject a
+    /// malformed one, then index every relation the constraint reads (or
+    /// find it SQL-only). Returns one [`IndexEvent`] per relation, in
+    /// reference order.
+    fn prepare(&mut self, f: &Formula) -> Result<Vec<IndexEvent>> {
+        self.reject_malformed(f)?;
         Self::referenced_relations(f)
             .into_iter()
             .map(|relation| {
@@ -730,9 +747,8 @@ impl Checker {
     }
 
     /// Decide a constraint. See module docs for the strategy; the full
-    /// degradation ladder (`DESIGN.md` §6) is BDD → GC-and-retry-once →
-    /// SQL plan → brute force → [`Verdict::Degraded`]. Every check plans
-    /// fresh.
+    /// degradation ladder (`DESIGN.md` §6) is BDD → SQL plan → brute
+    /// force → [`Verdict::Degraded`]. Every check plans fresh.
     pub fn check(&mut self, f: &Formula) -> Result<CheckReport> {
         // Arm the per-check wall-clock budget. The deadline lives in the
         // manager so the BDD recursion can poll it; clear it on every exit
@@ -762,8 +778,7 @@ impl Checker {
                 // cleanup is the check's work too, so the report's window
                 // closes after it.
                 self.ldb.manager_mut().set_deadline(None);
-                self.ldb.shed_atom_cache();
-                self.ldb.gc();
+                self.ldb.release_scratch();
                 Ok(CheckReport::errored(
                     panic_message(payload),
                     start.elapsed(),
@@ -778,9 +793,6 @@ impl Checker {
         let start = Instant::now();
         let before = self.ldb.manager().stats();
         let index_events = self.prepare(f)?;
-        let all_indexed = index_events
-            .iter()
-            .all(|e| e.provenance != IndexProvenance::SqlOnly);
         let index_time = start.elapsed();
         // Plan after ensuring indices: a budget-out build lands its
         // relation in `sql_only`, which the plan's routing and its schema
@@ -794,30 +806,58 @@ impl Checker {
         );
         debug_assert_eq!(
             plan.bdd.is_some(),
-            all_indexed,
+            index_events
+                .iter()
+                .all(|e| e.provenance != IndexProvenance::SqlOnly),
             "plan routing must agree with index state"
         );
+        self.walk_ladder(
+            f,
+            Entry::Plan(&plan, index_events),
+            start,
+            before,
+            index_time,
+        )
+    }
+
+    /// The degradation ladder (`DESIGN.md` §6), walked once per check
+    /// from `entry`: the BDD rung, then SQL, then brute force, and
+    /// `degraded` when no rung decided. A budget abort on the BDD rung
+    /// releases its scratch and falls to SQL; a failing SQL rung falls to
+    /// brute force. Only a hard (non-budget) error on the BDD rung
+    /// propagates. The report's window opened at `start`, with the
+    /// manager's counters at `before`.
+    fn walk_ladder(
+        &mut self,
+        f: &Formula,
+        entry: Entry<'_>,
+        start: Instant,
+        before: ManagerStats,
+        index: Duration,
+    ) -> Result<CheckReport> {
         let eval_start = Instant::now();
-        // R2 firings from the executor. They survive a node-budget abort on
+        let (bdd, sql, mut fallback, planned) = match entry {
+            Entry::Plan(plan, events) => {
+                let (bdd, fallback) = match &plan.bdd {
+                    None => (None, Some(FallbackReason::UnindexedRelation)),
+                    // The admission governor shed this check: skip the BDD
+                    // rung's node-heavy intermediates and enter at SQL,
+                    // which decides the same verdict.
+                    Some(_) if self.shed_load => (None, Some(FallbackReason::Overload)),
+                    Some(step) => (Some(step), None),
+                };
+                (bdd, plan.sql.as_ref(), fallback, Some((plan, events)))
+            }
+            Entry::Sql(step) => (None, step, None, None),
+        };
+        // R2 firings from the executor. They survive a budget abort on
         // purpose: they record the renames the BDD attempt performed before
         // defaulting to SQL. (R1/R3/R4 firings live in the plan's passes.)
         let mut r2: Vec<RuleFiring> = Vec::new();
-        let mut fallback: Option<FallbackReason> = None;
         let mut ladder: Vec<&'static str> = Vec::new();
-        let mut error: Option<String> = None;
+        let mut errors: Vec<String> = Vec::new();
         let mut decided: Option<(bool, Method)> = None;
-        let record_error = |error: &mut Option<String>, e: String| match error.take() {
-            Some(prev) => *error = Some(format!("{prev}; {e}")),
-            None => *error = Some(e),
-        };
-        if self.shed_load && plan.bdd.is_some() {
-            // The admission governor shed this check: skip the BDD rungs
-            // and enter the ladder at SQL, which decides the same verdict
-            // without building node-heavy intermediates (a plan already
-            // routed to SQL enters there regardless). Recorded as a
-            // fallback so the trace shows the ladder entered late.
-            fallback = Some(FallbackReason::Overload);
-        } else if let Some(step) = plan.bdd.as_ref() {
+        if let Some(step) = bdd {
             // Rung 1: the paper's BDD path — execute the plan's BDD step.
             ladder.push(rung::BDD);
             match crate::exec::execute_bdd(&mut self.ldb, step, &mut r2) {
@@ -826,99 +866,63 @@ impl Checker {
                     let Some(abort) = budget_abort(&e) else {
                         return Err(e);
                     };
-                    // Under memory pressure the cache is the first thing to
-                    // go: shedding it makes the retry (and every later
-                    // rung) see the same headroom an unshared manager has.
-                    self.ldb.shed_atom_cache();
-                    self.ldb.gc();
-                    if matches!(abort, BddError::NodeLimit { .. }) {
-                        // Rung 2: the GC may have freed enough scratch from
-                        // the aborted attempt for the same compile to fit;
-                        // retry exactly once before giving up on BDDs.
-                        ladder.push(rung::GC_RETRY);
-                        r2.clear();
-                        match crate::exec::execute_bdd(&mut self.ldb, step, &mut r2) {
-                            Ok(h) => decided = Some((h, Method::Bdd)),
-                            Err(e2) => {
-                                let Some(abort2) = budget_abort(&e2) else {
-                                    return Err(e2);
-                                };
-                                self.ldb.shed_atom_cache();
-                                self.ldb.gc();
-                                fallback = Some(match abort2 {
-                                    BddError::NodeLimit { limit, live } => {
-                                        FallbackReason::RetryExhausted { limit, live }
-                                    }
-                                    other => abort_reason(&other),
-                                });
-                            }
-                        }
-                    } else {
-                        // A deadline or injected fault will not be cured by
-                        // GC; escalate straight down the ladder.
-                        fallback = Some(abort_reason(&abort));
-                    }
+                    self.ldb.release_scratch();
+                    fallback = Some(abort_reason(&abort));
                 }
             }
-        } else {
-            fallback = Some(FallbackReason::UnindexedRelation);
         }
         if decided.is_none() {
-            // Rung 3: the plan's pre-translated SQL step (paper §4's
-            // "default to SQL" strategy). The rung is recorded even when
-            // the constraint is outside the translatable class — the
-            // ladder logs rungs tried, not rungs that answered.
+            // Rung 2: the pre-translated SQL step (paper §4's "default to
+            // SQL" strategy). The rung is recorded even when the
+            // constraint is outside the translatable class — the ladder
+            // logs rungs tried, not rungs that answered.
             ladder.push(rung::SQL);
-            match self.sql_rung(f, plan.sql.as_ref()) {
-                Ok(Some(d)) => decided = Some(d),
-                Ok(None) => {} // outside the translatable class
-                Err(e) => record_error(&mut error, e.to_string()),
+            match self.sql_rung(f, sql) {
+                Ok(answer) => decided = answer.map(|h| (h, Method::SqlFallback)),
+                Err(e) => errors.push(e.to_string()),
             }
         }
         if decided.is_none() {
-            // Rung 4: brute-force active-domain evaluation.
+            // Rung 3: brute-force active-domain evaluation.
             ladder.push(rung::BRUTE_FORCE);
             match eval_sentence(self.ldb.db(), f) {
                 Ok(h) => decided = Some((h, Method::BruteForce)),
-                Err(e) => record_error(&mut error, e.to_string()),
+                Err(e) => errors.push(e.to_string()),
             }
         }
         let (holds, method, verdict) = match decided {
             Some((h, m)) => (h, m, if h { Verdict::Holds } else { Verdict::Violated }),
             None => {
-                // Rung 5: every rung failed. Surface an explicit Degraded
+                // Rung 4: every rung failed. Surface an explicit Degraded
                 // verdict instead of an answer we don't have.
                 ladder.push(rung::DEGRADED);
                 (true, Method::Aborted, Verdict::Degraded)
             }
         };
-        let eval_time = eval_start.elapsed();
+        let eval = eval_start.elapsed();
         self.ldb.collect_if_due();
         let bdd = self.ldb.manager().stats().delta_since(&before);
         Ok(CheckReport {
             holds,
             verdict,
-            error,
+            error: (!errors.is_empty()).then(|| errors.join("; ")),
             method,
             elapsed: start.elapsed(),
             live_nodes: self.ldb.manager().live_nodes(),
             trace: trace(
-                Some((&plan, r2, index_events)),
+                planned.map(|(plan, events)| (plan, r2, events)),
                 fallback,
                 ladder,
-                PhaseTimings {
-                    index: index_time,
-                    eval: eval_time,
-                },
+                PhaseTimings { index, eval },
                 bdd,
             ),
         })
     }
 
-    /// The SQL-plan rung: execute the plan's pre-translated step.
-    /// `Ok(None)` means the constraint is outside the translatable class
-    /// (callers then brute-force).
-    fn sql_rung(&mut self, f: &Formula, step: Option<&SqlStep>) -> Result<Option<(bool, Method)>> {
+    /// The SQL rung: execute the pre-translated step. `Ok(None)` means
+    /// the constraint is outside the translatable class (the walk then
+    /// brute-forces).
+    fn sql_rung(&mut self, f: &Formula, step: Option<&SqlStep>) -> Result<Option<bool>> {
         if failpoint::enabled() {
             let key = failpoint::key_str(&f.to_string());
             if failpoint::should_fail(failpoint::SQL_FALLBACK, key) {
@@ -927,59 +931,21 @@ impl Checker {
                 }));
             }
         }
-        match step {
-            Some(s) => Ok(Some((
-                crate::exec::execute_sql(self.ldb.db(), s)?,
-                Method::SqlFallback,
-            ))),
-            None => Ok(None),
-        }
-    }
-
-    fn check_via_sql(&mut self, f: &Formula) -> Result<(bool, Method)> {
-        let step =
-            sqlgen::violation_plan(self.ldb.db(), f).map(|translated| SqlStep { translated });
-        match self.sql_rung(f, step.as_ref())? {
-            Some(d) => Ok(d),
-            None => Ok((eval_sentence(self.ldb.db(), f)?, Method::BruteForce)),
-        }
+        step.map(|s| crate::exec::execute_sql(self.ldb.db(), s))
+            .transpose()
     }
 
     /// Decide a constraint strictly via the SQL path (the paper's baseline;
-    /// used by the benchmark harness for the BDD-vs-SQL comparisons).
+    /// used by the benchmark harness for the BDD-vs-SQL comparisons): the
+    /// ladder entered at the SQL rung with the constraint's translated
+    /// violation plan. Builds no index and runs no planner pass.
     pub fn check_sql(&mut self, f: &Formula) -> Result<CheckReport> {
         let start = Instant::now();
         let before = self.ldb.manager().stats();
-        let (holds, method) = self.check_via_sql(f)?;
-        let elapsed = start.elapsed();
-        let ladder = if method == Method::BruteForce {
-            vec![rung::SQL, rung::BRUTE_FORCE]
-        } else {
-            vec![rung::SQL]
-        };
-        let bdd = self.ldb.manager().stats().delta_since(&before);
-        Ok(CheckReport {
-            holds,
-            verdict: if holds {
-                Verdict::Holds
-            } else {
-                Verdict::Violated
-            },
-            error: None,
-            method,
-            elapsed,
-            live_nodes: self.ldb.manager().live_nodes(),
-            trace: trace(
-                None,
-                None,
-                ladder,
-                PhaseTimings {
-                    index: Duration::ZERO,
-                    eval: elapsed,
-                },
-                bdd,
-            ),
-        })
+        self.reject_malformed(f)?;
+        let step =
+            sqlgen::violation_plan(self.ldb.db(), f).map(|translated| SqlStep { translated });
+        self.walk_ladder(f, Entry::Sql(step.as_ref()), start, before, Duration::ZERO)
     }
 
     /// Check many named constraints, returning each report. This is the
@@ -1026,8 +992,7 @@ impl Checker {
         }
         let result = match self.counted_violations(f, limit) {
             Err(e) if budget_abort(&e).is_some() => {
-                self.ldb.shed_atom_cache();
-                self.ldb.gc();
+                self.ldb.release_scratch();
                 Ok(None)
             }
             other => other,
@@ -1069,16 +1034,15 @@ impl Checker {
     /// `rhs` to get `B₂`; the FD holds iff both projections have the same
     /// tuple count (each `lhs` group maps to exactly one `rhs` value).
     /// Answers with [`Checker::check_fd_sql`] when the index is over budget
-    /// or the projections abort on it (after shedding the atom cache and
-    /// collecting, as [`Checker::find_violations_counted`] does).
+    /// or the projections abort on it (after releasing their scratch, as
+    /// [`Checker::find_violations_counted`] does).
     pub fn check_fd_bdd(&mut self, relation: &str, lhs: &[usize], rhs: &[usize]) -> Result<bool> {
         if !self.ensure_index(relation)? {
             return self.check_fd_sql(relation, lhs, rhs);
         }
         let result = match self.fd_projections_agree(relation, lhs, rhs) {
             Err(e) if budget_abort(&e).is_some() => {
-                self.ldb.shed_atom_cache();
-                self.ldb.gc();
+                self.ldb.release_scratch();
                 return self.check_fd_sql(relation, lhs, rhs);
             }
             other => other,
@@ -1504,6 +1468,11 @@ mod tests {
         let mut ck = Checker::new(db(), CheckerOptions::default());
         let f = parse("CUST(c, a, s)").unwrap();
         assert!(matches!(ck.check(&f), Err(CoreError::Logic(_))));
+        assert!(matches!(ck.check_sql(&f), Err(CoreError::Logic(_))));
+        // An unknown relation is a typed error on either entry too.
+        let g = parse("forall x. NOPE(x) -> x = 1").unwrap();
+        assert!(ck.check(&g).is_err());
+        assert!(ck.check_sql(&g).is_err());
     }
 
     #[test]

@@ -263,13 +263,14 @@ impl LogicalDatabase {
             .collect()
     }
 
-    /// Drop every shared-subgraph cache entry, keeping sharing enabled —
-    /// the memory-pressure valve. The degradation ladder sheds the cache
-    /// on any node-budget abort before its GC-retry, so a tight budget
-    /// behaves exactly like an unshared manager instead of failing checks
-    /// that would fit without the cache's pinned roots.
-    pub fn shed_atom_cache(&mut self) {
+    /// Drop every shared-subgraph cache entry, keeping sharing enabled,
+    /// and collect everything but the index roots — the memory-pressure
+    /// valve. Every site that absorbs a budget abort or a panic releases
+    /// the aborted work's scratch here, so the next check or rung sees
+    /// the headroom an unshared manager has.
+    pub fn release_scratch(&mut self) {
         self.atom_cache.clear();
+        self.gc();
     }
 
     /// Forget a relation's atom-cache entries: its index was just

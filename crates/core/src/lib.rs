@@ -33,7 +33,8 @@
 //!   from the SQL plan or the violation BDD), with per-check
 //!   method/size/timing reports. Its degradation ladder is the one place
 //!   a check is routed to BDD or SQL: the BDD rung first, SQL past the
-//!   node budget, as in the paper.
+//!   node budget, as in the paper, then brute force. `check_sql` walks
+//!   the same ladder from its SQL rung.
 //! * [`serve`] — [`serve::ServeEngine`], the long-lived session engine
 //!   behind `relcheck serve`: deltas dirty relations, and each check
 //!   re-verifies only the constraints whose read-set intersects the

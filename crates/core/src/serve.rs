@@ -901,14 +901,11 @@ fn service_request(
             // The checker's panic guard already unwind-isolates checks;
             // this catches everything else (a parse or bookkeeping bug)
             // so one poisoned request cannot take down every session.
-            // Clear any armed manager deadline and reclaim dead nodes
-            // before the next request.
-            engine
-                .checker_mut()
-                .logical_db_mut()
-                .manager_mut()
-                .set_deadline(None);
-            engine.checker_mut().logical_db_mut().gc();
+            // Clear any armed manager deadline and release the request's
+            // scratch before the next request.
+            let ldb = engine.checker_mut().logical_db_mut();
+            ldb.manager_mut().set_deadline(None);
+            ldb.release_scratch();
             Reply {
                 lines: vec![format!(
                     "err internal: request failed: {}",

@@ -644,11 +644,6 @@ impl IndexStore {
         Ok(store)
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn manifest_path(&self) -> PathBuf {
         self.dir.join(MANIFEST_FILE)
     }

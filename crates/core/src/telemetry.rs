@@ -37,7 +37,7 @@ use std::time::Duration;
 
 /// The metrics document's `schema_version`: the one version the writer
 /// emits and the validator accepts.
-const SCHEMA_VERSION: i64 = 12;
+const SCHEMA_VERSION: i64 = 13;
 
 /// The rewrite rules of the paper's Section 4 pipeline, numbered as the
 /// telemetry schema reports them.
@@ -143,14 +143,6 @@ pub enum FallbackReason {
     /// The per-check wall-clock deadline expired mid-recursion
     /// ([`relcheck_bdd::BddError::Deadline`]).
     Deadline,
-    /// The node-budget abort survived a GC-and-retry: both BDD attempts
-    /// busted the budget, so the ladder left the BDD path for good.
-    RetryExhausted {
-        /// The configured budget.
-        limit: usize,
-        /// Live nodes at the second abort.
-        live: usize,
-    },
     /// The check was killed outright — a caught panic payload or an
     /// injected-fault description (`relcheck run --fail-spec`).
     Panic(String),
@@ -163,11 +155,10 @@ pub enum FallbackReason {
 impl FallbackReason {
     /// One value of every variant (payloads empty), so the validator can
     /// walk the reason vocabulary.
-    const VARIANTS: [FallbackReason; 6] = [
+    const VARIANTS: [FallbackReason; 5] = [
         FallbackReason::NodeLimit { limit: 0, live: 0 },
         FallbackReason::UnindexedRelation,
         FallbackReason::Deadline,
-        FallbackReason::RetryExhausted { limit: 0, live: 0 },
         FallbackReason::Panic(String::new()),
         FallbackReason::Overload,
     ];
@@ -178,7 +169,6 @@ impl FallbackReason {
             FallbackReason::NodeLimit { .. } => "node_limit",
             FallbackReason::UnindexedRelation => "unindexed_relation",
             FallbackReason::Deadline => "deadline",
-            FallbackReason::RetryExhausted { .. } => "retry_exhausted",
             FallbackReason::Panic(_) => "panic",
             FallbackReason::Overload => "overload",
         }
@@ -529,7 +519,7 @@ impl OverloadMetrics {
     }
 }
 
-/// The top-level machine-readable report (`schema_version` 12). See
+/// The top-level machine-readable report (`schema_version` 13). See
 /// `DESIGN.md` for field meanings and stability guarantees.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
@@ -575,7 +565,7 @@ impl RunMetrics {
         }
     }
 
-    /// Render the schema-version-12 JSON document.
+    /// Render the schema-version-13 JSON document.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj_open();
@@ -767,8 +757,7 @@ fn write_fallback(w: &mut JsonWriter, fb: &FallbackReason) {
     w.key("reason");
     w.string(fb.name());
     match fb {
-        FallbackReason::NodeLimit { limit, live }
-        | FallbackReason::RetryExhausted { limit, live } => {
+        FallbackReason::NodeLimit { limit, live } => {
             w.key("limit");
             w.raw(&limit.to_string());
             w.key("live");
@@ -920,14 +909,6 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -1155,8 +1136,10 @@ fn array<'a>(v: &'a Json, at: &str, name: &str) -> Check<&'a [Json]> {
     expect(v, at, name, "an array", Json::as_arr)
 }
 
-fn boolean(v: &Json, at: &str, name: &str) -> Check<bool> {
-    expect(v, at, name, "a boolean", Json::as_bool)
+fn boolean(v: &Json, at: &str, name: &str) -> Check<()> {
+    expect(v, at, name, "a boolean", |j| {
+        matches!(j, Json::Bool(_)).then_some(())
+    })
 }
 
 /// A counter: present, an integer, and `>= 0`.
@@ -1278,7 +1261,7 @@ fn check_pass(p: &Json, at: &str) -> Check<()> {
 /// The method a report whose ladder ended on `last` carries.
 fn rung_method(last: &str) -> Method {
     match last {
-        rung::BDD | rung::GC_RETRY => Method::Bdd,
+        rung::BDD => Method::Bdd,
         rung::SQL => Method::SqlFallback,
         rung::BRUTE_FORCE => Method::BruteForce,
         _ => Method::Aborted,
@@ -1319,7 +1302,7 @@ fn check_trace(t: &Json, at: &str, method: &str) -> Check<bool> {
             .find(|r| r.name() == reason)
             .ok_or(format!("{fat}: unknown reason {reason:?}"))?;
         match variant {
-            FallbackReason::NodeLimit { .. } | FallbackReason::RetryExhausted { .. } => {
+            FallbackReason::NodeLimit { .. } => {
                 count(fb, &fat, "limit")?;
                 count(fb, &fat, "live")?;
             }
@@ -1331,12 +1314,23 @@ fn check_trace(t: &Json, at: &str, method: &str) -> Check<bool> {
             | FallbackReason::Overload => {}
         }
     }
+    // A walk visits each rung at most once, in ladder order.
     let ladder = array(t, at, "ladder")?;
+    let mut prev = None;
     for r in ladder {
         let name = r
             .as_str()
             .ok_or(format!("{at}.ladder: rung must be a string"))?;
-        member(&join(at, "ladder"), "rung", name, rung::ALL)?;
+        let pos = rung::ALL
+            .iter()
+            .position(|&known| known == name)
+            .ok_or(format!("{at}.ladder: unknown rung {name:?}"))?;
+        if prev.is_some_and(|p| pos <= p) {
+            return Err(format!(
+                "{at}.ladder: rung {name:?} is out of order or repeated"
+            ));
+        }
+        prev = Some(pos);
     }
     let last = ladder
         .last()
@@ -1709,9 +1703,9 @@ mod tests {
         // document of an older (or future) schema is accepted.
         let doc = golden_metrics().to_json();
         validate_metrics_json(&doc).unwrap();
-        for version in (1..=11).chain([13]) {
+        for version in (1..=12).chain([14]) {
             let other = doc.replace(
-                "\"schema_version\":12",
+                "\"schema_version\":13",
                 &format!("\"schema_version\":{version}"),
             );
             let err = validate_metrics_json(&other).unwrap_err();
@@ -1767,12 +1761,46 @@ mod tests {
             ("\"pass\":\"refutation-nnf\"", "\"pass\":\"inline\""),
             ("\"provenance\":\"reused\"", "\"provenance\":\"borrowed\""),
             ("\"reason\":\"deadline\"", "\"reason\":\"bored\""),
-            ("\"gc_retry\"", "\"gc_again\""),
+            ("\"degraded\"]", "\"given_up\"]"),
         ] {
             let bad = doc.replacen(from, to, 1);
             assert_ne!(bad, doc, "{from} not in the golden document");
             let err = validate_metrics_json(&bad).unwrap_err();
             assert!(err.contains("unknown"), "{from}: {err}");
+        }
+    }
+
+    #[test]
+    fn validator_rejects_removed_rungs_and_disordered_ladders() {
+        // Schema 12's retry rung and its reason are no longer vocabulary,
+        // and a ladder visits each rung at most once, in ladder order.
+        let doc = golden_metrics().to_json();
+        for (from, to, want) in [
+            (
+                "\"ladder\":[\"bdd\",\"sql\"]",
+                "\"ladder\":[\"bdd\",\"gc_retry\",\"sql\"]",
+                "unknown rung \"gc_retry\"",
+            ),
+            (
+                "\"reason\":\"node_limit\"",
+                "\"reason\":\"retry_exhausted\"",
+                "unknown reason \"retry_exhausted\"",
+            ),
+            (
+                "\"ladder\":[\"bdd\",\"sql\"]",
+                "\"ladder\":[\"sql\",\"bdd\"]",
+                "rung \"bdd\" is out of order or repeated",
+            ),
+            (
+                "\"ladder\":[\"bdd\",\"sql\"]",
+                "\"ladder\":[\"bdd\",\"sql\",\"sql\"]",
+                "rung \"sql\" is out of order or repeated",
+            ),
+        ] {
+            let bad = doc.replacen(from, to, 1);
+            assert_ne!(bad, doc, "{from} not in the golden document");
+            let err = validate_metrics_json(&bad).unwrap_err();
+            assert!(err.contains(want), "{to}: {err}");
         }
     }
 
@@ -2148,7 +2176,7 @@ mod tests {
 
     /// One document exercising every block the writer can emit: all
     /// optional blocks present, a run-level `bdd` block, armed-failpoint
-    /// evidence, an index-cache recovery, all six fallback reasons, a
+    /// evidence, an index-cache recovery, all five fallback reasons, a
     /// pass with no paper rule, and every ladder rung.
     fn golden_metrics() -> RunMetrics {
         let named = |name: &str, report| (name.to_owned(), report);
@@ -2202,17 +2230,17 @@ mod tests {
                     ),
                 ),
                 named(
-                    "retry-exhausted",
+                    "degraded",
                     report(
                         Verdict::Degraded,
                         Some("every rung failed"),
                         Method::Aborted,
                         trace(
-                            Some(FallbackReason::RetryExhausted {
+                            Some(FallbackReason::NodeLimit {
                                 limit: 500,
                                 live: 777,
                             }),
-                            vec!["bdd", "gc_retry", "sql", "brute_force", "degraded"],
+                            vec!["bdd", "sql", "brute_force", "degraded"],
                             5,
                         ),
                     ),
@@ -2308,7 +2336,7 @@ mod tests {
     }
 
     const GOLDEN_METRICS: &str = concat!(
-        r#"{"schema_version":12,"tool":"relcheck","constraints":["#,
+        r#"{"schema_version":13,"tool":"relcheck","constraints":["#,
         r#"{"name":"stays-on-bdd","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"#,
         r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
@@ -2341,11 +2369,11 @@ mod tests {
         r#""bdd":{"created_nodes":40,"cache_hits":85,"cache_misses":45,"gc_runs":4,"ops":[{"op":"apply","calls":4,"cache_hits":4,"cache_misses":0},{"op":"not","calls":6,"cache_hits":5,"cache_misses":1},{"op":"ite","calls":8,"cache_hits":6,"cache_misses":2},"#,
         r#"{"op":"exists","calls":10,"cache_hits":7,"cache_misses":3},{"op":"forall","calls":12,"cache_hits":8,"cache_misses":4},{"op":"app_exists","calls":14,"cache_hits":9,"cache_misses":5},{"op":"app_forall","calls":16,"cache_hits":10,"cache_misses":6},"#,
         r#"{"op":"replace","calls":18,"cache_hits":11,"cache_misses":7},{"op":"restrict","calls":20,"cache_hits":12,"cache_misses":8},{"op":"constrain","calls":22,"cache_hits":13,"cache_misses":9}]}}},"#,
-        r#"{"name":"retry-exhausted","holds":true,"verdict":"degraded","error":"every rung failed","method":"aborted","elapsed_ns":1234,"#,
+        r#"{"name":"degraded","holds":true,"verdict":"degraded","error":"every rung failed","method":"aborted","elapsed_ns":1234,"#,
         r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"retry_exhausted","limit":500,"live":777},"ladder":["bdd","gc_retry","sql","brute_force","degraded"],"timings":{"index_ns":105,"eval_ns":205},"#,
+        r#""fallback":{"reason":"node_limit","limit":500,"live":777},"ladder":["bdd","sql","brute_force","degraded"],"timings":{"index_ns":105,"eval_ns":205},"#,
         r#""bdd":{"created_nodes":50,"cache_hits":95,"cache_misses":45,"gc_runs":5,"ops":[{"op":"apply","calls":5,"cache_hits":5,"cache_misses":0},{"op":"not","calls":7,"cache_hits":6,"cache_misses":1},{"op":"ite","calls":9,"cache_hits":7,"cache_misses":2},"#,
         r#"{"op":"exists","calls":11,"cache_hits":8,"cache_misses":3},{"op":"forall","calls":13,"cache_hits":9,"cache_misses":4},{"op":"app_exists","calls":15,"cache_hits":10,"cache_misses":5},{"op":"app_forall","calls":17,"cache_hits":11,"cache_misses":6},"#,
         r#"{"op":"replace","calls":19,"cache_hits":12,"cache_misses":7},{"op":"restrict","calls":21,"cache_hits":13,"cache_misses":8},{"op":"constrain","calls":23,"cache_hits":14,"cache_misses":9}]}}},"#,

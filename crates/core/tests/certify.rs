@@ -10,6 +10,7 @@ use relcheck_core::certify::{
 };
 use relcheck_core::checker::{Checker, CheckerOptions, Verdict};
 use relcheck_core::registry::ConstraintRegistry;
+use relcheck_core::telemetry::FallbackReason;
 use relcheck_logic::{parse, Formula};
 use relcheck_relstore::{Database, Raw};
 
@@ -371,13 +372,14 @@ fn non_forall_prefixed_constraints_certify_witness_free() {
     verify_certificate(&db, &battery, &cert).unwrap();
 }
 
-/// A check the GC-and-retry rung decides certifies as `gc_retry`, the
-/// rung its trace ends on, and the certificate still audits. The node
-/// limit is set to exactly what the check needs over the indices, and
-/// unreferenced nodes are left in the arena first: the first BDD attempt
-/// trips the limit, the collection frees the garbage, and the retry fits.
+/// A node-limit abort on the BDD rung falls straight to SQL, and the
+/// check certifies as `sql`, the rung its trace ends on. The node limit
+/// is set to exactly what the check needs over the indices, and
+/// unreferenced nodes are left in the arena first: the BDD attempt trips
+/// the limit, and the abort's collection frees the garbage, so the next
+/// check fits on the BDD rung.
 #[test]
-fn a_check_decided_on_the_gc_retry_certifies_as_gc_retry() {
+fn a_node_limit_abort_falls_to_sql_and_certifies_as_sql() {
     let db = phones_db();
     let battery = battery();
     let (name, f) = &battery[1]; // city-determines-state: violated
@@ -416,11 +418,21 @@ fn a_check_decided_on_the_gc_retry_certifies_as_gc_retry() {
     }
     assert!(m.live_nodes() > kept, "garbage left in the arena");
     let report = ck.check(f).unwrap();
-    assert_eq!(report.trace.ladder, vec!["bdd", "gc_retry"]);
-    assert_eq!(report.trace.fallback, None);
+    assert_eq!(report.trace.ladder, vec!["bdd", "sql"]);
+    assert_eq!(
+        report.trace.fallback,
+        Some(FallbackReason::NodeLimit {
+            limit: 49,
+            live: 49
+        })
+    );
     assert_eq!(report.verdict, Verdict::Violated);
 
     let cert = emit_certificate(&mut ck, name, f, &report, 10).unwrap();
-    assert_eq!(cert.rung, "gc_retry");
+    assert_eq!(cert.rung, "sql");
     verify_certificate(&db, &battery, &cert).unwrap();
+
+    let next = ck.check(f).unwrap();
+    assert_eq!(next.trace.ladder, vec!["bdd"]);
+    assert_eq!(next.verdict, Verdict::Violated);
 }

@@ -375,15 +375,14 @@ fn node_limit_fallback_is_reported_in_the_trace() {
     let report = ck.check(&f).unwrap();
     assert_eq!(report.method, Method::SqlFallback);
     let trace = report.trace;
-    // The ladder records both BDD attempts (the GC-and-retry also busted
-    // the budget) before the SQL rung decided the check.
-    assert_eq!(trace.ladder, vec!["bdd", "gc_retry", "sql"]);
+    // The BDD attempt busted the budget, and the SQL rung decided.
+    assert_eq!(trace.ladder, vec!["bdd", "sql"]);
     match trace.fallback {
-        Some(relcheck_core::telemetry::FallbackReason::RetryExhausted { limit, live }) => {
+        Some(relcheck_core::telemetry::FallbackReason::NodeLimit { limit, live }) => {
             assert_eq!(limit, 18);
             assert!(live >= limit, "the abort fired at or past the budget");
         }
-        other => panic!("expected a retry-exhausted fallback reason, got {other:?}"),
+        other => panic!("expected a node-limit fallback reason, got {other:?}"),
     }
 }
 

@@ -24,6 +24,18 @@ done
 
 step() { echo; echo "==> $*"; }
 
+# Every temporary path this script makes, removed on exit however it
+# exits. `tmp VAR [-d] TEMPLATE` makes one with mktemp and registers it;
+# a derived path (`$X.verdicts`) is registered with `TEMPS+=(...)`.
+TEMPS=()
+trap 'rm -rf "${TEMPS[@]}"' EXIT
+tmp() {
+    local path
+    path="$(mktemp "${@:2}")"
+    TEMPS+=("$path")
+    printf -v "$1" '%s' "$path"
+}
+
 step "test suites: no crate-level #![cfg(...)] gates"
 # A suite gated off at crate level compiles to nothing, so its failures
 # can never show; every integration test file must build and run here.
@@ -53,8 +65,7 @@ fi
 step "metrics smoke: relcheck run --metrics on testdata/ + schema validation"
 # phones.spec contains deliberate violations, so `run` exits 1 (violations
 # found). Exit 2 is an operational error and must fail CI.
-METRICS_OUT="$(mktemp /tmp/relcheck-metrics.XXXXXX.json)"
-trap 'rm -f "$METRICS_OUT"' EXIT
+tmp METRICS_OUT /tmp/relcheck-metrics.XXXXXX.json
 set +e
 cargo run --release --quiet --bin relcheck -- \
     run testdata/phones.spec --metrics "$METRICS_OUT"
@@ -69,9 +80,8 @@ cargo run --release --quiet --bin relcheck -- metrics-check "$METRICS_OUT"
 step "plan smoke: relcheck plan on the example suite + determinism"
 # Two planning runs over the same spec must emit byte-identical output
 # (fingerprints included) — the fingerprints certificates stamp.
-PLAN_A="$(mktemp /tmp/relcheck-plan-a.XXXXXX.txt)"
-PLAN_B="$(mktemp /tmp/relcheck-plan-b.XXXXXX.txt)"
-trap 'rm -f "$METRICS_OUT" "$PLAN_A" "$PLAN_B"' EXIT
+tmp PLAN_A /tmp/relcheck-plan-a.XXXXXX.txt
+tmp PLAN_B /tmp/relcheck-plan-b.XXXXXX.txt
 cargo run --release --quiet --bin relcheck -- plan testdata/phones.spec > "$PLAN_A"
 cargo run --release --quiet --bin relcheck -- plan testdata/phones.spec > "$PLAN_B"
 cmp "$PLAN_A" "$PLAN_B"
@@ -119,9 +129,8 @@ step "path differential: BDD vs SQL verdicts on every testdata/*.spec"
 # once strictly through the translated SQL plans: the verdict lines (name
 # and verdict) must be identical, and the first run must really have
 # stayed on the BDD rung for the comparison to mean anything.
-BDD_OUT="$(mktemp /tmp/relcheck-bdd.XXXXXX.txt)"
-SQL_OUT="$(mktemp /tmp/relcheck-sql.XXXXXX.txt)"
-trap 'rm -f "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$BDD_OUT" "$SQL_OUT"' EXIT
+tmp BDD_OUT /tmp/relcheck-bdd.XXXXXX.txt
+tmp SQL_OUT /tmp/relcheck-sql.XXXXXX.txt
 for spec in testdata/*.spec; do
     for mode in bdd sql; do
         out="$BDD_OUT"; extra=""
@@ -151,9 +160,9 @@ step "ordering smoke: every --ordering prints the same run report"
 # committed spec, every strategy `run` accepts must print the report and
 # the listed tuples of the default prob-converge run byte for byte (the
 # per-constraint timings stripped). A removed strategy is a usage error.
-REF_OUT="$(mktemp /tmp/relcheck-ordering-ref.XXXXXX.txt)"
-ORD_OUT="$(mktemp /tmp/relcheck-ordering.XXXXXX.txt)"
-trap 'rm -f "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$REF_OUT" "$ORD_OUT"' EXIT
+tmp REF_OUT /tmp/relcheck-ordering-ref.XXXXXX.txt
+tmp ORD_OUT /tmp/relcheck-ordering.XXXXXX.txt
+TEMPS+=("$REF_OUT.raw" "$ORD_OUT.raw")
 for spec in testdata/*.spec; do
     for ordering in prob-converge max-inf-gain min-cond-entropy schema random; do
         out="$ORD_OUT"
@@ -200,8 +209,7 @@ step "fault-injection smoke: each failpoint site, fixed seed"
 # stay schema-valid, and the degradation section must record the firing.
 # Snapshots are decoded only when a warm start imports them, so the
 # snapshot-decode run reads an index cache a clean run filled first.
-FAULT_CACHE="$(mktemp -d /tmp/relcheck-fault-cache.XXXXXX)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$FAULT_CACHE"' EXIT
+tmp FAULT_CACHE -d /tmp/relcheck-fault-cache.XXXXXX
 set +e
 cargo run --release --quiet --bin relcheck -- \
     run testdata/phones.spec --index-cache "$FAULT_CACHE" >/dev/null
@@ -247,10 +255,10 @@ step "crash-recovery smoke: index cache warm starts, kills, and recovery"
 # hit every segment and produce byte-identical verdict lines; a run whose
 # cache was torn apart by failpoint kills must auto-rebuild (recorded in
 # the metrics index_cache section) and still produce the cold verdicts.
-CACHE_DIR="$(mktemp -d /tmp/relcheck-cache.XXXXXX)"
-COLD_OUT="$(mktemp /tmp/relcheck-cold.XXXXXX.txt)"
-WARM_OUT="$(mktemp /tmp/relcheck-warm.XXXXXX.txt)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT"' EXIT
+tmp CACHE_DIR -d /tmp/relcheck-cache.XXXXXX
+tmp COLD_OUT /tmp/relcheck-cold.XXXXXX.txt
+tmp WARM_OUT /tmp/relcheck-warm.XXXXXX.txt
+TEMPS+=("$COLD_OUT.verdicts" "$WARM_OUT.verdicts")
 
 run_cached() { # run_cached <outfile> [extra args...]
     local out="$1"; shift
@@ -384,10 +392,10 @@ step "serve smoke: scripted incremental session vs batch recheck"
 # The session's final verdicts (name + status) must match a batch
 # `relcheck run` over the same cache — the journaled deltas make the
 # batch run see the session's final state.
-SERVE_DIR="$(mktemp -d /tmp/relcheck-serve.XXXXXX)"
-SERVE_OUT="$(mktemp /tmp/relcheck-serve.XXXXXX.txt)"
-BATCH_OUT="$(mktemp /tmp/relcheck-batch.XXXXXX.txt)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT"' EXIT
+tmp SERVE_DIR -d /tmp/relcheck-serve.XXXXXX
+tmp SERVE_OUT /tmp/relcheck-serve.XXXXXX.txt
+tmp BATCH_OUT /tmp/relcheck-batch.XXXXXX.txt
+TEMPS+=("$SERVE_OUT.verdicts" "$BATCH_OUT.verdicts")
 set +e
 printf '+CITY_STATE:Newark,NY\ncheck\n-CITY_STATE:Newark,NY\ncheck\n+CITY_STATE:Selkirk,MB\ncheck\nstats\nquit\n' | \
     cargo run --release --quiet --bin relcheck -- \
@@ -436,8 +444,7 @@ step "overload smoke: 8 concurrent socket clients vs a depth-1 queue"
 # with certify/check traffic. The server must shed and reject under the
 # load, keep every decided verdict correct, drain gracefully on quit,
 # and emit a metrics document whose overload counters validate.
-OVER_DIR="$(mktemp -d /tmp/relcheck-overload.XXXXXX)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$OVER_DIR"' EXIT
+tmp OVER_DIR -d /tmp/relcheck-overload.XXXXXX
 SOCK="$OVER_DIR/relcheck.sock"
 BIN=./target/release/relcheck
 "$BIN" serve testdata/phones.spec --socket "$SOCK" \
@@ -552,10 +559,9 @@ step "audit smoke: run → certify → verify → tamper → expect rejection"
 # whose every decided certificate passes the independent re-check; a
 # single-character tamper of a witness value must be rejected (exit 1
 # from `audit verify`, with the typed error on the offending line).
-BUNDLE="$(mktemp /tmp/relcheck-bundle.XXXXXX.json)"
-TAMPERED="$(mktemp /tmp/relcheck-tampered.XXXXXX.json)"
-AUDIT_OUT="$(mktemp /tmp/relcheck-audit.XXXXXX.txt)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT"' EXIT
+tmp BUNDLE /tmp/relcheck-bundle.XXXXXX.json
+tmp TAMPERED /tmp/relcheck-tampered.XXXXXX.json
+tmp AUDIT_OUT /tmp/relcheck-audit.XXXXXX.txt
 set +e
 cargo run --release --quiet --bin relcheck -- \
     run testdata/phones.spec --certify "$BUNDLE" --metrics "$METRICS_OUT" >/dev/null
@@ -626,16 +632,23 @@ if ! grep -q 'FAILED' "$AUDIT_OUT"; then
     exit 1
 fi
 
-step "metrics schema smoke: metrics-check accepts exactly schema 12"
+step "metrics schema smoke: metrics-check accepts exactly schema 13"
 # The audit smoke's certified run left a complete metrics document (its
 # audit block included) in $METRICS_OUT.
-if ! grep -q '"schema_version":12' "$METRICS_OUT"; then
-    echo "run metrics is not schema v12" >&2
+if ! grep -q '"schema_version":13' "$METRICS_OUT"; then
+    echo "run metrics is not schema v13" >&2
     exit 1
 fi
 for removed in policy threads fleet telemetry_enabled total_ns; do
     if grep -q "\"$removed\":" "$METRICS_OUT"; then
         echo "run metrics still carries the removed $removed field" >&2
+        exit 1
+    fi
+done
+# Schema 13 dropped the retry rung and its fallback reason.
+for removed in gc_retry retry_exhausted; do
+    if grep -q "\"$removed\"" "$METRICS_OUT"; then
+        echo "run metrics still names the removed $removed" >&2
         exit 1
     fi
 done
@@ -648,8 +661,7 @@ fi
 # whose trace is null, a method its ladder's last rung contradicts, and a
 # hostile nesting depth, must each be rejected as an error (exit 2),
 # never crash the process (134 is a stack-overflow abort).
-NEG_DOC="$(mktemp /tmp/relcheck-neg.XXXXXX.json)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$NEG_DOC"' EXIT
+tmp NEG_DOC /tmp/relcheck-neg.XXXXXX.json
 expect_rejected() { # expect_rejected <label>
     set +e
     "$BIN" metrics-check "$NEG_DOC" >/dev/null 2>&1
@@ -668,15 +680,20 @@ neg_edit() { # neg_edit <label> <sed-expression>: NEG_DOC := edited METRICS_OUT
     fi
     expect_rejected "$1"
 }
-for version in 11 13; do
+for version in 12 14; do
     neg_edit "a schema_version $version document" \
-        "s/\"schema_version\":12/\"schema_version\":$version/"
+        "s/\"schema_version\":13/\"schema_version\":$version/"
 done
 # The first constraint's trace becomes null (its object is kept under
 # another key, so the document stays well-formed).
 neg_edit "a null trace" 's/"trace":{/"trace":null,"untraced":{/'
 # The first constraint decides on the BDD rung; relabel its method.
 neg_edit "a ladder/method mismatch" 's/"method":"bdd"/"method":"sql_fallback"/'
+# Schema 12's retry rung and reason are unknown; a ladder runs in order.
+neg_edit "a gc_retry rung" 's/"ladder":\["bdd"\]/"ladder":["gc_retry","bdd"]/'
+neg_edit "a retry_exhausted reason" \
+    's/"fallback":null/"fallback":{"reason":"retry_exhausted","limit":1,"live":1}/'
+neg_edit "an out-of-order ladder" 's/"ladder":\["bdd"\]/"ladder":["sql","bdd"]/'
 head -c 100000 /dev/zero | tr '\0' '[' >"$NEG_DOC"
 expect_rejected "a 100000-deep array"
 rm -f "$NEG_DOC"
@@ -696,10 +713,9 @@ step "experiment smoke: table1 and fig6 at small size + metrics validation"
 # heuristics' accuracy, so two runs must print the same bytes: the
 # heuristics are deterministic, whatever order the generators' hash sets
 # hand them rows in.
-TABLE1_METRICS="$(mktemp /tmp/relcheck-table1.XXXXXX.json)"
-FIG3_A="$(mktemp /tmp/relcheck-fig3-a.XXXXXX.txt)"
-FIG3_B="$(mktemp /tmp/relcheck-fig3-b.XXXXXX.txt)"
-trap 'rm -rf "$METRICS_OUT" "$PLAN_A" "$PLAN_B" "$CACHE_DIR" "$COLD_OUT" "$WARM_OUT" "$SERVE_DIR" "$SERVE_OUT" "$BATCH_OUT" "$BUNDLE" "$TAMPERED" "$AUDIT_OUT" "$NEG_DOC" "$TABLE1_METRICS" "$FIG3_A" "$FIG3_B"' EXIT
+tmp TABLE1_METRICS /tmp/relcheck-table1.XXXXXX.json
+tmp FIG3_A /tmp/relcheck-fig3-a.XXXXXX.txt
+tmp FIG3_B /tmp/relcheck-fig3-b.XXXXXX.txt
 cargo run --release --quiet -p relcheck-bench --bin table1 -- \
     --tuples 2000 --metrics "$TABLE1_METRICS" >/dev/null
 cargo run --release --quiet --bin relcheck -- metrics-check "$TABLE1_METRICS"

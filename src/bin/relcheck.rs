@@ -21,8 +21,8 @@
 //!
 //! The spec file declares CSV-backed tables and named first-order
 //! constraints (see [`relcheck::spec`]). `run` loads everything, identifies
-//! the violated constraints on BDD logical indices (or pure SQL with
-//! `--sql`), prints a report, lists up to `--limit` violating tuples per
+//! the violated constraints on BDD logical indices (or, with `--sql`, on
+//! the same degradation ladder entered at its SQL rung), prints a report, lists up to `--limit` violating tuples per
 //! violated constraint, and exits non-zero if anything is violated.
 //! Orderings: `prob-converge` (default), `max-inf-gain`, `min-cond-entropy`,
 //! `schema`, `random`. `--metrics PATH` writes the machine-readable run

@@ -128,6 +128,29 @@ fn run_lists_violations_that_only_the_bdd_path_can_enumerate() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `run --sql` walks the same ladder as plain `run`: a failing SQL rung
+/// falls to brute force, so every constraint is still decided.
+#[test]
+fn run_sql_falls_to_brute_force_when_the_sql_rung_fails() {
+    let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/phones.spec");
+    let out = relcheck(&[
+        "run",
+        spec.to_str().unwrap(),
+        "--sql",
+        "--fail-spec",
+        "sql-fallback=1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    let lines = verdicts(&out);
+    assert_eq!(lines.len(), 4, "{stdout}");
+    assert!(
+        lines.iter().all(|l| l.ends_with("via BruteForce")),
+        "{lines:#?}"
+    );
+}
+
 #[test]
 fn unknown_flags_and_missing_values_are_usage_errors() {
     let spec = Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/phones.spec");
