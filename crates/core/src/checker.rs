@@ -19,9 +19,8 @@
 //! size (Theorem 2 makes that NP-hard). A check enters at the SQL rung
 //! only when a relation it reads is SQL-only (its index build ran over
 //! budget, or [`Checker::mark_sql_only`] marked it, as serve does on a
-//! domain overflow), when the serve governor sheds it
-//! ([`Checker::set_shed_load`]), or when the caller asks for the SQL
-//! baseline ([`Checker::check_sql`]). All three walk the same ladder.
+//! domain overflow), or when the caller asks for the SQL baseline
+//! ([`Checker::check_sql`]). Both walk the same ladder.
 //!
 //! Once violated constraints are identified, [`Checker::find_violations`]
 //! runs the SQL plan to materialize the offending tuples, and
@@ -474,8 +473,8 @@ impl std::fmt::Display for Explanation {
 
 /// Where a check enters the degradation ladder.
 enum Entry<'p> {
-    /// [`Checker::check`]: the plan's BDD step (when it has one and the
-    /// governor did not shed the check), then its SQL step. The trace
+    /// [`Checker::check`]: the plan's BDD step (when it has one), then
+    /// its SQL step. The trace
     /// records the plan's passes and the index provenance.
     Plan(&'p CheckPlan, Vec<IndexEvent>),
     /// [`Checker::check_sql`]: the SQL rung, with the translated step
@@ -499,11 +498,6 @@ pub struct Checker {
     /// map lets verdict caches (the registry) retire cached verdicts, but
     /// only for constraints that actually read the invalidated relation.
     invalidated: HashMap<String, u64>,
-    /// When set, checks enter the degradation ladder at the SQL rung
-    /// instead of building BDDs ([`FallbackReason::Overload`]). Flipped
-    /// per-request by the serve admission governor; never affects the
-    /// verdict, only the path that decides it.
-    shed_load: bool,
 }
 
 impl Checker {
@@ -521,7 +515,6 @@ impl Checker {
             sql_only: HashSet::new(),
             epoch: 0,
             invalidated: HashMap::new(),
-            shed_load: false,
         }
     }
 
@@ -538,15 +531,6 @@ impl Checker {
     /// The active options.
     pub fn options(&self) -> &CheckerOptions {
         &self.opts
-    }
-
-    /// Enter (or leave) load-shedding mode: while set, checks skip the
-    /// BDD rung and enter the ladder at SQL, recorded in the trace as
-    /// [`FallbackReason::Overload`]. The SQL and brute-force rungs decide
-    /// the same verdict the full ladder would, so shedding trades memory
-    /// headroom for per-check speed without ever changing an answer.
-    pub fn set_shed_load(&mut self, shed: bool) {
-        self.shed_load = shed;
     }
 
     /// Replace the per-check wall-clock deadline. The serve watchdog uses
@@ -838,15 +822,12 @@ impl Checker {
         let eval_start = Instant::now();
         let (bdd, sql, mut fallback, planned) = match entry {
             Entry::Plan(plan, events) => {
-                let (bdd, fallback) = match &plan.bdd {
-                    None => (None, Some(FallbackReason::UnindexedRelation)),
-                    // The admission governor shed this check: skip the BDD
-                    // rung's node-heavy intermediates and enter at SQL,
-                    // which decides the same verdict.
-                    Some(_) if self.shed_load => (None, Some(FallbackReason::Overload)),
-                    Some(step) => (Some(step), None),
-                };
-                (bdd, plan.sql.as_ref(), fallback, Some((plan, events)))
+                let fallback = plan
+                    .bdd
+                    .is_none()
+                    .then_some(FallbackReason::UnindexedRelation);
+                let (bdd, sql) = (plan.bdd.as_ref(), plan.sql.as_ref());
+                (bdd, sql, fallback, Some((plan, events)))
             }
             Entry::Sql(step) => (None, step, None, None),
         };
@@ -926,9 +907,9 @@ impl Checker {
         if failpoint::enabled() {
             let key = failpoint::key_str(&f.to_string());
             if failpoint::should_fail(failpoint::SQL_FALLBACK, key) {
-                return Err(CoreError::Bdd(BddError::FaultInjected {
+                return Err(CoreError::FaultInjected {
                     site: failpoint::SQL_FALLBACK,
-                }));
+                });
             }
         }
         step.map(|s| crate::exec::execute_sql(self.ldb.db(), s))

@@ -42,6 +42,15 @@ pub enum CoreError {
     },
     /// `relcheck index` was asked about a relation with no cache entry.
     NotCached(String),
+    /// An armed failpoint fired outside any BDD work: on the SQL rung or
+    /// at the journal append. Sites that simulate a failing BDD build or
+    /// import (`apply`, `index-build`, `snapshot-decode`) report
+    /// [`BddError::FaultInjected`], which the ladder absorbs as a budget
+    /// abort.
+    FaultInjected {
+        /// The failpoint site that fired.
+        site: &'static str,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -68,6 +77,9 @@ impl fmt::Display for CoreError {
             ),
             CoreError::NotCached(rel) => {
                 write!(f, "no cached index for relation {rel:?}")
+            }
+            CoreError::FaultInjected { site } => {
+                write!(f, "injected fault at failpoint site '{site}'")
             }
         }
     }

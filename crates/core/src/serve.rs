@@ -33,23 +33,22 @@
 //! the engine degrades that relation to the SQL rung
 //! ([`Checker::mark_sql_only`], which retires cached verdicts) and keeps
 //! serving correct answers until a restart rebuilds wider blocks.
-//! Per-request deadlines and overload ride the existing degradation
-//! ladder: every re-check goes through the checker's per-constraint panic
-//! guard, whose deadline, node-budget, and panic handling are unchanged.
+//! Per-request deadlines ride the existing degradation ladder: every
+//! re-check goes through the checker's per-constraint panic guard, whose
+//! deadline, node-budget, and panic handling are unchanged.
 //!
 //! Concurrency: the engine itself is single-threaded on purpose — one
 //! [`ServeActor`] thread owns it and serializes every request off a
 //! **bounded** queue, so verdict-order determinism is structural, not
 //! locked-in. Sessions (one thread per connection in the CLI) talk to it
-//! through cloned [`ServeClient`] handles whose `submit` runs the
-//! admission governor: Normal requests take the full ladder, Shed
-//! requests (queue backlog or slow last request) enter at the SQL rung
-//! ([`crate::telemetry::FallbackReason::Overload`]), and when the queue
-//! is full the request is Rejected with a typed `busy <retry-after-ms>`
-//! reply without ever touching the engine. `quit` (or the CLI's SIGTERM
-//! handler) starts a graceful drain: queued requests are finished, new
-//! ones see a closed session, and the actor hands the engine back for
-//! the final journal flush and metrics emission.
+//! through cloned [`ServeClient`] handles whose `submit` runs admission
+//! control: a request either joins the queue, and its checks walk the
+//! full ladder from the BDD rung like `relcheck run`, or, when the queue
+//! is full, is rejected with a typed `busy <retry-after-ms>` reply without
+//! ever touching the engine. `quit` (or the CLI's SIGTERM handler) starts
+//! a graceful drain: queued requests are finished, new ones see a closed
+//! session, and the actor hands the engine back for the final journal
+//! flush and metrics emission.
 
 use crate::certify::{emit_certificate, verify_certificate, Certificate, DEFAULT_WITNESS_LIMIT};
 use crate::checker::{panic_message, CheckReport, Checker};
@@ -61,7 +60,7 @@ use relcheck_logic::Formula;
 use relcheck_relstore::{Raw, StoreError};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -300,12 +299,13 @@ impl ServeEngine {
                     // so serve it rows-only and route the relation to the
                     // SQL rung — index and journal can no longer diverge,
                     // and the client is told durability was lost.
-                    Err(CoreError::Bdd(relcheck_bdd::BddError::FaultInjected { .. }))
-                    | Err(CoreError::Io { .. }) => ApplyOutcome {
-                        changed: self.degrade_overflow(relation, delta)?,
-                        durable: false,
-                        retries,
-                    },
+                    Err(CoreError::FaultInjected { .. }) | Err(CoreError::Io { .. }) => {
+                        ApplyOutcome {
+                            changed: self.degrade_overflow(relation, delta)?,
+                            durable: false,
+                            retries,
+                        }
+                    }
                     Err(e) => return Err(e),
                 }
             }
@@ -647,12 +647,12 @@ impl ServeEngine {
     }
 }
 
-/// Tunables for the serving layer: queue bound, session cap, timeouts,
-/// and the shed trigger. All surfaced as `relcheck serve` flags.
+/// Tunables for the serving layer: queue bound, session cap and
+/// timeouts. All but the watchdog ceiling are `relcheck serve` flags.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Bound of the actor's request queue; a `try_send` against a full
-    /// queue is the Reject tier (`busy` reply, engine untouched).
+    /// queue is rejected (`busy` reply, engine untouched).
     pub queue_depth: usize,
     /// Maximum concurrent socket sessions; further connections are
     /// turned away with a `busy` line.
@@ -660,11 +660,6 @@ pub struct ServeConfig {
     /// Per-connection idle cap: a client that sends nothing for this
     /// long is disconnected (slowloris cannot pin a session thread).
     pub idle_timeout: Duration,
-    /// Shed trigger: when the last request's service time reaches this,
-    /// or the queue is more than half full, new requests enter the
-    /// ladder at the SQL rung. Zero sheds every request (useful to force
-    /// the tier in tests and smokes).
-    pub shed_threshold: Duration,
     /// Longest raw protocol line accepted from a socket before the
     /// session replies with a typed error instead of buffering on.
     pub max_line_bytes: usize,
@@ -681,29 +676,25 @@ impl Default for ServeConfig {
             queue_depth: 64,
             max_sessions: 8,
             idle_timeout: Duration::from_secs(30),
-            shed_threshold: Duration::from_millis(500),
             max_line_bytes: 64 * 1024,
             hard_deadline: Duration::from_secs(4),
         }
     }
 }
 
-/// One queued request: the raw line, the admission tier it was accepted
-/// at, and the channel its reply goes back on.
+/// One queued request: the raw line and the channel its reply goes back
+/// on.
 struct Request {
     line: String,
-    shed: bool,
     reply: SyncSender<Reply>,
 }
 
 /// State shared between the actor thread and every client handle: the
-/// governor's live signals (queue depth, last service time) and the
+/// last service time (a rejected client's backoff hint) and the
 /// admission counters.
 struct ActorShared {
-    depth: AtomicUsize,
     last_service_ns: AtomicU64,
     admitted: AtomicU64,
-    shed: AtomicU64,
     rejected: AtomicU64,
     draining: AtomicBool,
 }
@@ -713,7 +704,7 @@ struct ActorShared {
 pub enum Submission {
     /// The request was admitted and served.
     Reply(Reply),
-    /// Reject tier: the bounded queue was full. The engine never saw the
+    /// The bounded queue was full. The engine never saw the
     /// request; the client should wait roughly `retry_after_ms` and try
     /// again (the protocol line is `busy <retry-after-ms>`).
     Busy {
@@ -726,22 +717,9 @@ pub enum Submission {
     Closed,
 }
 
-/// The admission rule: shed a request to the SQL tier when the queue is
-/// more than half full or the previous request ran at or over the shed
-/// threshold. Written as `depth > queue_depth / 2` (the same predicate as
-/// `2·depth > queue_depth` on integers) so no depth can overflow it.
-fn admission_should_shed(
-    depth: usize,
-    queue_depth: usize,
-    last_latency: Duration,
-    shed_threshold: Duration,
-) -> bool {
-    depth > queue_depth / 2 || last_latency >= shed_threshold
-}
-
 /// A cloneable handle submitting protocol lines to a [`ServeActor`].
-/// Each `submit` runs the admission governor, then blocks until the
-/// engine's reply (or the queue's verdict) comes back.
+/// Each `submit` either queues the line and blocks until the engine's
+/// reply comes back, or returns at once when the queue is full.
 #[derive(Clone)]
 pub struct ServeClient {
     tx: SyncSender<Request>,
@@ -755,31 +733,14 @@ impl ServeClient {
         if self.shared.draining.load(Ordering::Acquire) {
             return Submission::Closed;
         }
-        // Governor tiers, cheapest signal first: a backlog past half the
-        // queue bound or a slow last request sheds; a full queue rejects.
-        let depth = self.shared.depth.load(Ordering::Acquire);
-        let last = Duration::from_nanos(self.shared.last_service_ns.load(Ordering::Acquire));
-        let shed =
-            admission_should_shed(depth, self.cfg.queue_depth, last, self.cfg.shed_threshold);
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let req = Request {
             line: line.to_owned(),
-            shed,
             reply: reply_tx,
         };
-        // Count the request in before it can reach the actor, whose
-        // `fetch_sub` on receipt would otherwise wrap `depth` below zero.
-        self.shared.depth.fetch_add(1, Ordering::AcqRel);
-        let sent = self.tx.try_send(req);
-        if sent.is_err() {
-            self.shared.depth.fetch_sub(1, Ordering::AcqRel);
-        }
-        match sent {
+        match self.tx.try_send(req) {
             Ok(()) => {
                 self.shared.admitted.fetch_add(1, Ordering::AcqRel);
-                if shed {
-                    self.shared.shed.fetch_add(1, Ordering::AcqRel);
-                }
                 match reply_rx.recv() {
                     Ok(reply) => Submission::Reply(reply),
                     // The actor dropped the request (hard shutdown racing
@@ -789,8 +750,9 @@ impl ServeClient {
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.rejected.fetch_add(1, Ordering::AcqRel);
+                let last_ns = self.shared.last_service_ns.load(Ordering::Acquire);
                 Submission::Busy {
-                    retry_after_ms: (last.as_millis() as u64).max(1),
+                    retry_after_ms: (last_ns / 1_000_000).max(1),
                 }
             }
             Err(TrySendError::Disconnected(_)) => Submission::Closed,
@@ -803,7 +765,7 @@ impl ServeClient {
         self.shared.draining.load(Ordering::Acquire)
     }
 
-    /// The config the governor runs with.
+    /// The config the actor runs with.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
     }
@@ -824,10 +786,8 @@ impl ServeActor {
     pub fn spawn(engine: ServeEngine, cfg: ServeConfig) -> ServeActor {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
         let shared = Arc::new(ActorShared {
-            depth: AtomicUsize::new(0),
             last_service_ns: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             draining: AtomicBool::new(false),
         });
@@ -870,31 +830,28 @@ impl ServeActor {
             .expect("engine actor thread never panics (requests are unwind-isolated)");
         let overload = OverloadMetrics {
             admitted: self.shared.admitted.load(Ordering::Acquire),
-            shed: self.shared.shed.load(Ordering::Acquire),
             rejected: self.shared.rejected.load(Ordering::Acquire),
             retries: engine.journal_retries(),
             watchdog_fires,
             drained,
+            ..OverloadMetrics::default()
         };
         (engine, overload)
     }
 }
 
-/// Serve one admitted request on the actor thread: arm the shed tier and
-/// the watchdog deadline, run the line unwind-isolated, and restore the
-/// engine to its normal-tier state. Returns the reply and the service
-/// time.
+/// Serve one admitted request on the actor thread: arm the watchdog
+/// deadline and run the line unwind-isolated. Returns the reply and the
+/// service time.
 fn service_request(
     engine: &mut ServeEngine,
     req: &Request,
     deadline: Option<Duration>,
 ) -> (Reply, Duration) {
-    engine.checker_mut().set_shed_load(req.shed);
     engine.checker_mut().set_deadline(deadline);
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| engine.handle_line(&req.line)));
     let elapsed = start.elapsed();
-    engine.checker_mut().set_shed_load(false);
     let reply = match outcome {
         Ok(reply) => reply,
         Err(payload) => {
@@ -918,8 +875,9 @@ fn service_request(
     (reply, elapsed)
 }
 
-/// The actor thread body: serialize requests, feed the governor's
-/// signals back, and drain gracefully on `quit` or queue close. Returns
+/// The actor thread body: serialize requests, publish each service time
+/// for the reject path's backoff hint, and drain gracefully on `quit` or
+/// queue close. Returns
 /// the engine and the (watchdog_fires, drained) counters.
 fn engine_loop(
     mut engine: ServeEngine,
@@ -934,7 +892,6 @@ fn engine_loop(
     let mut watchdog_fires = 0u64;
     let mut drained = 0u64;
     while let Ok(req) = rx.recv() {
-        shared.depth.fetch_sub(1, Ordering::AcqRel);
         let (reply, elapsed) = service_request(&mut engine, &req, deadline);
         if elapsed >= cfg.hard_deadline {
             watchdog_fires += 1;
@@ -953,7 +910,6 @@ fn engine_loop(
         if quit {
             // Graceful drain: finish every request already admitted.
             while let Ok(queued) = rx.try_recv() {
-                shared.depth.fetch_sub(1, Ordering::AcqRel);
                 let (reply, _) = service_request(&mut engine, &queued, deadline);
                 let _ = queued.reply.send(reply);
                 drained += 1;
@@ -1051,20 +1007,6 @@ mod tests {
         assert!(parse_command("check a b").is_err());
         assert!(parse_command("advise").is_err());
         assert!(parse_command("+R").is_err());
-    }
-
-    #[test]
-    fn admission_rule_matches_its_former_inline_form() {
-        let ms = Duration::from_millis;
-        assert!(admission_should_shed(33, 64, ms(0), ms(500)));
-        assert!(!admission_should_shed(32, 64, ms(0), ms(500)));
-        assert!(admission_should_shed(0, 64, ms(500), ms(500)));
-        // Odd bounds round the same way as `2·depth > queue_depth`, and a
-        // depth at the top of the range sheds rather than overflowing.
-        assert!(admission_should_shed(33, 65, ms(0), ms(500)));
-        assert!(!admission_should_shed(32, 65, ms(0), ms(500)));
-        assert!(admission_should_shed(usize::MAX, 64, ms(0), ms(500)));
-        assert!(!admission_should_shed(0, usize::MAX, ms(0), ms(500)));
     }
 
     #[test]

@@ -47,9 +47,7 @@ use crate::error::{CoreError, Result};
 use crate::index::LogicalDatabase;
 use crate::ordering::OrderingStrategy;
 use crate::telemetry::{recovery_reason, IndexCacheMetrics, RecoveryRecord};
-use relcheck_bdd::{
-    crc32, decode_frame, encode_frame, failpoint, BddError, DecodeError, ExportedRelation,
-};
+use relcheck_bdd::{crc32, decode_frame, encode_frame, failpoint, DecodeError, ExportedRelation};
 use relcheck_relstore::Raw;
 use std::collections::BTreeMap;
 use std::fs;
@@ -226,10 +224,7 @@ fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> CoreError {
 /// schema problems, domain overflow — is deterministic and retrying
 /// cannot help.
 fn transient_append_failure(e: &CoreError) -> bool {
-    matches!(
-        e,
-        CoreError::Bdd(BddError::FaultInjected { .. }) | CoreError::Io { .. }
-    )
+    matches!(e, CoreError::FaultInjected { .. } | CoreError::Io { .. })
 }
 
 /// Keep file names portable: alphanumerics pass, everything else becomes
@@ -1075,9 +1070,9 @@ impl IndexStore {
         if failpoint::enabled() && failpoint::should_fail(failpoint::JOURNAL_APPEND, fp_key) {
             let _ = f.write_all(&record[..record.len() / 2]);
             let _ = f.sync_all();
-            return Err(CoreError::Bdd(BddError::FaultInjected {
+            return Err(CoreError::FaultInjected {
                 site: failpoint::JOURNAL_APPEND,
-            }));
+            });
         }
         f.write_all(&record)
             .and_then(|()| f.sync_all())

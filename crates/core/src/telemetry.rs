@@ -37,7 +37,7 @@ use std::time::Duration;
 
 /// The metrics document's `schema_version`: the one version the writer
 /// emits and the validator accepts.
-const SCHEMA_VERSION: i64 = 13;
+const SCHEMA_VERSION: i64 = 14;
 
 /// The rewrite rules of the paper's Section 4 pipeline, numbered as the
 /// telemetry schema reports them.
@@ -146,21 +146,16 @@ pub enum FallbackReason {
     /// The check was killed outright — a caught panic payload or an
     /// injected-fault description (`relcheck run --fail-spec`).
     Panic(String),
-    /// The admission governor shed this request: under overload the serve
-    /// engine enters the ladder at the SQL rung (still exact, just
-    /// cheaper on memory) instead of building BDDs.
-    Overload,
 }
 
 impl FallbackReason {
     /// One value of every variant (payloads empty), so the validator can
     /// walk the reason vocabulary.
-    const VARIANTS: [FallbackReason; 5] = [
+    const VARIANTS: [FallbackReason; 4] = [
         FallbackReason::NodeLimit { limit: 0, live: 0 },
         FallbackReason::UnindexedRelation,
         FallbackReason::Deadline,
         FallbackReason::Panic(String::new()),
-        FallbackReason::Overload,
     ];
 
     /// Stable machine-readable name (the schema's `reason` field).
@@ -170,7 +165,6 @@ impl FallbackReason {
             FallbackReason::UnindexedRelation => "unindexed_relation",
             FallbackReason::Deadline => "deadline",
             FallbackReason::Panic(_) => "panic",
-            FallbackReason::Overload => "overload",
         }
     }
 }
@@ -480,16 +474,16 @@ impl AuditMetrics {
     }
 }
 
-/// Admission-governor counters for a `relcheck serve` run (`overload` in
-/// the schema). `None` on [`RunMetrics`] means the run was a batch job.
-/// Conservation: `shed <= admitted` and `drained <= admitted`
-/// (`metrics-check` enforces both).
+/// Admission counters for a `relcheck serve` run (`overload` in the
+/// schema). `None` on [`RunMetrics`] means the run was a batch job.
+/// Conservation: `drained <= admitted` (`metrics-check` enforces it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadMetrics {
-    /// Requests accepted onto the engine queue (Normal + Shed tiers).
+    /// Requests accepted onto the engine queue.
     pub admitted: u64,
-    /// Admitted requests served at the Shed tier: the ladder entered at
-    /// the SQL rung ([`FallbackReason::Overload`]) instead of BDD.
+    /// Always 0, and not written to the metrics document: no request is
+    /// shed. Exists only for perfbench's `overload.shed` read, and goes
+    /// with that figure at the next change to perfbench.
     pub shed: u64,
     /// Requests turned away with a `busy <retry-after-ms>` reply because
     /// the bounded queue was full (the engine never saw them).
@@ -507,10 +501,9 @@ pub struct OverloadMetrics {
 
 impl OverloadMetrics {
     /// The `overload` block's fields, in schema order.
-    fn counters(&self) -> [(&'static str, u64); 6] {
+    fn counters(&self) -> [(&'static str, u64); 5] {
         [
             ("admitted", self.admitted),
-            ("shed", self.shed),
             ("rejected", self.rejected),
             ("retries", self.retries),
             ("watchdog_fires", self.watchdog_fires),
@@ -519,7 +512,7 @@ impl OverloadMetrics {
     }
 }
 
-/// The top-level machine-readable report (`schema_version` 13). See
+/// The top-level machine-readable report (`schema_version` 14). See
 /// `DESIGN.md` for field meanings and stability guarantees.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
@@ -539,7 +532,7 @@ pub struct RunMetrics {
     /// Certificate audit counters; `None` when the run did not certify.
     /// Assembled by the caller after `from_reports`.
     pub audit: Option<AuditMetrics>,
-    /// Admission-governor counters; `None` for batch runs. Assembled by
+    /// Serve admission counters; `None` for batch runs. Assembled by
     /// the caller after `from_reports`.
     pub overload: Option<OverloadMetrics>,
 }
@@ -565,7 +558,7 @@ impl RunMetrics {
         }
     }
 
-    /// Render the schema-version-13 JSON document.
+    /// Render the schema-version-14 JSON document.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.obj_open();
@@ -767,8 +760,7 @@ fn write_fallback(w: &mut JsonWriter, fb: &FallbackReason) {
             w.key("message");
             w.string(msg);
         }
-        FallbackReason::UnindexedRelation | FallbackReason::Deadline | FallbackReason::Overload => {
-        }
+        FallbackReason::UnindexedRelation | FallbackReason::Deadline => {}
     }
     w.obj_close();
 }
@@ -1309,9 +1301,7 @@ fn check_trace(t: &Json, at: &str, method: &str) -> Check<bool> {
             FallbackReason::Panic(_) => {
                 string(fb, &fat, "message")?;
             }
-            FallbackReason::UnindexedRelation
-            | FallbackReason::Deadline
-            | FallbackReason::Overload => {}
+            FallbackReason::UnindexedRelation | FallbackReason::Deadline => {}
         }
     }
     // A walk visits each rung at most once, in ladder order.
@@ -1487,19 +1477,16 @@ pub fn validate_metrics_json(text: &str) -> std::result::Result<(), String> {
 
     if let Some(ov) = nullable(&doc, "", "overload")? {
         let c = read_counters(ov, "overload", OverloadMetrics::counters)?;
-        // Conservation: shed requests are a subset of admitted ones
-        // (rejected requests never reach the engine), and the drain phase
-        // only serves requests that were already admitted.
-        for name in ["shed", "drained"] {
-            if c[name] > c["admitted"] {
-                return Err(format!(
-                    "overload.{name} = {} exceeds admitted = {}",
-                    c[name], c["admitted"]
-                ));
-            }
+        // Conservation: the drain phase only serves requests that were
+        // already admitted (rejected requests never reach the engine).
+        if c["drained"] > c["admitted"] {
+            return Err(format!(
+                "overload.drained = {} exceeds admitted = {}",
+                c["drained"], c["admitted"]
+            ));
         }
-        // Every engine-visible request was admitted by the governor (the
-        // engine skips blank/comment lines, so <=, not ==).
+        // Every engine-visible request was admitted (the engine skips
+        // blank/comment lines, so <=, not ==).
         if let Some(sv) = &serve {
             if sv["requests"] > c["admitted"] {
                 return Err(format!(
@@ -1703,9 +1690,9 @@ mod tests {
         // document of an older (or future) schema is accepted.
         let doc = golden_metrics().to_json();
         validate_metrics_json(&doc).unwrap();
-        for version in (1..=12).chain([14]) {
+        for version in (1..=13).chain([15]) {
             let other = doc.replace(
-                "\"schema_version\":13",
+                "\"schema_version\":14",
                 &format!("\"schema_version\":{version}"),
             );
             let err = validate_metrics_json(&other).unwrap_err();
@@ -1907,25 +1894,34 @@ mod tests {
     }
 
     #[test]
+    fn validator_rejects_the_retired_overload_reason() {
+        // Schema 14 dropped the shed tier's `overload` fallback reason.
+        let doc = golden_metrics().to_json();
+        let retired = doc.replacen(
+            r#""reason":"unindexed_relation""#,
+            r#""reason":"overload""#,
+            1,
+        );
+        assert_ne!(retired, doc);
+        let err = validate_metrics_json(&retired).unwrap_err();
+        assert!(err.contains("unknown reason \"overload\""), "{err}");
+    }
+
+    #[test]
     fn validator_checks_overload_block() {
         let mut m = RunMetrics {
             serve: Some(serve_counters()),
             overload: Some(OverloadMetrics {
                 admitted: 6,
-                shed: 2,
                 rejected: 3,
                 retries: 1,
                 watchdog_fires: 0,
                 drained: 1,
+                ..OverloadMetrics::default()
             }),
             ..RunMetrics::default()
         };
         validate_metrics_json(&m.to_json()).unwrap();
-        // Shed requests are a subset of admitted ones.
-        m.overload.as_mut().unwrap().shed = 9;
-        let err = validate_metrics_json(&m.to_json()).unwrap_err();
-        assert!(err.contains("overload.shed"), "{err}");
-        m.overload.as_mut().unwrap().shed = 2;
         // The drain phase only serves admitted requests.
         m.overload.as_mut().unwrap().drained = 9;
         let err = validate_metrics_json(&m.to_json()).unwrap_err();
@@ -2264,7 +2260,7 @@ mod tests {
                         Verdict::Violated,
                         None,
                         Method::SqlFallback,
-                        trace(Some(FallbackReason::Overload), vec!["sql"], 7),
+                        trace(Some(FallbackReason::UnindexedRelation), vec!["sql"], 7),
                     ),
                 ),
             ],
@@ -2317,11 +2313,11 @@ mod tests {
             }),
             overload: Some(OverloadMetrics {
                 admitted: 11,
-                shed: 2,
                 rejected: 3,
                 retries: 1,
                 watchdog_fires: 1,
                 drained: 2,
+                ..OverloadMetrics::default()
             }),
         }
     }
@@ -2336,7 +2332,7 @@ mod tests {
     }
 
     const GOLDEN_METRICS: &str = concat!(
-        r#"{"schema_version":13,"tool":"relcheck","constraints":["#,
+        r#"{"schema_version":14,"tool":"relcheck","constraints":["#,
         r#"{"name":"stays-on-bdd","holds":true,"verdict":"holds","error":null,"method":"bdd","elapsed_ns":1234,"#,
         r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
@@ -2389,7 +2385,7 @@ mod tests {
         r#""trace":{"rules":[{"rule":"R3","count":2},{"rule":"R1","count":1},{"rule":"R4","count":1},{"rule":"R2","count":3}],"#,
         r#""passes":[{"pass":"prenex-pullup","rule":"R3","fired":2,"gated":0},{"pass":"refutation-nnf","rule":null,"fired":1,"gated":0},{"pass":"forall-pushdown","rule":"R4","fired":1,"gated":1}],"#,
         r#""index_events":[{"relation":"CUST","provenance":"built"},{"relation":"ALLOWED","provenance":"reused"},{"relation":"BIG","provenance":"sql_only"}],"#,
-        r#""fallback":{"reason":"overload"},"ladder":["sql"],"timings":{"index_ns":107,"eval_ns":207},"#,
+        r#""fallback":{"reason":"unindexed_relation"},"ladder":["sql"],"timings":{"index_ns":107,"eval_ns":207},"#,
         r#""bdd":{"created_nodes":70,"cache_hits":115,"cache_misses":45,"gc_runs":7,"ops":[{"op":"apply","calls":7,"cache_hits":7,"cache_misses":0},{"op":"not","calls":9,"cache_hits":8,"cache_misses":1},{"op":"ite","calls":11,"cache_hits":9,"cache_misses":2},"#,
         r#"{"op":"exists","calls":13,"cache_hits":10,"cache_misses":3},{"op":"forall","calls":15,"cache_hits":11,"cache_misses":4},{"op":"app_exists","calls":17,"cache_hits":12,"cache_misses":5},{"op":"app_forall","calls":19,"cache_hits":13,"cache_misses":6},"#,
         r#"{"op":"replace","calls":21,"cache_hits":14,"cache_misses":7},{"op":"restrict","calls":23,"cache_hits":15,"cache_misses":8},{"op":"constrain","calls":25,"cache_hits":16,"cache_misses":9}]}}}],"#,
@@ -2401,6 +2397,6 @@ mod tests {
         r#""recoveries":[{"relation":"CUST","reason":"segment_corrupt","detail":"checksum mismatch at offset 20"},{"relation":"ALLOWED","reason":"journal_torn","detail":"tail of 7 bytes discarded"}]},"#,
         r#""serve":{"requests":9,"deltas":4,"checks":3,"constraints_checked":5,"constraints_skipped":7,"dirty_peak":2,"dirty_total":4,"incremental_ns":1500,"full_ns":9000},"#,
         r#""audit":{"emitted":8,"verified":7,"failed":1,"witnesses":12},"#,
-        r#""overload":{"admitted":11,"shed":2,"rejected":3,"retries":1,"watchdog_fires":1,"drained":2}}"#,
+        r#""overload":{"admitted":11,"rejected":3,"retries":1,"watchdog_fires":1,"drained":2}}"#,
     );
 }

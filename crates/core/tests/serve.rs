@@ -858,88 +858,107 @@ fn actor_replies_are_byte_identical_to_the_direct_engine() {
             .flat_map(|line| engine.handle_line(line).lines)
             .collect()
     };
-    // Same script through the actor, once per admission tier: Normal, and
-    // shed-everything (threshold zero). Shedding changes the ladder entry
-    // rung, never the reply bytes.
-    for shed_everything in [false, true] {
-        let (engine, _) = ServeEngine::new(
-            Checker::new(db_from(&base_shadow()), CheckerOptions::default()),
-            &constraints(),
-            None,
-        )
-        .unwrap();
-        let cfg = ServeConfig {
-            shed_threshold: if shed_everything {
-                std::time::Duration::ZERO
-            } else {
-                std::time::Duration::from_secs(3600)
-            },
-            ..ServeConfig::default()
-        };
-        let actor = ServeActor::spawn(engine, cfg);
-        let client = actor.client();
-        let via_actor: Vec<String> = script
-            .iter()
-            .flat_map(|line| submit_ok(&client, line))
-            .collect();
-        assert_eq!(
-            via_actor, direct,
-            "actor replies diverged (shed_everything={shed_everything})"
-        );
-        // After quit the session drains: later submits are turned away.
-        assert!(client.is_draining());
-        assert!(matches!(client.submit("check"), Submission::Closed));
-        drop(client);
-        let (_engine, overload) = actor.shutdown();
-        assert_eq!(overload.admitted, script.len() as u64);
-        assert_eq!(overload.rejected, 0);
-        assert_eq!(
-            overload.shed,
-            if shed_everything {
-                script.len() as u64
-            } else {
-                0
-            }
-        );
-        assert_eq!(overload.retries, 0);
-        assert_eq!(overload.drained, 0);
-    }
+    // Same script through the actor: the replies are the engine's own.
+    let (engine, _) = ServeEngine::new(
+        Checker::new(db_from(&base_shadow()), CheckerOptions::default()),
+        &constraints(),
+        None,
+    )
+    .unwrap();
+    let actor = ServeActor::spawn(engine, ServeConfig::default());
+    let client = actor.client();
+    let via_actor: Vec<String> = script
+        .iter()
+        .flat_map(|line| submit_ok(&client, line))
+        .collect();
+    assert_eq!(via_actor, direct, "actor replies diverged");
+    // After quit the session drains: later submits are turned away.
+    assert!(client.is_draining());
+    assert!(matches!(client.submit("check"), Submission::Closed));
+    drop(client);
+    let (_engine, overload) = actor.shutdown();
+    assert_eq!(overload.admitted, script.len() as u64);
+    assert_eq!(overload.rejected, 0);
+    assert_eq!(overload.retries, 0);
+    assert_eq!(overload.drained, 0);
 }
 
 #[test]
-fn shed_tier_enters_the_ladder_at_sql_and_preserves_the_verdict() {
+fn a_sql_only_relation_enters_the_ladder_at_sql_and_keeps_the_verdict() {
     let _g = lock();
-    let opts = CheckerOptions::default();
     let mut shadow = base_shadow();
     shadow.get_mut("R").unwrap().insert(vec![1, 2]); // breaks r-diagonal
     let diagonal = parse("forall x, y. R(x, y) -> x = y").unwrap();
-    let mut normal = Checker::new(db_from(&shadow), opts);
-    let baseline = normal.check(&diagonal).unwrap();
-    let base_trace = &baseline.trace;
-    assert_eq!(base_trace.ladder.first(), Some(&"bdd"));
+    let mut ck = Checker::new(db_from(&shadow), CheckerOptions::default());
+    let baseline = ck.check(&diagonal).unwrap();
+    assert_eq!(baseline.trace.ladder, ["bdd"]);
     assert!(!baseline.holds);
-
-    let mut shedding = Checker::new(db_from(&shadow), opts);
-    shedding.set_shed_load(true);
-    let shed = shedding.check(&diagonal).unwrap();
-    let shed_trace = &shed.trace;
-    // The BDD rung is skipped entirely: the ladder *starts* at sql, the
-    // trace records why, and the verdict is exactly the BDD rung's.
-    assert_eq!(shed_trace.ladder.first(), Some(&"sql"));
-    assert!(matches!(
-        shed_trace.fallback,
-        Some(relcheck_core::FallbackReason::Overload)
-    ));
-    assert_eq!(shed.holds, baseline.holds);
-    assert_eq!(shed.verdict, baseline.verdict);
-
-    // A plan already routed to SQL has no BDD step to skip: it enters
-    // at SQL for its own reason, not as shed load.
-    shedding.mark_sql_only("R");
-    let routed = shedding.check(&diagonal).unwrap();
+    // What serve does on a domain overflow: the plan has no BDD step, so
+    // the walk starts at SQL, says why, and decides the same verdict.
+    ck.mark_sql_only("R");
+    let routed = ck.check(&diagonal).unwrap();
+    assert_eq!(routed.trace.ladder, ["sql"]);
     assert!(matches!(
         routed.trace.fallback,
         Some(relcheck_core::FallbackReason::UnindexedRelation)
     ));
     assert_eq!(routed.verdict, baseline.verdict);
+}
+
+#[test]
+fn contention_never_changes_the_rung() {
+    let _g = lock();
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 500;
+    let (engine, _) = ServeEngine::new(
+        Checker::new(db_from(&base_shadow()), CheckerOptions::default()),
+        &constraints(),
+        None,
+    )
+    .unwrap();
+    // A one-deep queue: any second request in flight is a backlog.
+    let cfg = ServeConfig {
+        queue_depth: 1,
+        ..ServeConfig::default()
+    };
+    let actor = ServeActor::spawn(engine, cfg);
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let client = actor.client();
+            std::thread::spawn(move || {
+                let (mut certs, mut busy) = (Vec::new(), 0u64);
+                for _ in 0..ROUNDS {
+                    match client.submit("certify") {
+                        Submission::Reply(reply) => {
+                            certs.extend(reply.lines.into_iter().filter(|l| l.starts_with('{')))
+                        }
+                        Submission::Busy { .. } => busy += 1,
+                        Submission::Closed => panic!("session closed under load"),
+                    }
+                }
+                (certs, busy)
+            })
+        })
+        .collect();
+    let (mut certs, mut busy) = (Vec::new(), 0);
+    for worker in workers {
+        let (c, b) = worker.join().unwrap();
+        certs.extend(c);
+        busy += b;
+    }
+    let (_engine, overload) = actor.shutdown();
+    assert_eq!(
+        overload.admitted + overload.rejected,
+        (CLIENTS * ROUNDS) as u64
+    );
+    assert_eq!(overload.rejected, busy);
+    // Every admitted certify decides each constraint on the BDD rung, as
+    // an uncontended one does: admission never picks the rung.
+    assert_eq!(
+        certs.len() as u64,
+        overload.admitted * constraints().len() as u64
+    );
+    for cert in &certs {
+        assert!(cert.contains("\"rung\":\"bdd\""), "{cert}");
+    }
 }

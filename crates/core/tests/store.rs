@@ -506,7 +506,12 @@ fn torn_journal_append_is_never_acknowledged() {
     store.warm_start(&mut ck).unwrap();
     let del = Delta::Delete(vec![Raw::str("Toronto"), Raw::Int(212)]);
     let err = store.journaled_apply(&mut ck, "CUST", &del).unwrap_err();
-    assert!(matches!(err, CoreError::Bdd(_)), "got {err}");
+    assert_eq!(
+        err,
+        CoreError::FaultInjected {
+            site: failpoint::JOURNAL_APPEND
+        }
+    );
     failpoint::clear();
 
     // The delta failed before acknowledgment, so recovery must converge

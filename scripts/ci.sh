@@ -439,16 +439,16 @@ diff "$SERVE_OUT.verdicts" "$BATCH_OUT.verdicts"
 rm -f "$SERVE_OUT.verdicts" "$BATCH_OUT.verdicts"
 
 step "overload smoke: 8 concurrent socket clients vs a depth-1 queue"
-# A deliberately starved server: queue depth 1, shed threshold 0 (every
-# admitted request runs on the exact SQL rung), 8 clients hammering it
-# with certify/check traffic. The server must shed and reject under the
-# load, keep every decided verdict correct, drain gracefully on quit,
-# and emit a metrics document whose overload counters validate.
+# A deliberately starved server: queue depth 1, 8 clients hammering it
+# with certify/check traffic. The server must reject under the load,
+# decide every admitted check on the BDD rung as an idle server does,
+# keep every decided verdict correct, drain gracefully on quit, and emit
+# a metrics document whose overload counters validate.
 tmp OVER_DIR -d /tmp/relcheck-overload.XXXXXX
 SOCK="$OVER_DIR/relcheck.sock"
 BIN=./target/release/relcheck
 "$BIN" serve testdata/phones.spec --socket "$SOCK" \
-    --queue-depth 1 --shed-threshold-ms 0 --max-sessions 8 \
+    --queue-depth 1 --max-sessions 8 \
     --idle-timeout-ms 10000 --metrics "$OVER_DIR/metrics.json" \
     >"$OVER_DIR/server.out" 2>&1 &
 SERVER_PID=$!
@@ -501,15 +501,26 @@ if ! grep -Eq '"overload":\{"admitted":[1-9]' "$OVER_DIR/metrics.json"; then
     echo "overload metrics block missing or empty" >&2
     exit 1
 fi
-if ! grep -Eq '"shed":[1-9]' "$OVER_DIR/metrics.json"; then
-    echo "starved server never shed a request" >&2
+if grep -q '"shed"' "$OVER_DIR/metrics.json"; then
+    echo "overload metrics still carry the removed shed counter" >&2
     exit 1
 fi
 if ! grep -Eq '"rejected":[1-9]' "$OVER_DIR/metrics.json"; then
     echo "starved server never rejected a request" >&2
     exit 1
 fi
-# Under all that shedding, the decided verdicts must match a batch run.
+# Load never picks the rung: every certificate a client received was
+# decided on the BDD rung.
+if ! grep -hq '^{' "$OVER_DIR"/client*.out; then
+    echo "no overload client received a certificate" >&2
+    exit 1
+fi
+if grep -h '^{' "$OVER_DIR"/client*.out | grep -vq '"rung":"bdd"'; then
+    echo "a certificate under load left the BDD rung" >&2
+    grep -h '^{' "$OVER_DIR"/client*.out | grep -v '"rung":"bdd"' | head -3 >&2
+    exit 1
+fi
+# Under all that load, the decided verdicts must match a batch run.
 grep ' (checked)\| (cached)' "$OVER_DIR/final.out" | awk '{print $1, $2}' | sort \
     > "$OVER_DIR/final.verdicts"
 set +e
@@ -549,7 +560,7 @@ if ! grep -q 'ok check checked=2 skipped=2 dirty=1' "$OVER_DIR/fault.out"; then
     echo "fault-armed session lost read-set-driven skipping" >&2
     exit 1
 fi
-if ! grep -Eq '"overload":\{"admitted":3,"shed":0,"rejected":0,"retries":3' "$OVER_DIR/fault.json"; then
+if ! grep -Eq '"overload":\{"admitted":3,"rejected":0,"retries":3' "$OVER_DIR/fault.json"; then
     echo "fault-armed session metrics missing the absorbed retries" >&2
     exit 1
 fi
@@ -632,11 +643,11 @@ if ! grep -q 'FAILED' "$AUDIT_OUT"; then
     exit 1
 fi
 
-step "metrics schema smoke: metrics-check accepts exactly schema 13"
+step "metrics schema smoke: metrics-check accepts exactly schema 14"
 # The audit smoke's certified run left a complete metrics document (its
 # audit block included) in $METRICS_OUT.
-if ! grep -q '"schema_version":13' "$METRICS_OUT"; then
-    echo "run metrics is not schema v13" >&2
+if ! grep -q '"schema_version":14' "$METRICS_OUT"; then
+    echo "run metrics is not schema v14" >&2
     exit 1
 fi
 for removed in policy threads fleet telemetry_enabled total_ns; do
@@ -680,9 +691,9 @@ neg_edit() { # neg_edit <label> <sed-expression>: NEG_DOC := edited METRICS_OUT
     fi
     expect_rejected "$1"
 }
-for version in 12 14; do
+for version in 13 15; do
     neg_edit "a schema_version $version document" \
-        "s/\"schema_version\":13/\"schema_version\":$version/"
+        "s/\"schema_version\":14/\"schema_version\":$version/"
 done
 # The first constraint's trace becomes null (its object is kept under
 # another key, so the document stays well-formed).

@@ -15,7 +15,7 @@
 //! relcheck serve <spec-file> [--index-cache DIR] [--socket PATH] [--ordering STRATEGY]
 //!                [--metrics PATH] [--deadline-ms N] [--fail-spec SPEC] [--fail-seed N]
 //!                [--witness-limit N] [--max-sessions N] [--queue-depth N]
-//!                [--idle-timeout-ms N] [--shed-threshold-ms N]
+//!                [--idle-timeout-ms N]
 //! relcheck connect <socket-path>
 //! ```
 //!
@@ -95,15 +95,16 @@
 //! (`--queue-depth`). Socket mode serves up to `--max-sessions`
 //! concurrent connections, each on its own panic-isolated thread with an
 //! idle cap (`--idle-timeout-ms`) and a line-length cap, so a slowloris
-//! or garbage stream cannot wedge anyone else. The admission governor
-//! sheds requests into the SQL rung of the degradation ladder (exact,
-//! cheaper on memory) when the queue backs up or the last request was
-//! slower than `--shed-threshold-ms`, and rejects with a typed `busy
-//! <retry-after-ms>` line when the queue is full. `quit` (or SIGTERM in
-//! socket mode) drains gracefully: in-flight requests finish, the
-//! journal flushes, and the final metrics are emitted. `connect` is the
-//! matching scriptable client: stdin lines go to the socket, replies to
-//! stdout.
+//! or garbage stream cannot wedge anyone else. Admission either queues
+//! a request, whose checks then walk the full ladder from the BDD rung
+//! exactly as `run`'s do, or rejects it with a typed `busy
+//! <retry-after-ms>` line when the queue is full. A watchdog bounds every
+//! request at 4 s of wall clock, tightened by `--deadline-ms`, so a stuck
+//! check walks down the ladder instead of hanging the actor. `quit` (or
+//! SIGTERM in socket mode) drains gracefully: in-flight requests finish,
+//! the journal flushes, and the final metrics are emitted. `connect` is
+//! the matching scriptable client: stdin lines go to the socket, replies
+//! to stdout.
 
 use relcheck::core_::certify::{
     bundle_to_json, emit_certificates, parse_bundle, verify_bundle, AuditError, Certificate,
@@ -156,7 +157,7 @@ fn usage() -> String {
      [+REL:v1,v2 | -REL:v1,v2 ...] [--ordering STRATEGY] [--fail-spec SPEC] [--fail-seed N]\n  \
      relcheck serve <spec-file> [--index-cache DIR] [--socket PATH] [--ordering STRATEGY] \
      [--metrics PATH] [--deadline-ms N] [--fail-spec SPEC] [--fail-seed N] [--witness-limit N] \
-     [--max-sessions N] [--queue-depth N] [--idle-timeout-ms N] [--shed-threshold-ms N]\n  \
+     [--max-sessions N] [--queue-depth N] [--idle-timeout-ms N]\n  \
      relcheck connect <socket-path>"
         .to_owned()
 }
@@ -689,7 +690,7 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     let args = Args::parse(
         args,
         "--index-cache --socket --ordering --metrics --deadline-ms --fail-spec --fail-seed \
-         --witness-limit --max-sessions --queue-depth --idle-timeout-ms --shed-threshold-ms",
+         --witness-limit --max-sessions --queue-depth --idle-timeout-ms",
         "",
         1,
     )?;
@@ -718,13 +719,6 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
     if let Some(ms) = args.number("--idle-timeout-ms")? {
         cfg.idle_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(ms) = args.number("--shed-threshold-ms")? {
-        cfg.shed_threshold = std::time::Duration::from_millis(ms);
-    }
-    // The watchdog ceiling tracks the shed trigger (a request 8x slower
-    // than "slow" is stuck); a user-configured --deadline-ms tighter
-    // than this wins inside the actor.
-    cfg.hard_deadline = (cfg.shed_threshold * 8).max(std::time::Duration::from_secs(1));
     let (spec, db) = load(spec_path)?;
     if spec.constraints.is_empty() {
         return Err("spec declares no constraints".to_owned());
@@ -812,8 +806,7 @@ fn cmd_serve(args: &[String]) -> Result<bool, String> {
 
 /// Drive a serve session over stdin/stdout (the scripted-pipeline mode).
 /// A single sequential client cannot overfill the queue, so replies are
-/// byte-identical to the pre-actor engine loop; shed-tier requests
-/// change the ladder entry rung, never the reply bytes.
+/// byte-identical to the pre-actor engine loop.
 fn serve_stdio(client: &ServeClient) -> Result<(), String> {
     use std::io::{BufRead, Write};
     let stdin = std::io::stdin();

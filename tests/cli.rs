@@ -149,6 +149,20 @@ fn run_sql_falls_to_brute_force_when_the_sql_rung_fails() {
         lines.iter().all(|l| l.ends_with("via BruteForce")),
         "{lines:#?}"
     );
+    // Each verdict's note names the SQL-rung site, and no BDD was built,
+    // so none blames the BDD engine.
+    let notes: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.trim_start().starts_with("^ "))
+        .collect();
+    assert_eq!(notes.len(), 4, "{stdout}");
+    assert!(
+        notes
+            .iter()
+            .all(|l| l.ends_with("injected fault at failpoint site 'sql-fallback'")),
+        "{notes:#?}"
+    );
+    assert!(!notes.iter().any(|l| l.contains("bdd:")), "{notes:#?}");
 }
 
 #[test]
@@ -159,6 +173,9 @@ fn unknown_flags_and_missing_values_are_usage_errors() {
     // worker-count flag older builds took is a usage error, not ignored.
     let threads = ["--", "threads"].concat();
     let unknown_threads = format!("unknown flag {threads}");
+    // `serve` admits or rejects; the shed tier's trigger flag is gone.
+    let shed = ["--", "shed-threshold-ms"].concat();
+    let unknown_shed = format!("unknown flag {shed}");
     for (args, names) in [
         (
             vec![
@@ -195,6 +212,10 @@ fn unknown_flags_and_missing_values_are_usage_errors() {
         (
             vec!["run", spec, threads.as_str(), "2"],
             unknown_threads.as_str(),
+        ),
+        (
+            vec!["serve", spec, shed.as_str(), "0"],
+            unknown_shed.as_str(),
         ),
         (vec!["advise", spec], "usage:"),
     ] {
