@@ -18,10 +18,13 @@
 //!
 //! Domain hygiene (carried over from the monolith): BDD blocks of
 //! `⌈log₂ n⌉` bits can encode values ≥ `n`. Relation indices never contain
-//! such codes, but complements introduced by negation do, so every
-//! quantifier confines its variables with the block's range constraint,
-//! and the final test confines every stripped variable that no positive
-//! top-level atom already confines. This keeps BDD answers identical to
+//! such codes, but complements introduced by negation do, so a quantifier
+//! over a general body confines its variables with the block's range
+//! constraint, and the final test confines every stripped variable that no
+//! positive top-level atom already confines. An `∃x̄` over a single atom
+//! that uses each of `x̄` once conjoins no range: the atom already confines
+//! them, so it projects their columns away on the index instead
+//! (`Compiler::compile_quant`). This keeps BDD answers identical to
 //! active-domain semantics (the brute-force oracle in `relcheck-logic`).
 
 use crate::error::{CoreError, Result};
@@ -172,6 +175,35 @@ fn atom_local_vars(body: &Formula, stripped: &[String]) -> Vec<String> {
         }
     }
     local
+}
+
+/// The atom of `∃vs. body` and the variables bound over it, when `body`
+/// is one atom behind zero or more further `∃`s and each bound variable
+/// occurs in it exactly once — the shape [`Compiler::compile_quant`]
+/// compiles by projecting the bound columns. A repeated bound variable
+/// (`∃x. T(x, x)`) needs its equality first, so it takes the general route.
+fn projectable_atom<'f>(
+    vs: &'f [String],
+    body: &'f Formula,
+) -> Option<(&'f str, &'f [Term], Vec<&'f String>)> {
+    let mut bound: Vec<&String> = vs.iter().collect();
+    let mut g = body;
+    while let Formula::Exists(more, inner) = g {
+        bound.extend(more);
+        g = inner;
+    }
+    let Formula::Atom { relation, args } = g else {
+        return None;
+    };
+    let uses = |v: &String| {
+        args.iter()
+            .filter(|t| matches!(t, Term::Var(w) if w == v))
+            .count()
+    };
+    bound
+        .iter()
+        .all(|v| uses(v) == 1)
+        .then_some((relation.as_str(), args.as_slice(), bound))
 }
 
 /// Execute a plan's pre-translated SQL step: run the relational plan and
@@ -355,7 +387,7 @@ impl<'a> Compiler<'a> {
         match f {
             Formula::True => Ok(Bdd::TRUE),
             Formula::False => Ok(Bdd::FALSE),
-            Formula::Atom { relation, args } => self.compile_atom(relation, args),
+            Formula::Atom { relation, args } => self.compile_atom(relation, args, &[]),
             Formula::Eq(a, b) => self.compile_eq(a, b),
             Formula::InSet(t, vals) => self.compile_in_set(t, vals),
             Formula::Not(g) => {
@@ -410,7 +442,25 @@ impl<'a> Compiler<'a> {
         self.ranges_doms(&doms)
     }
 
+    /// `∃vs. body` or `∀vs. body`, with `body`'s free variables in their
+    /// query domains.
+    ///
+    /// An `∃` whose body is one atom, possibly behind more `∃`s (R3 leaves
+    /// `∃a. ∃s. R(c, a, s)`), and which uses every bound variable exactly
+    /// once in it, is that atom with the bound columns projected away on
+    /// the index's own domains before any rename: early quantification
+    /// inside the atom. Its ranges are not conjoined: an index holds no
+    /// out-of-range code, so `∃x̄.(A ∧ ranges(x̄)) = ∃x̄.A` (DESIGN §5b F6),
+    /// and ROBDD canonicity makes the result the node the general route
+    /// builds. Unlike that route's unrooted `app_exists` result, it is an
+    /// atom-cache entry: kept across collections and patched after a
+    /// delta.
     fn compile_quant(&mut self, vs: &[String], body: &Formula, is_exists: bool) -> Result<Bdd> {
+        if is_exists {
+            if let Some((relation, args, bound)) = projectable_atom(vs, body) {
+                return self.compile_atom(relation, args, &bound);
+            }
+        }
         let phi = self.compile(body)?;
         let doms: Vec<DomainId> = vs.iter().map(|v| self.var_doms[v]).collect();
         let ranges = self.ranges_doms(&doms)?;
@@ -424,7 +474,10 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn compile_atom(&mut self, relation: &str, args: &[Term]) -> Result<Bdd> {
+    /// The atom `relation(args)`, with the columns of atom-local variables
+    /// and of `bound` (an enclosing `∃`'s variables, each used once here)
+    /// projected away.
+    fn compile_atom(&mut self, relation: &str, args: &[Term], bound: &[&String]) -> Result<Bdd> {
         let idx = self
             .ldb
             .index(relation)
@@ -451,8 +504,9 @@ impl<'a> Compiler<'a> {
                             Some(code) => actions.push(AtomAction::Pin(col_dom, code as u64)),
                         }
                     }
-                    Term::Var(v) if self.local.contains(v) => {
-                        // Nothing else reads it: the test discards it.
+                    Term::Var(v) if self.local.contains(v) || bound.contains(&v) => {
+                        // Nothing else reads it: the test or the ∃
+                        // discards it.
                         actions.push(AtomAction::Project(col_dom));
                     }
                     Term::Var(v) => {

@@ -60,6 +60,12 @@ if [ "$QUICK" -eq 0 ]; then
     step "perfbench tests"
     CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
         --manifest-path perfbench/Cargo.toml
+
+    # The deadline tests escalate their input until a compile outlives the
+    # deadline; an optimised build needs the larger sizes, so run them
+    # optimised too.
+    step "resilience suite, release build"
+    cargo test --release -q -p relcheck-core --test resilience
 fi
 
 step "metrics smoke: relcheck run --metrics on testdata/ + schema validation"
